@@ -1,6 +1,5 @@
 module Spec = Txn.Spec
 module Result = Txn.Result
-module Value = Txn.Value
 
 type report = {
   reads_checked : int;
@@ -10,112 +9,72 @@ type report = {
   examples : (int * int) list;
 }
 
-(* An update transaction "has effect" if it committed, or aborted through
-   compensation (compensation leaves its writer tags on every key it
-   touched, with a net-zero amount — still atomic from a reader's view). *)
-let has_effect (res : Result.t) =
-  match res.Result.outcome with
-  | Result.Committed -> true
-  | Result.Aborted "compensated" -> true
-  | Result.Aborted _ -> false
-
-module Int_set = Set.Make (Int)
-module Str_map = Map.Make (String)
+module Index = History_index
 
 let check history =
-  (* Index effect-ful updates: txn id -> written key set; key -> writer ids. *)
-  let update_keys = Hashtbl.create 256 in
-  let writers_by_key = Hashtbl.create 256 in
-  let effectless = Hashtbl.create 64 in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if spec.Spec.kind <> Spec.Read_only then begin
-        if has_effect res then begin
-          let keys = Spec.keys_written spec in
-          Hashtbl.replace update_keys spec.Spec.id keys;
-          List.iter
-            (fun k ->
-              let cur =
-                match Hashtbl.find_opt writers_by_key k with
-                | Some ids -> ids
-                | None -> []
-              in
-              Hashtbl.replace writers_by_key k (spec.Spec.id :: cur))
-            keys
-        end
-        else Hashtbl.replace effectless spec.Spec.id ()
-      end)
-    history;
+  let idx = Index.build history in
+  let n = Array.length idx.Index.ids in
+  (* Per-read scratch, indexed by the candidate update's dense index and
+     valid only where [stamp] holds the current read's number. *)
+  let stamp = Array.make n (-1) in
+  let overlap = Array.make n 0 and seen_on = Array.make n 0 in
   let reads_checked = ref 0 in
   let pairs_checked = ref 0 in
   let partial_reads = ref 0 in
   let dirty_reads = ref 0 in
   let examples = ref [] in
+  let n_examples = ref 0 in
   let note_example r u =
-    if List.length !examples < 10 then examples := (r, u) :: !examples
+    if !n_examples < 10 then begin
+      examples := (r, u) :: !examples;
+      incr n_examples
+    end
   in
   List.iter
     (fun ((spec : Spec.t), (res : Result.t)) ->
       if spec.Spec.kind = Spec.Read_only && Result.committed res then begin
         incr reads_checked;
-        (* Writer tags this read observed, unioned per key. *)
-        let observed =
-          List.fold_left
-            (fun acc (key, value) ->
-              let prev =
-                match Str_map.find_opt key acc with
-                | Some s -> s
-                | None -> Int_set.empty
-              in
-              let tags =
-                Value.Writers.fold Int_set.add value.Value.writers prev
-              in
-              Str_map.add key tags acc)
-            Str_map.empty res.Result.reads
+        let r = Index.find idx spec.Spec.id in
+        let touched = ref [] in
+        let touch p =
+          let u = idx.Index.w_dense.(p) in
+          if stamp.(u) <> r then begin
+            stamp.(u) <- r;
+            overlap.(u) <- 0;
+            seen_on.(u) <- 0;
+            touched := u :: !touched
+          end;
+          overlap.(u) <- overlap.(u) + 1;
+          u
         in
-        (* Dirty reads: any observed tag belonging to an effect-less abort. *)
-        Str_map.iter
-          (fun _key tags ->
-            Int_set.iter
-              (fun id ->
-                if Hashtbl.mem effectless id then begin
-                  incr dirty_reads;
-                  note_example spec.Spec.id id
-                end)
-              tags)
-          observed;
-        (* Candidate updates: those writing any key this read looked at. *)
-        let candidates =
-          Str_map.fold
-            (fun key _ acc ->
-              match Hashtbl.find_opt writers_by_key key with
-              | None -> acc
-              | Some ids -> List.fold_left (fun a i -> Int_set.add i a) acc ids)
-            observed Int_set.empty
-        in
-        Int_set.iter
-          (fun u ->
-            match Hashtbl.find_opt update_keys u with
-            | None -> ()
-            | Some written ->
-                let overlap =
-                  List.filter (fun k -> Str_map.mem k observed) written
-                in
-                if List.length overlap >= 2 then begin
-                  incr pairs_checked;
-                  let seen =
-                    List.filter
-                      (fun k ->
-                        Int_set.mem u (Str_map.find k observed))
-                      overlap
-                  in
-                  let n_seen = List.length seen in
-                  if n_seen > 0 && n_seen < List.length overlap then begin
-                    incr partial_reads;
-                    note_example spec.Spec.id u
-                  end
-                end)
-          candidates
+        (* Keys in sorted order, so dirty-read examples come out as the
+           writer-tag union per key would list them. Every update writing
+           a key this read looked at is a candidate. *)
+        Index.observed res.Result.reads
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.iter (fun (key, tags) ->
+               Index.merge idx (Index.writers idx key) tags
+                 ~seen:(fun p ->
+                   let u = touch p in
+                   seen_on.(u) <- seen_on.(u) + 1)
+                 ~unseen:(fun p -> ignore (touch p))
+                 ~stray:(fun tag ->
+                   (* Dirty reads: an observed tag of an effect-less abort. *)
+                   let d = Index.find idx tag in
+                   if d >= 0 && Index.effectless idx.Index.txns.(d) then begin
+                     incr dirty_reads;
+                     note_example spec.Spec.id tag
+                   end));
+        (* Updates overlapping the read on >= 2 keys, in id order: seen on
+           all of those keys or on none. *)
+        List.filter (fun u -> overlap.(u) >= 2) !touched
+        |> List.sort Int.compare
+        |> List.iter (fun u ->
+               incr pairs_checked;
+               if seen_on.(u) > 0 && seen_on.(u) < overlap.(u) then begin
+                 incr partial_reads;
+                 note_example spec.Spec.id idx.Index.ids.(u)
+               end)
       end)
     history;
   {

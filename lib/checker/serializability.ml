@@ -20,187 +20,204 @@ type report = {
   cycle : edge list option;
 }
 
-module Int_set = Set.Make (Int)
-
-let has_effect (res : Result.t) =
-  match res.Result.outcome with
-  | Result.Committed -> true
-  | Result.Aborted "compensated" -> true
-  | Result.Aborted _ -> false
-
-(* Per-key write classification of a spec: key -> wrote_overwrite. A key
-   counts as overwritten if any operation on it anywhere in the tree is an
-   [Overwrite]. *)
-let write_kinds (spec : Spec.t) =
-  let tbl = Hashtbl.create 8 in
-  let rec walk (st : Spec.subtxn) =
-    List.iter
-      (fun op ->
-        if Op.is_write op then begin
-          let key = Op.key op in
-          let prev =
-            match Hashtbl.find_opt tbl key with Some b -> b | None -> false
-          in
-          Hashtbl.replace tbl key (prev || not (Op.commuting_write op))
-        end)
-      st.Spec.ops;
-    List.iter walk st.Spec.children
-  in
-  walk spec.Spec.root;
-  tbl
+module Index = History_index
 
 (* ------------------------------------------------------------ graph *)
 
-type graph = {
-  (* adjacency, deduplicated: src -> dst set *)
-  adj : (int, Int_set.t ref) Hashtbl.t;
-  (* representative edge per (src, dst, kind); first inserted wins *)
-  edge_tbl : (int * int * edge_kind, edge) Hashtbl.t;
-  mutable rf : int;
-  mutable anti : int;
-  mutable ww : int;
-}
+(* An edge is one int over dense indices, [((src * n + dst) lsl 2) lor
+   kind]: sorted, the ints group edges by source, then target, then kind
+   (the CSR order), and a repeated edge sits next to its twin. *)
+let code = function Reads_from -> 0 | Anti_dependency -> 1 | Version_order -> 2
 
-let add_edge g ~src ~dst ~key ~kind =
-  if src <> dst && not (Hashtbl.mem g.edge_tbl (src, dst, kind)) then begin
-    Hashtbl.replace g.edge_tbl (src, dst, kind) { src; dst; key; kind };
-    (match kind with
-    | Reads_from -> g.rf <- g.rf + 1
-    | Anti_dependency -> g.anti <- g.anti + 1
-    | Version_order -> g.ww <- g.ww + 1);
-    let set =
-      match Hashtbl.find_opt g.adj src with
-      | Some s -> s
-      | None ->
-          let s = ref Int_set.empty in
-          Hashtbl.replace g.adj src s;
-          s
-    in
-    set := Int_set.add dst !set
+type edges = { mutable codes : int array; mutable len : int }
+
+let reserve e capacity =
+  if capacity > Array.length e.codes then begin
+    let grown = Array.make capacity 0 in
+    Array.blit e.codes 0 grown 0 e.len;
+    e.codes <- grown
   end
 
-let succs g v =
-  match Hashtbl.find_opt g.adj v with
-  | Some s -> Int_set.elements !s
-  | None -> []
+let push e x =
+  if e.len = Array.length e.codes then reserve e ((2 * e.len) + 1024);
+  e.codes.(e.len) <- x;
+  e.len <- e.len + 1
 
-(* An edge src -> dst of any kind, preferring reads-from for readability of
-   witnesses. *)
-let edge_between g src dst =
-  match Hashtbl.find_opt g.edge_tbl (src, dst, Reads_from) with
-  | Some e -> Some e
-  | None -> (
-      match Hashtbl.find_opt g.edge_tbl (src, dst, Anti_dependency) with
-      | Some e -> Some e
-      | None -> Hashtbl.find_opt g.edge_tbl (src, dst, Version_order))
+(* LSD radix sort of the non-negative [a.(0 .. len - 1)], 16 bits a pass.
+   Returns the array holding the sorted prefix: [a] or its scratch twin. *)
+let radix_sort a len =
+  let top = ref 0 in
+  for i = 0 to len - 1 do
+    if a.(i) > !top then top := a.(i)
+  done;
+  let count = Array.make 65537 0 in
+  let rec pass src dst shift =
+    if !top lsr shift = 0 then src
+    else begin
+      Array.fill count 0 65537 0;
+      for i = 0 to len - 1 do
+        let b = (src.(i) lsr shift) land 0xffff in
+        count.(b + 1) <- count.(b + 1) + 1
+      done;
+      for b = 1 to 65536 do
+        count.(b) <- count.(b) + count.(b - 1)
+      done;
+      for i = 0 to len - 1 do
+        let x = src.(i) in
+        let b = (x lsr shift) land 0xffff in
+        dst.(count.(b)) <- x;
+        count.(b) <- count.(b) + 1
+      done;
+      pass dst src (shift + 16)
+    end
+  in
+  pass a (Array.make len 0) 0
+
+(* The MVSG in compressed sparse rows: [v]'s successors, deduplicated
+   across kinds and ascending, are [succ.(first.(v))] to
+   [succ.(first.(v + 1) - 1)]. *)
+type graph = { n : int; first : int array; succ : int array }
+
+(* Sorts the edge codes, counts the distinct ones per kind ([counts.(c)]
+   for kind code [c]) and packs the successors in place of the codes. *)
+let graph_of n (e : edges) counts =
+  let codes = radix_sort e.codes e.len in
+  let first = Array.make (n + 1) 0 in
+  let k = ref 0 and prev = ref (-1) in
+  for i = 0 to e.len - 1 do
+    let c = codes.(i) in
+    if c <> !prev then begin
+      counts.(c land 3) <- counts.(c land 3) + 1;
+      let pair = c lsr 2 in
+      if !prev < 0 || pair <> !prev lsr 2 then begin
+        first.((pair / n) + 1) <- first.((pair / n) + 1) + 1;
+        (* [!k <= i]: only codes already read are overwritten. *)
+        codes.(!k) <- pair mod n;
+        incr k
+      end;
+      prev := c
+    end
+  done;
+  for v = 1 to n do
+    first.(v) <- first.(v) + first.(v - 1)
+  done;
+  { n; first; succ = codes }
 
 (* ----------------------------------------------------- cycle search *)
 
-(* Iterative Tarjan: strongly-connected components of the nodes reachable
-   in [g], starting from every node in [nodes]. *)
+(* Iterative Tarjan: the strongly-connected components with two or more
+   nodes, of the nodes reachable in [g] from every node [v] with
+   [nodes.(v)], visited in ascending order. *)
 let sccs g nodes =
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
+  let index = Array.make g.n (-1) in
+  let lowlink = Array.make g.n 0 in
+  let on_stack = Array.make g.n false in
   let stack = ref [] in
   let counter = ref 0 in
   let out = ref [] in
-  let push v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
+  (* The call stack: node and its next successor slot, per frame. *)
+  let call_v = Array.make g.n 0 and call_next = Array.make g.n 0 in
+  let depth = ref 0 in
+  let enter v =
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v ()
+    on_stack.(v) <- true;
+    call_v.(!depth) <- v;
+    call_next.(!depth) <- g.first.(v);
+    incr depth
   in
   let visit root =
-    if not (Hashtbl.mem index root) then begin
-      let call = Stack.create () in
-      push root;
-      Stack.push (root, ref (succs g root)) call;
-      while not (Stack.is_empty call) do
-        let v, rest = Stack.top call in
-        match !rest with
-        | w :: tl ->
-            rest := tl;
-            if not (Hashtbl.mem index w) then begin
-              push w;
-              Stack.push (w, ref (succs g w)) call
-            end
-            else if Hashtbl.mem on_stack w then
-              Hashtbl.replace lowlink v
-                (min (Hashtbl.find lowlink v) (Hashtbl.find index w))
-        | [] ->
-            ignore (Stack.pop call);
-            if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-              let rec pop acc =
-                match !stack with
-                | w :: tl ->
-                    stack := tl;
-                    Hashtbl.remove on_stack w;
-                    if w = v then w :: acc else pop (w :: acc)
-                | [] -> acc
-              in
-              out := pop [] :: !out
-            end;
-            (match Stack.top_opt call with
-            | Some (parent, _) ->
-                Hashtbl.replace lowlink parent
-                  (min (Hashtbl.find lowlink parent) (Hashtbl.find lowlink v))
-            | None -> ())
+    if nodes.(root) && index.(root) < 0 then begin
+      enter root;
+      while !depth > 0 do
+        let top = !depth - 1 in
+        let v = call_v.(top) in
+        let i = call_next.(top) in
+        if i < g.first.(v + 1) then begin
+          call_next.(top) <- i + 1;
+          let w = g.succ.(i) in
+          if index.(w) < 0 then enter w
+          else if on_stack.(w) then lowlink.(v) <- Int.min lowlink.(v) index.(w)
+        end
+        else begin
+          decr depth;
+          if lowlink.(v) = index.(v) then begin
+            let rec pop acc =
+              match !stack with
+              | w :: tl ->
+                  stack := tl;
+                  on_stack.(w) <- false;
+                  if w = v then w :: acc else pop (w :: acc)
+              | [] -> acc
+            in
+            match pop [] with [ _ ] -> () | scc -> out := scc :: !out
+          end;
+          if !depth > 0 then begin
+            let parent = call_v.(!depth - 1) in
+            lowlink.(parent) <- Int.min lowlink.(parent) lowlink.(v)
+          end
+        end
       done
     end
   in
-  List.iter visit nodes;
+  for v = 0 to g.n - 1 do
+    visit v
+  done;
   !out
 
 (* Shortest cycle through [start] staying inside [members]: BFS until an
-   edge closes back on [start]. Returns the node sequence of the cycle. *)
-let shortest_cycle_through g members start =
-  let parent = Hashtbl.create 16 in
+   edge closes back on [start]. Returns the node sequence of the cycle.
+   [parent] is all [-1] on entry and on return. *)
+let shortest_cycle_through g members parent start =
   let q = Queue.create () in
+  let reached = ref [ start ] in
   Queue.add start q;
-  Hashtbl.replace parent start start;
+  parent.(start) <- start;
   let found = ref None in
   (try
      while not (Queue.is_empty q) do
        let u = Queue.pop q in
-       List.iter
-         (fun w ->
-           if w = start then begin
-             (* Reconstruct start ... u, then close with u -> start. *)
-             let rec back v acc =
-               if v = start then start :: acc
-               else back (Hashtbl.find parent v) (v :: acc)
-             in
-             found := Some (back u []);
-             raise Exit
-           end
-           else if Int_set.mem w members && not (Hashtbl.mem parent w) then begin
-             Hashtbl.replace parent w u;
-             Queue.add w q
-           end)
-         (succs g u)
+       for i = g.first.(u) to g.first.(u + 1) - 1 do
+         let w = g.succ.(i) in
+         if w = start then begin
+           (* Reconstruct start ... u, then close with u -> start. *)
+           let rec back v acc =
+             if v = start then start :: acc else back parent.(v) (v :: acc)
+           in
+           found := Some (back u []);
+           raise Exit
+         end
+         else if members.(w) && parent.(w) < 0 then begin
+           parent.(w) <- u;
+           reached := w :: !reached;
+           Queue.add w q
+         end
+       done
      done
    with Exit -> ());
+  List.iter (fun v -> parent.(v) <- -1) !reached;
   !found
 
 (* Minimal witness: smallest SCC with >= 2 nodes, then the shortest cycle
-   through any of its nodes. *)
+   through any of its nodes, as (src, dst) pairs of dense indices. *)
 let find_cycle g nodes =
-  let multi =
-    List.filter (fun scc -> List.length scc >= 2) (sccs g nodes)
-  in
   match
-    List.sort (fun a b -> compare (List.length a) (List.length b)) multi
+    List.sort
+      (fun a b -> Int.compare (List.length a) (List.length b))
+      (sccs g nodes)
   with
   | [] -> None
   | scc :: _ ->
-      let members = Int_set.of_list scc in
+      let members = Array.make g.n false in
+      List.iter (fun v -> members.(v) <- true) scc;
+      let parent = Array.make g.n (-1) in
       let best = ref None in
       (try
          List.iter
            (fun start ->
-             match shortest_cycle_through g members start with
+             match shortest_cycle_through g members parent start with
              | Some c -> (
                  match !best with
                  | Some b when List.length b <= List.length c -> ()
@@ -210,144 +227,204 @@ let find_cycle g nodes =
              | None -> ())
            scc
        with Exit -> ());
-      (match !best with
-      | None -> None
-      | Some cyc ->
+      Option.map
+        (fun cyc ->
           (* Node sequence -> edge list, wrapping around. *)
           let arr = Array.of_list cyc in
-          let n = Array.length arr in
-          let edges =
-            List.init n (fun i ->
-                let src = arr.(i) and dst = arr.((i + 1) mod n) in
-                match edge_between g src dst with
-                | Some e -> e
-                | None ->
-                    (* Unreachable: the BFS walked real edges. *)
-                    { src; dst; key = "?"; kind = Reads_from })
-          in
-          Some edges)
+          let len = Array.length arr in
+          List.init len (fun i -> (arr.(i), arr.((i + 1) mod len))))
+        !best
+
+(* ----------------------------------------------------- witness keys *)
+
+(* The graph keeps no kinds or keys. A witness edge src -> dst is labelled
+   by re-deriving, for it alone, what generated it: its kind, preferring
+   reads-from for readability, then anti-dependency, then version order;
+   and the first key that generated an edge of that kind, in generation
+   order. *)
+
+(* Version-order witnesses name the key they have always named: the first
+   in the iteration order of a hash table of the written keys, filled
+   update by update in history order, each update's keys in the order of
+   its own small table. That order comes from the tables' layout, not from
+   the history, but it is what reports have always shown, and the
+   reference oracle in the tests pins it. *)
+let ww_key_order (history : (Spec.t * Result.t) list) =
+  let order = Hashtbl.create 256 in
+  List.iter
+    (fun ((spec : Spec.t), res) ->
+      if Index.effectful (spec, res) then begin
+        let mine = Hashtbl.create 8 in
+        let rec walk (st : Spec.subtxn) =
+          List.iter
+            (fun op ->
+              if Op.is_write op then Hashtbl.replace mine (Op.key op) ())
+            st.Spec.ops;
+          List.iter walk st.Spec.children
+        in
+        walk spec.Spec.root;
+        Seq.iter
+          (fun key -> Hashtbl.replace order key ())
+          (Hashtbl.to_seq_keys mine)
+      end)
+    history;
+  Hashtbl.to_seq_keys order
+
+(* The writer position of dense index [d] among [key]'s writers, if any. *)
+let position idx key d =
+  let first, stop = Index.writers idx key in
+  let rec go p =
+    if p >= stop then None
+    else if idx.Index.w_dense.(p) = d then Some p
+    else go (p + 1)
+  in
+  go first
+
+(* A committed transaction's observations; the only ones that draw edges. *)
+let drawn_reads (res : Result.t) =
+  if Result.committed res then res.Result.reads else []
+
+let label history idx (src, dst) =
+  let id d = idx.Index.ids.(d) in
+  let reads d = drawn_reads (snd idx.Index.txns.(d)) in
+  let rf () =
+    if Index.effectful idx.Index.txns.(src) then
+      List.find_opt
+        (fun (_, (v : Value.t)) -> Value.Writers.mem (id src) v.Value.writers)
+        (reads dst)
+    else None
+  in
+  let anti () =
+    List.find_opt
+      (fun (key, (v : Value.t)) ->
+        Option.is_some (position idx key dst)
+        && not (Value.Writers.mem (id dst) v.Value.writers))
+      (reads src)
+  in
+  let ww () =
+    Seq.find
+      (fun key ->
+        match (position idx key src, position idx key dst) with
+        | Some p, Some q ->
+            idx.Index.w_overwrote.(p) || idx.Index.w_overwrote.(q)
+        | _ -> false)
+      (ww_key_order history)
+  in
+  let kind, key =
+    match rf () with
+    | Some (key, _) -> (Reads_from, key)
+    | None -> (
+        match anti () with
+        | Some (key, _) -> (Anti_dependency, key)
+        | None ->
+            (* The BFS walked real edges, so a version-order edge it is. *)
+            (Version_order, Option.value ~default:"?" (ww ())))
+  in
+  { src = id src; dst = id dst; key; kind }
 
 (* ----------------------------------------------------------- certify *)
 
 let certify ?shard_of_node history =
-  let g =
-    { adj = Hashtbl.create 256; edge_tbl = Hashtbl.create 1024;
-      rf = 0; anti = 0; ww = 0 }
-  in
+  let idx = Index.build history in
+  let n = Array.length idx.Index.ids in
+  let version p = (snd idx.Index.txns.(idx.Index.w_dense.(p))).Result.version in
   (* A writer's shard (sharded histories only): update trees are confined
-     to one shard, so the root node determines it. Version numbers are
-     per-shard frontiers — comparable only within a shard. *)
-  let writer_shard (spec : Spec.t) =
+     to one shard, so the root node determines it. *)
+  let shard p =
     match shard_of_node with
     | None -> 0
-    | Some f -> f spec.Spec.root.Spec.node
+    | Some f ->
+        let spec, _ = idx.Index.txns.(idx.Index.w_dense.(p)) in
+        f spec.Spec.root.Spec.node
   in
-  (* Effect-ful writers: id -> (version, write kinds). *)
-  let writer_info = Hashtbl.create 256 in
-  (* key -> (writer id, version, writer shard, overwrote) list *)
-  let writers_of_key : (string, (int * int * int * bool) list) Hashtbl.t =
-    Hashtbl.create 256
+  let e = { codes = [||]; len = 0 } in
+  let add src dst kind =
+    if src <> dst then push e ((((src * n) + dst) lsl 2) lor code kind)
   in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if spec.Spec.kind <> Spec.Read_only && has_effect res then begin
-        let kinds = write_kinds spec in
-        Hashtbl.replace writer_info spec.Spec.id ();
-        Hashtbl.iter
-          (fun key ow ->
-            let cur =
-              match Hashtbl.find_opt writers_of_key key with
-              | Some l -> l
-              | None -> []
-            in
-            Hashtbl.replace writers_of_key key
-              ((spec.Spec.id, res.Result.version, writer_shard spec, ow) :: cur))
-          kinds
-      end)
-    history;
   (* Version-order edges: conflicting writer pairs at different versions
      of the same shard's frontier, lower version first. Commuting pairs
      are unordered, and cross-shard pairs are never ordered by raw version
      number (shard frontiers advance independently, so equal numbers name
      different epochs — any real ordering between such writers surfaces
      through reads-from/anti-dependency edges instead). *)
-  Hashtbl.iter
-    (fun key ws ->
-      let rec pairs = function
-        | [] -> ()
-        | (id1, v1, s1, ow1) :: rest ->
-            List.iter
-              (fun (id2, v2, s2, ow2) ->
-                if s1 = s2 && v1 <> v2 && (ow1 || ow2) then begin
-                  let src, dst = if v1 < v2 then (id1, id2) else (id2, id1) in
-                  add_edge g ~src ~dst ~key ~kind:Version_order
-                end)
-              rest;
-            pairs rest
-      in
-      pairs ws)
-    writers_of_key;
+  for s = 0 to Array.length idx.Index.starts - 2 do
+    let first = idx.Index.starts.(s) and stop = idx.Index.starts.(s + 1) in
+    for p = first to stop - 1 do
+      if idx.Index.w_overwrote.(p) then
+        for q = first to stop - 1 do
+          let vp = version p and vq = version q in
+          if vp <> vq && shard p = shard q then begin
+            let lo, hi = if vp < vq then (p, q) else (q, p) in
+            add idx.Index.w_dense.(lo) idx.Index.w_dense.(hi) Version_order
+          end
+        done
+    done
+  done;
   (* Reads-from and anti-dependency edges, plus unknown-tag accounting.
      Checked per observation (not unioned per key), so a non-repeatable
-     read inside one transaction closes a two-edge cycle. *)
+     read inside one transaction closes a two-edge cycle. An observed tag
+     is reads-from; an effect-ful writer of the key whose tag is absent
+     was read before it wrote. So each observation draws one edge per
+     writer of its key, plus one per tag of an effect-ful writer of
+     another key (rare enough to grow the buffer for): the buffer is sized
+     once. *)
+  reserve e
+    (List.fold_left
+       (fun len (_, res) ->
+         List.fold_left
+           (fun len (key, _) ->
+             let first, stop = Index.writers idx key in
+             len + stop - first)
+           len (drawn_reads res))
+       e.len history);
   let readers = ref 0 in
   let unknown_count = ref 0 in
   let unknown_tags = ref [] in
   List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if Result.committed res && res.Result.reads <> [] then begin
-        incr readers;
-        let rid = spec.Spec.id in
-        List.iter
-          (fun (key, (value : Value.t)) ->
-            let seen = value.Value.writers in
-            (* Observed tags: reads-from, or unknown if unaccounted. *)
-            Value.Writers.iter
-              (fun w ->
-                if w <> rid then
-                  if Hashtbl.mem writer_info w then
-                    add_edge g ~src:w ~dst:rid ~key ~kind:Reads_from
-                  else begin
-                    incr unknown_count;
-                    if List.length !unknown_tags < 20 then
-                      unknown_tags := (rid, key, w) :: !unknown_tags
-                  end)
-              seen;
-            (* Effect-ful writers of this key whose tag is absent from this
-               observation: the read happened first. *)
-            List.iter
-              (fun (w, _, _, _) ->
-                if w <> rid && not (Value.Writers.mem w seen) then
-                  add_edge g ~src:rid ~dst:w ~key ~kind:Anti_dependency)
-              (match Hashtbl.find_opt writers_of_key key with
-              | Some l -> l
-              | None -> []))
-          res.Result.reads
-      end)
+    (fun ((spec : Spec.t), res) ->
+      match drawn_reads res with
+      | [] -> ()
+      | reads ->
+          incr readers;
+          let rid = spec.Spec.id in
+          let r = Index.find idx rid in
+          List.iter
+            (fun (key, (value : Value.t)) ->
+              Index.merge idx (Index.writers idx key) value.Value.writers
+                ~seen:(fun p -> add idx.Index.w_dense.(p) r Reads_from)
+                ~unseen:(fun p -> add r idx.Index.w_dense.(p) Anti_dependency)
+                ~stray:(fun w ->
+                  if w <> rid then begin
+                    let d = Index.find idx w in
+                    if d >= 0 && Index.effectful idx.Index.txns.(d) then
+                      add d r Reads_from
+                    else begin
+                      if !unknown_count < 20 then
+                        unknown_tags := (rid, key, w) :: !unknown_tags;
+                      incr unknown_count
+                    end
+                  end))
+            reads)
     history;
-  (* Node set: writers plus committed readers (readers that also write are
-     already present). *)
-  let nodes = Hashtbl.create 256 in
-  Hashtbl.iter (fun id () -> Hashtbl.replace nodes id ()) writer_info;
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if Result.committed res && res.Result.reads <> [] then
-        Hashtbl.replace nodes spec.Spec.id ())
-    history;
-  (* Sorted: the node enumeration seeds the SCC/BFS walk, so hash-order
-     iteration would make the chosen cycle witness layout-dependent. *)
-  let node_list =
-    Hashtbl.fold (fun id () acc -> id :: acc) nodes [] |> List.sort compare
+  let counts = Array.make 3 0 in
+  let g = graph_of n e counts in
+  (* Nodes: writers plus committed readers, seeded in id order so the
+     chosen witness does not depend on history order. *)
+  let nodes =
+    Array.map
+      (fun txn -> Index.effectful txn || drawn_reads (snd txn) <> [])
+      idx.Index.txns
   in
-  let cycle = find_cycle g node_list in
+  let count f a = Array.fold_left (fun c x -> if f x then c + 1 else c) 0 a in
+  let cycle = Option.map (List.map (label history idx)) (find_cycle g nodes) in
   {
-    txns = List.length node_list;
+    txns = count Fun.id nodes;
     readers = !readers;
-    writers = Hashtbl.length writer_info;
-    edges = g.rf + g.anti + g.ww;
-    rf_edges = g.rf;
-    anti_edges = g.anti;
-    ww_edges = g.ww;
+    writers = count Index.effectful idx.Index.txns;
+    edges = counts.(0) + counts.(1) + counts.(2);
+    rf_edges = counts.(code Reads_from);
+    anti_edges = counts.(code Anti_dependency);
+    ww_edges = counts.(code Version_order);
     unknown_count = !unknown_count;
     unknown_tags = List.rev !unknown_tags;
     cycle;

@@ -25,7 +25,17 @@
 
     A cycle is reported as a minimal witness: the shortest edge cycle inside
     the smallest strongly-connected component, found by an iterative Tarjan
-    pass followed by breadth-first search. Observed writer tags that no
+    pass followed by breadth-first search. Each witness edge names its kind,
+    preferring reads-from, then anti-dependency, then version order, and the
+    first key that generated an edge of that kind.
+
+    Cost: edges are drawn by one linear merge per observation of its sorted
+    writer tags against the key's writers ({!History_index.merge}), packed
+    one int per edge, radix-sorted and deduplicated into compressed sparse
+    rows — O(Σ over observations of |tags| + |writers(key)|) plus
+    O(E log E) for E edges, and O(overwriters × writers) per key for
+    version-order edges. Witness keys are recovered by a second pass only
+    when a cycle exists. Observed writer tags that no
     effect-ful transaction in the history accounts for (dirty reads of true
     aborts) get no node or edge; they are surfaced in [unknown_count] /
     [unknown_tags] and certifiers downstream must treat them as failures in

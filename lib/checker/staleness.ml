@@ -11,28 +11,23 @@ type report = {
   max_lag : float;
 }
 
-module Int_set = Set.Make (Int)
-module Str_map = Map.Make (String)
+module Index = History_index
 
 let measure history =
-  (* Committed updates indexed by key, with settlement times. *)
-  let settle_time = Hashtbl.create 256 in
-  let writers_by_key = Hashtbl.create 256 in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if spec.Spec.kind <> Spec.Read_only && Result.committed res then begin
-        Hashtbl.replace settle_time spec.Spec.id res.Result.complete_time;
-        List.iter
-          (fun k ->
-            let cur =
-              match Hashtbl.find_opt writers_by_key k with
-              | Some ids -> ids
-              | None -> []
-            in
-            Hashtbl.replace writers_by_key k (spec.Spec.id :: cur))
-          (Spec.keys_written spec)
-      end)
-    history;
+  let idx = Index.build history in
+  let n = Array.length idx.Index.ids in
+  (* Per-read marks by dense index, valid where they hold the current
+     read's dense index: [candidate] for writers of a key the read looked
+     at, [seen] for writers whose tag it observed on such a key. *)
+  let candidate = Array.make n (-1) and seen = Array.make n (-1) in
+  let committed =
+    Array.map (fun (_, res) -> Result.committed res) idx.Index.txns
+  in
+  let settle =
+    Array.map
+      (fun (_, (res : Result.t)) -> res.Result.complete_time)
+      idx.Index.txns
+  in
   let reads = ref 0 in
   let reads_with_misses = ref 0 in
   let missed_total = ref 0 in
@@ -42,46 +37,45 @@ let measure history =
     (fun ((spec : Spec.t), (res : Result.t)) ->
       if spec.Spec.kind = Spec.Read_only && Result.committed res then begin
         incr reads;
-        let observed =
-          List.fold_left
-            (fun acc (key, value) ->
-              let prev =
-                match Str_map.find_opt key acc with
-                | Some s -> s
-                | None -> Int_set.empty
-              in
-              Str_map.add key
-                (Value.Writers.fold Int_set.add value.Value.writers prev)
-                acc)
-            Str_map.empty res.Result.reads
+        let r = Index.find idx spec.Spec.id in
+        let touched = ref [] in
+        (* Tags found on a key their writer did not write still count as
+           observed (rare: only hand-built histories have them). *)
+        let strays = ref [] in
+        let consider p =
+          let u = idx.Index.w_dense.(p) in
+          if candidate.(u) <> r then begin
+            candidate.(u) <- r;
+            if committed.(u) then touched := u :: !touched
+          end
         in
-        let candidates =
-          Str_map.fold
-            (fun key _ acc ->
-              match Hashtbl.find_opt writers_by_key key with
-              | None -> acc
-              | Some ids -> List.fold_left (fun a i -> Int_set.add i a) acc ids)
-            observed Int_set.empty
-        in
+        List.iter
+          (fun (key, (value : Value.t)) ->
+            Index.merge idx (Index.writers idx key) value.Value.writers
+              ~seen:(fun p ->
+                seen.(idx.Index.w_dense.(p)) <- r;
+                consider p)
+              ~unseen:consider
+              ~stray:(fun tag -> strays := tag :: !strays))
+          res.Result.reads;
         let oldest_miss = ref None in
         let misses = ref 0 in
-        Int_set.iter
+        List.iter
           (fun u ->
-            match Hashtbl.find_opt settle_time u with
-            | Some settled when settled <= res.Result.submit_time ->
-                let seen =
-                  Str_map.exists (fun _ tags -> Int_set.mem u tags) observed
-                in
-                if not seen then begin
-                  incr misses;
-                  oldest_miss :=
-                    Some
-                      (match !oldest_miss with
-                      | None -> settled
-                      | Some prev -> Float.min prev settled)
-                end
-            | _ -> ())
-          candidates;
+            let settled = settle.(u) in
+            if
+              settled <= res.Result.submit_time
+              && seen.(u) <> r
+              && not (List.mem idx.Index.ids.(u) !strays)
+            then begin
+              incr misses;
+              oldest_miss :=
+                Some
+                  (match !oldest_miss with
+                  | None -> settled
+                  | Some prev -> Float.min prev settled)
+            end)
+          !touched;
         if !misses > 0 then begin
           incr reads_with_misses;
           missed_total := !missed_total + !misses;

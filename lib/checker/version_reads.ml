@@ -18,13 +18,7 @@ type report = {
   violation_count : int;
 }
 
-module Int_set = Set.Make (Int)
-
-let has_effect (res : Result.t) =
-  match res.Result.outcome with
-  | Result.Committed -> true
-  | Result.Aborted "compensated" -> true
-  | Result.Aborted _ -> false
+module Index = History_index
 
 (* Per-shard fencing for sharded histories: a cross-shard read carries one
    read version per shard (its assigned vector), so key [k] must be fenced
@@ -33,122 +27,97 @@ let has_effect (res : Result.t) =
    the subtransactions whose ops read [k] name the nodes involved, and
    [shard_of_node] maps those to components. Writers of [k] all live in
    [k]'s shard (sharded engines reject cross-shard update trees), so the
-   per-component comparison stays exact. *)
-let fence_of ~vector ~shard_of_node (spec : Spec.t) ~default key =
-  match vector spec.Spec.id with
-  | None -> default
-  | Some vec ->
-      let fence = ref (-1) in
-      let rec scan (st : Spec.subtxn) =
-        if
-          List.exists
-            (function Txn.Op.Read k -> k = key | _ -> false)
-            st.Spec.ops
-        then begin
-          let s = shard_of_node st.Spec.node in
-          if s >= 0 && s < Array.length vec && vec.(s) > !fence then
-            fence := vec.(s)
-        end;
-        List.iter scan st.Spec.children
-      in
-      scan spec.Spec.root;
-      if !fence < 0 then default else !fence
+   per-component comparison stays exact. One walk of the tree yields every
+   read key's fence: the largest in-range component over the
+   subtransactions reading it. *)
+let fences ~shard_of_node vec (spec : Spec.t) =
+  let tbl = Hashtbl.create 8 in
+  let rec walk (st : Spec.subtxn) =
+    let s = shard_of_node st.Spec.node in
+    if s >= 0 && s < Array.length vec then
+      List.iter
+        (function
+          | Txn.Op.Read k -> (
+              match Hashtbl.find_opt tbl k with
+              | Some f when f >= vec.(s) -> ()
+              | _ -> Hashtbl.replace tbl k vec.(s))
+          | _ -> ())
+        st.Spec.ops;
+    List.iter walk st.Spec.children
+  in
+  walk spec.Spec.root;
+  tbl
 
 let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
-  (* For each key: the effect-ful updates that wrote it, with their
-     versions. *)
-  let writers_of_key : (string, (int * int) list) Hashtbl.t =
-    Hashtbl.create 256
+  let idx = Index.build history in
+  let versions =
+    Array.map (fun (_, (res : Result.t)) -> res.Result.version) idx.Index.txns
   in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if spec.Spec.kind <> Spec.Read_only && has_effect res then
-        List.iter
-          (fun key ->
-            let cur =
-              match Hashtbl.find_opt writers_of_key key with
-              | Some l -> l
-              | None -> []
-            in
-            Hashtbl.replace writers_of_key key
-              ((spec.Spec.id, res.Result.version) :: cur))
-          (Spec.keys_written spec))
-    history;
+  let version p = versions.(idx.Index.w_dense.(p)) in
   let reads_checked = ref 0 in
   let observations = ref 0 in
   let violations = ref [] in
+  let recorded = ref 0 in
   let violation_count = ref 0 in
   List.iter
     (fun ((spec : Spec.t), (res : Result.t)) ->
       if spec.Spec.kind = Spec.Read_only && Result.committed res then begin
         incr reads_checked;
         let root_v = res.Result.version in
-        (* Union observed writers per key (a key may be read at several
-           subtransactions; under 3V they all resolve the same version). *)
-        let observed = Hashtbl.create 8 in
-        List.iter
-          (fun (key, (value : Value.t)) ->
-            let cur =
-              match Hashtbl.find_opt observed key with
-              | Some s -> s
-              | None -> Int_set.empty
-            in
-            Hashtbl.replace observed key
-              (Value.Writers.fold Int_set.add value.Value.writers cur))
-          res.Result.reads;
-        (* Sorted key order: violations are capped at 20 and escape into
-           the report, so which ones survive must not depend on hash
-           layout. *)
-        Hashtbl.fold (fun key seen acc -> (key, seen) :: acc) observed []
+        let fence_of =
+          match vector spec.Spec.id with
+          | None -> fun _ -> root_v
+          | Some vec -> (
+              let tbl = fences ~shard_of_node vec spec in
+              fun key ->
+                match Hashtbl.find_opt tbl key with
+                | Some f when f >= 0 -> f
+                | _ -> root_v)
+        in
+        (* Observed writers are unioned per key (a key may be read at
+           several subtransactions; under 3V they all resolve the same
+           version). Sorted key order: violations are capped at 20 and
+           escape into the report, so which ones survive must not depend
+           on read order. *)
+        Index.observed res.Result.reads
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
         |> List.iter (fun (key, seen) ->
-            incr observations;
-            let v = fence_of ~vector ~shard_of_node spec ~default:root_v key in
-            let writers =
-              match Hashtbl.find_opt writers_of_key key with
-              | Some l -> l
-              | None -> []
-            in
-            let expected =
-              List.filter_map
-                (fun (id, wv) -> if wv <= v then Some id else None)
-                writers
-              |> Int_set.of_list
-            in
-            let known_later =
-              List.filter_map
-                (fun (id, wv) -> if wv > v then Some id else None)
-                writers
-              |> Int_set.of_list
-            in
-            let missing = Int_set.diff expected seen in
-            (* Anything seen that is not expected is either a known
-               higher-version writer that leaked forward into this read, or
-               a writer tag the history cannot account for at all (e.g. a
-               dirty read from an effect-less abort). The two point at very
-               different bugs, so report them separately. *)
-            let surplus = Int_set.diff seen expected in
-            let leaked_future = Int_set.inter surplus known_later in
-            let unknown = Int_set.diff surplus known_later in
-            if
-              not
-                (Int_set.is_empty missing
-                && Int_set.is_empty leaked_future
-                && Int_set.is_empty unknown)
-            then begin
-              incr violation_count;
-              if List.length !violations < 20 then
-                violations :=
-                  {
-                    read_txn = spec.Spec.id;
-                    key;
-                    version = v;
-                    missing = Int_set.elements missing;
-                    leaked_future = Int_set.elements leaked_future;
-                    unknown = Int_set.elements unknown;
-                  }
-                  :: !violations
-            end)
+               incr observations;
+               let v = fence_of key in
+               (* A writer at version <= v must be seen; one above it must
+                  not. Anything seen that is not expected is either a known
+                  higher-version writer that leaked forward into this read,
+                  or a writer tag the history cannot account for at all
+                  (e.g. a dirty read from an effect-less abort). The two
+                  point at very different bugs, so report them
+                  separately. *)
+               let missing = ref [] and leaked_future = ref []
+               and unknown = ref [] in
+               Index.merge idx (Index.writers idx key) seen
+                 ~seen:(fun p ->
+                   if version p > v then
+                     leaked_future := idx.Index.w_id.(p) :: !leaked_future)
+                 ~unseen:(fun p ->
+                   if version p <= v then
+                     missing := idx.Index.w_id.(p) :: !missing)
+                 ~stray:(fun tag -> unknown := tag :: !unknown);
+               if !missing <> [] || !leaked_future <> [] || !unknown <> []
+               then begin
+                 incr violation_count;
+                 if !recorded < 20 then begin
+                   incr recorded;
+                   violations :=
+                     {
+                       read_txn = spec.Spec.id;
+                       key;
+                       version = v;
+                       missing = List.rev !missing;
+                       leaked_future = List.rev !leaked_future;
+                       unknown = List.rev !unknown;
+                     }
+                     :: !violations
+                 end
+               end)
       end)
     history;
   {

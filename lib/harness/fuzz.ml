@@ -371,8 +371,10 @@ let strict = function
   | E_nocoord | E_manual -> false
 
 (* Drive [case] with fault atoms [atoms] (usually [case.atoms]; subsets
-   during shrinking) and run every applicable checker. *)
-let execute case atoms =
+   during shrinking). Returns the outcome, the settled-store lookup (3V
+   engines only), and the checkers' read-vector lookup and shard map
+   (sharded cases only). *)
+let drive case atoms =
   let sim = Sim.create ~seed:case.seed () in
   let plan =
     plan_of_atoms ~fault_seed:case.fault_seed ~nodes:case.nodes
@@ -473,7 +475,6 @@ let execute case atoms =
           None,
           None )
   in
-  let history = outcome.Runner.history in
   (* Per-shard version numbers are incomparable across shards: the
      certifiers only order same-shard versions, and exact-version reads
      are fenced per key by the assigned read vector. *)
@@ -481,6 +482,16 @@ let execute case atoms =
     if case.shards > 1 then Some (fun n -> n / (case.nodes / case.shards))
     else None
   in
+  (outcome, lookup, vector, shard_of_node)
+
+let history case =
+  let outcome, _, vector, shard_of_node = drive case case.atoms in
+  (outcome.Runner.history, shard_of_node, vector)
+
+(* Drive [case] with [atoms] and run every applicable checker. *)
+let execute case atoms =
+  let outcome, lookup, vector, shard_of_node = drive case atoms in
+  let history = outcome.Runner.history in
   let srz = Srz.certify ?shard_of_node history in
   let atomr = Checker.Atomicity.check history in
   let checks =

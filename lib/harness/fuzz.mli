@@ -100,6 +100,16 @@ type case_report = {
   reproducers : string list;  (** command lines, most precise first *)
 }
 
+(** [history case] drives [case] under its own fault plan and returns the
+    finished history with the shard map and read-vector lookup the
+    checkers take (both [None] unless the case is sharded) — the inputs
+    {!run_case} checks, for comparing checkers on real histories. *)
+val history :
+  case ->
+  (Txn.Spec.t * Txn.Result.t) list
+  * (int -> int) option
+  * (int -> int array option) option
+
 (** Run one case end to end (drive, settle, check, shrink on failure). *)
 val run_case : fuzz_seed:int -> quick:bool -> case -> case_report
 

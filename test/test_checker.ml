@@ -396,6 +396,46 @@ let version_reads_aborted_excluded () =
   checkb "aborted update not expected" true
     (Checker.Version_reads.clean (Checker.Version_reads.check history))
 
+let version_reads_fenced_per_shard () =
+  (* Nodes 0-1 are shard 0 and nodes 2-3 shard 1. One read looks at "a" on
+     node 0 and at "b" on node 2 with the read vector [|1; 3|]: "a" is
+     fenced at 1 and "b" at 3, whatever the root's own version says. *)
+  let shard_of_node n = n / 2 in
+  let write ~id ~node key =
+    Spec.make ~id (Spec.subtxn node [ Op.Incr (key, 1.) ])
+  in
+  let read ~id =
+    Spec.make ~id
+      (Spec.subtxn ~children:[ Spec.subtxn 2 [ Op.Read "b" ] ] 0 [ Op.Read "a" ])
+  in
+  let history =
+    [
+      (write ~id:1 ~node:0 "a", vr_committed_at 1 ~id:1);
+      (write ~id:2 ~node:2 "b", vr_committed_at 3 ~id:2);
+      (write ~id:3 ~node:3 "b", vr_committed_at 4 ~id:3);
+      ( read ~id:4,
+        {
+          (vr_committed_at 1 ~id:4) with
+          Result.reads = [ ("a", value_with [ 1 ]); ("b", value_with [ 2 ]) ];
+        } );
+      ( read ~id:5,
+        {
+          (vr_committed_at 1 ~id:5) with
+          Result.reads = [ ("a", value_with [ 1 ]); ("b", Value.empty) ];
+        } );
+    ]
+  in
+  let vector = function 4 | 5 -> Some [| 1; 3 |] | _ -> None in
+  let report = Checker.Version_reads.check ~vector ~shard_of_node history in
+  checki "observations" 4 report.Checker.Version_reads.observations;
+  match report.Checker.Version_reads.violations with
+  | [ v ] ->
+      checki "only the unfenced read" 5 v.Checker.Version_reads.read_txn;
+      checkb "on key b" true (v.Checker.Version_reads.key = "b");
+      checki "fenced by shard 1's component" 3 v.Checker.Version_reads.version;
+      checkb "missing writer 2" true (v.Checker.Version_reads.missing = [ 2 ])
+  | _ -> Alcotest.fail "expected one violation"
+
 (* -------------------------------------------------- serializability *)
 
 module Srz = Checker.Serializability
@@ -647,6 +687,8 @@ let () =
             version_reads_unknown_writer;
           Alcotest.test_case "aborted excluded" `Quick
             version_reads_aborted_excluded;
+          Alcotest.test_case "fenced per shard" `Quick
+            version_reads_fenced_per_shard;
         ] );
       ( "replay",
         [
