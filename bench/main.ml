@@ -1,21 +1,14 @@
-(* Benchmark harness.
-
-   Two layers:
-
-   1. The experiment suite — every table/figure/claim reproduced from the
-      paper (DESIGN.md §3): run with no arguments, or name experiment ids
-      (e.g. `dune exec bench/main.exe -- e1 e4`). `--quick` shrinks sweeps.
-
-   2. Bechamel micro-benchmarks — one Test.make per experiment family,
-      measuring the wall-clock cost of the underlying machinery (engine
-      steps, store writes, counter polls, checker passes) so regressions in
-      the substrate show up independently of the simulated results. *)
+(* Bechamel micro-benchmarks: one Test.make per experiment family,
+   measuring the wall-clock cost of the underlying machinery (engine steps,
+   store writes, counter polls, checker passes) so regressions in the
+   substrate show up independently of the simulated results. Run with
+   `dune exec bench/main.exe`. The end-to-end benchmark lives in
+   benchmark/ (BENCHMARK.json); the experiments run through
+   `threev_sim experiment <id>`. *)
 
 module Sim = Simul.Sim
 module Engine = Threev.Engine
 module Mvstore = Store.Mvstore
-module Spec = Txn.Spec
-module Op = Txn.Op
 module Value = Txn.Value
 module Lockmgr = Txn.Lockmgr
 open Bechamel
@@ -198,1049 +191,9 @@ let run_micro () =
     micro_tests;
   Stats.Table.print table
 
-(* ------------------------------------------------------ scale suite *)
-
-(* The BENCH trajectory: end-to-end 3V runs at 4/16/64/128 nodes with an
-   arrival-rate sweep, recording simulated throughput against real machine
-   cost (wall seconds, events/sec, peak heap) into BENCH_scale.json. Each
-   run traces through a small bounded ring (capacity 4096) to demonstrate
-   that trace memory stays O(capacity) while the run emits orders of
-   magnitude more events — the row records both retained and total. *)
-
-type scale_row = {
-  sr_nodes : int;
-  sr_rate : float;
-  sr_shards : int;
-  sr_sim_duration : float;
-  sr_submitted : int;
-  sr_committed : int;
-  sr_events : int;
-  sr_wall : float;
-  sr_peak_heap_words : int;
-  sr_trace_capacity : int;
-  sr_trace_retained : int;
-  sr_trace_total : int;
-}
-
-let scale_trace_capacity = 4096
-
-let scale_run ?(shards = 1) ~nodes ~rate ~duration ~settle () =
-  (* Pre-size the event heap and per-node inboxes from the configured
-     arrival rate: the steady-state event population is roughly (in-flight
-     messages + sleeping fibers) ~ rate × a few mean latencies, so sizing
-     the backing arrays up front removes every doubling copy from the
-     measured region. Capacity hints never affect the schedule. *)
-  let queue_capacity = max 1024 (int_of_float (rate /. 4.)) in
-  let sim = Sim.create ~seed:(1000 + nodes) ~queue_capacity () in
-  let trace = Threev.Trace.create ~capacity:scale_trace_capacity () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
-      (* Advancement cadence: the 512/1024-node rows tighten the period —
-         the low-staleness regime (staleness ∝ period, e3) where
-         advancement cost dominates the coordinator's wall time and the
-         per-shard split pays. The period is a function of nodes only, so
-         the sharded row and the single-coordinator row at the same
-         (nodes, rate) run identical configurations apart from [shards] —
-         the comparison stays apples-to-apples. 1024 nodes gets 0.1 rather
-         than 0.05 because a single coordinator needs ~0.2 simulated
-         seconds per 1024-node advancement: at 0.05 it is hopelessly
-         saturated and the sharded side would be measured against a
-         pathology rather than a busy-but-live baseline. *)
-      policy =
-        Threev.Policy.Periodic
-          (if nodes >= 1024 then 0.1 else if nodes >= 512 then 0.05 else 0.25);
-      shards;
-      expected_inbox_depth =
-        max 16 (int_of_float (rate *. 0.01 /. float_of_int nodes));
-    }
-  in
-  let engine = Engine.create sim cfg ~trace () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = rate;
-        shards;
-        read_ratio = 0.3;
-        fanout = 2;
-      }
-  in
-  let wall0 = Unix.gettimeofday () in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = nodes; duration; settle; max_txns = 500_000 }
-  in
-  let wall = Unix.gettimeofday () -. wall0 in
-  (if Sys.getenv_opt "SCALE_DEBUG_STATS" <> None then begin
-     Stats.Counter_set.to_list outcome.Harness.Runner.stats
-     |> List.sort (fun (_, a) (_, b) -> compare b a)
-     |> List.iter (fun (k, v) -> Printf.printf "    stat %-40s %d\n%!" k v);
-     let g = Gc.stat () in
-     Printf.printf
-       "    gc minor_cols=%d major_cols=%d minor_words=%.0fM promoted=%.0fM\n%!"
-       g.Gc.minor_collections g.Gc.major_collections
-       (g.Gc.minor_words /. 1e6) (g.Gc.promoted_words /. 1e6)
-   end);
-  {
-    sr_nodes = nodes;
-    sr_rate = rate;
-    sr_shards = shards;
-    sr_sim_duration = duration;
-    sr_submitted = outcome.Harness.Runner.submitted;
-    sr_committed = outcome.Harness.Runner.committed;
-    sr_events = Sim.events_executed sim;
-    sr_wall = wall;
-    sr_peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-    sr_trace_capacity = scale_trace_capacity;
-    sr_trace_retained = Threev.Trace.length trace;
-    sr_trace_total = Threev.Trace.total trace;
-  }
-
-let scale_json rows =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"bench_scale/v1\",\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"nodes\": %d, \"arrival_rate\": %.1f, \"shards\": %d, \
-            \"sim_duration_s\": %.2f, \"submitted\": %d, \"committed\": %d, \
-            \"txns_per_sec_wall\": %.1f, \"events\": %d, \
-            \"events_per_sec_wall\": %.1f, \"wall_s\": %.3f, \
-            \"peak_heap_words\": %d, \"trace_capacity\": %d, \
-            \"trace_retained\": %d, \"trace_total\": %d }"
-           r.sr_nodes r.sr_rate r.sr_shards r.sr_sim_duration r.sr_submitted
-           r.sr_committed
-           (float_of_int r.sr_committed /. r.sr_wall)
-           r.sr_events
-           (float_of_int r.sr_events /. r.sr_wall)
-           r.sr_wall r.sr_peak_heap_words r.sr_trace_capacity
-           r.sr_trace_retained r.sr_trace_total))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-(* `main.exe scale [--quick]`: run the sweep and write BENCH_scale.json in
-   the current directory (run from the repo root to refresh the recorded
-   trajectory). The full sweep now tops out at 1024 nodes; its largest row
-   runs several million simulator events, so expect tens of seconds of wall
-   time. --quick shrinks to a sub-second sanity sweep and skips the file
-   write. *)
-let run_scale ~quick =
-  (* (nodes, rate multiplier, shards). The 512/1024-node rows run at the
-     tight advancement cadence (see the policy note in [scale_run]) both
-     single-coordinator and sharded, holding the shard block constant at
-     64 nodes (512 -> S=8, 1024 -> S=16): per-shard advancement cost then
-     stays flat as the cluster grows, while the single coordinator's
-     O(nodes)-wide polls and O(nodes²) matrices saturate — it cannot even
-     sustain the cadence, and its wall time per advancement is where the
-     sharded rows' ≥ 2x events/sec advantage comes from. The 512-node rows
-     use lower arrival multipliers than the mid-size rows on purpose:
-     per-event transaction cost is identical under both layouts, so a high
-     arrival rate only dilutes the advancement-cost asymmetry the row
-     exists to expose. *)
-  let plan =
-    if quick then [ (4, 1., 1); (16, 1., 1) ]
-    else
-      [ (4, 1., 1); (4, 2., 1); (16, 1., 1); (16, 2., 1); (64, 1., 1);
-        (64, 2., 1); (128, 1., 1); (128, 2.5, 1); (512, 0.25, 1);
-        (512, 0.5, 1); (1024, 0.5, 1); (1024, 1., 1); (512, 0.25, 8);
-        (512, 0.5, 8); (1024, 0.5, 16); (1024, 1., 16) ]
-  in
-  let duration = if quick then 0.3 else 1.5 in
-  let settle = if quick then 1.0 else 3.0 in
-  let rows =
-    List.map
-      (fun (nodes, mult, shards) ->
-        let rate = 150. *. float_of_int nodes *. mult in
-        let r = scale_run ~shards ~nodes ~rate ~duration ~settle () in
-        Printf.printf
-          "scale: %4d nodes S=%d @ %8.0f txns/s sim -> %8d events, %6.3fs \
-           wall, %5.2f Mev/s, trace %d/%d (cap %d)\n%!"
-          r.sr_nodes r.sr_shards r.sr_rate r.sr_events r.sr_wall
-          (float_of_int r.sr_events /. r.sr_wall /. 1e6)
-          r.sr_trace_retained r.sr_trace_total r.sr_trace_capacity;
-        r)
-      plan
-  in
-  if not quick then begin
-    let oc = open_out "BENCH_scale.json" in
-    output_string oc (scale_json rows);
-    close_out oc;
-    print_endline "scale: wrote BENCH_scale.json"
-  end
-
-(* Scan [line] for [name]: and parse the float that follows. The BENCH
-   files are written by [scale_json] above with one row per line, so a
-   substring scan is an exact parser for our own output and avoids a JSON
-   dependency. *)
-let json_float_field line name =
-  let needle = "\"" ^ name ^ "\": " in
-  let nlen = String.length needle and llen = String.length line in
-  let rec find i =
-    if i + nlen > llen then None
-    else if String.sub line i nlen = needle then
-      let j = ref (i + nlen) in
-      while
-        !j < llen
-        && (match line.[!j] with '0' .. '9' | '.' | '-' | 'e' -> true | _ -> false)
-      do
-        incr j
-      done;
-      float_of_string_opt (String.sub line (i + nlen) (!j - i - nlen))
-    else find (i + 1)
-  in
-  find 0
-
-(* The recorded (events/sec-wall, peak heap words) of the BENCH_scale.json
-   row matching [(nodes, rate, shards)], if the trajectory file exists next
-   to the cwd. Rows written before the shards field existed match
-   [shards = 1]. The peak-heap component is [None] for rows written before
-   the field existed. *)
-let scale_baseline ?(shards = 1) ~nodes ~rate () =
-  match open_in "BENCH_scale.json" with
-  | exception Sys_error _ -> None
-  | ic ->
-      let target_n = Printf.sprintf "\"nodes\": %d," nodes in
-      let contains line sub =
-        let sl = String.length sub and ll = String.length line in
-        let rec go i =
-          i + sl <= ll && (String.sub line i sl = sub || go (i + 1))
-        in
-        go 0
-      in
-      let rec scan () =
-        match input_line ic with
-        | exception End_of_file ->
-            close_in ic;
-            None
-        | line ->
-            if
-              contains line target_n
-              && json_float_field line "arrival_rate" = Some rate
-              && (match json_float_field line "shards" with
-                 | Some s -> s = float_of_int shards
-                 | None -> shards = 1)
-            then begin
-              close_in ic;
-              match json_float_field line "events_per_sec_wall" with
-              | None -> None
-              | Some eps -> Some (eps, json_float_field line "peak_heap_words")
-            end
-            else scan ()
-      in
-      scan ()
-
-(* `main.exe scale-smoke`: the sub-second CI gate. Fails (exit 1) on crash
-   or on the unbounded-memory sentinel — a trace ring that exceeded its
-   capacity. When BENCH_scale.json is present it additionally re-runs the
-   16-node top row (shortened) best-of-three and fails on an events/sec
-   regression worse than 15% against the recorded trajectory; absent the
-   file, the throughput leg is skipped so fresh clones still gate on the
-   memory sentinel alone. *)
-let run_scale_smoke () =
-  let cap = 64 in
-  let sim = Sim.create ~seed:7 () in
-  let trace = Threev.Trace.create ~capacity:cap () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes:8) with
-      Engine.latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
-      policy = Threev.Policy.Periodic 0.25;
-    }
-  in
-  let engine = Engine.create sim cfg ~trace () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes:8) with
-        Workload.Synthetic.arrival_rate = 1200.;
-        fanout = 2;
-      }
-  in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = 7; duration = 0.3; settle = 1.5; max_txns = 5_000 }
-  in
-  let fail msg =
-    prerr_endline ("scale-smoke: FAILED: " ^ msg);
-    exit 1
-  in
-  if outcome.Harness.Runner.committed = 0 then fail "no transactions committed";
-  if Threev.Trace.length trace > cap then
-    fail
-      (Printf.sprintf "trace ring exceeded capacity (%d > %d)"
-         (Threev.Trace.length trace) cap);
-  if Threev.Trace.length trace <> List.length (Threev.Trace.events trace) then
-    fail "trace length disagrees with materialized events";
-  if Threev.Trace.total trace <= cap then
-    fail "run too small to exercise ring eviction";
-  (* Throughput/memory ratchet, matched against the recorded trajectory by
-     (nodes, arrival_rate, shards) so the 512/1024 and sharded rows ratchet
-     too, not just the 16-node row. Each probe re-runs its row shortened;
-     the big rows get a single shorter run and a looser floor (fixed
-     engine-construction cost amortizes worse over a short window), which
-     still catches the step-function regressions that matter at that
-     scale. The memory leg only applies to the first (small) probe: peak
-     heap is process-global and monotone, so rows probed after a 512-node
-     run would inherit its footprint. *)
-  let probe ~nodes ~rate ~shards ~runs ~duration ~floor_frac ~mem =
-    match scale_baseline ~shards ~nodes ~rate () with
-    | None ->
-        Printf.printf
-          "scale-smoke: no baseline row for %d nodes @ %.0f S=%d, probe \
-           skipped\n"
-          nodes rate shards
-    | Some (baseline, baseline_peak) ->
-        let best = ref 0. in
-        let peak = ref max_int in
-        for _ = 1 to runs do
-          let r = scale_run ~shards ~nodes ~rate ~duration ~settle:1.0 () in
-          let eps = float_of_int r.sr_events /. r.sr_wall in
-          if eps > !best then best := eps;
-          if r.sr_peak_heap_words < !peak then peak := r.sr_peak_heap_words
-        done;
-        let floor_ = floor_frac *. baseline in
-        if !best < floor_ then
-          fail
-            (Printf.sprintf
-               "throughput regression at %d nodes @ %.0f S=%d: best-of-%d \
-                %.0f events/s vs recorded %.0f (floor %.0f); refresh with \
-                `dune exec bench/main.exe -- scale` if intentional"
-               nodes rate shards runs !best baseline floor_);
-        Printf.printf
-          "scale-smoke: throughput ok at %d nodes S=%d (best-of-%d %.2f \
-           Mev/s vs recorded %.2f, floor %.0f%%)\n"
-          nodes shards runs (!best /. 1e6) (baseline /. 1e6)
-          (100. *. floor_frac);
-        if mem then
-          (* Memory gate: the smoke re-run is strictly smaller than the
-             recorded row, so its peak heap must not exceed the recorded
-             peak by more than 20% — a leak on the hot path shows up here
-             long before the trace-ring sentinel trips. *)
-          match baseline_peak with
-          | None ->
-              print_endline
-                "scale-smoke: baseline row lacks peak_heap_words, memory \
-                 leg skipped"
-          | Some bp ->
-              let ceiling = 1.2 *. bp in
-              if float_of_int !peak > ceiling then
-                fail
-                  (Printf.sprintf
-                     "peak heap regression: best-of-%d %d words vs recorded \
-                      %.0f (ceiling %.0f); refresh with `dune exec \
-                      bench/main.exe -- scale` if intentional"
-                     runs !peak bp ceiling);
-              Printf.printf
-                "scale-smoke: peak heap ok (%d words vs recorded %.0f, \
-                 ceiling +20%%)\n"
-                !peak bp
-  in
-  probe ~nodes:16 ~rate:4800. ~shards:1 ~runs:3 ~duration:0.4 ~floor_frac:0.85
-    ~mem:true;
-  probe ~nodes:512 ~rate:38400. ~shards:1 ~runs:1 ~duration:0.1
-    ~floor_frac:0.4 ~mem:false;
-  probe ~nodes:512 ~rate:38400. ~shards:8 ~runs:1 ~duration:0.1
-    ~floor_frac:0.4 ~mem:false;
-  (* Duplicate-filter bound: a short lossy run over the reliable channel,
-     retransmit-heavy by construction. Ack-floor pruning must keep the
-     network's delivered_seen table at the in-flight window, not the run
-     length — before pruning, this table grew one entry per distinct
-     delivered (src, dst, seq) forever. *)
-  let sim2 = Sim.create ~seed:11 () in
-  let plan =
-    Fault.Plan.make ~seed:11 ~rules:(Fault.Plan.uniform_loss ~drop:0.15 ()) ()
-  in
-  let faults = Fault.Injector.create sim2 plan in
-  let cfg2 =
-    {
-      (Engine.default_config ~nodes:6) with
-      Engine.latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
-      policy = Threev.Policy.Periodic 0.25;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-    }
-  in
-  let engine2 = Engine.create sim2 cfg2 ~faults () in
-  let gen2 =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes:6) with
-        Workload.Synthetic.arrival_rate = 600.;
-        fanout = 2;
-      }
-  in
-  let outcome2 =
-    Harness.Runner.drive sim2 (Engine.packed engine2) gen2
-      { Harness.Runner.seed = 11; duration = 0.5; settle = 2.0; max_txns = 5_000 }
-  in
-  let retrans =
-    Stats.Counter_set.get outcome2.Harness.Runner.stats "net.retransmissions"
-  in
-  if retrans = 0 then fail "lossy channel run produced no retransmissions";
-  let seen = Engine.delivered_seen_size engine2 in
-  let msgs = Engine.messages_sent engine2 in
-  (* In-flight bound with slack: entries survive only for messages whose
-     acks are still outstanding. A tenth of all traffic ever sent is far
-     above any honest in-flight window and far below the unpruned count. *)
-  let bound = max 64 (msgs / 10) in
-  if seen > bound then
-    fail
-      (Printf.sprintf
-         "delivered_seen unbounded: %d entries after %d messages (bound %d)"
-         seen msgs bound);
-  Printf.printf
-    "scale-smoke: delivered_seen bounded (%d entries, %d messages, %d \
-     retransmissions)\n"
-    seen msgs retrans;
-  Printf.printf
-    "scale-smoke: ok (%d committed, %d sim events, trace %d/%d, cap %d)\n"
-    outcome.Harness.Runner.committed (Sim.events_executed sim)
-    (Threev.Trace.length trace) (Threev.Trace.total trace) cap
-
-(* ------------------------------------------------- replication suite *)
-
-(* The BENCH repl trajectory: end-to-end runs at 64 nodes comparing k = 1
-   (replication disabled, every group a singleton) against k = 3 (every
-   commuting write mirrored to two extra replicas, reads failing over along
-   the group order). Rows record the replication overhead — mirror count,
-   message amplification, machine cost — into BENCH_repl.json. *)
-
-type repl_row = {
-  rr_nodes : int;
-  rr_replicas : int;
-  rr_rate : float;
-  rr_sim_duration : float;
-  rr_submitted : int;
-  rr_committed : int;
-  rr_advancements : int;
-  rr_mirrors : int;
-  rr_remote_msgs : int;
-  rr_events : int;
-  rr_wall : float;
-}
-
-let repl_run ~nodes ~replicas ~rate ~duration ~settle =
-  let sim = Sim.create ~seed:(2000 + nodes + replicas) () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.replicas;
-      latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
-      policy = Threev.Policy.Periodic 0.25;
-    }
-  in
-  let engine = Engine.create sim cfg () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = rate;
-        read_ratio = 0.3;
-        fanout = 2;
-      }
-  in
-  let wall0 = Unix.gettimeofday () in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = nodes; duration; settle; max_txns = 500_000 }
-  in
-  let wall = Unix.gettimeofday () -. wall0 in
-  {
-    rr_nodes = nodes;
-    rr_replicas = replicas;
-    rr_rate = rate;
-    rr_sim_duration = duration;
-    rr_submitted = outcome.Harness.Runner.submitted;
-    rr_committed = outcome.Harness.Runner.committed;
-    rr_advancements = Engine.advancements_completed engine;
-    rr_mirrors =
-      Stats.Counter_set.get outcome.Harness.Runner.stats "repl.mirrors";
-    rr_remote_msgs = Engine.remote_messages_sent engine;
-    rr_events = Sim.events_executed sim;
-    rr_wall = wall;
-  }
-
-let repl_json rows =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"bench_repl/v1\",\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"nodes\": %d, \"replicas\": %d, \"arrival_rate\": %.1f, \
-            \"sim_duration_s\": %.2f, \"submitted\": %d, \"committed\": %d, \
-            \"advancements\": %d, \"mirrors\": %d, \"remote_messages\": %d, \
-            \"events\": %d, \"wall_s\": %.3f, \
-            \"events_per_sec_wall\": %.1f }"
-           r.rr_nodes r.rr_replicas r.rr_rate r.rr_sim_duration r.rr_submitted
-           r.rr_committed r.rr_advancements r.rr_mirrors r.rr_remote_msgs
-           r.rr_events r.rr_wall
-           (float_of_int r.rr_events /. r.rr_wall)))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-(* `main.exe repl [--quick]`: k = 1 vs k = 3 at 64 nodes; write
-   BENCH_repl.json from the repo root. --quick shrinks to 16 nodes and
-   skips the file write. *)
-let run_repl ~quick =
-  let nodes = if quick then 16 else 64 in
-  let duration = if quick then 0.3 else 1.0 in
-  let settle = if quick then 1.5 else 3.0 in
-  let rate = 100. *. float_of_int nodes in
-  let rows =
-    List.map
-      (fun replicas ->
-        let r = repl_run ~nodes ~replicas ~rate ~duration ~settle in
-        Printf.printf
-          "repl: %3d nodes k=%d @ %7.0f txns/s sim -> %6d committed, %7d \
-           mirrors, %8d events, %6.3fs wall\n%!"
-          r.rr_nodes r.rr_replicas r.rr_rate r.rr_committed r.rr_mirrors
-          r.rr_events r.rr_wall;
-        r)
-      [ 1; 3 ]
-  in
-  if not quick then begin
-    let oc = open_out "BENCH_repl.json" in
-    output_string oc (repl_json rows);
-    close_out oc;
-    print_endline "repl: wrote BENCH_repl.json"
-  end
-
-(* `main.exe repl-smoke`: the sub-second replication CI gate — a tiny k = 3
-   run (6 nodes, two groups) that crashes one replica of group 0 across an
-   advancement window. Fails (exit 1) on any checker anomaly or on stalled
-   advancement — quorum polling must complete with the replica down — never
-   on timing. *)
-let run_repl_smoke () =
-  let nodes = 6 in
-  let sim = Sim.create ~seed:23 () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.replicas = 3;
-      latency = Netsim.Latency.Exponential 0.003;
-      think_time = 0.0005;
-      policy = Threev.Policy.Periodic 0.2;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-    }
-  in
-  let faults =
-    Fault.Injector.create sim
-      (Fault.Plan.make ~seed:23
-         ~crashes:[ Fault.Plan.crash ~node:0 ~at:0.25 ~restart:0.7 ] ())
-  in
-  let engine = Engine.create sim cfg ~faults () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.3;
-        fanout = 2;
-        keys_per_node = 15;
-      }
-  in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = 23; duration = 0.9; settle = 4.0; max_txns = 5_000 }
-  in
-  let fail msg =
-    prerr_endline ("repl-smoke: FAILED: " ^ msg);
-    exit 1
-  in
-  if outcome.Harness.Runner.committed = 0 then fail "no transactions committed";
-  if outcome.Harness.Runner.unfinished > 0 then
-    fail
-      (Printf.sprintf "%d transactions never settled"
-         outcome.Harness.Runner.unfinished);
-  if Engine.advancements_completed engine = 0 then
-    fail "advancement stalled (quorum never reached with one replica down)";
-  let srz = Checker.Serializability.certify outcome.Harness.Runner.history in
-  if not (Checker.Serializability.serializable srz) then
-    fail "history is not 1SR";
-  if
-    not
-      (Checker.Atomicity.clean
-         (Checker.Atomicity.check outcome.Harness.Runner.history))
-  then fail "atomic-visibility anomaly";
-  if
-    not
-      (Checker.Version_reads.clean
-         (Checker.Version_reads.check outcome.Harness.Runner.history))
-  then fail "version-read anomaly";
-  Printf.printf
-    "repl-smoke: ok (%d committed, %d advancements, %d failovers, %d \
-     mirrors, %d recoveries)\n"
-    outcome.Harness.Runner.committed
-    (Engine.advancements_completed engine)
-    (Stats.Counter_set.get outcome.Harness.Runner.stats "repl.failovers")
-    (Stats.Counter_set.get outcome.Harness.Runner.stats "repl.mirrors")
-    (Stats.Counter_set.get outcome.Harness.Runner.stats "repl.recoveries")
-
-(* -------------------------------------------- failure-detector suite *)
-
-(* The BENCH fd trajectory: 16-node k = 3 runs measuring what oracle-free
-   liveness costs. Three rows into BENCH_fd.json: detector off (baseline),
-   detector on (heartbeat overhead: side-network messages, extra simulator
-   events, machine cost), and detector on under a false-suspicion storm
-   (one node's outbound heartbeats dropped across the middle of the run —
-   suspicion, failover and recovery traffic on top of the heartbeats). *)
-
-type fd_row = {
-  fr_label : string;
-  fr_nodes : int;
-  fr_rate : float;
-  fr_sim_duration : float;
-  fr_submitted : int;
-  fr_committed : int;
-  fr_advancements : int;
-  fr_hb_sent : int;
-  fr_hb_recv : int;
-  fr_hb_dropped : int;
-  fr_suspicions : int;
-  fr_confirmed : int;
-  fr_recoveries : int;
-  fr_failovers : int;
-  fr_events : int;
-  fr_wall : float;
-}
-
-let fd_run ~label ~nodes ~rate ~duration ~settle ~fd ~storm =
-  let sim = Sim.create ~seed:(3000 + nodes) () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.replicas = 3;
-      latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
-      policy = Threev.Policy.Periodic 0.25;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-      hb_period = (if fd then 0.02 else 0.);
-      hb_timeout = 0.08;
-      phase_deadline = (if fd then 0.5 else infinity);
-    }
-  in
-  let plan =
-    if storm then
-      Fault.Plan.make ~seed:(3000 + nodes)
-        ~rules:
-          (Fault.Plan.heartbeat_loss ~src:1 ~from_:(0.3 *. duration)
-             ~until_:(0.7 *. duration) ())
-        ()
-    else Fault.Plan.none
-  in
-  let faults = Fault.Injector.create sim plan in
-  let engine = Engine.create sim cfg ~faults () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = rate;
-        read_ratio = 0.3;
-        fanout = 2;
-      }
-  in
-  let wall0 = Unix.gettimeofday () in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = nodes; duration; settle; max_txns = 500_000 }
-  in
-  let wall = Unix.gettimeofday () -. wall0 in
-  let c name = Stats.Counter_set.get outcome.Harness.Runner.stats name in
-  {
-    fr_label = label;
-    fr_nodes = nodes;
-    fr_rate = rate;
-    fr_sim_duration = duration;
-    fr_submitted = outcome.Harness.Runner.submitted;
-    fr_committed = outcome.Harness.Runner.committed;
-    fr_advancements = Engine.advancements_completed engine;
-    fr_hb_sent = c "fd.heartbeats_sent";
-    fr_hb_recv = c "fd.heartbeats_received";
-    fr_hb_dropped = c "fd.heartbeats_dropped";
-    fr_suspicions = c "fd.suspicions";
-    fr_confirmed = c "fd.confirmed";
-    fr_recoveries = c "fd.recoveries";
-    fr_failovers = c "repl.failovers";
-    fr_events = Sim.events_executed sim;
-    fr_wall = wall;
-  }
-
-(* Heartbeat-plane simulator events for one row, from measured counters:
-   each beat costs one sender-timer event, each non-dropped beat one
-   delivery event, and each consumed beat (at most) one monitor wake
-   event. Raw events/sec counted this plane as throughput, which made a
-   detector-on run look {e faster} than the same run with the detector
-   off — more events, same wall time. [protocol_events_per_sec_wall]
-   subtracts the plane; [txns_per_sec_wall] stays the primary metric. *)
-let fd_hb_plane_events r =
-  r.fr_hb_sent + (r.fr_hb_sent - r.fr_hb_dropped) + r.fr_hb_recv
-
-let fd_json rows =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"schema\": \"bench_fd/v2\",\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let hb_plane = fd_hb_plane_events r in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"case\": \"%s\", \"nodes\": %d, \"arrival_rate\": %.1f, \
-            \"sim_duration_s\": %.2f, \"submitted\": %d, \"committed\": %d, \
-            \"advancements\": %d, \"heartbeats_sent\": %d, \
-            \"heartbeats_received\": %d, \"heartbeats_dropped\": %d, \
-            \"suspicions\": %d, \
-            \"confirmed_down\": %d, \"recoveries\": %d, \"failovers\": %d, \
-            \"events\": %d, \"hb_plane_events\": %d, \"wall_s\": %.3f, \
-            \"txns_per_sec_wall\": %.1f, \
-            \"protocol_events_per_sec_wall\": %.1f, \
-            \"events_per_sec_wall\": %.1f }"
-           r.fr_label r.fr_nodes r.fr_rate r.fr_sim_duration r.fr_submitted
-           r.fr_committed r.fr_advancements r.fr_hb_sent r.fr_hb_recv
-           r.fr_hb_dropped
-           r.fr_suspicions r.fr_confirmed r.fr_recoveries r.fr_failovers
-           r.fr_events hb_plane r.fr_wall
-           (float_of_int r.fr_committed /. r.fr_wall)
-           (float_of_int (r.fr_events - hb_plane) /. r.fr_wall)
-           (float_of_int r.fr_events /. r.fr_wall)))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-(* `main.exe fd [--quick]`: detector off / on / on-under-storm at 16 nodes;
-   write BENCH_fd.json from the repo root. --quick shrinks to 8 nodes and
-   skips the file write. *)
-let run_fd ~quick =
-  let nodes = if quick then 8 else 16 in
-  let duration = if quick then 0.4 else 1.0 in
-  let settle = if quick then 1.5 else 3.0 in
-  let rate = 100. *. float_of_int nodes in
-  let rows =
-    List.map
-      (fun (label, fd, storm) ->
-        let r = fd_run ~label ~nodes ~rate ~duration ~settle ~fd ~storm in
-        Printf.printf
-          "fd: %-9s %3d nodes @ %6.0f txns/s sim -> %6d committed, %6d \
-           heartbeats, %3d suspicions, %8d events, %6.3fs wall, %8.0f \
-           txns/s wall, %5.2f proto Mev/s\n%!"
-          r.fr_label r.fr_nodes r.fr_rate r.fr_committed r.fr_hb_sent
-          r.fr_suspicions r.fr_events r.fr_wall
-          (float_of_int r.fr_committed /. r.fr_wall)
-          (float_of_int (r.fr_events - fd_hb_plane_events r)
-          /. r.fr_wall /. 1e6);
-        r)
-      [ ("fd-off", false, false); ("fd-on", true, false);
-        ("fd-storm", true, true) ]
-  in
-  if not quick then begin
-    let oc = open_out "BENCH_fd.json" in
-    output_string oc (fd_json rows);
-    close_out oc;
-    print_endline "fd: wrote BENCH_fd.json"
-  end
-
-(* `main.exe fd-smoke`: the sub-second liveness CI gate — a tiny k = 3 run
-   with the failure detector on, a real replica crash across an advancement
-   window AND a false-suspicion storm against a live node. Fails (exit 1)
-   if the detector never suspected, the falsely-suspected node never
-   re-earned trust, advancement stalled, any transaction failed to settle,
-   or any checker flagged the history — never on timing. *)
-let run_fd_smoke () =
-  let nodes = 6 in
-  let sim = Sim.create ~seed:29 () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.replicas = 3;
-      latency = Netsim.Latency.Exponential 0.003;
-      think_time = 0.0005;
-      policy = Threev.Policy.Periodic 0.2;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-      hb_period = 0.02;
-      hb_timeout = 0.08;
-      phase_deadline = 0.5;
-    }
-  in
-  let faults =
-    Fault.Injector.create sim
-      (Fault.Plan.make ~seed:29
-         ~rules:(Fault.Plan.heartbeat_loss ~src:3 ~from_:0.2 ~until_:0.6 ())
-         ~crashes:[ Fault.Plan.crash ~node:0 ~at:0.25 ~restart:0.7 ] ())
-  in
-  let engine = Engine.create sim cfg ~faults () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.3;
-        fanout = 2;
-        keys_per_node = 15;
-      }
-  in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = 29; duration = 0.9; settle = 4.0; max_txns = 5_000 }
-  in
-  let fail msg =
-    prerr_endline ("fd-smoke: FAILED: " ^ msg);
-    exit 1
-  in
-  let c name = Stats.Counter_set.get outcome.Harness.Runner.stats name in
-  if outcome.Harness.Runner.committed = 0 then fail "no transactions committed";
-  if outcome.Harness.Runner.unfinished > 0 then
-    fail
-      (Printf.sprintf "%d transactions never settled"
-         outcome.Harness.Runner.unfinished);
-  if Engine.advancements_completed engine = 0 then
-    fail "advancement stalled under suspicion";
-  if c "fd.heartbeats_sent" = 0 then fail "no heartbeats sent";
-  if c "fd.suspicions" = 0 then
-    fail "crash + storm provoked no suspicion";
-  if c "fd.recoveries" = 0 then
-    fail "no suspected node ever re-earned trust";
-  let srz = Checker.Serializability.certify outcome.Harness.Runner.history in
-  if not (Checker.Serializability.serializable srz) then
-    fail "history is not 1SR";
-  if
-    not
-      (Checker.Atomicity.clean
-         (Checker.Atomicity.check outcome.Harness.Runner.history))
-  then fail "atomic-visibility anomaly";
-  if
-    not
-      (Checker.Version_reads.clean
-         (Checker.Version_reads.check outcome.Harness.Runner.history))
-  then fail "version-read anomaly";
-  Printf.printf
-    "fd-smoke: ok (%d committed, %d advancements, %d heartbeats, %d \
-     suspicions, %d confirmed, %d recoveries, %d failovers)\n"
-    outcome.Harness.Runner.committed
-    (Engine.advancements_completed engine)
-    (c "fd.heartbeats_sent") (c "fd.suspicions") (c "fd.confirmed")
-    (c "fd.recoveries") (c "repl.failovers")
-
-(* `main.exe fuzz-smoke`: sub-second slice of the schedule-fuzz sweep —
-   ten deterministic quick cases (two full engine rotations). Fails on any
-   strict-engine 1SR violation, and requires the certifier to have flagged
-   at least one seeded-anomaly baseline, proving the gate has teeth. *)
-let run_fuzz_smoke () =
-  let s = Harness.Fuzz.sweep ~runs:10 ~quick:true () in
-  Format.printf "fuzz-smoke: %a@." Harness.Fuzz.pp_summary s;
-  if not (Harness.Fuzz.ok s) then begin
-    prerr_endline "fuzz-smoke: FAILED (strict-engine violation)";
-    exit 1
-  end;
-  if s.Harness.Fuzz.anomalies_flagged = 0 then begin
-    prerr_endline "fuzz-smoke: FAILED (no baseline anomaly flagged)";
-    exit 1
-  end
-
-(* `main.exe shard-smoke`: the sub-second sharding CI gate. An 8-node
-   S = 4, k = 2 run (each shard one replica group) with one replica
-   crashed across an advancement window and a shard-respecting workload —
-   updates confined to single shards, reads fanning out across them, so
-   the cross-shard read-vector path is genuinely exercised. Fails (exit 1)
-   on any checker anomaly, stalled advancement on any shard, an untouched
-   vector path, or schedule drift (the run is digest-pinned and replayed;
-   both the constant and the replay must match). *)
-let shard_smoke_run () =
-  let nodes = 8 in
-  let sim = Sim.create ~seed:41 () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.shards = 4;
-      replicas = 2;
-      latency = Netsim.Latency.Exponential 0.003;
-      think_time = 0.0005;
-      policy = Threev.Policy.Periodic 0.2;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-    }
-  in
-  let faults =
-    Fault.Injector.create sim
-      (Fault.Plan.make ~seed:41
-         ~crashes:[ Fault.Plan.crash ~node:2 ~at:0.25 ~restart:0.7 ] ())
-  in
-  let engine = Engine.create sim cfg ~faults () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.shards = 4;
-        arrival_rate = 400.;
-        read_ratio = 0.35;
-        fanout = 3;
-        keys_per_node = 15;
-      }
-  in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = 41; duration = 0.9; settle = 4.0; max_txns = 5_000 }
-  in
-  (engine, outcome)
-
-let shard_history_digest (outcome : Harness.Runner.outcome) =
-  List.fold_left
-    (fun acc ((spec : Spec.t), res) ->
-      acc
-      lxor Hashtbl.hash
-             ( spec.Spec.id,
-               Txn.Result.committed res,
-               res.Txn.Result.submit_time,
-               Txn.Result.latency res,
-               Txn.Result.blocking_latency res ))
-    0 outcome.Harness.Runner.history
-
-let run_shard_smoke () =
-  let engine, outcome = shard_smoke_run () in
-  let fail msg =
-    prerr_endline ("shard-smoke: FAILED: " ^ msg);
-    exit 1
-  in
-  if outcome.Harness.Runner.committed = 0 then fail "no transactions committed";
-  if outcome.Harness.Runner.unfinished > 0 then
-    fail
-      (Printf.sprintf "%d transactions never settled"
-         outcome.Harness.Runner.unfinished);
-  if Engine.advancements_completed engine < 4 then
-    fail
-      (Printf.sprintf
-         "advancement stalled (%d completions across 4 shards; every shard \
-          must advance)"
-         (Engine.advancements_completed engine));
-  let vectored =
-    Stats.Counter_set.get outcome.Harness.Runner.stats "shard.vectored_reads"
-  in
-  if vectored = 0 then
-    fail "no cross-shard read was ever assigned a vector (workload too tame)";
-  let shard_of n = Engine.shard_of_node engine ~node:n in
-  let srz =
-    Checker.Serializability.certify ~shard_of_node:shard_of
-      outcome.Harness.Runner.history
-  in
-  if not (Checker.Serializability.serializable srz) then
-    fail "history is not 1SR";
-  if
-    not
-      (Checker.Atomicity.clean
-         (Checker.Atomicity.check outcome.Harness.Runner.history))
-  then fail "atomic-visibility anomaly";
-  if
-    not
-      (Checker.Version_reads.clean
-         (Checker.Version_reads.check
-            ~vector:(fun id -> Engine.assigned_vector engine ~txn:id)
-            ~shard_of_node:shard_of outcome.Harness.Runner.history))
-  then fail "version-read anomaly";
-  let lookup key =
-    let rec scan node =
-      if node < 0 then None
-      else
-        match
-          Mvstore.read_visible (Engine.store engine ~node) ~key
-            ~version:max_int
-        with
-        | Some (_, v) -> Some v
-        | None -> scan (node - 1)
-    in
-    scan (7)
-  in
-  if
-    not
-      (Checker.Replay.clean
-         (Checker.Replay.check outcome.Harness.Runner.history ~lookup))
-  then fail "replay divergence (settled stores disagree with the history)";
-  (* Schedule pin: the digest is recorded; drift means a change reshaped
-     multi-shard schedules (refresh deliberately if intended). The fresh
-     second run must also reproduce it — determinism under sharding. *)
-  let d = shard_history_digest outcome land 0xffffffff in
-  let expected = 0x1148858e in
-  if d <> expected then
-    fail
-      (Printf.sprintf
-         "schedule digest drift: got 0x%08x, recorded 0x%08x (update the \
-          constant if the change is intentional)"
-         d expected);
-  let _, outcome2 = shard_smoke_run () in
-  if shard_history_digest outcome2 land 0xffffffff <> d then
-    fail "replay diverged (same seeds, different multi-shard schedule)";
-  Printf.printf
-    "shard-smoke: ok (%d committed, %d advancements over 4 shards, %d \
-     vectored reads, digest 0x%08x)\n"
-    outcome.Harness.Runner.committed
-    (Engine.advancements_completed engine)
-    vectored d
-
-(* --------------------------------------------------------------- main *)
-
-(* `main.exe smoke`: the CI gate wired into `dune runtest` — Table 1 replay
-   plus a tiny lossy-network E11, well under ten seconds. *)
-let run_smoke () =
-  let ok, report = Harness.Experiments.smoke () in
-  print_string "## Smoke suite\n\n";
-  print_string report;
-  if ok then print_endline "smoke: all checks passed"
-  else begin
-    prerr_endline "smoke: FAILED";
-    exit 1
-  end
-
 let () =
-  (* Wall-clock harness tuning only: a large minor heap and a relaxed major
-     space overhead keep the allocation-heavy simulator out of the GC on the
-     measured path. Simulated results (digests, event counts, commit counts)
-     are GC-independent; this affects wall times alone. *)
+  (* A large minor heap and a relaxed major space overhead keep the
+     allocation-heavy simulator out of the GC on the measured path. *)
   Gc.set
     { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024; space_overhead = 200 };
-  let args = List.tl (Array.to_list Sys.argv) in
-  if args = [ "smoke" ] then (run_smoke (); exit 0);
-  if args = [ "scale-smoke" ] then (run_scale_smoke (); exit 0);
-  if args = [ "fuzz-smoke" ] then (run_fuzz_smoke (); exit 0);
-  if args = [ "repl-smoke" ] then (run_repl_smoke (); exit 0);
-  if args = [ "fd-smoke" ] then (run_fd_smoke (); exit 0);
-  if args = [ "shard-smoke" ] then (run_shard_smoke (); exit 0);
-  let quick = List.mem "--quick" args in
-  if List.mem "scale" args then (run_scale ~quick; exit 0);
-  if List.mem "repl" args then (run_repl ~quick; exit 0);
-  if List.mem "fd" args then (run_fd ~quick; exit 0);
-  let no_micro = List.mem "--no-micro" args in
-  let ids =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
-  in
-  let experiments =
-    match ids with
-    | [] -> Harness.Experiments.all
-    | ids ->
-        List.filter_map
-          (fun id ->
-            match Harness.Experiments.find id with
-            | Some e -> Some e
-            | None ->
-                Printf.eprintf "unknown experiment id %S\n" id;
-                None)
-          ids
-  in
-  List.iter
-    (fun (e : Harness.Experiments.t) ->
-      Printf.printf "== %s: %s (%s) ==\n%!" e.id e.title e.paper_ref;
-      print_string (e.run ~quick);
-      print_newline ())
-    experiments;
-  if (not no_micro) && ids = [] then run_micro ()
+  run_micro ()

@@ -197,7 +197,10 @@ let data_crash_conv =
       Format.fprintf ppf "%d@%g:%g" g a r)
 
 let run_cmd =
-  let doc = "Run a single engine × workload simulation and print a report." in
+  let doc =
+    "Run a single engine × workload simulation, print a report and certify \
+     the history as fuzz does; exits 1 when a 3v or 2pc run fails a check."
+  in
   let engine_arg =
     Arg.(
       value & opt engine_conv E_3v
@@ -513,7 +516,7 @@ let run_cmd =
     | Ok plan ->
     let sim = Sim.create ~seed () in
     let faults = Option.map (Fault.Injector.create sim) plan in
-    let packed, extras =
+    let packed, threev, extras =
       match engine with
       | E_3v ->
           let cfg =
@@ -538,6 +541,7 @@ let run_cmd =
           in
           let eng = Engine.create sim cfg ?faults () in
           ( Engine.packed eng,
+            Some eng,
             fun () ->
               Printf.printf "advancements: %d\nmax versions: %d\n"
                 (Engine.advancements_completed eng)
@@ -551,9 +555,10 @@ let run_cmd =
               deadlock_timeout = 0.05;
             }
           in
-          (Baselines.Global_2pc.packed
-             (Baselines.Global_2pc.create ?faults sim cfg),
-           fun () -> ())
+          ( Baselines.Global_2pc.packed
+              (Baselines.Global_2pc.create ?faults sim cfg),
+            None,
+            fun () -> () )
       | E_nocoord ->
           let cfg =
             {
@@ -562,8 +567,9 @@ let run_cmd =
               think_time = 0.0005;
             }
           in
-          (Baselines.No_coord.packed (Baselines.No_coord.create sim cfg),
-           fun () -> ())
+          ( Baselines.No_coord.packed (Baselines.No_coord.create sim cfg),
+            None,
+            fun () -> () )
       | E_manual ->
           let cfg =
             {
@@ -575,21 +581,12 @@ let run_cmd =
           in
           ( Baselines.Manual_versioning.packed
               (Baselines.Manual_versioning.create sim cfg),
+            None,
             fun () -> () )
     in
     let outcome = Harness.Runner.drive sim packed gen setup in
     let atom = Harness.Runner.atomicity outcome in
     let stale = Harness.Runner.staleness outcome in
-    let srz =
-      (* Per-shard version numbers are incomparable across shards; tell the
-         certifier which shard owns each writer so it only orders
-         same-shard versions. *)
-      let shard_of_node =
-        if shards > 1 then Some (fun n -> n / (nodes / shards)) else None
-      in
-      Checker.Serializability.certify ?shard_of_node
-        outcome.Harness.Runner.history
-    in
     Printf.printf "engine: %s  workload: %s  nodes: %d  rate: %g/s\n"
       outcome.Harness.Runner.engine_name
       (Workload.Generator.name gen)
@@ -604,10 +601,33 @@ let run_cmd =
       outcome.Harness.Runner.update_latency;
     Format.printf "atomicity: %a@." Checker.Atomicity.pp atom;
     Format.printf "staleness: %a@." Checker.Staleness.pp stale;
-    Format.printf "serializability: %a@." Checker.Serializability.pp srz;
     extras ();
     Format.printf "engine counters: %a@." Stats.Counter_set.pp
       outcome.Harness.Runner.stats;
+    (* Certify as fuzz does: publish every 3V update first, so replay sees
+       the settled stores past garbage collection. *)
+    Option.iter
+      (fun eng ->
+        let a1 = Engine.advance eng and a2 = Engine.advance eng in
+        ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
+        ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2))
+      threev;
+    let cert =
+      Harness.Certify.run ?engine:threev
+        ~unfinished:outcome.Harness.Runner.unfinished
+        outcome.Harness.Runner.history
+    in
+    Format.printf "serializability: %a@." Checker.Serializability.pp
+      cert.Harness.Certify.serializability;
+    List.iter
+      (fun (c : Harness.Certify.check) ->
+        Printf.printf "check %s: %s\n" c.Harness.Certify.check_name
+          (if c.Harness.Certify.ok then "ok"
+           else "FAILED\n" ^ c.Harness.Certify.detail))
+      cert.Harness.Certify.checks;
+    (* Fuzz holds these engines to every check; a failure is exit 1. *)
+    if (engine = E_3v || engine = E_2pc) && not (Harness.Certify.clean cert)
+    then exit 1;
     `Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -653,7 +673,7 @@ let fuzz_cmd =
     Arg.(
       value & flag
       & info [ "quick" ]
-          ~doc:"Shrink case durations for a sub-second CI smoke.")
+          ~doc:"Shrink case durations for a sub-second sweep.")
   in
   let run runs fuzz_seed only quick =
     let summary =

@@ -8,37 +8,10 @@
 # skips cleanly with exit 0 so `dune runtest` stays green — it must never
 # require installing anything.
 #
-# When a built threev_sim binary is available it also refreshes
-# LINT_report.json (the machine-readable lint/v2 report committed alongside
-# BENCH_scale.json); absent a build it skips that step gracefully. The
-# refresh runs under the ratchet (--baseline): pre-existing baselined
-# findings do not block it, only findings new since the committed report —
-# so the baseline can be re-stamped without first driving the debt to
-# zero. The enforcement twin of this refresh is the runtest lint gate
-# (root dune file), which also fails when the committed report drifts
-# from a fresh run (--check-stale).
+# The committed LINT_report.json is kept fresh by the lint gate's
+# --check-stale leg (root dune file), which fails on a stale report and
+# names the refresh command.
 set -eu
-
-lint_exe=_build/default/bin/threev_sim.exe
-if [ -x "$lint_exe" ]; then
-  # Inside the dune sandbox the committed report may not be on disk; the
-  # ratchet only applies when it is.
-  baseline_args=""
-  if [ -f LINT_report.json ]; then
-    baseline_args="--baseline LINT_report.json"
-  fi
-  if "$lint_exe" lint --json $baseline_args \
-       >LINT_report.json.tmp 2>/dev/null; then
-    mv LINT_report.json.tmp LINT_report.json
-    echo "fmt gate: refreshed LINT_report.json"
-  else
-    rm -f LINT_report.json.tmp
-    echo "fmt gate: lint reported new findings; LINT_report.json not refreshed" >&2
-    exit 1
-  fi
-else
-  echo "fmt gate: no built threev_sim; skipping LINT_report.json refresh"
-fi
 
 if ! command -v ocamlformat >/dev/null 2>&1; then
   echo "fmt gate: ocamlformat not on PATH; skipping (nothing to enforce)"

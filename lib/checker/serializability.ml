@@ -50,16 +50,18 @@ let radix_sort a len =
   for i = 0 to len - 1 do
     if a.(i) > !top then top := a.(i)
   done;
-  let count = Array.make 65537 0 in
+  (* 2^16 buckets a pass, or fewer when every value fits in one pass. *)
+  let buckets = min 0x10000 (!top + 1) in
+  let count = Array.make (buckets + 1) 0 in
   let rec pass src dst shift =
     if !top lsr shift = 0 then src
     else begin
-      Array.fill count 0 65537 0;
+      Array.fill count 0 (buckets + 1) 0;
       for i = 0 to len - 1 do
         let b = (src.(i) lsr shift) land 0xffff in
         count.(b + 1) <- count.(b + 1) + 1
       done;
-      for b = 1 to 65536 do
+      for b = 1 to buckets do
         count.(b) <- count.(b) + count.(b - 1)
       done;
       for i = 0 to len - 1 do
@@ -239,36 +241,10 @@ let find_cycle g nodes =
 
 (* The graph keeps no kinds or keys. A witness edge src -> dst is labelled
    by re-deriving, for it alone, what generated it: its kind, preferring
-   reads-from for readability, then anti-dependency, then version order;
-   and the first key that generated an edge of that kind, in generation
-   order. *)
-
-(* Version-order witnesses name the key they have always named: the first
-   in the iteration order of a hash table of the written keys, filled
-   update by update in history order, each update's keys in the order of
-   its own small table. That order comes from the tables' layout, not from
-   the history, but it is what reports have always shown, and the
-   reference oracle in the tests pins it. *)
-let ww_key_order (history : (Spec.t * Result.t) list) =
-  let order = Hashtbl.create 256 in
-  List.iter
-    (fun ((spec : Spec.t), res) ->
-      if Index.effectful (spec, res) then begin
-        let mine = Hashtbl.create 8 in
-        let rec walk (st : Spec.subtxn) =
-          List.iter
-            (fun op ->
-              if Op.is_write op then Hashtbl.replace mine (Op.key op) ())
-            st.Spec.ops;
-          List.iter walk st.Spec.children
-        in
-        walk spec.Spec.root;
-        Seq.iter
-          (fun key -> Hashtbl.replace order key ())
-          (Hashtbl.to_seq_keys mine)
-      end)
-    history;
-  Hashtbl.to_seq_keys order
+   reads-from for readability, then anti-dependency, then version order.
+   A reads-from or anti-dependency edge names the first key observed that
+   yields it; a version-order edge the smallest key (String.compare) both
+   ends wrote with at least one overwrite — an order of the keys alone. *)
 
 (* The writer position of dense index [d] among [key]'s writers, if any. *)
 let position idx key d =
@@ -284,7 +260,7 @@ let position idx key d =
 let drawn_reads (res : Result.t) =
   if Result.committed res then res.Result.reads else []
 
-let label history idx (src, dst) =
+let label idx (src, dst) =
   let id d = idx.Index.ids.(d) in
   let reads d = drawn_reads (snd idx.Index.txns.(d)) in
   let rf () =
@@ -302,13 +278,21 @@ let label history idx (src, dst) =
       (reads src)
   in
   let ww () =
-    Seq.find
-      (fun key ->
-        match (position idx key src, position idx key dst) with
-        | Some p, Some q ->
-            idx.Index.w_overwrote.(p) || idx.Index.w_overwrote.(q)
-        | _ -> false)
-      (ww_key_order history)
+    let rec written acc (st : Spec.subtxn) =
+      List.fold_left written
+        (List.filter_map
+           (fun op -> if Op.is_write op then Some (Op.key op) else None)
+           st.Spec.ops
+        @ acc)
+        st.Spec.children
+    in
+    List.sort_uniq String.compare
+      (written [] (fst idx.Index.txns.(src)).Spec.root)
+    |> List.find_opt (fun key ->
+           match (position idx key src, position idx key dst) with
+           | Some p, Some q ->
+               idx.Index.w_overwrote.(p) || idx.Index.w_overwrote.(q)
+           | _ -> false)
   in
   let kind, key =
     match rf () with
@@ -416,7 +400,7 @@ let certify ?shard_of_node history =
       idx.Index.txns
   in
   let count f a = Array.fold_left (fun c x -> if f x then c + 1 else c) 0 a in
-  let cycle = Option.map (List.map (label history idx)) (find_cycle g nodes) in
+  let cycle = Option.map (List.map (label idx)) (find_cycle g nodes) in
   {
     txns = count Fun.id nodes;
     readers = !readers;

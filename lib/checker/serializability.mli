@@ -26,8 +26,10 @@
     A cycle is reported as a minimal witness: the shortest edge cycle inside
     the smallest strongly-connected component, found by an iterative Tarjan
     pass followed by breadth-first search. Each witness edge names its kind,
-    preferring reads-from, then anti-dependency, then version order, and the
-    first key that generated an edge of that kind.
+    preferring reads-from, then anti-dependency, then version order, and a
+    key that generated an edge of that kind: the first observed key for
+    reads-from and anti-dependency, the smallest key ([String.compare]) for
+    version order.
 
     Cost: edges are drawn by one linear merge per observation of its sorted
     writer tags against the key's writers ({!History_index.merge}), packed

@@ -5,7 +5,6 @@ module Op = Txn.Op
 module Result = Txn.Result
 module Engine = Threev.Engine
 module Policy = Threev.Policy
-module Mvstore = Store.Mvstore
 module Counter_set = Stats.Counter_set
 module Histogram = Stats.Histogram
 module Table = Stats.Table
@@ -1460,6 +1459,22 @@ let run_e13 ~quick =
 
 (* --------------------------------------------------------------- E14 *)
 
+(* The anomalies {!Certify.run} finds in a published 3V run, summed over
+   its checkers: a cycle, unknown tags, partial and dirty reads,
+   version-read violations and replay mismatches. *)
+let anomalies (outcome : Runner.outcome) engine =
+  let r = Certify.run ~engine outcome.Runner.history in
+  let srz = r.Certify.serializability and atom = r.Certify.atomicity in
+  let count f = Option.fold ~none:0 ~some:f in
+  (if Checker.Serializability.serializable srz then 0 else 1)
+  + srz.Checker.Serializability.unknown_count
+  + atom.Checker.Atomicity.partial_reads
+  + atom.Checker.Atomicity.dirty_reads
+  + count
+      (fun v -> v.Checker.Version_reads.violation_count)
+      r.Certify.version_reads
+  + count (fun p -> p.Checker.Replay.mismatch_count) r.Certify.replay
+
 (* E14: k-way replication under data-node crashes. Six nodes in two
    replica groups of three; a reference run's WAL supplies the
    phase-entry times so the crash of k-1 replicas of group 0 provably
@@ -1537,39 +1552,6 @@ let run_e14 ~quick =
            ~keep:crash_keep ~at:crash_at ~restart:restart_at)
       ()
   in
-  (* All five checkers over a finished run: the 1SR certifier, atomic
-     visibility, the exact version-read oracle, final-store replay, and
-     the staleness measurement. *)
-  let certify (outcome : Runner.outcome) engine =
-    let history = outcome.Runner.history in
-    let srz = Checker.Serializability.certify history in
-    let atom = Checker.Atomicity.check history in
-    let vreads = Checker.Version_reads.check history in
-    let lookup key =
-      let rec scan node =
-        if node < 0 then None
-        else
-          match
-            Mvstore.read_visible (Engine.store engine ~node) ~key
-              ~version:max_int
-          with
-          | Some (_, v) -> Some v
-          | None -> scan (node - 1)
-      in
-      scan (nodes - 1)
-    in
-    let replay = Checker.Replay.check history ~lookup in
-    let stale = Checker.Staleness.measure history in
-    let anomalies =
-      (if Checker.Serializability.serializable srz then 0 else 1)
-      + srz.Checker.Serializability.unknown_count
-      + atom.Checker.Atomicity.partial_reads
-      + atom.Checker.Atomicity.dirty_reads
-      + vreads.Checker.Version_reads.violation_count
-      + replay.Checker.Replay.mismatch_count
-    in
-    (anomalies, stale)
-  in
   let table =
     Table.create
       ~title:
@@ -1581,7 +1563,8 @@ let run_e14 ~quick =
         ]
   in
   let add_row name (outcome : Runner.outcome) engine completed =
-    let anomalies, stale = certify outcome engine in
+    let anomalies = anomalies outcome engine in
+    let stale = Runner.staleness outcome in
     Table.add_row table
       [
         name;
@@ -1821,36 +1804,6 @@ let run_e15 ~quick =
            ~oneway:true ~from_:crash_at ~until_:(crash_at +. 0.3) ())
       ()
   in
-  let certify (outcome : Runner.outcome) engine =
-    let history = outcome.Runner.history in
-    let srz = Checker.Serializability.certify history in
-    let atom = Checker.Atomicity.check history in
-    let vreads = Checker.Version_reads.check history in
-    let lookup key =
-      let rec scan node =
-        if node < 0 then None
-        else
-          match
-            Mvstore.read_visible (Engine.store engine ~node) ~key
-              ~version:max_int
-          with
-          | Some (_, v) -> Some v
-          | None -> scan (node - 1)
-      in
-      scan (nodes - 1)
-    in
-    let replay = Checker.Replay.check history ~lookup in
-    let stale = Checker.Staleness.measure history in
-    let anomalies =
-      (if Checker.Serializability.serializable srz then 0 else 1)
-      + srz.Checker.Serializability.unknown_count
-      + atom.Checker.Atomicity.partial_reads
-      + atom.Checker.Atomicity.dirty_reads
-      + vreads.Checker.Version_reads.violation_count
-      + replay.Checker.Replay.mismatch_count
-    in
-    (anomalies, stale)
-  in
   let table =
     Table.create
       ~title:
@@ -1864,7 +1817,8 @@ let run_e15 ~quick =
         ]
   in
   let add_row name (outcome : Runner.outcome) engine completed =
-    let anomalies, stale = certify outcome engine in
+    let anomalies = anomalies outcome engine in
+    let stale = Runner.staleness outcome in
     Table.add_row table
       [
         name;
@@ -1941,8 +1895,7 @@ let run_e15 ~quick =
                               sim clock" else "");
         Printf.sprintf
           "fault-free cost: %d heartbeats for %d suspicions — a quiet \
-           detector is pure overhead, measured at ~%d messages/advancement \
-           in BENCH_fd.json (fd-smoke gates it)."
+           detector is pure overhead, ~%d messages/advancement."
           (Counter_set.get oref.Runner.stats "fd.heartbeats_sent")
           (Counter_set.get oref.Runner.stats "fd.suspicions")
           (let adv = max 1 (Engine.advancements_completed ref_engine) in
@@ -2130,27 +2083,17 @@ let run_a3 ~quick =
     let a1 = Engine.advance engine and a2 = Engine.advance engine in
     ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
     ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
-    let lookup key =
-      let rec scan node =
-        if node < 0 then None
-        else
-          match
-            Mvstore.read_visible (Engine.store engine ~node) ~key
-              ~version:max_int
-          with
-          | Some (_, v) -> Some v
-          | None -> scan (node - 1)
-      in
-      scan (nodes - 1)
-    in
-    let replay = Checker.Replay.check outcome.Runner.history ~lookup in
+    let replay = (Certify.run ~engine outcome.Runner.history).Certify.replay in
     Table.add_row table
       [
         (if dual then "dual writes (paper §2.3)" else "own-version only");
         Table.cell_i (committed_updates outcome);
         Table.cell_i
           (Counter_set.get outcome.Runner.stats "store.dual_writes_total");
-        Table.cell_i replay.Checker.Replay.mismatch_count;
+        Table.cell_i
+          (Option.fold ~none:0
+             ~some:(fun r -> r.Checker.Replay.mismatch_count)
+             replay);
       ]
   in
   run_mode ~dual:true;
@@ -2377,93 +2320,3 @@ let all =
 let find id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun e -> e.id = id) all
-
-(* ------------------------------------------------------------ smoke *)
-
-let smoke () =
-  let buf = Buffer.create 256 in
-  let ok = ref true in
-  let check name cond =
-    if not cond then ok := false;
-    Buffer.add_string buf
-      (Printf.sprintf "  [%s] %s\n" (if cond then "ok" else "FAIL") name)
-  in
-  (* Table 1 scripted replay: the protocol's ground truth. *)
-  let replay = Table1.run () in
-  check "t1: advancement completed" replay.Table1.advancement_completed;
-  check "t1: update transactions committed"
-    (replay.Table1.txn_i_committed && replay.Table1.txn_j_committed);
-  check "t1: reads saw only version-0 data" replay.Table1.reads_saw_version0;
-  (* Tiny E11: 2 nodes, 5% loss + duplication, reliable channel on. *)
-  let nodes = 2 in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 300.;
-        read_ratio = 0.25;
-        fanout = 2;
-        keys_per_node = 10;
-      }
-  in
-  let setup =
-    { Runner.default_setup with Runner.seed = 7; duration = 0.4; settle = 4.0 }
-  in
-  let plan =
-    Fault.Plan.make ~seed:7
-      ~rules:(Fault.Plan.uniform_loss ~dup:0.02 ~drop:0.05 ())
-      ()
-  in
-  let outcome, engine =
-    drive_3v ~seed:7 ~nodes ~policy:(Policy.Periodic 0.1)
-      ~cfg_f:(fun c ->
-        { c with Engine.reliable_channel = true; retransmit_timeout = 0.01 })
-      ~plan gen setup
-  in
-  let atom = Runner.atomicity outcome in
-  check "e11-smoke: advancement completes under 5% loss"
-    (Engine.advancements_completed engine >= 1);
-  check "e11-smoke: history is anomaly-free"
-    (atom.Checker.Atomicity.partial_reads = 0);
-  check "e11-smoke: at most three versions"
-    (Engine.max_versions_ever engine <= 3);
-  check "e11-smoke: no unfinished transactions"
-    (outcome.Runner.unfinished = 0);
-  (* Coord-smoke: one advancement with a mid-phase-2 coordinator crash
-     (constant latency pins the phase schedule: phase 1 needs two 3 ms
-     hops, so 0.215s lands in phase 2's poll loop; restart at 0.3s). *)
-  let sim = Sim.create ~seed:13 () in
-  let ccfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.latency = Latency.Constant 0.003;
-      think_time = 0.0002;
-      policy = Policy.Manual;
-      reliable_channel = true;
-      retransmit_timeout = 0.01;
-    }
-  in
-  let faults =
-    Fault.Injector.create sim
-      (Fault.Plan.make ~seed:13
-         ~coord_crashes:[ Fault.Plan.coord_crash ~at:0.215 ~restart:0.3 ]
-         ())
-  in
-  let cengine = Engine.create sim ccfg ~faults () in
-  let adv = ref None in
-  Sim.schedule sim ~delay:0.2 (fun () -> adv := Some (Engine.advance cengine));
-  let coutcome =
-    Runner.drive sim (Engine.packed cengine) gen
-      { Runner.default_setup with Runner.seed = 13; duration = 0.4; settle = 4.0 }
-  in
-  let catom = Runner.atomicity coutcome in
-  check "coord-smoke: advancement completes across a coordinator crash"
-    ((match !adv with Some iv -> Simul.Ivar.is_full iv | None -> false)
-    && Engine.advancements_completed cengine >= 1);
-  check "coord-smoke: coordinator recovered from its WAL"
-    (Counter_set.get coutcome.Runner.stats "proto.coord_recoveries" >= 1);
-  check "coord-smoke: anomaly-free, bounded versions, nothing unfinished"
-    (catom.Checker.Atomicity.partial_reads = 0
-    && Engine.max_versions_ever cengine <= 3
-    && coutcome.Runner.unfinished = 0);
-  (!ok, Buffer.contents buf)

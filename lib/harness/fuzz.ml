@@ -1,10 +1,7 @@
 module Sim = Simul.Sim
 module Latency = Netsim.Latency
-module Result = Txn.Result
 module Engine = Threev.Engine
 module Policy = Threev.Policy
-module Mvstore = Store.Mvstore
-module Srz = Checker.Serializability
 
 type engine_kind =
   | E3v
@@ -353,7 +350,7 @@ let gen_of case =
           nc_ratio = case.nc_ratio;
         }
 
-type check = { check_name : string; ok : bool; detail : string }
+type check = Certify.check = { check_name : string; ok : bool; detail : string }
 
 type verdict = Clean | Anomaly of string list | Failure of check list
 
@@ -371,9 +368,8 @@ let strict = function
   | E_nocoord | E_manual -> false
 
 (* Drive [case] with fault atoms [atoms] (usually [case.atoms]; subsets
-   during shrinking). Returns the outcome, the settled-store lookup (3V
-   engines only), and the checkers' read-vector lookup and shard map
-   (sharded cases only). *)
+   during shrinking). Returns the outcome and, for the 3V engines, the
+   engine, published so its settled stores replay the history. *)
 let drive case atoms =
   let sim = Sim.create ~seed:case.seed () in
   let plan =
@@ -390,166 +386,93 @@ let drive case atoms =
       settle = 5.0;
     }
   in
-  let outcome, lookup, vector =
-    match case.engine with
-    | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard ->
-        let fd = case.engine = E3v_fd in
-        let cfg =
-          {
-            (Engine.default_config ~nodes:case.nodes) with
-            Engine.latency = Latency.Exponential 0.003;
-            policy = Policy.Periodic 0.2;
-            nc_mode = case.engine = E3v_nc;
-            think_time = 0.0005;
-            reliable_channel = plan <> None || fd;
-            retransmit_timeout = 0.02;
-            replicas = case.replicas;
-            shards = case.shards;
-            hb_period = (if fd then fd_hb_period else 0.);
-            hb_timeout = (if fd then fd_hb_timeout else 0.1);
-            phase_deadline = (if fd then fd_phase_deadline else infinity);
-          }
-        in
-        let engine = Engine.create sim cfg ?faults () in
-        let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-        (* Publish everything, then replay-check the settled store. *)
-        let a1 = Engine.advance engine and a2 = Engine.advance engine in
-        ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-        ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
-        let lookup key =
-          let rec scan node =
-            if node < 0 then None
-            else
-              match
-                Mvstore.read_visible (Engine.store engine ~node) ~key
-                  ~version:max_int
-              with
-              | Some (_, v) -> Some v
-              | None -> scan (node - 1)
-          in
-          scan (case.nodes - 1)
-        in
-        let vector =
-          if case.shards > 1 then
-            Some (fun txn -> Engine.assigned_vector engine ~txn)
-          else None
-        in
-        (outcome, Some lookup, vector)
-    | E2pc ->
-        let cfg =
-          {
-            (Baselines.Global_2pc.default_config ~nodes:case.nodes) with
-            Baselines.Global_2pc.latency = Latency.Exponential 0.003;
-            think_time = 0.0005;
-            deadlock_timeout = 0.05;
-          }
-        in
-        let engine = Baselines.Global_2pc.create ?faults sim cfg in
-        ( Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup,
-          None,
-          None )
-    | E_nocoord ->
-        let cfg =
-          {
-            (Baselines.No_coord.default_config ~nodes:case.nodes) with
-            Baselines.No_coord.latency = Latency.Exponential 0.003;
-            think_time = 0.0005;
-          }
-        in
-        let engine = Baselines.No_coord.create sim cfg in
-        ( Runner.drive sim (Baselines.No_coord.packed engine) gen setup,
-          None,
-          None )
-    | E_manual ->
-        let cfg =
-          {
-            (Baselines.Manual_versioning.default_config ~nodes:case.nodes) with
-            Baselines.Manual_versioning.latency = Latency.Uniform (0.0005, 0.012);
-            think_time = 0.0005;
-            period = 0.2;
-            safety_delay = (if case.seed land 1 = 0 then 0. else 0.005);
-          }
-        in
-        let engine = Baselines.Manual_versioning.create sim cfg in
-        ( Runner.drive sim (Baselines.Manual_versioning.packed engine) gen setup,
-          None,
-          None )
-  in
-  (* Per-shard version numbers are incomparable across shards: the
-     certifiers only order same-shard versions, and exact-version reads
-     are fenced per key by the assigned read vector. *)
-  let shard_of_node =
-    if case.shards > 1 then Some (fun n -> n / (case.nodes / case.shards))
-    else None
-  in
-  (outcome, lookup, vector, shard_of_node)
-
-let history case =
-  let outcome, _, vector, shard_of_node = drive case case.atoms in
-  (outcome.Runner.history, shard_of_node, vector)
-
-(* Drive [case] with [atoms] and run every applicable checker. *)
-let execute case atoms =
-  let outcome, lookup, vector, shard_of_node = drive case atoms in
-  let history = outcome.Runner.history in
-  let srz = Srz.certify ?shard_of_node history in
-  let atomr = Checker.Atomicity.check history in
-  let checks =
-    [
-      {
-        check_name = "serializability";
-        ok = Srz.serializable srz && srz.Srz.unknown_count = 0;
-        detail = Format.asprintf "%a" Srz.pp srz;
-      };
-      {
-        check_name = "atomicity";
-        ok = Checker.Atomicity.clean atomr;
-        detail = Format.asprintf "%a" Checker.Atomicity.pp atomr;
-      };
-    ]
-    @ (match case.engine with
-      | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard ->
-          let vr = Checker.Version_reads.check ?vector ?shard_of_node history in
-          [
-            {
-              check_name = "version-reads";
-              ok = Checker.Version_reads.clean vr;
-              detail = Format.asprintf "%a" Checker.Version_reads.pp vr;
-            };
-          ]
-      | _ -> [])
-    @ (match lookup with
-      | Some lookup ->
-          let rp = Checker.Replay.check history ~lookup in
-          [
-            {
-              check_name = "replay";
-              ok = Checker.Replay.clean rp;
-              detail = Format.asprintf "%a" Checker.Replay.pp rp;
-            };
-          ]
-      | None -> [])
-    @
-    if strict case.engine then
-      [
+  match case.engine with
+  | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard ->
+      let fd = case.engine = E3v_fd in
+      let cfg =
         {
-          check_name = "settled";
-          ok = outcome.Runner.unfinished = 0;
-          detail =
-            Printf.sprintf "unfinished=%d of %d submitted"
-              outcome.Runner.unfinished outcome.Runner.submitted;
-        };
-      ]
-    else []
+          (Engine.default_config ~nodes:case.nodes) with
+          Engine.latency = Latency.Exponential 0.003;
+          policy = Policy.Periodic 0.2;
+          nc_mode = case.engine = E3v_nc;
+          think_time = 0.0005;
+          reliable_channel = plan <> None || fd;
+          retransmit_timeout = 0.02;
+          replicas = case.replicas;
+          shards = case.shards;
+          hb_period = (if fd then fd_hb_period else 0.);
+          hb_timeout = (if fd then fd_hb_timeout else 0.1);
+          phase_deadline = (if fd then fd_phase_deadline else infinity);
+        }
+      in
+      let engine = Engine.create sim cfg ?faults () in
+      let outcome = Runner.drive sim (Engine.packed engine) gen setup in
+      (* Publish everything before the settled stores are replayed. *)
+      let a1 = Engine.advance engine and a2 = Engine.advance engine in
+      ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
+      ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
+      (outcome, Some engine)
+  | E2pc ->
+      let cfg =
+        {
+          (Baselines.Global_2pc.default_config ~nodes:case.nodes) with
+          Baselines.Global_2pc.latency = Latency.Exponential 0.003;
+          think_time = 0.0005;
+          deadlock_timeout = 0.05;
+        }
+      in
+      let engine = Baselines.Global_2pc.create ?faults sim cfg in
+      (Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup, None)
+  | E_nocoord ->
+      let cfg =
+        {
+          (Baselines.No_coord.default_config ~nodes:case.nodes) with
+          Baselines.No_coord.latency = Latency.Exponential 0.003;
+          think_time = 0.0005;
+        }
+      in
+      let engine = Baselines.No_coord.create sim cfg in
+      (Runner.drive sim (Baselines.No_coord.packed engine) gen setup, None)
+  | E_manual ->
+      let cfg =
+        {
+          (Baselines.Manual_versioning.default_config ~nodes:case.nodes) with
+          Baselines.Manual_versioning.latency = Latency.Uniform (0.0005, 0.012);
+          think_time = 0.0005;
+          period = 0.2;
+          safety_delay = (if case.seed land 1 = 0 then 0. else 0.005);
+        }
+      in
+      let engine = Baselines.Manual_versioning.create sim cfg in
+      ( Runner.drive sim (Baselines.Manual_versioning.packed engine) gen setup,
+        None )
+
+(* Per-shard version numbers are incomparable across shards: the checkers
+   order only same-shard versions and fence exact-version reads per key by
+   the assigned read vector. *)
+let history case =
+  let outcome, engine = drive case case.atoms in
+  let sharded f = if case.shards > 1 then Option.map f engine else None in
+  ( outcome.Runner.history,
+    sharded (fun e n -> Engine.shard_of_node e ~node:n),
+    sharded (fun e txn -> Engine.assigned_vector e ~txn) )
+
+(* Drive [case] with [atoms] and certify the outcome; strict engines must
+   also settle every transaction. *)
+let execute case atoms =
+  let outcome, engine = drive case atoms in
+  let unfinished =
+    if strict case.engine then Some outcome.Runner.unfinished else None
   in
-  (outcome, srz, checks)
+  let r = Certify.run ?engine ?unfinished outcome.Runner.history in
+  (outcome, r.Certify.checks)
 
 (* ----------------------------------------------------------- shrink *)
 
 let fails case atoms =
   match execute case atoms with
   | exception _ -> true
-  | _, _, checks -> List.exists (fun c -> not c.ok) checks
+  | _, checks -> List.exists (fun c -> not c.ok) checks
 
 (* Greedy delta-debugging: drop each atom in turn; keep the drop whenever
    the case still fails without it. *)
@@ -636,7 +559,7 @@ let run_case ~fuzz_seed ~quick case =
         ~extra_repro:
           (if strict case.engine then [ run_reproducer case case.atoms ]
            else [])
-  | outcome, _srz, checks ->
+  | outcome, checks ->
       let failed = List.filter (fun c -> not c.ok) checks in
       let committed = outcome.Runner.committed in
       let unfinished = outcome.Runner.unfinished in

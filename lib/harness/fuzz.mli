@@ -1,8 +1,9 @@
 (** Deterministic schedule-fuzz harness.
 
-    Sweeps seeds × workloads × fault plans × engines, runs every offline
-    checker (serializability certifier, atomic visibility, exact version
-    reads, commuting-sum replay, staleness) on each outcome, and classifies:
+    Sweeps seeds × workloads × fault plans × engines, certifies each
+    outcome with {!Certify.run} (serializability certifier, atomic
+    visibility, and for 3V exact version reads and commuting-sum replay),
+    and classifies:
 
     - {e strict} engines (3V, NC3V, replicated 3V, replicated 3V with the
       heartbeat failure detector, sharded 3V with per-shard coordinators,
@@ -81,7 +82,7 @@ type case = {
     matrix. *)
 val case_of_index : fuzz_seed:int -> quick:bool -> int -> case
 
-type check = { check_name : string; ok : bool; detail : string }
+type check = Certify.check = { check_name : string; ok : bool; detail : string }
 
 type verdict =
   | Clean  (** every applicable checker passed *)

@@ -27,8 +27,8 @@ let all =
   [
     ("R1", "banned nondeterminism sources (wall clock, global RNG, \
             Hashtbl.hash, exit)");
-    ("R2", "Hashtbl.iter/fold without a dominating sort in the same \
-            top-level binding");
+    ("R2", "Hashtbl.iter/fold/to_seq* without a dominating sort in the \
+            same top-level binding");
     ("R3", "polymorphic compare/equality at a deny-listed type");
     ("R4", "unguarded trace emission on a lib/core / lib/net / lib/repl / \
             lib/shard path");
@@ -109,7 +109,11 @@ let r6_check ctx lid loc =
 
 (* ------------------------------------------------------------------ R2 *)
 
-let r2_hash_enums = [ "Hashtbl.iter"; "Hashtbl.fold" ]
+let r2_hash_enums =
+  [
+    "Hashtbl.iter"; "Hashtbl.fold"; "Hashtbl.to_seq"; "Hashtbl.to_seq_keys";
+    "Hashtbl.to_seq_values";
+  ]
 
 let r2_sorts =
   [ "List.sort"; "List.stable_sort"; "List.fast_sort"; "List.sort_uniq" ]

@@ -62,7 +62,8 @@ let write_kinds (spec : Spec.t) =
 type graph = {
   (* adjacency, deduplicated: src -> dst set *)
   adj : (int, Int_set.t ref) Hashtbl.t;
-  (* representative edge per (src, dst, kind); first inserted wins *)
+  (* representative edge per (src, dst, kind): the first inserted, but a
+     version-order edge keeps the smallest key that yields it *)
   edge_tbl : (int * int * edge_kind, edge) Hashtbl.t;
   mutable rf : int;
   mutable anti : int;
@@ -70,22 +71,26 @@ type graph = {
 }
 
 let add_edge g ~src ~dst ~key ~kind =
-  if src <> dst && not (Hashtbl.mem g.edge_tbl (src, dst, kind)) then begin
-    Hashtbl.replace g.edge_tbl (src, dst, kind) { src; dst; key; kind };
-    (match kind with
-    | Reads_from -> g.rf <- g.rf + 1
-    | Anti_dependency -> g.anti <- g.anti + 1
-    | Version_order -> g.ww <- g.ww + 1);
-    let set =
-      match Hashtbl.find_opt g.adj src with
-      | Some s -> s
-      | None ->
-          let s = ref Int_set.empty in
-          Hashtbl.replace g.adj src s;
-          s
-    in
-    set := Int_set.add dst !set
-  end
+  match Hashtbl.find_opt g.edge_tbl (src, dst, kind) with
+  | Some e ->
+      if kind = Version_order && String.compare key e.key < 0 then
+        Hashtbl.replace g.edge_tbl (src, dst, kind) { e with key }
+  | None when src <> dst ->
+      Hashtbl.replace g.edge_tbl (src, dst, kind) { src; dst; key; kind };
+      (match kind with
+      | Reads_from -> g.rf <- g.rf + 1
+      | Anti_dependency -> g.anti <- g.anti + 1
+      | Version_order -> g.ww <- g.ww + 1);
+      let set =
+        match Hashtbl.find_opt g.adj src with
+        | Some s -> s
+        | None ->
+            let s = ref Int_set.empty in
+            Hashtbl.replace g.adj src s;
+            s
+      in
+      set := Int_set.add dst !set
+  | None -> ()
 
 let succs g v =
   match Hashtbl.find_opt g.adj v with

@@ -1,8 +1,10 @@
 (* Tests for the fault-injection subsystem (lib/fault) and the protocol
    hardening it exercises: the network delivery filter, plan validation,
    scripted and probabilistic faults, seed-replayable determinism,
-   crash-restart recovery (node and coordinator), a bounded-exhaustive
-   check that dropping any single coordinator-bound message never breaks
+   crash-restart recovery (node and coordinator), whole runs under loss
+   and a coordinator crash that must certify clean, the duplicate
+   filter's bound under loss, a bounded-exhaustive check that dropping
+   any single coordinator-bound message never breaks
    the protocol, and a bounded-exhaustive sweep that fail-stops the
    coordinator inside each of the four advancement phases. *)
 
@@ -279,6 +281,142 @@ let crash_restart_recovers () =
   checkb "crash was accounted" true
     (Counter_set.get (Injector.stats (Engine.injector engine)) "fault.restarts"
     = 1)
+
+(* ------------------------------------------- gate runs under faults
+
+   Small whole runs under message loss and coordinator crashes: the
+   protocol must keep advancing, keep at most three versions, settle
+   every transaction and certify clean. *)
+
+let two_node_gen =
+  Workload.Synthetic.generator
+    {
+      (Workload.Synthetic.default ~nodes:2) with
+      Workload.Synthetic.arrival_rate = 300.;
+      read_ratio = 0.25;
+      fanout = 2;
+      keys_per_node = 10;
+    }
+
+let two_node_cfg =
+  {
+    (Engine.default_config ~nodes:2) with
+    Engine.latency = Latency.Exponential 0.003;
+    think_time = 0.0005;
+    deadlock_timeout = 0.05;
+    policy = Policy.Periodic 0.1;
+    reliable_channel = true;
+    retransmit_timeout = 0.01;
+  }
+
+(* 5% loss plus 2% duplication on the reliable channel. *)
+let advancement_under_loss () =
+  let sim = Sim.create ~seed:7 () in
+  let faults =
+    Injector.create sim
+      (Plan.make ~seed:7 ~rules:(Plan.uniform_loss ~dup:0.02 ~drop:0.05 ()) ())
+  in
+  let engine = Engine.create sim two_node_cfg ~faults () in
+  let outcome =
+    Harness.Runner.drive sim (Engine.packed engine) two_node_gen
+      {
+        Harness.Runner.default_setup with
+        Harness.Runner.seed = 7;
+        duration = 0.4;
+        settle = 4.0;
+      }
+  in
+  checkb "advancement completes under 5% loss" true
+    (Engine.advancements_completed engine >= 1);
+  checkb "at most three versions" true (Engine.max_versions_ever engine <= 3);
+  Certified.check ~engine "5% loss" outcome
+
+(* Ack-floor pruning keeps the network's duplicate filter at the
+   in-flight window on a retransmit-heavy run: entries survive only while
+   a message's ack is outstanding, so a tenth of all traffic ever sent is
+   far above any honest window and far below the unpruned count. *)
+let delivered_seen_bounded_under_loss () =
+  let sim = Sim.create ~seed:11 () in
+  let faults =
+    Injector.create sim
+      (Plan.make ~seed:11 ~rules:(Plan.uniform_loss ~drop:0.15 ()) ())
+  in
+  let cfg =
+    {
+      (Engine.default_config ~nodes:6) with
+      Engine.latency = Latency.Exponential 0.002;
+      think_time = 0.0001;
+      policy = Policy.Periodic 0.25;
+      reliable_channel = true;
+      retransmit_timeout = 0.02;
+    }
+  in
+  let engine = Engine.create sim cfg ~faults () in
+  let gen =
+    Workload.Synthetic.generator
+      {
+        (Workload.Synthetic.default ~nodes:6) with
+        Workload.Synthetic.arrival_rate = 600.;
+        fanout = 2;
+      }
+  in
+  let outcome =
+    Harness.Runner.drive sim (Engine.packed engine) gen
+      {
+        Harness.Runner.seed = 11;
+        duration = 0.5;
+        settle = 2.0;
+        max_txns = 5_000;
+      }
+  in
+  checkb "the lossy run retransmitted" true
+    (Counter_set.get outcome.Harness.Runner.stats "net.retransmissions" > 0);
+  let bound = max 64 (Engine.messages_sent engine / 10) in
+  let seen = Engine.delivered_seen_size engine in
+  checkb (Printf.sprintf "delivered_seen %d <= %d" seen bound) true
+    (seen <= bound)
+
+(* A coordinator crash inside phase 2's poll loop (constant latency pins
+   the schedule: phase 1 needs two 3 ms hops, so 0.215 s lands in phase
+   2; restart at 0.3 s): the advancement must complete from the WAL. *)
+let coord_crash_mid_advancement () =
+  let sim = Sim.create ~seed:13 () in
+  let cfg =
+    {
+      (Engine.default_config ~nodes:2) with
+      Engine.latency = Latency.Constant 0.003;
+      think_time = 0.0002;
+      policy = Policy.Manual;
+      reliable_channel = true;
+      retransmit_timeout = 0.01;
+    }
+  in
+  let faults =
+    Injector.create sim
+      (Plan.make ~seed:13
+         ~coord_crashes:[ Plan.coord_crash ~at:0.215 ~restart:0.3 ]
+         ())
+  in
+  let engine = Engine.create sim cfg ~faults () in
+  let adv = ref None in
+  Sim.schedule sim ~delay:0.2 (fun () -> adv := Some (Engine.advance engine));
+  let outcome =
+    Harness.Runner.drive sim (Engine.packed engine) two_node_gen
+      {
+        Harness.Runner.default_setup with
+        Harness.Runner.seed = 13;
+        duration = 0.4;
+        settle = 4.0;
+      }
+  in
+  checkb "advancement completes across a coordinator crash" true
+    ((match !adv with Some iv -> Ivar.is_full iv | None -> false)
+    && Engine.advancements_completed engine >= 1);
+  checkb "coordinator recovered from its WAL" true
+    (Counter_set.get outcome.Harness.Runner.stats "proto.coord_recoveries"
+    >= 1);
+  checkb "at most three versions" true (Engine.max_versions_ever engine <= 3);
+  Certified.check ~engine "coordinator crash" outcome
 
 (* A node that crashes before the first advancement even triggers must
    recover to the true initial versions (vu = 1, vr = 0), not to zero —
@@ -596,11 +734,17 @@ let () =
           Alcotest.test_case "crash-restart" `Quick crash_restart_recovers;
           Alcotest.test_case "restart before first advancement" `Quick
             restart_before_any_advancement;
+          Alcotest.test_case "coordinator crash mid-advancement" `Quick
+            coord_crash_mid_advancement;
         ] );
       ( "loss",
         [
           QCheck_alcotest.to_alcotest qcheck_loss;
           QCheck_alcotest.to_alcotest qcheck_coord_crash;
+          Alcotest.test_case "advancement under loss" `Quick
+            advancement_under_loss;
+          Alcotest.test_case "delivered_seen bounded under loss" `Quick
+            delivered_seen_bounded_under_loss;
         ] );
       ( "mcheck",
         [

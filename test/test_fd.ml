@@ -3,9 +3,10 @@
    back-off and adaptive horizon; a bounded-exhaustive sweep provoking
    false suspicion of each replica inside each advancement phase; a qcheck
    property that heartbeat loss alone never changes committed state or
-   certifier verdicts vs the fault-free golden run (obligation a); and the
+   certifier verdicts vs the fault-free golden run (obligation a); the
    degradation path for an outage the detector cannot see — the watchdog
-   and the reliable channel carry the advancement (obligation b). *)
+   and the reliable channel carry the advancement (obligation b); and a
+   real crash compounded with a false-suspicion storm. *)
 
 module Sim = Simul.Sim
 module Ivar = Simul.Ivar
@@ -173,17 +174,6 @@ let small_gen nodes =
       zipf_s = 0.7;
     }
 
-let certify_clean name (outcome : Runner.outcome) =
-  checki (name ^ " settled") 0 outcome.Runner.unfinished;
-  checkb (name ^ " committed some") true (outcome.Runner.committed > 0);
-  let srz = Checker.Serializability.certify outcome.Runner.history in
-  checkb (name ^ " 1SR") true (Checker.Serializability.serializable srz);
-  checkb (name ^ " atomic visibility") true
-    (Checker.Atomicity.clean (Checker.Atomicity.check outcome.Runner.history));
-  checkb (name ^ " exact version reads") true
-    (Checker.Version_reads.clean
-       (Checker.Version_reads.check outcome.Runner.history))
-
 (* ------------------- mcheck: false suspicion inside each phase
 
    Mirror of test_repl's replica-crash sweep, with the lie instead of the
@@ -291,26 +281,8 @@ let qcheck_run ?(plan = Plan.none) () =
 
 let qcheck_golden = lazy (qcheck_run ())
 
-let clean_verdicts (outcome : Runner.outcome) engine ~nodes =
-  let history = outcome.Runner.history in
-  let lookup key =
-    let rec scan node =
-      if node < 0 then None
-      else
-        match
-          Store.Mvstore.read_visible (Engine.store engine ~node) ~key
-            ~version:max_int
-        with
-        | Some (_, v) -> Some v
-        | None -> scan (node - 1)
-    in
-    scan (nodes - 1)
-  in
-  Checker.Serializability.serializable
-    (Checker.Serializability.certify history)
-  && Checker.Atomicity.clean (Checker.Atomicity.check history)
-  && Checker.Version_reads.clean (Checker.Version_reads.check history)
-  && Checker.Replay.clean (Checker.Replay.check history ~lookup)
+let clean_verdicts (outcome : Runner.outcome) engine =
+  Harness.Certify.(clean (run ~engine outcome.Runner.history))
 
 let qcheck_hb_loss =
   QCheck.Test.make
@@ -340,7 +312,7 @@ let qcheck_hb_loss =
       if outcome.Runner.aborted <> golden.Runner.aborted then
         QCheck.Test.fail_reportf "aborted %d vs golden %d"
           outcome.Runner.aborted golden.Runner.aborted;
-      if not (clean_verdicts outcome engine ~nodes:4) then
+      if not (clean_verdicts outcome engine) then
         QCheck.Test.fail_report "a checker verdict changed under hb loss";
       true)
 
@@ -349,7 +321,7 @@ let qcheck_hb_loss =
 let qcheck_golden_clean () =
   let golden, engine = Lazy.force qcheck_golden in
   checki "golden settled" 0 golden.Runner.unfinished;
-  checkb "golden clean" true (clean_verdicts golden engine ~nodes:4)
+  checkb "golden clean" true (clean_verdicts golden engine)
 
 (* --------------------- obligation (b): the outage the detector misses
 
@@ -393,7 +365,59 @@ let undetected_outage_degrades () =
     (Counter_set.get outcome.Runner.stats "fd.suspicions");
   checkb "the watchdog carried the wait" true
     (Counter_set.get outcome.Runner.stats "proto.phase_stalled" >= 1);
-  certify_clean "undetected outage" outcome
+  Certified.check ~engine "undetected outage" outcome
+
+(* ------------------- a real crash and a false-suspicion storm at once
+
+   k = 3 with the detector on: one replica crashed across an advancement
+   window while a live node's heartbeats are dropped. The detector must
+   suspect, the suspected node must re-earn trust, advancement must not
+   stall, and the run must certify clean. *)
+let crash_and_storm () =
+  let nodes = 6 in
+  let sim = Sim.create ~seed:29 () in
+  let cfg =
+    {
+      (Engine.default_config ~nodes) with
+      Engine.replicas = 3;
+      latency = Latency.Exponential 0.003;
+      think_time = 0.0005;
+      policy = Policy.Periodic 0.2;
+      reliable_channel = true;
+      retransmit_timeout = 0.02;
+      hb_period = 0.02;
+      hb_timeout = 0.08;
+      phase_deadline = 0.5;
+    }
+  in
+  let faults =
+    Injector.create sim
+      (Plan.make ~seed:29
+         ~rules:(Plan.heartbeat_loss ~src:3 ~from_:0.2 ~until_:0.6 ())
+         ~crashes:[ Plan.crash ~node:0 ~at:0.25 ~restart:0.7 ] ())
+  in
+  let engine = Engine.create sim cfg ~faults () in
+  let gen =
+    Workload.Synthetic.generator
+      {
+        (Workload.Synthetic.default ~nodes) with
+        Workload.Synthetic.arrival_rate = 400.;
+        read_ratio = 0.3;
+        fanout = 2;
+        keys_per_node = 15;
+      }
+  in
+  let outcome =
+    Runner.drive sim (Engine.packed engine) gen
+      { Runner.seed = 29; duration = 0.9; settle = 4.0; max_txns = 5_000 }
+  in
+  let c = Counter_set.get outcome.Runner.stats in
+  checkb "advancement kept going under suspicion" true
+    (Engine.advancements_completed engine >= 1);
+  checkb "heartbeats sent" true (c "fd.heartbeats_sent" > 0);
+  checkb "crash + storm provoked a suspicion" true (c "fd.suspicions" > 0);
+  checkb "a suspected node re-earned trust" true (c "fd.recoveries" > 0);
+  Certified.check ~engine "crash + storm" outcome
 
 (* --------------------------------------------------------------- suite *)
 
@@ -423,5 +447,7 @@ let () =
         [
           Alcotest.test_case "undetected outage rides the watchdog" `Quick
             undetected_outage_degrades;
+          Alcotest.test_case "crash + false-suspicion storm" `Quick
+            crash_and_storm;
         ] );
     ]

@@ -7,7 +7,6 @@ module Sim = Simul.Sim
 module Engine = Threev.Engine
 module Runner = Harness.Runner
 module Fuzz = Harness.Fuzz
-module Srz = Checker.Serializability
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -105,6 +104,9 @@ let small_sweep_strict_clean () =
   let s = Fuzz.sweep ~runs:10 ~quick:true () in
   checkb "no strict failures" true (Fuzz.ok s);
   checki "all cases ran" 10 s.Fuzz.total;
+  (* The certifier has teeth: a seeded-anomaly baseline gets flagged. *)
+  checkb "at least one baseline anomaly flagged" true
+    (s.Fuzz.anomalies_flagged >= 1);
   List.iter
     (fun (r : Fuzz.case_report) ->
       if strict r.Fuzz.case.Fuzz.engine then
@@ -125,8 +127,8 @@ let only_selects_one_case () =
 
    These mirror the e10/e13-style golden histories in test_harness.ml (node
    pause during load; coordinator crash mid-advancement on the reliable
-   channel) and assert that every offline checker — including the MVSG
-   certifier — certifies them clean. The digests over these same runs live
+   channel) and assert that Harness.Certify — the MVSG certifier, atomic
+   visibility, version reads, replay and settling — passes them. The digests over these same runs live
    in test_harness.ml; here we care about 1SR, not byte identity. *)
 
 let golden_gen nodes =
@@ -139,18 +141,6 @@ let golden_gen nodes =
       keys_per_node = 15;
       zipf_s = 0.7;
     }
-
-let certify_clean name (outcome : Runner.outcome) =
-  checki (name ^ " settled") 0 outcome.Runner.unfinished;
-  checkb (name ^ " committed some") true (outcome.Runner.committed > 0);
-  let srz = Srz.certify outcome.Runner.history in
-  checkb (name ^ " 1SR") true (Srz.serializable srz);
-  checki (name ^ " no unknown tags") 0 srz.Srz.unknown_count;
-  checkb (name ^ " atomic visibility") true
-    (Checker.Atomicity.clean (Checker.Atomicity.check outcome.Runner.history));
-  checkb (name ^ " exact version reads") true
-    (Checker.Version_reads.clean
-       (Checker.Version_reads.check outcome.Runner.history))
 
 let golden_e10_certifies () =
   let nodes = 4 in
@@ -169,7 +159,7 @@ let golden_e10_certifies () =
     Runner.drive sim (Engine.packed engine) (golden_gen nodes)
       { Runner.seed = 151; duration = 1.2; settle = 4.0; max_txns = 100_000 }
   in
-  certify_clean "e10-style" outcome
+  Certified.check ~engine "e10-style" outcome
 
 let golden_e13_certifies () =
   let nodes = 4 in
@@ -196,7 +186,7 @@ let golden_e13_certifies () =
       { Runner.seed = 171; duration = 1.2; settle = 5.0; max_txns = 100_000 }
   in
   checkb "e13-style advanced past v0" true (Engine.max_versions_ever engine > 1);
-  certify_clean "e13-style" outcome
+  Certified.check ~engine "e13-style" outcome
 
 (* Plain 3V runs across a few seeds certify clean — the cheap end of the
    acceptance sweep, kept in-tree so `dune runtest` exercises it. *)
@@ -218,7 +208,7 @@ let threev_seeds_certify_clean () =
         Runner.drive sim (Engine.packed engine) (golden_gen nodes)
           { Runner.seed = seed; duration = 0.6; settle = 4.0; max_txns = 10_000 }
       in
-      certify_clean (Printf.sprintf "3v seed %d" seed) outcome)
+      Certified.check ~engine (Printf.sprintf "3v seed %d" seed) outcome)
     [ 5; 23; 42 ]
 
 let () =

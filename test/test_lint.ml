@@ -67,6 +67,18 @@ let r2_passes () =
     \  |> List.sort compare"
     []
 
+let r2_to_seq_family () =
+  List.iter
+    (fun f ->
+      check_rules ("unsorted " ^ f) ~filename:"lib/x/a.ml"
+        (Printf.sprintf "let f h = List.of_seq (Hashtbl.%s h)" f)
+        [ "R2" ];
+      check_rules ("sorted " ^ f) ~filename:"lib/x/a.ml"
+        (Printf.sprintf
+           "let f h = List.sort compare (List.of_seq (Hashtbl.%s h))" f)
+        [])
+    [ "to_seq"; "to_seq_keys"; "to_seq_values" ]
+
 let r2_sort_elsewhere_does_not_excuse () =
   (* A sort in a *different* top-level binding must not excuse the fold. *)
   check_rules "per-item granularity" ~filename:"lib/x/a.ml"
@@ -83,7 +95,7 @@ let r2_waived () =
 (* The ISSUE's regression tripwire: re-introducing an unsorted fold in
    counter_set.ml-shaped code must fail the gate. *)
 let r2_counter_set_tripwire () =
-  check_rules "unsorted to_list would fail lint-smoke"
+  check_rules "unsorted to_list fails the lint gate"
     ~filename:"lib/stats/counter_set.ml"
     "let to_list t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []"
     [ "R2" ]
@@ -674,6 +686,7 @@ let () =
         [
           Alcotest.test_case "fires" `Quick r2_fires;
           Alcotest.test_case "passes" `Quick r2_passes;
+          Alcotest.test_case "to_seq family" `Quick r2_to_seq_family;
           Alcotest.test_case "per-item granularity" `Quick
             r2_sort_elsewhere_does_not_excuse;
           Alcotest.test_case "waived" `Quick r2_waived;

@@ -86,6 +86,17 @@ let explorer_max_runs_cap () =
 
 (* ------------------------------------------------ protocol exploration *)
 
+(* Every schedule's history must pass Harness.Certify: 1SR, atomic
+   visibility, exact version reads and replay of the settled stores. *)
+let certify ~engine history =
+  List.iter
+    (fun (c : Harness.Certify.check) ->
+      if not c.Harness.Certify.ok then
+        failwith
+          (c.Harness.Certify.check_name ^ " violated: "
+         ^ c.Harness.Certify.detail))
+    (Harness.Certify.run ~engine history).Harness.Certify.checks
+
 (* One self-contained 3V scenario: two nodes; update i spans both; an
    advancement races it; update j lands on the new version and spans both
    in the opposite direction; reads bracket everything. The first
@@ -152,10 +163,7 @@ let threev_scenario ~choice_budget ctl =
         | None -> failwith (spec.Spec.label ^ " unresolved"))
       !submitted
   in
-  if not (Checker.Atomicity.clean (Checker.Atomicity.check history)) then
-    failwith "atomic visibility violated";
-  if not (Checker.Version_reads.clean (Checker.Version_reads.check history))
-  then failwith "version-exact reads violated";
+  certify ~engine history;
   if Engine.max_versions_ever engine > 3 then failwith "version bound broken";
   if List.length (Engine.version_window engine) > 3 then
     failwith "version window broken"
@@ -237,10 +245,7 @@ let nc_scenario ~choice_budget ctl =
       if spec.Spec.kind <> Spec.Non_commuting && not (Result.committed res)
       then failwith (spec.Spec.label ^ " did not commit"))
     history;
-  if not (Checker.Atomicity.clean (Checker.Atomicity.check history)) then
-    failwith "atomic visibility violated";
-  if not (Checker.Version_reads.clean (Checker.Version_reads.check history))
-  then failwith "version-exact reads violated"
+  certify ~engine history
 
 let nc_exploration () =
   let outcome =

@@ -201,17 +201,6 @@ let nc_mode_rejected () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let certify_clean name (outcome : Runner.outcome) =
-  checki (name ^ " settled") 0 outcome.Runner.unfinished;
-  checkb (name ^ " committed some") true (outcome.Runner.committed > 0);
-  let srz = Checker.Serializability.certify outcome.Runner.history in
-  checkb (name ^ " 1SR") true (Checker.Serializability.serializable srz);
-  checkb (name ^ " atomic visibility") true
-    (Checker.Atomicity.clean (Checker.Atomicity.check outcome.Runner.history));
-  checkb (name ^ " exact version reads") true
-    (Checker.Version_reads.clean
-       (Checker.Version_reads.check outcome.Runner.history))
-
 (* Quorum advancement terminates with k-1 replicas of a group fail-stopped
    across the whole advancement window. *)
 let advancement_with_k_minus_1_down () =
@@ -236,7 +225,7 @@ let advancement_with_k_minus_1_down () =
   | Some iv when Ivar.is_full iv -> ()
   | _ -> Alcotest.fail "advancement did not complete with 2 of 3 replicas down");
   checkb "advancement completed" true (Engine.advancements_completed engine >= 1);
-  certify_clean "k-1 down" outcome
+  Certified.check ~engine "k-1 down" outcome
 
 (* Deterministic read failover plus the readable-after-recovery gate: with
    the primary of group 0 crashed across several advancements, reads fail
@@ -272,7 +261,7 @@ let failover_and_recovery_gate () =
     (Counter_set.get outcome.Runner.stats "repl.recoveries" >= 1);
   checkb "mirrors flowed" true
     (Counter_set.get outcome.Runner.stats "repl.mirrors" > 0);
-  certify_clean "failover" outcome
+  Certified.check ~engine "failover" outcome
 
 (* ------------------------------------------------- k = 1 golden digest
 

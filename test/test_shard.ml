@@ -1,9 +1,10 @@
 (* Tests for lib/shard (key/node → shard map, cross-shard read-vector
    service) and the sharded engine surface: Engine.create validation
-   rejections, the shard-aware accessors, qcheck determinism/balance
-   properties for the map, and the no-torn-vector property — any two
-   vectors handed out by the read-vector service are componentwise
-   comparable under arbitrary publish/assign interleavings. *)
+   rejections, the shard-aware accessors, a digest-pinned sharded run
+   through a replica crash, qcheck determinism/balance properties for the
+   map, and the no-torn-vector property — any two vectors handed out by
+   the read-vector service are componentwise comparable under arbitrary
+   publish/assign interleavings. *)
 
 module Sim = Simul.Sim
 module Latency = Netsim.Latency
@@ -237,6 +238,84 @@ let engine_vectors_comparable () =
       checkb "bounded by frontier" true (Array.for_all2 ( >= ) front a))
     vectors
 
+(* ------------------------------------------- sharded run, digest-pinned
+
+   8 nodes, S = 4, k = 2 (each shard one replica pair), one replica
+   crashed across an advancement window, and a shard-respecting workload:
+   updates confined to one shard, reads fanning out across them, so the
+   cross-shard read-vector path is exercised. Every shard must advance,
+   some read must carry a vector, the run must certify clean, and its
+   schedule must match the recorded digest and replay with the same
+   seeds. *)
+
+let sharded_run () =
+  let nodes = 8 in
+  let sim = Sim.create ~seed:41 () in
+  let cfg =
+    {
+      (Engine.default_config ~nodes) with
+      Engine.shards = 4;
+      replicas = 2;
+      latency = Latency.Exponential 0.003;
+      think_time = 0.0005;
+      policy = Threev.Policy.Periodic 0.2;
+      reliable_channel = true;
+      retransmit_timeout = 0.02;
+    }
+  in
+  let faults =
+    Fault.Injector.create sim
+      (Fault.Plan.make ~seed:41
+         ~crashes:[ Fault.Plan.crash ~node:2 ~at:0.25 ~restart:0.7 ] ())
+  in
+  let engine = Engine.create sim cfg ~faults () in
+  let gen =
+    Workload.Synthetic.generator
+      {
+        (Workload.Synthetic.default ~nodes) with
+        Workload.Synthetic.shards = 4;
+        arrival_rate = 400.;
+        read_ratio = 0.35;
+        fanout = 3;
+        keys_per_node = 15;
+      }
+  in
+  let outcome =
+    Harness.Runner.drive sim (Engine.packed engine) gen
+      {
+        Harness.Runner.seed = 41;
+        duration = 0.9;
+        settle = 4.0;
+        max_txns = 5_000;
+      }
+  in
+  (engine, outcome)
+
+let history_digest (outcome : Harness.Runner.outcome) =
+  List.fold_left
+    (fun acc ((spec : Txn.Spec.t), res) ->
+      acc
+      lxor Hashtbl.hash
+             ( spec.Txn.Spec.id,
+               Txn.Result.committed res,
+               res.Txn.Result.submit_time,
+               Txn.Result.latency res,
+               Txn.Result.blocking_latency res ))
+    0 outcome.Harness.Runner.history
+  land 0xffffffff
+
+let sharded_run_certifies () =
+  let engine, outcome = sharded_run () in
+  checkb "every shard advanced" true
+    (Engine.advancements_completed engine >= 4);
+  checkb "some cross-shard read carried a vector" true
+    (Stats.Counter_set.get outcome.Harness.Runner.stats "shard.vectored_reads"
+    > 0);
+  Certified.check ~engine "sharded run" outcome;
+  let d = history_digest outcome in
+  checki "schedule digest" 0x1148858e d;
+  checki "same-seed replay" d (history_digest (snd (sharded_run ())))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ map_deterministic; map_balanced; vectors_never_torn ]
@@ -252,6 +331,8 @@ let () =
           Alcotest.test_case "shard surface" `Quick engine_shard_surface;
           Alcotest.test_case "vectors comparable (sim)" `Quick
             engine_vectors_comparable;
+          Alcotest.test_case "sharded run certifies, digest-pinned" `Quick
+            sharded_run_certifies;
         ] );
       ( "rvector",
         [ Alcotest.test_case "basics" `Quick rvector_basics ] );

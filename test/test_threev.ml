@@ -131,6 +131,45 @@ let trace_sink_sees_evicted () =
   checkb "sink saw the full firehose" true
     (List.rev !seen = [ "ev1"; "ev2"; "ev3"; "ev4"; "ev5" ])
 
+(* A whole engine run emits thousands of events through a 64-slot ring:
+   retention stays at capacity (the ring evicts, it never grows) and the
+   length invariant holds on a real event stream. *)
+let trace_ring_over_a_run () =
+  let cap = 64 in
+  let sim = Sim.create ~seed:7 () in
+  let trace = Trace.create ~capacity:cap () in
+  let cfg =
+    {
+      (Engine.default_config ~nodes:8) with
+      Engine.latency = Latency.Exponential 0.002;
+      think_time = 0.0001;
+      policy = Policy.Periodic 0.25;
+    }
+  in
+  let engine = Engine.create sim cfg ~trace () in
+  let gen =
+    Workload.Synthetic.generator
+      {
+        (Workload.Synthetic.default ~nodes:8) with
+        Workload.Synthetic.arrival_rate = 1200.;
+        fanout = 2;
+      }
+  in
+  let outcome =
+    Harness.Runner.drive sim (Engine.packed engine) gen
+      {
+        Harness.Runner.seed = 7;
+        duration = 0.3;
+        settle = 1.5;
+        max_txns = 5_000;
+      }
+  in
+  checkb "committed some" true (outcome.Harness.Runner.committed > 0);
+  checkb "the run evicts" true (Trace.total trace > cap);
+  checkb "retention within capacity" true (Trace.length trace <= cap);
+  checki "length = |events|" (List.length (Trace.events trace))
+    (Trace.length trace)
+
 let trace_bad_capacity () =
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
@@ -909,6 +948,8 @@ let () =
           Alcotest.test_case "sink sees evicted events" `Quick
             trace_sink_sees_evicted;
           Alcotest.test_case "bad capacity rejected" `Quick trace_bad_capacity;
+          Alcotest.test_case "ring bounded over a run" `Quick
+            trace_ring_over_a_run;
         ] );
       ( "execution",
         [
