@@ -1,52 +1,16 @@
-(** Fault-spec flag parsers for the [threev_sim] CLI, shared between the
-    cmdliner converters and the argv pre-scan that turns a malformed spec
-    into a one-line usage message and exit code 2 (instead of cmdliner's
-    multi-line block and exit 124). Exposed as a library so the test
-    suite can regression-test each flag's grammar directly. *)
+(** The [threev_sim run] command line, as a library so the test suite can
+    evaluate it: the cmdliner term that parses a {!Harness.Scenario.t},
+    and the argv pre-scan that turns a malformed fault spec into a
+    one-line usage message and exit code 2 (instead of cmdliner's
+    multi-line block and exit 124). *)
 
-(** A [--partition] spec: a directed link cut or a node-set cutoff. *)
-type partition_spec =
-  | P_link of int * int * float * float
-      (** legacy [SRC:DST:FROM:UNTIL] directed link *)
-  | P_set of int list * float * float * bool
-      (** [SET@FROM:UNTIL[:oneway]] — node set cut off from the rest;
-          [true] silences only the set's outbound direction *)
+(** [run]'s flags, parsed into the scenario they describe. Defaults are
+    {!Harness.Scenario.default}; [--drop-prob] and [--dup-prob] add a
+    fault only when positive. *)
+val run_term : Harness.Scenario.t Cmdliner.Term.t
 
-(** One-line usage string for [--partition]. *)
-val partition_usage : string
-
-(** One-line usage string for [--crash]. *)
-val crash_usage : string
-
-(** One-line usage string for [--coord-crash]. *)
-val coord_crash_usage : string
-
-(** One-line usage string for [--data-crash]. *)
-val data_crash_usage : string
-
-(** One-line usage string for [--hb-loss]. *)
-val hb_loss_usage : string
-
-(** [parse_partition s] parses [SRC:DST:FROM:UNTIL] or
-    [SET@FROM:UNTIL[:oneway]]; the error is a single line embedding
-    {!partition_usage}. *)
-val parse_partition : string -> (partition_spec, string) result
-
-(** [parse_crash s] parses [NODE@TIME:RESTART]. *)
-val parse_crash : string -> (int * float * float, string) result
-
-(** [parse_coord_crash s] parses [TIME:RESTART]. *)
-val parse_coord_crash : string -> (float * float, string) result
-
-(** [parse_data_crash s] parses [GROUP@TIME:RESTART]. *)
-val parse_data_crash : string -> (int * float * float, string) result
-
-(** [parse_hb_loss s] parses [NODE@FROM:UNTIL[:PROB]]; [PROB] defaults
-    to 1 (drop everything in the window). *)
-val parse_hb_loss : string -> (int * float * float * float, string) result
-
-(** [prevalidate argv] scans [argv] for the fault-spec flags (both
-    [--flag V] and [--flag=V] forms) and returns the first malformed
-    occurrence's one-line message, [None] when all parse. Everything
-    else is left to cmdliner. *)
+(** [prevalidate argv] scans [argv] for the fault-spec flags
+    ({!Harness.Scenario.fault_flags}, both [--flag V] and [--flag=V]
+    forms) and returns the first malformed occurrence's one-line message,
+    [None] when all parse. Everything else is left to cmdliner. *)
 val prevalidate : string array -> string option

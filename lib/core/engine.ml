@@ -87,7 +87,6 @@ type config = {
       (** re-send unacknowledged messages (only meaningful with
           [reliable_channel]; ablation A4 turns it off) *)
   retransmit_timeout : float;  (** first retransmission delay *)
-  retransmit_backoff : float;  (** per-retry delay multiplier *)
   expected_inbox_depth : int;
       (** pre-size for each node's network inbox ring (messages); derive
           from the configured arrival rate for steady-state benches. Purely
@@ -116,7 +115,6 @@ let default_config ~nodes =
     reliable_channel = false;
     retransmit = true;
     retransmit_timeout = 0.05;
-    retransmit_backoff = 2.0;
     expected_inbox_depth = 16;
   }
 
@@ -1902,7 +1900,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
           Reliable.acks = cfg.reliable_channel;
           retransmit = cfg.retransmit;
           timeout = cfg.retransmit_timeout;
-          backoff = cfg.retransmit_backoff;
+          backoff = 2.0;
           max_backoff = 1.0;
         }
       net

@@ -150,8 +150,9 @@ type config = {
           exponential backoff; [false] under loss provably stalls
           advancement (a lost phase broadcast or ack is never repaired).
           Only meaningful with [reliable_channel]. *)
-  retransmit_timeout : float;  (** first retransmission delay (virtual s) *)
-  retransmit_backoff : float;  (** per-retry delay multiplier (≥ 1) *)
+  retransmit_timeout : float;
+      (** first retransmission delay (virtual s); each retry doubles it, up
+          to 1 s *)
   expected_inbox_depth : int;
       (** pre-size for each node's network inbox ring (messages); derive
           from the configured arrival rate for steady-state benches. Purely

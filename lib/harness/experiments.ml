@@ -8,7 +8,8 @@ module Policy = Threev.Policy
 module Counter_set = Stats.Counter_set
 module Histogram = Stats.Histogram
 module Table = Stats.Table
-module Generator = Workload.Generator
+module Global_2pc = Baselines.Global_2pc
+module Manual_versioning = Baselines.Manual_versioning
 
 type t = {
   id : string;
@@ -25,62 +26,95 @@ let hist_cells h =
   [ ms (Histogram.percentile h 50.); ms (Histogram.percentile h 99.);
     ms (Histogram.max h) ]
 
-(* Build, drive and return a 3V engine along with its outcome. [plan]
-   installs a fault plan (message loss, partitions, crashes) through a
-   {!Fault.Injector} created on the same simulation. *)
-let drive_3v ~seed ~nodes ~policy ?(nc_mode = false) ?(abort_p = 0.)
-    ?(latency = Latency.Exponential 0.003) ?(think = 0.0005) ?(poll = 0.01)
-    ?(deadlock_timeout = 0.05) ?(cfg_f = fun (c : Engine.config) -> c) ?plan
-    gen setup =
-  let sim = Sim.create ~seed () in
-  let cfg =
-    cfg_f
+(* Scenario's engine shapes, which the tables vary and edit further. *)
+let v3, reliable, twopc, nocoord, manual =
+  Scenario.(v3, reliable, twopc, nocoord, manual)
+
+let setup ~seed ~settle duration =
+  { Runner.default_setup with Runner.seed; duration; settle }
+
+(* The fault experiments' mix: every transaction touches two nodes, so
+   some traffic always avoids a faulted node. *)
+let two_node_mix ~nodes rate =
+  Workload.Synthetic.generator
+    {
+      (Workload.Synthetic.default ~nodes) with
+      Workload.Synthetic.arrival_rate = rate;
+      read_ratio = 0.25;
+      fanout = 2;
+      keys_per_node = 20;
+      zipf_s = 0.7;
+    }
+
+(* Bystanders of a fault on [node]: transactions submitted in
+   [from_, until_] that never visit it. Cells: count, committed, read p99
+   and update-blocking p99. *)
+let bystander_cells (outcome : Runner.outcome) ~node ~from_ ~until_ =
+  let read_h = Histogram.create () and upd_h = Histogram.create () in
+  let total = ref 0 and committed = ref 0 in
+  List.iter
+    (fun ((spec : Spec.t), (res : Result.t)) ->
+      let in_window =
+        res.Result.submit_time >= from_ && res.Result.submit_time <= until_
+      in
+      if in_window && not (List.mem node (Spec.nodes spec)) then begin
+        incr total;
+        if Result.committed res then incr committed;
+        match spec.Spec.kind with
+        | Spec.Read_only -> Histogram.add read_h (Result.latency res)
+        | Spec.Commuting | Spec.Non_commuting ->
+            Histogram.add upd_h (Result.blocking_latency res)
+      end)
+    outcome.Runner.history;
+  [
+    Table.cell_i !total;
+    Table.cell_i !committed;
+    ms (Histogram.percentile read_h 99.);
+    ms (Histogram.percentile upd_h 99.);
+  ]
+
+(* Drive a 3V engine with one advancement triggered at 0.95 s, just before
+   the faults E12-E15 place; [completed ()] is whether it has finished. *)
+let drive_advancing ?plan cfg gen setup =
+  let adv = ref None in
+  let d =
+    Scenario.drive ?plan
+      ~before:(fun sim e ->
+        Sim.schedule sim ~delay:0.95 (fun () -> adv := Some (Engine.advance e)))
+      (V3 cfg) gen setup
+  in
+  (d, fun () -> Option.fold ~none:false ~some:Simul.Ivar.is_full !adv)
+
+(* Manual versioning's read version as a function of time, with its
+   version publisher down over [outage] when given — the E13/E14 baseline
+   notes. Publication is a pure function of the schedule, so nothing is
+   driven. *)
+let manual_read_version ~nodes ?outage () =
+  let m =
+    Manual_versioning.create (Sim.create ())
       {
-        (Engine.default_config ~nodes) with
-        Engine.latency;
-        think_time = think;
-        poll_interval = poll;
-        policy;
-        nc_mode;
-        deadlock_timeout;
-        abort_probability = abort_p;
+        (Manual_versioning.default_config ~nodes) with
+        period = 0.5;
+        safety_delay = 0.2;
       }
   in
-  let faults = Option.map (Fault.Injector.create sim) plan in
-  let engine = Engine.create sim cfg ?faults () in
-  let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-  (outcome, engine)
+  Option.iter
+    (fun (at, restart) -> Manual_versioning.inject_coord_crash m ~at ~restart)
+    outage;
+  fun now -> Manual_versioning.read_version_at m ~now
 
-let drive_2pc ~seed ~nodes ?(latency = Latency.Exponential 0.003)
-    ?(think = 0.0005) ?(deadlock_timeout = 0.05) gen setup =
-  let sim = Sim.create ~seed () in
-  let cfg =
-    { Baselines.Global_2pc.nodes; latency; think_time = think; deadlock_timeout }
-  in
-  let engine = Baselines.Global_2pc.create sim cfg in
-  Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup
-
-let drive_nocoord ~seed ~nodes ?(latency = Latency.Exponential 0.003)
-    ?(think = 0.0005) gen setup =
-  let sim = Sim.create ~seed () in
-  let cfg = { Baselines.No_coord.nodes; latency; think_time = think } in
-  let engine = Baselines.No_coord.create sim cfg in
-  Runner.drive sim (Baselines.No_coord.packed engine) gen setup
-
-let drive_manual ~seed ~nodes ~period ~safety_delay
-    ?(latency = Latency.Exponential 0.003) ?(think = 0.0005) gen setup =
-  let sim = Sim.create ~seed () in
-  let cfg =
-    {
-      Baselines.Manual_versioning.nodes;
-      latency;
-      think_time = think;
-      period;
-      safety_delay;
-    }
-  in
-  let engine = Baselines.Manual_versioning.create sim cfg in
-  Runner.drive sim (Baselines.Manual_versioning.packed engine) gen setup
+(* When the coordinator of a fault-free reference run entered phase [k] of
+   its first advancement, from its write-ahead log: E13-E15 place their
+   crashes inside a target phase with it (runs are byte-identical up to the
+   crash instant). *)
+let phase_entry engine k =
+  match
+    List.find_opt
+      (fun (a, p, _) -> a = 1 && Threev.Coord_log.phase_number p = k)
+      (Threev.Coord_log.phase_times (Engine.coord_log engine))
+  with
+  | Some (_, _, tm) -> tm
+  | None -> failwith "reference run missing a phase entry"
 
 let rec count_write_ops_subtxn (st : Spec.subtxn) =
   List.length (List.filter Op.is_write st.Spec.ops)
@@ -160,14 +194,7 @@ let run_f2 ~quick:_ =
 
 let run_f1 ~quick =
   let nodes = 4 in
-  let setup =
-    {
-      Runner.default_setup with
-      Runner.seed = 11;
-      duration = (if quick then 0.5 else 2.0);
-      settle = 3.0;
-    }
-  in
+  let setup = setup ~seed:11 ~settle:3.0 (if quick then 0.5 else 2.0) in
   let gen =
     Workload.Hospital.generator
       {
@@ -200,12 +227,10 @@ let run_f1 ~quick =
         Printf.sprintf "%.2f" stale.Checker.Staleness.mean_missed;
       ]
   in
-  let o3v, _ =
-    drive_3v ~seed:11 ~nodes ~policy:(Policy.Periodic 0.1) gen setup
-  in
-  add o3v;
-  add (drive_nocoord ~seed:11 ~nodes gen setup);
-  add (drive_2pc ~seed:11 ~nodes gen setup);
+  let run config = add (Scenario.drive config gen setup).outcome in
+  run (V3 (v3 ~nodes (Policy.Periodic 0.1)));
+  run (nocoord ~nodes);
+  run (twopc ~nodes ());
   Table.to_string table
   ^ notes
       [
@@ -245,12 +270,7 @@ let run_e1 ~quick =
           }
       in
       let setup =
-        {
-          Runner.default_setup with
-          Runner.seed = 21 + nodes;
-          duration = (if quick then 0.5 else 2.0);
-          settle = 3.0;
-        }
+        setup ~seed:(21 + nodes) ~settle:3.0 (if quick then 0.5 else 2.0)
       in
       let add (outcome : Runner.outcome) =
         let atom = Runner.atomicity outcome in
@@ -267,16 +287,11 @@ let run_e1 ~quick =
             Table.cell_i atom.Checker.Atomicity.partial_reads;
           ]
       in
-      let o3v, _ =
-        drive_3v ~seed:(21 + nodes) ~nodes ~policy:(Policy.Periodic 0.2) gen
-          setup
-      in
-      add o3v;
-      add (drive_nocoord ~seed:(21 + nodes) ~nodes gen setup);
-      add (drive_2pc ~seed:(21 + nodes) ~nodes gen setup);
-      add
-        (drive_manual ~seed:(21 + nodes) ~nodes ~period:0.5 ~safety_delay:0.2
-           gen setup))
+      let run config = add (Scenario.drive config gen setup).outcome in
+      run (V3 (v3 ~nodes (Policy.Periodic 0.2)));
+      run (nocoord ~nodes);
+      run (twopc ~nodes ());
+      run (manual ~nodes ~period:0.5 ~safety_delay:0.2 ()))
     node_counts;
   Table.to_string table
   ^ notes
@@ -315,14 +330,7 @@ let run_e2 ~quick =
             zipf_s = 1.2;
           }
       in
-      let setup =
-        {
-          Runner.default_setup with
-          Runner.seed = 31;
-          duration = (if quick then 0.5 else 2.0);
-          settle = 3.0;
-        }
-      in
+      let setup = setup ~seed:31 ~settle:3.0 (if quick then 0.5 else 2.0) in
       let add (outcome : Runner.outcome) =
         let aborted_reads =
           List.length
@@ -337,11 +345,9 @@ let run_e2 ~quick =
           @ hist_cells outcome.Runner.read_latency
           @ [ Table.cell_i aborted_reads ])
       in
-      let o3v, _ =
-        drive_3v ~seed:31 ~nodes ~policy:(Policy.Periodic 0.1) gen setup
-      in
-      add o3v;
-      add (drive_2pc ~seed:31 ~nodes gen setup))
+      let run config = add (Scenario.drive config gen setup).outcome in
+      run (V3 (v3 ~nodes (Policy.Periodic 0.1)));
+      run (twopc ~nodes ()))
     rates;
   Table.to_string table
   ^ notes
@@ -376,16 +382,11 @@ let run_e3 ~quick =
             Workload.Call_recording.arrival_rate = 500.;
           }
       in
-      let setup =
-        {
-          Runner.default_setup with
-          Runner.seed = 41;
-          duration = (if quick then 1.0 else 4.0);
-          settle = 4.0;
-        }
-      in
-      let outcome, engine =
-        drive_3v ~seed:41 ~nodes ~policy:(Policy.Periodic period) gen setup
+      let { Scenario.outcome; engine; _ } =
+        Scenario.drive
+          (V3 (v3 ~nodes (Policy.Periodic period)))
+          gen
+          (setup ~seed:41 ~settle:4.0 (if quick then 1.0 else 4.0))
       in
       let stale = Runner.staleness outcome in
       let updates = committed_updates outcome in
@@ -440,17 +441,16 @@ let run_e4 ~quick =
             read_ratio = 0.2;
           }
       in
-      let setup =
-        {
-          Runner.default_setup with
-          Runner.seed = 51;
-          duration = (if quick then 1.0 else 2.0);
-          settle = 3.0;
-        }
-      in
-      let _outcome, engine =
-        drive_3v ~seed:51 ~nodes ~policy:(Policy.Periodic period)
-          ~poll:(period /. 4.) gen setup
+      let engine =
+        (Scenario.drive
+           (V3
+              {
+                (v3 ~nodes (Policy.Periodic period)) with
+                poll_interval = period /. 4.;
+              })
+           gen
+           (setup ~seed:51 ~settle:3.0 (if quick then 1.0 else 2.0)))
+          .engine
       in
       let maxv = Engine.max_versions_ever engine in
       Table.add_row table
@@ -498,14 +498,7 @@ let run_e5 ~quick =
             read_ratio = 0.2;
           }
       in
-      let setup =
-        {
-          Runner.default_setup with
-          Runner.seed = 61;
-          duration = (if quick then 0.5 else 2.0);
-          settle = 3.0;
-        }
-      in
+      let setup = setup ~seed:61 ~settle:3.0 (if quick then 0.5 else 2.0) in
       let add (outcome : Runner.outcome) =
         let atom = Runner.atomicity outcome in
         Table.add_row table
@@ -519,12 +512,15 @@ let run_e5 ~quick =
             Table.cell_i atom.Checker.Atomicity.partial_reads;
           ]
       in
-      let o3v, _ =
-        drive_3v ~seed:61 ~nodes ~policy:(Policy.Periodic 0.2) ~nc_mode:true
-          gen setup
-      in
-      add o3v;
-      add (drive_2pc ~seed:61 ~nodes gen setup))
+      let run config = add (Scenario.drive config gen setup).outcome in
+      run
+        (V3
+           {
+             (v3 ~nodes (Policy.Periodic 0.2)) with
+             nc_mode = true;
+             deadlock_timeout = 0.05;
+           });
+      run (twopc ~nodes ()))
     ratios;
   Table.to_string table
   ^ notes
@@ -567,17 +563,13 @@ let run_e6 ~quick =
             visit_fanout = 3;
           }
       in
-      let setup =
-        {
-          Runner.default_setup with
-          Runner.seed = 71;
-          duration = (if quick then 1.0 else 3.0);
-          settle = 3.0;
-        }
-      in
-      let outcome, _engine =
-        drive_3v ~seed:71 ~nodes ~policy:(Policy.Periodic period)
-          ~latency:(Latency.Exponential 0.01) gen setup
+      let { Scenario.outcome; _ } =
+        Scenario.drive
+          (V3
+             (v3 ~latency:(Latency.Exponential 0.01) ~nodes
+                (Policy.Periodic period)))
+          gen
+          (setup ~seed:71 ~settle:3.0 (if quick then 1.0 else 3.0))
       in
       let writes = committed_writes outcome in
       let dual = Counter_set.get outcome.Runner.stats "store.dual_writes_total" in
@@ -628,15 +620,10 @@ let run_e7 ~quick =
           Workload.Hospital.arrival_rate = 600.;
         }
     in
-    let setup =
-      {
-        Runner.default_setup with
-        Runner.seed = 81;
-        duration = (if quick then 0.5 else 3.0);
-        settle = 3.0;
-      }
+    let { Scenario.outcome; engine; _ } =
+      Scenario.drive (V3 (v3 ~nodes policy)) gen
+        (setup ~seed:81 ~settle:3.0 (if quick then 0.5 else 3.0))
     in
-    let outcome, engine = drive_3v ~seed:81 ~nodes ~policy gen setup in
     Table.add_row table
       [
         Format.asprintf "%a" Policy.pp policy;
@@ -698,19 +685,13 @@ let run_e8 ~quick =
         post_delay = 0.08;
       }
   in
-  let setup =
-    {
-      Runner.default_setup with
-      Runner.seed = 91;
-      duration = (if quick then 2.0 else 6.0);
-      settle = 4.0;
-    }
-  in
+  let setup = setup ~seed:91 ~settle:4.0 (if quick then 2.0 else 6.0) in
   List.iter
     (fun safety_delay ->
-      let outcome =
-        drive_manual ~seed:91 ~nodes ~period ~safety_delay
-          ~latency:straggler_latency gen setup
+      let { Scenario.outcome; _ } =
+        Scenario.drive
+          (manual ~latency:straggler_latency ~nodes ~period ~safety_delay ())
+          gen setup
       in
       let atom = Runner.atomicity outcome in
       let stale = Runner.staleness outcome in
@@ -724,9 +705,11 @@ let run_e8 ~quick =
         ])
     delays;
   let add_3v period =
-    let o3v, _ =
-      drive_3v ~seed:91 ~nodes ~policy:(Policy.Periodic period)
-        ~latency:straggler_latency gen setup
+    let o3v =
+      (Scenario.drive
+         (V3 (v3 ~latency:straggler_latency ~nodes (Policy.Periodic period)))
+         gen setup)
+        .outcome
     in
     let atom = Runner.atomicity o3v in
     let stale = Runner.staleness o3v in
@@ -777,16 +760,11 @@ let run_e9 ~quick =
         Workload.Call_recording.arrival_rate = 800.;
       }
   in
-  let setup =
-    {
-      Runner.default_setup with
-      Runner.seed = 141;
-      duration = (if quick then 1.0 else 4.0);
-      settle = 3.0;
-    }
-  in
+  let setup = setup ~seed:141 ~settle:3.0 (if quick then 1.0 else 4.0) in
   let run_policy policy =
-    let outcome, engine = drive_3v ~seed:141 ~nodes ~policy gen setup in
+    let { Scenario.outcome; engine; _ } =
+      Scenario.drive (V3 (v3 ~nodes policy)) gen setup
+    in
     ( outcome.Runner.committed,
       Counter_set.get outcome.Runner.stats "net.remote_messages",
       Engine.advancements_completed engine )
@@ -838,24 +816,11 @@ let run_e10 ~quick =
   let nodes = 4 in
   let outage_start = 1.0 and outage = 1.0 in
   let paused_node = nodes - 1 in
-  let duration = if quick then 2.5 else 4.0 in
-  (* Synthetic mix so that reads, like updates, touch only two nodes —
-     otherwise every read would visit the frozen node and there would be no
-     bystander reads to measure. *)
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 600.;
-        read_ratio = 0.25;
-        fanout = 2;
-        keys_per_node = 20;
-        zipf_s = 0.7;
-      }
-  in
-  let setup =
-    { Runner.default_setup with Runner.seed = 151; duration; settle = 4.0 }
-  in
+  (* Reads, like updates, touch only two nodes — otherwise every read would
+     visit the frozen node and there would be no bystander reads to
+     measure. *)
+  let gen = two_node_mix ~nodes 600. in
+  let setup = setup ~seed:151 ~settle:4.0 (if quick then 2.5 else 4.0) in
   let table =
     Table.create
       ~title:
@@ -868,97 +833,34 @@ let run_e10 ~quick =
         ]
   in
   let add_row name ~outage_on (outcome : Runner.outcome) =
-    (* Bystanders: submitted during the outage window, never visiting the
-       paused node. *)
-    let read_h = Histogram.create () and upd_h = Histogram.create () in
-    let total = ref 0 and committed = ref 0 in
-    List.iter
-      (fun ((spec : Spec.t), (res : Result.t)) ->
-        let in_window =
-          res.Result.submit_time >= outage_start
-          && res.Result.submit_time <= outage_start +. outage
-        in
-        let avoids = not (List.mem paused_node (Spec.nodes spec)) in
-        if in_window && avoids then begin
-          incr total;
-          if Result.committed res then incr committed;
-          match spec.Spec.kind with
-          | Spec.Read_only -> Histogram.add read_h (Result.latency res)
-          | Spec.Commuting | Spec.Non_commuting ->
-              Histogram.add upd_h (Result.blocking_latency res)
-        end)
-      outcome.Runner.history;
     Table.add_row table
-      [
-        name;
-        (if outage_on then "1s" else "none");
-        Table.cell_i !total;
-        Table.cell_i !committed;
-        ms (Histogram.percentile read_h 99.);
-        ms (Histogram.percentile upd_h 99.);
-        Table.cell_f (Stats.Series.max_y outcome.Runner.in_flight);
-        Table.cell_i outcome.Runner.unfinished;
-      ]
+      ((name :: (if outage_on then "1s" else "none")
+        :: bystander_cells outcome ~node:paused_node ~from_:outage_start
+             ~until_:(outage_start +. outage))
+      @ [
+          Table.cell_f (Stats.Series.max_y outcome.Runner.in_flight);
+          Table.cell_i outcome.Runner.unfinished;
+        ])
   in
-  (* 3V with and without the outage. *)
-  let run_3v_case ~outage_on =
-    let sim = Sim.create ~seed:151 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        policy = Policy.Periodic 0.2;
-      }
-    in
-    let engine = Engine.create sim cfg () in
-    if outage_on then
-      Engine.inject_pause engine ~node:paused_node ~at:outage_start
-        ~duration:outage;
-    let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-    add_row "3v" ~outage_on outcome
+  let pause inject _ e =
+    inject e ~node:paused_node ~at:outage_start ~duration:outage
   in
-  run_3v_case ~outage_on:false;
-  run_3v_case ~outage_on:true;
-  (* 2PC with and without the outage. *)
-  let run_2pc_case ~outage_on =
-    let sim = Sim.create ~seed:151 () in
-    let cfg =
-      {
-        (Baselines.Global_2pc.default_config ~nodes) with
-        Baselines.Global_2pc.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        deadlock_timeout = 0.3;
-      }
-    in
-    let engine = Baselines.Global_2pc.create sim cfg in
-    if outage_on then
-      Baselines.Global_2pc.inject_pause engine ~node:paused_node
-        ~at:outage_start ~duration:outage;
-    let outcome =
-      Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup
-    in
-    add_row "global-2pc" ~outage_on outcome
+  let threev = Scenario.V3 (v3 ~nodes (Policy.Periodic 0.2)) in
+  add_row "3v" ~outage_on:false (Scenario.drive threev gen setup).outcome;
+  let frozen_3v =
+    (Scenario.drive ~before:(pause Engine.inject_pause) threev gen setup)
+      .outcome
   in
-  run_2pc_case ~outage_on:false;
-  run_2pc_case ~outage_on:true;
-  (* One in-flight timeline under the outage makes the backlog visible:
-     it balloons while the node is frozen and drains right after. *)
+  add_row "3v" ~outage_on:true frozen_3v;
+  let gpc = twopc ~deadlock_timeout:0.3 ~nodes () in
+  add_row "global-2pc" ~outage_on:false (Scenario.drive gpc gen setup).outcome;
+  add_row "global-2pc" ~outage_on:true
+    (Scenario.drive ~before:(pause Global_2pc.inject_pause) gpc gen setup)
+      .outcome;
+  (* The in-flight timeline under the outage makes the backlog visible: it
+     balloons while the node is frozen and drains right after. *)
   let timeline =
-    let sim = Sim.create ~seed:151 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        policy = Policy.Periodic 0.2;
-      }
-    in
-    let engine = Engine.create sim cfg () in
-    Engine.inject_pause engine ~node:paused_node ~at:outage_start
-      ~duration:outage;
-    let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-    Stats.Series.sparkline outcome.Runner.in_flight ~buckets:60
+    Stats.Series.sparkline frozen_3v.Runner.in_flight ~buckets:60
   in
   Table.to_string table
   ^ Printf.sprintf "\n3v in-flight transactions over time (outage at %gs):\n[%s]\n"
@@ -984,21 +886,8 @@ let run_e10 ~quick =
    user-blocking latency must keep its lossless profile. *)
 let run_e11 ~quick =
   let nodes = 4 in
-  let duration = if quick then 1.5 else 3.0 in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.25;
-        fanout = 2;
-        keys_per_node = 20;
-        zipf_s = 0.7;
-      }
-  in
-  let setup =
-    { Runner.default_setup with Runner.seed = 161; duration; settle = 6.0 }
-  in
+  let gen = two_node_mix ~nodes 400. in
+  let setup = setup ~seed:161 ~settle:6.0 (if quick then 1.5 else 3.0) in
   let table =
     Table.create
       ~title:
@@ -1014,17 +903,17 @@ let run_e11 ~quick =
   let baseline = ref 1. in
   let run_case ~drop =
     let plan =
-      if drop = 0. then Fault.Plan.none
+      if drop = 0. then None
       else
-        Fault.Plan.make ~seed:1611
-          ~rules:(Fault.Plan.uniform_loss ~dup:0.01 ~drop ())
-          ()
+        Some
+          (Fault.Plan.make ~seed:1611
+             ~rules:(Fault.Plan.uniform_loss ~dup:0.01 ~drop ())
+             ())
     in
-    let outcome, engine =
-      drive_3v ~seed:161 ~nodes ~policy:(Policy.Periodic 0.2)
-        ~cfg_f:(fun c ->
-          { c with Engine.reliable_channel = true; retransmit_timeout = 0.02 })
-        ~plan gen setup
+    let { Scenario.outcome; engine; _ } =
+      Scenario.drive ?plan
+        (V3 (reliable (v3 ~nodes (Policy.Periodic 0.2))))
+        gen setup
     in
     let atom = Runner.atomicity outcome in
     let p99 = Histogram.percentile outcome.Runner.update_blocking 99. in
@@ -1100,26 +989,14 @@ let run_e12 ~quick =
   let nodes = 4 in
   let crashed = nodes - 1 in
   let crash_at = 1.0 and restart_at = 2.0 in
-  let duration = if quick then 2.5 else 4.0 in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.25;
-        fanout = 2;
-        keys_per_node = 20;
-        zipf_s = 0.7;
-      }
-  in
-  let setup =
-    { Runner.default_setup with Runner.seed = 163; duration; settle = 6.0 }
-  in
+  let gen = two_node_mix ~nodes 400. in
+  let setup = setup ~seed:163 ~settle:6.0 (if quick then 2.5 else 4.0) in
   let plan_crash =
     Fault.Plan.make ~seed:1212
       ~crashes:[ Fault.Plan.crash ~node:crashed ~at:crash_at ~restart:restart_at ]
       ()
   in
+  let plan ~crash_on = if crash_on then Some plan_crash else None in
   let table =
     Table.create
       ~title:
@@ -1131,105 +1008,51 @@ let run_e12 ~quick =
         ]
   in
   let add_row name ~crash_on (outcome : Runner.outcome) =
-    (* Bystanders: submitted while the node is down, never visiting it. *)
-    let read_h = Histogram.create () and upd_h = Histogram.create () in
-    let total = ref 0 and committed = ref 0 in
-    List.iter
-      (fun ((spec : Spec.t), (res : Txn.Result.t)) ->
-        let in_window =
-          res.Result.submit_time >= crash_at
-          && res.Result.submit_time <= restart_at
-        in
-        let avoids = not (List.mem crashed (Spec.nodes spec)) in
-        if in_window && avoids then begin
-          incr total;
-          if Result.committed res then incr committed;
-          match spec.Spec.kind with
-          | Spec.Read_only -> Histogram.add read_h (Result.latency res)
-          | Spec.Commuting | Spec.Non_commuting ->
-              Histogram.add upd_h (Result.blocking_latency res)
-        end)
-      outcome.Runner.history;
     Table.add_row table
-      [
-        name;
-        (if crash_on then "1s" else "none");
-        Table.cell_i !total;
-        Table.cell_i !committed;
-        ms (Histogram.percentile read_h 99.);
-        ms (Histogram.percentile upd_h 99.);
-        Table.cell_i outcome.Runner.unfinished;
-      ]
+      ((name :: (if crash_on then "1s" else "none")
+        :: bystander_cells outcome ~node:crashed ~from_:crash_at
+             ~until_:restart_at)
+      @ [ Table.cell_i outcome.Runner.unfinished ])
   in
-  let recovery_note = ref "" in
-  let run_3v_case ~crash_on ~emit =
-    let sim = Sim.create ~seed:163 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        policy = Policy.Manual;
-        reliable_channel = true;
-        retransmit_timeout = 0.02;
-      }
-    in
-    let plan = if crash_on then plan_crash else Fault.Plan.none in
-    let faults = Fault.Injector.create sim plan in
-    let engine = Engine.create sim cfg ~faults () in
-    (* Trigger an advancement just before the crash so the crash lands
-       mid-phase, with the crashed node holding unacknowledged protocol
-       state. *)
-    let adv = ref None in
-    Sim.schedule sim ~delay:0.95 (fun () -> adv := Some (Engine.advance engine));
-    let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-    if emit then add_row "3v" ~crash_on outcome;
-    if crash_on && emit then begin
-      let filled =
-        match !adv with Some iv -> Simul.Ivar.is_full iv | None -> false
-      in
-      recovery_note :=
-        Printf.sprintf
-          "3v crash case: advancement started at 0.95s %s; crashed node n%d \
-           ended at vu=%d vr=%d, healthy n0 at vu=%d vr=%d."
-          (if filled then "completed despite the crash" else "NEVER completed")
-          crashed
-          (Engine.update_version engine ~node:crashed)
-          (Engine.read_version engine ~node:crashed)
-          (Engine.update_version engine ~node:0)
-          (Engine.read_version engine ~node:0)
-    end;
-    outcome
+  (* The advancement triggered at 0.95 s makes the crash land mid-phase,
+     with the crashed node holding unacknowledged protocol state. *)
+  let run_3v_case ~crash_on =
+    drive_advancing ?plan:(plan ~crash_on)
+      (reliable (v3 ~nodes Policy.Manual))
+      gen setup
   in
-  ignore (run_3v_case ~crash_on:false ~emit:true);
-  let o1 = run_3v_case ~crash_on:true ~emit:true in
-  let o2 = run_3v_case ~crash_on:true ~emit:false in
-  let replay_ok = history_digest o1 = history_digest o2 in
-  let run_2pc_case ~crash_on =
-    let sim = Sim.create ~seed:163 () in
-    let cfg =
-      {
-        (Baselines.Global_2pc.default_config ~nodes) with
-        Baselines.Global_2pc.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        deadlock_timeout = 0.3;
-      }
-    in
-    let plan = if crash_on then plan_crash else Fault.Plan.none in
-    let faults = Fault.Injector.create sim plan in
-    let engine = Baselines.Global_2pc.create ~faults sim cfg in
-    let outcome =
-      Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup
-    in
-    add_row "global-2pc" ~crash_on outcome
+  let d0, _ = run_3v_case ~crash_on:false in
+  add_row "3v" ~crash_on:false d0.outcome;
+  let d1, completed = run_3v_case ~crash_on:true in
+  add_row "3v" ~crash_on:true d1.outcome;
+  let recovery_note =
+    let engine = d1.engine in
+    Printf.sprintf
+      "3v crash case: advancement started at 0.95s %s; crashed node n%d \
+       ended at vu=%d vr=%d, healthy n0 at vu=%d vr=%d."
+      (if completed () then "completed despite the crash"
+       else "NEVER completed")
+      crashed
+      (Engine.update_version engine ~node:crashed)
+      (Engine.read_version engine ~node:crashed)
+      (Engine.update_version engine ~node:0)
+      (Engine.read_version engine ~node:0)
   in
-  run_2pc_case ~crash_on:false;
-  run_2pc_case ~crash_on:true;
+  let d2, _ = run_3v_case ~crash_on:true in
+  let replay_ok = history_digest d1.outcome = history_digest d2.outcome in
+  List.iter
+    (fun crash_on ->
+      add_row "global-2pc" ~crash_on
+        (Scenario.drive ?plan:(plan ~crash_on)
+           (twopc ~deadlock_timeout:0.3 ~nodes ())
+           gen setup)
+          .outcome)
+    [ false; true ];
   Table.to_string table
   ^ notes
       [
         "";
-        !recovery_note;
+        recovery_note;
         Printf.sprintf
           "replay determinism: two runs with the same seeds produced %s \
            histories."
@@ -1256,57 +1079,19 @@ let run_e12 ~quick =
    stall watchdog's re-broadcast can resolve it. *)
 let run_e13 ~quick =
   let nodes = 4 in
-  let duration = if quick then 2.0 else 3.0 in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.25;
-        fanout = 2;
-        keys_per_node = 20;
-        zipf_s = 0.7;
-      }
-  in
-  let setup =
-    { Runner.default_setup with Runner.seed = 171; duration; settle = 6.0 }
-  in
-  let run_case ?(phase_deadline = infinity) ?(retransmit = true)
-      ?(plan = Fault.Plan.none) () =
-    let sim = Sim.create ~seed:171 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        policy = Policy.Manual;
-        reliable_channel = true;
-        retransmit;
-        retransmit_timeout = 0.02;
-        phase_deadline;
-      }
+  let gen = two_node_mix ~nodes 400. in
+  let setup = setup ~seed:171 ~settle:6.0 (if quick then 2.0 else 3.0) in
+  let run_case ?(phase_deadline = infinity) ?(retransmit = true) ?plan () =
+    let d, completed =
+      drive_advancing ?plan
+        { (reliable (v3 ~nodes Policy.Manual)) with retransmit; phase_deadline }
+        gen setup
     in
-    let faults = Fault.Injector.create sim plan in
-    let engine = Engine.create sim cfg ~faults () in
-    let adv = ref None in
-    Sim.schedule sim ~delay:0.95 (fun () -> adv := Some (Engine.advance engine));
-    let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-    let completed =
-      match !adv with Some iv -> Simul.Ivar.is_full iv | None -> false
-    in
-    (outcome, engine, completed)
+    (d.outcome, d.engine, completed ())
   in
   (* Reference run: no faults; its WAL gives the phase-entry times. *)
   let _, ref_engine, _ = run_case () in
-  let entry k =
-    match
-      List.find_opt
-        (fun (a, p, _) -> a = 1 && Threev.Coord_log.phase_number p = k)
-        (Threev.Coord_log.phase_times (Engine.coord_log ref_engine))
-    with
-    | Some (_, _, tm) -> tm
-    | None -> failwith "E13: reference run missing a phase entry"
-  in
+  let entry = phase_entry ref_engine in
   (* Inside phase k: midway to the next phase's entry. Phase 4's entry is
      logged after its quiescence wait (see Coord_log), so land in the
      gc-ack exchange just after it. *)
@@ -1383,20 +1168,13 @@ let run_e13 ~quick =
   add_row "stalled phase 1 + watchdog" ~crash_at:None wo we wc;
   (* Baseline comparisons through the same inject_coord_crash surface. *)
   let twopc_row =
-    let sim = Sim.create ~seed:171 () in
-    let cfg =
-      {
-        (Baselines.Global_2pc.default_config ~nodes) with
-        Baselines.Global_2pc.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        deadlock_timeout = 0.3;
-      }
-    in
-    let engine = Baselines.Global_2pc.create sim cfg in
     let at = crash_time 2 in
-    Baselines.Global_2pc.inject_coord_crash engine ~at ~restart:(at +. 0.3);
-    let outcome =
-      Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup
+    let { Scenario.outcome; _ } =
+      Scenario.drive
+        ~before:(fun _ e ->
+          Global_2pc.inject_coord_crash e ~at ~restart:(at +. 0.3))
+        (twopc ~deadlock_timeout:0.3 ~nodes ())
+        gen setup
     in
     Printf.sprintf
       "global-2pc under the same crash window (its coordination site, node \
@@ -1405,25 +1183,13 @@ let run_e13 ~quick =
       outcome.Runner.committed outcome.Runner.unfinished
   in
   let manual_row =
-    let sim = Sim.create ~seed:171 () in
-    let cfg =
-      {
-        (Baselines.Manual_versioning.default_config ~nodes) with
-        Baselines.Manual_versioning.period = 0.5;
-        safety_delay = 0.2;
-      }
-    in
-    let m = Baselines.Manual_versioning.create sim cfg in
-    let healthy = Baselines.Manual_versioning.read_version_at m ~now:2.9 in
-    Baselines.Manual_versioning.inject_coord_crash m ~at:1.0 ~restart:3.0;
-    let frozen = Baselines.Manual_versioning.read_version_at m ~now:2.9 in
-    let after = Baselines.Manual_versioning.read_version_at m ~now:3.0 in
+    let down = manual_read_version ~nodes ~outage:(1.0, 3.0) () in
     Printf.sprintf
       "manual versioning, publisher down [1.0s, 3.0s): at 2.9s reads still \
        use version %d (vs %d had the publisher stayed up) — frozen for the \
        whole window, snapping to %d at restart (staleness grows linearly, \
        unbounded by any protocol)."
-      frozen healthy after
+      (down 2.9) (manual_read_version ~nodes () 2.9) (down 3.0)
   in
   let all_recovered =
     List.for_all
@@ -1486,63 +1252,22 @@ let anomalies (outcome : Runner.outcome) engine =
    strands the same workload (no failover target exists). *)
 let run_e14 ~quick =
   let nodes = 6 and k = 3 in
-  let duration = if quick then 2.0 else 3.0 in
   let crash_keep = 1 in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.25;
-        fanout = 2;
-        keys_per_node = 20;
-        zipf_s = 0.7;
-      }
-  in
-  let setup =
-    { Runner.default_setup with Runner.seed = 191; duration; settle = 6.0 }
-  in
-  let run_case ?(replicas = k) ?(plan = Fault.Plan.none) () =
-    let sim = Sim.create ~seed:191 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        policy = Policy.Manual;
-        reliable_channel = true;
-        retransmit_timeout = 0.02;
-        replicas;
-      }
+  let gen = two_node_mix ~nodes 400. in
+  let setup = setup ~seed:191 ~settle:6.0 (if quick then 2.0 else 3.0) in
+  let run_case ?(replicas = k) ?plan () =
+    let d, completed =
+      drive_advancing ?plan
+        { (reliable (v3 ~nodes Policy.Manual)) with replicas }
+        gen setup
     in
-    let faults = Fault.Injector.create sim plan in
-    let engine = Engine.create sim cfg ~faults () in
-    let adv = ref None in
-    Sim.schedule sim ~delay:0.95 (fun () -> adv := Some (Engine.advance engine));
-    let outcome = Runner.drive sim (Engine.packed engine) gen setup in
     (* Publish everything so the settled store replays the history. *)
-    let a1 = Engine.advance engine and a2 = Engine.advance engine in
-    ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-    ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
-    let completed =
-      match !adv with Some iv -> Simul.Ivar.is_full iv | None -> false
-    in
-    (outcome, engine, completed)
+    Scenario.publish d;
+    (d.outcome, d.engine, completed ())
   in
   (* Reference run: replicated, fault-free; its WAL gives phase times. *)
   let _, ref_engine, _ = run_case () in
-  let crash_at =
-    let entry n =
-      match
-        List.find_opt
-          (fun (a, p, _) -> a = 1 && Threev.Coord_log.phase_number p = n)
-          (Threev.Coord_log.phase_times (Engine.coord_log ref_engine))
-      with
-      | Some (_, _, tm) -> tm
-      | None -> failwith "E14: reference run missing a phase entry"
-    in
-    (entry 2 +. entry 3) /. 2.
-  in
+  let crash_at = (phase_entry ref_engine 2 +. phase_entry ref_engine 3) /. 2. in
   let restart_at = crash_at +. 0.5 in
   let crash_plan =
     Fault.Plan.make ~seed:1911
@@ -1603,19 +1328,10 @@ let run_e14 ~quick =
   (* Global-2PC under the same data-node crash plan: no replica group to
      fail over to, so work touching the crashed nodes strands. *)
   let twopc_row =
-    let sim = Sim.create ~seed:191 () in
-    let cfg =
-      {
-        (Baselines.Global_2pc.default_config ~nodes) with
-        Baselines.Global_2pc.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        deadlock_timeout = 0.3;
-      }
-    in
-    let faults = Fault.Injector.create sim crash_plan in
-    let engine = Baselines.Global_2pc.create ~faults sim cfg in
-    let outcome =
-      Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup
+    let { Scenario.outcome; _ } =
+      Scenario.drive ~plan:crash_plan
+        (twopc ~deadlock_timeout:0.3 ~nodes ())
+        gen setup
     in
     Printf.sprintf
       "global-2pc under the same crash plan: %d committed, %d unfinished — \
@@ -1624,32 +1340,14 @@ let run_e14 ~quick =
       outcome.Runner.committed outcome.Runner.unfinished
   in
   let manual_row =
-    let sim = Sim.create ~seed:191 () in
-    let cfg =
-      {
-        (Baselines.Manual_versioning.default_config ~nodes) with
-        Baselines.Manual_versioning.period = 0.5;
-        safety_delay = 0.2;
-      }
-    in
-    let m = Baselines.Manual_versioning.create sim cfg in
-    Baselines.Manual_versioning.inject_coord_crash m ~at:crash_at
-      ~restart:(crash_at +. 2.0);
-    let frozen =
-      Baselines.Manual_versioning.read_version_at m ~now:(crash_at +. 1.9)
-    in
-    let healthy =
-      let m2 =
-        Baselines.Manual_versioning.create (Sim.create ~seed:191 ()) cfg
-      in
-      Baselines.Manual_versioning.read_version_at m2 ~now:(crash_at +. 1.9)
-    in
+    let now = crash_at +. 1.9 in
     Printf.sprintf
       "manual versioning has no failover either: with its version publisher \
        down for 2s, reads still use version %d at the end of the outage (vs \
        %d healthy) — staleness grows with the outage, unbounded by any \
        protocol."
-      frozen healthy
+      (manual_read_version ~nodes ~outage:(crash_at, crash_at +. 2.0) () now)
+      (manual_read_version ~nodes () now)
   in
   Table.to_string table
   ^ notes
@@ -1714,69 +1412,31 @@ let run_e14 ~quick =
    wedging. *)
 let run_e15 ~quick =
   let nodes = 6 and k = 3 in
-  let duration = if quick then 2.0 else 3.0 in
   let crash_keep = 1 in
   let hb_period = 0.02 and hb_timeout = 0.08 in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.25;
-        fanout = 2;
-        keys_per_node = 20;
-        zipf_s = 0.7;
-      }
-  in
-  let setup =
-    { Runner.default_setup with Runner.seed = 211; duration; settle = 6.0 }
-  in
-  let run_case ?(plan = Fault.Plan.none) () =
-    let sim = Sim.create ~seed:211 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        policy = Policy.Manual;
-        reliable_channel = true;
-        retransmit_timeout = 0.02;
-        replicas = k;
-        hb_period;
-        hb_timeout;
-        (* The watchdog is the degradation path for outages the detector
-           has not (yet) noticed, so it stays armed. *)
-        phase_deadline = 0.5;
-      }
+  let gen = two_node_mix ~nodes 400. in
+  let setup = setup ~seed:211 ~settle:6.0 (if quick then 2.0 else 3.0) in
+  let run_case ?plan () =
+    let d, completed =
+      drive_advancing ?plan
+        {
+          (reliable (v3 ~nodes Policy.Manual)) with
+          replicas = k;
+          hb_period;
+          hb_timeout;
+          (* The watchdog is the degradation path for outages the detector
+             has not (yet) noticed, so it stays armed. *)
+          phase_deadline = 0.5;
+        }
+        gen setup
     in
-    let faults = Fault.Injector.create sim plan in
-    let engine = Engine.create sim cfg ~faults () in
-    let adv = ref None in
-    Sim.schedule sim ~delay:0.95 (fun () -> adv := Some (Engine.advance engine));
-    let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-    let a1 = Engine.advance engine and a2 = Engine.advance engine in
-    ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-    ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
-    let completed =
-      match !adv with Some iv -> Simul.Ivar.is_full iv | None -> false
-    in
-    (outcome, engine, completed)
+    Scenario.publish d;
+    (d.outcome, d.engine, completed ())
   in
   (* Fault-free reference: its WAL supplies the phase-entry times so the
      crash provably lands inside phase 2's quiescence wait. *)
   let oref, ref_engine, cref = run_case () in
-  let crash_at =
-    let entry n =
-      match
-        List.find_opt
-          (fun (a, p, _) -> a = 1 && Threev.Coord_log.phase_number p = n)
-          (Threev.Coord_log.phase_times (Engine.coord_log ref_engine))
-      with
-      | Some (_, _, tm) -> tm
-      | None -> failwith "E15: reference run missing a phase entry"
-    in
-    (entry 2 +. entry 3) /. 2.
-  in
+  let crash_at = (phase_entry ref_engine 2 +. phase_entry ref_engine 3) /. 2. in
   let restart_at = crash_at +. 0.5 in
   let crashes =
     Fault.Plan.crash_replicas
@@ -1936,24 +1596,18 @@ let run_a1 ~quick =
           post_delay = 0.02;
         }
     in
-    let setup =
-      {
-        Runner.default_setup with
-        Runner.seed = 111;
-        duration = (if quick then 1.0 else 4.0);
-        settle = 3.0;
-      }
-    in
-    let outcome, engine =
-      drive_3v ~seed:111 ~nodes ~policy:(Policy.Periodic 0.1)
-        ~latency:(Latency.Exponential 0.02)
-        ~cfg_f:(fun c ->
-          {
-            c with
-            Engine.two_wave_quiescence = two_wave;
-            debug_checks = false (* record, don't crash *);
-          })
-        gen setup
+    let { Scenario.outcome; engine; _ } =
+      Scenario.drive
+        (V3
+           {
+             (v3 ~latency:(Latency.Exponential 0.02) ~nodes
+                (Policy.Periodic 0.1))
+             with
+             two_wave_quiescence = two_wave;
+             debug_checks = false (* record, don't crash *);
+           })
+        gen
+        (setup ~seed:111 ~settle:3.0 (if quick then 1.0 else 4.0))
     in
     let atom = Runner.atomicity outcome in
     let polls = Counter_set.get outcome.Runner.stats "proto.polls" in
@@ -2002,20 +1656,20 @@ let run_a2 ~quick =
           Workload.Hospital.arrival_rate = 1500.;
         }
     in
-    let setup =
-      {
-        Runner.default_setup with
-        Runner.seed = 121;
-        duration = (if quick then 1.5 else 4.0);
-        settle = 3.0;
-      }
-    in
-    let _outcome, engine =
-      drive_3v ~seed:121 ~nodes ~policy:(Policy.Periodic 0.02)
-        ~latency:(Latency.Exponential 0.01) ~poll:0.005
-        ~cfg_f:(fun c ->
-          { c with Engine.await_gc_acks = acks; debug_checks = acks })
-        gen setup
+    let engine =
+      (Scenario.drive
+         (V3
+            {
+              (v3 ~latency:(Latency.Exponential 0.01) ~nodes
+                 (Policy.Periodic 0.02))
+              with
+              poll_interval = 0.005;
+              await_gc_acks = acks;
+              debug_checks = acks;
+            })
+         gen
+         (setup ~seed:121 ~settle:3.0 (if quick then 1.5 else 4.0)))
+        .engine
     in
     let maxv = Engine.max_versions_ever engine in
     Table.add_row table
@@ -2050,17 +1704,6 @@ let run_a3 ~quick =
         [ "mode"; "committed updates"; "dual writes"; "replay mismatches" ]
   in
   let run_mode ~dual =
-    let sim = Sim.create ~seed:131 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.015;
-        think_time = 0.0005;
-        policy = Policy.Periodic 0.08;
-        dual_writes = dual;
-      }
-    in
-    let engine = Engine.create sim cfg () in
     let gen =
       Workload.Hospital.generator
         {
@@ -2070,20 +1713,24 @@ let run_a3 ~quick =
           post_delay = 0.03 (* plenty of stragglers *);
         }
     in
-    let setup =
-      {
-        Runner.default_setup with
-        Runner.seed = 131;
-        duration = (if quick then 1.5 else 4.0);
-        settle = 3.0;
-      }
+    let d =
+      Scenario.drive
+        (V3
+           {
+             (v3 ~latency:(Latency.Exponential 0.015) ~nodes
+                (Policy.Periodic 0.08))
+             with
+             dual_writes = dual;
+           })
+        gen
+        (setup ~seed:131 ~settle:3.0 (if quick then 1.5 else 4.0))
     in
-    let outcome = Runner.drive sim (Engine.packed engine) gen setup in
+    let outcome = d.outcome in
     (* Publish everything, then replay-check the settled store. *)
-    let a1 = Engine.advance engine and a2 = Engine.advance engine in
-    ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-    ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
-    let replay = (Certify.run ~engine outcome.Runner.history).Certify.replay in
+    Scenario.publish d;
+    let replay =
+      (Certify.run ~engine:d.engine outcome.Runner.history).Certify.replay
+    in
     Table.add_row table
       [
         (if dual then "dual writes (paper §2.3)" else "own-version only");
@@ -2116,21 +1763,8 @@ let run_a3 ~quick =
 let run_a4 ~quick =
   let nodes = 4 in
   let drop = 0.08 in
-  let duration = if quick then 1.5 else 3.0 in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.25;
-        fanout = 2;
-        keys_per_node = 20;
-        zipf_s = 0.7;
-      }
-  in
-  let setup =
-    { Runner.default_setup with Runner.seed = 167; duration; settle = 6.0 }
-  in
+  let gen = two_node_mix ~nodes 400. in
+  let setup = setup ~seed:167 ~settle:6.0 (if quick then 1.5 else 3.0) in
   let table =
     Table.create
       ~title:"A4: retransmission — without it, message loss stalls advancement"
@@ -2144,16 +1778,10 @@ let run_a4 ~quick =
     let plan =
       Fault.Plan.make ~seed:1671 ~rules:(Fault.Plan.uniform_loss ~drop ()) ()
     in
-    let outcome, engine =
-      drive_3v ~seed:167 ~nodes ~policy:(Policy.Periodic 0.2)
-        ~cfg_f:(fun c ->
-          {
-            c with
-            Engine.reliable_channel = true;
-            retransmit;
-            retransmit_timeout = 0.02;
-          })
-        ~plan gen setup
+    let { Scenario.outcome; engine; _ } =
+      Scenario.drive ~plan
+        (V3 { (reliable (v3 ~nodes (Policy.Periodic 0.2))) with retransmit })
+        gen setup
     in
     Table.add_row table
       [

@@ -1,7 +1,4 @@
-module Sim = Simul.Sim
-module Latency = Netsim.Latency
 module Engine = Threev.Engine
-module Policy = Threev.Policy
 
 type engine_kind =
   | E3v
@@ -23,59 +20,7 @@ let engine_label = function
   | E_nocoord -> "nocoord"
   | E_manual -> "manual"
 
-(* The failure-detector cases pin these; the rendered reproducer lines
-   carry the same values so `threev_sim run` replays the same suspicion
-   schedule. *)
-let fd_hb_period = 0.02
-let fd_hb_timeout = 0.08
-let fd_phase_deadline = 0.5
-
-type atom =
-  | Loss of float
-  | Dup of float
-  | Partition of int * int * float * float
-  | Partition_set of int list * float * float * bool
-  | Crash of int * float * float
-  | Coord_crash of float * float
-  | Hb_loss of int * float * float * float
-
-let atom_flag = function
-  | Loss p -> Printf.sprintf "--drop-prob %g" p
-  | Dup p -> Printf.sprintf "--dup-prob %g" p
-  | Partition (s, d, f, u) -> Printf.sprintf "--partition %d:%d:%g:%g" s d f u
-  | Partition_set (set, f, u, oneway) ->
-      Printf.sprintf "--partition %s@%g:%g%s"
-        (String.concat "," (List.map string_of_int set))
-        f u
-        (if oneway then ":oneway" else "")
-  | Crash (n, a, r) -> Printf.sprintf "--crash %d@%g:%g" n a r
-  | Coord_crash (a, r) -> Printf.sprintf "--coord-crash %g:%g" a r
-  | Hb_loss (n, f, u, p) ->
-      if p >= 1. then Printf.sprintf "--hb-loss %d@%g:%g" n f u
-      else Printf.sprintf "--hb-loss %d@%g:%g:%g" n f u p
-
-type workload_kind = W_synthetic | W_hospital | W_pos
-
-let workload_label = function
-  | W_synthetic -> "synthetic"
-  | W_hospital -> "hospital"
-  | W_pos -> "pos"
-
-type case = {
-  index : int;
-  engine : engine_kind;
-  workload : workload_kind;
-  nodes : int;
-  replicas : int;
-  shards : int;
-  seed : int;
-  fault_seed : int;
-  rate : float;
-  read_ratio : float;
-  nc_ratio : float;
-  duration : float;
-  atoms : atom list;
-}
+type case = { index : int; engine : engine_kind; scenario : Scenario.t }
 
 (* ------------------------------------------------------- derivation *)
 
@@ -91,21 +36,23 @@ let gen_atoms rng ~nodes ~duration =
   let horizon = duration +. 1.0 in
   let time () = round3 (0.05 +. Random.State.float rng (horizon -. 0.05)) in
   let make_kind = function
-    | 0 -> Loss (round3 (0.02 +. Random.State.float rng 0.06))
-    | 1 -> Dup (round3 (0.02 +. Random.State.float rng 0.06))
+    | 0 -> Scenario.Loss (round3 (0.02 +. Random.State.float rng 0.06))
+    | 1 -> Scenario.Dup (round3 (0.02 +. Random.State.float rng 0.06))
     | 2 ->
         let src = Random.State.int rng nodes in
         let dst = (src + 1 + Random.State.int rng (nodes - 1)) mod nodes in
         let from_ = time () in
-        Partition (src, dst, from_, round3 (from_ +. 0.1 +. Random.State.float rng 0.15))
+        let until_ = round3 (from_ +. 0.1 +. Random.State.float rng 0.15) in
+        Scenario.Partition (src, dst, from_, until_)
     | 3 ->
         let at = time () in
-        Crash
+        Scenario.Crash
           (Random.State.int rng nodes, at,
            round3 (at +. 0.1 +. Random.State.float rng 0.15))
     | _ ->
         let at = time () in
-        Coord_crash (at, round3 (at +. 0.1 +. Random.State.float rng 0.2))
+        Scenario.Coord_crash
+          (at, round3 (at +. 0.1 +. Random.State.float rng 0.2))
   in
   (* Shuffle kinds, keep 1-2 distinct ones. *)
   let kinds = [ 0; 1; 2; 3; 4 ] in
@@ -123,13 +70,13 @@ let gen_repl_atoms rng ~nodes ~duration =
   let horizon = duration +. 1.0 in
   let at = round3 (0.05 +. Random.State.float rng (horizon -. 0.05)) in
   let crash =
-    Crash
+    Scenario.Crash
       ( Random.State.int rng nodes,
         at,
         round3 (at +. 0.1 +. Random.State.float rng 0.15) )
   in
   if Random.State.bool rng then
-    [ Loss (round3 (0.02 +. Random.State.float rng 0.04)); crash ]
+    [ Scenario.Loss (round3 (0.02 +. Random.State.float rng 0.04)); crash ]
   else [ crash ]
 
 (* Fault atoms for a sharded case: always a replica crash (each shard's
@@ -142,17 +89,21 @@ let gen_shard_atoms rng ~nodes ~duration =
   let time () = round3 (0.05 +. Random.State.float rng (horizon -. 0.05)) in
   let at = time () in
   let crash =
-    Crash
+    Scenario.Crash
       ( Random.State.int rng nodes,
         at,
         round3 (at +. 0.1 +. Random.State.float rng 0.15) )
   in
   match Random.State.int rng 3 with
   | 0 -> [ crash ]
-  | 1 -> [ Loss (round3 (0.02 +. Random.State.float rng 0.04)); crash ]
+  | 1 -> [ Scenario.Loss (round3 (0.02 +. Random.State.float rng 0.04)); crash ]
   | _ ->
       let a = time () in
-      [ crash; Coord_crash (a, round3 (a +. 0.1 +. Random.State.float rng 0.2)) ]
+      [
+        crash;
+        Scenario.Coord_crash
+          (a, round3 (a +. 0.1 +. Random.State.float rng 0.2));
+      ]
 
 (* Fault atoms for a failure-detector case: always a heartbeat-loss storm
    on some node (the false-suspicion provocation — protocol traffic
@@ -167,16 +118,20 @@ let gen_fd_atoms rng ~nodes ~duration =
   in
   let from_, until_ = window ~len:0.2 in
   let storm =
-    Hb_loss (Random.State.int rng nodes, from_, until_, pick rng [ 1.; 1.; 0.8 ])
+    Scenario.Hb_loss
+      (Random.State.int rng nodes, from_, until_, pick rng [ 1.; 1.; 0.8 ])
   in
   match Random.State.int rng 3 with
   | 0 -> [ storm ]
   | 1 ->
       let at, restart = window ~len:0.15 in
-      [ storm; Crash (Random.State.int rng nodes, at, restart) ]
+      [ storm; Scenario.Crash (Random.State.int rng nodes, at, restart) ]
   | _ ->
       let f, u = window ~len:0.15 in
-      [ storm; Partition_set ([ Random.State.int rng nodes ], f, u, true) ]
+      [
+        storm;
+        Scenario.Partition_set ([ Random.State.int rng nodes ], f, u, true);
+      ]
 
 let case_of_index ~fuzz_seed ~quick index =
   let rng = Random.State.make [| fuzz_seed; index; 0xf0022 |] in
@@ -209,7 +164,7 @@ let case_of_index ~fuzz_seed ~quick index =
   let workload, rate, read_ratio, nc_ratio =
     match engine with
     | E3v_nc ->
-        ( pick rng [ W_synthetic; W_pos ],
+        ( pick rng [ Scenario.Synthetic; Scenario.Pos ],
           pick rng [ 200.; 300. ],
           pick rng [ 0.2; 0.25; 0.3 ],
           pick rng [ 0.05; 0.1; 0.2 ] )
@@ -217,7 +172,7 @@ let case_of_index ~fuzz_seed ~quick index =
         (* Replication covers the commuting core only, so nc_ratio stays 0
            for E3v_repl / E3v_fd (the engine rejects nc_mode with
            replicas > 1). *)
-        ( pick rng [ W_synthetic; W_hospital; W_pos ],
+        ( pick rng [ Scenario.Synthetic; Scenario.Hospital; Scenario.Pos ],
           pick rng [ 200.; 300.; 400. ],
           pick rng [ 0.2; 0.25; 0.3 ],
           0. )
@@ -225,16 +180,16 @@ let case_of_index ~fuzz_seed ~quick index =
         (* Only the synthetic generator is shard-aware (updates confined
            to one shard block, reads free to span); the higher read ratio
            keeps cross-shard vectored reads frequent. *)
-        ( W_synthetic,
+        ( Scenario.Synthetic,
           pick rng [ 200.; 300.; 400. ],
           pick rng [ 0.3; 0.35; 0.4 ],
           0. )
     | E_nocoord ->
         (* The F1 front-end shape: reliably produces partial reads. *)
-        (W_hospital, 400., 0.3, 0.)
+        (Scenario.Hospital, 400., 0.3, 0.)
     | E_manual ->
         (* The E8 straggler shape: small safety delay vs late postings. *)
-        (W_hospital, 800., 0.4, 0.)
+        (Scenario.Hospital, 800., 0.4, 0.)
   in
   let atoms =
     match engine with
@@ -246,109 +201,46 @@ let case_of_index ~fuzz_seed ~quick index =
     | E3v_shard -> gen_shard_atoms rng ~nodes ~duration
     | E3v_nc ->
         if Random.State.bool rng then
-          [ Loss (round3 (0.02 +. Random.State.float rng 0.04)) ]
+          [ Scenario.Loss (round3 (0.02 +. Random.State.float rng 0.04)) ]
         else []
     | _ -> []
   in
-  {
-    index; engine; workload; nodes; replicas; shards; seed; fault_seed; rate;
-    read_ratio; nc_ratio; duration; atoms;
-  }
+  let scenario =
+    {
+      Scenario.default with
+      engine =
+        (match engine with
+        | E2pc -> Scenario.E2pc
+        | E_nocoord -> E_nocoord
+        | E_manual -> E_manual
+        | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard -> E3v);
+      workload;
+      nodes;
+      replicas;
+      shards;
+      seed;
+      fault_seed;
+      rate;
+      read_ratio;
+      nc_ratio;
+      duration;
+      faults = atoms;
+    }
+  in
+  (* The failure-detector cases run the E15 detector shape. *)
+  let scenario =
+    if engine = E3v_fd then
+      {
+        scenario with
+        hb_period = 0.02;
+        hb_timeout = 0.08;
+        phase_deadline = 0.5;
+      }
+    else scenario
+  in
+  { index; engine; scenario }
 
 (* --------------------------------------------------------- execution *)
-
-let plan_of_atoms ~fault_seed ~nodes ~shards atoms =
-  if atoms = [] then None
-  else
-    let drop = List.find_map (function Loss p -> Some p | _ -> None) atoms in
-    let dup = List.find_map (function Dup p -> Some p | _ -> None) atoms in
-    let rules =
-      (if drop = None && dup = None then []
-       else
-         Fault.Plan.uniform_loss
-           ?dup ~drop:(Option.value drop ~default:0.) ())
-      @ List.concat_map
-          (function
-            | Partition (src, dst, from_, until_) ->
-                [ Fault.Plan.partition ~src ~dst ~from_ ~until_ ]
-            | Partition_set (set, from_, until_, oneway) ->
-                (* The engine's endpoint space is the data nodes plus one
-                   coordinator per shard at ids [nodes..nodes+S-1]. *)
-                Fault.Plan.partition_set ~universe:(nodes + shards) ~set
-                  ~oneway ~from_ ~until_ ()
-            | Hb_loss (src, from_, until_, prob) ->
-                Fault.Plan.heartbeat_loss ~src ~prob ~from_ ~until_ ()
-            | _ -> [])
-          atoms
-    in
-    let crashes =
-      List.filter_map
-        (function
-          | Crash (node, at, restart) ->
-              Some (Fault.Plan.crash ~node ~at ~restart)
-          | _ -> None)
-        atoms
-    in
-    let coord_crashes =
-      List.filter_map
-        (function
-          | Coord_crash (at, restart) ->
-              Some (Fault.Plan.coord_crash ~at ~restart)
-          | _ -> None)
-        atoms
-    in
-    Some (Fault.Plan.make ~seed:fault_seed ~rules ~crashes ~coord_crashes ())
-
-(* Workload construction mirrors `threev_sim run` for the strict engines,
-   so the rendered run command reproduces the same generator stream. The
-   expected-anomaly baselines use the proven anomaly-seeding shapes of F1
-   (no-coordination) and E8 (manual versioning) instead. *)
-let gen_of case =
-  let nodes = case.nodes in
-  match (case.engine, case.workload) with
-  | (E_nocoord, _) ->
-      Workload.Hospital.generator
-        {
-          (Workload.Hospital.default ~nodes) with
-          Workload.Hospital.front_end = true;
-          arrival_rate = case.rate;
-          read_ratio = case.read_ratio;
-          visit_fanout = 2;
-        }
-  | (E_manual, _) ->
-      Workload.Hospital.generator
-        {
-          (Workload.Hospital.default ~nodes) with
-          Workload.Hospital.arrival_rate = case.rate;
-          read_ratio = case.read_ratio;
-          patients = 25;
-          visit_fanout = 3;
-          post_delay = 0.08;
-        }
-  | (_, W_synthetic) ->
-      Workload.Synthetic.generator
-        {
-          (Workload.Synthetic.default ~nodes) with
-          Workload.Synthetic.arrival_rate = case.rate;
-          shards = case.shards;
-          read_ratio = case.read_ratio;
-          nc_ratio = case.nc_ratio;
-        }
-  | (_, W_hospital) ->
-      Workload.Hospital.generator
-        {
-          (Workload.Hospital.default ~nodes) with
-          Workload.Hospital.arrival_rate = case.rate;
-          read_ratio = case.read_ratio;
-        }
-  | (_, W_pos) ->
-      Workload.Point_of_sale.generator
-        {
-          (Workload.Point_of_sale.default ~nodes) with
-          Workload.Point_of_sale.arrival_rate = case.rate;
-          read_ratio = case.read_ratio;
-          nc_ratio = case.nc_ratio;
-        }
 
 type check = Certify.check = { check_name : string; ok : bool; detail : string }
 
@@ -359,7 +251,7 @@ type case_report = {
   verdict : verdict;
   committed : int;
   unfinished : int;
-  shrunk : atom list option;
+  shrunk : Scenario.atom list option;
   reproducers : string list;
 }
 
@@ -367,110 +259,71 @@ let strict = function
   | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard | E2pc -> true
   | E_nocoord | E_manual -> false
 
-(* Drive [case] with fault atoms [atoms] (usually [case.atoms]; subsets
-   during shrinking). Returns the outcome and, for the 3V engines, the
-   engine, published so its settled stores replay the history. *)
-let drive case atoms =
-  let sim = Sim.create ~seed:case.seed () in
-  let plan =
-    plan_of_atoms ~fault_seed:case.fault_seed ~nodes:case.nodes
-      ~shards:case.shards atoms
-  in
-  let faults = Option.map (Fault.Injector.create sim) plan in
-  let gen = gen_of case in
-  let setup =
+(* The positive controls drive the proven anomaly-seeding shapes of F1
+   (no-coordination) and E8 (manual versioning) at the scenario's size,
+   rate, read ratio and seed. *)
+let control (sc : Scenario.t) =
+  let nodes = sc.nodes in
+  let hospital =
     {
-      Runner.default_setup with
-      Runner.seed = case.seed;
-      duration = case.duration;
-      settle = 5.0;
+      (Workload.Hospital.default ~nodes) with
+      arrival_rate = sc.rate;
+      read_ratio = sc.read_ratio;
     }
   in
-  match case.engine with
-  | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard ->
-      let fd = case.engine = E3v_fd in
-      let cfg =
-        {
-          (Engine.default_config ~nodes:case.nodes) with
-          Engine.latency = Latency.Exponential 0.003;
-          policy = Policy.Periodic 0.2;
-          nc_mode = case.engine = E3v_nc;
-          think_time = 0.0005;
-          reliable_channel = plan <> None || fd;
-          retransmit_timeout = 0.02;
-          replicas = case.replicas;
-          shards = case.shards;
-          hb_period = (if fd then fd_hb_period else 0.);
-          hb_timeout = (if fd then fd_hb_timeout else 0.1);
-          phase_deadline = (if fd then fd_phase_deadline else infinity);
-        }
-      in
-      let engine = Engine.create sim cfg ?faults () in
-      let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-      (* Publish everything before the settled stores are replayed. *)
-      let a1 = Engine.advance engine and a2 = Engine.advance engine in
-      ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-      ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
-      (outcome, Some engine)
-  | E2pc ->
-      let cfg =
-        {
-          (Baselines.Global_2pc.default_config ~nodes:case.nodes) with
-          Baselines.Global_2pc.latency = Latency.Exponential 0.003;
-          think_time = 0.0005;
-          deadlock_timeout = 0.05;
-        }
-      in
-      let engine = Baselines.Global_2pc.create ?faults sim cfg in
-      (Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup, None)
-  | E_nocoord ->
-      let cfg =
-        {
-          (Baselines.No_coord.default_config ~nodes:case.nodes) with
-          Baselines.No_coord.latency = Latency.Exponential 0.003;
-          think_time = 0.0005;
-        }
-      in
-      let engine = Baselines.No_coord.create sim cfg in
-      (Runner.drive sim (Baselines.No_coord.packed engine) gen setup, None)
-  | E_manual ->
-      let cfg =
-        {
-          (Baselines.Manual_versioning.default_config ~nodes:case.nodes) with
-          Baselines.Manual_versioning.latency = Latency.Uniform (0.0005, 0.012);
-          think_time = 0.0005;
-          period = 0.2;
-          safety_delay = (if case.seed land 1 = 0 then 0. else 0.005);
-        }
-      in
-      let engine = Baselines.Manual_versioning.create sim cfg in
-      ( Runner.drive sim (Baselines.Manual_versioning.packed engine) gen setup,
-        None )
+  let drive config params =
+    let (d : _ Scenario.driven) =
+      Scenario.drive config
+        (Workload.Hospital.generator params)
+        (Scenario.setup sc)
+    in
+    { d with engine = None }
+  in
+  if sc.engine = Scenario.E_nocoord then
+    drive (Scenario.nocoord ~nodes)
+      { hospital with front_end = true; visit_fanout = 2 }
+  else
+    drive
+      (Scenario.manual
+         ~latency:(Netsim.Latency.Uniform (0.0005, 0.012))
+         ~safety_delay:(if sc.seed land 1 = 0 then 0. else 0.005)
+         ~nodes ~period:0.2 ())
+      { hospital with patients = 25; visit_fanout = 3; post_delay = 0.08 }
+
+(* A strict case runs its scenario exactly as `threev_sim run` does. *)
+let run case =
+  if strict case.engine then Scenario.run case.scenario
+  else control case.scenario
 
 (* Per-shard version numbers are incomparable across shards: the checkers
    order only same-shard versions and fence exact-version reads per key by
    the assigned read vector. *)
 let history case =
-  let outcome, engine = drive case case.atoms in
-  let sharded f = if case.shards > 1 then Option.map f engine else None in
-  ( outcome.Runner.history,
+  let d = run case in
+  let sharded f =
+    if case.scenario.shards > 1 then Option.map f d.Scenario.engine else None
+  in
+  ( d.outcome.Runner.history,
     sharded (fun e n -> Engine.shard_of_node e ~node:n),
     sharded (fun e txn -> Engine.assigned_vector e ~txn) )
 
-(* Drive [case] with [atoms] and certify the outcome; strict engines must
-   also settle every transaction. *)
-let execute case atoms =
-  let outcome, engine = drive case atoms in
-  let unfinished =
-    if strict case.engine then Some outcome.Runner.unfinished else None
+(* Drive [case] and certify it; strict engines must also settle every
+   transaction. *)
+let execute case =
+  let d = run case in
+  let cert =
+    if strict case.engine then Scenario.certify d
+    else Certify.run d.Scenario.outcome.Runner.history
   in
-  let r = Certify.run ?engine ?unfinished outcome.Runner.history in
-  (outcome, r.Certify.checks)
+  (d.outcome, cert.Certify.checks)
 
 (* ----------------------------------------------------------- shrink *)
 
+let with_faults case faults =
+  { case with scenario = { case.scenario with faults } }
+
 let fails case atoms =
-  match execute case atoms with
+  match execute (with_faults case atoms) with
   | exception _ -> true
   | _, checks -> List.exists (fun c -> not c.ok) checks
 
@@ -483,7 +336,7 @@ let shrink case =
         if fails case (kept @ rest) then go kept rest
         else go (kept @ [ a ]) rest
   in
-  go [] case.atoms
+  go [] case.scenario.faults
 
 (* ------------------------------------------------------- reproducers *)
 
@@ -492,45 +345,18 @@ let fuzz_reproducer ~fuzz_seed ~quick case =
     case.index
     (if quick then " --quick" else "")
 
-let run_reproducer case atoms =
-  let engine_flag =
-    match case.engine with
-    | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard -> "3v"
-    | E2pc -> "2pc"
-    | E_nocoord -> "nocoord"
-    | E_manual -> "manual"
-  in
+(* The `threev_sim run` line that replays [case]'s scenario with [faults]. *)
+let run_line case faults =
   String.concat " "
-    ([
-       "threev_sim run";
-       "--engine"; engine_flag;
-       "--workload"; workload_label case.workload;
-       Printf.sprintf "--nodes %d" case.nodes;
-       Printf.sprintf "--rate %g" case.rate;
-       Printf.sprintf "--duration %g" case.duration;
-       Printf.sprintf "--seed %d" case.seed;
-       Printf.sprintf "--read-ratio %g" case.read_ratio;
-     ]
-    @ (if case.replicas > 1 then
-         [ Printf.sprintf "--replicas %d" case.replicas ]
-       else [])
-    @ (if case.shards > 1 then [ Printf.sprintf "--shards %d" case.shards ]
-       else [])
-    @ (if case.nc_ratio > 0. then
-         [ Printf.sprintf "--nc-ratio %g" case.nc_ratio ]
-       else [])
-    @ (if case.engine = E3v_fd then
-         [
-           Printf.sprintf "--hb-period %g" fd_hb_period;
-           Printf.sprintf "--hb-timeout %g" fd_hb_timeout;
-           Printf.sprintf "--phase-deadline %g" fd_phase_deadline;
-         ]
-       else [])
-    @
-    if atoms = [] then []
-    else
-      Printf.sprintf "--fault-seed %d" case.fault_seed
-      :: List.map atom_flag atoms)
+    ("threev_sim run" :: Scenario.to_argv (with_faults case faults).scenario)
+
+let flags atoms =
+  String.concat " "
+    (List.map
+       (fun a ->
+         let flag, value = Scenario.atom_arg a in
+         flag ^ " " ^ value)
+       atoms)
 
 (* ----------------------------------------------------------- verdict *)
 
@@ -545,7 +371,8 @@ let run_case ~fuzz_seed ~quick case =
       reproducers = fuzz_reproducer ~fuzz_seed ~quick case :: extra_repro;
     }
   in
-  match execute case case.atoms with
+  let faults = case.scenario.faults in
+  match execute case with
   | exception e ->
       let c =
         {
@@ -557,8 +384,7 @@ let run_case ~fuzz_seed ~quick case =
       finish ~verdict:(Failure [ c ]) ~committed:0 ~unfinished:0
         ~shrunk:None
         ~extra_repro:
-          (if strict case.engine then [ run_reproducer case case.atoms ]
-           else [])
+          (if strict case.engine then [ run_line case faults ] else [])
   | outcome, checks ->
       let failed = List.filter (fun c -> not c.ok) checks in
       let committed = outcome.Runner.committed in
@@ -567,12 +393,10 @@ let run_case ~fuzz_seed ~quick case =
         finish ~verdict:Clean ~committed ~unfinished ~shrunk:None
           ~extra_repro:[]
       else if strict case.engine then begin
-        let shrunk =
-          if case.atoms = [] then None else Some (shrink case)
-        in
-        let repro_atoms = Option.value shrunk ~default:case.atoms in
+        let shrunk = if faults = [] then None else Some (shrink case) in
         finish ~verdict:(Failure failed) ~committed ~unfinished ~shrunk
-          ~extra_repro:[ run_reproducer case repro_atoms ]
+          ~extra_repro:
+            [ run_line case (Option.value shrunk ~default:faults) ]
       end
       else
         (* Expected-anomaly baseline: the checkers flagging it is the
@@ -598,11 +422,8 @@ type summary = {
 }
 
 let case_line r =
-  let c = r.case in
-  let faults =
-    if c.atoms = [] then "fault-free"
-    else String.concat " " (List.map atom_flag c.atoms)
-  in
+  let c = r.case and sc = r.case.scenario in
+  let faults = if sc.faults = [] then "fault-free" else flags sc.faults in
   let verdict =
     match r.verdict with
     | Clean -> "clean"
@@ -612,8 +433,9 @@ let case_line r =
         ^ String.concat ", " (List.map (fun c -> c.check_name) checks)
   in
   Printf.sprintf "case %3d  %-7s %-9s n=%d seed=%-5d %-40s committed=%-4d %s"
-    c.index (engine_label c.engine) (workload_label c.workload) c.nodes c.seed
-    faults r.committed verdict
+    c.index (engine_label c.engine)
+    (Scenario.workload_label sc.workload)
+    sc.nodes sc.seed faults r.committed verdict
 
 let sweep ?(runs = 50) ?(fuzz_seed = 1) ?only ?(quick = false) ?(log = ignore)
     () =
@@ -640,7 +462,7 @@ let sweep ?(runs = 50) ?(fuzz_seed = 1) ?only ?(quick = false) ?(log = ignore)
                   ("      shrunk fault plan: "
                   ^
                   if atoms = [] then "(empty — faults not needed)"
-                  else String.concat " " (List.map atom_flag atoms))
+                  else flags atoms)
             | None -> ());
             List.iter (fun s -> log ("      reproduce: " ^ s)) r.reproducers);
         r)

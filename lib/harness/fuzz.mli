@@ -16,10 +16,10 @@
     Cases are derived purely from [(fuzz_seed, index)] — the same pair
     always replays the same engine, workload, seed and fault plan, so
     [threev_sim fuzz --fuzz-seed S --only I] is an exact reproducer for
-    case [I] of any sweep. On a strict failure under faults the harness
-    additionally shrinks the fault plan greedily (dropping atoms whose
-    removal keeps the case failing) and renders a standalone
-    [threev_sim run ...] command line for the shrunk plan. *)
+    case [I] of any sweep. A strict failure also prints
+    [threev_sim run] followed by {!Scenario.to_argv} of the scenario fuzz
+    ran — under faults with the fault plan first shrunk greedily (dropping
+    atoms whose removal keeps the case failing). *)
 
 type engine_kind =
   | E3v
@@ -35,47 +35,17 @@ type engine_kind =
     (e.g. "3v", "2pc"). *)
 val engine_label : engine_kind -> string
 
-(** One fault-plan ingredient, kept atomic so a failing plan can be
-    shrunk element-wise and rendered back to [threev_sim run] flags. *)
-type atom =
-  | Loss of float  (** uniform remote-message drop probability *)
-  | Dup of float  (** uniform duplication probability *)
-  | Partition of int * int * float * float  (** src, dst, from, until *)
-  | Partition_set of int list * float * float * bool
-      (** set, from, until, oneway: the set is cut off from the rest of the
-          cluster for the window — only its outbound links when [oneway] *)
-  | Crash of int * float * float  (** node, at, restart *)
-  | Coord_crash of float * float  (** at, restart *)
-  | Hb_loss of int * float * float * float
-      (** node, from, until, prob: drop the node's outgoing heartbeats —
-          false-suspicion provocation, protocol traffic untouched *)
-
-(** Renders an atom as the [threev_sim run] flag that reproduces it. *)
-val atom_flag : atom -> string
-
-type workload_kind = W_synthetic | W_hospital | W_pos
-
-type case = {
-  index : int;
-  engine : engine_kind;
-  workload : workload_kind;
-  nodes : int;
-  replicas : int;
-      (** replication factor; [> 1] only for [E3v_repl] cases (always at
-          least one data-node crash atom) and [E3v_fd] cases (heartbeat
-          failure detector on, always at least one heartbeat-loss atom) *)
-  shards : int;
-      (** shard count; [> 1] only for [E3v_shard] cases (four replicated
-          shard blocks, per-shard coordinators, synthetic shard-confined
-          workload, always at least one replica-crash atom) *)
-  seed : int;  (** simulation + workload RNG seed *)
-  fault_seed : int;
-  rate : float;
-  read_ratio : float;
-  nc_ratio : float;
-  duration : float;
-  atoms : atom list;
-}
+(** One case: its engine kind and the {!Scenario.t} it runs. A strict
+    case runs [scenario] through {!Scenario.run}, so its reproducer is
+    [threev_sim run] followed by {!Scenario.to_argv}. A positive control
+    drives its F1 (no-coordination) or E8 (manual versioning)
+    anomaly-seeding shape at the scenario's nodes, rate, read ratio, seed
+    and duration, and never prints a [run] reproducer. Replicated
+    ([E3v_repl]) cases always crash a data node, failure-detector
+    ([E3v_fd]) cases always storm a node's heartbeats, and sharded
+    ([E3v_shard]) cases run four replicated shard blocks and always crash a
+    replica. *)
+type case = { index : int; engine : engine_kind; scenario : Scenario.t }
 
 (** Pure derivation: same [(fuzz_seed, index, quick)] → same case. Engines
     rotate with [index mod 8] so every 8 consecutive indices cover the full
@@ -96,7 +66,7 @@ type case_report = {
   verdict : verdict;
   committed : int;
   unfinished : int;
-  shrunk : atom list option;
+  shrunk : Scenario.atom list option;
       (** minimal failing fault-atom subset, when shrinking applied *)
   reproducers : string list;  (** command lines, most precise first *)
 }

@@ -1,12 +1,14 @@
 (* Tests for the schedule-fuzz harness: case derivation and sweeps must be
-   bit-for-bit deterministic (the reproducer contract), small strict sweeps
-   must come back 1SR-clean, and the e10/e13-style golden fault histories
-   must certify clean under every offline checker. *)
+   bit-for-bit deterministic (the reproducer contract), every strict case's
+   `threev_sim run` reproducer must parse back to the run fuzz drove, small
+   strict sweeps must come back 1SR-clean, and the e10/e13-style golden
+   fault histories must certify clean under every offline checker. *)
 
 module Sim = Simul.Sim
 module Engine = Threev.Engine
 module Runner = Harness.Runner
 module Fuzz = Harness.Fuzz
+module Scenario = Harness.Scenario
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -43,29 +45,32 @@ let engines_rotate () =
           Fuzz.E2pc; Fuzz.E_nocoord; Fuzz.E_manual;
         ]);
   (* Replicated cases always carry at least one data-node crash. *)
-  let repl_case = Fuzz.case_of_index ~fuzz_seed:1 ~quick:true 5 in
-  checkb "replicated case is k=3" true (repl_case.Fuzz.replicas = 3);
+  let repl_case =
+    (Fuzz.case_of_index ~fuzz_seed:1 ~quick:true 5).Fuzz.scenario
+  in
+  checkb "replicated case is k=3" true (repl_case.Scenario.replicas = 3);
   checkb "replicated case crashes a replica" true
     (List.exists
-       (function Fuzz.Crash _ -> true | _ -> false)
-       repl_case.Fuzz.atoms);
+       (function Scenario.Crash _ -> true | _ -> false)
+       repl_case.Scenario.faults);
   (* Failure-detector cases always carry a heartbeat-loss storm. *)
   let fd_case = Fuzz.case_of_index ~fuzz_seed:1 ~quick:true 6 in
   checkb "fd case is 3v-fd" true (fd_case.Fuzz.engine = Fuzz.E3v_fd);
-  checkb "fd case is k=3" true (fd_case.Fuzz.replicas = 3);
+  checkb "fd case is k=3" true (fd_case.Fuzz.scenario.Scenario.replicas = 3);
   checkb "fd case storms heartbeats" true
     (List.exists
-       (function Fuzz.Hb_loss _ -> true | _ -> false)
-       fd_case.Fuzz.atoms);
+       (function Scenario.Hb_loss _ -> true | _ -> false)
+       fd_case.Fuzz.scenario.Scenario.faults);
   (* Sharded cases always crash a replica inside some shard block. *)
   let shard_case = Fuzz.case_of_index ~fuzz_seed:1 ~quick:true 7 in
   checkb "shard case is 3v-shard" true (shard_case.Fuzz.engine = Fuzz.E3v_shard);
+  let sc = shard_case.Fuzz.scenario in
   checkb "shard case is S=4 k=2" true
-    (shard_case.Fuzz.shards = 4 && shard_case.Fuzz.replicas = 2);
+    (sc.Scenario.shards = 4 && sc.Scenario.replicas = 2);
   checkb "shard case crashes a replica" true
     (List.exists
-       (function Fuzz.Crash _ -> true | _ -> false)
-       shard_case.Fuzz.atoms)
+       (function Scenario.Crash _ -> true | _ -> false)
+       sc.Scenario.faults)
 
 let verdict_tag = function
   | Fuzz.Clean -> "clean"
@@ -122,6 +127,82 @@ let only_selects_one_case () =
   match s.Fuzz.reports with
   | [ r ] -> checki "the requested index" 3 r.Fuzz.case.Fuzz.index
   | _ -> Alcotest.fail "expected exactly one report"
+
+(* --------------------------------------------------------- reproducers *)
+
+(* What a generator emits from a fixed RNG: its name, rate and first
+   transactions. *)
+let stream (g : Workload.Generator.t) =
+  let rng = Random.State.make [| 7 |] in
+  ( g.Workload.Generator.gen_name,
+    g.Workload.Generator.arrival_rate,
+    List.init 25 (fun id -> g.Workload.Generator.make rng ~id) )
+
+(* Every strict case's reproducer, parsed by the `run` term, is the run
+   fuzz drove: same engine config, generator, setup and fault plan. *)
+let reproducers_parse_back () =
+  List.iter
+    (fun quick ->
+      for index = 0 to 399 do
+        let case = Fuzz.case_of_index ~fuzz_seed:1 ~quick index in
+        if strict case.Fuzz.engine then begin
+          let sc = case.Fuzz.scenario in
+          let back = Run_args.parse (Scenario.to_argv sc) in
+          let same what ok =
+            if not ok then
+              Alcotest.failf "case %d (quick %b): %s differs after `run %s`"
+                index quick what
+                (String.concat " " (Scenario.to_argv sc))
+          in
+          let agree f = f back = f sc in
+          same "validity" (Scenario.validate back = Ok ());
+          same "engine config" (agree Scenario.engine_config);
+          same "generator" (agree (fun s -> stream (Scenario.generator s)));
+          same "setup" (agree Scenario.setup);
+          same "fault plan" (agree Scenario.plan)
+        end
+      done)
+    [ true; false ]
+
+(* [case] under fuzz (a strict case runs [Scenario.run] on its scenario)
+   and its parsed reproducer drive the same history and the same
+   heartbeat drops and channel acks. *)
+let replays_from_reproducer what (case : Fuzz.case) =
+  let sc = case.Fuzz.scenario in
+  let a = Scenario.run sc in
+  let b = Scenario.run (Run_args.parse (Scenario.to_argv sc)) in
+  let counter (d : _ Scenario.driven) name =
+    Stats.Counter_set.get d.Scenario.outcome.Runner.stats name
+  in
+  checkb (what ^ ": same history") true
+    (a.Scenario.outcome.Runner.history = b.Scenario.outcome.Runner.history);
+  List.iter
+    (fun name ->
+      checki
+        (Printf.sprintf "%s: same %s" what name)
+        (counter a name) (counter b name))
+    [ "fault.hb_drops"; "net.chan_acks" ];
+  a
+
+(* Full case 3670 storms the heartbeats of the node its one-way partition
+   cuts: plan rules must not depend on flag order. *)
+let overlapping_rules_replay () =
+  let case = Fuzz.case_of_index ~fuzz_seed:1 ~quick:false 3670 in
+  let d = replays_from_reproducer "case 3670" case in
+  checki "case 3670: heartbeats dropped" 10
+    (Stats.Counter_set.get d.Scenario.outcome.Runner.stats "fault.hb_drops")
+
+(* A failure-detector case whose plan shrinks to nothing runs with the
+   reliable channel off, under fuzz and under its reproducer alike. *)
+let shrunk_fd_case_replays () =
+  let case = Fuzz.case_of_index ~fuzz_seed:1 ~quick:false 6 in
+  checkb "case 6 is 3v-fd" true (case.Fuzz.engine = Fuzz.E3v_fd);
+  let d =
+    replays_from_reproducer "case 6, no faults"
+      { case with scenario = { case.Fuzz.scenario with faults = [] } }
+  in
+  checki "case 6, no faults: channel off" 0
+    (Stats.Counter_set.get d.Scenario.outcome.Runner.stats "net.chan_acks")
 
 (* ------------------------------------------- golden fault certification
 
@@ -221,6 +302,15 @@ let () =
           Alcotest.test_case "engines rotate over 8 indices" `Quick
             engines_rotate;
           Alcotest.test_case "sweep replays" `Quick sweep_deterministic;
+        ] );
+      ( "reproducers",
+        [
+          Alcotest.test_case "strict reproducers parse back" `Quick
+            reproducers_parse_back;
+          Alcotest.test_case "overlapping partition + hb-loss replays" `Quick
+            overlapping_rules_replay;
+          Alcotest.test_case "fd case without faults replays" `Quick
+            shrunk_fd_case_replays;
         ] );
       ( "sweeps",
         [
