@@ -63,20 +63,37 @@ let bench_store_write =
               ~version:1 ~init:Value.empty
               ~f:(Value.incr ~txn:!i ~delta:1.))))
 
-(* E4 family: counter-table snapshot, the unit of a coordinator poll. *)
+(* E4 family: one coordinator poll round over a 512-member shard, as the
+   engine runs it: every member's sparse R row and C column folded into a
+   round, then the settled and stable decisions. Each member has requests
+   open to two peers, all of them balanced, so the decisions read every
+   entry. *)
 let bench_counter_poll =
-  let cnt = Threev.Counters.create ~nodes:16 in
-  let () =
-    for v = 1 to 2 do
-      for dst = 0 to 15 do
-        Threev.Counters.incr_r cnt ~version:v ~dst
-      done
-    done
+  let m = 512 in
+  let census = Threev.Counters.census () in
+  let tables = Array.init m (fun _ -> Threev.Counters.create ~census ~nodes:m) in
+  for p = 0 to m - 1 do
+    List.iter
+      (fun q ->
+        Threev.Counters.incr_r tables.(p) ~version:1 ~dst:q;
+        Threev.Counters.incr_c tables.(q) ~version:1 ~src:p)
+      [ (p + 1) mod m; ((7 * p) + 3) mod m ]
+  done;
+  let fold (rd : Repl.Quorum.round) =
+    Array.iteri
+      (fun i cnt ->
+        rd.rows.(i) <- Threev.Counters.sparse_r cnt ~version:1;
+        rd.cols.(i) <- Threev.Counters.sparse_c cnt ~version:1)
+      tables
   in
-  Test.make ~name:"e4: counter snapshot (16 nodes)"
+  let prev = Repl.Quorum.round m and cur = Repl.Quorum.round m in
+  Array.fill prev.replied 0 m true;
+  Array.fill cur.replied 0 m true;
+  fold prev;
+  Test.make ~name:"e4: counter poll round (512 members)"
     (Staged.stage (fun () ->
-         ignore (Threev.Counters.snapshot_r cnt ~version:1);
-         ignore (Threev.Counters.snapshot_c cnt ~version:1)))
+         fold cur;
+         ignore (Repl.Quorum.settled cur && Repl.Quorum.stable prev cur)))
 
 (* E5 family: lock manager acquire/release round for commute locks. *)
 let bench_lockmgr =

@@ -25,7 +25,30 @@
     GC'd versions, or versions opened ahead of the floor) spill to a
     hashtable with boxed rows; {!gc_below} advances the window and adopts
     spill rows it newly covers. Observable behaviour is identical to a
-    plain per-version hash table (see test/test_counters_equiv.ml). *)
+    plain per-version hash table (see test/test_counters_equiv.ml).
+
+    Census: the tables of one shard's members share a {!census}, which
+    counts, per version, the tables holding that version. A table
+    reports exactly where it creates a version's slot or spill row and
+    where {!gc_below} drops one, so the engine's ≤ 3-distinct-versions
+    check reads {!distinct} in O(1) instead of rescanning every member's
+    versions.
+
+    Polls: a coordinator poll reply carries {!sparse_r} and {!sparse_c},
+    the nonzero entries of a version's R row and C column, so a reply is
+    O(peers with traffic), not O(shard size). Each slot keeps the list of
+    peers it has traffic with, so neither a snapshot nor reusing the slot
+    for a new version costs O(shard size) either. *)
+
+(** A version census shared by a set of tables. *)
+type census
+
+(** [census ()] is an empty census. *)
+val census : unit -> census
+
+(** Number of distinct versions held by at least one table of the census.
+    O(1). *)
+val distinct : census -> int
 
 type t
 
@@ -34,9 +57,10 @@ type t
     advances. *)
 val window : int
 
-(** [create ~nodes] is a counter table for a node in an [nodes]-node system,
-    with no versions allocated yet. *)
-val create : nodes:int -> t
+(** [create ~census ~nodes] is a counter table for a node in an
+    [nodes]-node system, with no versions allocated yet, reporting to
+    [census]. *)
+val create : census:census -> nodes:int -> t
 
 (** [ensure_version t v] allocates zeroed R/C rows for version [v] if absent
     (paper §4.1 step 2 / §4.3 phase 1). *)
@@ -57,28 +81,30 @@ val r : t -> version:int -> dst:int -> int
     was never allocated. *)
 val c : t -> version:int -> src:int -> int
 
-(** [snapshot_r t ~version] is the R row for this node: index [q] holds
-    [R(version) self→q]. When the version was never allocated this is a
-    {e shared} all-zero row — treat every snapshot as immutable (the poll
-    path only ever reads them); allocated versions still return a fresh
-    copy because the live row keeps mutating after the snapshot. *)
-val snapshot_r : t -> version:int -> int array
+(** [sparse_r t ~version] is the R row for this node as a sparse vector
+    ({!Repl.Quorum.entry}): one packed entry (peer [q], [R(version)
+    self→q]) per nonzero count, [q] ascending. A version never allocated,
+    or one with no traffic, gives the empty array (which OCaml shares, so
+    such a reply allocates nothing). Always a fresh copy otherwise: the
+    live row keeps moving after the snapshot. *)
+val sparse_r : t -> version:int -> int array
 
-(** [snapshot_c t ~version] is the C column for this node: index [o] holds
-    [C(version) o→self]. Same sharing contract as {!snapshot_r}. *)
-val snapshot_c : t -> version:int -> int array
+(** [sparse_c t ~version] is the C column for this node in the same sparse
+    form: entries (peer [o], [C(version) o→self]), [o] ascending. *)
+val sparse_c : t -> version:int -> int array
 
 (** Versions currently allocated, ascending ([Int.compare]). Allocates and
-    sorts; prefer {!fold_versions} on hot paths. *)
+    sorts: the engine reads it only at node restart; the per-receipt
+    version check reads the {!census}. *)
 val versions : t -> int list
-
-(** [fold_versions t f init] folds [f] over the allocated versions in
-    {e unspecified order}, without sorting or building a list. Determinism
-    contract: [f] must be commutative over the version set (min, max, sum,
-    set accumulation) — anything order-sensitive must use {!versions}
-    instead. *)
-val fold_versions : t -> (int -> 'a -> 'a) -> 'a -> 'a
 
 (** [gc_below t v] drops counter storage for all versions < [v]
     (§4.3 phase 4). *)
 val gc_below : t -> int -> unit
+
+(** [census_versions ?excluding c] is the ascending list of versions held
+    by at least one table of [c] that is not in [excluding] (default: none,
+    so every version the census counts). [excluding] must list tables of
+    [c], each once. O(census × excluded tables): the engine passes only
+    its crashed replicas' tables. *)
+val census_versions : ?excluding:t list -> census -> int list

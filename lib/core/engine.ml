@@ -166,8 +166,10 @@ type msg =
           (** polls are namespaced by coordinator epoch: a restarted
               coordinator resets its round counter, so a pre-crash round-k
               reply must not satisfy the post-restart round k *)
-      r_row : int array;
-      c_col : int array;
+      r_nz : int array;
+      c_nz : int array;
+          (** the node's R row and C column for [version], nonzero entries
+              only ({!Counters.sparse_r}, {!Counters.sparse_c}) *)
     }
   | Mirror of { txn_id : int; version : int; source : int; op : Op.t }
       (** group-addressed replica mirror of one committed commuting write:
@@ -249,6 +251,9 @@ type coord = {
   cs_trigger : unit Ivar.t option Mailbox.t;
   cs_clog : Coord_log.t;  (** durable: survives coordinator crashes *)
   cs_live : Vwindow.t;  (** version -> requested-but-unterminated, this shard *)
+  cs_census : Counters.census;
+      (** the version census all member counter tables report to: the
+          shard's distinct counter versions, kept as they change *)
   mutable cs_epoch : int;  (** bumped on each coordinator recovery *)
   mutable cs_crash_gen : int;
       (** incremented by the crash hook; compared against [cs_seen_gen]
@@ -259,19 +264,16 @@ type coord = {
   mutable cs_vu : int;
   mutable cs_vr : int;
   mutable cs_poll_round : int;
-  cs_poll_bufs : (int array array * int array array) array;
-      (** two (r, c) matrix pairs, alternated by poll-round parity. The
-          quiescence loop only ever compares a round against the previous
-          one, so exactly two generations are live at once; reusing two
-          pre-allocated pairs removes the 2·m² fresh-matrix allocation per
-          poll round (megabytes of major-heap churn per round at 512+
-          nodes). Sized per shard: m = members, and a reply's nodes-wide
-          row/column is sliced to the shard's block (cross-shard counter
-          pairs are structurally zero — update trees never leave their
-          shard and read entries open self pairs on arrival). No zeroing
-          between rounds: a reply folds in by fully rewriting its R row
-          and C column, and [matrices_agree ~considered] reads only
-          rows/columns of members that replied. *)
+  cs_poll_bufs : Repl.Quorum.round array;
+      (** two rounds of sparse replies, alternated by poll-round parity.
+          The quiescence loop only ever compares a round against the
+          previous one, so exactly two generations are live at once. A
+          reply overwrites its member's R row and C column; no clearing
+          between rounds, because the decisions read only members that
+          replied (see {!Repl.Quorum.round}). Peer indices are shard-local
+          (cross-shard counter pairs are structurally zero — update trees
+          never leave their shard and read entries open self pairs on
+          arrival). *)
   mutable cs_advancements : int;
   mutable cs_updates_since_trigger : int;
   mutable cs_divergence_since_trigger : float;
@@ -382,57 +384,41 @@ let bump_c t node ~version ~src =
 
 let cstat t name = Counter_set.incr t.counters_live name ()
 
-(* Distinct version numbers with live counter state anywhere — the paper's
-   "three distinct numbers suffice" observation (§4). *)
-(* Dedup while folding: the union holds ≤ 4-ish versions, so linear
-   membership beats building a 3n-element list and sort_uniq-ing it —
-   this runs on every Start_advancement/Do_gc receipt under debug_checks,
-   i.e. O(nodes) times per advancement. *)
-let add_distinct v acc = if List.exists (fun w -> w = v) acc then acc else v :: acc
+(* The paper's "three distinct numbers suffice" observation (§4), per
+   shard: each shard's version timeline is independent. Read from the
+   shard's census, so the check runs in O(1) while the bound holds; only a
+   census over three versions lists them. Under replication the window
+   leaves out crashed members: a crashed replica's durable counters freeze,
+   so a quorum advancement running ahead of the outage keeps the dead
+   replica's stale versions in the census until restart adopts the group's
+   GC floor ({!restart_recover}). The paper's bound is about live state. *)
+let shard_window t ~shard =
+  let cs = t.cs.(shard) in
+  let excluding =
+    if t.cfg.replicas = 1 then []
+    else
+      (* lint: oracle-ok — a debug-check assertion about genuinely live
+         state (the paper's three-version bound), not a protocol decision:
+         ground truth is the point here. *)
+      Injector.down_nodes t.faults ~at:(Sim.now t.sim)
+      |> List.filter_map (fun i ->
+             if i >= cs.cs_lo && i < cs.cs_lo + cs.cs_n then Some t.nodes.(i).cnt
+             else None)
+  in
+  Counters.census_versions ~excluding cs.cs_census
 
-(* Fold [f] over the counter version sets of one shard's members —
-   or of every node when [shard] is the full range (the [shards = 1]
-   configuration and the public engine-wide probe). Each shard's version
-   timeline is independent, so the paper's ≤ 3 bound is a per-shard
-   statement; the global union is only meaningful at [shards = 1]. *)
-let window_over t ~lo ~n f init =
-  let acc = ref init in
-  for i = lo to lo + n - 1 do
-    acc := Counters.fold_versions t.nodes.(i).cnt f !acc
-  done;
-  !acc
-
-let version_window_shard t ~lo ~n =
-  window_over t ~lo ~n add_distinct [] |> List.sort Int.compare
-
-let version_window t = version_window_shard t ~lo:0 ~n:t.cfg.nodes
-
-(* Same, but only over replicas that are currently up. While a replica is
-   crashed its durable counters freeze, so a quorum advancement running
-   ahead of the outage transiently widens the engine-wide window with the
-   dead replica's stale versions; restart adopts the group's GC floor
-   ({!restart_recover}) and shrinks it back. The paper's three-version
-   bound is a statement about live state. *)
-let live_version_window_shard t ~lo ~n =
-  let now = Sim.now t.sim in
-  let acc = ref [] in
-  for i = lo to lo + n - 1 do
-    let node = t.nodes.(i) in
-    (* lint: oracle-ok — a debug-check assertion about genuinely live
-       state (the paper's three-version bound), not a protocol decision:
-       ground truth is the point here. *)
-    if not (Injector.down t.faults ~node:node.id ~at:now) then
-      acc := Counters.fold_versions node.cnt add_distinct !acc
-  done;
-  List.sort Int.compare !acc
+let version_window ?shard t =
+  match shard with
+  | Some shard -> shard_window t ~shard
+  | None ->
+      Array.fold_left
+        (fun acc cs -> List.rev_append (Counters.census_versions cs.cs_census) acc)
+        [] t.cs
+      |> List.sort_uniq Int.compare
 
 let check_version_window_shard t ~shard =
-  if t.cfg.debug_checks then begin
-    let lo = shard * t.per_shard and n = t.per_shard in
-    let window =
-      if t.cfg.replicas > 1 then live_version_window_shard t ~lo ~n
-      else version_window_shard t ~lo ~n
-    in
+  if t.cfg.debug_checks && Counters.distinct t.cs.(shard).cs_census > 3 then begin
+    let window = shard_window t ~shard in
     if List.length window > 3 then
       failwith
         (Printf.sprintf
@@ -1255,8 +1241,8 @@ let handle_node_msg t node = function
              version;
              round;
              epoch;
-             r_row = Counters.snapshot_r node.cnt ~version;
-             c_col = Counters.snapshot_c node.cnt ~version;
+             r_nz = Counters.sparse_r node.cnt ~version;
+             c_nz = Counters.sparse_c node.cnt ~version;
            })
   | Mirror { txn_id; version; source; op } ->
       (* Replica mirror of a committed commuting write: apply it to the
@@ -1494,10 +1480,11 @@ let await_acks t cs ~what ~resend ~matches =
   watch_end cs
 
 (* One asynchronous poll of all R rows / C columns for [version]. Returns
-   (r, c, got) with r.(p).(q) = R(version)pq, c.(p).(q) = C(version)pq and
-   got.(i) marking the nodes whose reply was folded in. Replies are matched
-   on (epoch, round, version) — the epoch namespaces rounds across
-   coordinator restarts — and counted per distinct node. The wait completes
+   the round's buffer ({!Repl.Quorum.round}): each replying member's sparse
+   R row and C column, and [replied.(i)] marking the members whose reply
+   was folded in. Replies are matched on (epoch, round, version) — the
+   epoch namespaces rounds across coordinator restarts — and counted per
+   distinct node. The wait completes
    once every {e required} node (see {!poll_required}) replied; a reply
    from an excused crashed replica that restarts mid-round is folded in
    anyway. *)
@@ -1509,8 +1496,9 @@ let poll_counters t cs ~version =
   broadcast t cs query;
   let n = cs.cs_n and lo = cs.cs_lo in
   let required = poll_required t cs in
-  let r, c = cs.cs_poll_bufs.(cs.cs_poll_round land 1) in
-  let got = Array.make n false in
+  let rd = cs.cs_poll_bufs.(cs.cs_poll_round land 1) in
+  let got = rd.Repl.Quorum.replied in
+  Array.fill got 0 n false;
   let needed = ref 0 in
   Array.iter (fun req -> if req then incr needed) required;
   watch_begin t cs
@@ -1523,24 +1511,18 @@ let poll_counters t cs ~version =
         got);
   while !needed > 0 do
     match coord_recv t cs with
-    | Counter_reply { from_node; version = v; round = rd; epoch = ep; r_row; c_col }
-      when v = version && rd = round && ep = epoch && from_node >= lo
+    | Counter_reply { from_node; version = v; round = r; epoch = ep; r_nz; c_nz }
+      when v = version && r = round && ep = epoch && from_node >= lo
            && from_node < lo + n ->
         let fi = from_node - lo in
         if got.(fi) then cstat t "proto.dup_acks"
         else begin
           got.(fi) <- true;
-          (* R(v)pq is stored at sender p; C(v)pq at executor q. Rows and
-             columns are shard-local (see {!cnt_ix}): index [q] is the
-             shard member at [lo + q], and cross-shard pairs do not exist
-             (update trees never leave their shard; read entries open self
-             pairs on arrival). *)
-          for q = 0 to n - 1 do
-            r.(fi).(q) <- r_row.(q)
-          done;
-          for p = 0 to n - 1 do
-            c.(p).(fi) <- c_col.(p)
-          done;
+          (* R(v)pq is stored at sender p; C(v)pq at executor q. Peer
+             indices are shard-local (see {!cnt_ix}): peer [q] is the
+             shard member at [lo + q]. *)
+          rd.rows.(fi) <- r_nz;
+          rd.cols.(fi) <- c_nz;
           if required.(fi) then decr needed
         end
     | Coord_wake -> ()
@@ -1553,7 +1535,7 @@ let poll_counters t cs ~version =
     | _ -> cstat t "proto.stale_msgs"
   done;
   watch_end cs;
-  (r, c, got)
+  rd
 
 (* Phase 2 / phase 4 core: poll until two consecutive polls are identical
    and show R = C pairwise — the repeated-snapshot stable-property
@@ -1580,17 +1562,12 @@ let await_quiescence t cs ?(vr_pending = false) ~version () =
     | _ -> 0
   in
   let rec go prev =
-    let r, c, got = poll_counters t cs ~version in
-    let settled = Repl.Quorum.matrices_agree ~considered:got r c in
+    let rd = poll_counters t cs ~version in
+    let settled = Repl.Quorum.settled rd in
     let stable =
-      match prev with
-      | Some (pr, pc, pg) ->
-          let both = Array.mapi (fun i g -> g && got.(i)) pg in
-          Repl.Quorum.matrices_agree ~considered:both pr r
-          && Repl.Quorum.matrices_agree ~considered:both pc c
-      | None -> false
+      match prev with Some prd -> Repl.Quorum.stable prd rd | None -> false
     in
-    let full = Array.for_all (fun g -> g) got in
+    let full = Array.for_all Fun.id rd.replied in
     let quiet = settled && (stable || not t.cfg.two_wave_quiescence) in
     let defer_stranded =
       quiet && (not full) && Vwindow.get cs.cs_live version <> 0
@@ -1617,7 +1594,7 @@ let await_quiescence t cs ?(vr_pending = false) ~version () =
     else begin
       Sim.sleep t.sim t.cfg.poll_interval;
       coord_check t cs;
-      go (Some (r, c, got))
+      go (Some rd)
     end
   in
   go None
@@ -1816,7 +1793,7 @@ let restart_recover t node =
   in
   let vu =
     List.fold_left
-      (fun acc m -> Counters.fold_versions t.nodes.(m).cnt max acc)
+      (fun acc m -> List.fold_left max acc (Counters.versions t.nodes.(m).cnt))
       initial_vu members
   in
   (* Adopt the group's GC floor before deriving the read version: a floor
@@ -1942,6 +1919,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
     | Some names when i < Array.length names -> names.(i)
     | _ -> Printf.sprintf "n%d" i
   in
+  let census = Array.init cfg.shards (fun _ -> Counters.census ()) in
   let nodes =
     Array.init cfg.nodes (fun i ->
         {
@@ -1951,7 +1929,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
           vu = 1;
           vr = 0;
           store = Mvstore.create ();
-          cnt = Counters.create ~nodes:per_shard;
+          cnt = Counters.create ~census:census.(i / per_shard) ~nodes:per_shard;
           locks = Lockmgr.create sim ~deadlock_timeout:cfg.deadlock_timeout ();
           local_cc = Semaphore.create 1;
           pendings = Hashtbl.create 64;
@@ -1977,6 +1955,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
           cs_trigger = Mailbox.create ();
           cs_clog = clog;
           cs_live = Vwindow.create ();
+          cs_census = census.(s);
           cs_epoch = 0;
           cs_crash_gen = 0;
           cs_seen_gen = 0;
@@ -1985,10 +1964,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
           cs_vu = initial_vu;
           cs_vr = initial_vr;
           cs_poll_round = 0;
-          cs_poll_bufs =
-            Array.init 2 (fun _ ->
-                ( Array.make_matrix per_shard per_shard 0,
-                  Array.make_matrix per_shard per_shard 0 ));
+          cs_poll_bufs = Array.init 2 (fun _ -> Repl.Quorum.round per_shard);
           cs_advancements = 0;
           cs_updates_since_trigger = 0;
           cs_divergence_since_trigger = 0.;

@@ -315,14 +315,22 @@ val delivered_seen_size : t -> int
     (the paper bounds this by 3). *)
 val max_versions_ever : t -> int
 
-(** Distinct version numbers currently live anywhere in the system (with
-    allocated counters), ascending. The paper notes that "a real
-    implementation could re-use old version numbers, employing only three
-    distinct numbers": this window never exceeds three entries, so a mod-3
-    encoding of version ids would be sound. Checked on every advancement
-    step when [debug_checks] is on. Under replication the invariant is
-    enforced over {e live} replicas only: a crashed replica's durable
-    counters freeze, so quorum advancements running ahead of an outage
-    transiently keep the dead replica's stale versions in this engine-wide
-    window until its restart adopts the group's GC floor. *)
-val version_window : t -> int list
+(** Distinct version numbers with allocated counters, ascending. The paper
+    notes that "a real implementation could re-use old version numbers,
+    employing only three distinct numbers": each shard's window never
+    exceeds three entries, so a mod-3 encoding of version ids would be
+    sound.
+
+    [version_window ~shard t] is the window the [debug_checks] assertion
+    tests on every [Start_advancement] and [Do_gc] receipt: the versions of
+    [shard]'s members, read from the shard's version census (kept by
+    {!Counters} as versions are created and collected, so the check is O(1)
+    while the bound holds). Under replication it covers {e live} members
+    only: a crashed replica's durable counters freeze, so quorum
+    advancements running ahead of the outage keep the dead replica's stale
+    versions until its restart adopts the group's GC floor; the crashed
+    members are the injector's crash windows at the current instant.
+
+    [version_window t], without [shard], is the union over every node, up
+    or down; it is meaningful as a three-version window at [shards = 1]. *)
+val version_window : ?shard:int -> t -> int list

@@ -49,6 +49,12 @@ let down t ~node ~at =
      | Some c when c = node -> coord_down t ~at
      | _ -> false)
 
+let down_nodes t ~at =
+  List.filter_map
+    (fun (n, from_, until_) -> if at >= from_ && at < until_ then Some n else None)
+    t.crash_windows
+  |> List.sort_uniq Int.compare
+
 let count t name ~src ~dst =
   Counter_set.incr t.counters (name ^ "s") ();
   Counter_set.incr t.counters (Printf.sprintf "%s[%d->%d]" name src dst) ()

@@ -103,6 +103,11 @@ val coord_crash : t -> at:float -> restart:float -> unit
     coordinator windows when [node] is the registered coordinator id. *)
 val down : t -> node:int -> at:float -> bool
 
+(** The nodes inside a crash window at virtual time [at], ascending and
+    distinct: the nodes [n] with [down t ~node:n ~at], coordinator
+    windows aside. *)
+val down_nodes : t -> at:float -> int list
+
 (** Is the coordinator inside a crash window at virtual time [at]? *)
 val coord_down : t -> at:float -> bool
 

@@ -34,8 +34,8 @@ let all =
             lib/shard path");
     ("R5", "missing .mli, undocumented export, or engine not implementing \
             Engine_intf");
-    ("R6", "ground-truth liveness oracle (Injector.down / coord_down) \
-            consulted from a lib/core / lib/repl / lib/shard path");
+    ("R6", "ground-truth liveness oracle (Injector.down / coord_down / \
+            down_nodes) consulted from a lib/core / lib/repl / lib/shard path");
     ("R7", "handler totality: a sent protocol constructor with no handler \
             branch, or a dispatch catch-all swallowing protocol messages");
     ("R8", "log-before-send: a phase-message send not dominated by a \
@@ -98,7 +98,7 @@ let r6_in_scope file =
 
 let r6_check ctx lid loc =
   match List.rev (Longident.flatten lid) with
-  | ("down" | "coord_down") :: "Injector" :: _ ->
+  | ("down" | "coord_down" | "down_nodes") :: "Injector" :: _ ->
       add ctx loc "R6"
         (Printf.sprintf
            "%s reads the fault plan's ground truth from protocol code; \

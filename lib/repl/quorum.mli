@@ -22,6 +22,40 @@ val dead_groups : Placement.t -> live:(int -> bool) -> int list
     fully-dead group). *)
 val required : Placement.t -> live:(int -> bool) -> bool array
 
-(** [matrices_agree ~considered a b] compares [a.(p).(q) = b.(p).(q)] only
-    over pairs with [considered.(p) && considered.(q)]. *)
-val matrices_agree : considered:bool array -> int array array -> int array array -> bool
+(** {2 Sparse counter vectors}
+
+    A poll reply carries a node's R row and C column for one version as
+    sparse vectors: the nonzero entries only, each packing a peer index
+    and its count into one int, ascending by peer. A packed entry orders
+    by peer first, so a vector sorted by peer is sorted as ints, and two
+    entries are equal exactly when both peer and count are. A vector is
+    never longer than the dense row. *)
+
+(** [entry ~peer ~count] packs one nonzero entry; [count] must stay below
+    [2{^40}]. *)
+val entry : peer:int -> count:int -> int
+
+(** One poll round's replies over a shard's [m] members, indexed by
+    member offset. [replied.(i)] says member [i]'s reply is in; then
+    [rows.(i)] is its sparse R row and [cols.(i)] its sparse C column
+    (what [Counters.sparse_r] and [sparse_c] build): an entry [(q, n)] of
+    [rows.(p)] is [R(v)pq = n], an entry [(p, n)] of [cols.(q)] is
+    [C(v)pq = n]. The decisions below read only members that replied, so a
+    round is reused by clearing [replied] alone. *)
+type round = {
+  rows : int array array;
+  cols : int array array;
+  replied : bool array;
+}
+
+(** [round m] is a round for [m] members with no replies. *)
+val round : int -> round
+
+(** [settled rd] holds iff [R(v)pq = C(v)pq] for every pair of members
+    that replied. O(m + nonzero entries). *)
+val settled : round -> bool
+
+(** [stable prev cur] holds iff the two rounds report the same R and C
+    entries over every pair of members that replied to both.
+    O(m + nonzero entries). *)
+val stable : round -> round -> bool

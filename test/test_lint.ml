@@ -162,6 +162,26 @@ let r5_engine_passes () =
   check_rules "engine including Engine_intf.S" ~config:engine_cfg
     ~filename:"lib/eng.mli" "(** Engine. *)\ntype t\ninclude Engine_intf.S" []
 
+(* ---------------------------------------------------------------- R6 *)
+
+let r6_fires () =
+  check_rules "crash-window probe in lib/core" ~filename:"lib/core/a.ml"
+    "let f t i = Injector.down t ~node:i ~at:0." [ "R6" ];
+  check_rules "coordinator probe in lib/repl" ~filename:"lib/repl/a.ml"
+    "let f t = Fault.Injector.coord_down t ~at:0." [ "R6" ];
+  check_rules "down-node list in lib/shard" ~filename:"lib/shard/a.ml"
+    "let f t = Injector.down_nodes t ~at:0." [ "R6" ]
+
+let r6_passes () =
+  check_rules "out-of-scope path" ~filename:"lib/harness/a.ml"
+    "let f t = Injector.down_nodes t ~at:0." [];
+  check_rules "another module's down" ~filename:"lib/core/a.ml"
+    "let f d i = Detector.down d i" []
+
+let r6_waived () =
+  check_rules "oracle-ok waiver" ~filename:"lib/core/a.ml"
+    "let f t = Injector.down_nodes t ~at:0. (* lint: oracle-ok fixture *)" []
+
 (* ---------------------------------------------------------------- R7 *)
 
 (* R7 is the cross-file pass: facts are joined over a whole source set, so
@@ -712,6 +732,12 @@ let () =
           Alcotest.test_case "waived" `Quick r5_waived;
           Alcotest.test_case "engine fires" `Quick r5_engine_fires;
           Alcotest.test_case "engine passes" `Quick r5_engine_passes;
+        ] );
+      ( "r6",
+        [
+          Alcotest.test_case "fires" `Quick r6_fires;
+          Alcotest.test_case "passes" `Quick r6_passes;
+          Alcotest.test_case "waived" `Quick r6_waived;
         ] );
       ( "r7",
         [

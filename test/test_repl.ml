@@ -107,15 +107,19 @@ let quorum_rules () =
   checkb "fully-dead group still required" true
     (req_dead.(3) && req_dead.(4) && req_dead.(5))
 
+(* R and C as dense matrices, decided by [Quorum.settled] over the round a
+   poll of them collects (R = a, C = b). *)
 let quorum_matrices_agree () =
   let a = [| [| 1; 2 |]; [| 3; 4 |] |] in
   let b = [| [| 1; 2 |]; [| 9; 4 |] |] in
+  let settled ~considered r c =
+    Quorum.settled (Version_oracle.round_of ~replied:considered ~r ~c)
+  in
   checkb "differ on a considered pair" true
-    (not (Quorum.matrices_agree ~considered:[| true; true |] a b));
+    (not (settled ~considered:[| true; true |] a b));
   checkb "difference at an excused row is ignored" true
-    (Quorum.matrices_agree ~considered:[| true; false |] a b);
-  checkb "equal matrices agree" true
-    (Quorum.matrices_agree ~considered:[| true; true |] a a)
+    (settled ~considered:[| true; false |] a b);
+  checkb "equal matrices agree" true (settled ~considered:[| true; true |] a a)
 
 (* ---------------------------------------------------------- recovery *)
 

@@ -23,20 +23,23 @@ let checkf msg = Alcotest.(check (float 1e-9)) msg
 (* ---------------------------------------------------------- counters *)
 
 let counters_basic () =
-  let c = Counters.create ~nodes:3 in
+  let c = Counters.create ~census:(Counters.census ()) ~nodes:3 in
   checki "zero" 0 (Counters.r c ~version:1 ~dst:2);
   Counters.incr_r c ~version:1 ~dst:2;
   Counters.incr_r c ~version:1 ~dst:2;
   Counters.incr_c c ~version:1 ~src:0;
   checki "r" 2 (Counters.r c ~version:1 ~dst:2);
   checki "c" 1 (Counters.c c ~version:1 ~src:0);
-  checkb "snapshot r" true (Counters.snapshot_r c ~version:1 = [| 0; 0; 2 |]);
-  checkb "snapshot c" true (Counters.snapshot_c c ~version:1 = [| 1; 0; 0 |]);
-  checkb "snapshot of unknown version is zeros" true
-    (Counters.snapshot_r c ~version:9 = [| 0; 0; 0 |])
+  (* Sparse snapshots hold one (peer, count) entry per nonzero count of
+     the dense row [| 0; 0; 2 |] and column [| 1; 0; 0 |]. *)
+  let entry peer count = Repl.Quorum.entry ~peer ~count in
+  checkb "snapshot r" true (Counters.sparse_r c ~version:1 = [| entry 2 2 |]);
+  checkb "snapshot c" true (Counters.sparse_c c ~version:1 = [| entry 0 1 |]);
+  checkb "snapshot of unknown version is empty" true
+    (Counters.sparse_r c ~version:9 = [||])
 
 let counters_gc () =
-  let c = Counters.create ~nodes:2 in
+  let c = Counters.create ~census:(Counters.census ()) ~nodes:2 in
   Counters.incr_r c ~version:1 ~dst:0;
   Counters.incr_r c ~version:2 ~dst:0;
   Counters.incr_r c ~version:3 ~dst:0;
@@ -758,6 +761,50 @@ let ablation_no_gc_acks_breaks_bound () =
   ignore (Sim.run sim ~until:10.0 ());
   checkb "bound exceeded without acks" true (Engine.max_versions_ever eng > 3)
 
+(* The debug check itself must fire. Ablation A2's fire-and-forget run
+   (hospital at 1,500 txn/s, 10 ms exponential links, 20 ms periodic
+   advancement, 5 ms polls, no GC acks) with [debug_checks] on opens a
+   fourth version in shard 0; the census-backed check must stop the run
+   on the node and with the message the full member rescan did. The
+   replicated variant takes the live-only path. *)
+let three_version_check_fires () =
+  let expect ~nodes ~replicas ~node =
+    let gen =
+      Workload.Hospital.generator
+        {
+          (Workload.Hospital.default ~nodes) with
+          Workload.Hospital.arrival_rate = 1500.;
+        }
+    in
+    let cfg =
+      {
+        (Harness.Scenario.v3 ~latency:(Latency.Exponential 0.01) ~nodes
+           (Policy.Periodic 0.02))
+        with
+        Engine.replicas;
+        poll_interval = 0.005;
+        await_gc_acks = false;
+        debug_checks = true;
+      }
+    in
+    let setup =
+      { Harness.Runner.default_setup with seed = 121; duration = 1.5; settle = 3.0 }
+    in
+    match Harness.Scenario.drive (V3 cfg) gen setup with
+    | _ -> Alcotest.failf "replicas = %d: the run did not fail" replicas
+    | exception Sim.Process_failure (name, Failure msg) ->
+        Alcotest.(check string)
+          (Printf.sprintf "replicas = %d: failing node" replicas)
+          node name;
+        Alcotest.(check string)
+          (Printf.sprintf "replicas = %d: message" replicas)
+          "3V invariant violation: 4 distinct versions live (0,1,2,3) in \
+           shard 0; version numbers could not be re-used mod 3"
+          msg
+  in
+  expect ~nodes:5 ~replicas:1 ~node:"node-n1";
+  expect ~nodes:6 ~replicas:3 ~node:"node-n3"
+
 let ablation_single_poll_still_detects_activity () =
   (* Even in single-poll mode the coordinator must not declare while a
      straggler is visibly outstanding: quiescence requires R = C, and a
@@ -1008,6 +1055,8 @@ let () =
         [
           Alcotest.test_case "no GC acks breaks bound" `Slow
             ablation_no_gc_acks_breaks_bound;
+          Alcotest.test_case "≤3-version check fires" `Quick
+            three_version_check_fires;
           Alcotest.test_case "single poll still waits for stragglers" `Quick
             ablation_single_poll_still_detects_activity;
         ] );
