@@ -63,6 +63,24 @@ let bench_store_write =
               ~version:1 ~init:Value.empty
               ~f:(Value.incr ~txn:!i ~delta:1.))))
 
+(* E2 family: phase-4 GC over 4k items, 64 of them given a new version
+   before each GC, as the engine's writes do between advancements. *)
+let bench_store_gc =
+  let store = Mvstore.create () in
+  let keys = Array.init 4096 (Printf.sprintf "k%d") in
+  Array.iter
+    (fun key -> ignore (Mvstore.write_upward store ~key ~version:0 ~init:0 ~f:succ))
+    keys;
+  let version = ref 0 in
+  Test.make ~name:"e2: mvstore gc (4k items, 64 multi-version)"
+    (Staged.stage (fun () ->
+         incr version;
+         for i = 0 to 63 do
+           ignore
+             (Mvstore.write_upward store ~key:keys.(i * 64) ~version:!version ~init:0 ~f:succ)
+         done;
+         Mvstore.gc store ~new_read_version:!version))
+
 (* E4 family: one coordinator poll round over a 512-member shard, as the
    engine runs it: every member's sparse R row and C column folded into a
    round, then the settled and stable decisions. Each member has requests
@@ -143,23 +161,44 @@ let bench_staleness =
     (Staged.stage (fun () ->
          ignore (Checker.Staleness.measure (Lazy.force checker_history))))
 
-(* E6/E7 family: the simulation kernel itself. *)
+(* E6/E7 family: the simulation kernel itself, on the engine's mix of
+   events, 60% at the current instant and 40% timed. 25 pairs of processes
+   play 10 rounds of mailbox ping-pong; a round wakes both receivers and
+   yields once, then each player sleeps four times. A sleep is a timed
+   event plus its same-instant resume and a yield two same-instant events,
+   so a round is 12 same-instant events and 8 timed ones. *)
 let bench_sim_kernel =
   Test.make ~name:"e7: sim kernel 5k events"
     (Staged.stage (fun () ->
          let sim = Sim.create () in
-         for i = 1 to 100 do
-           Sim.spawn sim ~name:(string_of_int i) (fun () ->
-               for _ = 1 to 50 do
-                 Sim.sleep sim 0.001
+         let nap () =
+           for _ = 1 to 4 do
+             Sim.sleep sim 0.001
+           done
+         in
+         for _ = 1 to 25 do
+           let ping = Simul.Mailbox.create () and pong = Simul.Mailbox.create () in
+           Sim.spawn sim (fun () ->
+               for i = 1 to 10 do
+                 Simul.Mailbox.send ping i;
+                 ignore (Simul.Mailbox.recv sim pong : int);
+                 Sim.yield sim;
+                 nap ()
+               done);
+           Sim.spawn sim (fun () ->
+               for i = 1 to 10 do
+                 ignore (Simul.Mailbox.recv sim ping : int);
+                 Simul.Mailbox.send pong i;
+                 nap ()
                done)
          done;
          ignore (Sim.run sim ())))
 
 let micro_tests =
   [
-    bench_table1; bench_small_run; bench_store_write; bench_counter_poll;
-    bench_lockmgr; bench_checker; bench_staleness; bench_sim_kernel;
+    bench_table1; bench_small_run; bench_store_write; bench_store_gc;
+    bench_counter_poll; bench_lockmgr; bench_checker; bench_staleness;
+    bench_sim_kernel;
   ]
 
 let run_micro () =

@@ -98,7 +98,8 @@ val coalesced_deliveries : 'm t -> int
     run. (A straggler duplicate still in flight when its record is pruned
     would be double-counted in {!messages_delivered} — a bounded statistics
     skew, never protocol-visible, since receiver-side dedup lives in the
-    reliable channel's own [seen] table.) *)
+    reliable channel's own per-stream delivered floor, which a pruned
+    record's sequence is already at or below.) *)
 val forget_delivered : 'm t -> src:int -> seq:int -> dst:int -> unit
 
 (** Current number of (src, seq, dst) delivery-dedup records retained.

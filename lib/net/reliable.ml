@@ -18,7 +18,11 @@ type 'm t = {
   cfg : config;
   next_seq : (int * int, int) Hashtbl.t;  (** (src, dst) -> last allocated *)
   pending : (int * int * int, 'm) Hashtbl.t;  (** (src, dst, seq) unacked *)
-  seen : (int * int * int, unit) Hashtbl.t;  (** (receiver, src, seq) *)
+  recv_floor : (int * int, int) Hashtbl.t;
+      (** (receiver, src) -> highest seq with every seq at or below it
+          delivered; the receiver-side dedup *)
+  recv_ahead : (int * int * int, unit) Hashtbl.t;
+      (** (receiver, src, seq) delivered past a gap, waiting for the floor *)
   ack_floor : (int * int, int) Hashtbl.t;
       (** (src, dst) -> highest seq with every seq at or below it acked;
           the network's delivery-dedup records are pruned up to it *)
@@ -44,7 +48,8 @@ let create ?(config = default_config) net =
     cfg = config;
     next_seq = Hashtbl.create 64;
     pending = Hashtbl.create 256;
-    seen = Hashtbl.create 1024;
+    recv_floor = Hashtbl.create 64;
+    recv_ahead = Hashtbl.create 64;
     ack_floor = Hashtbl.create 64;
     acked_ahead = Hashtbl.create 64;
     retransmissions = 0;
@@ -57,30 +62,37 @@ let network t = t.net
 let retransmissions t = t.retransmissions
 let dup_dropped t = t.dup_dropped
 let acks_sent t = t.acks_sent
-let unacked t = Hashtbl.length t.pending
+let dedup_size t = Hashtbl.length t.recv_ahead
 
 let ack_floor t ~src ~dst =
   match Hashtbl.find_opt t.ack_floor (src, dst) with Some f -> f | None -> 0
 
-(* Advance the (src, dst) ack floor through newly-contiguous acks and prune
-   the network's delivery-dedup records behind it. Acked sequences are
-   contiguous from 1 save for reordering gaps, so the floor walk touches
-   each sequence exactly once over a stream's lifetime — O(1) amortised. *)
-let advance_ack_floor t ~src ~dst ~seq =
-  let key = (src, dst) in
-  let f = match Hashtbl.find_opt t.ack_floor key with Some f -> f | None -> 0 in
-  if seq > f then
-    if seq = f + 1 then begin
-      Network.forget_delivered t.net ~src ~seq ~dst;
-      let nf = ref seq in
-      while Hashtbl.mem t.acked_ahead (src, dst, !nf + 1) do
-        incr nf;
-        Hashtbl.remove t.acked_ahead (src, dst, !nf);
-        Network.forget_delivered t.net ~src ~seq:!nf ~dst
-      done;
-      Hashtbl.replace t.ack_floor key !nf
-    end
-    else Hashtbl.replace t.acked_ahead (src, dst, seq) ()
+(* One side's record of the sequences it has seen on each stream: [floors]
+   maps a stream to the highest sequence with every one at or below it
+   seen, [ahead] holds the sequences seen past a gap. Sequences arrive
+   contiguous from 1 save for loss and reordering gaps, so the floor walk
+   touches each sequence once over a stream's lifetime (O(1) amortised) and
+   [ahead] holds only the gap window. [passed s] runs for each sequence the
+   floor walks over. False if [seq] was seen before. *)
+let record floors ahead ((a, b) as stream) seq ~passed =
+  let f = match Hashtbl.find_opt floors stream with Some f -> f | None -> 0 in
+  if seq <= f then false
+  else if seq = f + 1 then begin
+    passed seq;
+    let nf = ref seq in
+    while Hashtbl.mem ahead (a, b, !nf + 1) do
+      incr nf;
+      Hashtbl.remove ahead (a, b, !nf);
+      passed !nf
+    done;
+    Hashtbl.replace floors stream !nf;
+    true
+  end
+  else if Hashtbl.mem ahead (a, b, seq) then false
+  else begin
+    Hashtbl.replace ahead (a, b, seq) ();
+    true
+  end
 
 let unacked_to t ~dst =
   (* lint: hash-order-ok — a commutative integer count; the fold's result
@@ -124,17 +136,20 @@ let rec recv t ~node =
            ack survives the network. *)
         t.acks_sent <- t.acks_sent + 1;
         Network.send t.net ~src:node ~dst:src (Ack { src = node; seq });
-        if Hashtbl.mem t.seen (node, src, seq) then begin
+        if record t.recv_floor t.recv_ahead (node, src) seq ~passed:ignore then
+          body
+        else begin
           t.dup_dropped <- t.dup_dropped + 1;
           recv t ~node
-        end
-        else begin
-          Hashtbl.replace t.seen (node, src, seq) ();
-          body
         end
       end
   | Ack { src = acker; seq } ->
       (* We (node) sent (node, acker, seq); it arrived. *)
       Hashtbl.remove t.pending (node, acker, seq);
-      advance_ack_floor t ~src:node ~dst:acker ~seq;
+      (* As the ack floor advances, prune the network's delivery-dedup
+         records behind it. *)
+      ignore
+        (record t.ack_floor t.acked_ahead (node, acker) seq ~passed:(fun seq ->
+             Network.forget_delivered t.net ~src:node ~seq ~dst:acker)
+          : bool);
       recv t ~node

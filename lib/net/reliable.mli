@@ -14,7 +14,9 @@
       and is acknowledged by the receiver on arrival;
     - the receiver drops packets whose (src, seq) it has already delivered
       (the durable-inbox idempotency pattern), so retransmissions and
-      network-duplicated copies are invisible to the application;
+      network-duplicated copies are invisible to the application; it keeps
+      a contiguous delivered floor per stream and the sequences above it,
+      as the sender does for acks;
     - with [retransmit = true] an unacknowledged packet is re-sent after
       [timeout], then [timeout * backoff], ... capped at [max_backoff].
 
@@ -68,9 +70,12 @@ val dup_dropped : 'm t -> int
 (** Acknowledgement packets sent. *)
 val acks_sent : 'm t -> int
 
-(** Data packets currently sent but not yet acknowledged (0 when [acks] is
-    off). *)
-val unacked : 'm t -> int
+(** Receiver-side dedup records held one by one: sequences delivered past
+    a gap in their [(src, dst)] stream. Each stream also keeps one
+    contiguous delivered floor, and a sequence counts as already delivered
+    if it is at or below its floor or held here, so this stays within the
+    reordering and loss window, not the run (0 when [acks] is off). *)
+val dedup_size : 'm t -> int
 
 (** Unacknowledged data packets addressed to [dst] — the catch-up backlog a
     crashed node is still owed. A recovering replica is fully caught up

@@ -84,14 +84,10 @@ let pop_min h =
     data.(0) <- h.dummy;
   min
 
-let peek_min h = if h.size = 0 then None else Some h.data.(0)
+let top h = if h.size = 0 then raise Not_found else h.data.(0)
 
 (* Keep the backing array (capacity reuse for the steady-state event loop),
    but clear every slot so cleared elements become collectable. *)
 let clear h =
   Array.fill h.data 0 (Array.length h.data) h.dummy;
   h.size <- 0
-
-let to_list h =
-  let rec take i acc = if i < 0 then acc else take (i - 1) (h.data.(i) :: acc) in
-  take (h.size - 1) []

@@ -35,12 +35,11 @@ val add : 'a t -> 'a -> unit
     @raise Not_found if the heap is empty. *)
 val pop_min : 'a t -> 'a
 
-(** [peek_min h] returns the minimum element without removing it. *)
-val peek_min : 'a t -> 'a option
+(** [top h] returns the minimum element without removing it. Allocates
+    nothing, so an event loop can test the next element on every iteration.
+    @raise Not_found if the heap is empty. *)
+val top : 'a t -> 'a
 
 (** [clear h] removes every element. Capacity is retained; every slot is
     reset to [dummy]. *)
 val clear : 'a t -> unit
-
-(** [to_list h] is all elements in unspecified order (snapshot). *)
-val to_list : 'a t -> 'a list

@@ -14,14 +14,20 @@ type proc = {
 
 type event = { at : float; seq : int; run : unit -> unit }
 
+(* Two queues, one total order (see the interface): [queue] holds the events
+   after the clock, [ring] the closures of those at it, in push order. A
+   heap event at the clock was pushed before the clock got there, so its
+   [seq] is below that of every ring event. *)
 type t = {
   mutable clock : float;
   mutable seq : int;
   mutable next_pid : int;
   mutable executed : int;
-  mutable current : proc option;
   mutable failure : (string * exn) option;
   queue : event Heap.t;
+  mutable ring : (unit -> unit) array;  (* capacity a power of two *)
+  mutable ring_head : int;
+  mutable ring_len : int;
   procs : (int, proc) Hashtbl.t;
   random : Random.State.t;
 }
@@ -43,9 +49,11 @@ let create ?(seed = 42) ?(queue_capacity = 16) () =
     seq = 0;
     next_pid = 0;
     executed = 0;
-    current = None;
     failure = None;
     queue = Heap.create ~capacity:queue_capacity ~dummy:dummy_event ~leq:leq_event ();
+    ring = Array.make 64 ignore;
+    ring_head = 0;
+    ring_len = 0;
     procs = Hashtbl.create 64;
     random = Random.State.make [| seed |];
   }
@@ -56,9 +64,40 @@ let events_executed t = t.executed
 let last_seq t = t.seq
 let tally_coalesced t ~extra = t.executed <- t.executed + extra
 
-let push t ~at run =
+let grow_ring t =
+  let cap = Array.length t.ring in
+  let ring = Array.make (2 * cap) ignore in
+  for i = 0 to t.ring_len - 1 do
+    ring.(i) <- t.ring.((t.ring_head + i) land (cap - 1))
+  done;
+  t.ring <- ring;
+  t.ring_head <- 0
+
+let push_now t run =
   t.seq <- t.seq + 1;
-  Heap.add t.queue { at; seq = t.seq; run }
+  if t.ring_len = Array.length t.ring then grow_ring t;
+  let ring = t.ring in
+  ring.((t.ring_head + t.ring_len) land (Array.length ring - 1)) <- run;
+  t.ring_len <- t.ring_len + 1
+
+(* The vacated slot is reset to [ignore], so an executed closure (and the
+   continuation it captures) is collectable as soon as it is popped. *)
+let pop_now t =
+  let ring = t.ring in
+  let run = ring.(t.ring_head) in
+  ring.(t.ring_head) <- ignore;
+  t.ring_head <- (t.ring_head + 1) land (Array.length ring - 1);
+  t.ring_len <- t.ring_len - 1;
+  run
+
+(* Routing tests [at], not the delay: a positive delay too small to move the
+   clock lands on the current instant and belongs in the FIFO. *)
+let push t ~at run =
+  if at = t.clock then push_now t run
+  else begin
+    t.seq <- t.seq + 1;
+    Heap.add t.queue { at; seq = t.seq; run }
+  end
 
 let schedule t ?(delay = 0.) f =
   assert (delay >= 0.);
@@ -71,13 +110,12 @@ let suspend _t register = perform (Suspend register)
 
 let sleep t d =
   assert (d >= 0.);
-  suspend t (fun waker -> push t ~at:(t.clock +. d) (fun () -> waker ()))
+  suspend t (fun waker -> push t ~at:(t.clock +. d) waker)
 
-let yield t = suspend t (fun waker -> push t ~at:t.clock (fun () -> waker ()))
+let yield t = suspend t (fun waker -> push_now t waker)
 
 (* Run [body] as a coroutine attached to [proc]. Suspension registers a waker
-   that re-enters the event loop; resumption restores [t.current] so nested
-   suspensions keep the right process attribution. *)
+   that re-enters the event loop. *)
 let start_process t proc body =
   let fiber () =
     match_with body ()
@@ -110,21 +148,15 @@ let start_process t proc body =
                           (Printf.sprintf "Sim: waker for process %S invoked twice"
                              (Lazy.force proc.pname));
                       fired := true;
-                      push t ~at:t.clock (fun () ->
+                      push_now t (fun () ->
                           proc.blocked <- false;
-                          let saved = t.current in
-                          t.current <- Some proc;
-                          continue k v;
-                          t.current <- saved)
+                          continue k v)
                     in
                     register waker)
             | _ -> None);
       }
   in
-  let saved = t.current in
-  t.current <- Some proc;
-  fiber ();
-  t.current <- saved
+  fiber ()
 
 let spawn t ?(daemon = false) ?name ?namef body =
   t.next_pid <- t.next_pid + 1;
@@ -137,7 +169,7 @@ let spawn t ?(daemon = false) ?name ?namef body =
   in
   let proc = { pid; pname; daemon; blocked = false; finished = false } in
   Hashtbl.replace t.procs pid proc;
-  push t ~at:t.clock (fun () -> start_process t proc body)
+  push_now t (fun () -> start_process t proc body)
 
 let stalled_names t =
   Hashtbl.fold
@@ -150,21 +182,26 @@ let stalled_names t =
 
 let run t ?until () =
   let horizon = match until with None -> infinity | Some u -> u in
+  let q = t.queue in
   let rec loop () =
-    match Heap.peek_min t.queue with
-    | None -> (
-        match stalled_names t with [] -> Completed | names -> Stalled names)
-    | Some ev when ev.at > horizon -> Hit_limit
-    | Some _ ->
-        let ev = Heap.pop_min t.queue in
-        if ev.at < t.clock then
-          invalid_arg "Sim: event scheduled in the past";
+    if t.ring_len > 0 && (Heap.is_empty q || (Heap.top q).at > t.clock) then
+      if t.clock > horizon then Hit_limit else step (pop_now t)
+    else if Heap.is_empty q then
+      match stalled_names t with [] -> Completed | names -> Stalled names
+    else
+      let ev = Heap.top q in
+      if ev.at > horizon then Hit_limit
+      else begin
+        ignore (Heap.pop_min q : event);
+        if ev.at < t.clock then invalid_arg "Sim: event scheduled in the past";
         t.clock <- ev.at;
-        t.executed <- t.executed + 1;
-        ev.run ();
-        (match t.failure with
-        | Some (name, exn) -> raise (Process_failure (name, exn))
-        | None -> ());
-        loop ()
+        step ev.run
+      end
+  and step run =
+    t.executed <- t.executed + 1;
+    run ();
+    match t.failure with
+    | Some (name, exn) -> raise (Process_failure (name, exn))
+    | None -> loop ()
   in
   loop ()

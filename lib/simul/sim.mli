@@ -1,10 +1,20 @@
 (** Deterministic discrete-event simulation kernel.
 
-    A simulation owns a virtual clock and an event queue. Green processes are
-    OCaml 5 effect-handler coroutines: a process suspends by registering a
-    {e waker}; invoking the waker schedules the continuation at the current
-    virtual time. Events with equal timestamps are ordered by insertion
-    sequence, so a run with a fixed seed is fully deterministic.
+    A simulation owns a virtual clock and one total order of events: by
+    time, then by insertion sequence, so a run with a fixed seed is fully
+    deterministic. Green processes are OCaml 5 effect-handler coroutines: a
+    process suspends by registering a {e waker}; invoking the waker
+    schedules the continuation at the current virtual time.
+
+    The order is kept by two queues. An event for a later time waits in a
+    binary heap keyed by [(time, sequence)]. An event for the current time
+    (a waker, a yield, a spawn, a schedule whose delay does not move the
+    clock; most events of a run) joins a FIFO instead, with no heap
+    operation. A heap event at the current time was scheduled before the
+    clock got there, so it precedes every FIFO event: the loop runs those
+    first, then the FIFO, and only then advances the clock. Sequence
+    numbers are drawn on every push to either queue, so {!last_seq} means
+    the same as with a single heap.
 
     All of the distributed machinery in this repository (nodes, messages,
     transactions, the version-advancement coordinator) runs as processes on
@@ -27,9 +37,10 @@ exception Process_failure of string * exn
 (** [create ?seed ?queue_capacity ()] is a fresh simulation whose RNG is
     seeded with [seed] (default 42). [queue_capacity] pre-sizes the event
     heap's backing array (default 16, grown by doubling): pass the expected
-    steady-state number of in-flight events — e.g. derived from the
-    configured arrival rate — to avoid growth copies during a run.
-    Capacity never affects scheduling order. *)
+    steady-state number of events pending for later times — e.g. derived
+    from the configured arrival rate — to avoid growth copies during a run.
+    The current-time FIFO grows by doubling on its own. Capacity never
+    affects scheduling order. *)
 val create : ?seed:int -> ?queue_capacity:int -> unit -> t
 
 (** Current virtual time, in seconds. *)
@@ -38,10 +49,10 @@ val now : t -> float
 (** The simulation's deterministic random state. *)
 val rng : t -> Random.State.t
 
-(** Number of simulated events executed so far. Counts heap pops plus any
-    deliveries reported via {!tally_coalesced}, so a batched drain of [k]
-    same-instant messages counts as [k] events — identical to scheduling
-    them individually. *)
+(** Number of simulated events executed so far. Counts events run from
+    either queue plus any deliveries reported via {!tally_coalesced}, so a
+    batched drain of [k] same-instant messages counts as [k] events —
+    identical to scheduling them individually. *)
 val events_executed : t -> int
 
 (** Sequence number of the most recently scheduled event. Two equal-time

@@ -11,7 +11,14 @@
       subtransaction arrives after a version switch (§2.3).
     - {e Garbage collection} (§4.3 phase 4): given the new read version [vr],
       if [x(vr)] exists all earlier versions are dropped; otherwise the
-      latest earlier version is relabelled [vr].
+      latest earlier version is relabelled [vr]. Only items holding two or
+      more versions have anything to drop, so the store keeps a list of
+      them (an item joins it when a write gives it a second version, or
+      creates it below the current floor) and [gc] trims just those. A
+      single-version item below [vr] is relabelled on its first touch after
+      the GC, by whichever accessor reaches it first, so every read,
+      {!versions_of}, {!fold} and the counters see exactly the result of
+      relabelling every item at GC time.
 
     The store also instruments itself so the paper's ≤3-simultaneous-versions
     property (§4.4, property 2a) is checkable: {!max_versions_ever}. *)
@@ -57,7 +64,8 @@ val write_upward :
 val write_exact :
   'v t -> key:string -> version:int -> init:'v -> f:('v -> 'v) -> write_info
 
-(** [gc t ~new_read_version] applies phase-4 garbage collection (see above). *)
+(** [gc t ~new_read_version] applies phase-4 garbage collection (see above).
+    Its cost is in the number of multi-version items, not the store's size. *)
 val gc : 'v t -> new_read_version:int -> unit
 
 (** Highest [new_read_version] ever garbage-collected to (0 before any GC).

@@ -213,13 +213,15 @@ let delivered_seen_stays_bounded () =
   in
   let n = 2000 in
   let got = ref [] in
-  let peak_seen = ref 0 in
+  let peak_seen = ref 0 and peak_dedup = ref 0 in
   Sim.spawn sim ~daemon:true (fun () ->
       let rec loop () =
         let m = Reliable.recv ch ~node:1 in
         got := m :: !got;
         if Network.delivered_seen_size net > !peak_seen then
           peak_seen := Network.delivered_seen_size net;
+        if Reliable.dedup_size ch > !peak_dedup then
+          peak_dedup := Reliable.dedup_size ch;
         loop ()
       in
       loop ());
@@ -247,7 +249,12 @@ let delivered_seen_stays_bounded () =
      table ends the run holding all [n] records and never shrinks. *)
   checkb "seen table bounded at peak" true (!peak_seen < n / 4);
   checkb "seen table near-empty at quiescence" true
-    (Network.delivered_seen_size net < 50)
+    (Network.delivered_seen_size net < 50);
+  (* The receiver's own dedup holds only the sequences delivered past a
+     loss gap: it grew by one record per delivery, [n] at the end, before
+     it kept a contiguous floor per stream. *)
+  checkb "dedup bounded at peak" true (!peak_dedup < n / 4);
+  checkb "dedup near-empty at quiescence" true (Reliable.dedup_size ch < 50)
 
 let zero_size_rejected () =
   let sim = Sim.create () in

@@ -228,11 +228,156 @@ let enumeration_order_independent =
       && List.map (fun (k, v, _) -> (k, v)) (triples forward)
          = List.map (fun (k, v, _) -> (k, v)) (triples backward))
 
+(* ------------------------------------------------ eager-sweep oracle *)
+
+(* The lazy store keeps a list of the items GC must visit and relabels a
+   single-version item on its first touch; [Mvstore_oracle] is the store as
+   it was, sweeping every item on every [gc]. Every result and counter must
+   agree after every op, at versions below and above the floor. *)
+module type STORE = sig
+  type 'v t
+
+  val read_visible : 'v t -> key:string -> version:int -> (int * 'v) option
+  val read_exact : 'v t -> key:string -> version:int -> 'v option
+  val exists_above : 'v t -> key:string -> version:int -> bool
+
+  val write_upward :
+    'v t -> key:string -> version:int -> init:'v -> f:('v -> 'v) -> Mvstore.write_info
+
+  val write_exact :
+    'v t -> key:string -> version:int -> init:'v -> f:('v -> 'v) -> Mvstore.write_info
+
+  val gc : 'v t -> new_read_version:int -> unit
+  val gc_floor : 'v t -> int
+  val versions_of : 'v t -> key:string -> int list
+  val keys : 'v t -> string list
+  val fold : 'v t -> init:'a -> f:('a -> string -> int -> 'v -> 'a) -> 'a
+  val max_versions_ever : 'v t -> int
+  val copies_created : 'v t -> int
+  val dual_writes : 'v t -> int
+end
+
+(* Versions are offsets from the floor when the op runs, so both sides of
+   it are reached however far GC has moved it. *)
+type store_op =
+  | Up of int * int
+  | Exact of int * int
+  | Collect of int  (** [gc] at floor + d: raises the floor iff d > 0 *)
+  | Visible of int * int
+  | Exact_read of int * int
+  | Above of int * int
+  | Versions of int
+  | Keys
+  | Fold
+
+module Apply (S : STORE) = struct
+  let info (i : Mvstore.write_info) =
+    Printf.sprintf "copy=%b updated=%d item=%b" i.created_copy i.versions_updated
+      i.created_item
+
+  let opt f = function None -> "none" | Some x -> f x
+  let key k = string_of_int k
+
+  (* Op [i]'s result as text, then the counters. *)
+  let op s i o =
+    let at d = S.gc_floor s + d and f v = (31 * v) + i in
+    let result =
+      match o with
+      | Up (k, d) ->
+          info (S.write_upward s ~key:(key k) ~version:(at d) ~init:(100 * i) ~f)
+      | Exact (k, d) ->
+          info (S.write_exact s ~key:(key k) ~version:(at d) ~init:(100 * i) ~f)
+      | Collect d ->
+          S.gc s ~new_read_version:(at d);
+          "gc"
+      | Visible (k, d) ->
+          S.read_visible s ~key:(key k) ~version:(at d)
+          |> opt (fun (v, x) -> Printf.sprintf "%d:%d" v x)
+      | Exact_read (k, d) -> opt string_of_int (S.read_exact s ~key:(key k) ~version:(at d))
+      | Above (k, d) -> string_of_bool (S.exists_above s ~key:(key k) ~version:(at d))
+      | Versions k -> String.concat "," (List.map string_of_int (S.versions_of s ~key:(key k)))
+      | Keys -> String.concat "," (S.keys s)
+      | Fold ->
+          S.fold s ~init:[] ~f:(fun acc k v x -> Printf.sprintf "%s/%d/%d" k v x :: acc)
+          |> String.concat " "
+    in
+    Printf.sprintf "%s | floor=%d max=%d copies=%d duals=%d" result (S.gc_floor s)
+      (S.max_versions_ever s) (S.copies_created s) (S.dual_writes s)
+end
+
+module Lazy_store = Apply (Mvstore)
+module Eager_store = Apply (Mvstore_oracle)
+
+let gen_store_op =
+  QCheck.Gen.(
+    let k = int_bound 3 and d = int_range (-3) 3 in
+    frequency
+      [
+        (4, map2 (fun k d -> Up (k, d)) k d);
+        (2, map2 (fun k d -> Exact (k, d)) k d);
+        (3, map (fun d -> Collect d) (int_range (-2) 2));
+        (2, map2 (fun k d -> Visible (k, d)) k d);
+        (1, map2 (fun k d -> Exact_read (k, d)) k d);
+        (1, map2 (fun k d -> Above (k, d)) k d);
+        (1, map (fun k -> Versions k) k);
+        (1, return Keys);
+        (1, return Fold);
+      ])
+
+let gc_list_matches_sweep =
+  QCheck.Test.make ~name:"lazy gc == eager sweep" ~count:1000
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) gen_store_op))
+    (fun ops ->
+      let lazy_s = Mvstore.create () and eager = Mvstore_oracle.create () in
+      List.iteri
+        (fun i o ->
+          let a = Lazy_store.op lazy_s i o and b = Eager_store.op eager i o in
+          if a <> b then QCheck.Test.fail_reportf "op %d: lazy %S, eager %S" i a b)
+        ops;
+      true)
+
+(* One GC over 100k single-version items and 8 multi-version ones visits
+   the 8: the sweep it replaces allocated a fresh version cell for every
+   item it relabelled. *)
+let gc_visits_only_multi_version_items () =
+  let build () =
+    let s = Mvstore.create () and o = Mvstore_oracle.create () in
+    for i = 0 to 99_999 do
+      let key = string_of_int i in
+      ignore (put s ~key ~version:0 i);
+      ignore (Mvstore_oracle.write_exact o ~key ~version:0 ~init:0 ~f:(fun _ -> i))
+    done;
+    for i = 0 to 7 do
+      let key = string_of_int (i * 1000) in
+      ignore (put s ~key ~version:1 i);
+      ignore (Mvstore_oracle.write_exact o ~key ~version:1 ~init:0 ~f:(fun _ -> i))
+    done;
+    (s, o)
+  in
+  let s, o = build () in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let lazy_words = words (fun () -> Mvstore.gc s ~new_read_version:1) in
+  let sweep_words = words (fun () -> Mvstore_oracle.gc o ~new_read_version:1) in
+  checkb (Printf.sprintf "gc allocated %.0f minor words" lazy_words) true (lazy_words < 1000.);
+  checkb
+    (Printf.sprintf "the sweep allocated %.0f (>= 6 per item)" sweep_words)
+    true
+    (sweep_words >= 6. *. 100_000.);
+  vlist "untouched item relabelled on first touch" [ 1 ] (Mvstore.versions_of s ~key:"99999");
+  vlist "multi-version item trimmed" [ 1 ] (Mvstore.versions_of s ~key:"7000");
+  checkb "same contents" true
+    (Mvstore.fold s ~init:[] ~f:(fun acc k v x -> (k, v, x) :: acc)
+    = Mvstore_oracle.fold o ~init:[] ~f:(fun acc k v x -> (k, v, x) :: acc))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       versions_sorted_property; read_visible_property;
-      enumeration_order_independent;
+      enumeration_order_independent; gc_list_matches_sweep;
     ]
 
 let () =
@@ -259,6 +404,8 @@ let () =
           Alcotest.test_case "drop" `Quick gc_drop_when_new_version_exists;
           Alcotest.test_case "relabel" `Quick gc_relabel_when_missing;
           Alcotest.test_case "idempotent" `Quick gc_idempotent;
+          Alcotest.test_case "visits only multi-version items" `Quick
+            gc_visits_only_multi_version_items;
         ] );
       ( "accounting",
         [
