@@ -194,11 +194,47 @@ let bench_sim_kernel =
          done;
          ignore (Sim.run sim ())))
 
+(* E11 family: the reliable channel under loss. Node 0 sends 5k acked
+   messages to node 1, eight every half millisecond, over 2 ms links that
+   lose 5% of copies (acks included); retransmission is on, so the run
+   covers sequencing, acks, dedup, retransmit timers and ack-floor
+   pruning. *)
+let bench_reliable =
+  Test.make ~name:"e11: reliable channel (5k acked msgs, 5% loss)"
+    (Staged.stage (fun () ->
+         let sim = Sim.create ~seed:11 () in
+         let net =
+           Netsim.Network.create sim ~size:2 ~latency:(Netsim.Latency.Exponential 0.002) ()
+         in
+         let rng = Random.State.make [| 11 |] in
+         Netsim.Network.set_filter net (fun ~src:_ ~dst:_ ~delay ->
+             if Random.State.float rng 1. < 0.05 then [] else [ delay ]);
+         let ch =
+           Netsim.Reliable.create
+             ~config:
+               { Netsim.Reliable.default_config with Netsim.Reliable.acks = true; timeout = 0.02 }
+             net
+         in
+         for node = 0 to 1 do
+           Sim.spawn sim ~daemon:true (fun () ->
+               let rec loop () =
+                 ignore (Netsim.Reliable.recv ch ~node : int);
+                 loop ()
+               in
+               loop ())
+         done;
+         Sim.spawn sim (fun () ->
+             for i = 1 to 5000 do
+               Netsim.Reliable.send ch ~src:0 ~dst:1 i;
+               if i land 7 = 0 then Sim.sleep sim 0.0005
+             done);
+         ignore (Sim.run sim ())))
+
 let micro_tests =
   [
     bench_table1; bench_small_run; bench_store_write; bench_store_gc;
     bench_counter_poll; bench_lockmgr; bench_checker; bench_staleness;
-    bench_sim_kernel;
+    bench_sim_kernel; bench_reliable;
   ]
 
 let run_micro () =

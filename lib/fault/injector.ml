@@ -12,7 +12,6 @@ type hooks = {
 
 type t = {
   sim : Sim.t;
-  plan : Plan.t;
   rng : Random.State.t;  (** dedicated: fault draws never touch [Sim.rng] *)
   rules : Plan.rule array;
   rule_hits : int array;  (** per-rule matching-delivery counts, for [nth] *)
@@ -35,16 +34,21 @@ let noop_node ~node:_ = ()
 let noop_coord_crash ~until_:_ = ()
 let noop_unit () = ()
 
-let plan t = t.plan
 let stats t = t.counters
 
-let coord_down t ~at =
-  List.exists (fun (from_, until_) -> at >= from_ && at < until_) t.coord_windows
+let rec in_coord_window (at : float) = function
+  | [] -> false
+  | (from_, until_) :: rest -> (at >= from_ && at < until_) || in_coord_window at rest
+
+let rec in_crash_window (node : int) (at : float) = function
+  | [] -> false
+  | (n, from_, until_) :: rest ->
+      (n = node && at >= from_ && at < until_) || in_crash_window node at rest
+
+let coord_down t ~at = in_coord_window at t.coord_windows
 
 let down t ~node ~at =
-  List.exists
-    (fun (n, from_, until_) -> n = node && at >= from_ && at < until_)
-    t.crash_windows
+  in_crash_window node at t.crash_windows
   || (match t.coord_id with
      | Some c when c = node -> coord_down t ~at
      | _ -> false)
@@ -102,6 +106,51 @@ let rule_matches (r : Plan.rule) ~src ~dst ~now =
   && now >= r.Plan.r_from
   && now < r.Plan.r_until
 
+(* Does rule [idx] fire on this delivery? Scripted rules count the hit in
+   the class's own counters; probabilistic ones draw unless certain. *)
+let fires t ~hb idx (r : Plan.rule) =
+  match r.Plan.r_nth with
+  | Some n ->
+      let hits = if hb then t.hb_rule_hits else t.rule_hits in
+      hits.(idx) <- hits.(idx) + 1;
+      hits.(idx) = n
+  | None -> r.Plan.r_prob >= 1. || Random.State.float t.rng 1. < r.Plan.r_prob
+
+(* Rules [idx..] applied in order to the copies' [delays]; a dropped
+   delivery consults no further rule. *)
+let rec apply_rules t ~hb ~pfx ~src ~dst ~now idx delays =
+  match delays with
+  | [] -> []
+  | _ when idx = Array.length t.rules -> delays
+  | _ ->
+      let r = t.rules.(idx) in
+      let delays =
+        if (hb || not r.Plan.r_hb_only) && rule_matches r ~src ~dst ~now && fires t ~hb idx r
+        then
+          match r.Plan.r_action with
+          | Plan.Drop ->
+              count t (pfx ^ "drop") ~src ~dst;
+              []
+          | Plan.Delay d ->
+              count t (pfx ^ "delay") ~src ~dst;
+              List.map (fun x -> x +. d) delays
+          | Plan.Duplicate gap ->
+              count t (pfx ^ "dup") ~src ~dst;
+              delays @ List.map (fun x -> x +. gap) delays
+        else delays
+      in
+      apply_rules t ~hb ~pfx ~src ~dst ~now (idx + 1) delays
+
+(* Copies that would arrive while the destination is down are lost, each
+   counted in order. A lone surviving copy's list is returned as is. *)
+let rec arrivals t ~pfx ~src ~dst ~now = function
+  | [] -> []
+  | d :: rest as delays ->
+      let arrives = not (down t ~node:dst ~at:(now +. d)) in
+      if not arrives then count t (pfx ^ "crash_drop") ~src ~dst;
+      let rest' = arrivals t ~pfx ~src ~dst ~now rest in
+      if not arrives then rest' else if rest' == rest then delays else d :: rest'
+
 (* The shared rule-application core. [hb] selects the message class: the
    protocol filter skips heartbeat-only rules without consuming a random
    draw or an [nth] hit, so a plan whose rules are all heartbeat-scoped
@@ -110,56 +159,18 @@ let rule_matches (r : Plan.rule) ~src ~dst ~now =
    but keeps its own [nth] hit counters. Crash windows silence both
    classes: a crashed node neither sends protocol traffic nor beats. *)
 let filter_class t ~hb ~src ~dst ~delay =
-  if Array.length t.rules = 0 && t.crash_windows = [] && t.coord_windows = []
-  then [ delay ]
-  else begin
-    let pfx = if hb then "fault.hb_" else "fault." in
-    let now = Sim.now t.sim in
-    if down t ~node:src ~at:now then begin
-      count t (pfx ^ "crash_drop") ~src ~dst;
-      []
-    end
-    else begin
-      let delays = ref [ delay ] in
-      Array.iteri
-        (fun idx r ->
-          if
-            !delays <> []
-            && (hb || not r.Plan.r_hb_only)
-            && rule_matches r ~src ~dst ~now
-          then begin
-            let fire =
-              match r.Plan.r_nth with
-              | Some n ->
-                  let hits = if hb then t.hb_rule_hits else t.rule_hits in
-                  hits.(idx) <- hits.(idx) + 1;
-                  hits.(idx) = n
-              | None ->
-                  r.Plan.r_prob >= 1.
-                  || Random.State.float t.rng 1. < r.Plan.r_prob
-            in
-            if fire then
-              match r.Plan.r_action with
-              | Plan.Drop ->
-                  count t (pfx ^ "drop") ~src ~dst;
-                  delays := []
-              | Plan.Delay d ->
-                  count t (pfx ^ "delay") ~src ~dst;
-                  delays := List.map (fun x -> x +. d) !delays
-              | Plan.Duplicate gap ->
-                  count t (pfx ^ "dup") ~src ~dst;
-                  delays := !delays @ List.map (fun x -> x +. gap) !delays
-          end)
-        t.rules;
-      (* Copies that would arrive while the destination is down are lost. *)
-      List.filter
-        (fun d ->
-          let arrives = not (down t ~node:dst ~at:(now +. d)) in
-          if not arrives then count t (pfx ^ "crash_drop") ~src ~dst;
-          arrives)
-        !delays
-    end
-  end
+  match (t.rules, t.crash_windows, t.coord_windows) with
+  | [||], [], [] -> [ delay ]
+  | _ ->
+      let pfx = if hb then "fault.hb_" else "fault." in
+      let now = Sim.now t.sim in
+      if down t ~node:src ~at:now then begin
+        count t (pfx ^ "crash_drop") ~src ~dst;
+        []
+      end
+      else
+        arrivals t ~pfx ~src ~dst ~now
+          (apply_rules t ~hb ~pfx ~src ~dst ~now 0 [ delay ])
 
 let filter t ~src ~dst ~delay = filter_class t ~hb:false ~src ~dst ~delay
 let filter_hb t ~src ~dst ~delay = filter_class t ~hb:true ~src ~dst ~delay
@@ -184,7 +195,6 @@ let create sim (plan : Plan.t) =
   let t =
     {
       sim;
-      plan;
       rng = Random.State.make [| plan.Plan.seed; 0xfa017 |];
       rules = Array.of_list plan.Plan.rules;
       rule_hits = Array.make (List.length plan.Plan.rules) 0;

@@ -37,20 +37,19 @@ type t
     and crashes on [sim]. Register hooks before running the simulation. *)
 val create : Simul.Sim.t -> Plan.t -> t
 
-(** The plan the injector was created with. *)
-val plan : t -> Plan.t
-
 (** The per-delivery filter for protocol traffic (what {!install} plugs
     into the network). Skips heartbeat-only rules without consuming a
     random draw or an [nth] hit, so a purely heartbeat-scoped plan leaves
-    protocol schedules byte-identical to the fault-free run. *)
+    protocol schedules byte-identical to the fault-free run. Exported for
+    test_fault, which calls it beside a reference filter. *)
 val filter : t -> src:int -> dst:int -> delay:float -> float list
 
 (** The per-delivery filter for the heartbeat class (what {!install_hb}
     plugs into the heartbeat side network): applies {e every} rule —
     heartbeat-only ones and general ones, so a partition cuts heartbeats
     too — plus the crash windows, with heartbeat-class [nth] hit counters
-    of its own. Accounting lands under ["fault.hb_*"]. *)
+    of its own. Accounting lands under ["fault.hb_*"]. Exported for
+    test_fault, as {!filter} is. *)
 val filter_hb : t -> src:int -> dst:int -> delay:float -> float list
 
 (** [install t net] sets [t]'s protocol filter on [net]. *)

@@ -21,11 +21,12 @@ type 'm t = {
   link_latency : src:int -> dst:int -> Latency.t option;
   links : int array;  (** per-link send counts, keyed [src * n + dst] *)
   mutable filter : filter option;
-  mutable delivery_key : ('m -> (int * int) option) option;
-  delivered_seen : (int * int * int, unit) Hashtbl.t;
-      (** (key-src, key-seq, dst) triples already counted in [delivered];
-          pruned by {!forget_delivered} as the reliable channel's ack floor
-          advances, so the table tracks the in-flight window, not the run *)
+  mutable delivery_key : ('m -> int) option;
+  delivered_seen : (int, unit) Hashtbl.t;
+      (** [(key, dst)] pairs, packed [key * n + dst], already counted in
+          [delivered]; pruned by {!forget_delivered} as the reliable
+          channel's ack floor advances, so the table tracks the in-flight
+          window, not the run *)
   mutable last_batch : 'm batch option;
   mutable sent : int;
   mutable remote_sent : int;
@@ -74,14 +75,16 @@ let check_node t n ctx =
    it restarts — is the same logical delivery, not a second one. *)
 let deliver t ~dst msg =
   (match t.delivery_key with
-  | Some keyer -> (
-      match keyer msg with
-      | Some (ks, kq) ->
-          if not (Hashtbl.mem t.delivered_seen (ks, kq, dst)) then begin
-            Hashtbl.replace t.delivered_seen (ks, kq, dst) ();
-            t.delivered <- t.delivered + 1
-          end
-      | None -> t.delivered <- t.delivered + 1)
+  | Some keyer ->
+      let key = keyer msg in
+      if key < 0 then t.delivered <- t.delivered + 1
+      else begin
+        let seen = (key * t.n) + dst in
+        if not (Hashtbl.mem t.delivered_seen seen) then begin
+          Hashtbl.add t.delivered_seen seen ();
+          t.delivered <- t.delivered + 1
+        end
+      end
   | None -> t.delivered <- t.delivered + 1);
   Mailbox.send t.inboxes.(dst) msg
 
@@ -154,8 +157,7 @@ let recv t ~node =
   check_node t node "recv";
   Mailbox.recv t.simulation t.inboxes.(node)
 
-let forget_delivered t ~src ~seq ~dst =
-  Hashtbl.remove t.delivered_seen (src, seq, dst)
+let forget_delivered t ~key ~dst = Hashtbl.remove t.delivered_seen ((key * t.n) + dst)
 
 let delivered_seen_size t = Hashtbl.length t.delivered_seen
 let messages_sent t = t.sent

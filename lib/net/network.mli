@@ -49,12 +49,15 @@ val sim : 'm t -> Simul.Sim.t
 val set_filter : 'm t -> filter -> unit
 
 (** [set_delivery_key t keyer] teaches delivery accounting to recognise
-    logical re-sends: a delivered message for which [keyer] returns
-    [Some (src, seq)] bumps {!messages_delivered} only the first time that
-    [(src, seq)] lands at a given destination. A reliable channel installs
-    this so a retransmission arriving after the original is not counted as
-    a second delivery. [None]-keyed messages count once per copy. *)
-val set_delivery_key : 'm t -> ('m -> (int * int) option) -> unit
+    logical re-sends: a delivered message for which [keyer] returns a key
+    [k >= 0] bumps {!messages_delivered} only the first time that [k] lands
+    at a given destination; a negative key counts once per copy. The keyer
+    packs whatever names a logical message into one int (the reliable
+    channel packs its [(src, seq)]); the network pairs it with the
+    destination as [k * size + dst], so keys must stay below
+    [max_int / size]. A reliable channel installs this so a retransmission
+    arriving after the original is not counted as a second delivery. *)
+val set_delivery_key : 'm t -> ('m -> int) -> unit
 
 (** [send t ~src ~dst msg] schedules delivery of [msg] into [dst]'s inbox.
     Returns immediately (never suspends). Messages from a node to itself
@@ -90,19 +93,19 @@ val extra_copies : 'm t -> int
     of carrying their own heap event. *)
 val coalesced_deliveries : 'm t -> int
 
-(** [forget_delivered t ~src ~seq ~dst] drops the delivery-dedup record for
-    keyed message [(src, seq)] at [dst], if any. The reliable channel calls
-    this as its ack floor advances: once a stream's sequence is fully
-    acknowledged the sender stops retransmitting it, so the record's dedup
-    work is done and keeping it would grow the table for the life of the
-    run. (A straggler duplicate still in flight when its record is pruned
-    would be double-counted in {!messages_delivered} — a bounded statistics
-    skew, never protocol-visible, since receiver-side dedup lives in the
-    reliable channel's own per-stream delivered floor, which a pruned
-    record's sequence is already at or below.) *)
-val forget_delivered : 'm t -> src:int -> seq:int -> dst:int -> unit
+(** [forget_delivered t ~key ~dst] drops the delivery-dedup record for
+    key [key] (see {!set_delivery_key}) at [dst], if any. The reliable
+    channel calls this as its ack floor advances: once a stream's sequence
+    is fully acknowledged the sender stops retransmitting it, so the
+    record's dedup work is done and keeping it would grow the table for the
+    life of the run. (A straggler duplicate still in flight when its record
+    is pruned is counted again in {!messages_delivered} — a bounded
+    statistics skew, never protocol-visible, since receiver-side dedup
+    lives in the reliable channel's own per-stream delivered floor, which a
+    pruned record's sequence is already at or below.) *)
+val forget_delivered : 'm t -> key:int -> dst:int -> unit
 
-(** Current number of (src, seq, dst) delivery-dedup records retained.
+(** Current number of (key, dst) delivery-dedup records retained.
     With ack-floor pruning this tracks the in-flight window and stays
     bounded on long runs; exposed so benches and tests can assert it. *)
 val delivered_seen_size : 'm t -> int

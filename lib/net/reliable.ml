@@ -13,103 +13,124 @@ type config = {
 let default_config =
   { acks = false; retransmit = true; timeout = 0.05; backoff = 2.0; max_backoff = 1.0 }
 
+(* The state of one directed stream [src -> dst], shared by both ends.
+   Acks are sent only for packets the receiver has recorded, so
+   [ack_floor <= recv_floor <= next_seq] always holds and one ring over
+   the window [(ack_floor, next_seq]] serves both: slot [seq land (cap -
+   1)] holds the data packet while it is unacknowledged ([vacant] once
+   acked, and for every sequence outside the window) and, in [got], whether
+   the receiver took it past a gap in [recv_floor]. *)
+type 'm stream = {
+  dst : int;
+  mutable next_seq : int;  (** last allocated *)
+  mutable ack_floor : int;
+      (** every sequence at or below it acknowledged; the network's
+          delivery-dedup records are pruned up to it *)
+  mutable recv_floor : int;  (** every sequence at or below it delivered *)
+  mutable ring : 'm packet array;  (** power-of-two length *)
+  mutable got : Bytes.t;  (** ['\001'] where delivered past a gap *)
+}
+
 type 'm t = {
   net : 'm packet Network.t;
   cfg : config;
-  next_seq : (int * int, int) Hashtbl.t;  (** (src, dst) -> last allocated *)
-  pending : (int * int * int, 'm) Hashtbl.t;  (** (src, dst, seq) unacked *)
-  recv_floor : (int * int, int) Hashtbl.t;
-      (** (receiver, src) -> highest seq with every seq at or below it
-          delivered; the receiver-side dedup *)
-  recv_ahead : (int * int * int, unit) Hashtbl.t;
-      (** (receiver, src, seq) delivered past a gap, waiting for the floor *)
-  ack_floor : (int * int, int) Hashtbl.t;
-      (** (src, dst) -> highest seq with every seq at or below it acked;
-          the network's delivery-dedup records are pruned up to it *)
-  acked_ahead : (int * int * int, unit) Hashtbl.t;
-      (** (src, dst, seq) acked past a gap, waiting for the floor *)
+  n : int;
+  rows : 'm stream array array;
+      (** [rows.(src).(dst)]; a row is allocated on its source's first send
+          and holds [none] until that link's first send *)
+  none : 'm stream;
+  unacked : int array;  (** per destination *)
+  mutable ahead : int;  (** [got] marks set, over all streams *)
   mutable retransmissions : int;
   mutable dup_dropped : int;
   mutable acks_sent : int;
 }
 
+(* The ring's filler, the one value a vacant slot holds: an [Ack] never
+   occupies a data slot. *)
+let vacant = Ack { src = -1; seq = 0 }
+let initial_capacity = 8
+
 let create ?(config = default_config) net =
   if config.acks && (config.timeout <= 0. || config.backoff < 1.) then
     invalid_arg "Reliable.create: timeout must be positive and backoff >= 1";
+  let n = Network.size net in
   (* Sequenced data packets are logical messages: however many times the
      channel retransmits one, the network reports at most one delivery per
-     (src, seq, dst). Acks and raw-mode packets (seq = 0) keep per-copy
-     accounting. *)
-  Network.set_delivery_key net (function
-    | Data { src; seq; body = _ } when seq > 0 -> Some (src, seq)
-    | Data _ | Ack _ -> None);
+     (src, seq, dst). The key packs (src, seq); acks count per copy. Raw
+     mode sends no sequenced packet and installs no key. *)
+  if config.acks then
+    Network.set_delivery_key net (function
+      | Data { src; seq; body = _ } -> (seq * n) + src
+      | Ack _ -> -1);
   {
     net;
     cfg = config;
-    next_seq = Hashtbl.create 64;
-    pending = Hashtbl.create 256;
-    recv_floor = Hashtbl.create 64;
-    recv_ahead = Hashtbl.create 64;
-    ack_floor = Hashtbl.create 64;
-    acked_ahead = Hashtbl.create 64;
+    n;
+    rows = Array.make n [||];
+    none =
+      { dst = -1; next_seq = 0; ack_floor = 0; recv_floor = 0; ring = [||]; got = Bytes.empty };
+    unacked = Array.make n 0;
+    ahead = 0;
     retransmissions = 0;
     dup_dropped = 0;
     acks_sent = 0;
   }
 
-let config t = t.cfg
-let network t = t.net
 let retransmissions t = t.retransmissions
 let dup_dropped t = t.dup_dropped
 let acks_sent t = t.acks_sent
-let dedup_size t = Hashtbl.length t.recv_ahead
+let dedup_size t = t.ahead
+let unacked_to t ~dst = t.unacked.(dst)
 
 let ack_floor t ~src ~dst =
-  match Hashtbl.find_opt t.ack_floor (src, dst) with Some f -> f | None -> 0
+  let row = t.rows.(src) in
+  if Array.length row = 0 then 0 else row.(dst).ack_floor
 
-(* One side's record of the sequences it has seen on each stream: [floors]
-   maps a stream to the highest sequence with every one at or below it
-   seen, [ahead] holds the sequences seen past a gap. Sequences arrive
-   contiguous from 1 save for loss and reordering gaps, so the floor walk
-   touches each sequence once over a stream's lifetime (O(1) amortised) and
-   [ahead] holds only the gap window. [passed s] runs for each sequence the
-   floor walks over. False if [seq] was seen before. *)
-let record floors ahead ((a, b) as stream) seq ~passed =
-  let f = match Hashtbl.find_opt floors stream with Some f -> f | None -> 0 in
-  if seq <= f then false
-  else if seq = f + 1 then begin
-    passed seq;
-    let nf = ref seq in
-    while Hashtbl.mem ahead (a, b, !nf + 1) do
-      incr nf;
-      Hashtbl.remove ahead (a, b, !nf);
-      passed !nf
-    done;
-    Hashtbl.replace floors stream !nf;
-    true
-  end
-  else if Hashtbl.mem ahead (a, b, seq) then false
-  else begin
-    Hashtbl.replace ahead (a, b, seq) ();
-    true
-  end
+let slot s seq = seq land (Array.length s.ring - 1)
 
-let unacked_to t ~dst =
-  (* lint: hash-order-ok — a commutative integer count; the fold's result
-     is independent of enumeration order. *)
-  Hashtbl.fold
-    (fun (_, d, _) _ acc -> if d = dst then acc + 1 else acc)
-    t.pending 0
+(* The sender's stream to [dst], allocated on the link's first send. *)
+let outgoing t ~src ~dst =
+  if Array.length t.rows.(src) = 0 then t.rows.(src) <- Array.make t.n t.none;
+  let row = t.rows.(src) in
+  if row.(dst) == t.none then
+    row.(dst) <-
+      {
+        dst;
+        next_seq = 0;
+        ack_floor = 0;
+        recv_floor = 0;
+        ring = Array.make initial_capacity vacant;
+        got = Bytes.make initial_capacity '\000';
+      };
+  row.(dst)
 
-let rec arm_retransmit t ~src ~dst ~seq ~delay =
+(* Double the ring, moving the window to its new slots. *)
+let grow s =
+  let ring = s.ring and got = s.got in
+  let cap = 2 * Array.length ring in
+  s.ring <- Array.make cap vacant;
+  s.got <- Bytes.make cap '\000';
+  for seq = s.ack_floor + 1 to s.next_seq do
+    let i = seq land (Array.length ring - 1) and j = slot s seq in
+    s.ring.(j) <- ring.(i);
+    Bytes.set s.got j (Bytes.get got i)
+  done
+
+(* The data packet [seq] while it is unacknowledged, else [vacant]. Callers
+   compare it with [vacant] physically, which reads no packet. *)
+let unacked s seq = if seq <= s.ack_floor then vacant else s.ring.(slot s seq)
+
+let rec arm_retransmit t s ~src ~seq ~delay =
   Sim.schedule (Network.sim t.net) ~delay (fun () ->
-      match Hashtbl.find_opt t.pending (src, dst, seq) with
-      | None -> () (* acknowledged; the timer chain dies *)
-      | Some body ->
-          t.retransmissions <- t.retransmissions + 1;
-          Network.send t.net ~src ~dst (Data { src; seq; body });
-          arm_retransmit t ~src ~dst ~seq
-            ~delay:(Float.min (delay *. t.cfg.backoff) t.cfg.max_backoff))
+      let p = unacked s seq in
+      (* Once acknowledged, the timer chain dies. *)
+      if p != vacant then begin
+        t.retransmissions <- t.retransmissions + 1;
+        Network.send t.net ~src ~dst:s.dst p;
+        arm_retransmit t s ~src ~seq
+          ~delay:(Float.min (delay *. t.cfg.backoff) t.cfg.max_backoff)
+      end)
 
 let send t ~src ~dst body =
   if not t.cfg.acks then
@@ -117,14 +138,49 @@ let send t ~src ~dst body =
        using the network directly. *)
     Network.send t.net ~src ~dst (Data { src; seq = 0; body })
   else begin
-    let key = (src, dst) in
-    let seq =
-      (match Hashtbl.find_opt t.next_seq key with Some n -> n | None -> 0) + 1
-    in
-    Hashtbl.replace t.next_seq key seq;
-    Hashtbl.replace t.pending (src, dst, seq) body;
-    Network.send t.net ~src ~dst (Data { src; seq; body });
-    if t.cfg.retransmit then arm_retransmit t ~src ~dst ~seq ~delay:t.cfg.timeout
+    let s = outgoing t ~src ~dst in
+    let seq = s.next_seq + 1 in
+    if seq - s.ack_floor > Array.length s.ring then grow s;
+    s.next_seq <- seq;
+    let p = Data { src; seq; body } in
+    s.ring.(slot s seq) <- p;
+    t.unacked.(dst) <- t.unacked.(dst) + 1;
+    Network.send t.net ~src ~dst p;
+    if t.cfg.retransmit then arm_retransmit t s ~src ~seq ~delay:t.cfg.timeout
+  end
+
+(* The receiver's side of [s]: false if [seq] was delivered before.
+   Sequences arrive contiguous from 1 save for loss and reordering gaps, so
+   the floor walk touches each sequence once over a stream's lifetime. *)
+let first_delivery t s seq =
+  if seq <= s.recv_floor then false
+  else if seq = s.recv_floor + 1 then begin
+    s.recv_floor <- seq;
+    while s.recv_floor < s.next_seq && Bytes.get s.got (slot s (s.recv_floor + 1)) <> '\000' do
+      s.recv_floor <- s.recv_floor + 1;
+      Bytes.set s.got (slot s s.recv_floor) '\000';
+      t.ahead <- t.ahead - 1
+    done;
+    true
+  end
+  else if Bytes.get s.got (slot s seq) <> '\000' then false
+  else begin
+    Bytes.set s.got (slot s seq) '\001';
+    t.ahead <- t.ahead + 1;
+    true
+  end
+
+(* The sender's side of [s]: [seq] is acknowledged. As the ack floor
+   advances, prune the network's delivery-dedup records behind it. *)
+let acked t ~src s seq =
+  (* A duplicate ack finds the slot vacant already. *)
+  if unacked s seq != vacant then begin
+    s.ring.(slot s seq) <- vacant;
+    t.unacked.(s.dst) <- t.unacked.(s.dst) - 1;
+    while s.ack_floor < s.next_seq && s.ring.(slot s (s.ack_floor + 1)) == vacant do
+      s.ack_floor <- s.ack_floor + 1;
+      Network.forget_delivered t.net ~key:((s.ack_floor * t.n) + src) ~dst:s.dst
+    done
   end
 
 let rec recv t ~node =
@@ -136,8 +192,7 @@ let rec recv t ~node =
            ack survives the network. *)
         t.acks_sent <- t.acks_sent + 1;
         Network.send t.net ~src:node ~dst:src (Ack { src = node; seq });
-        if record t.recv_floor t.recv_ahead (node, src) seq ~passed:ignore then
-          body
+        if first_delivery t t.rows.(src).(node) seq then body
         else begin
           t.dup_dropped <- t.dup_dropped + 1;
           recv t ~node
@@ -145,11 +200,5 @@ let rec recv t ~node =
       end
   | Ack { src = acker; seq } ->
       (* We (node) sent (node, acker, seq); it arrived. *)
-      Hashtbl.remove t.pending (node, acker, seq);
-      (* As the ack floor advances, prune the network's delivery-dedup
-         records behind it. *)
-      ignore
-        (record t.ack_floor t.acked_ahead (node, acker) seq ~passed:(fun seq ->
-             Network.forget_delivered t.net ~src:node ~seq ~dst:acker)
-          : bool);
+      acked t ~src:node t.rows.(node).(acker) seq;
       recv t ~node

@@ -20,6 +20,16 @@
     - with [retransmit = true] an unacknowledged packet is re-sent after
       [timeout], then [timeout * backoff], ... capped at [max_backoff].
 
+    State is per directed stream [src → dst], found by two array indexes
+    (a source's row is allocated on its first send, a stream on its link's
+    first send, so raw mode allocates none). A stream is one window shared
+    by both ends. The receiver acks only packets it has recorded, so
+    [ack_floor ≤ recv_floor ≤ next_seq] always holds, and one
+    power-of-two ring over [(ack_floor, next_seq]] holds each unacked
+    packet and, for the receiver, which sequences arrived past a gap in its
+    floor. The ring doubles when full. A retransmission resends the stored
+    packet, and its timer's "still unacked?" test is one array read.
+
     Retransmissions go through the network's fault filter like any other
     send, so a retransmitted copy can itself be dropped — delivery is
     guaranteed only if the link eventually passes a copy, which is exactly
@@ -44,14 +54,12 @@ val default_config : config
 type 'm t
 
 (** [create ?config net] wraps [net]. The channel shares the network's
-    simulation for its retransmission timers. *)
+    simulation for its retransmission timers. With [acks] on it installs
+    the network's delivery key ({!Network.set_delivery_key}), packing a
+    data packet's [(src, seq)] as [seq * size + src].
+    @raise Invalid_argument with [acks] on, if [timeout <= 0] or
+    [backoff < 1]. *)
 val create : ?config:config -> 'm packet Network.t -> 'm t
-
-(** The configuration the channel was created with. *)
-val config : 'm t -> config
-
-(** The wrapped network. *)
-val network : 'm t -> 'm packet Network.t
 
 (** [send t ~src ~dst body] — never blocks. *)
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
@@ -80,11 +88,13 @@ val dedup_size : 'm t -> int
 (** Unacknowledged data packets addressed to [dst] — the catch-up backlog a
     crashed node is still owed. A recovering replica is fully caught up
     once this drains to 0 (every retransmitted message it slept through has
-    landed and been acknowledged). *)
+    landed and been acknowledged). O(1): a per-destination count kept by
+    [send] and the first ack of each packet. *)
 val unacked_to : 'm t -> dst:int -> int
 
 (** [ack_floor t ~src ~dst] is the highest sequence on the [src → dst]
     stream with every sequence at or below it acknowledged (0 initially).
+    It never passes the receiver's delivered floor on the same stream.
     As the floor advances, the channel prunes the network's per-(src, seq,
     dst) delivery-dedup records behind it ({!Network.forget_delivered}),
     which is what keeps that table bounded by the in-flight window on long

@@ -1,15 +1,18 @@
-type t = (string, int) Hashtbl.t
+(* One [int ref] cell per name: bumping a name already present is one
+   lookup that allocates nothing. *)
+type t = (string, int ref) Hashtbl.t
 
 let create () : t = Hashtbl.create 16
 
 let incr t name ?(by = 1) () =
-  let cur = match Hashtbl.find_opt t name with Some v -> v | None -> 0 in
-  Hashtbl.replace t name (cur + by)
+  match Hashtbl.find t name with
+  | cell -> cell := !cell + by
+  | exception Not_found -> Hashtbl.add t name (ref by)
 
-let get t name = match Hashtbl.find_opt t name with Some v -> v | None -> 0
+let get t name = match Hashtbl.find_opt t name with Some cell -> !cell | None -> 0
 
 let to_list t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
+  Hashtbl.fold (fun k cell acc -> (k, !cell) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let merge a b =

@@ -17,10 +17,12 @@ val get : t -> string -> int
 (** All (name, value) pairs sorted by name. *)
 val to_list : t -> (string * int) list
 
-(** [merge a b] sums counters pointwise into a fresh set. *)
+(** [merge a b] sums counters pointwise into a fresh set; bumping the
+    result never changes [a] or [b]. *)
 val merge : t -> t -> t
 
-(** [reset t] zeroes every counter (names are kept). *)
+(** [reset t] empties the set: every name is dropped, so each counter
+    reads 0 and {!to_list} is [[]] until the next {!incr}. *)
 val reset : t -> unit
 
 (** Prints "name=value" pairs sorted by name. *)

@@ -78,6 +78,110 @@ let self_send_passes_filter () =
   checkb "filter can drop it" false !got;
   checki "accounted as dropped" 1 (Network.messages_dropped net)
 
+(* ------------------------------------- filter == closure-based oracle
+
+   The library's filter against the one it replaced (injector_oracle.ml),
+   both built from the same plan on one simulation. Calls come at random
+   virtual times, through [Injector.filter] and [Injector.filter_hb], with
+   random endpoints (the coordinator's id included) and base delays. After
+   every call the returned delays and the whole counter set must be equal:
+   the random draws, [nth] hits and counter bumps happen in the same
+   order. *)
+
+let gen_filter_case =
+  QCheck.Gen.(
+    let* nodes = int_range 2 4 in
+    (* Endpoint [nodes] is the coordinator. *)
+    let node = int_bound nodes in
+    let window = pair (oneofl [ 0.; 0.; 0.05; 0.2 ]) (oneofl [ 0.05; 0.3; 1. ]) in
+    let rule =
+      let* src = opt ~ratio:0.4 node in
+      let* dst = opt ~ratio:0.4 node in
+      let* remote_only = bool in
+      let* hb_only = frequencyl [ (3, false); (1, true) ] in
+      let* from_, len = window in
+      let* prob = oneofl [ 0.; 0.3; 0.7; 1. ] in
+      let* nth = opt ~ratio:0.3 (int_range 1 4) in
+      let+ action =
+        oneof
+          [
+            return Plan.Drop;
+            map (fun d -> Plan.Delay d) (oneofl [ 0.01; 0.2 ]);
+            map (fun gap -> Plan.Duplicate gap) (oneofl [ 0.; 0.005; 0.3 ]);
+          ]
+      in
+      Plan.rule ?src ?dst ~remote_only ~hb_only ~from_ ~until_:(from_ +. len) ~prob ?nth action
+    in
+    let* rules = list_size (int_bound 5) rule in
+    let* crashes =
+      list_size (int_bound 2)
+        (map2
+           (fun n (at, len) -> Plan.crash ~node:n ~at ~restart:(at +. len))
+           (int_bound (nodes - 1)) window)
+    in
+    let* coord_crashes =
+      list_size (int_bound 1)
+        (map (fun (at, len) -> Plan.coord_crash ~at ~restart:(at +. len)) window)
+    in
+    let* pauses =
+      list_size (int_bound 1)
+        (map2 (fun n at -> Plan.pause ~node:n ~at ~duration:0.1) (int_bound (nodes - 1))
+           (oneofl [ 0.; 0.1 ]))
+    in
+    let* seed = int_bound 10_000 in
+    let+ calls =
+      list_size (int_range 1 80)
+        (map2
+           (fun (dt, hb) (src, dst, delay) -> (dt, hb, src, dst, delay))
+           (pair (oneofl [ 0.; 0.; 0.01; 0.05; 0.2 ]) (frequencyl [ (3, false); (1, true) ]))
+           (triple node node (oneofl [ 0.; 0.001; 0.05; 0.3 ])))
+    in
+    (nodes, Plan.make ~seed ~rules ~crashes ~coord_crashes ~pauses (), calls))
+
+let print_filter_case (nodes, plan, calls) =
+  Format.asprintf "nodes=%d@.%a@.calls: %s" nodes Plan.pp plan
+    (String.concat "; "
+       (List.map
+          (fun (dt, hb, src, dst, delay) ->
+            Printf.sprintf "+%g %s%d->%d %g" dt (if hb then "hb " else "") src dst delay)
+          calls))
+
+(* The index of the first call whose results differ, if any. *)
+let filter_divergence (nodes, plan, calls) =
+  let sim = Sim.create () in
+  let lib = Injector.create sim plan and oracle = Injector_oracle.create sim plan in
+  Injector.set_coord lib ~id:nodes ();
+  Injector_oracle.set_coord oracle ~id:nodes;
+  let first = ref None in
+  let same_stats () =
+    Counter_set.to_list (Injector.stats lib)
+    = Counter_set.to_list (Injector_oracle.stats oracle)
+  in
+  let at = ref 0. in
+  List.iteri
+    (fun i (dt, hb, src, dst, delay) ->
+      at := !at +. dt;
+      Sim.schedule sim ~delay:!at (fun () ->
+          let got =
+            if hb then Injector.filter_hb lib ~src ~dst ~delay
+            else Injector.filter lib ~src ~dst ~delay
+          in
+          let want =
+            if hb then Injector_oracle.filter_hb oracle ~src ~dst ~delay
+            else Injector_oracle.filter oracle ~src ~dst ~delay
+          in
+          if !first = None && not (got = want && same_stats ()) then first := Some i))
+    calls;
+  ignore (Sim.run sim () : Sim.outcome);
+  if !first = None && not (same_stats ()) then Some (List.length calls) else !first
+
+let filter_oracle_property =
+  QCheck.Test.make ~name:"filter == closure-based oracle" ~count:500
+    (QCheck.make ~print:print_filter_case gen_filter_case) (fun case ->
+      match filter_divergence case with
+      | None -> true
+      | Some i -> QCheck.Test.fail_reportf "results differ at call %d" i)
+
 (* ------------------------------------------------ plan validation *)
 
 let plan_validation () =
@@ -717,6 +821,7 @@ let () =
           Alcotest.test_case "drop" `Quick filter_drops_message;
           Alcotest.test_case "duplicate" `Quick filter_duplicates_message;
           Alcotest.test_case "self-send" `Quick self_send_passes_filter;
+          QCheck_alcotest.to_alcotest filter_oracle_property;
         ] );
       ( "plan",
         [

@@ -256,6 +256,264 @@ let delivered_seen_stays_bounded () =
   checkb "dedup bounded at peak" true (!peak_dedup < n / 4);
   checkb "dedup near-empty at quiescence" true (Reliable.dedup_size ch < 50)
 
+(* ------------------------------------------ channel == six-table oracle
+
+   The ring-window channel against the tuple-keyed channel it replaced
+   (reliable_oracle.ml). Each runs on its own simulation and network with
+   the same seed, through the same program of sends and [run ~until]
+   segments, under a filter that drops, duplicates and delays copies from
+   its own seeded RNG. Everything the channels expose is compared after
+   every step. *)
+
+module type CHANNEL = sig
+  type 'm t
+
+  val create : ?config:Reliable.config -> 'm Reliable.packet Network.t -> 'm t
+  val send : 'm t -> src:int -> dst:int -> 'm -> unit
+  val recv : 'm t -> node:int -> 'm
+  val retransmissions : 'm t -> int
+  val dup_dropped : 'm t -> int
+  val acks_sent : 'm t -> int
+  val dedup_size : 'm t -> int
+  val unacked_to : 'm t -> dst:int -> int
+  val ack_floor : 'm t -> src:int -> dst:int -> int
+end
+
+type chan_step = Send of int * int | Run of float
+
+type chan_prog = {
+  nodes : int;
+  acks : bool;
+  retransmit : bool;
+  timeout : float;
+  loss : float;
+  dup : float;
+  dup_gap : float;  (** a duplicate lands this long after its original *)
+  spike : float;  (** probability of a 30 ms delay spike *)
+  outage : (int * int * float * float) option;
+      (** every copy sent on [src -> dst] in [[from_, until_)) is lost *)
+  seed : int;
+  steps : chan_step list;
+}
+
+(* The filter both channels see on link [src -> dst]: equal send sequences
+   draw equal fates. *)
+let lossy_filter p sim ~src ~dst =
+  let rng = Random.State.make [| p.seed; src; dst |] in
+  fun ~delay ->
+    let cut =
+      match p.outage with
+      | Some (s, d, from_, until_) ->
+          s = src && d = dst && Sim.now sim >= from_ && Sim.now sim < until_
+      | None -> false
+    in
+    if cut || Random.State.float rng 1. < p.loss then []
+    else
+      let delay = if Random.State.float rng 1. < p.spike then delay +. 0.03 else delay in
+      if Random.State.float rng 1. < p.dup then [ delay; delay +. p.dup_gap ] else [ delay ]
+
+module Drive (C : CHANNEL) = struct
+  type side = {
+    sim : Sim.t;
+    net : int Reliable.packet Network.t;
+    ch : int C.t;
+    got : int list array;  (** payloads each node received, newest first *)
+  }
+
+  let start p =
+    let sim = Sim.create ~seed:p.seed () in
+    let net = Network.create sim ~size:p.nodes ~latency:(Latency.Exponential 0.002) () in
+    (* One RNG per link, so a link's fates do not depend on other links. *)
+    let links =
+      Array.init (p.nodes * p.nodes) (fun l -> lossy_filter p sim ~src:(l / p.nodes) ~dst:(l mod p.nodes))
+    in
+    Network.set_filter net (fun ~src ~dst ~delay -> links.((src * p.nodes) + dst) ~delay);
+    let ch =
+      C.create
+        ~config:
+          {
+            Reliable.acks = p.acks;
+            retransmit = p.retransmit;
+            timeout = p.timeout;
+            backoff = 2.0;
+            max_backoff = 0.05;
+          }
+        net
+    in
+    let got = Array.make p.nodes [] in
+    for node = 0 to p.nodes - 1 do
+      Sim.spawn sim ~daemon:true (fun () ->
+          let rec loop () =
+            got.(node) <- C.recv ch ~node :: got.(node);
+            loop ()
+          in
+          loop ())
+    done;
+    { sim; net; ch; got }
+
+  let step s ~clock i = function
+    | Send (src, dst) -> C.send s.ch ~src ~dst i
+    | Run dt -> ignore (Sim.run s.sim ~until:(clock +. dt) () : Sim.outcome)
+
+  let observe p s =
+    let nodes = List.init p.nodes Fun.id in
+    ( Array.to_list s.got,
+      [
+        C.retransmissions s.ch;
+        C.dup_dropped s.ch;
+        C.acks_sent s.ch;
+        C.dedup_size s.ch;
+        Network.messages_delivered s.net;
+        Network.delivered_seen_size s.net;
+      ]
+      @ List.map (fun dst -> C.unacked_to s.ch ~dst) nodes
+      @ List.concat_map
+          (fun src -> List.map (fun dst -> C.ack_floor s.ch ~src ~dst) nodes)
+          nodes )
+end
+
+module Ring_side = Drive (Reliable)
+module Oracle_side = Drive (Reliable_oracle)
+
+(* The first step after which the two channels' observations differ, and
+   the ring side's final state. The program ends with five simulated
+   seconds, which settles every program here (retries back off to 50 ms)
+   and keeps a channel that retransmits forever from hanging the test. *)
+let channel_divergence p =
+  let a = Ring_side.start p and b = Oracle_side.start p in
+  let rec go i clock = function
+    | [] -> None
+    | st :: rest ->
+        Ring_side.step a ~clock i st;
+        Oracle_side.step b ~clock i st;
+        if Ring_side.observe p a <> Oracle_side.observe p b then Some i
+        else go (i + 1) (match st with Run dt -> clock +. dt | Send _ -> clock) rest
+  in
+  (go 0 0. (p.steps @ [ Run 5. ]), a)
+
+let pp_prog p =
+  Printf.sprintf "nodes=%d acks=%b retransmit=%b timeout=%g loss=%g dup=%g gap=%g spike=%g outage=%s seed=%d steps=[%s]"
+    p.nodes p.acks p.retransmit p.timeout p.loss p.dup p.dup_gap p.spike
+    (match p.outage with
+    | Some (s, d, f, u) -> Printf.sprintf "%d->%d@%g:%g" s d f u
+    | None -> "-")
+    p.seed
+    (String.concat "; "
+       (List.map
+          (function Send (s, d) -> Printf.sprintf "%d->%d" s d | Run dt -> Printf.sprintf "run %g" dt)
+          p.steps))
+
+let gen_prog =
+  QCheck.Gen.(
+    let* nodes = int_range 2 4 in
+    let node = int_bound (nodes - 1) in
+    let* acks = frequencyl [ (3, true); (1, false) ] in
+    let* retransmit = bool in
+    let* timeout = oneofl [ 0.002; 0.005; 0.01 ] in
+    let* loss = oneofl [ 0.; 0.1; 0.3 ] in
+    let* dup = oneofl [ 0.; 0.2; 0.5 ] in
+    let* dup_gap = oneofl [ 0.; 0.001; 0.05 ] in
+    let* spike = oneofl [ 0.; 0.2 ] in
+    let* outage =
+      opt ~ratio:0.3
+        (map2
+           (fun (s, d) (f, len) -> (s, d, f, f +. len))
+           (pair node node)
+           (pair (oneofl [ 0.; 0.01 ]) (oneofl [ 0.02; 0.1 ])))
+    in
+    let* seed = int_bound 10_000 in
+    let+ steps =
+      list_size (int_range 1 60)
+        (frequency
+           [
+             (4, map2 (fun s d -> Send (s, d)) node node);
+             (1, map (fun dt -> Run dt) (oneofl [ 0.; 0.001; 0.003; 0.01; 0.04 ]));
+           ])
+    in
+    { nodes; acks; retransmit; timeout; loss; dup; dup_gap; spike; outage; seed; steps })
+
+let channel_oracle_property =
+  QCheck.Test.make ~name:"ring channel == six-table oracle" ~count:500
+    (QCheck.make ~print:pp_prog gen_prog) (fun p ->
+      match fst (channel_divergence p) with
+      | None -> true
+      | Some i -> QCheck.Test.fail_reportf "observations differ after step %d" i)
+
+let quiet =
+  {
+    nodes = 2;
+    acks = true;
+    retransmit = true;
+    timeout = 0.005;
+    loss = 0.;
+    dup = 0.;
+    dup_gap = 0.;
+    spike = 0.;
+    outage = None;
+    seed = 3;
+    steps = [];
+  }
+
+(* Forty packets sent into a 0.2 s outage of their link stay unacked at
+   once, five times the ring's initial capacity of eight, so the ring
+   doubles while its window is mid-ring (ten packets already passed);
+   every one is delivered once the link heals. *)
+let channel_ring_growth () =
+  let p =
+    {
+      quiet with
+      loss = 0.1;
+      outage = Some (0, 1, 0.05, 0.25);
+      steps =
+        List.init 10 (fun _ -> Send (0, 1))
+        @ [ Run 0.06 ]
+        @ List.concat (List.init 40 (fun _ -> [ Send (0, 1); Send (1, 0); Run 0.001 ]));
+    }
+  in
+  let divergence, side = channel_divergence p in
+  checkb "same observations" true (divergence = None);
+  checki "node 1 got all fifty" 50 (List.length side.Ring_side.got.(1));
+  checki "nothing left unacked" 0 (Reliable.unacked_to side.Ring_side.ch ~dst:1)
+
+(* Every copy is duplicated 50 ms later, long after the original was acked
+   and its delivery record pruned, so the straggler is counted again by the
+   network (the documented recount) and dropped by the receiver. Its
+   recount leaves a record behind that no floor advance removes. *)
+let channel_straggler_recount () =
+  let p = { quiet with dup = 1.; dup_gap = 0.05; steps = [ Send (0, 1) ] } in
+  let divergence, side = channel_divergence p in
+  checkb "same observations" true (divergence = None);
+  checki "straggler dropped" 1 (Reliable.dup_dropped side.Ring_side.ch);
+  (* Two data copies, each acked twice (every copy is duplicated). *)
+  checki "straggler recounted" 6 (Network.messages_delivered side.Ring_side.net);
+  checki "the recount's record" 1 (Network.delivered_seen_size side.Ring_side.net)
+
+(* An acked send costs what a raw one does plus at most the ring slot's
+   share: the filter drops every copy and retransmission is off, so only
+   [send] itself allocates. *)
+let acked_send_cost () =
+  let n = 10_000 in
+  let words_per_send ~acks =
+    let sim = Sim.create () in
+    let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.001) () in
+    Network.set_filter net (fun ~src:_ ~dst:_ ~delay:_ -> []);
+    let ch =
+      Reliable.create ~config:{ Reliable.default_config with Reliable.acks; retransmit = false } net
+    in
+    (* The first send allocates the source's row and the stream. *)
+    Reliable.send ch ~src:0 ~dst:1 0;
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      Reliable.send ch ~src:0 ~dst:1 i
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int n in
+    checki "every send counted" (if acks then n + 1 else 0) (Reliable.unacked_to ch ~dst:1);
+    words
+  in
+  let raw = words_per_send ~acks:false and acked = words_per_send ~acks:true in
+  if acked -. raw > 2. then
+    Alcotest.failf "an acked send allocates %.2f minor words, a raw one %.2f" acked raw
+
 let zero_size_rejected () =
   let sim = Sim.create () in
   Alcotest.check_raises "size 0"
@@ -335,6 +593,13 @@ let () =
             delivered_counts_at_delivery;
           Alcotest.test_case "out of range" `Quick out_of_range_nodes;
           Alcotest.test_case "zero size rejected" `Quick zero_size_rejected;
+        ] );
+      ( "channel",
+        [
+          QCheck_alcotest.to_alcotest channel_oracle_property;
+          Alcotest.test_case "ring growth" `Quick channel_ring_growth;
+          Alcotest.test_case "straggler recount" `Quick channel_straggler_recount;
+          Alcotest.test_case "acked send cost" `Quick acked_send_cost;
         ] );
       ( "latency",
         [

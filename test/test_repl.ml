@@ -142,10 +142,11 @@ let recovery_gate () =
 
 (* ------------------------------------- delivery-accounting regression
 
-   The per-(src, seq, dst) dedup in Network's delivered counter: a
+   The per-(key, dst) dedup in Network's delivered counter: a
    retransmitted copy landing after the original must not count as a second
    delivery, while the same logical message reaching a different
-   destination, or an unkeyed message, counts per copy. *)
+   destination, or an unkeyed message, counts per copy. Each message here
+   is its own key: 7 stands for (src 0, seq 7), -1 for "no key". *)
 
 let delivered_counts_once_per_seq_dst () =
   let sim = Sim.create () in
@@ -161,13 +162,13 @@ let delivered_counts_once_per_seq_dst () =
           loop ()))
     [ 1; 2 ];
   (* Original + logical retransmission of (src 0, seq 7) to node 1. *)
-  Network.send net ~src:0 ~dst:1 (Some (0, 7));
-  Network.send net ~src:0 ~dst:1 (Some (0, 7));
+  Network.send net ~src:0 ~dst:1 7;
+  Network.send net ~src:0 ~dst:1 7;
   (* The same logical message to a different destination counts again. *)
-  Network.send net ~src:0 ~dst:2 (Some (0, 7));
+  Network.send net ~src:0 ~dst:2 7;
   (* Unkeyed messages count once per copy. *)
-  Network.send net ~src:0 ~dst:1 None;
-  Network.send net ~src:0 ~dst:1 None;
+  Network.send net ~src:0 ~dst:1 (-1);
+  Network.send net ~src:0 ~dst:1 (-1);
   ignore (Sim.run sim ());
   checki "5 copies sent" 5 (Network.messages_sent net);
   checki "retransmit counted once per (seq,dst)" 4
