@@ -50,18 +50,36 @@ let bench_small_run =
                 max_txns = 200;
               })))
 
-(* E2 family: versioned-store write path (copy-on-update + upward write). *)
+(* E2 family: versioned-store write path (copy-on-update + upward write),
+   a commuting increment to one of 1,024 pre-rendered keys. Every 64th
+   round of the keys writes each key a fresh value, so no key holds more
+   than 64 writer tags and the time per run does not drift with run
+   length. *)
 let bench_store_write =
+  let keys = Array.init 1024 (Printf.sprintf "k%d") in
   let store = Mvstore.create () in
   let i = ref 0 in
   Test.make ~name:"e2: mvstore write_upward"
     (Staged.stage (fun () ->
          incr i;
+         let txn = !i in
+         let f =
+           if (txn lsr 10) land 63 = 0 then fun _ -> Value.incr ~txn ~delta:1. Value.empty
+           else Value.incr ~txn ~delta:1.
+         in
          ignore
-           (Mvstore.write_upward store
-              ~key:(Printf.sprintf "k%d" (!i land 1023))
-              ~version:1 ~init:Value.empty
-              ~f:(Value.incr ~txn:!i ~delta:1.))))
+           (Mvstore.write_upward store ~key:keys.(txn land 1023) ~version:1
+              ~init:Value.empty ~f)))
+
+(* E2 family: one hot key's writer tags taking the next id, as every
+   commuting write to it does; the tags start over every 1,024 adds. *)
+let bench_writer_tag_add =
+  let tags = ref Value.Writers.empty and i = ref 0 in
+  Test.make ~name:"e2: writer-tag add (one hot key, in-order ids)"
+    (Staged.stage (fun () ->
+         incr i;
+         if !i land 1023 = 0 then tags := Value.Writers.empty;
+         tags := Value.Writers.add !i !tags))
 
 (* E2 family: phase-4 GC over 4k items, 64 of them given a new version
    before each GC, as the engine's writes do between advancements. *)
@@ -232,7 +250,7 @@ let bench_reliable =
 
 let micro_tests =
   [
-    bench_table1; bench_small_run; bench_store_write; bench_store_gc;
+    bench_table1; bench_small_run; bench_store_write; bench_writer_tag_add; bench_store_gc;
     bench_counter_poll; bench_lockmgr; bench_checker; bench_staleness;
     bench_sim_kernel; bench_reliable;
   ]

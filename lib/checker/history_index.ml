@@ -155,23 +155,31 @@ let writers t key =
   | Some s -> (t.starts.(s), t.starts.(s + 1))
   | None -> (0, 0)
 
+(* Both sequences descend: [p] is the highest writer position not yet
+   reported. Strays are met in descending order, so consing them up leaves
+   them ascending. *)
 let merge t (first, stop) tags ~seen ~unseen ~stray =
-  let p = ref first in
-  Value.Writers.iter
-    (fun tag ->
-      while !p < stop && t.w_id.(!p) < tag do
-        unseen !p;
-        incr p
-      done;
-      if !p < stop && t.w_id.(!p) = tag then begin
-        seen !p;
-        incr p
-      end
-      else stray tag)
-    tags;
-  for q = !p to stop - 1 do
-    unseen q
-  done
+  let rec walk p strays = function
+    | [] ->
+        for q = p downto first do
+          unseen q
+        done;
+        List.iter stray strays
+    | tag :: rest as tags ->
+        if p < first then walk p (tag :: strays) rest
+        else
+          let w = t.w_id.(p) in
+          if w > tag then begin
+            unseen p;
+            walk (p - 1) strays tags
+          end
+          else if w = tag then begin
+            seen p;
+            walk (p - 1) strays rest
+          end
+          else walk p (tag :: strays) rest
+  in
+  walk (stop - 1) [] (Value.Writers.descending tags)
 
 let observed reads =
   let rec add key tags = function

@@ -1,7 +1,7 @@
 (** One-pass index of a finished history, shared by the offline checkers.
 
     Every checker asks the same question of each read observation: which
-    effect-ful writers of the observed key does the value's tag set carry,
+    effect-ful writers of the observed key do the value's writer tags carry,
     which does it lack, and which tags belong to no writer of the key at
     all. The index answers it with one linear merge ({!merge}) instead of a
     set built per observation:
@@ -9,9 +9,9 @@
     - transactions get {e dense indices} [0 .. n-1] in ascending id order,
       so per-transaction scratch state is a plain array;
     - each key's effect-ful writers sit sorted by id in one slice of
-      parallel arrays ([w_*] below), so a sorted {!Txn.Value.Writers} set
-      and the key's slice are walked together in
-      O(|tags| + |writers(key)|).
+      parallel arrays ([w_*] below), so a value's {!Txn.Value.Writers}
+      tags, a list in descending id order, and the key's slice are walked
+      together from the top, in place, in O(|tags| + |writers(key)|).
 
     Transaction ids are assumed unique, as {!Txn.Spec.t} requires. *)
 
@@ -53,9 +53,12 @@ val find : t -> int -> int
 val writers : t -> string -> int * int
 
 (** [merge t slice tags ~seen ~unseen ~stray] walks [tags] and the writer
-    slice together in ascending id order, calling [seen p] for each writer
-    position [p] whose id is in [tags], [unseen p] for each whose id is not,
-    and [stray tag] for each tag no writer in the slice has. *)
+    slice together in descending id order, calling [seen p] for each writer
+    position [p] whose id is in [tags] and [unseen p] for each whose id is
+    not, in descending position order; then, after the walk, [stray tag]
+    for each tag no writer in the slice has, in ascending tag order. Every
+    position in the slice is reported exactly once, and so is every
+    stray. *)
 val merge :
   t ->
   int * int ->

@@ -84,8 +84,6 @@ val certify :
 val serializable : report -> bool
 
 (** One-line graph summary: node/edge counts and the certification
-    verdict. *)
+    verdict, followed by the cycle witness, one edge a line, when there is
+    one. *)
 val pp : Format.formatter -> report -> unit
-
-(** Multi-line rendering of the cycle witness (no-op when acyclic). *)
-val pp_witness : Format.formatter -> report -> unit

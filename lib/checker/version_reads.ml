@@ -93,6 +93,9 @@ let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
                   separately. *)
                let missing = ref [] and leaked_future = ref []
                and unknown = ref [] in
+               (* Positions arrive descending and strays ascending, so
+                  consing leaves [missing] and [leaked_future] ascending
+                  and [unknown] descending. *)
                Index.merge idx (Index.writers idx key) seen
                  ~seen:(fun p ->
                    if version p > v then
@@ -111,8 +114,8 @@ let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
                        read_txn = spec.Spec.id;
                        key;
                        version = v;
-                       missing = List.rev !missing;
-                       leaked_future = List.rev !leaked_future;
+                       missing = !missing;
+                       leaked_future = !leaked_future;
                        unknown = List.rev !unknown;
                      }
                      :: !violations

@@ -22,9 +22,6 @@ type t = {
   allowlisted : int;  (** findings suppressed by a [lint.config] allow *)
 }
 
-(** The schema tag {!to_json} stamps on every report: ["lint/v2"]. *)
-val schema_version : string
-
 (** The rule ids every report carries counts for, in catalog order. *)
 val rule_ids : string list
 
@@ -53,7 +50,7 @@ val pp_finding : Format.formatter -> finding -> unit
 (** All findings, one per line, followed by a summary line. *)
 val render_human : Format.formatter -> t -> unit
 
-(** The {!schema_version} JSON document for [t]. *)
+(** The ["lint/v2"] JSON document for [t]. *)
 val to_json : t -> string
 
 (** Parse a report document back into a {!t}. Accepts the current

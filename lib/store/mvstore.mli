@@ -20,6 +20,11 @@
       {!versions_of}, {!fold} and the counters see exactly the result of
       relabelling every item at GC time.
 
+    Items sit in a string-keyed hash table that hashes a key by FNV-1a over
+    its bytes. An item's versions are an immutable list, descending, so a
+    write rebuilds only the versions it updates (those ≥ [v]) and shares
+    the older ones with the list it replaces.
+
     The store also instruments itself so the paper's ≤3-simultaneous-versions
     property (§4.4, property 2a) is checkable: {!max_versions_ever}. *)
 
@@ -53,8 +58,9 @@ val exists_above : 'v t -> key:string -> version:int -> bool
 (** [write_upward t ~key ~version ~init ~f] performs the paper's update step:
     ensure [x(version)] exists (copying from the max version ≤ [version], or
     materializing [init] when the key is entirely new), then replace every
-    version ≥ [version] with [f old_value]. Atomic w.r.t. the simulation
-    (plain OCaml code, no suspension point). *)
+    version ≥ [version] with [f old_value], newest first. The versions below
+    [version] are kept as they are, not copied. Atomic w.r.t. the
+    simulation (plain OCaml code, no suspension point). *)
 val write_upward :
   'v t -> key:string -> version:int -> init:'v -> f:('v -> 'v) -> write_info
 

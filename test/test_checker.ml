@@ -50,6 +50,36 @@ let committed_result ~id ?(version = 1) ?(reads = []) ?(submit = 0.)
 let value_with writers =
   List.fold_left (fun v txn -> Value.incr ~txn ~delta:1. v) Value.empty writers
 
+(* ---------------------------------------------------- history index *)
+
+(* One key, three effect-ful writers. [merge] reports each writer once, as
+   seen or unseen, walking down from the newest; then each stray tag once,
+   ascending. *)
+let merge_reports_each_once () =
+  let module Index = Checker.History_index in
+  let history =
+    List.map (fun id -> (update_spec ~id [ "k" ], committed_result ~id ())) [ 10; 20; 30 ]
+  in
+  let idx = Index.build history in
+  let id p = idx.Index.w_id.(p) in
+  List.iter
+    (fun (name, tags, expected) ->
+      let events = ref [] in
+      let note what x = events := Printf.sprintf "%s %d" what x :: !events in
+      Index.merge idx (Index.writers idx "k") (value_with tags).Value.writers
+        ~seen:(fun p -> note "seen" (id p))
+        ~unseen:(fun p -> note "unseen" (id p))
+        ~stray:(note "stray");
+      Alcotest.(check (list string)) name expected (List.rev !events))
+    [
+      ("empty", [], [ "unseen 30"; "unseen 20"; "unseen 10" ]);
+      ("complete", [ 10; 20; 30 ], [ "seen 30"; "seen 20"; "seen 10" ]);
+      ("middle missing", [ 10; 30 ], [ "seen 30"; "unseen 20"; "seen 10" ]);
+      ( "strays below, between and above",
+        [ 5; 10; 15; 25; 30; 35 ],
+        [ "seen 30"; "unseen 20"; "seen 10"; "stray 5"; "stray 15"; "stray 25"; "stray 35" ] );
+    ]
+
 (* -------------------------------------------------------- atomicity *)
 
 let atomicity_clean_history () =
@@ -658,6 +688,7 @@ let srz_anomalies_flagged =
 let () =
   Alcotest.run "checker"
     [
+      ("history-index", [ Alcotest.test_case "merge order" `Quick merge_reports_each_once ]);
       ( "atomicity",
         [
           Alcotest.test_case "clean history" `Quick atomicity_clean_history;

@@ -373,6 +373,31 @@ let gc_visits_only_multi_version_items () =
     (Mvstore.fold s ~init:[] ~f:(fun acc k v x -> (k, v, x) :: acc)
     = Mvstore_oracle.fold o ~init:[] ~f:(fun acc k v x -> (k, v, x) :: acc))
 
+(* A write at the newest version rebuilds that version alone: the same
+   write costs no more on an item holding three versions than on one
+   holding a single version, because the two older pairs are shared. *)
+let write_upward_shares_older_versions () =
+  let s = Mvstore.create () in
+  List.iter (fun version -> ignore (put s ~key:"three" ~version version)) [ 1; 2; 3 ];
+  ignore (put s ~key:"one" ~version:3 3);
+  vlist "three versions" [ 3; 2; 1 ] (Mvstore.versions_of s ~key:"three");
+  vlist "one version" [ 3 ] (Mvstore.versions_of s ~key:"one");
+  let words key =
+    let n = 1_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Mvstore.write_upward s ~key ~version:3 ~init:0 ~f:succ))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let one = words "one" and three = words "three" in
+  if three > one then
+    Alcotest.failf "a write at the newest of three versions allocates %.2f minor words, \
+                    at a lone version %.2f" three one;
+  checkb "older versions untouched" true
+    (Mvstore.read_exact s ~key:"three" ~version:2 = Some 2
+    && Mvstore.read_exact s ~key:"three" ~version:3 = Some 1003)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -398,6 +423,8 @@ let () =
           Alcotest.test_case "new item" `Quick write_upward_new_item;
           Alcotest.test_case "write_exact NC rule" `Quick
             write_exact_leaves_higher_alone;
+          Alcotest.test_case "newest write shares older versions" `Quick
+            write_upward_shares_older_versions;
         ] );
       ( "gc",
         [

@@ -56,6 +56,119 @@ let value_commutation =
       let run ops = List.fold_left apply Value.empty ops in
       Value.equal (run (a @ b)) (run (b @ a)))
 
+(* Writer tags against a [Set.Make (Int)] model, the representation they
+   replaced. Ids mostly arrive in order; a straggler lands 1-50 below the
+   newest id, and a repeat re-adds an id already present. *)
+module Int_set = Set.Make (Int)
+module Writers = Value.Writers
+
+type tag_move = Fresh of int | Straggler of int | Repeat of int
+type tag_step = Add of bool * tag_move | Union | Probe of int
+
+let writers_match_set_model =
+  let move =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> Fresh k) (int_range 1 3));
+          (2, map (fun d -> Straggler d) (int_range 1 50));
+          (2, map (fun i -> Repeat i) nat);
+        ])
+  in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map2 (fun left m -> Add (left, m)) bool move);
+          (1, return Union);
+          (1, map (fun d -> Probe d) (int_range 0 60));
+        ])
+  in
+  let print = function
+    | Add (left, m) ->
+        Printf.sprintf "Add(%s,%s)"
+          (if left then "a" else "b")
+          (match m with
+          | Fresh k -> Printf.sprintf "Fresh %d" k
+          | Straggler d -> Printf.sprintf "Straggler %d" d
+          | Repeat i -> Printf.sprintf "Repeat %d" i)
+    | Union -> "Union"
+    | Probe d -> Printf.sprintf "Probe %d" d
+  in
+  QCheck.Test.make ~name:"writer tags == Set.Make (Int) model" ~count:1000
+    (QCheck.make
+       ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 0 120) step))
+    (fun steps ->
+      let next = ref 60 in
+      let a = ref Writers.empty and b = ref Writers.empty in
+      let sa = ref Int_set.empty and sb = ref Int_set.empty in
+      let visit iter w =
+        let seen = ref [] in
+        iter (fun x -> seen := x :: !seen) w;
+        List.rev !seen
+      in
+      let agree w s =
+        Writers.elements w = Int_set.elements s
+        && Writers.is_empty w = Int_set.is_empty s
+        && visit Writers.iter w = visit Int_set.iter s
+        && Writers.fold List.cons w [] = Int_set.fold List.cons s []
+        && Writers.descending w = List.rev (Int_set.elements s)
+      in
+      let probe x = Writers.mem x !a = Int_set.mem x !sa && Writers.mem x !b = Int_set.mem x !sb in
+      List.for_all
+        (fun st ->
+          (match st with
+          | Add (left, m) ->
+              let w, s = if left then (a, sa) else (b, sb) in
+              let id =
+                match m with
+                | Fresh k ->
+                    next := !next + k;
+                    !next
+                | Straggler d -> !next - d
+                | Repeat i -> (
+                    match Int_set.elements !s with
+                    | [] -> !next
+                    | ids -> List.nth ids (i mod List.length ids))
+              in
+              let before = !w in
+              w := Writers.add id before;
+              if Int_set.mem id !s && not (!w == before) then
+                QCheck.Test.fail_reportf "re-adding %d copied the tags" id;
+              s := Int_set.add id !s
+          | Union ->
+              a := Writers.union !a !b;
+              sa := Int_set.union !sa !sb
+          | Probe _ -> ());
+          let probes = match st with Probe d -> [ !next - d ] | _ -> [] in
+          agree !a !sa && agree !b !sb
+          && Writers.equal !a !b = Int_set.equal !sa !sb
+          && List.for_all probe (probes @ Int_set.elements !sa @ Int_set.elements !sb)
+          && List.for_all probe [ !next + 1; 0 ])
+        steps)
+
+(* The in-order add is one cons cell; a 1k-element [Set.add] path copy
+   measured 65 minor words. Re-adding a present id copies nothing. *)
+let writers_add_cost () =
+  let base = List.fold_left (fun w x -> Writers.add x w) Writers.empty (List.init 1000 Fun.id) in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (Writers.add (999 + i) base))
+  done;
+  let per_add = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_add > 3. then Alcotest.failf "an in-order add allocates %.2f minor words" per_add;
+  List.iter
+    (fun x -> checkb (Printf.sprintf "re-adding %d returns its argument" x) true (Writers.add x base == base))
+    [ 999; 500; 0 ];
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (Writers.add (i mod 1000) base))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 8. then Alcotest.failf "%d re-adds allocated %.0f minor words" n words
+
 (* --------------------------------------------------------------- op *)
 
 let op_classification () =
@@ -421,7 +534,7 @@ let lockmgr_random_schedules =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ value_commutation; lockmgr_random_schedules ]
+    [ value_commutation; writers_match_set_model; lockmgr_random_schedules ]
 
 let () =
   Alcotest.run "txn"
@@ -430,6 +543,7 @@ let () =
         [
           Alcotest.test_case "incr/append" `Quick value_incr_append;
           Alcotest.test_case "overwrite" `Quick value_overwrite;
+          Alcotest.test_case "writer tag add cost" `Quick writers_add_cost;
         ]
         @ qsuite );
       ("op", [ Alcotest.test_case "classification" `Quick op_classification ]);
