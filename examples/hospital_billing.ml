@@ -41,13 +41,17 @@ let () =
      charges half-applied across departments. *)
   let sim = Sim.create ~seed:7 () in
   let nocoord =
-    Baselines.No_coord.create sim
-      (Baselines.No_coord.default_config ~nodes:departments)
+    Baselines.Manual_versioning.create sim
+      {
+        (Baselines.Manual_versioning.default_config ~nodes:departments) with
+        schedule = Unversioned;
+      }
   in
   let bad =
     report
-      (Harness.Runner.drive sim (Baselines.No_coord.packed nocoord) workload
-         setup)
+      (Harness.Runner.drive sim
+         (Baselines.Manual_versioning.packed nocoord)
+         workload setup)
   in
 
   (* 3V: updates commute locally, reads use the previous version, a

@@ -10,12 +10,15 @@ module Value = Txn.Value
 module Result = Txn.Result
 module Counter_set = Stats.Counter_set
 
+type schedule =
+  | Unversioned
+  | Periodic of { period : float; safety_delay : float }
+
 type config = {
   nodes : int;
   latency : Latency.t;
   think_time : float;
-  period : float;
-  safety_delay : float;
+  schedule : schedule;
 }
 
 let default_config ~nodes =
@@ -23,8 +26,7 @@ let default_config ~nodes =
     nodes;
     latency = Latency.Constant 0.005;
     think_time = 0.0001;
-    period = 1.0;
-    safety_delay = 0.2;
+    schedule = Periodic { period = 1.0; safety_delay = 0.2 };
   }
 
 type root_submit = {
@@ -38,7 +40,6 @@ type msg =
       txn_id : int;
       label : string;
       version : int;  (** period-derived data version, stamped at the root *)
-      is_read : bool;
       source : int;
       parent : (int * int) option;
       tree : Spec.subtxn;
@@ -51,7 +52,6 @@ type pending = {
   p_txn : int;
   p_label : string;
   p_version : int;
-  p_is_read : bool;
   p_parent : (int * int) option;
   mutable p_outstanding : int;
   mutable p_local_done : bool;
@@ -78,8 +78,12 @@ type t = {
           this scheme's coordinator analogue — is down *)
 }
 
-(* Period of a submission time; updates of period π write version π + 1. *)
-let update_version_at t ~now = int_of_float (Float.floor (now /. t.cfg.period)) + 1
+(* Period of a submission time; updates of period π write version π + 1.
+   Unversioned, everything is version 0. *)
+let update_version_at t ~now =
+  match t.cfg.schedule with
+  | Unversioned -> 0
+  | Periodic { period; _ } -> int_of_float (Float.floor (now /. period)) + 1
 
 (* During a publisher outage the read-version publication is frozen at the
    window's start: reads keep using the last version published before the
@@ -94,13 +98,19 @@ let publication_time t ~now =
 (* Latest period σ closed and aged past the safety delay; reads use σ + 1,
    or the initial version 0 when no period is readable yet. *)
 let read_version_at t ~now =
-  let now = publication_time t ~now in
-  let sigma =
-    int_of_float
-      (Float.floor ((now -. t.cfg.safety_delay) /. t.cfg.period))
-    - 1
-  in
-  if sigma < 0 then 0 else sigma + 1
+  match t.cfg.schedule with
+  | Unversioned -> 0
+  | Periodic { period; safety_delay } ->
+      let now = publication_time t ~now in
+      let sigma =
+        int_of_float (Float.floor ((now -. safety_delay) /. period)) - 1
+      in
+      if sigma < 0 then 0 else sigma + 1
+
+let name t =
+  match t.cfg.schedule with
+  | Unversioned -> "no-coordination"
+  | Periodic _ -> "manual-versioning"
 
 let cstat t name = Counter_set.incr t.counters name ()
 let send t ~src ~dst msg = Network.send t.net ~src ~dst msg
@@ -160,7 +170,6 @@ let exec_subtxn t node p (tree : Spec.subtxn) =
              txn_id = p.p_txn;
              label = p.p_label;
              version = p.p_version;
-             is_read = p.p_is_read;
              source = node.id;
              parent = Some (node.id, p.p_id);
              tree = child;
@@ -174,8 +183,7 @@ let exec_subtxn t node p (tree : Spec.subtxn) =
   maybe_finish t node p
 
 let handle_msg t node = function
-  | Subtxn { txn_id; label; version; is_read; source = _; parent; tree; root }
-    ->
+  | Subtxn { txn_id; label; version; source = _; parent; tree; root } ->
       node.next_pending <- node.next_pending + 1;
       let p =
         {
@@ -183,7 +191,6 @@ let handle_msg t node = function
           p_txn = txn_id;
           p_label = label;
           p_version = version;
-          p_is_read = is_read;
           p_parent = parent;
           p_outstanding = 0;
           p_local_done = false;
@@ -193,7 +200,7 @@ let handle_msg t node = function
       in
       Hashtbl.replace node.pendings p.p_id p;
       Sim.spawn t.sim
-        ~name:(Printf.sprintf "manual-n%d/%s#%d" node.id label p.p_id)
+        ~name:(Printf.sprintf "%s-n%d/%s#%d" (name t) node.id label p.p_id)
         (fun () -> exec_subtxn t node p tree)
   | Completion { pending_id; reads } -> (
       match Hashtbl.find_opt node.pendings pending_id with
@@ -210,8 +217,10 @@ let handle_msg t node = function
 let create sim (cfg : config) =
   if cfg.nodes <= 0 then
     invalid_arg "Manual_versioning.create: nodes must be positive";
-  if cfg.period <= 0. then
-    invalid_arg "Manual_versioning.create: period must be positive";
+  (match cfg.schedule with
+  | Periodic { period; _ } when period <= 0. ->
+      invalid_arg "Manual_versioning.create: period must be positive"
+  | _ -> ());
   let net = Network.create sim ~size:cfg.nodes ~latency:cfg.latency () in
   let nodes =
     Array.init cfg.nodes (fun i ->
@@ -229,7 +238,7 @@ let create sim (cfg : config) =
   Array.iter
     (fun node ->
       Sim.spawn sim ~daemon:true
-        ~name:(Printf.sprintf "manual-node-%d" node.id) (fun () ->
+        ~name:(Printf.sprintf "%s-node-%d" (name t) node.id) (fun () ->
           let rec loop () =
             handle_msg t node (Network.recv t.net ~node:node.id);
             loop ()
@@ -238,16 +247,14 @@ let create sim (cfg : config) =
     nodes;
   t
 
-let name _ = "manual-versioning"
-
 let submit t (spec : Spec.t) =
   let result = Ivar.create () in
   let now = Sim.now t.sim in
   let rs = { rs_submit_time = now; rs_result = result; rs_root_commit = now } in
   cstat t "txn.submitted";
-  let is_read = spec.Spec.kind = Spec.Read_only in
   let version =
-    if is_read then read_version_at t ~now else update_version_at t ~now
+    if spec.Spec.kind = Spec.Read_only then read_version_at t ~now
+    else update_version_at t ~now
   in
   let root_node = spec.Spec.root.Spec.node in
   send t ~src:root_node ~dst:root_node
@@ -256,7 +263,6 @@ let submit t (spec : Spec.t) =
          txn_id = spec.Spec.id;
          label = spec.Spec.label;
          version;
-         is_read;
          source = root_node;
          parent = None;
          tree = spec.Spec.root;

@@ -6,13 +6,6 @@ let phase_number = function
   | Switch_read -> 3
   | Retire_read -> 4
 
-let phase_of_number = function
-  | 1 -> Switch_update
-  | 2 -> Quiesce_update
-  | 3 -> Switch_read
-  | 4 -> Retire_read
-  | n -> invalid_arg (Printf.sprintf "Coord_log.phase_of_number: %d" n)
-
 let phase_name = function
   | Switch_update -> "switch-update"
   | Quiesce_update -> "quiesce-update"

@@ -28,12 +28,6 @@ type phase =
 
 val phase_number : phase -> int  (** 1..4 *)
 
-(** @raise Invalid_argument outside 1..4. *)
-val phase_of_number : int -> phase
-
-(** Short phase name for traces, e.g. "switch-update". *)
-val phase_name : phase -> string
-
 type record =
   | Started of { epoch : int; time : float }
       (** a coordinator (re)start: epoch 0 at boot, incremented on each

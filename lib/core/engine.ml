@@ -359,9 +359,6 @@ let[@inline] coord_ep t node = t.cfg.nodes + node.shard
    asking shard's own versions. *)
 let live_bump t node version delta = Vwindow.add t.cs.(node.shard).cs_live version delta
 
-let live_subtxns t ~version =
-  Array.fold_left (fun acc cs -> acc + Vwindow.get cs.cs_live version) 0 t.cs
-
 (* Node counter rows are shard-local, [t.per_shard] entries wide: update
    confinement means a node only ever opens counter pairs with members of
    its own shard (cross-shard reads open {e self} pairs at the entry node),
@@ -2349,12 +2346,6 @@ let node_readable t ~node =
   replica_readable t node
 
 let detector t = Option.map (fun fd -> fd.det) t.fd
-
-let node_suspected t ~node =
-  check_node t node "node_suspected";
-  match t.fd with
-  | Some fd -> Detector.suspected fd.det ~node ~now:(Sim.now t.sim)
-  | None -> false
 
 let advancements_completed t =
   Array.fold_left (fun acc cs -> acc + cs.cs_advancements) 0 t.cs

@@ -205,10 +205,6 @@ val store : t -> node:int -> Txn.Value.t Store.Mvstore.t
 (** A node's counter table. *)
 val counters : t -> node:int -> Counters.t
 
-(** Quiescence oracle: number of subtransactions of [version] that have been
-    requested but have not yet terminated, across the whole system. *)
-val live_subtxns : t -> version:int -> int
-
 (** Number of fully completed version advancements. *)
 val advancements_completed : t -> int
 
@@ -284,11 +280,6 @@ val placement : t -> Repl.Placement.t
     inspection by tests and experiments (suspicion/recovery accounting also
     surfaces in {!stats} under ["fd.*"]). *)
 val detector : t -> Fd.Detector.t option
-
-(** [node_suspected t ~node] — is [node] currently under heartbeat
-    suspicion? Always [false] when the detector is off. This is exactly the
-    liveness signal routing and quorum polls consume (negated). *)
-val node_suspected : t -> node:int -> bool
 
 (** [node_readable t ~node] — the readable-after-recovery gate: [true] iff
     [node] may serve reads right now. A node that never crashed is always

@@ -150,9 +150,3 @@ let suspicions t = t.suspicions
 let confirmations t = t.confirmations
 let recoveries t = t.recoveries
 let heartbeats_seen t = t.heartbeats
-
-let pp_state ppf = function
-  | Trusted -> Format.fprintf ppf "trusted"
-  | Suspected -> Format.fprintf ppf "suspected"
-  | Confirmed_down -> Format.fprintf ppf "confirmed-down"
-  | Recovered -> Format.fprintf ppf "recovered"

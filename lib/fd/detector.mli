@@ -75,6 +75,3 @@ val recoveries : t -> int
 
 (** Heartbeat arrivals folded in so far. *)
 val heartbeats_seen : t -> int
-
-(** Formatter for {!state}. *)
-val pp_state : Format.formatter -> state -> unit

@@ -8,7 +8,6 @@ module Plan = Fault.Plan
 type _ config =
   | V3 : Engine.config -> Engine.t config
   | Twopc : Baselines.Global_2pc.config -> Baselines.Global_2pc.t config
-  | Nocoord : Baselines.No_coord.config -> Baselines.No_coord.t config
   | Manual :
       Baselines.Manual_versioning.config
       -> Baselines.Manual_versioning.t config
@@ -33,25 +32,20 @@ let twopc ?(deadlock_timeout = 0.05) ~nodes () =
       deadlock_timeout;
     }
 
-let nocoord ~nodes =
-  Nocoord { Baselines.No_coord.nodes; latency = link_latency; think_time }
+let manual_schedule ?(latency = link_latency) ~nodes schedule =
+  Manual { Baselines.Manual_versioning.nodes; latency; think_time; schedule }
 
-let manual ?(latency = link_latency) ?(safety_delay = 0.2) ~nodes ~period () =
-  Manual
-    {
-      Baselines.Manual_versioning.nodes;
-      latency;
-      think_time;
-      period;
-      safety_delay;
-    }
+let nocoord ~nodes = manual_schedule ~nodes Unversioned
+
+let manual ?latency ?(safety_delay = 0.2) ~nodes ~period () =
+  manual_schedule ?latency ~nodes (Periodic { period; safety_delay })
 
 type 'e driven = { sim : Sim.t; engine : 'e; outcome : Runner.outcome }
 
 let drive (type e) ?plan ?(before = fun _ _ -> ()) (config : e config) gen
     (setup : Runner.setup) : e driven =
   (match (config, plan) with
-  | (Nocoord _ | Manual _), Some _ ->
+  | Manual _, Some _ ->
       invalid_arg "Scenario.drive: this baseline takes no fault plan"
   | _ -> ());
   let sim = Sim.create ~seed:setup.Runner.seed () in
@@ -64,9 +58,6 @@ let drive (type e) ?plan ?(before = fun _ _ -> ()) (config : e config) gen
     | Twopc cfg ->
         let e = Baselines.Global_2pc.create ?faults sim cfg in
         (e, Baselines.Global_2pc.packed e)
-    | Nocoord cfg ->
-        let e = Baselines.No_coord.create sim cfg in
-        (e, Baselines.No_coord.packed e)
     | Manual cfg ->
         let e = Baselines.Manual_versioning.create sim cfg in
         (e, Baselines.Manual_versioning.packed e)

@@ -16,11 +16,12 @@
 
 (** {1 Driving an engine} *)
 
-(** An engine configuration, indexed by the engine it builds. *)
+(** An engine configuration, indexed by the engine it builds. [Manual]
+    builds both the no-coordination and the manual-versioning baseline,
+    by its [schedule]. *)
 type _ config =
   | V3 : Threev.Engine.config -> Threev.Engine.t config
   | Twopc : Baselines.Global_2pc.config -> Baselines.Global_2pc.t config
-  | Nocoord : Baselines.No_coord.config -> Baselines.No_coord.t config
   | Manual :
       Baselines.Manual_versioning.config
       -> Baselines.Manual_versioning.t config
@@ -45,10 +46,12 @@ val reliable : Threev.Engine.config -> Threev.Engine.config
 val twopc :
   ?deadlock_timeout:float -> nodes:int -> unit -> Baselines.Global_2pc.t config
 
-(** The no-coordination baseline. *)
-val nocoord : nodes:int -> Baselines.No_coord.t config
+(** The no-coordination baseline: manual versioning's unversioned
+    schedule. *)
+val nocoord : nodes:int -> Baselines.Manual_versioning.t config
 
-(** Manual versioning with a 0.2 s safety delay unless given. *)
+(** Manual versioning's periodic schedule, with a 0.2 s safety delay
+    unless given. *)
 val manual :
   ?latency:Netsim.Latency.t ->
   ?safety_delay:float ->

@@ -15,10 +15,6 @@
 (** [(tag, rule-id)] for every recognized waiver tag. *)
 val waiver_tags : (string * string) list
 
-(** The directories scanned under the root, in order: [lib], [bin],
-    [bench]. *)
-val source_dirs : string list
-
 (** [lint_source ~config ~filename source] lints one file's content
     ([filename] decides implementation vs interface and path-scoped rules)
     and returns [(kept_findings, waived, allowlisted)]. Unparseable input
@@ -40,8 +36,8 @@ val lint_string :
     check (fixture sets are not full library trees). *)
 val run_sources : ?config:Config.t -> (string * string) list -> Report.t
 
-(** Repo-relative paths of every [.ml]/[.mli] under {!source_dirs} of
-    [root], sorted; [_build] and dot-directories are skipped. *)
+(** Repo-relative paths of every [.ml]/[.mli] under [root]'s [lib], [bin]
+    and [bench], sorted; [_build] and dot-directories are skipped. *)
 val walk : string -> string list
 
 (** Lint the whole tree under [root]. [config_path] (default

@@ -1,12 +1,12 @@
 (** Common interface implemented by every concurrency-control engine.
 
-    The 3V engine ([Threev.Engine]) and the three §1 baselines
-    ([Baselines.Global_2pc], [Baselines.No_coord],
-    [Baselines.Manual_versioning]) all satisfy {!S}, so workloads,
-    checkers and experiments run unchanged against any of them. An engine
-    receives fully-specified transactions ({!Spec.t}) and resolves each one
-    to a {!Result.t} through an IVar — the submitting process may await the
-    IVar or fire-and-forget. *)
+    The 3V engine ([Threev.Engine]) and the engines of the three §1
+    baselines ([Baselines.Global_2pc], and [Baselines.Manual_versioning]
+    for both no coordination and manual versioning) all satisfy {!S}, so
+    workloads, checkers and experiments run unchanged against any of them.
+    An engine receives fully-specified transactions ({!Spec.t}) and
+    resolves each one to a {!Result.t} through an IVar — the submitting
+    process may await the IVar or fire-and-forget. *)
 
 module type S = sig
   type t

@@ -246,12 +246,3 @@ let held t ~owner =
 
 let waiting t = t.waiting_count
 let conflicts_aborted t = t.aborted
-
-let pp_mode ppf m =
-  Format.pp_print_string ppf
-    (match m with
-    | Shared -> "S"
-    | Exclusive -> "X"
-    | Commute_read -> "CR"
-    | Commute_update -> "CU"
-    | Non_commute -> "NC")

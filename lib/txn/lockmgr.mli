@@ -56,6 +56,3 @@ val waiting : t -> int
 (** Total lock waits that ended in [Deadlock] or [Timeout] since creation
     ([Cancelled] waits are not conflicts and are excluded). *)
 val conflicts_aborted : t -> int
-
-(** Prints a mode as "S", "X", "CR", "CU" or "NC". *)
-val pp_mode : Format.formatter -> mode -> unit

@@ -29,6 +29,3 @@ val generator : params -> Generator.t
 (** [balance_key ~customer ~region] names a customer's balance record in
     one region. *)
 val balance_key : customer:int -> region:int -> string
-
-(** [region_total_key ~region] names a region's running-total summary. *)
-val region_total_key : region:int -> string

@@ -23,9 +23,3 @@ val default : nodes:int -> params
 
 (** [generator p] is the factory-monitoring transaction stream for [p]. *)
 val generator : params -> Generator.t
-
-(** [machine_key ~line ~machine] names one machine's piece-count record. *)
-val machine_key : line:int -> machine:int -> string
-
-(** [line_total_key ~line] names a line's shift-total summary record. *)
-val line_total_key : line:int -> string

@@ -25,14 +25,3 @@ val default : nodes:int -> params
 
 (** [generator p] is the point-of-sale transaction stream for [p]. *)
 val generator : params -> Generator.t
-
-(** [inventory_key ~product ~store] names a product's inventory count at
-    one store. *)
-val inventory_key : product:int -> store:int -> string
-
-(** [sold_key ~product] names the chain-wide sold-count summary at HQ. *)
-val sold_key : product:int -> string
-
-(** [price_key ~product ~store] names a product's price record at one
-    store — the target of non-commuting price changes. *)
-val price_key : product:int -> store:int -> string

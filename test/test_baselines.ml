@@ -9,7 +9,6 @@ module Op = Txn.Op
 module Value = Txn.Value
 module Result = Txn.Result
 module Global_2pc = Baselines.Global_2pc
-module No_coord = Baselines.No_coord
 module Manual = Baselines.Manual_versioning
 
 let checkb = Alcotest.(check bool)
@@ -151,11 +150,15 @@ let twopc_aborted_writes_invisible () =
 
 (* ---------------------------------------------------- no coordination *)
 
+(* No coordination is manual versioning's unversioned schedule. *)
+let nocoord_config ~nodes =
+  { (Manual.default_config ~nodes) with Manual.schedule = Unversioned }
+
 let nocoord_commits_everything () =
   let sim = Sim.create () in
-  let eng = No_coord.create sim (No_coord.default_config ~nodes:2) in
+  let eng = Manual.create sim (nocoord_config ~nodes:2) in
   let rs =
-    List.init 10 (fun i -> No_coord.submit eng (cross_update ~id:(i + 1) "a" "b"))
+    List.init 10 (fun i -> Manual.submit eng (cross_update ~id:(i + 1) "a" "b"))
   in
   ignore (Sim.run sim ~until:5.0 ());
   checkb "all committed" true
@@ -164,7 +167,7 @@ let nocoord_commits_everything () =
          match Ivar.peek iv with Some res -> Result.committed res | None -> false)
        rs);
   let amt node key =
-    match Mvstore.read_visible (No_coord.store eng ~node) ~key ~version:0 with
+    match Mvstore.read_visible (Manual.store eng ~node) ~key ~version:0 with
     | Some (_, v) -> v.Value.amount
     | None -> 0.
   in
@@ -176,9 +179,9 @@ let nocoord_partial_read_demonstrated () =
      fired right after the root write sees a at node 0 but not b at node 1. *)
   let sim = Sim.create () in
   let cfg =
-    { (No_coord.default_config ~nodes:2) with No_coord.latency = Latency.Constant 1.0 }
+    { (nocoord_config ~nodes:2) with Manual.latency = Latency.Constant 1.0 }
   in
-  let eng = No_coord.create sim cfg in
+  let eng = Manual.create sim cfg in
   let upd = cross_update ~id:1 "a" "b" in
   (* The read starts at node 1 (reading b before the update's child lands
      there) and then visits node 0 (reading a after the root write). *)
@@ -186,9 +189,9 @@ let nocoord_partial_read_demonstrated () =
     Spec.make ~id:2
       (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Read "a" ] ] 1 [ Op.Read "b" ])
   in
-  ignore (No_coord.submit eng upd);
+  ignore (Manual.submit eng upd);
   let r = ref None in
-  Sim.schedule sim ~delay:0.01 (fun () -> r := Some (No_coord.submit eng rd));
+  Sim.schedule sim ~delay:0.01 (fun () -> r := Some (Manual.submit eng rd));
   ignore (Sim.run sim ~until:10.0 ());
   let res =
     match !r with
@@ -211,8 +214,7 @@ let manual_version_arithmetic () =
   let cfg =
     {
       (Manual.default_config ~nodes:2) with
-      Manual.period = 1.0;
-      safety_delay = 0.25;
+      Manual.schedule = Periodic { period = 1.0; safety_delay = 0.25 };
     }
   in
   let eng = Manual.create sim cfg in
@@ -225,7 +227,10 @@ let manual_version_arithmetic () =
 let manual_reads_lag_a_period () =
   let sim = Sim.create () in
   let cfg =
-    { (Manual.default_config ~nodes:2) with Manual.period = 1.0; safety_delay = 0.2 }
+    {
+      (Manual.default_config ~nodes:2) with
+      Manual.schedule = Periodic { period = 1.0; safety_delay = 0.2 };
+    }
   in
   let eng = Manual.create sim cfg in
   (* Update in period 0. *)
@@ -259,8 +264,7 @@ let manual_straggler_partial_read () =
     let cfg =
       {
         (Manual.default_config ~nodes:2) with
-        Manual.period = 1.0;
-        safety_delay;
+        Manual.schedule = Periodic { period = 1.0; safety_delay };
         latency = Latency.Constant 0.4 (* child lands 0.4s into next period *);
       }
     in
@@ -301,7 +305,7 @@ let engine_names () =
   Alcotest.(check string) "2pc" "global-2pc"
     (Global_2pc.name (Global_2pc.create sim (Global_2pc.default_config ~nodes:1)));
   Alcotest.(check string) "nocoord" "no-coordination"
-    (No_coord.name (No_coord.create sim (No_coord.default_config ~nodes:1)));
+    (Manual.name (Manual.create sim (nocoord_config ~nodes:1)));
   Alcotest.(check string) "manual" "manual-versioning"
     (Manual.name (Manual.create sim (Manual.default_config ~nodes:1)))
 

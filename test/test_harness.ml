@@ -312,6 +312,63 @@ let golden_fault_free () =
   check_golden "fault-free" ~digest:0x36746098 ~events:7474
     (history_digest outcome, Sim.events_executed sim)
 
+(* The two §1 baselines, each on the shape of the experiment that shows
+   its anomaly: F1's front-end hospital for no coordination, E8's
+   straggler links under a reckless safety delay for manual versioning. *)
+let golden_baseline name ~digest ~events ~seed ~duration packed gen =
+  let sim = Sim.create ~seed () in
+  let outcome =
+    Runner.drive sim (packed sim) gen
+      { Runner.seed; duration; settle = 3.0; max_txns = 100_000 }
+  in
+  check_golden name ~digest ~events
+    (history_digest outcome, Sim.events_executed sim)
+
+let golden_no_coordination () =
+  let nodes = 4 in
+  golden_baseline "no-coordination" ~digest:0x00a022fe ~events:5270 ~seed:11
+    ~duration:0.5
+    (fun sim ->
+      Baselines.Manual_versioning.packed
+        (Baselines.Manual_versioning.create sim
+           {
+             Baselines.Manual_versioning.nodes;
+             latency = Netsim.Latency.Exponential 0.003;
+             think_time = 0.0005;
+             schedule = Unversioned;
+           }))
+    (Workload.Hospital.generator
+       {
+         (Workload.Hospital.default ~nodes) with
+         Workload.Hospital.front_end = true;
+         read_ratio = 0.3;
+         arrival_rate = 400.;
+         visit_fanout = 2;
+       })
+
+let golden_manual_versioning () =
+  let nodes = 4 in
+  golden_baseline "manual-versioning" ~digest:0x33b09282 ~events:26210 ~seed:91
+    ~duration:1.2
+    (fun sim ->
+      Baselines.Manual_versioning.packed
+        (Baselines.Manual_versioning.create sim
+           {
+             Baselines.Manual_versioning.nodes;
+             latency = Netsim.Latency.Uniform (0.0005, 0.012);
+             think_time = 0.0005;
+             schedule = Periodic { period = 0.5; safety_delay = 0.005 };
+           }))
+    (Workload.Hospital.generator
+       {
+         (Workload.Hospital.default ~nodes) with
+         Workload.Hospital.arrival_rate = 800.;
+         read_ratio = 0.4;
+         patients = 25;
+         visit_fanout = 3;
+         post_delay = 0.08;
+       })
+
 let () =
   Alcotest.run "harness"
     [
@@ -346,5 +403,9 @@ let () =
             golden_e13_style;
           Alcotest.test_case "fault-free replay byte-identical" `Quick
             golden_fault_free;
+          Alcotest.test_case "no-coordination replay byte-identical" `Quick
+            golden_no_coordination;
+          Alcotest.test_case "manual-versioning replay byte-identical" `Quick
+            golden_manual_versioning;
         ] );
     ]

@@ -78,16 +78,18 @@ let threev_matches_nocoord_final_state () =
   let outcome_3v, engine_3v = drive_3v ~seed ~nodes ~rate in
   let sim = Sim.create ~seed () in
   let nc =
-    Baselines.No_coord.create sim
+    Baselines.Manual_versioning.create sim
       {
-        (Baselines.No_coord.default_config ~nodes) with
-        Baselines.No_coord.latency = Latency.Exponential 0.005;
+        (Baselines.Manual_versioning.default_config ~nodes) with
+        Baselines.Manual_versioning.latency = Latency.Exponential 0.005;
         think_time = 0.0002;
+        schedule = Unversioned;
       }
   in
   let outcome_nc =
-    Runner.drive sim (Baselines.No_coord.packed nc) (hospital_gen ~nodes ~rate)
-      (setup ~seed)
+    Runner.drive sim
+      (Baselines.Manual_versioning.packed nc)
+      (hospital_gen ~nodes ~rate) (setup ~seed)
   in
   (* Same seed, same generator stream: both engines saw identical specs. *)
   checki "same submissions" outcome_3v.Runner.submitted
@@ -103,7 +105,7 @@ let threev_matches_nocoord_final_state () =
         | None -> 0.
       in
       let amount_3v = amount (Engine.store engine_3v)
-      and amount_nc = amount (Baselines.No_coord.store nc) in
+      and amount_nc = amount (Baselines.Manual_versioning.store nc) in
       if Float.abs (amount_3v -. want) > 1e-6 then incr mismatches;
       if Float.abs (amount_nc -. amount_3v) > 1e-6 then incr mismatches)
     expected;
@@ -117,10 +119,11 @@ let nocoord_not_atomic_under_stragglers () =
       (fun acc seed ->
         let sim = Sim.create ~seed () in
         let nc =
-          Baselines.No_coord.create sim
+          Baselines.Manual_versioning.create sim
             {
-              (Baselines.No_coord.default_config ~nodes:4) with
-              Baselines.No_coord.latency = Latency.Exponential 0.01;
+              (Baselines.Manual_versioning.default_config ~nodes:4) with
+              Baselines.Manual_versioning.latency = Latency.Exponential 0.01;
+              schedule = Unversioned;
             }
         in
         let gen =
@@ -135,7 +138,8 @@ let nocoord_not_atomic_under_stragglers () =
             }
         in
         let outcome =
-          Runner.drive sim (Baselines.No_coord.packed nc) gen (setup ~seed)
+          Runner.drive sim (Baselines.Manual_versioning.packed nc) gen
+            (setup ~seed)
         in
         acc + (Runner.atomicity outcome).Checker.Atomicity.partial_reads)
       0 [ 1; 2; 3 ]
