@@ -791,7 +791,38 @@ let spawn_children t node p (children : Spec.subtxn list) ~compensating =
            }))
     children
 
-(* Full execution of one subtransaction at [node], as a simulated process. *)
+(* One subtransaction's local work as a chain of kernel callbacks: the
+   tree's [think], then [node]'s local critical section ([local_cc], with
+   [cfg.think_time] inside it) running [body], the release, then [after].
+   Each hand-over must take the events a process running the same steps
+   takes, or schedules change: the first step runs at the event a
+   [Sim.spawn] would start the process on, each think is [Sim.after]'s two
+   events (a [Sim.sleep]'s), and a contended permit resumes on the event
+   its release queues (a blocked [Semaphore.acquire]'s). test_simul's
+   dispatch oracle holds the two shapes equal. A failing step stops the
+   run under [name ()].
+
+   A chain can wait on nothing but [local_cc], and the permit's holder
+   always releases after [think_time]: no chain can deadlock, so [Sim]'s
+   stall report, which lists blocked processes and never callbacks, loses
+   nothing when chains drop out of it. Work that can wait on anything else
+   (an NC subtransaction's locks and its [vu = vr + 1] admission) keeps a
+   process. *)
+let run_section t node ~name ~think ~body ~after =
+  let sim = t.sim and cc = node.local_cc in
+  let rec start () =
+    if think > 0. then Sim.after sim think (guarded enter) else enter ()
+  and enter () = Semaphore.acquire_then sim cc (guarded locked)
+  and locked () =
+    if t.cfg.think_time > 0. then Sim.after sim t.cfg.think_time (guarded run)
+    else run ()
+  and run () =
+    body ();
+    Semaphore.release cc;
+    after ()
+  and guarded step () = try step () with exn -> Sim.fail sim (name ()) exn in
+  Sim.schedule sim (guarded start)
+
 (* --------------------------------------------------------- completion *)
 
 (* A subtransaction "terminates" (paper §4.1 step 6 / Table 1 semantics)
@@ -881,14 +912,12 @@ let rec maybe_finish t node p =
            so termination detection keeps working. *)
         rs.rs_compensated <- true;
         p.p_outstanding <- p.p_outstanding + 1 (* hold the root open *);
-        let tree = rs.rs_spec.Spec.root in
-        Sim.spawn t.sim ~daemon:false
-          ~namef:(fun () -> Printf.sprintf "%s/%s-compensation" node.name p.p_label)
-          (fun () ->
-            let inverse = invert_tree tree in
-            Semaphore.with_permit t.sim node.local_cc (fun () ->
-                if t.cfg.think_time > 0. then Sim.sleep t.sim t.cfg.think_time;
-                run_ops_commuting t node p inverse.Spec.ops);
+        let inverse = invert_tree rs.rs_spec.Spec.root in
+        run_section t node
+          ~name:(fun () -> Printf.sprintf "%s/%s-compensation" node.name p.p_label)
+          ~think:0.
+          ~body:(fun () -> run_ops_commuting t node p inverse.Spec.ops)
+          ~after:(fun () ->
             if tracing t then
               tr t node.name "tx %s compensates (wave starts)" p.p_label;
             spawn_children t node p inverse.Spec.children ~compensating:true;
@@ -970,6 +999,39 @@ and handle_completion t node ~pending_id ~child_label ~reads ~vote ~nodes =
       p.p_outstanding <- p.p_outstanding - 1;
       maybe_finish t node p
 
+(* After the local critical section: the §3.2 abort draw, then the
+   children (§4.1 step 5). *)
+let after_section t node p (tree : Spec.subtxn) ~compensating =
+  cstat t "subtxn.executed";
+  (* Fault injection for §3.2: any commuting subtransaction may abort at
+     its commit point (its local effects already applied). The abort vote
+     propagates to the root, which runs the single compensation wave.
+     Compensating subtransactions themselves never re-abort. *)
+  if
+    p.p_kind = Spec.Commuting
+    && (not compensating)
+    && t.cfg.abort_probability > 0.
+    && Random.State.float (Sim.rng t.sim) 1. < t.cfg.abort_probability
+  then begin
+    p.p_vote <- Vote_abort "application-abort";
+    if tracing t then
+      tr t node.name "subtx of %s aborts; compensation required" p.p_label
+  end;
+  if p.p_vote = Vote_commit || p.p_kind = Spec.Commuting then
+    spawn_children t node p tree.Spec.children ~compensating
+
+(* Local work done: stamp the root's commit time, then terminate once the
+   children have. *)
+let local_done t node p =
+  (match p.p_root with
+  | Some rs -> rs.rs_root_commit <- Sim.now t.sim
+  | None -> ());
+  p.p_local_done <- true;
+  maybe_finish t node p
+
+(* Full execution of one NC subtransaction, or a commuting one in
+   [nc_mode], at [node], as a simulated process: it may block on a lock or
+   on the admission wait. *)
 let exec_subtxn t node p (tree : Spec.subtxn) ~compensating =
   (* Application-level lateness (e.g. a charge being finalized) happens
      before any locks or local serialization. *)
@@ -1016,28 +1078,19 @@ let exec_subtxn t node p (tree : Spec.subtxn) ~compensating =
           match p.p_kind with
           | Spec.Read_only | Spec.Commuting -> run_ops_commuting t node p tree.Spec.ops
           | Spec.Non_commuting -> ignore (run_ops_nc t node p tree.Spec.ops));
-      cstat t "subtxn.executed";
-      (* Fault injection for §3.2: any commuting subtransaction may abort at
-         its commit point (its local effects already applied). The abort
-         vote propagates to the root, which runs the single compensation
-         wave. Compensating subtransactions themselves never re-abort. *)
-      if
-        p.p_kind = Spec.Commuting
-        && (not compensating)
-        && t.cfg.abort_probability > 0.
-        && Random.State.float (Sim.rng t.sim) 1. < t.cfg.abort_probability
-      then begin
-        p.p_vote <- Vote_abort "application-abort";
-        if tracing t then
-          tr t node.name "subtx of %s aborts; compensation required" p.p_label
-      end;
-      if p.p_vote = Vote_commit || p.p_kind = Spec.Commuting then
-        spawn_children t node p tree.Spec.children ~compensating);
-  (match p.p_root with
-  | Some rs -> rs.rs_root_commit <- Sim.now t.sim
-  | None -> ());
-  p.p_local_done <- true;
-  maybe_finish t node p
+      after_section t node p tree ~compensating);
+  local_done t node p
+
+(* A read-only subtransaction, or a commuting one outside [nc_mode]: no
+   locks and no admission wait, so it needs no process. *)
+let exec_steps t node p (tree : Spec.subtxn) ~compensating =
+  run_section t node
+    ~name:(fun () -> Printf.sprintf "%s/%s#%d" node.name p.p_label p.p_id)
+    ~think:tree.Spec.think
+    ~body:(fun () -> run_ops_commuting t node p tree.Spec.ops)
+    ~after:(fun () ->
+      after_section t node p tree ~compensating;
+      local_done t node p)
 
 (* ------------------------------------------------- message handling *)
 
@@ -1193,11 +1246,14 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
     }
   in
   Hashtbl.replace node.pendings p.p_id p;
-  (* [namef]: one subtransaction fiber per subtxn makes this the hottest
-     spawn in the system — the name is only rendered on stall/failure. *)
-  Sim.spawn t.sim ~daemon:false
-    ~namef:(fun () -> Printf.sprintf "%s/%s#%d" node.name label p.p_id)
-    (fun () -> exec_subtxn t node p tree ~compensating)
+  match kind with
+  | Spec.Read_only -> exec_steps t node p tree ~compensating
+  | Spec.Commuting when not t.cfg.nc_mode -> exec_steps t node p tree ~compensating
+  | Spec.Commuting | Spec.Non_commuting ->
+      (* [namef]: the name is only rendered on stall or failure. *)
+      Sim.spawn t.sim ~daemon:false
+        ~namef:(fun () -> Printf.sprintf "%s/%s#%d" node.name label p.p_id)
+        (fun () -> exec_subtxn t node p tree ~compensating)
 
 let handle_node_msg t node = function
   | Subtxn { txn_id; label; kind; version; source; parent; tree; root;
@@ -1825,6 +1881,44 @@ let restart_recover t node =
   if tracing t then
     tr t node.name "restarts; recovers vu=%d vr=%d from durable state" vu vr
 
+(* A node's message dispatch, as callbacks on its inbox. An idle node's
+   inbox holds a one-shot arrival hook; a delivery fires it, which queues
+   the node's drain at the current instant, the event a server process
+   blocked in [Reliable.recv] would wake on (test_simul's dispatch oracle
+   holds the two shapes equal). Deliveries while the drain is queued,
+   running or paused only enqueue. The drain takes packets in inbox
+   order, runs the channel's receive step on each and dispatches every
+   first delivery, then re-arms the hook on an empty inbox. [woken] and
+   [arrival] are allocated once per node, so a wake allocates nothing but
+   its FIFO slot. A handler's exception stops the run under
+   "node-<name>". *)
+let serve t node =
+  let inbox = Network.inbox t.net ~node:node.id in
+  let rec drain () =
+    if Mailbox.length inbox = 0 then Mailbox.on_arrival inbox arrival
+    else
+      let p = Mailbox.take inbox in
+      match (Reliable.accept t.ch ~node:node.id p, p) with
+      | true, Reliable.Data { body; _ } ->
+          let now = Sim.now t.sim in
+          (* Injected outage: a frozen node buffers its inbox. Everything
+             already running locally proceeds; the message in hand waits
+             out the pause on a sleep's two events, and no other is handled
+             before it. *)
+          if now < node.paused_until then
+            Sim.after t.sim (node.paused_until -. now) (fun () ->
+                guarded (handle body))
+          else handle body ()
+      | _, (Reliable.Data _ | Reliable.Ack _) -> drain ()
+  and handle msg () =
+    handle_node_msg t node msg;
+    drain ()
+  and guarded step =
+    try step () with exn -> Sim.fail t.sim ("node-" ^ node.name) exn
+  and woken () = guarded drain
+  and arrival () = Sim.schedule t.sim woken in
+  Mailbox.on_arrival inbox arrival
+
 let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
   if cfg.nodes <= 0 then invalid_arg "Engine.create: nodes must be positive";
   if cfg.replicas < 1 then
@@ -2027,23 +2121,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
       if tracing t then tr t c0.cs_name "restarts; write-ahead log intact";
       send t ~src:c0.cs_id ~dst:c0.cs_id Coord_wake)
     ();
-  (* Node server loops. *)
-  Array.iter
-    (fun node ->
-      Sim.spawn sim ~daemon:true ~name:(Printf.sprintf "node-%s" node.name)
-        (fun () ->
-          let rec loop () =
-            let msg = Reliable.recv t.ch ~node:node.id in
-            (* Injected outage: a frozen node buffers its inbox. Everything
-               already running locally proceeds; no new message is handled
-               until the pause elapses. *)
-            if Sim.now sim < node.paused_until then
-              Sim.sleep sim (node.paused_until -. Sim.now sim);
-            handle_node_msg t node msg;
-            loop ()
-          in
-          loop ()))
-    nodes;
+  Array.iter (serve t) nodes;
   (* Heartbeat daemons: one sender per node and the coordinator-side
      monitor. A crashed node's sender keeps firing into the heartbeat
      filter, which drops everything from inside a crash window — exactly a
@@ -2115,7 +2193,7 @@ let name _ = "3v"
 
 let submit t (spec : Spec.t) =
   (* Reject malformed specs up front: a bad node id inside a running
-     subtransaction would otherwise kill a node's server loop. *)
+     subtransaction would otherwise stop a node's dispatch. *)
   List.iter
     (fun n ->
       if n < 0 || n >= t.cfg.nodes then

@@ -166,9 +166,15 @@ val default_config : nodes:int -> config
 type t
 
 (** [create sim config ?trace ?node_names ?link_latency ?faults ()] builds
-    the system and starts its node server processes and coordinator (as
-    daemon processes of [sim]). [node_names] labels nodes in traces
-    (default "n0", "n1", ...). [faults] plugs a {!Fault.Injector} into the
+    the system on [sim]: each node's inbox is drained by callbacks armed on
+    it (no process per node), and the coordinators, heartbeat senders and
+    policy timer start as daemon processes. Read-only subtransactions and
+    commuting ones outside [nc_mode] run as callback chains; an NC
+    subtransaction runs as a process, since it can wait on a lock or on
+    its admission. A node handler's failure stops the run as
+    [Sim.Process_failure ("node-<name>", exn)], a subtransaction's as
+    [Sim.Process_failure ("<node>/<label>#<id>", exn)]. [node_names]
+    labels nodes in traces (default "n0", "n1", ...). [faults] plugs a {!Fault.Injector} into the
     engine's network and node-event hooks; when omitted an internal
     injector with the empty plan is used (behaviorally a no-op), so
     {!inject_pause} and {!inject_crash} always work. *)

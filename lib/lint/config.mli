@@ -12,7 +12,10 @@
       are protocol messages: the message-flow pass (rule R7) checks every
       sent constructor has a handler branch;
     - [phase-msg <Constructor>] — a protocol constructor whose send must be
-      dominated by a [Coord_log.append] (rule R8). *)
+      dominated by a [Coord_log.append] (rule R8).
+
+    An [engine] or [protocol] path that names no scanned file is itself a
+    finding of the rule that reads it ({!Driver.run}). *)
 
 type allow = { a_rule : string; a_glob : string; a_note : string }
 

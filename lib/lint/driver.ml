@@ -268,6 +268,30 @@ let lint_files ~config sources =
   in
   (kept, List.length waived, List.length allowlisted)
 
+(* An [engine] or [protocol] line names the file its rule reads. A line
+   whose path names no file of the run would switch that check off
+   without a word, so it is a finding of that rule (R5 or R7), attributed
+   to the missing path; no allowlist or waiver hides it. *)
+let unresolved_config ~(config : Config.t) files =
+  let stale rule what path =
+    if List.mem path files then None
+    else
+      Some
+        {
+          Report.file = path;
+          line = 1;
+          col = 0;
+          rule;
+          msg =
+            Printf.sprintf "lint.config names %s %s, but no such file is scanned"
+              what path;
+        }
+  in
+  List.filter_map (stale "R5" "engine interface") config.Config.engines
+  @ List.filter_map
+      (fun (path, _) -> stale "R7" "protocol file" path)
+      config.Config.protocols
+
 let lint_source ?(config = Config.empty) ~filename source =
   lint_files ~config [ (filename, source) ]
 
@@ -277,8 +301,9 @@ let lint_string ?config ~filename source =
 
 let run_sources ?(config = Config.empty) sources =
   let kept, waived, allowlisted = lint_files ~config sources in
-  Report.make ~findings:kept ~files_scanned:(List.length sources) ~waived
-    ~allowlisted
+  Report.make
+    ~findings:(kept @ unresolved_config ~config (List.map fst sources))
+    ~files_scanned:(List.length sources) ~waived ~allowlisted
 
 (* ------------------------------------------------------------- tree walk *)
 
@@ -337,7 +362,7 @@ let run ?(config_path = "lint.config") ?rule ~root () =
   in
   let files = List.map fst sources in
   let kept, waived, allowlisted = lint_files ~config sources in
-  let findings = ref kept in
+  let findings = ref (kept @ unresolved_config ~config files) in
   let waived = ref waived in
   let allowlisted = ref allowlisted in
   (* R5: every lib/** implementation needs a sibling interface. *)

@@ -33,7 +33,9 @@ val lint_string :
 
 (** Lint a set of in-memory files as one run — the cross-file R7 pass
     joins send and handler facts across all of them. No missing-[.mli]
-    check (fixture sets are not full library trees). *)
+    check (fixture sets are not full library trees). An [engine] line
+    (R5) or [protocol] line (R7) of [config] whose path is not among the
+    files is a finding of that rule, as in {!run}. *)
 val run_sources : ?config:Config.t -> (string * string) list -> Report.t
 
 (** Repo-relative paths of every [.ml]/[.mli] under [root]'s [lib], [bin]
@@ -42,5 +44,8 @@ val walk : string -> string list
 
 (** Lint the whole tree under [root]. [config_path] (default
     ["lint.config"], resolved against [root] when relative) supplies the
-    allowlist; [rule] restricts the report to one rule id. *)
+    allowlist; [rule] restricts the report to one rule id. Every [engine]
+    and [protocol] path of the configuration must name a scanned file:
+    one that does not is an R5 or R7 finding at that path, which neither
+    a waiver nor the allowlist suppresses. *)
 val run : ?config_path:string -> ?rule:string -> root:string -> unit -> Report.t

@@ -19,7 +19,6 @@ type 'm t = {
   n : int;
   latency : Latency.t;
   link_latency : src:int -> dst:int -> Latency.t option;
-  links : int array;  (** per-link send counts, keyed [src * n + dst] *)
   mutable filter : filter option;
   mutable delivery_key : ('m -> int) option;
   delivered_seen : (int, unit) Hashtbl.t;
@@ -45,7 +44,6 @@ let create simulation ~size ~latency ?(link_latency = fun ~src:_ ~dst:_ -> None)
     n = size;
     latency;
     link_latency;
-    links = Array.make (size * size) 0;
     filter = None;
     delivery_key = None;
     delivered_seen = Hashtbl.create 256;
@@ -127,8 +125,6 @@ let send t ~src ~dst msg =
   check_node t dst "send";
   t.sent <- t.sent + 1;
   if src <> dst then t.remote_sent <- t.remote_sent + 1;
-  let link = (src * t.n) + dst in
-  t.links.(link) <- t.links.(link) + 1;
   (* Self-sends have zero base latency (and sample nothing), but still pass
      through the filter so fault plans and delivery accounting see every
      message. *)
@@ -157,6 +153,10 @@ let recv t ~node =
   check_node t node "recv";
   Mailbox.recv t.simulation t.inboxes.(node)
 
+let inbox t ~node =
+  check_node t node "inbox";
+  t.inboxes.(node)
+
 let forget_delivered t ~key ~dst = Hashtbl.remove t.delivered_seen ((key * t.n) + dst)
 
 let delivered_seen_size t = Hashtbl.length t.delivered_seen
@@ -166,14 +166,3 @@ let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let extra_copies t = t.extra_copies
 let coalesced_deliveries t = t.coalesced
-
-let link_counts t =
-  (* Dense iteration is already in (src, dst) lexicographic order. *)
-  let acc = ref [] in
-  for src = t.n - 1 downto 0 do
-    for dst = t.n - 1 downto 0 do
-      let c = t.links.((src * t.n) + dst) in
-      if c > 0 then acc := ((src, dst), c) :: !acc
-    done
-  done;
-  !acc

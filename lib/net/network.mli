@@ -67,8 +67,15 @@ val set_delivery_key : 'm t -> ('m -> int) -> unit
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 
 (** [recv t ~node] takes the next message for [node], suspending the calling
-    process until one arrives. Intended for per-node server loops. *)
+    process until one arrives. For receivers that run as processes (the
+    coordinators, the heartbeat monitor, the baselines' node loops). *)
 val recv : 'm t -> node:int -> 'm
+
+(** [inbox t ~node] is [node]'s inbox, for a receiver that drains it by
+    callbacks ({!Simul.Mailbox.on_arrival}) rather than blocking in
+    {!recv}. Only {!send} may put messages into it: delivery accounting
+    happens there. *)
+val inbox : 'm t -> node:int -> 'm Simul.Mailbox.t
 
 (** Send attempts so far (including self-sends and filtered drops). *)
 val messages_sent : 'm t -> int
@@ -109,7 +116,3 @@ val forget_delivered : 'm t -> key:int -> dst:int -> unit
     With ack-floor pruning this tracks the in-flight window and stays
     bounded on long runs; exposed so benches and tests can assert it. *)
 val delivered_seen_size : 'm t -> int
-
-(** Per-link counters as [((src, dst), count)] pairs, sorted. Counts send
-    attempts, before any filtering. *)
-val link_counts : 'm t -> ((int * int) * int) list

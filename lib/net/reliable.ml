@@ -183,22 +183,27 @@ let acked t ~src s seq =
     done
   end
 
-let rec recv t ~node =
-  match Network.recv t.net ~node with
-  | Data { src; seq; body } ->
-      if not t.cfg.acks then body
+let accept t ~node = function
+  | Data { src; seq; body = _ } ->
+      if not t.cfg.acks then true
       else begin
         (* Ack every copy: the sender stops retransmitting as soon as any
            ack survives the network. *)
         t.acks_sent <- t.acks_sent + 1;
         Network.send t.net ~src:node ~dst:src (Ack { src = node; seq });
-        if first_delivery t t.rows.(src).(node) seq then body
-        else begin
-          t.dup_dropped <- t.dup_dropped + 1;
-          recv t ~node
-        end
+        first_delivery t t.rows.(src).(node) seq
+        || begin
+             t.dup_dropped <- t.dup_dropped + 1;
+             false
+           end
       end
   | Ack { src = acker; seq } ->
       (* We (node) sent (node, acker, seq); it arrived. *)
       acked t ~src:node t.rows.(node).(acker) seq;
-      recv t ~node
+      false
+
+let rec recv t ~node =
+  let p = Network.recv t.net ~node in
+  match (accept t ~node p, p) with
+  | true, Data { body; _ } -> body
+  | _, (Data _ | Ack _) -> recv t ~node

@@ -66,8 +66,18 @@ val send : 'm t -> src:int -> dst:int -> 'm -> unit
 
 (** [recv t ~node] suspends until the next {e new} application message for
     [node] arrives; acks and duplicate data packets are consumed
-    internally. *)
+    internally, by {!accept}. *)
 val recv : 'm t -> node:int -> 'm
+
+(** [accept t ~node p] is the receive step for packet [p], taken from
+    [node]'s inbox: {!recv} runs it on every packet it takes, and so must
+    a receiver that drains the inbox itself ({!Network.inbox}). With
+    [acks] on, a data packet is acknowledged (every copy) and recorded in
+    its stream's delivered floor, and an ack is applied to the stream it
+    acknowledges. True iff [p] is a data packet delivered for the first
+    time, whose body the application must now handle; always true for a
+    data packet with [acks] off. *)
+val accept : 'm t -> node:int -> 'm packet -> bool
 
 (** Retransmitted data packets so far. *)
 val retransmissions : 'm t -> int

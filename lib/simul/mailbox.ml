@@ -9,11 +9,20 @@ type 'a t = {
   mutable head : int;  (* next slot to read *)
   mutable count : int;
   waiters : ('a -> unit) Queue.t;
+  mutable hook : unit -> unit;  (* the armed arrival hook, or [disarmed] *)
 }
+
+let disarmed () = ()
 
 let create ?(capacity = 16) () =
   let capacity = max capacity 1 in
-  { buf = Array.make capacity None; head = 0; count = 0; waiters = Queue.create () }
+  {
+    buf = Array.make capacity None;
+    head = 0;
+    count = 0;
+    waiters = Queue.create ();
+    hook = disarmed;
+  }
 
 let grow m =
   let cap = Array.length m.buf in
@@ -33,9 +42,17 @@ let send m x =
       if m.count = cap then grow m;
       let cap = Array.length m.buf in
       m.buf.((m.head + m.count) mod cap) <- Some x;
-      m.count <- m.count + 1
+      m.count <- m.count + 1;
+      if m.hook != disarmed then begin
+        let hook = m.hook in
+        m.hook <- disarmed;
+        hook ()
+      end
+
+let on_arrival m hook = m.hook <- hook
 
 let take m =
+  if m.count = 0 then invalid_arg "Mailbox.take: empty mailbox";
   let x = m.buf.(m.head) in
   m.buf.(m.head) <- None;
   m.head <- (m.head + 1) mod Array.length m.buf;

@@ -8,6 +8,15 @@ let acquire sim s =
   if s.permits > 0 then s.permits <- s.permits - 1
   else Sim.suspend sim (fun waker -> Queue.add (fun () -> waker ()) s.waiters)
 
+(* A handed-over permit resumes [k] on the event a blocked process's waker
+   takes, never inline inside the releaser's step. *)
+let acquire_then sim s k =
+  if s.permits > 0 then begin
+    s.permits <- s.permits - 1;
+    k ()
+  end
+  else Queue.add (fun () -> Sim.schedule sim k) s.waiters
+
 let release s =
   match Queue.take_opt s.waiters with
   | Some waker -> waker ()

@@ -91,8 +91,10 @@ let pop_now t =
   run
 
 (* Routing tests [at], not the delay: a positive delay too small to move the
-   clock lands on the current instant and belongs in the FIFO. *)
-let push t ~at run =
+   clock lands on the current instant and belongs in the FIFO. Inlined so
+   that [at] stays unboxed on the way to the FIFO: a same-instant push
+   allocates nothing but its ring slot. *)
+let[@inline] push t ~at run =
   if at = t.clock then push_now t run
   else begin
     t.seq <- t.seq + 1;
@@ -102,6 +104,13 @@ let push t ~at run =
 let schedule t ?(delay = 0.) f =
   assert (delay >= 0.);
   push t ~at:(t.clock +. delay) f
+
+(* The two events [sleep t d] resumes on, with [k] as the resumption. *)
+let after t d k =
+  assert (d >= 0.);
+  push t ~at:(t.clock +. d) (fun () -> push_now t k)
+
+let fail t name exn = if t.failure = None then t.failure <- Some (name, exn)
 
 (* A single effect suffices: suspend with a waker-registration function. *)
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
@@ -132,8 +141,7 @@ let start_process t proc body =
           (fun exn ->
             proc.finished <- true;
             Hashtbl.remove t.procs proc.pid;
-            if t.failure = None then
-              t.failure <- Some (Lazy.force proc.pname, exn));
+            fail t (Lazy.force proc.pname) exn);
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with

@@ -16,9 +16,23 @@
     numbers are drawn on every push to either queue, so {!last_seq} means
     the same as with a single heap.
 
-    All of the distributed machinery in this repository (nodes, messages,
-    transactions, the version-advancement coordinator) runs as processes on
-    this kernel. Virtual time is in abstract seconds. *)
+    Work that never waits on anything but its own timers, a local lock and
+    its inbox can run as plain callbacks instead of a process, on the same
+    events: a chain of callbacks whose steps hand over through {!after},
+    {!Semaphore.acquire_then} and {!Mailbox.on_arrival} executes at
+    exactly the events, in exactly the order, of a process that sleeps,
+    acquires and receives where the chain hands over, and pays no effect
+    switch and no process record. (A receiver armed with
+    {!Mailbox.on_arrival} also has no start event: a process blocked in
+    {!Mailbox.recv} had to be spawned first.) A callback that raises
+    reports through {!fail}, so the run stops with {!Process_failure} as a
+    process's would. Callbacks are not processes: {!Stalled} never names
+    one.
+
+    The distributed machinery in this repository (node dispatch, messages,
+    transactions, the version-advancement coordinator) runs on this kernel:
+    node inboxes and most subtransactions as callbacks, coordinators,
+    clients and timers as processes. Virtual time is in abstract seconds. *)
 
 type t
 
@@ -89,6 +103,18 @@ val suspend : t -> (('a -> unit) -> unit) -> 'a
 
 (** [sleep t d] suspends the calling process for [d] virtual seconds. *)
 val sleep : t -> float -> unit
+
+(** [after t d k] is {!sleep} for a callback: [k] runs [d] virtual seconds
+    from now on the two events a process sleeping [d] resumes on — an event
+    at [now t +. d] whose callback queues [k] at the then-current instant,
+    behind the events already there. [d] must be non-negative. *)
+val after : t -> float -> (unit -> unit) -> unit
+
+(** [fail t name exn] records that callback work named [name] raised [exn]:
+    {!run} stops after the current event and raises
+    [Process_failure (name, exn)], as if a process named [name] had died of
+    [exn]. The first failure recorded wins. *)
+val fail : t -> string -> exn -> unit
 
 (** [yield t] reschedules the calling process behind already-pending events at
     the current time. *)

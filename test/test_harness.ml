@@ -262,7 +262,7 @@ let golden_e10_style () =
     Runner.drive sim (Engine.packed engine) (golden_gen nodes)
       { Runner.seed = 151; duration = 1.2; settle = 4.0; max_txns = 100_000 }
   in
-  check_golden "e10-style" ~digest:0x2350a0b8 ~events:8040
+  check_golden "e10-style" ~digest:0x2350a0b8 ~events:8036
     (history_digest outcome, Sim.events_executed sim)
 
 (* E13-style: coordinator crash mid-advancement over the reliable channel. *)
@@ -290,7 +290,7 @@ let golden_e13_style () =
     Runner.drive sim (Engine.packed engine) (golden_gen nodes)
       { Runner.seed = 171; duration = 1.2; settle = 5.0; max_txns = 100_000 }
   in
-  check_golden "e13-style" ~digest:0x37b0dde9 ~events:9680
+  check_golden "e13-style" ~digest:0x37b0dde9 ~events:9676
     (history_digest outcome, Sim.events_executed sim)
 
 let golden_fault_free () =
@@ -309,7 +309,7 @@ let golden_fault_free () =
     Runner.drive sim (Engine.packed engine) (golden_gen nodes)
       { Runner.seed = 99; duration = 1.0; settle = 4.0; max_txns = 100_000 }
   in
-  check_golden "fault-free" ~digest:0x36746098 ~events:7474
+  check_golden "fault-free" ~digest:0x36746098 ~events:7471
     (history_digest outcome, Sim.events_executed sim)
 
 (* The two §1 baselines, each on the shape of the experiment that shows

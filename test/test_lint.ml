@@ -162,6 +162,37 @@ let r5_engine_passes () =
   check_rules "engine including Engine_intf.S" ~config:engine_cfg
     ~filename:"lib/eng.mli" "(** Engine. *)\ntype t\ninclude Engine_intf.S" []
 
+(* A config line whose path names no file would switch its check off
+   without a word: it is a finding of the rule that reads it, through the
+   tree walk as through an in-memory run. *)
+let r5_stale_engine_line_fires () =
+  let eng = "(** Engine. *)\ntype t\ninclude Engine_intf.S" in
+  let pairs (r : Report.t) =
+    List.map (fun (f : Report.finding) -> (f.Report.file, f.Report.rule)) r.Report.findings
+  in
+  let root = Filename.temp_dir "lint" "" in
+  let path rel = Filename.concat root rel in
+  let write rel text =
+    Out_channel.with_open_bin (path rel) (fun oc -> Out_channel.output_string oc text)
+  in
+  Sys.mkdir (path "lib") 0o755;
+  write "lib/eng.mli" eng;
+  write "lint.config" "engine lib/eng.mli\nengine lib/gone.mli\n";
+  let walked =
+    Fun.protect
+      (fun () -> Driver.run ~root ())
+      ~finally:(fun () ->
+        List.iter (fun rel -> Sys.remove (path rel)) [ "lib/eng.mli"; "lint.config" ];
+        Sys.rmdir (path "lib");
+        Sys.rmdir root)
+  in
+  Alcotest.(check (list (pair string string)))
+    "tree walk: attributed to the missing path" [ ("lib/gone.mli", "R5") ] (pairs walked);
+  Alcotest.(check (list (pair string string)))
+    "in-memory run: attributed to the missing path" [ ("lib/gone.mli", "R5") ]
+    (pairs
+       (Driver.run_sources ~config:(Config.parse "engine lib/gone.mli") [ ("lib/eng.mli", eng) ]))
+
 (* ---------------------------------------------------------------- R6 *)
 
 let r6_fires () =
@@ -244,6 +275,19 @@ let r7_no_protocol_config_is_silent () =
             ("lib/core/proto.ml", proto_ml);
             ("lib/net/sender.ml", "let f net = send net Halt");
           ]))
+
+(* The protocol line names a file the run does not hold: without the
+   finding, R7 would know no protocol type and pass the unhandled [Halt]. *)
+let r7_stale_protocol_path_fires () =
+  Alcotest.(check (list (pair string string)))
+    "attributed to the missing path"
+    [ ("lib/core/gone.ml", "R7") ]
+    (run_rules
+       ~config:(Config.parse "protocol lib/core/gone.ml msg")
+       [
+         ("lib/core/proto.ml", proto_ml);
+         ("lib/net/sender.ml", "let f net = send net Halt");
+       ])
 
 let wildcard_dispatch =
   "let g m = match m with Ping n -> n | Pong -> 0 | _ -> 1"
@@ -505,18 +549,25 @@ let waiver_tags_cover_catalog () =
     (List.sort String.compare (List.map fst Lint.Rules.all))
     tagged
 
-(* The committed lint.config + the real tree: the gate is at zero. This is
-   the in-process twin of the `threev_sim lint` runtest rule, so a
-   regression is caught even when only unit tests run. *)
+(* The committed lint.config + the real tree: the gate is at zero and the
+   committed report is current. This is the in-process twin of the
+   `threev_sim lint` runtest rule, so a regression is caught even when only
+   unit tests run. Tests run from test/ inside _build, where test/dune's
+   deps put the configuration, the report and the scanned trees one level
+   up; a missing input fails the case rather than skipping it. *)
 let tree_is_lint_clean () =
-  (* Tests run from test/ inside _build; the repo root is two up when the
-     source tree is present, but under dune the test cwd only has test/.
-     Guard: skip silently when the tree is not visible. *)
-  if Sys.file_exists "../lib" && Sys.file_exists "../lint.config" then begin
-    (* [config_path] is resolved against [root] by the driver. *)
-    let report = Driver.run ~config_path:"lint.config" ~root:".." () in
-    checki "non-waived findings" 0 (Report.total report)
-  end
+  List.iter
+    (fun input ->
+      if not (Sys.file_exists (Filename.concat ".." input)) then
+        Alcotest.failf "lint input ../%s is missing" input)
+    [ "lint.config"; "LINT_report.json"; "lib"; "bin"; "bench" ];
+  (* [config_path] is resolved against [root] by the driver. *)
+  let report = Driver.run ~config_path:"lint.config" ~root:".." () in
+  checki "non-waived findings" 0 (Report.total report);
+  let committed =
+    Report.of_json (In_channel.with_open_bin "../LINT_report.json" In_channel.input_all)
+  in
+  checkb "LINT_report.json matches a fresh run" true (committed = report)
 
 (* ------------------------------------------------------------- qcheck *)
 
@@ -732,6 +783,8 @@ let () =
           Alcotest.test_case "waived" `Quick r5_waived;
           Alcotest.test_case "engine fires" `Quick r5_engine_fires;
           Alcotest.test_case "engine passes" `Quick r5_engine_passes;
+          Alcotest.test_case "stale engine line fires" `Quick
+            r5_stale_engine_line_fires;
         ] );
       ( "r6",
         [
@@ -749,6 +802,8 @@ let () =
             r7_let_bound_send_resolves;
           Alcotest.test_case "needs protocol config" `Quick
             r7_no_protocol_config_is_silent;
+          Alcotest.test_case "stale protocol path fires" `Quick
+            r7_stale_protocol_path_fires;
           Alcotest.test_case "wildcard dispatch fires" `Quick
             r7_wildcard_dispatch_fires;
           Alcotest.test_case "enumerated dispatch passes" `Quick

@@ -94,10 +94,7 @@ let message_accounting () =
   Network.send net ~src:2 ~dst:2 ();
   ignore (Sim.run sim ());
   checki "total" 4 (Network.messages_sent net);
-  checki "remote" 3 (Network.remote_messages_sent net);
-  checkb "link counts" true
-    (Network.link_counts net
-    = [ ((0, 1), 2); ((1, 2), 1); ((2, 2), 1) ])
+  checki "remote" 3 (Network.remote_messages_sent net)
 
 (* [messages_delivered] counts copies landing in a mailbox, not send
    attempts: a message still in flight when the run's horizon hits must not

@@ -304,6 +304,37 @@ let mailbox_blocked_receivers_fifo () =
   checkb "receivers served in arrival order" true
     (List.rev !log = [ (1, 10); (2, 20); (3, 30) ])
 
+(* A callback receiver's wake allocates nothing but its FIFO slot: arming
+   the hook and queuing the drain are free, so a round of send, wake, take
+   and re-arm costs only the mailbox's slot box (2 words). One run drives
+   every round, a preallocated sender rescheduling itself behind the
+   drain. *)
+let mailbox_callback_wake_cost () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  let mb = Mailbox.create () in
+  let sent = ref 0 and taken = ref 0 in
+  let rec drain () =
+    while Mailbox.length mb > 0 do
+      taken := !taken + Mailbox.take mb
+    done;
+    Mailbox.on_arrival mb arrival
+  and arrival () = Sim.schedule sim drain
+  and sender () =
+    if !sent < n then begin
+      incr sent;
+      Mailbox.send mb !sent;
+      Sim.schedule sim sender
+    end
+  in
+  Mailbox.on_arrival mb arrival;
+  Sim.schedule sim sender;
+  let before = Gc.minor_words () in
+  ignore (Sim.run sim ());
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  checki "every message taken" (n * (n + 1) / 2) !taken;
+  if words > 2.1 then Alcotest.failf "a callback wake allocates %.2f minor words" words
+
 (* -------------------------------------------------------- semaphore *)
 
 let semaphore_mutual_exclusion () =
@@ -606,6 +637,246 @@ let sim_fifo_growth_order () =
   in
   checkb "same observations" true (first_divergence steps = None)
 
+(* -------------------------------------------------- dispatch oracle *)
+
+(* The engine drains each node's inbox from an arrival hook and runs
+   subtransactions as step chains over [Sim.after] and
+   [Semaphore.acquire_then]. That must take exactly the events of the
+   process shape: a server process per node blocked in its inbox, and a
+   process per unit of work. [Dispatch] runs one random node program in
+   both shapes and requires the same log, with virtual times, the same
+   outcome and the same clock after every [run ~until] segment, with
+   exactly one event (and one sequence number) fewer per inbox in the
+   callback shape: the server processes' starts. *)
+
+(* A unit of work a message starts: an optional think, the inbox's one
+   permit, a sleep holding it, a body that may forward more work, the
+   release, then a step that may fail. *)
+type item = {
+  id : int;
+  think : float;
+  hold : float;
+  forward : (int * float * item) option;  (** inbox, delay, work *)
+  fails : bool;  (** raise after the release *)
+}
+
+type msg = Work of item | Crash  (** the handler raises *)
+
+type dstep =
+  | Send of float * int * msg  (** deliver after a delay *)
+  | Pause of float * int * float  (** after a delay, pause an inbox for a while *)
+  | Segment of float option  (** [run ?until] *)
+
+module Dispatch = struct
+  type node = { inbox : msg Mailbox.t; cc : Semaphore.t; mutable paused_until : float }
+  type st = { sim : Sim.t; nodes : node array; mutable log : string list (* newest first *) }
+
+  let note st fmt =
+    Printf.ksprintf (fun s -> st.log <- Printf.sprintf "%s@%h" s (Sim.now st.sim) :: st.log) fmt
+
+  let describe = function Work w -> Printf.sprintf "w%d" w.id | Crash -> "crash"
+
+  let deliver st ~delay dst msg =
+    Sim.schedule st.sim ~delay (fun () ->
+        note st "%s arrives at n%d" (describe msg) dst;
+        Mailbox.send st.nodes.(dst).inbox msg)
+
+  let create n =
+    {
+      sim = Sim.create ();
+      nodes =
+        Array.init n (fun _ ->
+            { inbox = Mailbox.create (); cc = Semaphore.create 1; paused_until = 0. });
+      log = [];
+    }
+
+  let work_name i w = Printf.sprintf "n%d/w%d" i w.id
+
+  (* What both shapes do with a message; [start] runs the work. *)
+  let handle st i msg ~start =
+    note st "n%d takes %s" i (describe msg);
+    match msg with Work w -> start w | Crash -> failwith (Printf.sprintf "n%d" i)
+
+  let body st i w =
+    note st "n%d runs w%d" i w.id;
+    Option.iter (fun (dst, delay, w') -> deliver st ~delay dst (Work w')) w.forward
+
+  let released st i w =
+    note st "n%d released w%d" i w.id;
+    if w.fails then failwith (work_name i w)
+
+  (* The process shape: a daemon process per inbox and a process per item. *)
+  let processes st =
+    Array.iteri
+      (fun i node ->
+        Sim.spawn st.sim ~daemon:true ~name:(Printf.sprintf "node-%d" i) (fun () ->
+            let rec loop () =
+              let msg = Mailbox.recv st.sim node.inbox in
+              let now = Sim.now st.sim in
+              if now < node.paused_until then Sim.sleep st.sim (node.paused_until -. now);
+              handle st i msg ~start:(fun w ->
+                  Sim.spawn st.sim ~name:(work_name i w) (fun () ->
+                      if w.think > 0. then Sim.sleep st.sim w.think;
+                      Semaphore.with_permit st.sim node.cc (fun () ->
+                          if w.hold > 0. then Sim.sleep st.sim w.hold;
+                          body st i w);
+                      released st i w));
+              loop ()
+            in
+            loop ()))
+      st.nodes
+
+  (* The callback shape, as the engine's [serve] and [run_section] run it. *)
+  let callbacks st =
+    Array.iteri
+      (fun i node ->
+        let start w =
+          let rec first () =
+            if w.think > 0. then Sim.after st.sim w.think (guarded enter) else enter ()
+          and enter () = Semaphore.acquire_then st.sim node.cc (guarded locked)
+          and locked () =
+            if w.hold > 0. then Sim.after st.sim w.hold (guarded run) else run ()
+          and run () =
+            body st i w;
+            Semaphore.release node.cc;
+            released st i w
+          and guarded step () =
+            try step () with exn -> Sim.fail st.sim (work_name i w) exn
+          in
+          Sim.schedule st.sim (guarded first)
+        in
+        let rec drain () =
+          if Mailbox.length node.inbox = 0 then Mailbox.on_arrival node.inbox arrival
+          else
+            let msg = Mailbox.take node.inbox in
+            let now = Sim.now st.sim in
+            if now < node.paused_until then
+              Sim.after st.sim (node.paused_until -. now) (fun () -> guarded (handled msg))
+            else handled msg ()
+        and handled msg () =
+          handle st i msg ~start;
+          drain ()
+        and guarded step =
+          try step () with exn -> Sim.fail st.sim (Printf.sprintf "node-%d" i) exn
+        and woken () = guarded drain
+        and arrival () = Sim.schedule st.sim woken in
+        Mailbox.on_arrival node.inbox arrival)
+      st.nodes
+
+  let run st until =
+    match Sim.run st.sim ?until () with
+    | Sim.Completed -> "completed"
+    | Sim.Stalled names -> "stalled " ^ String.concat "," names
+    | Sim.Hit_limit -> "hit limit"
+    | exception Sim.Process_failure (name, exn) ->
+        Printf.sprintf "failure %s %s" name (Printexc.to_string exn)
+
+  let step st = function
+    | Send (delay, dst, msg) ->
+        deliver st ~delay dst msg;
+        None
+    | Pause (delay, i, dur) ->
+        Sim.schedule st.sim ~delay (fun () ->
+            let node = st.nodes.(i) in
+            note st "n%d pauses" i;
+            node.paused_until <- Float.max node.paused_until (Sim.now st.sim +. dur));
+        None
+    | Segment until -> Some (run st until)
+end
+
+(* Runs [(n, steps)] in both shapes, finishing with an unbounded run and
+   stopping after a failure (a failed run is over). [None] if every
+   segment agreed, else the first step where they differ. *)
+let dispatch_divergence (n, steps) =
+  let a = Dispatch.create n and b = Dispatch.create n in
+  Dispatch.processes a;
+  Dispatch.callbacks b;
+  let rec go i = function
+    | [] -> None
+    | step :: rest -> (
+        match (Dispatch.step a step, Dispatch.step b step) with
+        | None, None -> go (i + 1) rest
+        | Some oa, Some ob
+          when oa = ob
+               && a.log = b.log
+               && Sim.now a.sim = Sim.now b.sim
+               && Sim.events_executed a.sim - Sim.events_executed b.sim = n
+               && Sim.last_seq a.sim - Sim.last_seq b.sim = n ->
+            if String.starts_with ~prefix:"failure" oa then None else go (i + 1) rest
+        | _ -> Some i)
+  in
+  go 0 (steps @ [ Segment None ])
+
+let gen_dispatch =
+  QCheck.Gen.(
+    let delay = oneofl [ 0.; 0.; 1e-20; 0.25; 0.5; 1.0 ] in
+    let* n = int_range 2 4 in
+    let inbox = int_bound (n - 1) in
+    let item =
+      fix
+        (fun self depth ->
+          let* id = int_bound 999 in
+          let* think = oneofl [ 0.; 0.; 0.25; 0.5 ] in
+          let* hold = oneofl [ 0.; 0.25; 0.5; 1e-20 ] in
+          let* fails = frequencyl [ (40, false); (1, true) ] in
+          let* forward =
+            if depth = 0 then return None
+            else
+              frequency
+                [
+                  (2, return None);
+                  (1, map3 (fun dst d w -> Some (dst, d, w)) inbox delay (self (depth - 1)));
+                ]
+          in
+          return { id; think; hold; forward; fails })
+        2
+    in
+    let msg = frequency [ (60, map (fun w -> Work w) item); (1, return Crash) ] in
+    let* steps =
+      list_size (int_range 1 14)
+        (frequency
+           [
+             (6, map3 (fun d dst m -> Send (d, dst, m)) delay inbox msg);
+             ( 1,
+               map3
+                 (fun d i dur -> Pause (d, i, dur))
+                 delay inbox
+                 (oneofl [ 0.25; 0.5; 1.0 ]) );
+             ( 2,
+               map
+                 (fun u -> Segment u)
+                 (oneofl [ None; Some 0.; Some 0.25; Some 0.5; Some 1.0; Some 1.5 ]) );
+           ])
+    in
+    return (n, steps))
+
+let dispatch_property =
+  QCheck.Test.make ~name:"callback dispatch == node and work processes" ~count:1000
+    (QCheck.make gen_dispatch) (fun prog ->
+      match dispatch_divergence prog with
+      | None -> true
+      | Some i -> QCheck.Test.fail_reportf "observations differ after step %d" i)
+
+(* A fixed program that contends for one permit at one instant, forwards
+   across inboxes, pauses an inbox with work queued and ends in a failure
+   after a release, so each hand-over is exercised whatever the draws. *)
+let dispatch_fixed_program () =
+  let w ?(think = 0.) ?(hold = 0.) ?forward ?(fails = false) id =
+    { id; think; hold; forward; fails }
+  in
+  let steps =
+    List.init 6 (fun k -> Send (0., 0, Work (w ~hold:0.25 ~forward:(1, 0., w (10 + k)) k)))
+    @ [
+        Pause (0.1, 1, 0.5);
+        Send (0.2, 1, Work (w ~think:0.25 ~hold:1e-20 20));
+        Segment (Some 0.5);
+        Send (0., 2, Work (w ~hold:0.25 21));
+        Send (0., 2, Work (w 22 ~fails:true));
+        Segment None;
+      ]
+  in
+  checkb "same observations" true (dispatch_divergence (3, steps) = None)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ heap_sort_property; heap_model_property ]
@@ -646,6 +917,9 @@ let () =
           Alcotest.test_case "fifo growth keeps the order" `Quick
             sim_fifo_growth_order;
           QCheck_alcotest.to_alcotest kernel_order_property;
+          Alcotest.test_case "callback dispatch, fixed program" `Quick
+            dispatch_fixed_program;
+          QCheck_alcotest.to_alcotest dispatch_property;
         ] );
       ( "ivar",
         [
@@ -660,6 +934,7 @@ let () =
           Alcotest.test_case "try_recv" `Quick mailbox_try_recv;
           Alcotest.test_case "blocked receivers fifo" `Quick
             mailbox_blocked_receivers_fifo;
+          Alcotest.test_case "callback wake cost" `Quick mailbox_callback_wake_cost;
         ] );
       ( "semaphore",
         [
