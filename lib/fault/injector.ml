@@ -26,7 +26,8 @@ type t = {
       (** the coordinator's network id, registered by the owning engine so
           coordinator crash windows can drop its traffic *)
   hooks : hooks;
-  counters : Counter_set.t;
+  counters : Counter_set.t;  (** plan events: pauses, crashes, restarts *)
+  actions : (int, int ref) Hashtbl.t;  (** per (class, kind, src, dst), keyed by [action_key] *)
 }
 
 let noop_pause ~node:_ ~duration:_ ~until_:_ = ()
@@ -34,7 +35,39 @@ let noop_node ~node:_ = ()
 let noop_coord_crash ~until_:_ = ()
 let noop_unit () = ()
 
-let stats t = t.counters
+(* Fault actions are counted per (class, kind, src, dst) under one int key
+   and named only when {!stats} renders them. The key's low 3 bits are
+   [class * 4 + kind]: class 0 is protocol traffic, class 1 heartbeats,
+   and a kind indexes [kind_names]. *)
+let k_drop = 0
+let k_delay = 1
+let k_dup = 2
+let k_crash_drop = 3
+let kind_names = [| "drop"; "delay"; "dup"; "crash_drop" |]
+let class_prefixes = [| "fault."; "fault.hb_" |]
+
+(* Node ids fit in 29 bits each (a negative id does not), so a packed key
+   stays a non-negative int and names one link. *)
+let link_bits = 29
+
+let action_key ~cls kind ~src ~dst =
+  if (src lor dst) lsr link_bits <> 0 then
+    invalid_arg (Printf.sprintf "Fault.Injector: link %d->%d out of range" src dst);
+  (((src lsl link_bits) lor dst) lsl 3) lor ((cls * 4) + kind)
+
+let stats t =
+  let out = Counter_set.create () in
+  Hashtbl.fold (fun key n acc -> (key, !n) :: acc) t.actions []
+  |> List.sort compare
+  |> List.iter (fun (key, n) ->
+         let name = class_prefixes.((key lsr 2) land 1) ^ kind_names.(key land 3) in
+         let link = key lsr 3 in
+         Counter_set.incr out (name ^ "s") ~by:n ();
+         Counter_set.incr out
+           (Printf.sprintf "%s[%d->%d]" name (link lsr link_bits)
+              (link land ((1 lsl link_bits) - 1)))
+           ~by:n ());
+  Counter_set.merge t.counters out
 
 let rec in_coord_window (at : float) = function
   | [] -> false
@@ -59,9 +92,11 @@ let down_nodes t ~at =
     t.crash_windows
   |> List.sort_uniq Int.compare
 
-let count t name ~src ~dst =
-  Counter_set.incr t.counters (name ^ "s") ();
-  Counter_set.incr t.counters (Printf.sprintf "%s[%d->%d]" name src dst) ()
+let count t ~cls kind ~src ~dst =
+  let key = action_key ~cls kind ~src ~dst in
+  match Hashtbl.find t.actions key with
+  | n -> incr n
+  | exception Not_found -> Hashtbl.add t.actions key (ref 1)
 
 let pause t ~node ~at ~duration =
   if duration <= 0. then invalid_arg "Fault.Injector.pause: duration must be positive";
@@ -118,7 +153,7 @@ let fires t ~hb idx (r : Plan.rule) =
 
 (* Rules [idx..] applied in order to the copies' [delays]; a dropped
    delivery consults no further rule. *)
-let rec apply_rules t ~hb ~pfx ~src ~dst ~now idx delays =
+let rec apply_rules t ~hb ~cls ~src ~dst ~now idx delays =
   match delays with
   | [] -> []
   | _ when idx = Array.length t.rules -> delays
@@ -129,26 +164,26 @@ let rec apply_rules t ~hb ~pfx ~src ~dst ~now idx delays =
         then
           match r.Plan.r_action with
           | Plan.Drop ->
-              count t (pfx ^ "drop") ~src ~dst;
+              count t ~cls k_drop ~src ~dst;
               []
           | Plan.Delay d ->
-              count t (pfx ^ "delay") ~src ~dst;
+              count t ~cls k_delay ~src ~dst;
               List.map (fun x -> x +. d) delays
           | Plan.Duplicate gap ->
-              count t (pfx ^ "dup") ~src ~dst;
+              count t ~cls k_dup ~src ~dst;
               delays @ List.map (fun x -> x +. gap) delays
         else delays
       in
-      apply_rules t ~hb ~pfx ~src ~dst ~now (idx + 1) delays
+      apply_rules t ~hb ~cls ~src ~dst ~now (idx + 1) delays
 
 (* Copies that would arrive while the destination is down are lost, each
    counted in order. A lone surviving copy's list is returned as is. *)
-let rec arrivals t ~pfx ~src ~dst ~now = function
+let rec arrivals t ~cls ~src ~dst ~now = function
   | [] -> []
   | d :: rest as delays ->
       let arrives = not (down t ~node:dst ~at:(now +. d)) in
-      if not arrives then count t (pfx ^ "crash_drop") ~src ~dst;
-      let rest' = arrivals t ~pfx ~src ~dst ~now rest in
+      if not arrives then count t ~cls k_crash_drop ~src ~dst;
+      let rest' = arrivals t ~cls ~src ~dst ~now rest in
       if not arrives then rest' else if rest' == rest then delays else d :: rest'
 
 (* The shared rule-application core. [hb] selects the message class: the
@@ -162,15 +197,15 @@ let filter_class t ~hb ~src ~dst ~delay =
   match (t.rules, t.crash_windows, t.coord_windows) with
   | [||], [], [] -> [ delay ]
   | _ ->
-      let pfx = if hb then "fault.hb_" else "fault." in
+      let cls = if hb then 1 else 0 in
       let now = Sim.now t.sim in
       if down t ~node:src ~at:now then begin
-        count t (pfx ^ "crash_drop") ~src ~dst;
+        count t ~cls k_crash_drop ~src ~dst;
         []
       end
       else
-        arrivals t ~pfx ~src ~dst ~now
-          (apply_rules t ~hb ~pfx ~src ~dst ~now 0 [ delay ])
+        arrivals t ~cls ~src ~dst ~now
+          (apply_rules t ~hb ~cls ~src ~dst ~now 0 [ delay ])
 
 let filter t ~src ~dst ~delay = filter_class t ~hb:false ~src ~dst ~delay
 let filter_hb t ~src ~dst ~delay = filter_class t ~hb:true ~src ~dst ~delay
@@ -211,6 +246,7 @@ let create sim (plan : Plan.t) =
           h_coord_restart = noop_unit;
         };
       counters = Counter_set.create ();
+      actions = Hashtbl.create 64;
     }
   in
   List.iter

@@ -110,5 +110,8 @@ val down_nodes : t -> at:float -> int list
 (** Is the coordinator inside a crash window at virtual time [at]? *)
 val coord_down : t -> at:float -> bool
 
-(** Live accounting snapshot (shared, monotone — do not mutate). *)
+(** The accounting so far, as a fresh set. Fault actions are counted under
+    int keys on the delivery path, and their names (["fault.drops"],
+    ["fault.drop[0->2]"], ...) are rendered here, so call this when
+    reporting, not per delivery. *)
 val stats : t -> Stats.Counter_set.t

@@ -5,7 +5,9 @@ type filter = src:int -> dst:int -> delay:float -> float list
 
 (* One scheduled drain event per (dst, deliver-at) burst: copies scheduled
    back-to-back for the same destination and instant append to the batch's
-   pending list instead of each carrying their own heap event and closure. *)
+   pending list instead of each carrying their own heap event and closure.
+   A network's sentinel batch, whose [b_dst] is no node, stands for "no
+   open batch", so the open batch needs no option box. *)
 type 'm batch = {
   b_at : float;
   b_dst : int;
@@ -26,7 +28,7 @@ type 'm t = {
           [delivered]; pruned by {!forget_delivered} as the reliable
           channel's ack floor advances, so the table tracks the in-flight
           window, not the run *)
-  mutable last_batch : 'm batch option;
+  mutable last_batch : 'm batch;  (* the open batch, or a sentinel *)
   mutable sent : int;
   mutable remote_sent : int;
   mutable delivered : int;
@@ -47,7 +49,7 @@ let create simulation ~size ~latency ?(link_latency = fun ~src:_ ~dst:_ -> None)
     filter = None;
     delivery_key = None;
     delivered_seen = Hashtbl.create 256;
-    last_batch = None;
+    last_batch = { b_at = neg_infinity; b_dst = -1; b_seq = -1; b_rev = [] };
     sent = 0;
     remote_sent = 0;
     delivered = 0;
@@ -86,16 +88,20 @@ let deliver t ~dst msg =
   | None -> t.delivered <- t.delivered + 1);
   Mailbox.send t.inboxes.(dst) msg
 
+(* A drain of [k] copies is [k] logical delivery events; it reports the
+   [k - 1] that no longer carry their own heap event, so event totals are
+   identical with and without coalescing. A lone copy, by far the common
+   batch, is delivered as is. *)
 let drain t b =
-  let msgs = List.rev b.b_rev in
-  b.b_rev <- [];
-  (* A drain of [k] copies is [k] logical delivery events; report the
-     [k - 1] that no longer carry their own heap event so event totals are
-     identical with and without coalescing. *)
-  (match msgs with
-  | [] | [ _ ] -> ()
-  | _ :: rest -> Sim.tally_coalesced t.simulation ~extra:(List.length rest));
-  List.iter (fun m -> deliver t ~dst:b.b_dst m) msgs
+  match b.b_rev with
+  | [] -> ()
+  | [ m ] ->
+      b.b_rev <- [];
+      deliver t ~dst:b.b_dst m
+  | rev ->
+      b.b_rev <- [];
+      Sim.tally_coalesced t.simulation ~extra:(List.length rev - 1);
+      List.iter (fun m -> deliver t ~dst:b.b_dst m) (List.rev rev)
 
 (* Coalescing is sound only while the batch's drain event is still the
    newest scheduled event ([Sim.last_seq] unchanged): appending then
@@ -107,18 +113,17 @@ let drain t b =
    one. *)
 let schedule_delivery t ~dst ~delay msg =
   let sim = t.simulation in
-  match t.last_batch with
-  | Some b
-    when b.b_dst = dst
-         && b.b_at = Sim.now sim +. delay
-         && Sim.last_seq sim = b.b_seq ->
-      b.b_rev <- msg :: b.b_rev;
-      t.coalesced <- t.coalesced + 1
-  | _ ->
-      let b = { b_at = Sim.now sim +. delay; b_dst = dst; b_seq = 0; b_rev = [ msg ] } in
-      Sim.schedule sim ~delay (fun () -> drain t b);
-      b.b_seq <- Sim.last_seq sim;
-      t.last_batch <- Some b
+  let b = t.last_batch in
+  if b.b_dst = dst && b.b_at = Sim.now sim +. delay && Sim.last_seq sim = b.b_seq then begin
+    b.b_rev <- msg :: b.b_rev;
+    t.coalesced <- t.coalesced + 1
+  end
+  else begin
+    let b = { b_at = Sim.now sim +. delay; b_dst = dst; b_seq = 0; b_rev = [ msg ] } in
+    Sim.schedule sim ~delay (fun () -> drain t b);
+    b.b_seq <- Sim.last_seq sim;
+    t.last_batch <- b
+  end
 
 let send t ~src ~dst msg =
   check_node t src "send";

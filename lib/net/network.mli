@@ -13,7 +13,10 @@
     event, which makes it provably order-identical to scheduling one event
     per copy — golden schedules are byte-identical either way, and
     {!Simul.Sim.events_executed} still counts one event per delivered
-    copy. *)
+    copy. A batch costs its record, its pending list and its drain
+    closure; the open batch is held without an option box, and a batch of
+    one copy (most of them) is delivered without reversing or measuring
+    its list. *)
 
 type 'm t
 

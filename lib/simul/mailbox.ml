@@ -1,13 +1,18 @@
-(* Items live in a growable ring buffer rather than a linked [Queue.t]: a
-   send on the steady-state path is two array stores (slot and tail bump)
-   with no per-message cons cell, and pre-sizing from the expected inbox
-   depth means no growth copies either. Waiters stay in a [Queue.t] — a
-   mailbox rarely has more than one blocked receiver. *)
+(* Messages live unboxed in a growable ring buffer rather than a linked
+   [Queue.t] or an option array: a send on the steady-state path is two
+   array stores (slot and tail bump) and allocates nothing, and pre-sizing
+   from the expected inbox depth means no growth copies either. The array
+   is allocated by the first queued message, which also becomes the ring's
+   filler: it stays in the array's last slot, outside the ring, and every
+   slot a {!take} vacates is reset to it, so a taken message is not pinned
+   by its old slot. Waiters stay in a [Queue.t]: a mailbox rarely has more
+   than one blocked receiver. *)
 
 type 'a t = {
-  mutable buf : 'a option array;
+  mutable buf : 'a array;  (* ring slots, then the filler; [||] until a first send queues *)
   mutable head : int;  (* next slot to read *)
   mutable count : int;
+  capacity : int;  (* ring slots of the first array *)
   waiters : ('a -> unit) Queue.t;
   mutable hook : unit -> unit;  (* the armed arrival hook, or [disarmed] *)
 }
@@ -15,49 +20,59 @@ type 'a t = {
 let disarmed () = ()
 
 let create ?(capacity = 16) () =
-  let capacity = max capacity 1 in
   {
-    buf = Array.make capacity None;
+    buf = [||];
     head = 0;
     count = 0;
+    capacity = max capacity 1;
     waiters = Queue.create ();
     hook = disarmed;
   }
 
-let grow m =
-  let cap = Array.length m.buf in
-  let nbuf = Array.make (cap * 2) None in
-  (* Unroll the ring to the base of the new buffer, preserving FIFO order. *)
-  for i = 0 to m.count - 1 do
-    nbuf.(i) <- m.buf.((m.head + i) mod cap)
-  done;
-  m.buf <- nbuf;
-  m.head <- 0
+(* Before the first queued message [buf] is empty and [x] becomes the
+   filler; afterwards the ring doubles, unrolled to the base of the new
+   array to keep FIFO order. *)
+let grow m x =
+  let len = Array.length m.buf in
+  if len = 0 then m.buf <- Array.make (m.capacity + 1) x
+  else begin
+    let cap = len - 1 in
+    let nbuf = Array.make ((2 * cap) + 1) m.buf.(cap) in
+    for i = 0 to m.count - 1 do
+      let j = m.head + i in
+      nbuf.(i) <- m.buf.(if j >= cap then j - cap else j)
+    done;
+    m.buf <- nbuf;
+    m.head <- 0
+  end
 
 let send m x =
-  match Queue.take_opt m.waiters with
-  | Some waker -> waker x
-  | None ->
-      let cap = Array.length m.buf in
-      if m.count = cap then grow m;
-      let cap = Array.length m.buf in
-      m.buf.((m.head + m.count) mod cap) <- Some x;
-      m.count <- m.count + 1;
-      if m.hook != disarmed then begin
-        let hook = m.hook in
-        m.hook <- disarmed;
-        hook ()
-      end
+  if not (Queue.is_empty m.waiters) then Queue.take m.waiters x
+  else begin
+    (* [>=]: the unallocated ring has -1 slots. *)
+    if m.count >= Array.length m.buf - 1 then grow m x;
+    let cap = Array.length m.buf - 1 in
+    let j = m.head + m.count in
+    m.buf.(if j >= cap then j - cap else j) <- x;
+    m.count <- m.count + 1;
+    if m.hook != disarmed then begin
+      let hook = m.hook in
+      m.hook <- disarmed;
+      hook ()
+    end
+  end
 
 let on_arrival m hook = m.hook <- hook
 
 let take m =
   if m.count = 0 then invalid_arg "Mailbox.take: empty mailbox";
-  let x = m.buf.(m.head) in
-  m.buf.(m.head) <- None;
-  m.head <- (m.head + 1) mod Array.length m.buf;
+  let buf = m.buf in
+  let cap = Array.length buf - 1 in
+  let x = buf.(m.head) in
+  buf.(m.head) <- buf.(cap);
+  m.head <- (if m.head + 1 = cap then 0 else m.head + 1);
   m.count <- m.count - 1;
-  match x with Some v -> v | None -> assert false
+  x
 
 let recv sim m =
   if m.count > 0 then take m

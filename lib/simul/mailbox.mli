@@ -4,15 +4,19 @@
     empty ({!recv}) or drains it by callbacks from a one-shot arrival hook
     ({!on_arrival}, {!take}). Messages are delivered in send order, and
     blocked receivers are woken in arrival order, keeping runs
-    deterministic. Queued items are held in a growable ring buffer, so a
-    steady-state send allocates nothing beyond its slot box and a
-    pre-sized mailbox never copies its backing array. *)
+    deterministic. Queued messages are held unboxed in a growable ring
+    buffer, so a steady-state send allocates nothing and a pre-sized
+    mailbox never copies its backing array. The ring's array is allocated
+    by the first message queued, which the mailbox then keeps for its
+    lifetime as the filler of vacated slots: a taken message is otherwise
+    not retained. *)
 
 type 'a t
 
 (** [create ?capacity ()] is an empty mailbox. [capacity] (default 16)
-    pre-sizes the ring buffer to the expected queue depth; the ring still
-    grows by doubling if exceeded. Capacity never affects delivery order. *)
+    sizes the ring buffer the first send allocates to the expected queue
+    depth; the ring still grows by doubling if exceeded. Capacity never
+    affects delivery order. *)
 val create : ?capacity:int -> unit -> 'a t
 
 (** [send m x] enqueues [x], waking the oldest blocked receiver if any.

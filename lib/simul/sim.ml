@@ -12,19 +12,25 @@ type proc = {
   mutable finished : bool;
 }
 
-type event = { at : float; seq : int; run : unit -> unit }
-
-(* Two queues, one total order (see the interface): [queue] holds the events
-   after the clock, [ring] the closures of those at it, in push order. A
-   heap event at the clock was pushed before the clock got there, so its
-   [seq] is below that of every ring event. *)
+(* Two queues, one total order (see the interface). The timed queue holds
+   the events after the clock: a binary min-heap over three parallel
+   arrays, ordered by [(times.(i), keys.(i))], where a key is the event's
+   sequence number shifted left once, its low bit set for an {!after} hop.
+   The key order is the sequence order, and the floats sit unboxed in
+   [times], so a timed push allocates nothing. [ring] holds the closures of
+   the events at the clock, in push order. A timed event at the clock was
+   pushed before the clock got there, so its sequence number is below that
+   of every ring event. *)
 type t = {
   mutable clock : float;
   mutable seq : int;
   mutable next_pid : int;
   mutable executed : int;
   mutable failure : (string * exn) option;
-  queue : event Heap.t;
+  mutable times : float array;
+  mutable keys : int array;
+  mutable runs : (unit -> unit) array;
+  mutable size : int;  (* timed events queued *)
   mutable ring : (unit -> unit) array;  (* capacity a power of two *)
   mutable ring_head : int;
   mutable ring_len : int;
@@ -36,21 +42,18 @@ type outcome = Completed | Stalled of string list | Hit_limit
 
 exception Process_failure of string * exn
 
-let leq_event a b = a.at < b.at || (a.at = b.at && a.seq <= b.seq)
-
-(* Inert filler for vacated heap slots: captures nothing, so executed events
-   (and the continuations their closures capture) are collectable as soon as
-   they are popped. *)
-let dummy_event = { at = neg_infinity; seq = 0; run = ignore }
-
 let create ?(seed = 42) ?(queue_capacity = 16) () =
+  let cap = max queue_capacity 1 in
   {
     clock = 0.;
     seq = 0;
     next_pid = 0;
     executed = 0;
     failure = None;
-    queue = Heap.create ~capacity:queue_capacity ~dummy:dummy_event ~leq:leq_event ();
+    times = Array.make cap 0.;
+    keys = Array.make cap 0;
+    runs = Array.make cap ignore;
+    size = 0;
     ring = Array.make 64 ignore;
     ring_head = 0;
     ring_len = 0;
@@ -90,25 +93,103 @@ let pop_now t =
   t.ring_len <- t.ring_len - 1;
   run
 
+let grow_timed t =
+  let cap = Array.length t.times in
+  let times = Array.make (2 * cap) 0. in
+  let keys = Array.make (2 * cap) 0 in
+  let runs = Array.make (2 * cap) ignore in
+  Array.blit t.times 0 times 0 cap;
+  Array.blit t.keys 0 keys 0 cap;
+  Array.blit t.runs 0 runs 0 cap;
+  t.times <- times;
+  t.keys <- keys;
+  t.runs <- runs
+
+(* Hole-based sift-up: parents move down into the hole until [at]'s place
+   is found, then the event is written once. The new key exceeds every
+   queued one (sequence numbers only grow), so a parent at the same time
+   stays above it and the comparison reads times alone. Inlined into every
+   timed push, so that [at] stays unboxed from the caller's addition to
+   the store: the dev profile compiles with [-opaque], and nothing is
+   inlined across modules. *)
+let[@inline] push_timed t at key run =
+  if t.size = Array.length t.times then grow_timed t;
+  let times = t.times and keys = t.keys and runs = t.runs in
+  let i = ref t.size in
+  t.size <- t.size + 1;
+  while !i > 0 && times.((!i - 1) / 2) > at do
+    let p = (!i - 1) / 2 in
+    times.(!i) <- times.(p);
+    keys.(!i) <- keys.(p);
+    runs.(!i) <- runs.(p);
+    i := p
+  done;
+  times.(!i) <- at;
+  keys.(!i) <- key;
+  runs.(!i) <- run
+
+(* Removes the root. The last event fills the hole, sifting down past every
+   child that precedes it in [(time, key)] order; its vacated slot is reset
+   to [ignore], as the ring's are. *)
+let pop_timed t =
+  let n = t.size - 1 in
+  t.size <- n;
+  let times = t.times and keys = t.keys and runs = t.runs in
+  let at = times.(n) and key = keys.(n) and run = runs.(n) in
+  runs.(n) <- ignore;
+  if n > 0 then begin
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && (times.(r) < times.(l) || (times.(r) = times.(l) && keys.(r) < keys.(l)))
+          then r
+          else l
+        in
+        let ct = times.(c) in
+        if ct < at || (ct = at && keys.(c) < key) then begin
+          times.(!i) <- ct;
+          keys.(!i) <- keys.(c);
+          runs.(!i) <- runs.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    times.(!i) <- at;
+    keys.(!i) <- key;
+    runs.(!i) <- run
+  end
+
 (* Routing tests [at], not the delay: a positive delay too small to move the
-   clock lands on the current instant and belongs in the FIFO. Inlined so
-   that [at] stays unboxed on the way to the FIFO: a same-instant push
-   allocates nothing but its ring slot. *)
+   clock lands on the current instant and belongs in the FIFO. Inlined, as
+   [push_timed] is, so that [at] stays unboxed: a push allocates nothing
+   but a same-instant event's ring slot. *)
 let[@inline] push t ~at run =
   if at = t.clock then push_now t run
   else begin
     t.seq <- t.seq + 1;
-    Heap.add t.queue { at; seq = t.seq; run }
+    push_timed t at (t.seq lsl 1) run
   end
 
 let schedule t ?(delay = 0.) f =
   assert (delay >= 0.);
   push t ~at:(t.clock +. delay) f
 
-(* The two events [sleep t d] resumes on, with [k] as the resumption. *)
+(* The two events [sleep t d] resumes on, with [k] as the resumption. A
+   timed hop is tagged in its key rather than wrapped in a closure: {!run}
+   queues its [k] on the FIFO instead of running it. *)
 let after t d k =
   assert (d >= 0.);
-  push t ~at:(t.clock +. d) (fun () -> push_now t k)
+  let at = t.clock +. d in
+  if at = t.clock then push_now t (fun () -> push_now t k)
+  else begin
+    t.seq <- t.seq + 1;
+    push_timed t at ((t.seq lsl 1) lor 1) k
+  end
 
 let fail t name exn = if t.failure = None then t.failure <- Some (name, exn)
 
@@ -190,24 +271,32 @@ let stalled_names t =
 
 let run t ?until () =
   let horizon = match until with None -> infinity | Some u -> u in
-  let q = t.queue in
   let rec loop () =
-    if t.ring_len > 0 && (Heap.is_empty q || (Heap.top q).at > t.clock) then
+    if t.ring_len > 0 && (t.size = 0 || t.times.(0) > t.clock) then
       if t.clock > horizon then Hit_limit else step (pop_now t)
-    else if Heap.is_empty q then
+    else if t.size = 0 then
       match stalled_names t with [] -> Completed | names -> Stalled names
     else
-      let ev = Heap.top q in
-      if ev.at > horizon then Hit_limit
+      let at = t.times.(0) in
+      if at > horizon then Hit_limit
       else begin
-        ignore (Heap.pop_min q : event);
-        if ev.at < t.clock then invalid_arg "Sim: event scheduled in the past";
-        t.clock <- ev.at;
-        step ev.run
+        let key = t.keys.(0) and run = t.runs.(0) in
+        pop_timed t;
+        if at < t.clock then invalid_arg "Sim: event scheduled in the past";
+        (* Storing the clock boxes it: skip the store when it stays. *)
+        if at > t.clock then t.clock <- at;
+        if key land 1 = 0 then step run
+        else begin
+          t.executed <- t.executed + 1;
+          push_now t run;
+          next ()
+        end
       end
   and step run =
     t.executed <- t.executed + 1;
     run ();
+    next ()
+  and next () =
     match t.failure with
     | Some (name, exn) -> raise (Process_failure (name, exn))
     | None -> loop ()

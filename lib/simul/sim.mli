@@ -6,15 +6,18 @@
     process suspends by registering a {e waker}; invoking the waker
     schedules the continuation at the current virtual time.
 
-    The order is kept by two queues. An event for a later time waits in a
-    binary heap keyed by [(time, sequence)]. An event for the current time
-    (a waker, a yield, a spawn, a schedule whose delay does not move the
-    clock; most events of a run) joins a FIFO instead, with no heap
-    operation. A heap event at the current time was scheduled before the
-    clock got there, so it precedes every FIFO event: the loop runs those
-    first, then the FIFO, and only then advances the clock. Sequence
-    numbers are drawn on every push to either queue, so {!last_seq} means
-    the same as with a single heap.
+    The order is kept by two queues. An event for a later time waits in
+    the timed queue: a binary min-heap keyed by [(time, sequence)], kept
+    in three parallel arrays (the times unboxed in a [float array], the
+    sequence numbers, the closures), so queuing a timed event allocates
+    nothing and running one allocates only the boxed clock it sets. An
+    event for the current time (a waker, a yield, a spawn, a schedule
+    whose delay does not move the clock; most events of a run) joins a
+    FIFO instead, with no heap operation. A timed event at the current
+    time was scheduled before the clock got there, so it precedes every
+    FIFO event: the loop runs those first, then the FIFO, and only then
+    advances the clock. Sequence numbers are drawn on every push to either
+    queue, so {!last_seq} means the same as with a single heap.
 
     Work that never waits on anything but its own timers, a local lock and
     its inbox can run as plain callbacks instead of a process, on the same
@@ -49,12 +52,12 @@ exception Process_failure of string * exn
     carries the process name and the original exception. *)
 
 (** [create ?seed ?queue_capacity ()] is a fresh simulation whose RNG is
-    seeded with [seed] (default 42). [queue_capacity] pre-sizes the event
-    heap's backing array (default 16, grown by doubling): pass the expected
-    steady-state number of events pending for later times — e.g. derived
-    from the configured arrival rate — to avoid growth copies during a run.
-    The current-time FIFO grows by doubling on its own. Capacity never
-    affects scheduling order. *)
+    seeded with [seed] (default 42). [queue_capacity] pre-sizes the timed
+    queue's three arrays (default 16, grown by doubling): pass the
+    expected steady-state number of events pending for later times — e.g.
+    derived from the configured arrival rate — to avoid growth copies
+    during a run. The current-time FIFO grows by doubling on its own.
+    Capacity never affects scheduling order. *)
 val create : ?seed:int -> ?queue_capacity:int -> unit -> t
 
 (** Current virtual time, in seconds. *)
@@ -106,8 +109,11 @@ val sleep : t -> float -> unit
 
 (** [after t d k] is {!sleep} for a callback: [k] runs [d] virtual seconds
     from now on the two events a process sleeping [d] resumes on — an event
-    at [now t +. d] whose callback queues [k] at the then-current instant,
-    behind the events already there. [d] must be non-negative. *)
+    at [now t +. d] that queues [k] at the then-current instant, behind the
+    events already there. [d] must be non-negative. When [d] moves the
+    clock, the first event is a tag on [k]'s entry in the timed queue,
+    not a closure of its own, so [after] allocates no more than
+    {!schedule}. *)
 val after : t -> float -> (unit -> unit) -> unit
 
 (** [fail t name exn] records that callback work named [name] raised [exn]:

@@ -1,13 +1,13 @@
-(* Reference kernel: the simulator as it was before the same-instant FIFO,
-   kept as the specification the two-queue kernel is compared against
-   (test_simul.ml's kernel order property). Every event, including those at
-   the current instant, goes through the binary heap ordered by
+(* Reference kernel: the simulator as it was before the same-instant FIFO
+   and the flat-array timed queue, kept as the specification the two-queue
+   kernel is compared against (test_simul.ml's kernel order property).
+   Every event, including those at the current instant, is an
+   [{at; seq; run}] record in the generic binary heap ([Heap]) ordered by
    [(at, seq)]. The outcome type and the failure exception are the
    library's own, so outcomes compare structurally with [=]. *)
 
 open Effect
 open Effect.Deep
-module Heap = Simul.Heap
 
 type proc = {
   pid : int;
@@ -62,6 +62,13 @@ let schedule t ?(delay = 0.) f =
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
 let suspend _t register = perform (Suspend register)
+
+(* [after] as the kernel had it before its hop was a tag on the queued
+   key: a timed event whose closure pushes [k] at the then-current
+   instant. *)
+let after t d k =
+  assert (d >= 0.);
+  push t ~at:(t.clock +. d) (fun () -> push t ~at:t.clock k)
 
 let sleep t d =
   assert (d >= 0.);

@@ -207,11 +207,18 @@ let experiment_e4_runs () =
 
 (* ------------------------------------------------- golden schedules *)
 
-(* Byte-identical replay: these digests (and event counts) were recorded on
-   the pre-optimization kernel (commit 165bd78). The heap/network/trace
-   rework must reproduce them exactly — any drift means the optimizations
-   changed a schedule, not just its cost. The digest folds every
-   transaction's (id, committed, submit, latency, blocking latency). *)
+(* Byte-identical replay: any drift in these digests (or event counts)
+   means a change altered a schedule or what a run observed, not just its
+   cost. The digest XOR-folds one hash per transaction over its id,
+   outcome, submit time, both latencies, version and serving node, chained
+   with every read's key, amount and writer ids in execution order, so a
+   change to what a read returned shows even when every timing holds. *)
+
+let read_digest h (key, (v : Txn.Value.t)) =
+  List.fold_left
+    (fun h w -> Hashtbl.hash (h, w))
+    (Hashtbl.hash (h, key, v.Txn.Value.amount))
+    (Txn.Value.Writers.descending v.Txn.Value.writers)
 
 let history_digest (outcome : Runner.outcome) =
   List.fold_left
@@ -222,7 +229,10 @@ let history_digest (outcome : Runner.outcome) =
                Result.committed res,
                res.Result.submit_time,
                Result.latency res,
-               Result.blocking_latency res ))
+               Result.blocking_latency res,
+               res.Result.version,
+               res.Result.served_by,
+               List.fold_left read_digest 0 res.Result.reads ))
     0 outcome.Runner.history
 
 let golden_gen nodes =
@@ -262,7 +272,7 @@ let golden_e10_style () =
     Runner.drive sim (Engine.packed engine) (golden_gen nodes)
       { Runner.seed = 151; duration = 1.2; settle = 4.0; max_txns = 100_000 }
   in
-  check_golden "e10-style" ~digest:0x2350a0b8 ~events:8036
+  check_golden "e10-style" ~digest:0x1f1d24b2 ~events:8036
     (history_digest outcome, Sim.events_executed sim)
 
 (* E13-style: coordinator crash mid-advancement over the reliable channel. *)
@@ -290,7 +300,7 @@ let golden_e13_style () =
     Runner.drive sim (Engine.packed engine) (golden_gen nodes)
       { Runner.seed = 171; duration = 1.2; settle = 5.0; max_txns = 100_000 }
   in
-  check_golden "e13-style" ~digest:0x37b0dde9 ~events:9676
+  check_golden "e13-style" ~digest:0x293c288b ~events:9676
     (history_digest outcome, Sim.events_executed sim)
 
 let golden_fault_free () =
@@ -309,7 +319,7 @@ let golden_fault_free () =
     Runner.drive sim (Engine.packed engine) (golden_gen nodes)
       { Runner.seed = 99; duration = 1.0; settle = 4.0; max_txns = 100_000 }
   in
-  check_golden "fault-free" ~digest:0x36746098 ~events:7471
+  check_golden "fault-free" ~digest:0x3a88689e ~events:7471
     (history_digest outcome, Sim.events_executed sim)
 
 (* The two §1 baselines, each on the shape of the experiment that shows
@@ -326,7 +336,7 @@ let golden_baseline name ~digest ~events ~seed ~duration packed gen =
 
 let golden_no_coordination () =
   let nodes = 4 in
-  golden_baseline "no-coordination" ~digest:0x00a022fe ~events:5270 ~seed:11
+  golden_baseline "no-coordination" ~digest:0x02d80f4a ~events:5270 ~seed:11
     ~duration:0.5
     (fun sim ->
       Baselines.Manual_versioning.packed
@@ -348,7 +358,7 @@ let golden_no_coordination () =
 
 let golden_manual_versioning () =
   let nodes = 4 in
-  golden_baseline "manual-versioning" ~digest:0x33b09282 ~events:26210 ~seed:91
+  golden_baseline "manual-versioning" ~digest:0x1258b4bb ~events:26210 ~seed:91
     ~duration:1.2
     (fun sim ->
       Baselines.Manual_versioning.packed
