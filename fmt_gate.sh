@@ -8,6 +8,9 @@
 # skips cleanly with exit 0 so `dune runtest` stays green — it must never
 # require installing anything.
 #
+# Layout that needs no formatter (tabs, trailing whitespace, lines over
+# 100 columns) is lint rule R12, which always runs in the lint gate.
+#
 # The committed LINT_report.json is kept fresh by the lint gate's
 # --check-stale leg (root dune file), which fails on a stale report and
 # names the refresh command.

@@ -193,11 +193,14 @@ type pending = {
   p_source : int;
   p_parent : (int * int) option;
   p_compensating : bool;
+  mutable p_stage : int;  (** the next step of the running section ({!run_section}) *)
   mutable p_outstanding : int;
   mutable p_local_done : bool;
   mutable p_reads : (string * Value.t) list;  (** accumulated, in order *)
   mutable p_vote : vote;
   mutable p_nodes : int list;
+      (** the subtree's nodes, sorted: kept only where NC3V reads them
+          ({!tracks_nodes}), [[]] elsewhere *)
   mutable p_buffered : (string * Op.t) list;  (** NC write intentions, reversed *)
   p_root : root_submit option;
   p_vector : int array option;  (** see {!msg.Subtxn.vector} *)
@@ -434,6 +437,15 @@ let combine_vote a b =
   match (a, b) with Vote_abort r, _ -> Vote_abort r | _, v -> v
 
 let merge_nodes a b = List.sort_uniq Int.compare (a @ b)
+
+(* NC3V reads a subtree's nodes at a non-commuting root (the decision's
+   recipients) and at a commuting root in [nc_mode] (the lock clean-up's);
+   no other pending keeps them. *)
+let tracks_nodes t kind =
+  match kind with
+  | Spec.Non_commuting -> true
+  | Spec.Commuting -> t.cfg.nc_mode
+  | Spec.Read_only -> false
 
 (* ---------------------------------------------------------- replication *)
 
@@ -791,37 +803,10 @@ let spawn_children t node p (children : Spec.subtxn list) ~compensating =
            }))
     children
 
-(* One subtransaction's local work as a chain of kernel callbacks: the
-   tree's [think], then [node]'s local critical section ([local_cc], with
-   [cfg.think_time] inside it) running [body], the release, then [after].
-   Each hand-over must take the events a process running the same steps
-   takes, or schedules change: the first step runs at the event a
-   [Sim.spawn] would start the process on, each think is [Sim.after]'s two
-   events (a [Sim.sleep]'s), and a contended permit resumes on the event
-   its release queues (a blocked [Semaphore.acquire]'s). test_simul's
-   dispatch oracle holds the two shapes equal. A failing step stops the
-   run under [name ()].
-
-   A chain can wait on nothing but [local_cc], and the permit's holder
-   always releases after [think_time]: no chain can deadlock, so [Sim]'s
-   stall report, which lists blocked processes and never callbacks, loses
-   nothing when chains drop out of it. Work that can wait on anything else
-   (an NC subtransaction's locks and its [vu = vr + 1] admission) keeps a
-   process. *)
-let run_section t node ~name ~think ~body ~after =
-  let sim = t.sim and cc = node.local_cc in
-  let rec start () =
-    if think > 0. then Sim.after sim think (guarded enter) else enter ()
-  and enter () = Semaphore.acquire_then sim cc (guarded locked)
-  and locked () =
-    if t.cfg.think_time > 0. then Sim.after sim t.cfg.think_time (guarded run)
-    else run ()
-  and run () =
-    body ();
-    Semaphore.release cc;
-    after ()
-  and guarded step () = try step () with exn -> Sim.fail sim (name ()) exn in
-  Sim.schedule sim (guarded start)
+(* A section's name, rendered only when one of its steps fails. *)
+let section_name node p ~wave =
+  if wave then Printf.sprintf "%s/%s-compensation" node.name p.p_label
+  else Printf.sprintf "%s/%s#%d" node.name p.p_label p.p_id
 
 (* --------------------------------------------------------- completion *)
 
@@ -912,17 +897,7 @@ let rec maybe_finish t node p =
            so termination detection keeps working. *)
         rs.rs_compensated <- true;
         p.p_outstanding <- p.p_outstanding + 1 (* hold the root open *);
-        let inverse = invert_tree rs.rs_spec.Spec.root in
-        run_section t node
-          ~name:(fun () -> Printf.sprintf "%s/%s-compensation" node.name p.p_label)
-          ~think:0.
-          ~body:(fun () -> run_ops_commuting t node p inverse.Spec.ops)
-          ~after:(fun () ->
-            if tracing t then
-              tr t node.name "tx %s compensates (wave starts)" p.p_label;
-            spawn_children t node p inverse.Spec.children ~compensating:true;
-            p.p_outstanding <- p.p_outstanding - 1;
-            maybe_finish t node p)
+        run_section t node p (invert_tree rs.rs_spec.Spec.root) ~wave:true
     | (Spec.Read_only | Spec.Commuting), _ ->
         Hashtbl.remove node.pendings p.p_id;
         bump_c t node ~version:p.p_version ~src:p.p_source;
@@ -995,13 +970,68 @@ and handle_completion t node ~pending_id ~child_label ~reads ~vote ~nodes =
             Printf.sprintf "completion notice for subtx %s arrives" child_label);
       p.p_reads <- p.p_reads @ reads;
       p.p_vote <- combine_vote p.p_vote vote;
-      p.p_nodes <- merge_nodes p.p_nodes nodes;
+      if tracks_nodes t p.p_kind then p.p_nodes <- merge_nodes p.p_nodes nodes;
       p.p_outstanding <- p.p_outstanding - 1;
       maybe_finish t node p
 
+(* One subtransaction's local work as kernel callbacks: the tree's
+   [think], then [node]'s local critical section ([local_cc], with
+   [cfg.think_time] inside it) running the tree's operations, the release,
+   then what follows: for an ordinary section the abort draw, the children
+   and termination; for the compensation wave ([wave], no think) the
+   inverse children. Each hand-over must take the events a process running
+   the same steps takes, or schedules change: the first step runs at the
+   event a [Sim.spawn] would start the process on, each think is
+   [Sim.after]'s two events (a [Sim.sleep]'s), and a contended permit
+   resumes on the event its release queues (a blocked [Semaphore.acquire]'s).
+   test_simul's dispatch oracle holds the two shapes equal. The section is
+   one closure, [resume], that all three hand-overs resume: [p.p_stage]
+   names the step it runs next. A failing step stops the run under the
+   section's name.
+
+   A section can wait on nothing but [local_cc], and the permit's holder
+   always releases after [think_time]: no section can deadlock, so [Sim]'s
+   stall report, which lists blocked processes and never callbacks, loses
+   nothing when sections drop out of it. Work that can wait on anything
+   else (an NC subtransaction's locks and its [vu = vr + 1] admission)
+   keeps a process. *)
+and run_section t node p (tree : Spec.subtxn) ~wave =
+  p.p_stage <- 0;
+  let rec resume () =
+    try
+      match p.p_stage with
+      | 0 ->
+          p.p_stage <- 1;
+          let think = if wave then 0. else tree.Spec.think in
+          if think > 0. then Sim.after t.sim think resume else resume ()
+      | 1 ->
+          p.p_stage <- 2;
+          Semaphore.acquire_then t.sim node.local_cc resume
+      | 2 ->
+          p.p_stage <- 3;
+          if t.cfg.think_time > 0. then Sim.after t.sim t.cfg.think_time resume
+          else resume ()
+      | _ ->
+          run_ops_commuting t node p tree.Spec.ops;
+          Semaphore.release node.local_cc;
+          if wave then begin
+            if tracing t then
+              tr t node.name "tx %s compensates (wave starts)" p.p_label;
+            spawn_children t node p tree.Spec.children ~compensating:true;
+            p.p_outstanding <- p.p_outstanding - 1;
+            maybe_finish t node p
+          end
+          else begin
+            after_section t node p tree ~compensating:p.p_compensating;
+            local_done t node p
+          end
+    with exn -> Sim.fail t.sim (section_name node p ~wave) exn
+  in
+  Sim.schedule t.sim ~delay:0. resume
+
 (* After the local critical section: the §3.2 abort draw, then the
    children (§4.1 step 5). *)
-let after_section t node p (tree : Spec.subtxn) ~compensating =
+and after_section t node p (tree : Spec.subtxn) ~compensating =
   cstat t "subtxn.executed";
   (* Fault injection for §3.2: any commuting subtransaction may abort at
      its commit point (its local effects already applied). The abort vote
@@ -1022,7 +1052,7 @@ let after_section t node p (tree : Spec.subtxn) ~compensating =
 
 (* Local work done: stamp the root's commit time, then terminate once the
    children have. *)
-let local_done t node p =
+and local_done t node p =
   (match p.p_root with
   | Some rs -> rs.rs_root_commit <- Sim.now t.sim
   | None -> ());
@@ -1080,17 +1110,6 @@ let exec_subtxn t node p (tree : Spec.subtxn) ~compensating =
           | Spec.Non_commuting -> ignore (run_ops_nc t node p tree.Spec.ops));
       after_section t node p tree ~compensating);
   local_done t node p
-
-(* A read-only subtransaction, or a commuting one outside [nc_mode]: no
-   locks and no admission wait, so it needs no process. *)
-let exec_steps t node p (tree : Spec.subtxn) ~compensating =
-  run_section t node
-    ~name:(fun () -> Printf.sprintf "%s/%s#%d" node.name p.p_label p.p_id)
-    ~think:tree.Spec.think
-    ~body:(fun () -> run_ops_commuting t node p tree.Spec.ops)
-    ~after:(fun () ->
-      after_section t node p tree ~compensating;
-      local_done t node p)
 
 (* ------------------------------------------------- message handling *)
 
@@ -1235,20 +1254,23 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
       p_source = !entry_source;
       p_parent = parent;
       p_compensating = compensating;
+      p_stage = 0;
       p_outstanding = 0;
       p_local_done = false;
       p_reads = [];
       p_vote = Vote_commit;
-      p_nodes = [ node.id ];
+      p_nodes = (if tracks_nodes t kind then [ node.id ] else []);
       p_buffered = [];
       p_root = root;
       p_vector = vector;
     }
   in
   Hashtbl.replace node.pendings p.p_id p;
+  (* A read-only subtransaction, or a commuting one outside [nc_mode]: no
+     locks and no admission wait, so it needs no process. *)
   match kind with
-  | Spec.Read_only -> exec_steps t node p tree ~compensating
-  | Spec.Commuting when not t.cfg.nc_mode -> exec_steps t node p tree ~compensating
+  | Spec.Read_only -> run_section t node p tree ~wave:false
+  | Spec.Commuting when not t.cfg.nc_mode -> run_section t node p tree ~wave:false
   | Spec.Commuting | Spec.Non_commuting ->
       (* [namef]: the name is only rendered on stall or failure. *)
       Sim.spawn t.sim ~daemon:false
@@ -1916,7 +1938,7 @@ let serve t node =
   and guarded step =
     try step () with exn -> Sim.fail t.sim ("node-" ^ node.name) exn
   and woken () = guarded drain
-  and arrival () = Sim.schedule t.sim woken in
+  and arrival () = Sim.schedule t.sim ~delay:0. woken in
   Mailbox.on_arrival inbox arrival
 
 let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
@@ -2191,16 +2213,25 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
 
 let name _ = "3v"
 
+(* Does some subtransaction of the tree run outside nodes [lo, hi)? *)
+let rec subtree_outside ~lo ~hi (st : Spec.subtxn) =
+  st.Spec.node < lo || st.Spec.node >= hi || children_outside ~lo ~hi st.Spec.children
+
+and children_outside ~lo ~hi = function
+  | [] -> false
+  | st :: rest -> subtree_outside ~lo ~hi st || children_outside ~lo ~hi rest
+
 let submit t (spec : Spec.t) =
   (* Reject malformed specs up front: a bad node id inside a running
-     subtransaction would otherwise stop a node's dispatch. *)
-  List.iter
-    (fun n ->
-      if n < 0 || n >= t.cfg.nodes then
-        invalid_arg
-          (Printf.sprintf "Engine.submit: %s targets node %d outside 0..%d"
-             spec.Spec.label n (t.cfg.nodes - 1)))
-    (Spec.nodes spec);
+     subtransaction would otherwise stop a node's dispatch. The walk
+     allocates nothing; only a rejection lists the nodes, to name the
+     smallest bad one. *)
+  if subtree_outside ~lo:0 ~hi:t.cfg.nodes spec.Spec.root then begin
+    let n = List.find (fun n -> n < 0 || n >= t.cfg.nodes) (Spec.nodes spec) in
+    invalid_arg
+      (Printf.sprintf "Engine.submit: %s targets node %d outside 0..%d"
+         spec.Spec.label n (t.cfg.nodes - 1))
+  end;
   (* Replica routing happens once, at submission: the whole tree is pinned
      to the serving replicas chosen now, so compensation (which inverts
      [rs_spec]) undoes work exactly where it ran. Routing never crosses a
@@ -2216,19 +2247,14 @@ let submit t (spec : Spec.t) =
     match t.rvec with
     | None -> None
     | Some rv ->
-        let shard_of n = n / t.per_shard in
-        let span =
-          List.fold_left
-            (fun acc n ->
-              if List.mem (shard_of n) acc then acc else shard_of n :: acc)
-            []
-            (Spec.nodes spec)
-        in
-        if List.length span <= 1 then None
+        let lo = spec.Spec.root.Spec.node / t.per_shard * t.per_shard in
+        if not (subtree_outside ~lo ~hi:(lo + t.per_shard) spec.Spec.root) then None
         else begin
+          let shard_of n = n / t.per_shard in
           (match spec.Spec.kind with
           | Spec.Read_only -> ()
           | Spec.Commuting | Spec.Non_commuting ->
+              let span = List.sort_uniq Int.compare (List.map shard_of (Spec.nodes spec)) in
               invalid_arg
                 (Printf.sprintf
                    "Engine.submit: update %s spans %d shards (updates must \

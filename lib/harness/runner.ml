@@ -48,21 +48,26 @@ let drive sim engine gen (setup : setup) =
         sample ()
       in
       sample ());
-  Sim.spawn sim ~name:"workload-client" (fun () ->
-      let rec loop () =
-        let gap = -.log (1. -. Random.State.float rng 1.) /. rate in
-        Sim.sleep sim gap;
-        if Sim.now sim -. start <= setup.duration && !submitted < setup.max_txns
-        then begin
-          incr submitted;
-          let spec = gen.Workload.Generator.make rng ~id:!submitted in
-          let ivar = Engine_intf.packed_submit engine spec in
-          inflight := (spec, ivar) :: !inflight;
-          unresolved := ivar :: !unresolved;
-          loop ()
-        end
-      in
-      loop ());
+  (* The workload client: a chain of callbacks, one [Sim.after] per
+     Poisson gap, on the events a client process takes (its start, then
+     each sleep's two), so every schedule is the process's. A failing
+     arrival stops the run as the process did, under its name. *)
+  let rec wait () =
+    let gap = -.log (1. -. Random.State.float rng 1.) /. rate in
+    Sim.after sim gap arrive
+  and arrive () =
+    if Sim.now sim -. start <= setup.duration && !submitted < setup.max_txns then
+      match
+        incr submitted;
+        let spec = gen.Workload.Generator.make rng ~id:!submitted in
+        let ivar = Engine_intf.packed_submit engine spec in
+        inflight := (spec, ivar) :: !inflight;
+        unresolved := ivar :: !unresolved
+      with
+      | () -> wait ()
+      | exception exn -> Sim.fail sim "workload-client" exn
+  in
+  Sim.schedule sim ~delay:0. wait;
   (match Sim.run sim ~until:(start +. setup.duration +. setup.settle) () with
   | Sim.Completed | Sim.Hit_limit -> ()
   | Sim.Stalled names ->

@@ -1,6 +1,6 @@
 (** Open-loop workload driver: engine × generator → measured outcome.
 
-    [drive] spawns a client process that submits transactions with Poisson
+    [drive] runs a client that submits transactions with Poisson
     interarrivals at the generator's rate for [duration] virtual seconds,
     lets the simulation settle for [settle] more, then harvests results.
     The same driver runs every engine, so outcomes are directly

@@ -14,7 +14,7 @@
     - [phase-msg <Constructor>] — a protocol constructor whose send must be
       dominated by a [Coord_log.append] (rule R8).
 
-    An [engine] or [protocol] path that names no scanned file is itself a
+    A line that resolves to nothing in the scanned tree is itself a
     finding of the rule that reads it ({!Driver.run}). *)
 
 type allow = { a_rule : string; a_glob : string; a_note : string }

@@ -19,6 +19,7 @@ let waiver_tags =
     ("order-ok", "R8");
     ("guard-ok", "R9");
     ("unsafe-ok", "R10");
+    ("layout-ok", "R12");
   ]
 
 (* Byte offsets at which each line starts; [line_of] is then a binary
@@ -227,8 +228,9 @@ let parse_one ~filename source =
 (* Lint a set of already-read files as one run: per-file rules, then the
    cross-file flowgraph join, then per-file waiver and allowlist
    suppression (a cross-file finding is waivable in the file it is
-   attributed to). Returns (kept, waived, allowlisted). *)
-let lint_files ~config sources =
+   attributed to). [layout_only] files get R12 alone. Returns (kept,
+   waived, allowlisted, parsed). *)
+let lint_files ~config ?(layout_only = []) sources =
   let parsed = List.map (fun (f, s) -> parse_one ~filename:f s) sources in
   let per_file p =
     match p.p_syntax with
@@ -250,15 +252,17 @@ let lint_files ~config sources =
       parsed
   in
   let flow_findings = Flowgraph.check ~config facts in
+  let all_sources = sources @ layout_only in
+  let layout_findings = List.concat_map (fun (f, s) -> Rules.layout ~file:f s) all_sources in
   let wtbl = Hashtbl.create 64 in
-  List.iter (fun p -> Hashtbl.replace wtbl p.p_file (waivers p.p_source)) parsed;
+  List.iter (fun (f, s) -> Hashtbl.replace wtbl f (waivers s)) all_sources;
   let is_waived (f : Report.finding) =
     match Hashtbl.find_opt wtbl f.Report.file with
     | Some ws -> waived_by ws f
     | None -> false
   in
   let waived, rest =
-    List.partition is_waived (rule_findings @ flow_findings)
+    List.partition is_waived (rule_findings @ flow_findings @ layout_findings)
   in
   let allowlisted, kept =
     List.partition
@@ -266,50 +270,137 @@ let lint_files ~config sources =
         Config.allowed config ~rule:f.Report.rule ~file:f.Report.file)
       rest
   in
-  (kept, List.length waived, List.length allowlisted)
+  (kept, List.length waived, List.length allowlisted, parsed)
 
-(* An [engine] or [protocol] line names the file its rule reads. A line
-   whose path names no file of the run would switch that check off
-   without a word, so it is a finding of that rule (R5 or R7), attributed
-   to the missing path; no allowlist or waiver hides it. *)
-let unresolved_config ~(config : Config.t) files =
-  let stale rule what path =
-    if List.mem path files then None
+(* The top-level types a parsed file declares, each with its constructors
+   ([[]] unless it is a variant). *)
+let top_types p =
+  let decl (d : Parsetree.type_declaration) =
+    let ctors =
+      match d.Parsetree.ptype_kind with
+      | Parsetree.Ptype_variant cds ->
+          List.map (fun (cd : Parsetree.constructor_declaration) -> cd.Parsetree.pcd_name.txt) cds
+      | _ -> []
+    in
+    (d.Parsetree.ptype_name.Location.txt, ctors)
+  in
+  (match p.p_impl with
+  | Some str ->
+      List.concat_map
+        (fun (it : Parsetree.structure_item) ->
+          match it.Parsetree.pstr_desc with
+          | Parsetree.Pstr_type (_, decls) -> List.map decl decls
+          | _ -> [])
+        str
+  | None -> [])
+  @
+  match p.p_intf with
+  | Some sg ->
+      List.concat_map
+        (fun (it : Parsetree.signature_item) ->
+          match it.Parsetree.psig_desc with
+          | Parsetree.Psig_type (_, decls) -> List.map decl decls
+          | _ -> [])
+        sg
+  | None -> []
+
+(* Every [lint.config] line must resolve: a line that resolves to nothing
+   would switch its check off without a word, so it is a finding of the
+   rule that reads it, which no allowlist or waiver hides.
+   - An [engine] or [protocol] path that names no scanned file (R5, R7),
+     and a [protocol] type its file does not declare as a variant (R7),
+     are attributed to that path.
+   - An [allow] glob that matches none of [scanned] (every file the run
+     read, [test/] included) is a finding of the rule it allows,
+     attributed to the glob.
+   - A [deny-type] [M.ty] where no scanned module [M] declares [ty] (R3),
+     and a [phase-msg] constructor that no scanned variant declares (R8),
+     are attributed to lint.config. *)
+let unresolved_config ~(config : Config.t) ~scanned parsed =
+  let finding ~file ~rule msg = { Report.file; line = 1; col = 0; rule; msg } in
+  let missing rule what path =
+    if List.exists (fun p -> p.p_file = path) parsed then None
     else
       Some
-        {
-          Report.file = path;
-          line = 1;
-          col = 0;
-          rule;
-          msg =
-            Printf.sprintf "lint.config names %s %s, but no such file is scanned"
-              what path;
-        }
+        (finding ~file:path ~rule
+           (Printf.sprintf "lint.config names %s %s, but no such file is scanned" what path))
   in
-  List.filter_map (stale "R5" "engine interface") config.Config.engines
-  @ List.filter_map
-      (fun (path, _) -> stale "R7" "protocol file" path)
-      config.Config.protocols
+  let protocol_type (path, ty) =
+    match List.find_opt (fun p -> p.p_file = path) parsed with
+    | None -> missing "R7" "protocol file" path
+    | Some p ->
+        let variant (name, ctors) = name = ty && match ctors with [] -> false | _ :: _ -> true in
+        if List.exists variant (top_types p) then None
+        else
+          Some
+            (finding ~file:path ~rule:"R7"
+               (Printf.sprintf "lint.config names protocol type %s, but %s declares no such variant"
+                  ty path))
+  in
+  let allow (a : Config.allow) =
+    if List.exists (Config.glob_match a.Config.a_glob) scanned then None
+    else
+      Some
+        (finding ~file:a.Config.a_glob ~rule:a.Config.a_rule
+           (Printf.sprintf "lint.config allows %s at %s, but no scanned file matches"
+              a.Config.a_rule a.Config.a_glob))
+  in
+  let deny_type name =
+    let ty, owner =
+      match List.rev (String.split_on_char '.' name) with
+      | ty :: m :: _ -> (ty, Some m)
+      | _ -> (name, None)
+    in
+    let module_of file =
+      String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
+    in
+    let declares p =
+      (match owner with Some m -> module_of p.p_file = m | None -> true)
+      && List.mem_assoc ty (top_types p)
+    in
+    if List.exists declares parsed then None
+    else
+      Some
+        (finding ~file:"lint.config" ~rule:"R3"
+           (Printf.sprintf "lint.config denies type %s, but no scanned module declares it" name))
+  in
+  let phase_msg ctor =
+    let declares p = List.exists (fun (_, ctors) -> List.mem ctor ctors) (top_types p) in
+    if List.exists declares parsed then None
+    else
+      Some
+        (finding ~file:"lint.config" ~rule:"R8"
+           (Printf.sprintf
+              "lint.config names phase message %s, but no scanned variant declares it" ctor))
+  in
+  List.filter_map (missing "R5" "engine interface") config.Config.engines
+  @ List.filter_map protocol_type config.Config.protocols
+  @ List.filter_map allow config.Config.allows
+  @ List.filter_map deny_type config.Config.deny_types
+  @ List.filter_map phase_msg config.Config.phase_msgs
 
 let lint_source ?(config = Config.empty) ~filename source =
-  lint_files ~config [ (filename, source) ]
+  let kept, waived, allowlisted, _ = lint_files ~config [ (filename, source) ] in
+  (kept, waived, allowlisted)
 
 let lint_string ?config ~filename source =
   let kept, _, _ = lint_source ?config ~filename source in
   List.sort Report.compare_finding kept
 
 let run_sources ?(config = Config.empty) sources =
-  let kept, waived, allowlisted = lint_files ~config sources in
+  let kept, waived, allowlisted, parsed = lint_files ~config sources in
   Report.make
-    ~findings:(kept @ unresolved_config ~config (List.map fst sources))
+    ~findings:(kept @ unresolved_config ~config ~scanned:(List.map fst sources) parsed)
     ~files_scanned:(List.length sources) ~waived ~allowlisted
 
 (* ------------------------------------------------------------- tree walk *)
 
 let source_dirs = [ "lib"; "bin"; "bench" ]
 
-let walk root =
+(* R12 alone reads these too. *)
+let layout_dirs = [ "test" ]
+
+let walk_dirs root dirs =
   let files = ref [] in
   let rec go rel =
     let abs = Filename.concat root rel in
@@ -328,8 +419,10 @@ let walk root =
           end)
         (Sys.readdir abs)
   in
-  List.iter go source_dirs;
+  List.iter go dirs;
   List.sort String.compare !files
+
+let walk root = walk_dirs root source_dirs
 
 let is_lib_ml file =
   Filename.check_suffix file ".ml"
@@ -343,13 +436,12 @@ let run ?(config_path = "lint.config") ?rule ~root () =
          Filename.concat root config_path
        else config_path)
   in
-  let files = walk root in
   (* The runtest gate scans dune's copy of the tree, where executables
      grow an auto-generated empty [.mli]; skip those so a sandboxed run
      sees the same file set as a checkout run (the staleness leg compares
      the two). *)
   let dune_stub = "(* Auto-generated by Dune *)" in
-  let sources =
+  let read files =
     List.filter_map
       (fun f ->
         let s = read_file (Filename.concat root f) in
@@ -360,9 +452,11 @@ let run ?(config_path = "lint.config") ?rule ~root () =
         else Some (f, s))
       files
   in
+  let sources = read (walk root) and layout_only = read (walk_dirs root layout_dirs) in
   let files = List.map fst sources in
-  let kept, waived, allowlisted = lint_files ~config sources in
-  let findings = ref (kept @ unresolved_config ~config files) in
+  let scanned = files @ List.map fst layout_only in
+  let kept, waived, allowlisted, parsed = lint_files ~config ~layout_only sources in
+  let findings = ref (kept @ unresolved_config ~config ~scanned parsed) in
   let waived = ref waived in
   let allowlisted = ref allowlisted in
   (* R5: every lib/** implementation needs a sibling interface. *)
@@ -380,5 +474,5 @@ let run ?(config_path = "lint.config") ?rule ~root () =
     | None -> !findings
     | Some r -> List.filter (fun f -> f.Report.rule = r) !findings
   in
-  Report.make ~findings ~files_scanned:(List.length files) ~waived:!waived
+  Report.make ~findings ~files_scanned:(List.length scanned) ~waived:!waived
     ~allowlisted:!allowlisted

@@ -16,7 +16,7 @@ type t = {
 let schema_version = "lint/v2"
 
 let rule_ids =
-  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "syntax" ]
+  [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "R12"; "syntax" ]
 
 let compare_finding a b =
   let c = String.compare a.file b.file in

@@ -44,6 +44,7 @@ let all =
             (re-delivered GC notices must stay idempotent)");
     ("R10", "unsafe accesses (Array/String/Bytes.unsafe_*, Obj.magic) \
              outside the allowlisted flat-counter modules");
+    ("R12", "layout: a tab, trailing whitespace or a line over 100 columns");
   ]
 
 let lid_str lid = String.concat "." (Longident.flatten lid)
@@ -469,3 +470,39 @@ let missing_mli ~file =
     rule = "R5";
     msg = "module has no .mli interface";
   }
+
+(* ----------------------------------------------------------------- R12 *)
+
+let max_columns = 100
+
+(* Columns are code points, so a UTF-8 dash is one column: every byte but
+   a continuation byte starts one. *)
+let columns text =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) text;
+  !n
+
+let layout ~file source =
+  let out = ref [] in
+  let add line col msg = out := { Report.file; line; col; rule = "R12"; msg } :: !out in
+  List.iteri
+    (fun i text ->
+      let line = i + 1 in
+      (match String.index_opt text '\t' with
+      | Some col -> add line col "tab character"
+      | None -> ());
+      let len = String.length text in
+      let blank c = c = ' ' || c = '\t' || c = '\r' in
+      if len > 0 && blank text.[len - 1] then begin
+        let col = ref (len - 1) in
+        while !col > 0 && blank text.[!col - 1] do
+          decr col
+        done;
+        add line !col "trailing whitespace"
+      end;
+      let width = columns text in
+      if width > max_columns then
+        add line max_columns
+          (Printf.sprintf "line of %d columns exceeds %d" width max_columns))
+    (String.split_on_char '\n' source);
+  List.rev !out

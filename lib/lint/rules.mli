@@ -1,4 +1,4 @@
-(** The determinism & protocol-hygiene rule catalog (R1–R10).
+(** The determinism & protocol-hygiene rule catalog (R1–R10, R12).
 
     Rules are purely syntactic passes over the compiler-libs parsetree plus
     the raw source text — no typing. R3 in particular is an
@@ -33,7 +33,11 @@
        region controlled by a [gc_floor] comparison.}
     {- R10 — unsafe-access confinement: [Array]/[String]/[Bytes]
        [unsafe_get]/[unsafe_set] and [Obj.magic] anywhere not allowlisted
-       in [lint.config].}} *)
+       in [lint.config].}
+    {- R12 — layout, on the raw text of every scanned file, [test/]
+       included: no tab, no trailing whitespace, no line over 100 columns
+       (code points). It needs no formatter, so it runs on every
+       toolchain.}} *)
 
 (** Mutable per-file rule state: findings accumulate as the walks run. *)
 type ctx = {
@@ -59,3 +63,8 @@ val check_interface : ctx -> Parsetree.signature -> unit
 
 (** The R5 finding for a [lib/**] module with no [.mli] at all. *)
 val missing_mli : file:string -> Report.finding
+
+(** [layout ~file source] is R12's findings for one file's text: a tab
+    (at its first column), trailing whitespace (where it starts) and a
+    line over 100 code points, each at most once per line. *)
+val layout : file:string -> string -> Report.finding list

@@ -3,18 +3,6 @@ module Mailbox = Simul.Mailbox
 
 type filter = src:int -> dst:int -> delay:float -> float list
 
-(* One scheduled drain event per (dst, deliver-at) burst: copies scheduled
-   back-to-back for the same destination and instant append to the batch's
-   pending list instead of each carrying their own heap event and closure.
-   A network's sentinel batch, whose [b_dst] is no node, stands for "no
-   open batch", so the open batch needs no option box. *)
-type 'm batch = {
-  b_at : float;
-  b_dst : int;
-  mutable b_seq : int;  (* sim sequence number of the batch's drain event *)
-  mutable b_rev : 'm list;  (* pending copies, newest first *)
-}
-
 type 'm t = {
   simulation : Sim.t;
   inboxes : 'm Mailbox.t array;
@@ -28,13 +16,11 @@ type 'm t = {
           [delivered]; pruned by {!forget_delivered} as the reliable
           channel's ack floor advances, so the table tracks the in-flight
           window, not the run *)
-  mutable last_batch : 'm batch;  (* the open batch, or a sentinel *)
   mutable sent : int;
   mutable remote_sent : int;
   mutable delivered : int;
   mutable dropped : int;
   mutable extra_copies : int;
-  mutable coalesced : int;
 }
 
 let create simulation ~size ~latency ?(link_latency = fun ~src:_ ~dst:_ -> None)
@@ -49,13 +35,11 @@ let create simulation ~size ~latency ?(link_latency = fun ~src:_ ~dst:_ -> None)
     filter = None;
     delivery_key = None;
     delivered_seen = Hashtbl.create 256;
-    last_batch = { b_at = neg_infinity; b_dst = -1; b_seq = -1; b_rev = [] };
     sent = 0;
     remote_sent = 0;
     delivered = 0;
     dropped = 0;
     extra_copies = 0;
-    coalesced = 0;
   }
 
 let size t = t.n
@@ -88,42 +72,10 @@ let deliver t ~dst msg =
   | None -> t.delivered <- t.delivered + 1);
   Mailbox.send t.inboxes.(dst) msg
 
-(* A drain of [k] copies is [k] logical delivery events; it reports the
-   [k - 1] that no longer carry their own heap event, so event totals are
-   identical with and without coalescing. A lone copy, by far the common
-   batch, is delivered as is. *)
-let drain t b =
-  match b.b_rev with
-  | [] -> ()
-  | [ m ] ->
-      b.b_rev <- [];
-      deliver t ~dst:b.b_dst m
-  | rev ->
-      b.b_rev <- [];
-      Sim.tally_coalesced t.simulation ~extra:(List.length rev - 1);
-      List.iter (fun m -> deliver t ~dst:b.b_dst m) (List.rev rev)
-
-(* Coalescing is sound only while the batch's drain event is still the
-   newest scheduled event ([Sim.last_seq] unchanged): appending then
-   behaves exactly like scheduling a fresh event immediately after it —
-   same instant, adjacent sequence numbers, nothing scheduled in between —
-   so the global event order (and hence every golden schedule) is
-   byte-identical to the one-event-per-copy scheme. As soon as any other
-   event is scheduled, the batch is sealed and the next copy opens a new
-   one. *)
+(* One kernel event per copy, whose closure is the copy's only
+   allocation. *)
 let schedule_delivery t ~dst ~delay msg =
-  let sim = t.simulation in
-  let b = t.last_batch in
-  if b.b_dst = dst && b.b_at = Sim.now sim +. delay && Sim.last_seq sim = b.b_seq then begin
-    b.b_rev <- msg :: b.b_rev;
-    t.coalesced <- t.coalesced + 1
-  end
-  else begin
-    let b = { b_at = Sim.now sim +. delay; b_dst = dst; b_seq = 0; b_rev = [ msg ] } in
-    Sim.schedule sim ~delay (fun () -> drain t b);
-    b.b_seq <- Sim.last_seq sim;
-    t.last_batch <- b
-  end
+  Sim.schedule t.simulation ~delay (fun () -> deliver t ~dst msg)
 
 let send t ~src ~dst msg =
   check_node t src "send";
@@ -170,4 +122,3 @@ let remote_messages_sent t = t.remote_sent
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let extra_copies t = t.extra_copies
-let coalesced_deliveries t = t.coalesced

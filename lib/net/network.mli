@@ -6,17 +6,10 @@
     "messages are sent asynchronously with respect to the execution of user
     transactions". Node ids are dense integers [0 .. size-1].
 
-    Delivery is batched: copies scheduled back-to-back for the same
-    destination and the same delivery instant share one heap event whose
-    drain pushes them all, in order, into the inbox. Coalescing only
-    happens while the batch's drain event is still the newest scheduled
-    event, which makes it provably order-identical to scheduling one event
-    per copy — golden schedules are byte-identical either way, and
-    {!Simul.Sim.events_executed} still counts one event per delivered
-    copy. A batch costs its record, its pending list and its drain
-    closure; the open batch is held without an option box, and a batch of
-    one copy (most of them) is delivered without reversing or measuring
-    its list. *)
+    Each delivered copy is one kernel event at its delivery instant, in
+    send order among copies due at the same instant, so per-link delivery
+    is FIFO whenever delays are. The event's closure is the copy's only
+    allocation. *)
 
 type 'm t
 
@@ -98,10 +91,6 @@ val messages_dropped : 'm t -> int
 
 (** Extra copies beyond the first scheduled by the filter (duplications). *)
 val extra_copies : 'm t -> int
-
-(** Copies that joined an already-scheduled (dst, deliver-at) batch instead
-    of carrying their own heap event. *)
-val coalesced_deliveries : 'm t -> int
 
 (** [forget_delivered t ~key ~dst] drops the delivery-dedup record for
     key [key] (see {!set_delivery_key}) at [dst], if any. The reliable

@@ -15,7 +15,7 @@ let acquire_then sim s k =
     s.permits <- s.permits - 1;
     k ()
   end
-  else Queue.add (fun () -> Sim.schedule sim k) s.waiters
+  else Queue.add (fun () -> Sim.schedule sim ~delay:0. k) s.waiters
 
 let release s =
   match Queue.take_opt s.waiters with

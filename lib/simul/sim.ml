@@ -65,7 +65,6 @@ let now t = t.clock
 let rng t = t.random
 let events_executed t = t.executed
 let last_seq t = t.seq
-let tally_coalesced t ~extra = t.executed <- t.executed + extra
 
 let grow_ring t =
   let cap = Array.length t.ring in
@@ -175,7 +174,7 @@ let[@inline] push t ~at run =
     push_timed t at (t.seq lsl 1) run
   end
 
-let schedule t ?(delay = 0.) f =
+let schedule t ~delay f =
   assert (delay >= 0.);
   push t ~at:(t.clock +. delay) f
 

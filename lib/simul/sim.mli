@@ -34,8 +34,9 @@
 
     The distributed machinery in this repository (node dispatch, messages,
     transactions, the version-advancement coordinator) runs on this kernel:
-    node inboxes and most subtransactions as callbacks, coordinators,
-    clients and timers as processes. Virtual time is in abstract seconds. *)
+    node inboxes, most subtransactions and the workload client as
+    callbacks, coordinators and timers as processes. Virtual time is in
+    abstract seconds. *)
 
 type t
 
@@ -66,24 +67,13 @@ val now : t -> float
 (** The simulation's deterministic random state. *)
 val rng : t -> Random.State.t
 
-(** Number of simulated events executed so far. Counts events run from
-    either queue plus any deliveries reported via {!tally_coalesced}, so a
-    batched drain of [k] same-instant messages counts as [k] events —
-    identical to scheduling them individually. *)
+(** Number of simulated events executed so far, from either queue. *)
 val events_executed : t -> int
 
 (** Sequence number of the most recently scheduled event. Two equal-time
-    events execute in sequence order; a scheduler that wants to coalesce
-    work into an already-scheduled event may do so soundly only while that
-    event is still the newest one (its sequence equals [last_seq]) — see
-    [Network.schedule_delivery]. *)
+    events execute in sequence order, so two runs that push the same
+    events in the same order end with the same [last_seq]. *)
 val last_seq : t -> int
-
-(** [tally_coalesced t ~extra] adds [extra] to {!events_executed}: a batch
-    event that performs [k] logical deliveries reports [k - 1] here so
-    event counts stay comparable (and golden event totals stay identical)
-    whether or not batching kicked in. *)
-val tally_coalesced : t -> extra:int -> unit
 
 (** [spawn t ?daemon ?name ?namef body] creates a process running [body].
     Daemon processes (e.g. server loops) may remain blocked forever without
@@ -94,9 +84,11 @@ val tally_coalesced : t -> extra:int -> unit
 val spawn :
   t -> ?daemon:bool -> ?name:string -> ?namef:(unit -> string) -> (unit -> unit) -> unit
 
-(** [schedule t ?delay f] enqueues plain callback [f] to run at
-    [now t +. delay] (default delay 0). The callback must not suspend. *)
-val schedule : t -> ?delay:float -> (unit -> unit) -> unit
+(** [schedule t ~delay f] enqueues plain callback [f] to run at
+    [now t +. delay]; [delay] must be non-negative, and [~delay:0.] queues
+    [f] at the current instant. The callback must not suspend. The delay is
+    a required argument so that no call boxes it in an option. *)
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [suspend t register] suspends the calling process. [register] receives the
     waker; calling the waker with a value resumes the process with that value

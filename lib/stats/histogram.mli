@@ -19,7 +19,9 @@ val add : t -> float -> unit
 (** [bucket_of h x] is the bucket index recording [x]: 0 for non-positive
     values, 1 for (0, least], and for i >= 2 the range
     (least·growth^(i-2), least·growth^(i-1)] — upper-inclusive, so an exact
-    bucket bound lands in the bucket it bounds. *)
+    bucket bound lands in the bucket it bounds. It is a binary search over
+    a table of the bounds, which grows with the buckets.
+    @raise Invalid_argument if [x] is nan. *)
 val bucket_of : t -> float -> int
 
 (** [bound_of h i] is the inclusive upper bound of bucket [i] (0. for the

@@ -74,19 +74,37 @@ let needs_gc t item =
   | [ (v, _) ] -> v < t.gc_floor
   | _ :: _ :: _ -> true
 
+(* Versions are descending: the first one at or below [version] is the
+   max. *)
+let rec visible (version : int) = function
+  | [] -> None
+  | ((v, _) as found) :: older -> if v <= version then Some found else visible version older
+
 let read_visible t ~key ~version =
   match find_item t key with
   | None -> None
-  | Some item ->
-      (* Versions are descending: first one ≤ [version] is the max. *)
-      List.find_opt (fun (v, _) -> v <= version) item.versions
+  | Some item -> visible version item.versions
+
+(* Int-typed walks over the descending versions: the polymorphic
+   [List.assoc_opt] and [List.mem_assoc] would compare keys through the
+   runtime's generic compare. *)
+let rec version_value (version : int) = function
+  | [] -> None
+  | (v, value) :: older -> if v = version then Some value else version_value version older
+
+let rec has_version (version : int) = function
+  | [] -> false
+  | (v, _) :: older -> v = version || has_version version older
 
 let read_exact t ~key ~version =
   match find_item t key with
   | None -> None
-  | Some item -> List.assoc_opt version item.versions
+  | Some item -> version_value version item.versions
 
-let exists t ~key ~version = read_exact t ~key ~version <> None
+let exists t ~key ~version =
+  match find_item t key with
+  | None -> false
+  | Some item -> has_version version item.versions
 
 let exists_above t ~key ~version =
   match find_item t key with
@@ -111,11 +129,11 @@ let rec insert_desc version value = function
 (* Ensure x(version) exists, per §4.1 step 4: copy from the max existing
    version ≤ version, or materialize [init] for a brand-new item. *)
 let ensure_version t item version init =
-  if List.mem_assoc version item.versions then (false, false)
+  if has_version version item.versions then (false, false)
   else begin
-    let created_item = item.versions = [] in
+    let created_item = match item.versions with [] -> true | _ :: _ -> false in
     let seed =
-      match List.find_opt (fun (v, _) -> v <= version) item.versions with
+      match visible version item.versions with
       | Some (_, value) -> value
       | None -> init
     in
@@ -194,7 +212,7 @@ let versions_of t ~key =
   match find_item t key with None -> [] | Some item -> List.map fst item.versions
 
 let keys t =
-  Keys.fold (fun k item acc -> if item.versions = [] then acc else k :: acc)
+  Keys.fold (fun k item acc -> match item.versions with [] -> acc | _ :: _ -> k :: acc)
     t.items []
   |> List.sort String.compare
 

@@ -40,7 +40,7 @@ let make ~id ?label root =
 
 let nodes t =
   fold_subtxns (fun acc st -> st.node :: acc) [] t.root
-  |> List.sort_uniq compare
+  |> List.sort_uniq Int.compare
 
 let collect_keys pred t =
   fold_subtxns

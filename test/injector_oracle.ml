@@ -122,7 +122,8 @@ let create sim (plan : Plan.t) =
     plan.Plan.pauses;
   List.iter
     (fun (c : Plan.crash) ->
-      t.crash_windows <- (c.Plan.crash_node, c.Plan.crash_at, c.Plan.crash_restart) :: t.crash_windows;
+      t.crash_windows <-
+        (c.Plan.crash_node, c.Plan.crash_at, c.Plan.crash_restart) :: t.crash_windows;
       Counter_set.incr t.counters "fault.crashes" ();
       Sim.schedule sim ~delay:(Float.max 0. (c.Plan.crash_restart -. now)) (fun () ->
           Counter_set.incr t.counters "fault.restarts" ()))

@@ -55,7 +55,7 @@ let push t ~at run =
   t.seq <- t.seq + 1;
   Heap.add t.queue { at; seq = t.seq; run }
 
-let schedule t ?(delay = 0.) f =
+let schedule t ~delay f =
   assert (delay >= 0.);
   push t ~at:(t.clock +. delay) f
 

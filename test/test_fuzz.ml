@@ -209,8 +209,9 @@ let shrunk_fd_case_replays () =
    These mirror the e10/e13-style golden histories in test_harness.ml (node
    pause during load; coordinator crash mid-advancement on the reliable
    channel) and assert that Harness.Certify — the MVSG certifier, atomic
-   visibility, version reads, replay and settling — passes them. The digests over these same runs live
-   in test_harness.ml; here we care about 1SR, not byte identity. *)
+   visibility, version reads, replay and settling — passes them. The
+   digests over these same runs live in test_harness.ml; here we care
+   about 1SR, not byte identity. *)
 
 let golden_gen nodes =
   Workload.Synthetic.generator

@@ -479,6 +479,102 @@ let r10_waived () =
   check_rules "unsafe-ok waiver" ~filename:"lib/x/a.ml"
     "let f a i = Array.unsafe_get a i (* lint: unsafe-ok fixture *)" []
 
+(* --------------------------------------------------------------- R12 *)
+
+let r12_fires () =
+  check_rules "tab" ~filename:"lib/x/a.ml" "let f x =\n\tx" [ "R12" ];
+  check_rules "trailing whitespace" ~filename:"lib/x/a.ml" "let f x = x \n" [ "R12" ];
+  check_rules "101 columns" ~filename:"lib/x/a.ml"
+    ("let s = \"" ^ String.make 91 'a' ^ "\"") [ "R12" ];
+  (* One finding per kind and line, at the column where it starts. *)
+  let found =
+    List.map
+      (fun (f : Report.finding) -> (f.Report.line, f.Report.col, f.Report.msg))
+      (Lint.Rules.layout ~file:"test/t.ml" "let x = 1\nlet y =\t2 \t \n")
+  in
+  Alcotest.(check (list (triple int int string)))
+    "tab and trailing whitespace on line 2"
+    [ (2, 7, "tab character"); (2, 9, "trailing whitespace") ]
+    found
+
+let r12_passes () =
+  (* Columns are code points: 100 dashes of three bytes each fit. *)
+  let dashes = String.concat "" (List.init 90 (fun _ -> "\u{2014}")) in
+  check_rules "100 columns of UTF-8" ~filename:"lib/x/a.ml"
+    ("(* " ^ dashes ^ " *)\nlet s = \"a\"\n") [];
+  check_rules "layout-ok waiver" ~filename:"lib/x/a.ml"
+    "let f x = x (* lint: layout-ok fixture *) \n" []
+
+(* A tree walk applies R12 to test/ too, and nothing else there: a test
+   file may call the global RNG, but not carry a tab. *)
+let r12_reads_test_tree () =
+  let root = Filename.temp_dir "lint" "" in
+  let path rel = Filename.concat root rel in
+  let write rel text =
+    Out_channel.with_open_bin (path rel) (fun oc -> Out_channel.output_string oc text)
+  in
+  Sys.mkdir (path "test") 0o755;
+  write "test/t.ml" "let f () = Random.int 10\nlet g x =\tx\n";
+  let walked =
+    Fun.protect
+      (fun () -> Driver.run ~root ())
+      ~finally:(fun () ->
+        Sys.remove (path "test/t.ml");
+        Sys.rmdir (path "test");
+        Sys.rmdir root)
+  in
+  Alcotest.(check (list (triple string int string)))
+    "one R12 finding in test/"
+    [ ("test/t.ml", 2, "R12") ]
+    (List.map
+       (fun (f : Report.finding) -> (f.Report.file, f.Report.line, f.Report.rule))
+       walked.Report.findings);
+  checki "test/ files are scanned" 1 walked.Report.files_scanned
+
+(* -------------------------------------------------- config resolution *)
+
+(* Every lint.config line must resolve to something in the scanned tree; a
+   line that resolves to nothing is a finding of the rule that reads it.
+   One fixture per kind of line, each beside a line of the same kind that
+   does resolve. *)
+let config_findings config sources =
+  List.map
+    (fun (f : Report.finding) -> (f.Report.file, f.Report.rule))
+    (Driver.run_sources ~config:(Config.parse config) sources).Report.findings
+
+let proto_sources =
+  [
+    ( "lib/core/proto.ml",
+      "type msg = Ping of int | Pong | Halt\ntype state = { mutable n : int }" );
+  ]
+
+let stale_allow_glob_fires () =
+  Alcotest.(check (list (pair string string)))
+    "an allow glob matching no file" [ ("lib/gone/**", "R10") ]
+    (config_findings "allow R10 lib/core/*.ml fixture\nallow R10 lib/gone/** fixture"
+       proto_sources)
+
+let stale_protocol_type_fires () =
+  Alcotest.(check (list (pair string string)))
+    "a protocol type its file does not declare as a variant"
+    [ ("lib/core/proto.ml", "R7"); ("lib/core/proto.ml", "R7") ]
+    (config_findings
+       "protocol lib/core/proto.ml msg\nprotocol lib/core/proto.ml packet\n\
+        protocol lib/core/proto.ml state"
+       proto_sources)
+
+let stale_phase_msg_fires () =
+  Alcotest.(check (list (pair string string)))
+    "a phase message no variant declares" [ ("lint.config", "R8") ]
+    (config_findings "phase-msg Halt\nphase-msg Start_advancement" proto_sources)
+
+let stale_deny_type_fires () =
+  Alcotest.(check (list (pair string string)))
+    "a denied type no module declares"
+    [ ("lint.config", "R3"); ("lint.config", "R3") ]
+    (config_findings "deny-type Proto.state\ndeny-type Proto.queue\ndeny-type Ivar.state"
+       proto_sources)
+
 (* ------------------------------------------------------------- syntax *)
 
 let syntax_error_is_a_finding () =
@@ -560,7 +656,7 @@ let tree_is_lint_clean () =
     (fun input ->
       if not (Sys.file_exists (Filename.concat ".." input)) then
         Alcotest.failf "lint input ../%s is missing" input)
-    [ "lint.config"; "LINT_report.json"; "lib"; "bin"; "bench" ];
+    [ "lint.config"; "LINT_report.json"; "lib"; "bin"; "bench"; "test" ];
   (* [config_path] is resolved against [root] by the driver. *)
   let report = Driver.run ~config_path:"lint.config" ~root:".." () in
   checki "non-waived findings" 0 (Report.total report);
@@ -842,6 +938,19 @@ let () =
           Alcotest.test_case "passes" `Quick r10_passes;
           Alcotest.test_case "allowlisted" `Quick r10_allowlisted;
           Alcotest.test_case "waived" `Quick r10_waived;
+        ] );
+      ( "r12",
+        [
+          Alcotest.test_case "fires" `Quick r12_fires;
+          Alcotest.test_case "passes" `Quick r12_passes;
+          Alcotest.test_case "reads test tree" `Quick r12_reads_test_tree;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "stale allow glob fires" `Quick stale_allow_glob_fires;
+          Alcotest.test_case "stale protocol type fires" `Quick stale_protocol_type_fires;
+          Alcotest.test_case "stale phase-msg fires" `Quick stale_phase_msg_fires;
+          Alcotest.test_case "stale deny-type fires" `Quick stale_deny_type_fires;
         ] );
       ( "driver",
         [

@@ -117,11 +117,10 @@ let delivered_counts_at_delivery () =
   ignore (Sim.run sim ());
   checki "delivered on arrival" 1 (Network.messages_delivered net)
 
-(* Same-tick deliveries to one destination coalesce into a single drain
-   event, but the observable schedule must be untouched: per-link FIFO
-   order, per-copy event accounting (the drain tallies one executed event
-   per coalesced copy), and delivery times all match the one-closure-per-
-   copy behaviour this replaced. *)
+(* Same-tick deliveries are one event per copy, and the observable
+   schedule is the one batching used to keep: per-link FIFO order, one
+   executed event per delivered copy, and the same count whether the sends
+   share an instant or not. *)
 let batching_preserves_fifo () =
   let sim = Sim.create () in
   let net = Network.create sim ~size:3 ~latency:(Latency.Constant 0.1) () in
@@ -137,9 +136,7 @@ let batching_preserves_fifo () =
         in
         loop ())
   done;
-  (* Five same-tick sends to node 1 interleaved with one to node 2: the
-     run to node 1 before the dst switch coalesces; the switch starts a
-     fresh batch. *)
+  (* Five same-tick sends to node 1 interleaved with one to node 2. *)
   for i = 1 to 3 do
     Network.send net ~src:0 ~dst:1 i
   done;
@@ -152,8 +149,9 @@ let batching_preserves_fifo () =
   Alcotest.(check (list int)) "fifo to node 1" [ 1; 2; 3; 4; 5 ] to1;
   checki "node 2 got its copy" 1
     (List.length (List.filter (fun (n, _) -> n = 2) !log));
-  checkb "some deliveries coalesced" true (Network.coalesced_deliveries net > 0);
-  (* Event accounting is per-copy, exactly as if nothing had coalesced. *)
+  (* Two receiver starts, one delivery per copy, and one resumption per
+     receiver: each takes the copies queued behind its first. *)
+  checki "one event per copy" (2 + 6 + 2) (Sim.events_executed sim);
   let sim2 = Sim.create () in
   let net2 = Network.create sim2 ~size:3 ~latency:(Latency.Constant 0.1) () in
   for node = 1 to 2 do
@@ -164,8 +162,9 @@ let batching_preserves_fifo () =
         in
         loop ())
   done;
-  (* Same traffic, but forced un-coalesced: a yield between sends moves
-     each send to its own event, so every delivery schedules alone. *)
+  (* Same traffic from a sender process that yields between sends, so no
+     two sends share an event: the same events per copy, plus the sender's
+     start and two events for each of its six yields. *)
   Sim.spawn sim2 (fun () ->
       for i = 1 to 3 do
         Network.send net2 ~src:0 ~dst:1 i;
@@ -178,8 +177,40 @@ let batching_preserves_fifo () =
         Sim.yield sim2
       done);
   ignore (Sim.run sim2 ());
-  checki "no coalescing without same-tick sends" 0
-    (Network.coalesced_deliveries net2)
+  checki "same events per copy apart" (Sim.events_executed sim + 1 + (6 * 2))
+    (Sim.events_executed sim2)
+
+(* A remote copy costs its latency sample, the one closure of its
+   delivery event and the clock that event sets: no batch record, list or
+   option box. One message is in flight at a time: node 1's inbox is
+   drained by callbacks, and each drain sends the next message, so every
+   copy is a delivery event of its own at a distinct instant. *)
+let remote_send_cost () =
+  let n = 10_000 in
+  let sim = Sim.create () in
+  let net = Network.create sim ~size:2 ~latency:(Latency.Exponential 0.001) () in
+  let inbox = Network.inbox net ~node:1 in
+  let sent = ref 0 and taken = ref 0 in
+  let rec drain () =
+    while Simul.Mailbox.length inbox > 0 do
+      taken := !taken + Simul.Mailbox.take inbox
+    done;
+    if !sent < n then begin
+      incr sent;
+      Network.send net ~src:0 ~dst:1 !sent
+    end;
+    Simul.Mailbox.on_arrival inbox arrival
+  and arrival () = Sim.schedule sim ~delay:0. drain in
+  drain ();
+  (* The first delivery allocates the inbox's ring. *)
+  ignore (Sim.run sim ~until:0.05 ());
+  let mark = !sent in
+  let before = Gc.minor_words () in
+  ignore (Sim.run sim ());
+  let words = (Gc.minor_words () -. before) /. float_of_int (n - mark) in
+  checki "every message taken" (n * (n + 1) / 2) !taken;
+  if words > 14. then
+    Alcotest.failf "a remote send and its delivery allocate %.2f minor words" words
 
 module Reliable = Netsim.Reliable
 
@@ -322,7 +353,8 @@ module Drive (C : CHANNEL) = struct
     let net = Network.create sim ~size:p.nodes ~latency:(Latency.Exponential 0.002) () in
     (* One RNG per link, so a link's fates do not depend on other links. *)
     let links =
-      Array.init (p.nodes * p.nodes) (fun l -> lossy_filter p sim ~src:(l / p.nodes) ~dst:(l mod p.nodes))
+      Array.init (p.nodes * p.nodes) (fun l ->
+          lossy_filter p sim ~src:(l / p.nodes) ~dst:(l mod p.nodes))
     in
     Network.set_filter net (fun ~src ~dst ~delay -> links.((src * p.nodes) + dst) ~delay);
     let ch =
@@ -389,7 +421,9 @@ let channel_divergence p =
   (go 0 0. (p.steps @ [ Run 5. ]), a)
 
 let pp_prog p =
-  Printf.sprintf "nodes=%d acks=%b retransmit=%b timeout=%g loss=%g dup=%g gap=%g spike=%g outage=%s seed=%d steps=[%s]"
+  Printf.sprintf
+    "nodes=%d acks=%b retransmit=%b timeout=%g loss=%g dup=%g gap=%g spike=%g outage=%s seed=%d \
+     steps=[%s]"
     p.nodes p.acks p.retransmit p.timeout p.loss p.dup p.dup_gap p.spike
     (match p.outage with
     | Some (s, d, f, u) -> Printf.sprintf "%d->%d@%g:%g" s d f u
@@ -397,7 +431,9 @@ let pp_prog p =
     p.seed
     (String.concat "; "
        (List.map
-          (function Send (s, d) -> Printf.sprintf "%d->%d" s d | Run dt -> Printf.sprintf "run %g" dt)
+          (function
+            | Send (s, d) -> Printf.sprintf "%d->%d" s d
+            | Run dt -> Printf.sprintf "run %g" dt)
           p.steps))
 
 let gen_prog =
@@ -584,6 +620,7 @@ let () =
           Alcotest.test_case "message accounting" `Quick message_accounting;
           Alcotest.test_case "batching preserves fifo" `Quick
             batching_preserves_fifo;
+          Alcotest.test_case "remote send cost" `Quick remote_send_cost;
           Alcotest.test_case "delivered_seen stays bounded" `Quick
             delivered_seen_stays_bounded;
           Alcotest.test_case "delivered counts at delivery" `Quick

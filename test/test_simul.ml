@@ -120,7 +120,7 @@ let sim_fifo_same_time () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    Sim.schedule sim (fun () -> log := i :: !log)
+    Sim.schedule sim ~delay:0. (fun () -> log := i :: !log)
   done;
   ignore (Sim.run sim ());
   check Alcotest.(list int) "insertion order at equal time" [ 1; 2; 3; 4; 5 ]
@@ -321,16 +321,16 @@ let mailbox_callback_wake_cost () =
       taken := !taken + Mailbox.take mb
     done;
     Mailbox.on_arrival mb arrival
-  and arrival () = Sim.schedule sim drain
+  and arrival () = Sim.schedule sim ~delay:0. drain
   and sender () =
     if !sent < n then begin
       incr sent;
       Mailbox.send mb !sent;
-      Sim.schedule sim sender
+      Sim.schedule sim ~delay:0. sender
     end
   in
   Mailbox.on_arrival mb arrival;
-  Sim.schedule sim sender;
+  Sim.schedule sim ~delay:0. sender;
   let before = Gc.minor_words () in
   ignore (Sim.run sim ());
   let words = (Gc.minor_words () -. before) /. float_of_int n in
@@ -397,7 +397,7 @@ let sim_event_in_past_rejected () =
 let sim_events_executed_counts () =
   let sim = Sim.create () in
   for _ = 1 to 5 do
-    Sim.schedule sim (fun () -> ())
+    Sim.schedule sim ~delay:0. (fun () -> ())
   done;
   ignore (Sim.run sim ());
   Alcotest.(check bool) "at least the scheduled events" true
@@ -421,7 +421,7 @@ module type KERNEL = sig
   val spawn :
     t -> ?daemon:bool -> ?name:string -> ?namef:(unit -> string) -> (unit -> unit) -> unit
 
-  val schedule : t -> ?delay:float -> (unit -> unit) -> unit
+  val schedule : t -> delay:float -> (unit -> unit) -> unit
   val after : t -> float -> (unit -> unit) -> unit
   val suspend : t -> (('a -> unit) -> unit) -> 'a
   val sleep : t -> float -> unit
@@ -688,6 +688,39 @@ let timed_event_cost ~after () =
     Alcotest.failf "a timed %s allocates %.2f minor words"
       (if after then "after" else "schedule") words
 
+(* A delay the caller computed reaches the kernel as it is: the delay is a
+   required argument, so no call wraps it in an option, and a timed
+   schedule allocates only the boxed clock its event sets. Each chain
+   keeps its computed gap in a mixed record, boxed, as the network holds
+   a latency sample and the reliable channel its timeout; the gaps differ,
+   so no two events share an instant. *)
+type chain = { gap : float; mutable ticks : int }
+
+let timed_schedule_computed_delay_cost () =
+  let n = 20_000 in
+  let sim = Sim.create () in
+  let fired = ref 0 in
+  let chains = Array.init 64 (fun i -> { gap = 1. +. (float i *. 1e-6); ticks = 0 }) in
+  let ticks =
+    Array.map
+      (fun c ->
+        let rec tick () =
+          incr fired;
+          c.ticks <- c.ticks + 1;
+          if !fired <= n then Sim.schedule sim ~delay:c.gap tick
+        in
+        tick)
+      chains
+  in
+  Array.iteri (fun i tick -> Sim.schedule sim ~delay:(float i /. 64.) tick) ticks;
+  ignore (Sim.run sim ~until:0.5 ());
+  let before = Gc.minor_words () in
+  ignore (Sim.run sim ());
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  checki "every chain ran out" (n + 64) !fired;
+  if words > 2.1 then
+    Alcotest.failf "a timed schedule with a computed delay allocates %.2f minor words" words
+
 (* The timed queue resets the slots it vacates: a popped event's closure,
    and what it captures, is collectable once it has run. *)
 let sim_timed_pop_releases () =
@@ -795,24 +828,33 @@ module Dispatch = struct
             loop ()))
       st.nodes
 
-  (* The callback shape, as the engine's [serve] and [run_section] run it. *)
+  (* The callback shape, as the engine's [serve] and [run_section] run it:
+     a unit of work is one closure that every hand-over resumes, with a
+     stage counter naming its next step. *)
   let callbacks st =
     Array.iteri
       (fun i node ->
         let start w =
-          let rec first () =
-            if w.think > 0. then Sim.after st.sim w.think (guarded enter) else enter ()
-          and enter () = Semaphore.acquire_then st.sim node.cc (guarded locked)
-          and locked () =
-            if w.hold > 0. then Sim.after st.sim w.hold (guarded run) else run ()
-          and run () =
-            body st i w;
-            Semaphore.release node.cc;
-            released st i w
-          and guarded step () =
-            try step () with exn -> Sim.fail st.sim (work_name i w) exn
+          let stage = ref 0 in
+          let rec resume () =
+            try
+              match !stage with
+              | 0 ->
+                  stage := 1;
+                  if w.think > 0. then Sim.after st.sim w.think resume else resume ()
+              | 1 ->
+                  stage := 2;
+                  Semaphore.acquire_then st.sim node.cc resume
+              | 2 ->
+                  stage := 3;
+                  if w.hold > 0. then Sim.after st.sim w.hold resume else resume ()
+              | _ ->
+                  body st i w;
+                  Semaphore.release node.cc;
+                  released st i w
+            with exn -> Sim.fail st.sim (work_name i w) exn
           in
-          Sim.schedule st.sim (guarded first)
+          Sim.schedule st.sim ~delay:0. resume
         in
         let rec drain () =
           if Mailbox.length node.inbox = 0 then Mailbox.on_arrival node.inbox arrival
@@ -828,7 +870,7 @@ module Dispatch = struct
         and guarded step =
           try step () with exn -> Sim.fail st.sim (Printf.sprintf "node-%d" i) exn
         and woken () = guarded drain
-        and arrival () = Sim.schedule st.sim woken in
+        and arrival () = Sim.schedule st.sim ~delay:0. woken in
         Mailbox.on_arrival node.inbox arrival)
       st.nodes
 
@@ -989,6 +1031,8 @@ let () =
             sim_deep_queue_order;
           Alcotest.test_case "timed schedule cost" `Quick (timed_event_cost ~after:false);
           Alcotest.test_case "timed after cost" `Quick (timed_event_cost ~after:true);
+          Alcotest.test_case "timed schedule cost, computed delay" `Quick
+            timed_schedule_computed_delay_cost;
           Alcotest.test_case "timed pop releases events" `Quick sim_timed_pop_releases;
           QCheck_alcotest.to_alcotest kernel_order_property;
           Alcotest.test_case "callback dispatch, fixed program" `Quick

@@ -151,6 +151,44 @@ let histogram_bucket_bound_consistent =
       && x <= Histogram.bound_of h b
       && (b = 1 || x > Histogram.bound_of h (b - 1) *. (1. -. 1e-12)))
 
+(* The replaced bucket search, a logarithm settled against the power
+   formula: the oracle for [bucket_of]'s table search. *)
+let formula ~least ~growth i =
+  if i = 0 then 0. else least *. (growth ** float_of_int (i - 1))
+
+let log_bucket ~least ~growth x =
+  if x <= 0. then 0
+  else if x <= least then 1
+  else
+    let b = 2 + int_of_float (Float.floor (log (x /. least) /. log growth)) in
+    if b > 1 && x <= formula ~least ~growth (b - 1) then b - 1
+    else if x > formula ~least ~growth b then b + 1
+    else b
+
+(* The bound table holds exactly the formula's values, grown past its
+   first 64; an exact bound lands in its own bucket, the float above it in
+   the next, the float below it in its own, and the log oracle agrees on
+   all three and on a value inside the bucket. *)
+let histogram_table_matches_formula =
+  QCheck.Test.make ~name:"bound table == formula, exact bounds and ulp neighbours" ~count:300
+    QCheck.(triple (float_range 1e-9 1e-1) (float_range 1.01 3.) (int_range 1 400))
+    (fun (least, growth, i) ->
+      let h = Histogram.create ~least ~growth () in
+      let bound = formula ~least ~growth i in
+      let at = Histogram.bucket_of h bound in
+      let table_ok =
+        List.for_all
+          (fun j -> Histogram.bound_of h j = formula ~least ~growth j)
+          (List.init (i + 1) Fun.id)
+      in
+      let below = Float.pred bound and above = Float.succ bound in
+      let inside = (formula ~least ~growth (i - 1) +. bound) /. 2. in
+      let agrees x = Histogram.bucket_of h x = log_bucket ~least ~growth x in
+      table_ok && at = i
+      && Histogram.bucket_of h above = i + 1
+      && (below <= formula ~least ~growth (i - 1) || Histogram.bucket_of h below = i)
+      && List.for_all agrees [ bound; below; above; inside ])
+
 let histogram_upper_bound_property =
   QCheck.Test.make ~name:"p100 bounds every observation" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 100) (float_bound_exclusive 50.))
@@ -299,6 +337,7 @@ let qsuite =
     [
       summary_merge_matches_combined; histogram_percentile_monotone;
       histogram_upper_bound_property; histogram_bucket_bound_consistent;
+      histogram_table_matches_formula;
       counter_set_order_independent;
     ]
 

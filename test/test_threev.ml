@@ -376,7 +376,8 @@ let compensation_nets_to_zero () =
   let r = Engine.submit eng upd in
   ignore (Sim.run sim ~until:1.0 ());
   (match Ivar.peek r with
-  | Some res -> checkb "reported compensated" true (res.Result.outcome = Result.Aborted "compensated")
+  | Some res ->
+      checkb "reported compensated" true (res.Result.outcome = Result.Aborted "compensated")
   | None -> Alcotest.fail "not finished");
   (* Termination detection must still work with compensating subtxns in
      the tree (§4.3's point about compensation and counters). *)

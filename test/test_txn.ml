@@ -160,7 +160,10 @@ let writers_add_cost () =
   let per_add = (Gc.minor_words () -. before) /. float_of_int n in
   if per_add > 3. then Alcotest.failf "an in-order add allocates %.2f minor words" per_add;
   List.iter
-    (fun x -> checkb (Printf.sprintf "re-adding %d returns its argument" x) true (Writers.add x base == base))
+    (fun x ->
+      checkb
+        (Printf.sprintf "re-adding %d returns its argument" x)
+        true (Writers.add x base == base))
     [ 999; 500; 0 ];
   let before = Gc.minor_words () in
   for i = 1 to n do
