@@ -56,7 +56,7 @@ let bench_small_run =
    than 64 writer tags and the time per run does not drift with run
    length. *)
 let bench_store_write =
-  let keys = Array.init 1024 (Printf.sprintf "k%d") in
+  let keys = Array.init 1024 (fun i -> Store.Key.intern (Printf.sprintf "k%d" i)) in
   let store = Mvstore.create () in
   let i = ref 0 in
   Test.make ~name:"e2: mvstore write_upward"
@@ -85,7 +85,7 @@ let bench_writer_tag_add =
    before each GC, as the engine's writes do between advancements. *)
 let bench_store_gc =
   let store = Mvstore.create () in
-  let keys = Array.init 4096 (Printf.sprintf "k%d") in
+  let keys = Array.init 4096 (fun i -> Store.Key.intern (Printf.sprintf "k%d" i)) in
   Array.iter
     (fun key -> ignore (Mvstore.write_upward store ~key ~version:0 ~init:0 ~f:succ))
     keys;

@@ -11,6 +11,7 @@ module Sim = Simul.Sim
 module Ivar = Simul.Ivar
 module Spec = Txn.Spec
 module Op = Txn.Op
+module Key = Store.Key
 module Value = Txn.Value
 module Engine = Threev.Engine
 
@@ -26,9 +27,9 @@ let () =
   let visit =
     Spec.make ~id:1 ~label:"visit"
       (Spec.subtxn
-         ~children:[ Spec.subtxn 1 [ Op.Incr ("patient7@pediatrics", 120.) ] ]
+         ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "patient7@pediatrics", 120.) ] ]
          0
-         [ Op.Incr ("patient7@radiology", 80.) ])
+         [ Op.Incr (Key.intern "patient7@radiology", 80.) ])
   in
   let visit_result = Engine.submit engine visit in
 
@@ -40,7 +41,7 @@ let () =
          0
          [ Op.Read (List.nth keys 0) ])
   in
-  let keys = [ "patient7@radiology"; "patient7@pediatrics" ] in
+  let keys = List.map Key.intern [ "patient7@radiology"; "patient7@pediatrics" ] in
   let early = Engine.submit engine (inquiry keys 2) in
 
   ignore (Sim.run sim ~until:1.0 ());
@@ -50,7 +51,7 @@ let () =
         Printf.printf "%s (version %d):\n" label res.Txn.Result.version;
         List.iter
           (fun (key, (v : Value.t)) ->
-            Printf.printf "  %-22s = %6.2f\n" key v.Value.amount)
+            Printf.printf "  %-22s = %6.2f\n" (Key.name key) v.Value.amount)
           res.Txn.Result.reads
     | None -> Printf.printf "%s: still pending\n" label
   in

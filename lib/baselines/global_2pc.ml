@@ -46,7 +46,7 @@ type msg =
     }
   | Vote of {
       pending_id : int;
-      reads : (string * Value.t) list;
+      reads : (Store.Key.t * Value.t) list;
       vote : vote;
       nodes : int list;
     }
@@ -60,10 +60,10 @@ type pending = {
   p_parent : (int * int) option;
   mutable p_outstanding : int;
   mutable p_local_done : bool;
-  mutable p_reads : (string * Value.t) list;
+  mutable p_reads : (Store.Key.t * Value.t) list;
   mutable p_vote : vote;
   mutable p_nodes : int list;
-  mutable p_buffered : (string * Op.t) list;  (* reversed *)
+  mutable p_buffered : (Store.Key.t * Op.t) list;  (* reversed *)
   p_root : root_submit option;
 }
 
@@ -182,7 +182,7 @@ let lock_plan ops =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun op ->
-      let key = Op.key op in
+      let key = Store.Key.name (Op.key op) in
       let mode = if Op.is_write op then Lockmgr.Exclusive else Lockmgr.Shared in
       Hashtbl.replace tbl key
         (match (Hashtbl.find_opt tbl key, mode) with
@@ -226,7 +226,8 @@ let exec_subtxn t node p (tree : Spec.subtxn) =
                     in
                     List.fold_left
                       (fun acc (k, op) ->
-                        if k = key then Op.apply op ~txn:p.p_txn acc else acc)
+                        if Store.Key.equal k key then Op.apply op ~txn:p.p_txn acc
+                        else acc)
                       base
                       (List.rev p.p_buffered)
                   in

@@ -45,7 +45,7 @@ type msg =
       tree : Spec.subtxn;
       root : root_submit option;
     }
-  | Completion of { pending_id : int; reads : (string * Value.t) list }
+  | Completion of { pending_id : int; reads : (Store.Key.t * Value.t) list }
 
 type pending = {
   p_id : int;
@@ -55,7 +55,7 @@ type pending = {
   p_parent : (int * int) option;
   mutable p_outstanding : int;
   mutable p_local_done : bool;
-  mutable p_reads : (string * Value.t) list;
+  mutable p_reads : (Store.Key.t * Value.t) list;
   p_root : root_submit option;
 }
 

@@ -51,7 +51,7 @@ let check history =
            writer-tag union per key would list them. Every update writing
            a key this read looked at is a candidate. *)
         Index.observed res.Result.reads
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.sort (fun (a, _) (b, _) -> Store.Key.compare a b)
         |> List.iter (fun (key, tags) ->
                Index.merge idx (Index.writers idx key) tags
                  ~seen:(fun p ->

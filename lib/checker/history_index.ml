@@ -2,11 +2,12 @@ module Spec = Txn.Spec
 module Result = Txn.Result
 module Value = Txn.Value
 module Op = Txn.Op
+module Key = Store.Key
 
 type t = {
   ids : int array;
   txns : (Spec.t * Result.t) array;
-  slots : (string, int) Hashtbl.t;
+  slot_of : int array;
   starts : int array;
   w_id : int array;
   w_dense : int array;
@@ -45,9 +46,9 @@ let write_kinds (spec : Spec.t) =
     if not (Op.is_write op) then acc
     else
       let key = Op.key op and over = not (Op.commuting_write op) in
-      if List.exists (fun (k, _) -> String.equal k key) acc then
+      if List.exists (fun (k, _) -> Key.equal k key) acc then
         List.map
-          (fun (k, o) -> if String.equal k key then (k, o || over) else (k, o))
+          (fun (k, o) -> if Key.equal k key then (k, o || over) else (k, o))
           acc
       else (key, over) :: acc
   in
@@ -100,30 +101,36 @@ let build history =
       (fun ops txn -> if effectful txn then ops + write_ops (fst txn) else ops)
       0 txns
   in
-  (* Updates in id order: slot every written key and note each write as
-     [slot lsl 1 lor overwrote]; a counting sort by slot then leaves every
-     slot's writers sorted by id. *)
-  let slots = Hashtbl.create 256 in
+  (* Updates in id order: slot every written key, in order of first write,
+     and note each write as [slot lsl 1 lor overwrote]; a counting sort by
+     slot then leaves every slot's writers sorted by id. [slot_of] maps a
+     key id to its slot (-1 for none), grown past the largest written id. *)
+  let slot_of = ref [||] and n_slots = ref 0 in
+  let slot (key : Key.t) =
+    let id = key.Key.id and len = Array.length !slot_of in
+    if id >= len then begin
+      let grown = Array.make (max (id + 1) (2 * len)) (-1) in
+      Array.blit !slot_of 0 grown 0 len;
+      slot_of := grown
+    end;
+    if !slot_of.(id) < 0 then begin
+      !slot_of.(id) <- !n_slots;
+      incr n_slots
+    end;
+    !slot_of.(id)
+  in
   let writes = Array.make ops 0 and total = ref 0 in
   let written = Array.make n 0 in
   for d = 0 to n - 1 do
     if effectful txns.(d) then
       List.iter
         (fun (key, over) ->
-          let slot =
-            match Hashtbl.find_opt slots key with
-            | Some s -> s
-            | None ->
-                let s = Hashtbl.length slots in
-                Hashtbl.replace slots key s;
-                s
-          in
-          writes.(!total) <- (slot lsl 1) lor Bool.to_int over;
+          writes.(!total) <- (slot key lsl 1) lor Bool.to_int over;
           incr total;
           written.(d) <- written.(d) + 1)
         (write_kinds (fst txns.(d)))
   done;
-  let total = !total and n_slots = Hashtbl.length slots in
+  let total = !total and n_slots = !n_slots and slot_of = !slot_of in
   (* [starts.(s)] counts, then ends, then (filled from the back) begins
      slot [s]. *)
   let starts = Array.make (n_slots + 1) 0 in
@@ -148,12 +155,12 @@ let build history =
       w_overwrote.(p) <- writes.(!i) land 1 = 1
     done
   done;
-  { ids; txns; slots; starts; w_id; w_dense; w_overwrote }
+  { ids; txns; slot_of; starts; w_id; w_dense; w_overwrote }
 
-let writers t key =
-  match Hashtbl.find_opt t.slots key with
-  | Some s -> (t.starts.(s), t.starts.(s + 1))
-  | None -> (0, 0)
+let writers t (key : Key.t) =
+  let id = key.Key.id in
+  let s = if id < Array.length t.slot_of then t.slot_of.(id) else -1 in
+  if s < 0 then (0, 0) else (t.starts.(s), t.starts.(s + 1))
 
 (* Both sequences descend: [p] is the highest writer position not yet
    reported. Strays are met in descending order, so consing them up leaves
@@ -184,7 +191,7 @@ let merge t (first, stop) tags ~seen ~unseen ~stray =
 let observed reads =
   let rec add key tags = function
     | [] -> [ (key, tags) ]
-    | (k, prev) :: rest when String.equal k key ->
+    | (k, prev) :: rest when Key.equal k key ->
         (k, Value.Writers.union prev tags) :: rest
     | kt :: rest -> kt :: add key tags rest
   in

@@ -11,7 +11,9 @@
     - each key's effect-ful writers sit sorted by id in one slice of
       parallel arrays ([w_*] below), so a value's {!Txn.Value.Writers}
       tags, a list in descending id order, and the key's slice are walked
-      together from the top, in place, in O(|tags| + |writers(key)|).
+      together from the top, in place, in O(|tags| + |writers(key)|);
+    - a key finds its slice through an array indexed by its interned id
+      ({!Store.Key.t}), with no hashing.
 
     Transaction ids are assumed unique, as {!Txn.Spec.t} requires. *)
 
@@ -19,7 +21,11 @@ type t = private {
   ids : int array;  (** dense index → transaction id, ascending *)
   txns : (Txn.Spec.t * Txn.Result.t) array;
       (** dense index → the history entry with that id *)
-  slots : (string, int) Hashtbl.t;  (** written key → its slot *)
+  slot_of : int array;
+      (** written key's id → its slot, [-1] for an id no effect-ful
+          update wrote; ids at or past its length have no slot either.
+          Slots count up in order of first write, so no output depends on
+          ids *)
   starts : int array;
       (** slot [s]'s writers are the positions [starts.(s)] to
           [starts.(s+1) - 1] of the [w_*] arrays *)
@@ -50,7 +56,7 @@ val find : t -> int -> int
 (** [writers t key] is the slice [(first, stop)] of [key]'s effect-ful
     writers in the [w_*] arrays, [stop] exclusive; [(0, 0)] for a key no
     effect-ful update wrote. *)
-val writers : t -> string -> int * int
+val writers : t -> Store.Key.t -> int * int
 
 (** [merge t slice tags ~seen ~unseen ~stray] walks [tags] and the writer
     slice together in descending id order, calling [seen p] for each writer
@@ -72,4 +78,4 @@ val merge :
     [reads], in order of first occurrence, with the writer tags of every
     observation of that key unioned. *)
 val observed :
-  (string * Txn.Value.t) list -> (string * Txn.Value.Writers.t) list
+  (Store.Key.t * Txn.Value.t) list -> (Store.Key.t * Txn.Value.Writers.t) list

@@ -68,7 +68,7 @@ let check history ~lookup =
      escapes into the report, so hash-order iteration would make which
      mismatches are reported layout-dependent. *)
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) sums []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.sort (fun (a, _) (b, _) -> Store.Key.compare a b)
   |> List.iter (fun (key, want) ->
          incr keys_checked;
          let actual =
@@ -79,7 +79,8 @@ let check history ~lookup =
          if Float.abs (actual -. want) > 1e-6 then begin
            incr mismatch_count;
            if List.length !mismatches < 20 then
-             mismatches := { key; expected = want; actual } :: !mismatches
+             mismatches :=
+               { key = Store.Key.name key; expected = want; actual } :: !mismatches
          end);
   {
     keys_checked = !keys_checked;

@@ -22,14 +22,15 @@ type report = {
 
 (** [expected history] predicts per-key final amounts from committed
     commuting transactions, also returning the set of skipped keys. *)
-val expected : (Txn.Spec.t * Txn.Result.t) list -> (string, float) Hashtbl.t
+val expected :
+  (Txn.Spec.t * Txn.Result.t) list -> (Store.Key.t, float) Hashtbl.t
 
 (** [check history ~lookup] compares the prediction against the engine's
     settled state; [lookup key] must return the latest value of [key] (or
     [None] if the key was never materialized, treated as amount 0). *)
 val check :
   (Txn.Spec.t * Txn.Result.t) list ->
-  lookup:(string -> Txn.Value.t option) ->
+  lookup:(Store.Key.t -> Txn.Value.t option) ->
   report
 
 (** True when no mismatch was found. *)

@@ -286,7 +286,7 @@ let label idx (src, dst) =
         @ acc)
         st.Spec.children
     in
-    List.sort_uniq String.compare
+    List.sort_uniq Store.Key.compare
       (written [] (fst idx.Index.txns.(src)).Spec.root)
     |> List.find_opt (fun key ->
            match (position idx key src, position idx key dst) with
@@ -296,13 +296,13 @@ let label idx (src, dst) =
   in
   let kind, key =
     match rf () with
-    | Some (key, _) -> (Reads_from, key)
+    | Some (key, _) -> (Reads_from, Store.Key.name key)
     | None -> (
         match anti () with
-        | Some (key, _) -> (Anti_dependency, key)
+        | Some (key, _) -> (Anti_dependency, Store.Key.name key)
         | None ->
             (* The BFS walked real edges, so a version-order edge it is. *)
-            (Version_order, Option.value ~default:"?" (ww ())))
+            (Version_order, Option.fold ~none:"?" ~some:Store.Key.name (ww ())))
   in
   { src = id src; dst = id dst; key; kind }
 
@@ -384,7 +384,7 @@ let certify ?shard_of_node history =
                       add d r Reads_from
                     else begin
                       if !unknown_count < 20 then
-                        unknown_tags := (rid, key, w) :: !unknown_tags;
+                        unknown_tags := (rid, Store.Key.name key, w) :: !unknown_tags;
                       incr unknown_count
                     end
                   end))

@@ -38,9 +38,9 @@ let fences ~shard_of_node vec (spec : Spec.t) =
       List.iter
         (function
           | Txn.Op.Read k -> (
-              match Hashtbl.find_opt tbl k with
+              match Hashtbl.find_opt tbl k.Store.Key.id with
               | Some f when f >= vec.(s) -> ()
-              | _ -> Hashtbl.replace tbl k vec.(s))
+              | _ -> Hashtbl.replace tbl k.Store.Key.id vec.(s))
           | _ -> ())
         st.Spec.ops;
     List.iter walk st.Spec.children
@@ -69,8 +69,8 @@ let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
           | None -> fun _ -> root_v
           | Some vec -> (
               let tbl = fences ~shard_of_node vec spec in
-              fun key ->
-                match Hashtbl.find_opt tbl key with
+              fun (key : Store.Key.t) ->
+                match Hashtbl.find_opt tbl key.Store.Key.id with
                 | Some f when f >= 0 -> f
                 | _ -> root_v)
         in
@@ -80,7 +80,7 @@ let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
            escape into the report, so which ones survive must not depend
            on read order. *)
         Index.observed res.Result.reads
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.sort (fun (a, _) (b, _) -> Store.Key.compare a b)
         |> List.iter (fun (key, seen) ->
                incr observations;
                let v = fence_of key in
@@ -112,7 +112,7 @@ let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
                    violations :=
                      {
                        read_txn = spec.Spec.id;
-                       key;
+                       key = Store.Key.name key;
                        version = v;
                        missing = !missing;
                        leaked_future = !leaked_future;

@@ -9,6 +9,7 @@ module Heartbeat = Netsim.Heartbeat
 module Detector = Fd.Detector
 module Injector = Fault.Injector
 module Mvstore = Store.Mvstore
+module Key = Store.Key
 module Spec = Txn.Spec
 module Op = Txn.Op
 module Value = Txn.Value
@@ -147,7 +148,7 @@ type msg =
   | Completion of {
       pending_id : int;
       child_label : string;
-      reads : (string * Value.t) list;
+      reads : (Key.t * Value.t) list;  (** the subtree's, in order *)
       vote : vote;
       nodes : int list;
     }
@@ -196,12 +197,14 @@ type pending = {
   mutable p_stage : int;  (** the next step of the running section ({!run_section}) *)
   mutable p_outstanding : int;
   mutable p_local_done : bool;
-  mutable p_reads : (string * Value.t) list;  (** accumulated, in order *)
+  mutable p_reads_rev : (Key.t * Value.t) list;
+      (** accumulated newest first, so adding a read or a child's reads
+          copies no earlier read; {!reads_of} puts them in order *)
   mutable p_vote : vote;
   mutable p_nodes : int list;
       (** the subtree's nodes, sorted: kept only where NC3V reads them
           ({!tracks_nodes}), [[]] elsewhere *)
-  mutable p_buffered : (string * Op.t) list;  (** NC write intentions, reversed *)
+  mutable p_buffered : (Key.t * Op.t) list;  (** NC write intentions, reversed *)
   p_root : root_submit option;
   p_vector : int array option;  (** see {!msg.Subtxn.vector} *)
 }
@@ -216,7 +219,7 @@ type node = {
   cnt : Counters.t;
   locks : Lockmgr.t;
   local_cc : Semaphore.t;
-  pendings : (int, pending) Hashtbl.t;
+  pendings : pending Id_ring.t;  (** live pendings by id; see {!no_pending} *)
   mutable next_pending : int;
   mutable vr_waiters : (unit -> unit) list;
   nc_awaiting : (int, int list ref) Hashtbl.t;
@@ -224,6 +227,33 @@ type node = {
   mutable paused_until : float;
       (** fault injection: the node processes no messages before this time *)
 }
+
+(* The pendings ring's filler: what [Id_ring.find] returns for an id with
+   no live pending. No subtransaction is it, and nothing writes to it. *)
+let no_pending =
+  {
+    p_id = -1;
+    p_txn = -1;
+    p_label = "";
+    p_kind = Spec.Read_only;
+    p_version = -1;
+    p_source = -1;
+    p_parent = None;
+    p_compensating = false;
+    p_stage = 0;
+    p_outstanding = 0;
+    p_local_done = false;
+    p_reads_rev = [];
+    p_vote = Vote_commit;
+    p_nodes = [];
+    p_buffered = [];
+    p_root = None;
+    p_vector = None;
+  }
+
+(* A pending's reads in execution order. *)
+let reads_of p =
+  match p.p_reads_rev with ([] | [ _ ]) as reads -> reads | reads -> List.rev reads
 
 (* An armed stall watchdog: one per in-flight coordinator wait. The
    watchdog daemon re-invokes [w_resend] whenever the deadline passes
@@ -296,6 +326,9 @@ type t = {
   rvec : Shard.Rvector.t option;
       (** cross-shard read-vector service; [None] at [shards = 1] so the
           single-coordinator configuration touches none of its code *)
+  rvec_entries : int array;
+      (** [submit]'s scratch: a cross-shard read's entries per shard,
+          handed to {!Shard.Rvector.assign} and zeroed again *)
   rvec_assigned : (int, int array) Hashtbl.t;
       (** txn id -> assigned read vector, retained for post-hoc
           certification (the version-read checker fences each key by its
@@ -574,29 +607,29 @@ let apply_decision t node ~txn_id ~commit =
       Hashtbl.remove node.nc_awaiting txn_id;
       List.iter
         (fun pid ->
-          match Hashtbl.find_opt node.pendings pid with
-          | None -> ()
-          | Some p ->
-              Hashtbl.remove node.pendings pid;
-              if commit then
-                List.iter
-                  (fun (key, op) ->
-                    ignore
-                      (Mvstore.write_exact node.store ~key ~version:p.p_version
-                         ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn));
-                    note_divergence t node op)
-                  (List.rev p.p_buffered);
-              bump_c t node ~version:p.p_version ~src:p.p_source;
-              if tracing t then begin
-                let cv =
-                  Counters.c node.cnt ~version:p.p_version
-                    ~src:(cnt_ix t node p.p_source)
-                in
-                trl t node.name (fun () ->
-                    Printf.sprintf "nc subtx %s %s; C%d[%s->%s]=%d" p.p_label
-                      (if commit then "commits" else "aborts")
-                      p.p_version (node_name t p.p_source) node.name cv)
-              end)
+          let p = Id_ring.find node.pendings pid in
+          if p != no_pending then begin
+            Id_ring.remove node.pendings pid;
+            if commit then
+              List.iter
+                (fun (key, op) ->
+                  ignore
+                    (Mvstore.write_exact node.store ~key ~version:p.p_version
+                       ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn));
+                  note_divergence t node op)
+                (List.rev p.p_buffered);
+            bump_c t node ~version:p.p_version ~src:p.p_source;
+            if tracing t then begin
+              let cv =
+                Counters.c node.cnt ~version:p.p_version
+                  ~src:(cnt_ix t node p.p_source)
+              in
+              trl t node.name (fun () ->
+                  Printf.sprintf "nc subtx %s %s; C%d[%s->%s]=%d" p.p_label
+                    (if commit then "commits" else "aborts")
+                    p.p_version (node_name t p.p_source) node.name cv)
+            end
+          end)
         (List.rev !ids);
       Lockmgr.release_all node.locks ~owner:txn_id
 
@@ -622,7 +655,7 @@ let lock_plan ~kind ops =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun op ->
-      let key = Op.key op in
+      let key = Key.name (Op.key op) in
       let mode =
         match (kind, Op.is_write op) with
         | Spec.Non_commuting, _ -> Lockmgr.Non_commute
@@ -664,7 +697,7 @@ let mirror_write t node p op =
           in
           trl t node.name (fun () ->
               Printf.sprintf "mirrors %s of tx %s to %s; R%d[%s->%s]=%d"
-                (Op.key op) p.p_label (node_name t peer) p.p_version node.name
+                (Key.name (Op.key op)) p.p_label (node_name t peer) p.p_version node.name
                 (node_name t peer) rv)
         end;
         send t ~src:node.id ~dst:peer
@@ -687,9 +720,9 @@ let run_ops_commuting t node p ops =
           in
           if tracing t then
             trl t node.name (fun () ->
-                Printf.sprintf "tx %s reads %s version %d" p.p_label key
-                  version_seen);
-          p.p_reads <- p.p_reads @ [ (key, value) ]
+                Printf.sprintf "tx %s reads %s version %d" p.p_label
+                  (Key.name key) version_seen);
+          p.p_reads_rev <- (key, value) :: p.p_reads_rev
       | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
           let info =
             if t.cfg.dual_writes then
@@ -712,7 +745,7 @@ let run_ops_commuting t node p ops =
             in
             trl t node.name (fun () ->
                 Printf.sprintf "tx %s updates %s version%s %s" p.p_label
-                  (Op.key op)
+                  (Key.name (Op.key op))
                   (if List.length versions > 1 then "s" else "")
                   (pp_int_list (List.sort compare versions)))
           end)
@@ -732,7 +765,7 @@ let run_ops_nc t node p ops =
               | Some (_, value) -> value
               | None -> Value.empty
             in
-            p.p_reads <- p.p_reads @ [ (key, value) ]
+            p.p_reads_rev <- (key, value) :: p.p_reads_rev
         | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
             let key = Op.key op in
             if Mvstore.exists_above node.store ~key ~version:p.p_version then begin
@@ -740,7 +773,7 @@ let run_ops_nc t node p ops =
               p.p_vote <- Vote_abort "version-overtaken";
               if tracing t then
                 tr t node.name "nc tx %s overtaken on %s; votes abort"
-                  p.p_label key;
+                  p.p_label (Key.name key);
               ok := false
             end
             else p.p_buffered <- (key, op) :: p.p_buffered)
@@ -836,13 +869,13 @@ let rec maybe_finish t node p =
              {
                pending_id = parent_pid;
                child_label = p.p_label;
-               reads = p.p_reads;
+               reads = reads_of p;
                vote = p.p_vote;
                nodes = p.p_nodes;
              })
     | Spec.Non_commuting, Some rs ->
-        (* Root: decide, apply locally, broadcast the decision. *)
-        Hashtbl.remove node.pendings p.p_id;
+        (* Root: decide, apply locally, broadcast the decision. The root is
+           still registered, so [apply_decision] handles it too. *)
         let commit = p.p_vote = Vote_commit in
         let ids =
           match Hashtbl.find_opt node.nc_awaiting p.p_txn with
@@ -853,8 +886,6 @@ let rec maybe_finish t node p =
               ids
         in
         ids := p.p_id :: !ids;
-        (* Re-register the root itself so apply_decision handles it too. *)
-        Hashtbl.replace node.pendings p.p_id p;
         apply_decision t node ~txn_id:p.p_txn ~commit;
         List.iter
           (fun n ->
@@ -880,7 +911,7 @@ let rec maybe_finish t node p =
             outcome;
             version = p.p_version;
             served_by = node.id;
-            reads = p.p_reads;
+            reads = reads_of p;
             submit_time = rs.rs_submit_time;
             root_commit_time = rs.rs_root_commit;
             complete_time = Sim.now t.sim;
@@ -899,7 +930,7 @@ let rec maybe_finish t node p =
         p.p_outstanding <- p.p_outstanding + 1 (* hold the root open *);
         run_section t node p (invert_tree rs.rs_spec.Spec.root) ~wave:true
     | (Spec.Read_only | Spec.Commuting), _ ->
-        Hashtbl.remove node.pendings p.p_id;
+        Id_ring.remove node.pendings p.p_id;
         bump_c t node ~version:p.p_version ~src:p.p_source;
         (match p.p_parent with
         | Some (parent_node, parent_pid) ->
@@ -918,7 +949,7 @@ let rec maybe_finish t node p =
                  {
                    pending_id = parent_pid;
                    child_label = p.p_label;
-                   reads = p.p_reads;
+                   reads = reads_of p;
                    vote = p.p_vote;
                    nodes = p.p_nodes;
                  })
@@ -951,7 +982,7 @@ let rec maybe_finish t node p =
                 outcome;
                 version = p.p_version;
                 served_by = node.id;
-                reads = p.p_reads;
+                reads = reads_of p;
                 submit_time = rs.rs_submit_time;
                 root_commit_time = rs.rs_root_commit;
                 complete_time = Sim.now t.sim;
@@ -959,20 +990,19 @@ let rec maybe_finish t node p =
   end
 
 and handle_completion t node ~pending_id ~child_label ~reads ~vote ~nodes =
-  match Hashtbl.find_opt node.pendings pending_id with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Engine: completion for unknown pending %d at node %d"
-           pending_id node.id)
-  | Some p ->
-      if tracing t then
-        trl t node.name (fun () ->
-            Printf.sprintf "completion notice for subtx %s arrives" child_label);
-      p.p_reads <- p.p_reads @ reads;
-      p.p_vote <- combine_vote p.p_vote vote;
-      if tracks_nodes t p.p_kind then p.p_nodes <- merge_nodes p.p_nodes nodes;
-      p.p_outstanding <- p.p_outstanding - 1;
-      maybe_finish t node p
+  let p = Id_ring.find node.pendings pending_id in
+  if p == no_pending then
+    invalid_arg
+      (Printf.sprintf "Engine: completion for unknown pending %d at node %d"
+         pending_id node.id);
+  if tracing t then
+    trl t node.name (fun () ->
+        Printf.sprintf "completion notice for subtx %s arrives" child_label);
+  p.p_reads_rev <- List.rev_append reads p.p_reads_rev;
+  p.p_vote <- combine_vote p.p_vote vote;
+  if tracks_nodes t p.p_kind then p.p_nodes <- merge_nodes p.p_nodes nodes;
+  p.p_outstanding <- p.p_outstanding - 1;
+  maybe_finish t node p
 
 (* One subtransaction's local work as kernel callbacks: the tree's
    [think], then [node]'s local critical section ([local_cc], with
@@ -1257,7 +1287,7 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
       p_stage = 0;
       p_outstanding = 0;
       p_local_done = false;
-      p_reads = [];
+      p_reads_rev = [];
       p_vote = Vote_commit;
       p_nodes = (if tracks_nodes t kind then [ node.id ] else []);
       p_buffered = [];
@@ -1265,7 +1295,7 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
       p_vector = vector;
     }
   in
-  Hashtbl.replace node.pendings p.p_id p;
+  Id_ring.add node.pendings p.p_id p;
   (* A read-only subtransaction, or a commuting one outside [nc_mode]: no
      locks and no admission wait, so it needs no process. *)
   match kind with
@@ -1339,7 +1369,7 @@ let handle_node_msg t node = function
       if tracing t then
         trl t node.name (fun () ->
             Printf.sprintf "mirror from %s applies %s at version %d (floor %d)"
-              (node_name t source) (Op.key op) version floor)
+              (node_name t source) (Key.name (Op.key op)) version floor)
   | Do_gc { keep } ->
       (* A GC notice implies every node acknowledged read version [keep] in
          phase 3, so adopting it is always safe. Normally a no-op (phase 3
@@ -2045,7 +2075,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
           cnt = Counters.create ~census:census.(i / per_shard) ~nodes:per_shard;
           locks = Lockmgr.create sim ~deadlock_timeout:cfg.deadlock_timeout ();
           local_cc = Semaphore.create 1;
-          pendings = Hashtbl.create 64;
+          pendings = Id_ring.create ~vacant:no_pending;
           next_pending = 0;
           vr_waiters = [];
           nc_awaiting = Hashtbl.create 16;
@@ -2097,6 +2127,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
         (if cfg.shards > 1 then
            Some (Shard.Rvector.create ~shards:cfg.shards ~init_vr:initial_vr)
          else None);
+      rvec_entries = Array.make cfg.shards 0;
       rvec_assigned = Hashtbl.create 64;
       repl = Repl.Placement.create ~nodes:cfg.nodes ~replicas:cfg.replicas;
       recovery = Repl.Recovery.create ();
@@ -2221,6 +2252,19 @@ and children_outside ~lo ~hi = function
   | [] -> false
   | st :: rest -> subtree_outside ~lo ~hi st || children_outside ~lo ~hi rest
 
+(* Count into [entries] the shard entry points of [st]'s subtree: [st]
+   itself when its shard is not [parent_shard], then its children's. *)
+let rec count_entries t entries ~parent_shard (st : Spec.subtxn) =
+  let s = st.Spec.node / t.per_shard in
+  if s <> parent_shard then entries.(s) <- entries.(s) + 1;
+  count_children t entries ~parent_shard:s st.Spec.children
+
+and count_children t entries ~parent_shard = function
+  | [] -> ()
+  | st :: rest ->
+      count_entries t entries ~parent_shard st;
+      count_children t entries ~parent_shard rest
+
 let submit t (spec : Spec.t) =
   (* Reject malformed specs up front: a bad node id inside a running
      subtransaction would otherwise stop a node's dispatch. The walk
@@ -2250,11 +2294,13 @@ let submit t (spec : Spec.t) =
         let lo = spec.Spec.root.Spec.node / t.per_shard * t.per_shard in
         if not (subtree_outside ~lo ~hi:(lo + t.per_shard) spec.Spec.root) then None
         else begin
-          let shard_of n = n / t.per_shard in
           (match spec.Spec.kind with
           | Spec.Read_only -> ()
           | Spec.Commuting | Spec.Non_commuting ->
-              let span = List.sort_uniq Int.compare (List.map shard_of (Spec.nodes spec)) in
+              let span =
+                List.sort_uniq Int.compare
+                  (List.map (fun n -> n / t.per_shard) (Spec.nodes spec))
+              in
               invalid_arg
                 (Printf.sprintf
                    "Engine.submit: update %s spans %d shards (updates must \
@@ -2265,19 +2311,11 @@ let submit t (spec : Spec.t) =
              child spawned across a shard boundary. Each opens a counter
              pair only on arrival; [Rvector] defers retiring the assigned
              versions until all have landed. *)
-          let entries = Array.make t.cfg.shards 0 in
-          let rec count parent_shard (st : Spec.subtxn) =
-            let s = shard_of st.Spec.node in
-            if s <> parent_shard then entries.(s) <- entries.(s) + 1;
-            List.iter (count s) st.Spec.children
-          in
-          entries.(shard_of spec.Spec.root.Spec.node) <-
-            entries.(shard_of spec.Spec.root.Spec.node) + 1;
-          List.iter
-            (count (shard_of spec.Spec.root.Spec.node))
-            spec.Spec.root.Spec.children;
+          let entries = t.rvec_entries in
+          count_entries t entries ~parent_shard:(-1) spec.Spec.root;
           cstat t "shard.vectored_reads";
           let vec = Shard.Rvector.assign rv ~entries in
+          Array.fill entries 0 (Array.length entries) 0;
           Hashtbl.replace t.rvec_assigned spec.Spec.id vec;
           Some vec
         end

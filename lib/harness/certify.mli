@@ -46,5 +46,5 @@ val clean : t -> bool
 val settled_lookup :
   nodes:int ->
   (node:int -> Txn.Value.t Store.Mvstore.t) ->
-  string ->
+  Store.Key.t ->
   Txn.Value.t option

@@ -61,8 +61,8 @@ let scripted_links () =
 let preload engine =
   let put node key =
     ignore
-      (Mvstore.write_exact (Engine.store engine ~node) ~key ~version:0
-         ~init:Value.empty ~f:Fun.id)
+      (Mvstore.write_exact (Engine.store engine ~node) ~key:(Store.Key.intern key)
+         ~version:0 ~init:Value.empty ~f:Fun.id)
   in
   put p "A";
   put p "B";
@@ -79,7 +79,7 @@ let take_snapshot engine time =
         ( site_names.(node),
           Engine.update_version engine ~node,
           Engine.read_version engine ~node,
-          List.map (fun k -> (k, Mvstore.versions_of store ~key:k)) keys ))
+          List.map (fun k -> (Store.Key.name k, Mvstore.versions_of store ~key:k)) keys ))
       [ p; q; s ]
   in
   { snap_time = time; sites }
@@ -129,18 +129,19 @@ let run () =
   preload engine;
   (* Transaction i (version 1): root at p updates A, spawns iq -> q (which
      updates D and E and spawns iqp -> p updating B) and is -> s (updates F). *)
-  let iqp = Spec.subtxn p [ Op.Incr ("B", 1.) ] in
-  let iq = Spec.subtxn ~children:[ iqp ] q [ Op.Incr ("D", 3.); Op.Incr ("E", 2.) ] in
-  let is_ = Spec.subtxn s [ Op.Incr ("F", 4.) ] in
-  let i_root = Spec.subtxn ~children:[ iq; is_ ] p [ Op.Incr ("A", 5.) ] in
+  let k = Store.Key.intern in
+  let iqp = Spec.subtxn p [ Op.Incr (k "B", 1.) ] in
+  let iq = Spec.subtxn ~children:[ iqp ] q [ Op.Incr (k "D", 3.); Op.Incr (k "E", 2.) ] in
+  let is_ = Spec.subtxn s [ Op.Incr (k "F", 4.) ] in
+  let i_root = Spec.subtxn ~children:[ iq; is_ ] p [ Op.Incr (k "A", 5.) ] in
   let spec_i = Spec.make ~id:1 ~label:"i" i_root in
   (* Transaction j (version 2): root at q updates D, spawns jp -> p. *)
-  let jp = Spec.subtxn p [ Op.Incr ("A", 6.) ] in
-  let j_root = Spec.subtxn ~children:[ jp ] q [ Op.Incr ("D", 7.) ] in
+  let jp = Spec.subtxn p [ Op.Incr (k "A", 6.) ] in
+  let j_root = Spec.subtxn ~children:[ jp ] q [ Op.Incr (k "D", 7.) ] in
   let spec_j = Spec.make ~id:2 ~label:"j" j_root in
   (* Read transactions x (at p, reads A) and y (at q, reads D). *)
-  let spec_x = Spec.make ~id:3 ~label:"x" (Spec.subtxn p [ Op.Read "A" ]) in
-  let spec_y = Spec.make ~id:4 ~label:"y" (Spec.subtxn q [ Op.Read "D" ]) in
+  let spec_x = Spec.make ~id:3 ~label:"x" (Spec.subtxn p [ Op.Read (k "A") ]) in
+  let spec_y = Spec.make ~id:4 ~label:"y" (Spec.subtxn q [ Op.Read (k "D") ]) in
   let result_i = ref None
   and result_j = ref None
   and result_x = ref None

@@ -1,25 +1,20 @@
-(* Keys hash by FNV-1a over their bytes, inline: cheaper per lookup than
-   the runtime's generic hash, a C call, that [Hashtbl] and
-   [Hashtbl.Make (String)] use. *)
-module Keys = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-
-  let hash key =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to String.length key - 1 do
-      h := (!h lxor Char.code key.[i]) * 0x01000193
-    done;
-    !h land max_int
-end)
-
 type 'v item = {
+  key : Key.t;
+  id : int;  (* [key]'s, read by probes without the key; -1 in a filler *)
   mutable versions : (int * 'v) list;  (* descending by version *)
   mutable listed : bool;  (* on the store's [gc_list] *)
 }
 
-(* Phase-4 GC only has work on items that [needs_gc]: two or more versions,
+(* Items sit in an open-addressing table over key ids: a key's probe
+   starts at the top bits of its id times an odd constant near 2^63 / phi
+   and walks up, wrapping, to the item with its id or to a free slot. The
+   multiplier spreads the arithmetic progressions that interning gives a
+   node's keys (one id every [nodes], for the synthetic workload) over
+   the table. The table is at most half full, doubles when it would pass
+   that, and removes nothing. It is empty until the first item; a free
+   slot holds a filler item with id -1.
+
+   Phase-4 GC only has work on items that [needs_gc]: two or more versions,
    or a lone version below the floor that a write created there. Those sit
    on [gc_list], which [gc] trims exactly as a sweep of the whole table
    would. Every other item holds one version, labelled at or above the
@@ -30,7 +25,9 @@ type 'v item = {
    label back on the item's first touch, and every accessor settles before
    it reads. *)
 type 'v t = {
-  items : 'v item Keys.t;
+  mutable items : 'v item array;  (* power-of-two length, or empty *)
+  mutable shift : int;  (* 63 - log2 (length items) *)
+  mutable count : int;
   mutable gc_list : 'v item list;
   mutable max_versions_ever : int;
   mutable copies_created : int;
@@ -46,7 +43,9 @@ type write_info = {
 
 let create () =
   {
-    items = Keys.create 256;
+    items = [||];
+    shift = 63;
+    count = 0;
     gc_list = [];
     max_versions_ever = 1;
     copies_created = 0;
@@ -61,12 +60,28 @@ let settle t item =
         item.versions <- [ (t.gc_floor, value) ]
     | _ -> ()
 
-let find_item t key =
-  match Keys.find_opt t.items key with
-  | Some item as found ->
+let initial_capacity = 8
+
+(* The slot holding [id]'s item, or the free slot where its probe ends. *)
+let rec probe items mask id i =
+  let x = items.(i).id in
+  if x = id || x < 0 then i else probe items mask id ((i + 1) land mask)
+
+let[@inline] home t id = (id * 0x4F1BBCDCBFA53E0B) lsr t.shift
+
+(* The slot of [key]'s item, settled, or -1 when the store has none. *)
+let find_slot t key =
+  if t.count = 0 then -1
+  else begin
+    let items = t.items and id = key.Key.id in
+    let i = probe items (Array.length items - 1) id (home t id) in
+    let item = items.(i) in
+    if item.id < 0 then -1
+    else begin
       settle t item;
-      found
-  | None -> None
+      i
+    end
+  end
 
 let needs_gc t item =
   match item.versions with
@@ -81,9 +96,8 @@ let rec visible (version : int) = function
   | ((v, _) as found) :: older -> if v <= version then Some found else visible version older
 
 let read_visible t ~key ~version =
-  match find_item t key with
-  | None -> None
-  | Some item -> visible version item.versions
+  let i = find_slot t key in
+  if i < 0 then None else visible version t.items.(i).versions
 
 (* Int-typed walks over the descending versions: the polymorphic
    [List.assoc_opt] and [List.mem_assoc] would compare keys through the
@@ -97,21 +111,19 @@ let rec has_version (version : int) = function
   | (v, _) :: older -> v = version || has_version version older
 
 let read_exact t ~key ~version =
-  match find_item t key with
-  | None -> None
-  | Some item -> version_value version item.versions
+  let i = find_slot t key in
+  if i < 0 then None else version_value version t.items.(i).versions
 
 let exists t ~key ~version =
-  match find_item t key with
-  | None -> false
-  | Some item -> has_version version item.versions
+  let i = find_slot t key in
+  i >= 0 && has_version version t.items.(i).versions
 
 let exists_above t ~key ~version =
-  match find_item t key with
-  | None -> false
-  | Some item ->
-      (* Descending order: the head is the largest version. *)
-      (match item.versions with (v, _) :: _ -> v > version | [] -> false)
+  let i = find_slot t key in
+  i >= 0
+  &&
+  (* Descending order: the head is the largest version. *)
+  match t.items.(i).versions with (v, _) :: _ -> v > version | [] -> false
 
 let note_version_count t item =
   let n = List.length item.versions in
@@ -147,13 +159,30 @@ let ensure_version t item version init =
     (true, created_item)
   end
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* Double the table (or make the first one), re-probing every item. *)
+let grow t key =
+  let items = t.items in
+  let cap = max initial_capacity (2 * Array.length items) in
+  t.items <- Array.make cap { key; id = -1; versions = []; listed = false };
+  t.shift <- 63 - log2 cap;
+  Array.iter
+    (fun item ->
+      if item.id >= 0 then t.items.(probe t.items (cap - 1) item.id (home t item.id)) <- item)
+    items
+
 let get_or_add_item t key =
-  match find_item t key with
-  | Some item -> item
-  | None ->
-      let item = { versions = []; listed = false } in
-      Keys.replace t.items key item;
-      item
+  let i = find_slot t key in
+  if i >= 0 then t.items.(i)
+  else begin
+    if 2 * (t.count + 1) > Array.length t.items then grow t key;
+    let id = key.Key.id in
+    let item = { key; id; versions = []; listed = false } in
+    t.items.(probe t.items (Array.length t.items - 1) id (home t id)) <- item;
+    t.count <- t.count + 1;
+    item
+  end
 
 (* The descending [versions] with [f] applied, head first, to each one at
    or above [version]; the versions below are shared, not copied. *)
@@ -209,22 +238,25 @@ let gc t ~new_read_version =
       t.gc_list
 
 let versions_of t ~key =
-  match find_item t key with None -> [] | Some item -> List.map fst item.versions
+  let i = find_slot t key in
+  if i < 0 then [] else List.map fst t.items.(i).versions
 
-let keys t =
-  Keys.fold (fun k item acc -> match item.versions with [] -> acc | _ :: _ -> k :: acc)
-    t.items []
-  |> List.sort String.compare
+(* Items with a version (no filler has one), in name order: never in slot
+   order, which depends on ids. *)
+let listing t =
+  Array.fold_left
+    (fun acc item -> match item.versions with [] -> acc | _ :: _ -> item :: acc)
+    [] t.items
+  |> List.sort (fun a b -> Key.compare a.key b.key)
+
+let keys t = List.map (fun item -> item.key) (listing t)
 
 let fold t ~init ~f =
   List.fold_left
-    (fun acc key ->
-      match find_item t key with
-      | None -> acc
-      | Some item ->
-          List.fold_left (fun acc (v, value) -> f acc key v value) acc
-            item.versions)
-    init (keys t)
+    (fun acc item ->
+      settle t item;
+      List.fold_left (fun acc (v, value) -> f acc item.key v value) acc item.versions)
+    init (listing t)
 
 let max_versions_ever t = t.max_versions_ever
 let gc_floor t = t.gc_floor

@@ -20,10 +20,13 @@
       {!versions_of}, {!fold} and the counters see exactly the result of
       relabelling every item at GC time.
 
-    Items sit in a string-keyed hash table that hashes a key by FNV-1a over
-    its bytes. An item's versions are an immutable list, descending, so a
-    write rebuilds only the versions it updates (those ≥ [v]) and shares
-    the older ones with the list it replaces.
+    Items are found by their key's id ({!Key.t}): each store keeps an
+    open-addressing table of the ids it holds, at most half full, probed
+    from a multiplicative hash of the id, so a lookup hashes no string and
+    allocates nothing. Only lookups read the table: {!keys} and {!fold}
+    list items in name order. An item's versions are an immutable list,
+    descending, so a write rebuilds only the versions it updates (those ≥
+    [v]) and shares the older ones with the list it replaces.
 
     The store also instruments itself so the paper's ≤3-simultaneous-versions
     property (§4.4, property 2a) is checkable: {!max_versions_ever}. *)
@@ -42,18 +45,20 @@ val create : unit -> 'v t
 
 (** [read_visible t ~key ~version] is [Some (v0, value)] where [v0] is the
     maximum existing version of [key] with [v0 <= version], or [None] if the
-    item has no version ≤ [version]. *)
-val read_visible : 'v t -> key:string -> version:int -> (int * 'v) option
+    item has no version ≤ [version]. It allocates only the [Some]: the pair
+    is the one the store holds. *)
+val read_visible : 'v t -> key:Key.t -> version:int -> (int * 'v) option
 
 (** [read_exact t ~key ~version] is the value stored at exactly that version. *)
-val read_exact : 'v t -> key:string -> version:int -> 'v option
+val read_exact : 'v t -> key:Key.t -> version:int -> 'v option
 
-(** [exists t ~key ~version] tests whether [key] exists at exactly [version]. *)
-val exists : 'v t -> key:string -> version:int -> bool
+(** [exists t ~key ~version] tests whether [key] exists at exactly
+    [version]. It allocates nothing. *)
+val exists : 'v t -> key:Key.t -> version:int -> bool
 
 (** [exists_above t ~key ~version] tests whether [key] exists in any version
     strictly greater than [version] — the NC3V abort condition (§5 step 4). *)
-val exists_above : 'v t -> key:string -> version:int -> bool
+val exists_above : 'v t -> key:Key.t -> version:int -> bool
 
 (** [write_upward t ~key ~version ~init ~f] performs the paper's update step:
     ensure [x(version)] exists (copying from the max version ≤ [version], or
@@ -62,13 +67,13 @@ val exists_above : 'v t -> key:string -> version:int -> bool
     [version] are kept as they are, not copied. Atomic w.r.t. the
     simulation (plain OCaml code, no suspension point). *)
 val write_upward :
-  'v t -> key:string -> version:int -> init:'v -> f:('v -> 'v) -> write_info
+  'v t -> key:Key.t -> version:int -> init:'v -> f:('v -> 'v) -> write_info
 
 (** [write_exact t ~key ~version ~init ~f] updates only [x(version)]
     (creating it as in {!write_upward} if needed) and never touches higher
     versions — the NC3V write rule (§5 step 4 updates only [x(V(K))]). *)
 val write_exact :
-  'v t -> key:string -> version:int -> init:'v -> f:('v -> 'v) -> write_info
+  'v t -> key:Key.t -> version:int -> init:'v -> f:('v -> 'v) -> write_info
 
 (** [gc t ~new_read_version] applies phase-4 garbage collection (see above).
     Its cost is in the number of multi-version items, not the store's size. *)
@@ -82,13 +87,14 @@ val gc : 'v t -> new_read_version:int -> unit
 val gc_floor : 'v t -> int
 
 (** Versions currently materialized for [key], descending. *)
-val versions_of : 'v t -> key:string -> int list
+val versions_of : 'v t -> key:Key.t -> int list
 
-(** All keys with at least one version, sorted. *)
-val keys : 'v t -> string list
+(** All keys with at least one version, sorted by name. *)
+val keys : 'v t -> Key.t list
 
-(** [fold t ~init ~f] folds over [(key, version, value)] triples. *)
-val fold : 'v t -> init:'a -> f:('a -> string -> int -> 'v -> 'a) -> 'a
+(** [fold t ~init ~f] folds over [(key, version, value)] triples, keys in
+    name order and each key's versions descending. *)
+val fold : 'v t -> init:'a -> f:('a -> Key.t -> int -> 'v -> 'a) -> 'a
 
 (** Largest number of simultaneous versions any single item ever had. *)
 val max_versions_ever : 'v t -> int

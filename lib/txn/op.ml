@@ -1,8 +1,8 @@
 type t =
-  | Read of string
-  | Incr of string * float
-  | Append of string * string
-  | Overwrite of string * float
+  | Read of Store.Key.t
+  | Incr of Store.Key.t * float
+  | Append of Store.Key.t * string
+  | Overwrite of Store.Key.t * float
 
 let key = function
   | Read k | Incr (k, _) | Append (k, _) | Overwrite (k, _) -> k
@@ -23,7 +23,7 @@ let apply op ~txn v =
   | Overwrite (_, amount) -> Value.overwrite ~txn ~amount v
 
 let pp ppf = function
-  | Read k -> Format.fprintf ppf "r(%s)" k
-  | Incr (k, d) -> Format.fprintf ppf "incr(%s,%g)" k d
-  | Append (k, e) -> Format.fprintf ppf "append(%s,%s)" k e
-  | Overwrite (k, a) -> Format.fprintf ppf "w(%s,%g)" k a
+  | Read k -> Format.fprintf ppf "r(%s)" k.Store.Key.name
+  | Incr (k, d) -> Format.fprintf ppf "incr(%s,%g)" k.Store.Key.name d
+  | Append (k, e) -> Format.fprintf ppf "append(%s,%s)" k.Store.Key.name e
+  | Overwrite (k, a) -> Format.fprintf ppf "w(%s,%g)" k.Store.Key.name a

@@ -5,7 +5,7 @@ type t = {
   outcome : outcome;
   version : int;
   served_by : int;
-  reads : (string * Value.t) list;
+  reads : (Store.Key.t * Value.t) list;
   submit_time : float;
   root_commit_time : float;
   complete_time : float;

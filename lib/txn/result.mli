@@ -15,9 +15,11 @@ type t = {
           serving replica the router chose, which checkers use to resolve
           reads-from through the replica that actually answered; equals the
           spec's root node for unreplicated engines (-1 when unknown) *)
-  reads : (string * Value.t) list;
+  reads : (Store.Key.t * Value.t) list;
       (** key, value-as-seen — in subtransaction execution order; the
-          [writers] inside each value feed the atomic-visibility checker *)
+          [writers] inside each value feed the atomic-visibility checker.
+          The key is the operation's interned key: checkers match reads to
+          writers by its id and report and sort by its name *)
   submit_time : float;
   root_commit_time : float;
       (** when the root subtransaction's local work committed — in 3V this is

@@ -16,25 +16,31 @@ let rec fold_subtxns f acc st =
   let acc = f acc st in
   List.fold_left (fold_subtxns f) acc st.children
 
-let classify root =
-  let has_write, all_commute =
-    fold_subtxns
-      (fun (w, c) st ->
-        List.fold_left
-          (fun (w, c) op ->
-            if Op.is_write op then (true, c && Op.commuting_write op)
-            else (w, c))
-          (w, c) st.ops)
-      (false, true) root
-  in
-  if not has_write then Read_only
-  else if all_commute then Commuting
-  else Non_commuting
+(* The tree's kind so far, folded over its ops with no tuple: [Read_only]
+   while nothing writes, [Commuting] while every write commutes, then
+   [Non_commuting] for good. *)
+let op_kind kind (op : Op.t) =
+  match (kind, op) with
+  | Non_commuting, _ | _, Op.Overwrite _ -> Non_commuting
+  | _, (Op.Incr _ | Op.Append _) -> Commuting
+  | _, Op.Read _ -> kind
+
+let rec ops_kind kind = function
+  | [] -> kind
+  | op :: rest -> ops_kind (op_kind kind op) rest
+
+let rec tree_kind kind st = children_kind (ops_kind kind st.ops) st.children
+
+and children_kind kind = function
+  | [] -> kind
+  | st :: rest -> children_kind (tree_kind kind st) rest
+
+let classify root = tree_kind Read_only root
 
 let make ~id ?label root =
   let kind = classify root in
   let label =
-    match label with Some l -> l | None -> Printf.sprintf "txn-%d" id
+    match label with Some l -> l | None -> "txn-" ^ string_of_int id
   in
   { id; label; root; kind }
 
@@ -46,7 +52,7 @@ let collect_keys pred t =
   fold_subtxns
     (fun acc st ->
       List.fold_left
-        (fun acc op -> if pred op then Op.key op :: acc else acc)
+        (fun acc op -> if pred op then Store.Key.name (Op.key op) :: acc else acc)
         acc st.ops)
     [] t.root
   |> List.sort_uniq String.compare

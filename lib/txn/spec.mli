@@ -39,16 +39,17 @@ val subtxn : ?think:float -> ?children:subtxn list -> int -> Op.t list -> subtxn
 val make : id:int -> ?label:string -> subtxn -> t
 
 (** [classify root] is [Read_only] if no operation writes, [Non_commuting] if
-    any write is outside the commuting class, and [Commuting] otherwise. *)
+    any write is outside the commuting class, and [Commuting] otherwise. The
+    walk allocates nothing. *)
 val classify : subtxn -> kind
 
 (** All nodes mentioned anywhere in the tree, deduplicated, sorted. *)
 val nodes : t -> int list
 
-(** All distinct keys read anywhere in the tree. *)
+(** The names of all distinct keys read anywhere in the tree, sorted. *)
 val keys_read : t -> string list
 
-(** All distinct keys written anywhere in the tree. *)
+(** The names of all distinct keys written anywhere in the tree, sorted. *)
 val keys_written : t -> string list
 
 (** Total number of subtransactions in the tree (≥ 1). *)

@@ -21,18 +21,17 @@ let default ~nodes =
   }
 
 let balance_key ~customer ~region = Printf.sprintf "cust%d@r%d" customer region
-let region_total_key ~region = Printf.sprintf "total@r%d" region
+let region_total_key ~region = Store.Key.intern (Printf.sprintf "total@r%d" region)
 
 let record_call p rng ~id ~customer =
   let caller_region = Random.State.int rng p.regions in
   let callee_region = Random.State.int rng p.regions in
   let minutes = 1. +. Random.State.float rng 30. in
   let caller_ops =
+    let balance = Store.Key.intern (balance_key ~customer ~region:caller_region) in
     [
-      Op.Append
-        ( balance_key ~customer ~region:caller_region,
-          Printf.sprintf "call-%d-%.0fmin" id minutes );
-      Op.Incr (balance_key ~customer ~region:caller_region, 0.1 *. minutes);
+      Op.Append (balance, Printf.sprintf "call-%d-%.0fmin" id minutes);
+      Op.Incr (balance, 0.1 *. minutes);
       Op.Incr (region_total_key ~region:caller_region, 0.1 *. minutes);
     ]
   in
@@ -57,7 +56,7 @@ let record_call p rng ~id ~customer =
 let billing p rng ~id ~customer =
   (* Read the customer's balance in two regions (home + roaming). *)
   let regions = Generator.pick_distinct rng ~n:2 ~among:p.regions in
-  let ops_of r = [ Op.Read (balance_key ~customer ~region:r) ] in
+  let ops_of r = [ Op.Read (Store.Key.intern (balance_key ~customer ~region:r)) ] in
   Spec.make ~id
     ~label:(Printf.sprintf "bill%d" id)
     (Generator.fanout_tree ~ops_of regions)

@@ -20,8 +20,10 @@ let default ~nodes =
     zipf_s = 0.7;
   }
 
-let machine_key ~line ~machine = Printf.sprintf "machine%d@line%d" machine line
-let line_total_key ~line = Printf.sprintf "total@line%d" line
+let machine_key ~line ~machine =
+  Store.Key.intern (Printf.sprintf "machine%d@line%d" machine line)
+
+let line_total_key ~line = Store.Key.intern (Printf.sprintf "total@line%d" line)
 
 let observation p rng ~id ~machine =
   let line = Random.State.int rng p.lines in

@@ -37,12 +37,8 @@ let visit p rng ~id ~patient =
     if p.post_delay > 0. then Random.State.float rng p.post_delay else 0.
   in
   let ops_of dept =
-    [
-      Op.Incr (balance_key ~patient ~department:dept, p.charge);
-      Op.Append
-        ( balance_key ~patient ~department:dept,
-          Printf.sprintf "procedure-by-visit-%d" id );
-    ]
+    let key = Store.Key.intern (balance_key ~patient ~department:dept) in
+    [ Op.Incr (key, p.charge); Op.Append (key, Printf.sprintf "procedure-by-visit-%d" id) ]
   in
   let tree =
     if p.front_end then begin
@@ -71,7 +67,7 @@ let visit p rng ~id ~patient =
 
 let inquiry p rng ~id ~patient =
   let all = List.init p.departments (fun d -> d) in
-  let ops_of dept = [ Op.Read (balance_key ~patient ~department:dept) ] in
+  let ops_of dept = [ Op.Read (Store.Key.intern (balance_key ~patient ~department:dept)) ] in
   let tree =
     if p.front_end then begin
       let front = Random.State.int rng p.departments in

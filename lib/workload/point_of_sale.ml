@@ -22,9 +22,13 @@ let default ~nodes =
     zipf_s = 0.9;
   }
 
-let inventory_key ~product ~store = Printf.sprintf "inv:p%d@s%d" product store
-let sold_key ~product = Printf.sprintf "sold:p%d@hq" product
-let price_key ~product ~store = Printf.sprintf "price:p%d@s%d" product store
+let inventory_key ~product ~store =
+  Store.Key.intern (Printf.sprintf "inv:p%d@s%d" product store)
+
+let sold_key ~product = Store.Key.intern (Printf.sprintf "sold:p%d@hq" product)
+
+let price_key ~product ~store =
+  Store.Key.intern (Printf.sprintf "price:p%d@s%d" product store)
 
 let sale p rng ~id ~product =
   let store = Random.State.int rng p.stores in

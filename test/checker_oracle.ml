@@ -2,14 +2,18 @@
    history index, kept verbatim as the specification the indexed checkers
    are compared against (test_checker_equiv.ml). Each report type is the
    library's own, so reports compare structurally with [=]. Not built for
-   speed: every read observation walks every writer of its key. *)
+   speed: every read observation walks every writer of its key. The
+   oracles know keys by name only: [names] gives a read's observations
+   with their keys' names, so no oracle output can depend on key ids. *)
 
+let names reads = List.map (fun ((k : Store.Key.t), v) -> (Store.Key.name k, v)) reads
 
 module Serializability = struct
 module Spec = Txn.Spec
 module Result = Txn.Result
 module Value = Txn.Value
 module Op = Txn.Op
+module Key = Store.Key
 
 type edge_kind = Checker.Serializability.edge_kind = Reads_from | Anti_dependency | Version_order
 
@@ -45,7 +49,7 @@ let write_kinds (spec : Spec.t) =
     List.iter
       (fun op ->
         if Op.is_write op then begin
-          let key = Op.key op in
+          let key = Key.name (Op.key op) in
           let prev =
             match Hashtbl.find_opt tbl key with Some b -> b | None -> false
           in
@@ -335,7 +339,7 @@ let certify ?shard_of_node history =
               (match Hashtbl.find_opt writers_of_key key with
               | Some l -> l
               | None -> []))
-          res.Result.reads
+          (names res.Result.reads)
       end)
     history;
   (* Node set: writers plus committed readers (readers that also write are
@@ -467,7 +471,7 @@ let check history =
                 Value.Writers.fold Int_set.add value.Value.writers prev
               in
               Str_map.add key tags acc)
-            Str_map.empty res.Result.reads
+            Str_map.empty (names res.Result.reads)
         in
         (* Dirty reads: any observed tag belonging to an effect-less abort. *)
         Str_map.iter
@@ -576,7 +580,7 @@ let fence_of ~vector ~shard_of_node (spec : Spec.t) ~default key =
       let rec scan (st : Spec.subtxn) =
         if
           List.exists
-            (function Txn.Op.Read k -> k = key | _ -> false)
+            (function Txn.Op.Read k -> Store.Key.name k = key | _ -> false)
             st.Spec.ops
         then begin
           let s = shard_of_node st.Spec.node in
@@ -629,7 +633,7 @@ let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
             in
             Hashtbl.replace observed key
               (Value.Writers.fold Int_set.add value.Value.writers cur))
-          res.Result.reads;
+          (names res.Result.reads);
         (* Sorted key order: violations are capped at 20 and escape into
            the report, so which ones survive must not depend on hash
            layout. *)
@@ -766,7 +770,7 @@ let measure history =
               Str_map.add key
                 (Value.Writers.fold Int_set.add value.Value.writers prev)
                 acc)
-            Str_map.empty res.Result.reads
+            Str_map.empty (names res.Result.reads)
         in
         let candidates =
           Str_map.fold

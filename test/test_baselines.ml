@@ -6,6 +6,7 @@ module Latency = Netsim.Latency
 module Mvstore = Store.Mvstore
 module Spec = Txn.Spec
 module Op = Txn.Op
+module Key = Store.Key
 module Value = Txn.Value
 module Result = Txn.Result
 module Global_2pc = Baselines.Global_2pc
@@ -17,12 +18,13 @@ let checkf msg = Alcotest.(check (float 1e-9)) msg
 
 let cross_update ~id a b =
   Spec.make ~id
-    (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (b, 1.) ] ] 0
-       [ Op.Incr (a, 1.) ])
+    (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern b, 1.) ] ] 0
+       [ Op.Incr (Key.intern a, 1.) ])
 
 let cross_read ~id a b =
   Spec.make ~id
-    (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read b ] ] 0 [ Op.Read a ])
+    (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern b) ] ] 0
+       [ Op.Read (Key.intern a) ])
 
 (* ------------------------------------------------------- global 2pc *)
 
@@ -34,7 +36,7 @@ let twopc_commit_and_apply () =
   checkb "committed" true
     (match Ivar.peek r with Some res -> Result.committed res | None -> false);
   let amt node key =
-    match Mvstore.read_visible (Global_2pc.store eng ~node) ~key ~version:0 with
+    match Mvstore.read_visible (Global_2pc.store eng ~node) ~key:(Key.intern key) ~version:0 with
     | Some (_, v) -> v.Value.amount
     | None -> 0.
   in
@@ -86,9 +88,9 @@ let twopc_deadlock_resolved () =
   let mk id root_node other_node k1 k2 =
     Spec.make ~id
       (Spec.subtxn
-         ~children:[ Spec.subtxn other_node [ Op.Incr (k2, 1.) ] ]
+         ~children:[ Spec.subtxn other_node [ Op.Incr (Key.intern k2, 1.) ] ]
          root_node
-         [ Op.Incr (k1, 1.) ])
+         [ Op.Incr (Key.intern k1, 1.) ])
   in
   let r1 = Global_2pc.submit eng (mk 1 0 1 "x" "y") in
   let r2 = Global_2pc.submit eng (mk 2 1 0 "y" "x") in
@@ -107,7 +109,7 @@ let twopc_deadlock_resolved () =
      deadlock broke and every lock was released (the run drained). *)
   checkb "at least one victim" true (aborted >= 1);
   let amt node key =
-    match Mvstore.read_visible (Global_2pc.store eng ~node) ~key ~version:0 with
+    match Mvstore.read_visible (Global_2pc.store eng ~node) ~key:(Key.intern key) ~version:0 with
     | Some (_, v) -> v.Value.amount
     | None -> 0.
   in
@@ -125,8 +127,8 @@ let twopc_aborted_writes_invisible () =
   let r2 =
     Global_2pc.submit eng
       (Spec.make ~id:2
-         (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr ("x", 1.) ] ] 1
-            [ Op.Incr ("y", 1.) ]))
+         (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "x", 1.) ] ] 1
+            [ Op.Incr (Key.intern "y", 1.) ]))
   in
   ignore (Sim.run sim ~until:10.0 ());
   let committed =
@@ -139,7 +141,7 @@ let twopc_aborted_writes_invisible () =
          [ r1; r2 ])
   in
   let amt node key =
-    match Mvstore.read_visible (Global_2pc.store eng ~node) ~key ~version:0 with
+    match Mvstore.read_visible (Global_2pc.store eng ~node) ~key:(Key.intern key) ~version:0 with
     | Some (_, v) -> v.Value.amount
     | None -> 0.
   in
@@ -167,7 +169,7 @@ let nocoord_commits_everything () =
          match Ivar.peek iv with Some res -> Result.committed res | None -> false)
        rs);
   let amt node key =
-    match Mvstore.read_visible (Manual.store eng ~node) ~key ~version:0 with
+    match Mvstore.read_visible (Manual.store eng ~node) ~key:(Key.intern key) ~version:0 with
     | Some (_, v) -> v.Value.amount
     | None -> 0.
   in
@@ -187,7 +189,8 @@ let nocoord_partial_read_demonstrated () =
      there) and then visits node 0 (reading a after the root write). *)
   let rd =
     Spec.make ~id:2
-      (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Read "a" ] ] 1 [ Op.Read "b" ])
+      (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Read (Key.intern "a") ] ] 1
+         [ Op.Read (Key.intern "b") ])
   in
   ignore (Manual.submit eng upd);
   let r = ref None in
@@ -202,7 +205,7 @@ let nocoord_partial_read_demonstrated () =
   let history = [ (upd, { res with Result.txn_id = 1; outcome = Result.Committed }) ] in
   ignore history;
   let saw key =
-    Value.Writers.mem 1 (List.assoc key res.Result.reads).Value.writers
+    Value.Writers.mem 1 (List.assoc (Key.intern key) res.Result.reads).Value.writers
   in
   checkb "saw the root write" true (saw "a");
   checkb "missed the remote write" false (saw "b")
@@ -248,7 +251,7 @@ let manual_reads_lag_a_period () =
     match !r with
     | Some iv -> (
         match Ivar.peek iv with
-        | Some res -> (List.assoc key res.Result.reads).Value.amount
+        | Some res -> (List.assoc (Key.intern key) res.Result.reads).Value.amount
         | None -> Alcotest.fail "read pending")
     | None -> Alcotest.fail "not submitted"
   in
@@ -274,7 +277,8 @@ let manual_straggler_partial_read () =
        write lands, and node 0 second (after the root write). *)
     let rd =
       Spec.make ~id:2
-        (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Read "a" ] ] 1 [ Op.Read "b" ])
+        (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Read (Key.intern "a") ] ] 1
+           [ Op.Read (Key.intern "b") ])
     in
     (* Update submitted just before the period-0 boundary. *)
     let r = ref None in
@@ -288,7 +292,7 @@ let manual_straggler_partial_read () =
       | None -> Alcotest.fail "not submitted"
     in
     let saw key =
-      Value.Writers.mem 1 (List.assoc key res.Result.reads).Value.writers
+      Value.Writers.mem 1 (List.assoc (Key.intern key) res.Result.reads).Value.writers
     in
     (saw "a", saw "b")
   in

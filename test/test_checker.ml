@@ -2,6 +2,7 @@
 
 module Spec = Txn.Spec
 module Op = Txn.Op
+module Key = Store.Key
 module Value = Txn.Value
 module Result = Txn.Result
 module Atomicity = Checker.Atomicity
@@ -19,9 +20,10 @@ let update_spec ~id keys =
   | first :: rest ->
       Spec.make ~id
         (Spec.subtxn
-           ~children:(List.mapi (fun i k -> Spec.subtxn (i + 1) [ Op.Incr (k, 1.) ]) rest)
+           ~children:
+             (List.mapi (fun i k -> Spec.subtxn (i + 1) [ Op.Incr (Key.intern k, 1.) ]) rest)
            0
-           [ Op.Incr (first, 1.) ])
+           [ Op.Incr (Key.intern first, 1.) ])
 
 let read_spec ~id keys =
   match keys with
@@ -29,9 +31,9 @@ let read_spec ~id keys =
   | first :: rest ->
       Spec.make ~id
         (Spec.subtxn
-           ~children:(List.mapi (fun i k -> Spec.subtxn (i + 1) [ Op.Read k ]) rest)
+           ~children:(List.mapi (fun i k -> Spec.subtxn (i + 1) [ Op.Read (Key.intern k) ]) rest)
            0
-           [ Op.Read first ])
+           [ Op.Read (Key.intern first) ])
 
 let committed_result ~id ?(version = 1) ?(reads = []) ?(submit = 0.)
     ?(complete = 1.) () =
@@ -66,7 +68,7 @@ let merge_reports_each_once () =
     (fun (name, tags, expected) ->
       let events = ref [] in
       let note what x = events := Printf.sprintf "%s %d" what x :: !events in
-      Index.merge idx (Index.writers idx "k") (value_with tags).Value.writers
+      Index.merge idx (Index.writers idx (Key.intern "k")) (value_with tags).Value.writers
         ~seen:(fun p -> note "seen" (id p))
         ~unseen:(fun p -> note "unseen" (id p))
         ~stray:(note "stray");
@@ -90,7 +92,7 @@ let atomicity_clean_history () =
       (u, committed_result ~id:1 ());
       ( r,
         committed_result ~id:2
-          ~reads:[ ("a", value_with [ 1 ]); ("b", value_with [ 1 ]) ]
+          ~reads:[ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", value_with [ 1 ]) ]
           () );
     ]
   in
@@ -108,7 +110,7 @@ let atomicity_all_or_nothing () =
       (u, committed_result ~id:1 ());
       ( r,
         committed_result ~id:2
-          ~reads:[ ("a", Value.empty); ("b", Value.empty) ]
+          ~reads:[ (Key.intern "a", Value.empty); (Key.intern "b", Value.empty) ]
           () );
     ]
   in
@@ -122,7 +124,7 @@ let atomicity_detects_partial () =
       (u, committed_result ~id:1 ());
       ( r,
         committed_result ~id:2
-          ~reads:[ ("a", value_with [ 1 ]); ("b", Value.empty) ]
+          ~reads:[ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", Value.empty) ]
           () );
     ]
   in
@@ -139,7 +141,7 @@ let atomicity_single_key_overlap_ignored () =
       (u, committed_result ~id:1 ());
       ( r,
         committed_result ~id:2
-          ~reads:[ ("a", value_with [ 1 ]); ("z", Value.empty) ]
+          ~reads:[ (Key.intern "a", value_with [ 1 ]); (Key.intern "z", Value.empty) ]
           () );
     ]
   in
@@ -159,7 +161,7 @@ let atomicity_dirty_read () =
         } );
       ( r,
         committed_result ~id:2
-          ~reads:[ ("a", value_with [ 1 ]); ("b", Value.empty) ]
+          ~reads:[ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", Value.empty) ]
           () );
     ]
   in
@@ -183,7 +185,7 @@ let atomicity_compensated_counts_as_effectful () =
       (u, compensated);
       ( r,
         committed_result ~id:2
-          ~reads:[ ("a", value_with [ 1 ]); ("b", Value.empty) ]
+          ~reads:[ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", Value.empty) ]
           () );
     ]
   in
@@ -198,7 +200,7 @@ let atomicity_aborted_reads_skipped () =
     [
       ( r,
         {
-          (committed_result ~id:2 ~reads:[ ("a", value_with [ 1 ]) ] ()) with
+          (committed_result ~id:2 ~reads:[ (Key.intern "a", value_with [ 1 ]) ] ()) with
           Result.outcome = Result.Aborted "timeout";
         } );
     ]
@@ -219,7 +221,7 @@ let staleness_counts_missed () =
       ( r,
         (* Submitted at t=5, saw u1 but missed u2. *)
         committed_result ~id:3 ~submit:5.
-          ~reads:[ ("a", value_with [ 1 ]); ("b", value_with [ 1 ]) ]
+          ~reads:[ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", value_with [ 1 ]) ]
           () );
     ]
   in
@@ -237,7 +239,7 @@ let staleness_future_updates_not_missed () =
       (u, committed_result ~id:1 ~complete:10.0 ());
       ( r,
         committed_result ~id:2 ~submit:5.
-          ~reads:[ ("a", Value.empty); ("b", Value.empty) ]
+          ~reads:[ (Key.intern "a", Value.empty); (Key.intern "b", Value.empty) ]
           () );
     ]
   in
@@ -250,7 +252,7 @@ let staleness_fresh_reads () =
   let history =
     [
       (u, committed_result ~id:1 ~complete:1. ());
-      (r, committed_result ~id:2 ~submit:2. ~reads:[ ("a", value_with [ 1 ]) ] ());
+      (r, committed_result ~id:2 ~submit:2. ~reads:[ (Key.intern "a", value_with [ 1 ]) ] ());
     ]
   in
   let report = Staleness.measure history in
@@ -270,14 +272,14 @@ let replay_detects_mismatch () =
   in
   (* Correct store: a = 2, b = 1. *)
   let good_lookup key =
-    let amount = if key = "a" then 2. else 1. in
+    let amount = if Key.name key = "a" then 2. else 1. in
     Some { Value.empty with Value.amount }
   in
   checkb "clean on correct store" true
     (Replay.clean (Replay.check history ~lookup:good_lookup));
   (* Lossy store: a lost one increment. *)
   let bad_lookup key =
-    Some { Value.empty with Value.amount = (if key = "a" then 1. else 1.) }
+    Some { Value.empty with Value.amount = (if Key.name key = "a" then 1. else 1.) }
   in
   let report = Replay.check history ~lookup:bad_lookup in
   checki "one mismatch" 1 report.Replay.mismatch_count;
@@ -290,14 +292,15 @@ let replay_detects_mismatch () =
 let replay_skips_overwritten_keys () =
   let u1 = update_spec ~id:1 [ "a" ] in
   let nc =
-    Spec.make ~id:2 (Spec.subtxn 0 [ Op.Overwrite ("a", 99.); Op.Incr ("c", 1.) ])
+    Spec.make ~id:2
+      (Spec.subtxn 0 [ Op.Overwrite (Key.intern "a", 99.); Op.Incr (Key.intern "c", 1.) ])
   in
   let history =
     [ (u1, committed_result ~id:1 ()); (nc, committed_result ~id:2 ()) ]
   in
   let report =
     Replay.check history ~lookup:(fun key ->
-        if key = "c" then Some { Value.empty with Value.amount = 1. } else None)
+        if Key.name key = "c" then Some { Value.empty with Value.amount = 1. } else None)
   in
   checkb "a skipped, c checked, clean" true
     (report.Replay.keys_skipped = 1 && Replay.clean report)
@@ -333,7 +336,7 @@ let version_reads_exact () =
       ( r,
         {
           (vr_committed_at 1 ~id:3) with
-          Result.reads = [ ("a", value_with [ 1 ]); ("b", value_with [ 1 ]) ];
+          Result.reads = [ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", value_with [ 1 ]) ];
         } );
     ]
   in
@@ -350,7 +353,7 @@ let version_reads_missing () =
         {
           (vr_committed_at 1 ~id:2) with
           (* Missed u1 on b even though u1 has version <= the read's. *)
-          Result.reads = [ ("a", value_with [ 1 ]); ("b", Value.empty) ];
+          Result.reads = [ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", Value.empty) ];
         } );
     ]
   in
@@ -373,7 +376,7 @@ let version_reads_leak () =
         {
           (vr_committed_at 1 ~id:3) with
           (* Saw a version-2 writer from a version-1 read: leak. *)
-          Result.reads = [ ("a", value_with [ 2 ]) ];
+          Result.reads = [ (Key.intern "a", value_with [ 2 ]) ];
         } );
     ]
   in
@@ -400,7 +403,7 @@ let version_reads_unknown_writer () =
       ( r,
         {
           (vr_committed_at 1 ~id:3) with
-          Result.reads = [ ("a", value_with [ 2 ]) ];
+          Result.reads = [ (Key.intern "a", value_with [ 2 ]) ];
         } );
     ]
   in
@@ -420,7 +423,7 @@ let version_reads_aborted_excluded () =
     [
       ( u,
         { (vr_committed_at 1 ~id:1) with Result.outcome = Result.Aborted "x" } );
-      (r, { (vr_committed_at 1 ~id:2) with Result.reads = [ ("a", Value.empty) ] });
+      (r, { (vr_committed_at 1 ~id:2) with Result.reads = [ (Key.intern "a", Value.empty) ] });
     ]
   in
   checkb "aborted update not expected" true
@@ -432,11 +435,12 @@ let version_reads_fenced_per_shard () =
      fenced at 1 and "b" at 3, whatever the root's own version says. *)
   let shard_of_node n = n / 2 in
   let write ~id ~node key =
-    Spec.make ~id (Spec.subtxn node [ Op.Incr (key, 1.) ])
+    Spec.make ~id (Spec.subtxn node [ Op.Incr (Key.intern key, 1.) ])
   in
   let read ~id =
     Spec.make ~id
-      (Spec.subtxn ~children:[ Spec.subtxn 2 [ Op.Read "b" ] ] 0 [ Op.Read "a" ])
+      (Spec.subtxn ~children:[ Spec.subtxn 2 [ Op.Read (Key.intern "b") ] ] 0
+         [ Op.Read (Key.intern "a") ])
   in
   let history =
     [
@@ -446,12 +450,12 @@ let version_reads_fenced_per_shard () =
       ( read ~id:4,
         {
           (vr_committed_at 1 ~id:4) with
-          Result.reads = [ ("a", value_with [ 1 ]); ("b", value_with [ 2 ]) ];
+          Result.reads = [ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", value_with [ 2 ]) ];
         } );
       ( read ~id:5,
         {
           (vr_committed_at 1 ~id:5) with
-          Result.reads = [ ("a", value_with [ 1 ]); ("b", Value.empty) ];
+          Result.reads = [ (Key.intern "a", value_with [ 1 ]); (Key.intern "b", Value.empty) ];
         } );
     ]
   in
@@ -496,12 +500,12 @@ let srz_lost_update () =
   (* Both read the balance before either deposit landed, then both
      overwrite: whichever order they serialize in, the second must have
      seen the first. *)
-  let t1 = rw_spec ~id:1 [ Op.Read "a"; Op.Overwrite ("a", 10.) ] in
-  let t2 = rw_spec ~id:2 [ Op.Read "a"; Op.Overwrite ("a", 20.) ] in
+  let t1 = rw_spec ~id:1 [ Op.Read (Key.intern "a"); Op.Overwrite (Key.intern "a", 10.) ] in
+  let t2 = rw_spec ~id:2 [ Op.Read (Key.intern "a"); Op.Overwrite (Key.intern "a", 20.) ] in
   let history =
     [
-      (t1, committed_result ~id:1 ~reads:[ ("a", Value.empty) ] ());
-      (t2, committed_result ~id:2 ~reads:[ ("a", Value.empty) ] ());
+      (t1, committed_result ~id:1 ~reads:[ (Key.intern "a", Value.empty) ] ());
+      (t2, committed_result ~id:2 ~reads:[ (Key.intern "a", Value.empty) ] ());
     ]
   in
   checkb "lost update flagged" true (flagged_with_witness history);
@@ -513,20 +517,22 @@ let srz_write_skew () =
   (* t1 reads both and writes b; t2 reads both and writes a; neither sees
      the other. Atomic visibility holds — only the certifier catches it. *)
   let t1 =
-    rw_spec ~id:1 [ Op.Read "a"; Op.Read "b"; Op.Overwrite ("b", 1.) ]
+    rw_spec ~id:1
+      [ Op.Read (Key.intern "a"); Op.Read (Key.intern "b"); Op.Overwrite (Key.intern "b", 1.) ]
   in
   let t2 =
-    rw_spec ~id:2 [ Op.Read "a"; Op.Read "b"; Op.Overwrite ("a", 1.) ]
+    rw_spec ~id:2
+      [ Op.Read (Key.intern "a"); Op.Read (Key.intern "b"); Op.Overwrite (Key.intern "a", 1.) ]
   in
   let history =
     [
       ( t1,
         committed_result ~id:1
-          ~reads:[ ("a", Value.empty); ("b", Value.empty) ]
+          ~reads:[ (Key.intern "a", Value.empty); (Key.intern "b", Value.empty) ]
           () );
       ( t2,
         committed_result ~id:2
-          ~reads:[ ("a", Value.empty); ("b", Value.empty) ]
+          ~reads:[ (Key.intern "a", Value.empty); (Key.intern "b", Value.empty) ]
           () );
     ]
   in
@@ -538,16 +544,16 @@ let srz_read_only_anomaly () =
   (* Two commuting writers of the same key; reader 3 sees only writer 1,
      reader 4 sees only writer 2 — each reader alone is consistent, but no
      serial order places both. *)
-  let t1 = rw_spec ~id:1 [ Op.Incr ("a", 1.) ] in
-  let t2 = rw_spec ~id:2 [ Op.Incr ("a", 1.) ] in
+  let t1 = rw_spec ~id:1 [ Op.Incr (Key.intern "a", 1.) ] in
+  let t2 = rw_spec ~id:2 [ Op.Incr (Key.intern "a", 1.) ] in
   let r1 = read_spec ~id:3 [ "a" ] in
   let r2 = read_spec ~id:4 [ "a" ] in
   let history =
     [
       (t1, committed_result ~id:1 ());
       (t2, committed_result ~id:2 ());
-      (r1, committed_result ~id:3 ~reads:[ ("a", value_with [ 1 ]) ] ());
-      (r2, committed_result ~id:4 ~reads:[ ("a", value_with [ 2 ]) ] ());
+      (r1, committed_result ~id:3 ~reads:[ (Key.intern "a", value_with [ 1 ]) ] ());
+      (r2, committed_result ~id:4 ~reads:[ (Key.intern "a", value_with [ 2 ]) ] ());
     ]
   in
   checkb "read-only anomaly flagged" true (flagged_with_witness history)
@@ -555,14 +561,14 @@ let srz_read_only_anomaly () =
 let srz_non_repeatable_read () =
   (* One transaction observes the same key with and without writer 1's
      tag: the writer lands both before and after the reader. *)
-  let t1 = rw_spec ~id:1 [ Op.Incr ("a", 1.) ] in
+  let t1 = rw_spec ~id:1 [ Op.Incr (Key.intern "a", 1.) ] in
   let r = read_spec ~id:2 [ "a"; "a" ] in
   let history =
     [
       (t1, committed_result ~id:1 ());
       ( r,
         committed_result ~id:2
-          ~reads:[ ("a", value_with [ 1 ]); ("a", Value.empty) ]
+          ~reads:[ (Key.intern "a", value_with [ 1 ]); (Key.intern "a", Value.empty) ]
           () );
     ]
   in
@@ -572,14 +578,14 @@ let srz_version_order_cycle () =
   (* Writer 2 overwrote at version 2, after writer 1's version-1 overwrite.
      A reader that saw 2's tag but not 1's contradicts tag monotonicity
      under that version order. *)
-  let t1 = rw_spec ~id:1 [ Op.Overwrite ("a", 1.) ] in
-  let t2 = rw_spec ~id:2 [ Op.Overwrite ("a", 2.) ] in
+  let t1 = rw_spec ~id:1 [ Op.Overwrite (Key.intern "a", 1.) ] in
+  let t2 = rw_spec ~id:2 [ Op.Overwrite (Key.intern "a", 2.) ] in
   let r = read_spec ~id:3 [ "a" ] in
   let history =
     [
       (t1, committed_result ~id:1 ~version:1 ());
       (t2, committed_result ~id:2 ~version:2 ());
-      (r, committed_result ~id:3 ~version:2 ~reads:[ ("a", value_with [ 2 ]) ] ());
+      (r, committed_result ~id:3 ~version:2 ~reads:[ (Key.intern "a", value_with [ 2 ]) ] ());
     ]
   in
   let report = Srz.certify history in
@@ -591,14 +597,14 @@ let srz_commuting_writers_not_ordered () =
      increment without the version-1 one is serializable as t2, r, t1. A
      naive version-order edge between commuting writers would wrongly flag
      this. *)
-  let t1 = rw_spec ~id:1 [ Op.Incr ("a", 1.) ] in
-  let t2 = rw_spec ~id:2 [ Op.Incr ("a", 1.) ] in
+  let t1 = rw_spec ~id:1 [ Op.Incr (Key.intern "a", 1.) ] in
+  let t2 = rw_spec ~id:2 [ Op.Incr (Key.intern "a", 1.) ] in
   let r = read_spec ~id:3 [ "a" ] in
   let history =
     [
       (t1, committed_result ~id:1 ~version:1 ());
       (t2, committed_result ~id:2 ~version:2 ());
-      (r, committed_result ~id:3 ~version:2 ~reads:[ ("a", value_with [ 2 ]) ] ());
+      (r, committed_result ~id:3 ~version:2 ~reads:[ (Key.intern "a", value_with [ 2 ]) ] ());
     ]
   in
   let report = Srz.certify history in
@@ -606,8 +612,8 @@ let srz_commuting_writers_not_ordered () =
   checkb "serializable" true (Srz.serializable report)
 
 let srz_clean_history () =
-  let t1 = rw_spec ~id:1 [ Op.Incr ("a", 1.); Op.Incr ("b", 1.) ] in
-  let t2 = rw_spec ~id:2 [ Op.Incr ("a", 1.) ] in
+  let t1 = rw_spec ~id:1 [ Op.Incr (Key.intern "a", 1.); Op.Incr (Key.intern "b", 1.) ] in
+  let t2 = rw_spec ~id:2 [ Op.Incr (Key.intern "a", 1.) ] in
   let r = read_spec ~id:3 [ "a"; "b" ] in
   let history =
     [
@@ -615,7 +621,7 @@ let srz_clean_history () =
       (t2, committed_result ~id:2 ());
       ( r,
         committed_result ~id:3
-          ~reads:[ ("a", value_with [ 1; 2 ]); ("b", value_with [ 1 ]) ]
+          ~reads:[ (Key.intern "a", value_with [ 1; 2 ]); (Key.intern "b", value_with [ 1 ]) ]
           () );
     ]
   in
@@ -629,7 +635,7 @@ let srz_unknown_tag_reported () =
      surfaced. *)
   let r = read_spec ~id:2 [ "a" ] in
   let history =
-    [ (r, committed_result ~id:2 ~reads:[ ("a", value_with [ 99 ]) ] ()) ]
+    [ (r, committed_result ~id:2 ~reads:[ (Key.intern "a", value_with [ 99 ]) ] ()) ]
   in
   let report = Srz.certify history in
   checkb "still serializable" true (Srz.serializable report);
@@ -646,8 +652,8 @@ let srz_anomalies_flagged =
   QCheck.Test.make ~name:"serializability: anomaly families always flagged"
     ~count:150 (QCheck.make gen)
     (fun (shape, (id_base, key_idx)) ->
-      let k = Printf.sprintf "k%d" key_idx in
-      let k2 = Printf.sprintf "k%d'" key_idx in
+      let name = Printf.sprintf "k%d" key_idx in
+      let k = Key.intern name and k2 = Key.intern (name ^ "'") in
       let i1 = id_base and i2 = id_base + 1 and i3 = id_base + 2
       and i4 = id_base + 3 in
       let history =
@@ -677,9 +683,9 @@ let srz_anomalies_flagged =
             [
               (rw_spec ~id:i1 [ Op.Incr (k, 1.) ], committed_result ~id:i1 ());
               (rw_spec ~id:i2 [ Op.Incr (k, 1.) ], committed_result ~id:i2 ());
-              ( read_spec ~id:i3 [ k ],
+              ( read_spec ~id:i3 [ name ],
                 committed_result ~id:i3 ~reads:[ (k, value_with [ i1 ]) ] () );
-              ( read_spec ~id:i4 [ k ],
+              ( read_spec ~id:i4 [ name ],
                 committed_result ~id:i4 ~reads:[ (k, value_with [ i2 ]) ] () );
             ]
       in

@@ -6,6 +6,7 @@
 
 module Spec = Txn.Spec
 module Op = Txn.Op
+module Key = Store.Key
 module Value = Txn.Value
 module Result = Txn.Result
 module Oracle = Checker_oracle
@@ -45,9 +46,33 @@ let mismatch ?shard_of_node ?vector (history : history) =
 
 (* ------------------------------------------------- random histories *)
 
-let keys = [| "a"; "b"; "c"; "d" |]
 let nodes = 5
 let shard_of_node node = node / 2
+
+(* Fresh names for a case's four keys: a random letter each, so name order
+   is random, then the case number, which no earlier case used. The case
+   interns them in a random order before it builds anything, so its key
+   ids are new and bear no relation to the names' order: a checker output
+   that depended on ids would differ from its oracle's, which knows keys
+   by name only. *)
+let fresh_case = ref 0
+
+let fresh_keys st =
+  incr fresh_case;
+  let names =
+    Array.init 4 (fun i ->
+        Printf.sprintf "%c%d.%d" (Char.chr (97 + Random.State.int st 26)) !fresh_case i)
+  in
+  let order = Array.init 4 Fun.id in
+  for i = 3 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  let keys = Array.make 4 (Key.intern names.(order.(0))) in
+  Array.iter (fun i -> keys.(i) <- Key.intern names.(i)) order;
+  keys
 
 (* A history of up to 14 transactions over up to four keys and five nodes
    (shards of two nodes; node 4 is the odd one out, a shard no two-entry
@@ -59,6 +84,7 @@ let shard_of_node node = node / 2
    and then the reader's own id, an id no transaction has, or any
    transaction's id, written key or not. *)
 let gen_case st =
+  let keys = fresh_keys st in
   let int n = Random.State.int st n in
   let ntx = 1 + int 14 in
   let nkeys = 1 + int (Array.length keys) in
@@ -105,7 +131,7 @@ let gen_case st =
   in
   let specs = Array.map (fun id -> Spec.make ~id (tree (ops ()))) ids in
   let writes_key k (spec : Spec.t) =
-    List.exists (String.equal k) (Spec.keys_written spec)
+    List.exists (String.equal (Key.name k)) (Spec.keys_written spec)
   in
   let value_for ~self k =
     let tags =
@@ -163,7 +189,7 @@ let print_case ((history : history), vectors) =
       (String.concat "; "
          (List.map
             (fun (k, (v : Value.t)) ->
-              Printf.sprintf "%s:{%s}" k
+              Printf.sprintf "%s:{%s}" (Key.name k)
                 (String.concat ","
                    (List.map string_of_int
                       (Value.Writers.elements v.Value.writers))))
@@ -196,7 +222,7 @@ let ww_witness_keys_agree () =
           let writer id =
             Spec.make ~id
               (Spec.subtxn 0
-                 [ Op.Overwrite (first, 1.); Op.Overwrite (second, 1.) ])
+                 [ Op.Overwrite (Key.intern first, 1.); Op.Overwrite (Key.intern second, 1.) ])
           in
           let result ~id ~version reads =
             {
@@ -214,9 +240,9 @@ let ww_witness_keys_agree () =
             [
               (writer 1, result ~id:1 ~version:1 []);
               (writer 2, result ~id:2 ~version:2 []);
-              ( Spec.make ~id:3 (Spec.subtxn 0 [ Op.Read k1 ]),
+              ( Spec.make ~id:3 (Spec.subtxn 0 [ Op.Read (Key.intern k1) ]),
                 result ~id:3 ~version:2
-                  [ (k1, Value.incr ~txn:2 ~delta:1. Value.empty) ] );
+                  [ (Key.intern k1, Value.incr ~txn:2 ~delta:1. Value.empty) ] );
             ]
           in
           let oracle = Oracle.Serializability.certify history in

@@ -18,6 +18,7 @@ module Engine = Threev.Engine
 module Policy = Threev.Policy
 module Spec = Txn.Spec
 module Op = Txn.Op
+module Key = Store.Key
 module Result = Txn.Result
 module Counter_set = Stats.Counter_set
 module Explorer = Mcheck.Explorer
@@ -356,16 +357,16 @@ let crash_restart_recovers () =
       let submit id spec = results := (id, Engine.submit engine spec) :: !results in
       submit 1
         (Spec.make ~id:1
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("b", 1.) ] ] 0
-              [ Op.Incr ("a", 1.) ]));
+           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 1.) ] ] 0
+              [ Op.Incr (Key.intern "a", 1.) ]));
       Sim.sleep sim 0.04;
       (* triggered just before the crash: node 1 is down for most of it *)
       adv := Some (Engine.advance engine);
       Sim.sleep sim 0.5;
       submit 2
         (Spec.make ~id:2
-           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr ("a", 2.) ] ] 1
-              [ Op.Incr ("b", 2.) ])));
+           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 2.) ] ] 1
+              [ Op.Incr (Key.intern "b", 2.) ])));
   ignore (Sim.run sim ~until:20.0 ());
   (match !adv with
   | Some iv when Ivar.is_full iv -> ()
@@ -548,9 +549,9 @@ let restart_before_any_advancement () =
           (Engine.submit engine
              (Spec.make ~id:1
                 (Spec.subtxn
-                   ~children:[ Spec.subtxn 1 [ Op.Incr ("b", 1.) ] ]
+                   ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 1.) ] ]
                    0
-                   [ Op.Incr ("a", 1.) ]))));
+                   [ Op.Incr (Key.intern "a", 1.) ]))));
   ignore (Sim.run sim ~until:10.0 ());
   checki "recovered update version is the true initial" 1
     (Engine.update_version engine ~node:1);
@@ -663,20 +664,20 @@ let drop_one_scenario ctl =
   Sim.spawn sim ~name:"script" (fun () ->
       submit
         (Spec.make ~id:1 ~label:"i"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("d", 3.) ] ] 0
-              [ Op.Incr ("a", 1.) ]));
+           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 3.) ] ] 0
+              [ Op.Incr (Key.intern "a", 1.) ]));
       Sim.sleep sim 0.01;
       adv := Some (Engine.advance engine);
       Sim.sleep sim 0.02;
       submit
         (Spec.make ~id:2 ~label:"j"
-           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr ("a", 5.) ] ] 1
-              [ Op.Incr ("d", 7.) ]));
+           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 5.) ] ] 1
+              [ Op.Incr (Key.intern "d", 7.) ]));
       Sim.sleep sim 0.02;
       submit
         (Spec.make ~id:3 ~label:"y"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read "d" ] ] 0
-              [ Op.Read "a" ])));
+           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "d") ] ] 0
+              [ Op.Read (Key.intern "a") ])));
   (match Sim.run sim ~until:60.0 () with
   | Sim.Completed | Sim.Hit_limit -> ()
   | Sim.Stalled names -> failwith ("stalled: " ^ String.concat "," names));

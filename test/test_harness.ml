@@ -10,6 +10,7 @@ module Trace = Threev.Trace
 module Runner = Harness.Runner
 module Table1 = Harness.Table1
 module Experiments = Harness.Experiments
+module Key = Store.Key
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -217,7 +218,7 @@ let experiment_e4_runs () =
 let read_digest h (key, (v : Txn.Value.t)) =
   List.fold_left
     (fun h w -> Hashtbl.hash (h, w))
-    (Hashtbl.hash (h, key, v.Txn.Value.amount))
+    (Hashtbl.hash (h, Key.name key, v.Txn.Value.amount))
     (Txn.Value.Writers.descending v.Txn.Value.writers)
 
 let history_digest (outcome : Runner.outcome) =

@@ -21,6 +21,7 @@ module Value = Txn.Value
 module Engine = Threev.Engine
 module Policy = Threev.Policy
 module Runner = Harness.Runner
+module Key = Store.Key
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -326,7 +327,7 @@ let scenario_gen ~nodes =
   QCheck.Gen.(list_size (int_range 1 25) (pair (fuzz_tree_gen ~nodes) bool))
 
 let spec_of_fuzz ~id tree =
-  let key slot node = Printf.sprintf "fz%d@n%d" slot node in
+  let key slot node = Key.intern (Printf.sprintf "fz%d@n%d" slot node) in
   let rec build t =
     let ops =
       List.map

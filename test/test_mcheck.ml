@@ -18,6 +18,7 @@ module Ivar = Simul.Ivar
 module Latency = Netsim.Latency
 module Spec = Txn.Spec
 module Op = Txn.Op
+module Key = Store.Key
 module Result = Txn.Result
 module Engine = Threev.Engine
 module Explorer = Mcheck.Explorer
@@ -127,22 +128,22 @@ let threev_scenario ~choice_budget ctl =
   Sim.spawn sim ~name:"script" (fun () ->
       submit
         (Spec.make ~id:1 ~label:"i"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("d", 3.) ] ] 0
-              [ Op.Incr ("a", 1.) ]));
+           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 3.) ] ] 0
+              [ Op.Incr (Key.intern "a", 1.) ]));
       Sim.sleep sim 0.01;
-      submit (Spec.make ~id:2 ~label:"x" (Spec.subtxn 0 [ Op.Read "a" ]));
+      submit (Spec.make ~id:2 ~label:"x" (Spec.subtxn 0 [ Op.Read (Key.intern "a") ]));
       Sim.sleep sim 0.01;
       adv := Some (Engine.advance engine);
       Sim.sleep sim 0.01;
       submit
         (Spec.make ~id:3 ~label:"j"
-           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr ("a", 5.) ] ] 1
-              [ Op.Incr ("d", 7.) ]));
+           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 5.) ] ] 1
+              [ Op.Incr (Key.intern "d", 7.) ]));
       Sim.sleep sim 0.02;
       submit
         (Spec.make ~id:4 ~label:"y"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read "d" ] ] 0
-              [ Op.Read "a" ])));
+           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "d") ] ] 0
+              [ Op.Read (Key.intern "a") ])));
   (match Sim.run sim ~until:60.0 () with
   | Sim.Completed | Sim.Hit_limit -> ()
   | Sim.Stalled names ->
@@ -209,21 +210,21 @@ let nc_scenario ~choice_budget ctl =
   Sim.spawn sim ~name:"script" (fun () ->
       submit
         (Spec.make ~id:1 ~label:"sale"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("inv", -1.) ] ] 0
-              [ Op.Incr ("sold", 1.) ]));
+           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "inv", -1.) ] ] 0
+              [ Op.Incr (Key.intern "sold", 1.) ]));
       Sim.sleep sim 0.01;
       adv := Some (Engine.advance engine);
       Sim.sleep sim 0.01;
       submit
         (Spec.make ~id:2 ~label:"reprice"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite ("price", 9.) ] ]
+           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite (Key.intern "price", 9.) ] ]
               0
-              [ Op.Overwrite ("price0", 9.) ]));
+              [ Op.Overwrite (Key.intern "price0", 9.) ]));
       Sim.sleep sim 0.02;
       submit
         (Spec.make ~id:3 ~label:"report"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read "inv" ] ] 0
-              [ Op.Read "sold" ])));
+           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "inv") ] ] 0
+              [ Op.Read (Key.intern "sold") ])));
   (match Sim.run sim ~until:60.0 () with
   | Sim.Completed | Sim.Hit_limit -> ()
   | Sim.Stalled names -> failwith ("stalled: " ^ String.concat "," names));
@@ -290,9 +291,9 @@ let compensation_scenario ~choice_budget ctl =
           (Engine.submit engine
              (Spec.make ~id:1 ~label:"t"
                 (Spec.subtxn
-                   ~children:[ Spec.subtxn 1 [ Op.Incr ("b", 5.) ] ]
+                   ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 5.) ] ]
                    0
-                   [ Op.Incr ("a", 3.) ])));
+                   [ Op.Incr (Key.intern "a", 3.) ])));
       Sim.sleep sim 0.01;
       adv := Some (Engine.advance engine));
   (match Sim.run sim ~until:60.0 () with
@@ -310,7 +311,7 @@ let compensation_scenario ~choice_budget ctl =
   | None -> failwith "not submitted");
   let amount node key =
     match
-      Store.Mvstore.read_visible (Engine.store engine ~node) ~key
+      Store.Mvstore.read_visible (Engine.store engine ~node) ~key:(Key.intern key)
         ~version:max_int
     with
     | Some (_, v) -> v.Txn.Value.amount
@@ -354,9 +355,9 @@ let engine_determinism () =
                (Spec.make ~id:i
                   (Spec.subtxn
                      ~children:
-                       [ Spec.subtxn n2 [ Op.Incr (Printf.sprintf "k@%d" n2, 1.) ] ]
+                       [ Spec.subtxn n2 [ Op.Incr (Key.intern (Printf.sprintf "k@%d" n2), 1.) ] ]
                      n1
-                     [ Op.Incr (Printf.sprintf "k@%d" n1, 1.) ])));
+                     [ Op.Incr (Key.intern (Printf.sprintf "k@%d" n1), 1.) ])));
           Sim.sleep sim 0.005
         done);
     ignore (Sim.run sim ~until:5.0 ());

@@ -9,12 +9,14 @@ module Latency = Netsim.Latency
 module Mvstore = Store.Mvstore
 module Spec = Txn.Spec
 module Op = Txn.Op
+module Key = Store.Key
 module Value = Txn.Value
 module Result = Txn.Result
 module Engine = Threev.Engine
 module Policy = Threev.Policy
 module Counters = Threev.Counters
 module Trace = Threev.Trace
+module Id_ring = Threev.Id_ring
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -189,8 +191,8 @@ let update_then_read ~advance () =
   let sim, eng = make_engine () in
   let upd =
     Spec.make ~id:1
-      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("b", 2.) ] ] 0
-         [ Op.Incr ("a", 1.) ])
+      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 2.) ] ] 0
+         [ Op.Incr (Key.intern "a", 1.) ])
   in
   let r1 = Engine.submit eng upd in
   ignore (Sim.run sim ~until:1.0 ());
@@ -205,13 +207,14 @@ let update_then_read ~advance () =
   end;
   let rd =
     Spec.make ~id:2
-      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read "b" ] ] 0 [ Op.Read "a" ])
+      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "b") ] ] 0
+         [ Op.Read (Key.intern "a") ])
   in
   let r2 = Engine.submit eng rd in
   ignore (Sim.run sim ~until:3.0 ());
   match Ivar.peek r2 with
   | Some res ->
-      let amount key = (List.assoc key res.Result.reads).Value.amount in
+      let amount key = (List.assoc (Key.intern key) res.Result.reads).Value.amount in
       if advance then begin
         checkf "a visible" 1. (amount "a");
         checkf "b visible" 2. (amount "b")
@@ -235,8 +238,8 @@ let update_does_not_block_on_children () =
   in
   let upd =
     Spec.make ~id:1
-      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("b", 1.) ] ] 0
-         [ Op.Incr ("a", 1.) ])
+      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 1.) ] ] 0
+         [ Op.Incr (Key.intern "a", 1.) ])
   in
   let r = Engine.submit eng upd in
   ignore (Sim.run sim ~until:100.0 ());
@@ -265,8 +268,8 @@ let multiple_advancements () =
   for i = 1 to 3 do
     let upd =
       Spec.make ~id:i
-        (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("b", 1.) ] ] 0
-           [ Op.Incr ("a", 1.) ])
+        (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 1.) ] ] 0
+           [ Op.Incr (Key.intern "a", 1.) ])
     in
     ignore (Engine.submit eng upd);
     let adv = Engine.advance eng in
@@ -277,7 +280,7 @@ let multiple_advancements () =
   (* After three advancements with all txns settled, each item holds a
      single version again (GC collapsed the rest). *)
   let store = Engine.store eng ~node:0 in
-  checkb "a collapsed" true (List.length (Mvstore.versions_of store ~key:"a") <= 2)
+  checkb "a collapsed" true (List.length (Mvstore.versions_of store ~key:(Key.intern "a")) <= 2)
 
 let implicit_notification () =
   (* A child carrying a higher version reaches a node before the
@@ -303,8 +306,8 @@ let implicit_notification () =
       checki "node 1 not yet" 1 (Engine.update_version eng ~node:1);
       let upd =
         Spec.make ~id:1
-          (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("y", 1.) ] ] 0
-             [ Op.Incr ("x", 1.) ])
+          (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "y", 1.) ] ] 0
+             [ Op.Incr (Key.intern "x", 1.) ])
       in
       ignore (Engine.submit eng upd);
       Sim.sleep sim 0.2;
@@ -325,28 +328,28 @@ let dual_write_on_straggler () =
   let eng = Engine.create sim cfg ~link_latency:link () in
   (* Preload d at version 0 so copies have a base. *)
   ignore
-    (Mvstore.write_exact (Engine.store eng ~node:1) ~key:"d" ~version:0
+    (Mvstore.write_exact (Engine.store eng ~node:1) ~key:(Key.intern "d") ~version:0
        ~init:Value.empty ~f:Fun.id);
   Sim.spawn sim (fun () ->
       (* Old-version update i spawns a slow child to node 1. *)
       let i_spec =
         Spec.make ~id:1
-          (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("d", 1.) ] ] 0
-             [ Op.Incr ("c", 1.) ])
+          (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 1.) ] ] 0
+             [ Op.Incr (Key.intern "c", 1.) ])
       in
       ignore (Engine.submit eng i_spec);
       Sim.sleep sim 0.1;
       ignore (Engine.advance eng);
       Sim.sleep sim 0.3;
       (* Version-2 update j writes d at node 1, materializing d(2). *)
-      let j_spec = Spec.make ~id:2 (Spec.subtxn 1 [ Op.Incr ("d", 10.) ]) in
+      let j_spec = Spec.make ~id:2 (Spec.subtxn 1 [ Op.Incr (Key.intern "d", 10.) ]) in
       ignore (Engine.submit eng j_spec));
   ignore (Sim.run sim ~until:30.0 ());
   let store = Engine.store eng ~node:1 in
   (* Advancement completed long ago; i's straggler landed in both copies.
      After GC only versions >= 1 remain. *)
-  let v1 = Mvstore.read_exact store ~key:"d" ~version:1 in
-  let v2 = Mvstore.read_exact store ~key:"d" ~version:2 in
+  let v1 = Mvstore.read_exact store ~key:(Key.intern "d") ~version:1 in
+  let v2 = Mvstore.read_exact store ~key:(Key.intern "d") ~version:2 in
   (match (v1, v2) with
   | Some a, Some b ->
       checkf "v1 has i only" 1. a.Value.amount;
@@ -366,12 +369,12 @@ let compensation_nets_to_zero () =
          ~children:
            [
              Spec.subtxn
-               ~children:[ Spec.subtxn 0 [ Op.Incr ("c", 7.) ] ]
+               ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "c", 7.) ] ]
                1
-               [ Op.Incr ("b", 5.) ];
+               [ Op.Incr (Key.intern "b", 5.) ];
            ]
          0
-         [ Op.Incr ("a", 3.) ])
+         [ Op.Incr (Key.intern "a", 3.) ])
   in
   let r = Engine.submit eng upd in
   ignore (Sim.run sim ~until:1.0 ());
@@ -385,7 +388,7 @@ let compensation_nets_to_zero () =
   ignore (Sim.run sim ~until:5.0 ());
   checkb "advancement completes despite compensation" true (Ivar.is_full adv);
   let amount node key =
-    match Mvstore.read_visible (Engine.store eng ~node) ~key ~version:10 with
+    match Mvstore.read_visible (Engine.store eng ~node) ~key:(Key.intern key) ~version:10 with
     | Some (_, v) -> v.Value.amount
     | None -> 0.
   in
@@ -400,7 +403,10 @@ let empty_root_front_end () =
     Spec.make ~id:1
       (Spec.subtxn
          ~children:
-           [ Spec.subtxn 1 [ Op.Incr ("x", 1.) ]; Spec.subtxn 2 [ Op.Incr ("y", 1.) ] ]
+           [
+             Spec.subtxn 1 [ Op.Incr (Key.intern "x", 1.) ];
+             Spec.subtxn 2 [ Op.Incr (Key.intern "y", 1.) ];
+           ]
          0 [])
   in
   let r = Engine.submit eng spec in
@@ -418,12 +424,12 @@ let revisiting_node () =
          ~children:
            [
              Spec.subtxn
-               ~children:[ Spec.subtxn 0 [ Op.Incr ("back", 1.) ] ]
+               ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "back", 1.) ] ]
                1
-               [ Op.Incr ("mid", 1.) ];
+               [ Op.Incr (Key.intern "mid", 1.) ];
            ]
          0
-         [ Op.Incr ("front", 1.) ])
+         [ Op.Incr (Key.intern "front", 1.) ])
   in
   let r = Engine.submit eng spec in
   let adv = Engine.advance eng in
@@ -449,18 +455,18 @@ let count_policy_runs () =
   in
   (* Two batches of 5, far enough apart that the triggers don't coalesce. *)
   for i = 1 to 5 do
-    ignore (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Incr ("k", 1.) ])))
+    ignore (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Incr (Key.intern "k", 1.) ])))
   done;
   ignore (Sim.run sim ~until:5.0 ());
   checki "first batch triggered" 1 (Engine.advancements_completed eng);
   for i = 6 to 10 do
-    ignore (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Incr ("k", 1.) ])))
+    ignore (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Incr (Key.intern "k", 1.) ])))
   done;
   ignore (Sim.run sim ~until:10.0 ());
   checki "second batch triggered" 2 (Engine.advancements_completed eng);
   (* Four more updates: below the threshold, no further advancement. *)
   for i = 11 to 14 do
-    ignore (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Incr ("k", 1.) ])))
+    ignore (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Incr (Key.intern "k", 1.) ])))
   done;
   ignore (Sim.run sim ~until:15.0 ());
   checki "below threshold" 2 (Engine.advancements_completed eng)
@@ -474,20 +480,21 @@ let divergence_policy_runs () =
   (* 40 units of accumulated delta: below the threshold, no advancement. *)
   for i = 1 to 4 do
     ignore
-      (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Incr ("k", 10.) ])))
+      (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Incr (Key.intern "k", 10.) ])))
   done;
   ignore (Sim.run sim ~until:5.0 ());
   checki "below threshold" 0 (Engine.advancements_completed eng);
   (* One big recording pushes past it. *)
   ignore
-    (Engine.submit eng (Spec.make ~id:5 (Spec.subtxn 0 [ Op.Incr ("k", 70.) ])));
+    (Engine.submit eng (Spec.make ~id:5 (Spec.subtxn 0 [ Op.Incr (Key.intern "k", 70.) ])));
   ignore (Sim.run sim ~until:10.0 ());
   checki "threshold crossed" 1 (Engine.advancements_completed eng);
   (* Reads and appends accumulate no divergence. *)
   for i = 6 to 20 do
     ignore
       (Engine.submit eng
-         (Spec.make ~id:i (Spec.subtxn 0 [ Op.Read "k"; Op.Append ("k", "e") ])))
+         (Spec.make ~id:i
+            (Spec.subtxn 0 [ Op.Read (Key.intern "k"); Op.Append (Key.intern "k", "e") ])))
   done;
   ignore (Sim.run sim ~until:15.0 ());
   checki "no divergence from reads/appends" 1
@@ -500,7 +507,7 @@ let reads_do_not_trigger_count_policy () =
       ()
   in
   for i = 1 to 10 do
-    ignore (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Read "k" ])))
+    ignore (Engine.submit eng (Spec.make ~id:i (Spec.subtxn 0 [ Op.Read (Key.intern "k") ])))
   done;
   ignore (Sim.run sim ~until:5.0 ());
   checki "reads don't count" 0 (Engine.advancements_completed eng)
@@ -517,8 +524,8 @@ let nc_commit_applies_writes () =
   let sim, eng = nc_engine () in
   let spec =
     Spec.make ~id:1
-      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite ("q1", 7.) ] ] 0
-         [ Op.Overwrite ("p1", 5.) ])
+      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite (Key.intern "q1", 7.) ] ] 0
+         [ Op.Overwrite (Key.intern "p1", 5.) ])
   in
   checkb "classified NC" true (spec.Spec.kind = Spec.Non_commuting);
   let r = Engine.submit eng spec in
@@ -526,7 +533,7 @@ let nc_commit_applies_writes () =
   checkb "committed" true
     (match Ivar.peek r with Some res -> Result.committed res | None -> false);
   let amount node key =
-    match Mvstore.read_visible (Engine.store eng ~node) ~key ~version:10 with
+    match Mvstore.read_visible (Engine.store eng ~node) ~key:(Key.intern key) ~version:10 with
     | Some (_, v) -> v.Value.amount
     | None -> nan
   in
@@ -539,9 +546,9 @@ let nc_abort_discards_writes () =
   let sim, eng = nc_engine () in
   let mk id a b =
     Spec.make ~id
-      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite (b, float_of_int id) ] ]
+      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite (Key.intern b, float_of_int id) ] ]
          0
-         [ Op.Overwrite (a, float_of_int id) ])
+         [ Op.Overwrite (Key.intern a, float_of_int id) ])
   in
   let r1 = Engine.submit eng (mk 1 "k1" "k2") in
   let r2 = Engine.submit eng (mk 2 "k2" "k1") in
@@ -555,7 +562,7 @@ let nc_abort_discards_writes () =
     (List.length (List.filter Fun.id outcomes) >= 1);
   (* Whatever committed owns both keys with its own id as the value. *)
   let amount node key =
-    match Mvstore.read_visible (Engine.store eng ~node) ~key ~version:10 with
+    match Mvstore.read_visible (Engine.store eng ~node) ~key:(Key.intern key) ~version:10 with
     | Some (_, v) -> Some v.Value.amount
     | None -> None
   in
@@ -576,7 +583,7 @@ let nc_version_overtake_abort () =
   Sim.spawn sim (fun () ->
       (* Commit a commuting write of key z in version 1, then advance so a
          version-2 copy exists... *)
-      ignore (Engine.submit eng (Spec.make ~id:1 (Spec.subtxn 0 [ Op.Incr ("z", 1.) ])));
+      ignore (Engine.submit eng (Spec.make ~id:1 (Spec.subtxn 0 [ Op.Incr (Key.intern "z", 1.) ])));
       Sim.sleep sim 0.1;
       (* Write z in version 2 (new vu after phase 1) while an NC txn
          assigned version 1... we instead engineer directly: advance fully,
@@ -588,9 +595,11 @@ let nc_version_overtake_abort () =
      simulate an in-flight higher-version write, then run an NC txn at
      vu = 2: it must abort with version-overtaken. *)
   ignore
-    (Mvstore.write_exact (Engine.store eng ~node:0) ~key:"z" ~version:3
+    (Mvstore.write_exact (Engine.store eng ~node:0) ~key:(Key.intern "z") ~version:3
        ~init:Value.empty ~f:(Value.incr ~txn:99 ~delta:1.));
-  let r = Engine.submit eng (Spec.make ~id:2 (Spec.subtxn 0 [ Op.Overwrite ("z", 5.) ])) in
+  let r =
+    Engine.submit eng (Spec.make ~id:2 (Spec.subtxn 0 [ Op.Overwrite (Key.intern "z", 5.) ]))
+  in
   ignore (Sim.run sim ~until:10.0 ());
   match Ivar.peek r with
   | Some res ->
@@ -624,7 +633,7 @@ let nc_waits_for_advancement () =
       Sim.sleep sim 1.5;
       checki "mid-advancement vu" 2 (Engine.update_version eng ~node:0);
       checki "mid-advancement vr" 0 (Engine.read_version eng ~node:0);
-      let spec = Spec.make ~id:1 (Spec.subtxn 0 [ Op.Overwrite ("w", 1.) ]) in
+      let spec = Spec.make ~id:1 (Spec.subtxn 0 [ Op.Overwrite (Key.intern "w", 1.) ]) in
       r := Some (Engine.submit eng spec));
   ignore (Sim.run sim ~until:30.0 ());
   match !r with
@@ -659,7 +668,7 @@ let run_churn ~seed ~nodes ~abort_p ~nc =
   Sim.spawn sim (fun () ->
       for i = 1 to 400 do
         let n1 = Random.State.int rng nodes and n2 = Random.State.int rng nodes in
-        let key n = Printf.sprintf "k%d@%d" (Random.State.int rng 10) n in
+        let key n = Key.intern (Printf.sprintf "k%d@%d" (Random.State.int rng 10) n) in
         let spec =
           let u = Random.State.float rng 1. in
           if u < 0.25 then
@@ -750,7 +759,7 @@ let ablation_no_gc_acks_breaks_bound () =
   Sim.spawn sim (fun () ->
       for i = 1 to 600 do
         let n1 = Random.State.int rng 4 and n2 = Random.State.int rng 4 in
-        let key n = Printf.sprintf "k%d@%d" (Random.State.int rng 8) n in
+        let key n = Key.intern (Printf.sprintf "k%d@%d" (Random.State.int rng 8) n) in
         ignore
           (Engine.submit eng
              (Spec.make ~id:i
@@ -828,8 +837,8 @@ let ablation_single_poll_still_detects_activity () =
       ignore
         (Engine.submit eng
            (Spec.make ~id:1
-              (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("y", 1.) ] ] 0
-                 [ Op.Incr ("x", 1.) ])));
+              (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "y", 1.) ] ] 0
+                 [ Op.Incr (Key.intern "x", 1.) ])));
       Sim.sleep sim 0.05;
       let adv = Engine.advance eng in
       Simul.Ivar.read sim adv;
@@ -849,15 +858,15 @@ let pause_isolates_outage () =
   let fast =
     Engine.submit eng
       (Spec.make ~id:1
-         (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr ("w", 1.) ] ] 0
-            [ Op.Incr ("v", 1.) ]))
+         (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "w", 1.) ] ] 0
+            [ Op.Incr (Key.intern "v", 1.) ]))
   in
   (* One transaction that does touch the frozen node. *)
   let slow =
     Engine.submit eng
       (Spec.make ~id:2
-         (Spec.subtxn ~children:[ Spec.subtxn 2 [ Op.Incr ("z", 1.) ] ] 0
-            [ Op.Incr ("y", 1.) ]))
+         (Spec.subtxn ~children:[ Spec.subtxn 2 [ Op.Incr (Key.intern "z", 1.) ] ] 0
+            [ Op.Incr (Key.intern "y", 1.) ]))
   in
   ignore (Sim.run sim ~until:1.0 ());
   (match Ivar.peek fast with
@@ -876,8 +885,8 @@ let submit_validates_nodes () =
   let _sim, eng = make_engine ~nodes:2 () in
   let bad =
     Spec.make ~id:1 ~label:"bad"
-      (Spec.subtxn ~children:[ Spec.subtxn 7 [ Op.Incr ("x", 1.) ] ] 0
-         [ Op.Incr ("w", 1.) ])
+      (Spec.subtxn ~children:[ Spec.subtxn 7 [ Op.Incr (Key.intern "x", 1.) ] ] 0
+         [ Op.Incr (Key.intern "w", 1.) ])
   in
   Alcotest.check_raises "out of range"
     (Invalid_argument "Engine.submit: bad targets node 7 outside 0..1")
@@ -904,17 +913,18 @@ let reads_take_no_locks_even_in_nc_mode () =
   let eng = Engine.create sim cfg ~link_latency:link () in
   (* Seed the key so the read has something to see. *)
   ignore
-    (Mvstore.write_exact (Engine.store eng ~node:0) ~key:"k" ~version:0
+    (Mvstore.write_exact (Engine.store eng ~node:0) ~key:(Key.intern "k") ~version:0
        ~init:Value.empty ~f:Fun.id);
   let nc =
     Engine.submit eng
       (Spec.make ~id:1
-         (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite ("m", 1.) ] ] 0
-            [ Op.Overwrite ("k", 9.) ]))
+         (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite (Key.intern "m", 1.) ] ] 0
+            [ Op.Overwrite (Key.intern "k", 9.) ]))
   in
   let read = ref None in
   Sim.schedule sim ~delay:0.1 (fun () ->
-      read := Some (Engine.submit eng (Spec.make ~id:2 (Spec.subtxn 0 [ Op.Read "k" ]))));
+      read :=
+        Some (Engine.submit eng (Spec.make ~id:2 (Spec.subtxn 0 [ Op.Read (Key.intern "k") ]))));
   ignore (Sim.run sim ~until:0.5 ());
   (* The NC transaction is still mid-2PC (its child takes 1s)... *)
   checkb "nc still in flight" true (Ivar.peek nc = None);
@@ -926,7 +936,7 @@ let reads_take_no_locks_even_in_nc_mode () =
           checkb "read committed while NC lock held" true (Result.committed res);
           checkb "read latency tiny" true (Result.latency res < 0.05);
           checkf "read saw the old value" 0.
-            (List.assoc "k" res.Result.reads).Value.amount
+            (List.assoc (Key.intern "k") res.Result.reads).Value.amount
       | None -> Alcotest.fail "read delayed by an NC lock")
   | None -> Alcotest.fail "read not submitted");
   ignore (Sim.run sim ~until:10.0 ());
@@ -943,12 +953,12 @@ let nc_revisits_node () =
          ~children:
            [
              Spec.subtxn
-               ~children:[ Spec.subtxn 0 [ Op.Overwrite ("back", 2.) ] ]
+               ~children:[ Spec.subtxn 0 [ Op.Overwrite (Key.intern "back", 2.) ] ]
                1
-               [ Op.Overwrite ("mid", 3.) ];
+               [ Op.Overwrite (Key.intern "mid", 3.) ];
            ]
          0
-         [ Op.Overwrite ("front", 1.) ])
+         [ Op.Overwrite (Key.intern "front", 1.) ])
   in
   let r = Engine.submit eng spec in
   ignore (Sim.run sim ~until:5.0 ());
@@ -956,7 +966,7 @@ let nc_revisits_node () =
   | Some res -> checkb "committed" true (Result.committed res)
   | None -> Alcotest.fail "unresolved");
   let amount key =
-    match Mvstore.read_visible (Engine.store eng ~node:0) ~key ~version:10 with
+    match Mvstore.read_visible (Engine.store eng ~node:0) ~key:(Key.intern key) ~version:10 with
     | Some (_, v) -> v.Value.amount
     | None -> nan
   in
@@ -969,13 +979,83 @@ let nc_revisits_node () =
 
 let stats_exposed () =
   let sim, eng = make_engine () in
-  ignore (Engine.submit eng (Spec.make ~id:1 (Spec.subtxn 0 [ Op.Incr ("k", 1.) ])));
+  ignore (Engine.submit eng (Spec.make ~id:1 (Spec.subtxn 0 [ Op.Incr (Key.intern "k", 1.) ])));
   ignore (Sim.run sim ~until:1.0 ());
   let stats = Engine.stats eng in
   checki "submitted" 1 (Stats.Counter_set.get stats "txn.submitted");
   checki "committed" 1 (Stats.Counter_set.get stats "txn.committed");
   checkb "messages counted" true (Stats.Counter_set.get stats "net.messages" > 0);
   Alcotest.(check string) "name" "3v" (Engine.name eng)
+
+(* ------------------------------------------------------ pending ring *)
+
+(* The pendings ring against a [Hashtbl] model. Ids are added in order and
+   removed in any order; a share of them ([long_pct] percent) stay open
+   for 1,000 to 3,000 further steps, so the live window spans thousands of
+   ids while most entries come and go. Every lookup, of live, removed and
+   never-added ids alike, agrees with the model; the ring's window is the
+   model's (the newest id less the largest id at or below which every id
+   is gone); and the ring's capacity stays within twice the widest window
+   so far: memory follows the window, not the run's length. *)
+let id_ring_matches_model =
+  QCheck.Test.make ~name:"pending ring == Hashtbl model" ~count:200
+    QCheck.(triple small_nat (int_range 1 6000) (int_range 0 10))
+    (fun (seed, steps, long_pct) ->
+      let st = Random.State.make [| seed |] in
+      let ring = Id_ring.create ~vacant:(-1) and model = Hashtbl.create 64 in
+      let short = Array.make (steps + 1) 0 and n_short = ref 0 in
+      let long = ref [] and newest = ref 0 and floor = ref 0 and widest = ref 0 in
+      let remove id =
+        Id_ring.remove ring id;
+        Hashtbl.remove model id
+      in
+      let agrees id =
+        let want = Option.value (Hashtbl.find_opt model id) ~default:(-1) in
+        let got = Id_ring.find ring id in
+        if got <> want then QCheck.Test.fail_reportf "id %d: ring %d, model %d" id got want
+      in
+      for step = 1 to steps do
+        (match Random.State.int st 10 with
+        | 0 | 1 | 2 | 3 ->
+            incr newest;
+            Id_ring.add ring !newest (7 * !newest);
+            Hashtbl.replace model !newest (7 * !newest);
+            if Random.State.int st 100 < long_pct then
+              long := (step + 1000 + Random.State.int st 2000, !newest) :: !long
+            else begin
+              short.(!n_short) <- !newest;
+              incr n_short
+            end
+        | 4 | 5 | 6 when !n_short > 0 ->
+            let i = Random.State.int st !n_short in
+            let id = short.(i) in
+            decr n_short;
+            short.(i) <- short.(!n_short);
+            remove id;
+            agrees id
+        | _ -> agrees (Random.State.int st (!newest + 3)));
+        let due, open_ = List.partition (fun (at, _) -> at <= step) !long in
+        long := open_;
+        List.iter (fun (_, id) -> remove id; agrees id) due;
+        while !floor < !newest && not (Hashtbl.mem model (!floor + 1)) do
+          incr floor
+        done;
+        if Id_ring.window ring <> !newest - !floor then
+          QCheck.Test.fail_reportf "step %d: window %d, model %d" step (Id_ring.window ring)
+            (!newest - !floor);
+        widest := max !widest (!newest - !floor);
+        if Id_ring.capacity ring > max 16 (2 * !widest) then
+          QCheck.Test.fail_reportf "step %d: capacity %d over a widest window of %d" step
+            (Id_ring.capacity ring) !widest
+      done;
+      for i = 0 to !n_short - 1 do
+        remove short.(i)
+      done;
+      List.iter (fun (_, id) -> remove id) !long;
+      for id = 0 to !newest + 1 do
+        agrees id
+      done;
+      Id_ring.window ring = 0)
 
 let () =
   Alcotest.run "threev"
@@ -985,6 +1065,7 @@ let () =
           Alcotest.test_case "basic" `Quick counters_basic;
           Alcotest.test_case "gc" `Quick counters_gc;
         ] );
+      ("pending-ring", [ QCheck_alcotest.to_alcotest id_ring_matches_model ]);
       ( "version-codec",
         Alcotest.test_case "basics" `Quick codec_basics
         :: List.map QCheck_alcotest.to_alcotest [ codec_roundtrip_property ] );

@@ -4,6 +4,7 @@
 module Sim = Simul.Sim
 module Value = Txn.Value
 module Op = Txn.Op
+module Key = Store.Key
 module Spec = Txn.Spec
 module Result = Txn.Result
 module Lockmgr = Txn.Lockmgr
@@ -175,28 +176,28 @@ let writers_add_cost () =
 (* --------------------------------------------------------------- op *)
 
 let op_classification () =
-  checkb "read not write" false (Op.is_write (Op.Read "k"));
-  checkb "incr write" true (Op.is_write (Op.Incr ("k", 1.)));
-  checkb "incr commutes" true (Op.commuting_write (Op.Incr ("k", 1.)));
-  checkb "append commutes" true (Op.commuting_write (Op.Append ("k", "e")));
-  checkb "overwrite does not" false (Op.commuting_write (Op.Overwrite ("k", 1.)));
-  Alcotest.(check string) "key" "k" (Op.key (Op.Overwrite ("k", 1.)))
+  checkb "read not write" false (Op.is_write (Op.Read (Key.intern "k")));
+  checkb "incr write" true (Op.is_write (Op.Incr (Key.intern "k", 1.)));
+  checkb "incr commutes" true (Op.commuting_write (Op.Incr (Key.intern "k", 1.)));
+  checkb "append commutes" true (Op.commuting_write (Op.Append (Key.intern "k", "e")));
+  checkb "overwrite does not" false (Op.commuting_write (Op.Overwrite (Key.intern "k", 1.)));
+  Alcotest.(check string) "key" "k" (Key.name (Op.key (Op.Overwrite (Key.intern "k", 1.))))
 
 (* ------------------------------------------------------------- spec *)
 
 let spec_classify () =
-  let read = Spec.make ~id:1 (Spec.subtxn 0 [ Op.Read "a" ]) in
+  let read = Spec.make ~id:1 (Spec.subtxn 0 [ Op.Read (Key.intern "a") ]) in
   checkb "read-only" true (read.Spec.kind = Spec.Read_only);
   let upd =
     Spec.make ~id:2
-      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Append ("b", "x") ] ] 0
-         [ Op.Incr ("a", 1.); Op.Read "c" ])
+      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Append (Key.intern "b", "x") ] ] 0
+         [ Op.Incr (Key.intern "a", 1.); Op.Read (Key.intern "c") ])
   in
   checkb "commuting" true (upd.Spec.kind = Spec.Commuting);
   let nc =
     Spec.make ~id:3
-      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite ("b", 2.) ] ] 0
-         [ Op.Incr ("a", 1.) ])
+      (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite (Key.intern "b", 2.) ] ] 0
+         [ Op.Incr (Key.intern "a", 1.) ])
   in
   checkb "one overwrite anywhere makes it non-commuting" true
     (nc.Spec.kind = Spec.Non_commuting)
@@ -206,12 +207,12 @@ let spec_accessors () =
     Spec.subtxn
       ~children:
         [
-          Spec.subtxn 2 [ Op.Read "x" ];
-          Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr ("z", 1.) ] ] 1
-            [ Op.Incr ("y", 1.) ];
+          Spec.subtxn 2 [ Op.Read (Key.intern "x") ];
+          Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "z", 1.) ] ] 1
+            [ Op.Incr (Key.intern "y", 1.) ];
         ]
       0
-      [ Op.Read "w"; Op.Incr ("x", 1.) ]
+      [ Op.Read (Key.intern "w"); Op.Incr (Key.intern "x", 1.) ]
   in
   let spec = Spec.make ~id:7 ~label:"t" tree in
   Alcotest.(check (list int)) "nodes" [ 0; 1; 2 ] (Spec.nodes spec);

@@ -2,6 +2,7 @@
 
 module Spec = Txn.Spec
 module Op = Txn.Op
+module Key = Store.Key
 module Generator = Workload.Generator
 module Zipf = Workload.Zipf
 
@@ -65,7 +66,9 @@ let pick_distinct_properties =
       && List.for_all (fun x -> x >= 0 && x < among) picked)
 
 let fanout_tree_structure () =
-  let tree = Generator.fanout_tree ~ops_of:(fun n -> [ Op.Read (string_of_int n) ]) [ 3; 1; 4 ] in
+  let tree =
+    Generator.fanout_tree ~ops_of:(fun n -> [ Op.Read (Key.intern (string_of_int n)) ]) [ 3; 1; 4 ]
+  in
   checki "root node" 3 tree.Spec.node;
   checki "children" 2 (List.length tree.Spec.children);
   Alcotest.check_raises "empty" (Invalid_argument "Generator.fanout_tree: empty node list")
