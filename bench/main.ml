@@ -67,9 +67,8 @@ let bench_store_write =
            if (txn lsr 10) land 63 = 0 then fun _ -> Value.incr ~txn ~delta:1. Value.empty
            else Value.incr ~txn ~delta:1.
          in
-         ignore
-           (Mvstore.write_upward store ~key:keys.(txn land 1023) ~version:1
-              ~init:Value.empty ~f)))
+         Mvstore.write_upward store ~key:keys.(txn land 1023) ~version:1 ~init:Value.empty
+           ~f))
 
 (* E2 family: one hot key's writer tags taking the next id, as every
    commuting write to it does; the tags start over every 1,024 adds. *)
@@ -87,15 +86,14 @@ let bench_store_gc =
   let store = Mvstore.create () in
   let keys = Array.init 4096 (fun i -> Store.Key.intern (Printf.sprintf "k%d" i)) in
   Array.iter
-    (fun key -> ignore (Mvstore.write_upward store ~key ~version:0 ~init:0 ~f:succ))
+    (fun key -> Mvstore.write_upward store ~key ~version:0 ~init:0 ~f:succ)
     keys;
   let version = ref 0 in
   Test.make ~name:"e2: mvstore gc (4k items, 64 multi-version)"
     (Staged.stage (fun () ->
          incr version;
          for i = 0 to 63 do
-           ignore
-             (Mvstore.write_upward store ~key:keys.(i * 64) ~version:!version ~init:0 ~f:succ)
+           Mvstore.write_upward store ~key:keys.(i * 64) ~version:!version ~init:0 ~f:succ
          done;
          Mvstore.gc store ~new_read_version:!version))
 

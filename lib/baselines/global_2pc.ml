@@ -110,9 +110,8 @@ let apply_decision t node ~txn_id ~commit =
               if commit then
                 List.iter
                   (fun (key, op) ->
-                    ignore
-                      (Mvstore.write_upward node.store ~key ~version:0
-                         ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn)))
+                    Mvstore.write_upward node.store ~key ~version:0 ~init:Value.empty
+                      ~f:(Op.apply op ~txn:p.p_txn))
                   (List.rev p.p_buffered))
         (List.rev !ids);
       Lockmgr.release_all node.locks ~owner:txn_id
@@ -395,4 +394,3 @@ let inject_pause t ~node ~at ~duration =
 let inject_coord_crash t ~at ~restart =
   Fault.Injector.crash t.faults ~node:0 ~at ~restart
 
-let messages_sent t = Network.messages_sent t.net

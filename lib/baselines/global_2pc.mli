@@ -38,15 +38,12 @@ val packed : t -> Txn.Engine_intf.packed
 (** The single-version store of a node (version 0 only), for inspection. *)
 val store : t -> node:int -> Txn.Value.t Store.Mvstore.t
 
-(** Network send attempts so far. *)
-val messages_sent : t -> int
-
 (** [inject_pause t ~node ~at ~duration] freezes message processing at
     [node] for [duration] seconds starting at virtual time [at] — the same
     fault injection as [Threev.Engine.inject_pause], for comparison. *)
 val inject_pause : t -> node:int -> at:float -> duration:float -> unit
 
-(** Comparison shim for [Threev.Engine.inject_coord_crash]: this baseline
+(** Comparison shim for the 3V engine's coordinator crash: this baseline
     has no separate coordinator endpoint (each root node runs its own 2PC),
     so the closest fault is fail-stopping node 0, the conventional
     coordination site — with no write-ahead log and no recovery protocol,

@@ -155,10 +155,8 @@ let exec_subtxn t node p (tree : Spec.subtxn) =
               in
               p.p_reads <- p.p_reads @ [ (key, value) ]
           | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
-              ignore
-                (Mvstore.write_upward node.store ~key:(Op.key op)
-                   ~version:p.p_version ~init:Value.empty
-                   ~f:(Op.apply op ~txn:p.p_txn)))
+              Mvstore.write_upward node.store ~key:(Op.key op) ~version:p.p_version
+                ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn))
         tree.Spec.ops);
   cstat t "subtxn.executed";
   List.iter
@@ -301,4 +299,3 @@ let inject_coord_crash t ~at ~restart =
   cstat t "fault.coord_crashes";
   t.pub_outages <- (at, restart) :: t.pub_outages
 
-let messages_sent t = Network.messages_sent t.net

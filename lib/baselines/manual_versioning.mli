@@ -61,7 +61,7 @@ val read_version_at : t -> now:float -> int
     version 0 when unversioned), for inspection. *)
 val store : t -> node:int -> Txn.Value.t Store.Mvstore.t
 
-(** Comparison shim for [Threev.Engine.inject_coord_crash]: the periodic
+(** Comparison shim for the 3V engine's coordinator crash: the periodic
     version publisher is this scheme's coordinator analogue. During
     [[at, restart)) the publication clock is frozen at [at], so reads keep
     the last pre-crash version and staleness grows linearly for the whole
@@ -70,6 +70,3 @@ val store : t -> node:int -> Txn.Value.t Store.Mvstore.t
     Unversioned reads stay on version 0 regardless.
     @raise Invalid_argument if [restart <= at]. *)
 val inject_coord_crash : t -> at:float -> restart:float -> unit
-
-(** Network send attempts so far. *)
-val messages_sent : t -> int

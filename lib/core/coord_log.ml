@@ -6,27 +6,16 @@ let phase_number = function
   | Switch_read -> 3
   | Retire_read -> 4
 
-let phase_name = function
-  | Switch_update -> "switch-update"
-  | Quiesce_update -> "quiesce-update"
-  | Switch_read -> "switch-read"
-  | Retire_read -> "retire-read"
-
 type record =
   | Started of { epoch : int; time : float }
   | Phase of { adv : int; phase : phase; vu_old : int; vr_old : int; time : float }
   | Committed of { adv : int; time : float }
 
-type t = { mutable records : record list (* newest first *); mutable count : int }
+type t = { mutable records : record list (* newest first *) }
 
-let create () = { records = []; count = 0 }
-
-let append t r =
-  t.records <- r :: t.records;
-  t.count <- t.count + 1
-
+let create () = { records = [] }
+let append t r = t.records <- r :: t.records
 let records t = List.rev t.records
-let length t = t.count
 
 type in_flight = { f_adv : int; f_phase : phase; f_vu_old : int; f_vr_old : int }
 
@@ -71,16 +60,3 @@ let phase_times t =
       | Phase { adv; phase; time; _ } -> Some (adv, phase, time)
       | Started _ | Committed _ -> None)
     (records t)
-
-let pp_record ppf = function
-  | Started { epoch; time } ->
-      Format.fprintf ppf "started epoch=%d t=%g" epoch time
-  | Phase { adv; phase; vu_old; vr_old; time } ->
-      Format.fprintf ppf "phase adv=%d %s vu_old=%d vr_old=%d t=%g" adv
-        (phase_name phase) vu_old vr_old time
-  | Committed { adv; time } -> Format.fprintf ppf "committed adv=%d t=%g" adv time
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>coord log (%d records)" t.count;
-  List.iter (fun r -> Format.fprintf ppf "@,%a" pp_record r) (records t);
-  Format.fprintf ppf "@]"

@@ -50,9 +50,6 @@ val append : t -> record -> unit
 (** Oldest first. *)
 val records : t -> record list
 
-(** Number of records logged. *)
-val length : t -> int
-
 (** The advancement to resume, if recovery finds one in flight. *)
 type in_flight = { f_adv : int; f_phase : phase; f_vu_old : int; f_vr_old : int }
 
@@ -73,6 +70,3 @@ val recover : t -> init_vu:int -> init_vr:int -> recovery
 (** All [(adv, phase, entry_time)] transitions, oldest first — lets tests
     aim crash injections at specific phase interiors of a reference run. *)
 val phase_times : t -> (int * phase * float) list
-
-(** One line per record, oldest first. *)
-val pp : Format.formatter -> t -> unit

@@ -27,8 +27,8 @@ type config = {
           instead of O(all nodes) through one choke point. Shards are laid
           {e over} replica groups ([nodes / S] must be a multiple of
           [replicas]), so quorum polling stays per-shard. [1] — the
-          default — collapses to the single global coordinator and keeps
-          historical schedules byte-identical. Update transactions must
+          default — is the one-shard case: a single coordinator over all
+          nodes, running the same code as every [S]. Update transactions must
           stay within one shard; cross-shard reads are assigned a
           consistent per-shard read-version vector by {!Shard.Rvector} *)
   replicas : int;
@@ -270,18 +270,23 @@ type watch = {
    heartbeat side network plus the suspicion state machine fed from it. *)
 type fd_state = { hb : Heartbeat.t; det : Detector.t }
 
+(* What one {!advance} call waits on: the trigger it sends every shard
+   carries it, and the last of the [c_left] shards to finish the round it
+   triggered fills [c_done]. *)
+type completion = { mutable c_left : int; c_done : unit Ivar.t }
+
 (* One shard's coordinator: the complete volatile + durable advancement
    state that used to live globally on [t]. Shard [s] owns the contiguous
    node block [cs_lo, cs_lo + cs_n) and the network endpoint
-   [nodes + s]; at [shards = 1] there is exactly one of these and every
-   field carries its historical meaning (endpoint [nodes], all nodes). *)
+   [nodes + s]; at [shards = 1] there is exactly one of these, at
+   endpoint [nodes] over all nodes. *)
 type coord = {
   cs_shard : int;
   cs_id : int;  (** network endpoint: [cfg.nodes + cs_shard] *)
   cs_lo : int;  (** first member node id *)
   cs_n : int;  (** member count ([cfg.nodes / cfg.shards]) *)
   cs_name : string;  (** trace site: ["coord"] at [shards = 1] *)
-  cs_trigger : unit Ivar.t option Mailbox.t;
+  cs_trigger : completion option Mailbox.t;
   cs_clog : Coord_log.t;  (** durable: survives coordinator crashes *)
   cs_live : Vwindow.t;  (** version -> requested-but-unterminated, this shard *)
   cs_census : Counters.census;
@@ -344,48 +349,31 @@ type t = {
 
 (* -------------------------------------------------------------- tracing *)
 
-(* [Printf.ksprintf] rather than [Format.kasprintf]: every [tr] format uses
-   only %s/%d/%g, where the two render identically, and Printf skips the
-   pretty-printing engine — measured ~3x cheaper per emission, which is the
-   difference between tracing costing ~40%% of a traced bench run and ~15%%. *)
-let tr t site fmt =
-  match t.trace with
-  | None -> Printf.ikfprintf (fun () -> ()) () fmt
-  | Some trace ->
-      Printf.ksprintf
-        (* lint: trace-ok — [tr] is itself the guard: this branch only
-           exists when a trace is attached. *)
-        (fun what -> Trace.emit trace ~time:(Sim.now t.sim) ~site what)
-        fmt
-
-(* Deferred variant for the hottest emission sites: even on a traced run,
-   the ring retains only the final [capacity] events, so rendering at
-   emission time formats strings that are overwhelmingly evicted unread.
-   [trl] hands {!Trace.emit_deferred} a thunk instead; only retained events
-   ever pay the sprintf. The thunk must be pure — call sites let-bind any
-   mutable reads (counter values, version fields) {e before} building the
-   closure so the rendered text reflects emission-time state. *)
-let trl t site msg =
-  match t.trace with
-  | None -> ()
-  | Some trace ->
-      (* lint: trace-ok — [trl] is itself the guard: this branch only
-         exists when a trace is attached. *)
-      Trace.emit_deferred trace ~time:(Sim.now t.sim) ~site msg
-
-(* Hot-path guard: [tr] discards the format string without rendering it, but
-   its {e arguments} are still evaluated at the call site. Per-operation and
-   per-message traces below are wrapped in [if tracing t] so an untraced run
-   pays nothing — not even the counter lookups feeding the format args.
-   Tracing never affects scheduling, so guarded and unguarded runs produce
-   identical event schedules. *)
+(* Emit one trace event. Every call site sits under [if tracing t] (lint
+   R4), so an untraced run evaluates neither the format's arguments nor the
+   counter lookups feeding them, and renders nothing. Tracing never affects
+   scheduling, so traced and untraced runs produce identical event
+   schedules. [Printf.ksprintf] rather than [Format.kasprintf]: every [tr]
+   format uses only %s/%d/%g, where the two render identically, and Printf
+   skips the pretty-printing engine. *)
 let[@inline] tracing t = t.trace <> None
+
+let tr t site fmt =
+  Printf.ksprintf
+    (fun what ->
+      match t.trace with
+      | Some trace ->
+          (* lint: trace-ok — [tr] runs only under [if tracing t]; this is
+             the one emission. *)
+          Trace.emit trace ~time:(Sim.now t.sim) ~site what
+      | None -> ())
+    fmt
 
 let node_name t i =
   if i >= t.cfg.nodes then t.cs.(i - t.cfg.nodes).cs_name else t.nodes.(i).name
 
 (* The endpoint a node's protocol replies go to: its own shard's
-   coordinator. [cfg.nodes] at [shards = 1] — the historical value. *)
+   coordinator: [cfg.nodes] at [shards = 1]. *)
 let[@inline] coord_ep t node = t.cfg.nodes + node.shard
 
 (* ------------------------------------------------- oracle & counters *)
@@ -399,10 +387,10 @@ let live_bump t node version delta = Vwindow.add t.cs.(node.shard).cs_live versi
    confinement means a node only ever opens counter pairs with members of
    its own shard (cross-shard reads open {e self} pairs at the entry node),
    so the peer index into a row is the peer's offset inside the shard
-   block. At [shards = 1] this is the identity and rows are nodes-wide —
-   the historical layout. Keeping rows per-shard makes every counter
-   snapshot a poll reply carries O(per) instead of O(nodes), which is
-   where a sharded advancement's machine cost would otherwise hide. *)
+   block. At [shards = 1] this is the identity and rows are nodes-wide.
+   Keeping rows per-shard makes every counter snapshot a poll reply
+   carries O(per) instead of O(nodes), which is where a sharded
+   advancement's machine cost would otherwise hide. *)
 let[@inline] cnt_ix t node peer = peer - (node.shard * t.per_shard)
 
 (* R(v) node->dst : incremented before a request is issued. *)
@@ -613,9 +601,8 @@ let apply_decision t node ~txn_id ~commit =
             if commit then
               List.iter
                 (fun (key, op) ->
-                  ignore
-                    (Mvstore.write_exact node.store ~key ~version:p.p_version
-                       ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn));
+                  Mvstore.write_exact node.store ~key ~version:p.p_version
+                    ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn);
                   note_divergence t node op)
                 (List.rev p.p_buffered);
             bump_c t node ~version:p.p_version ~src:p.p_source;
@@ -624,10 +611,9 @@ let apply_decision t node ~txn_id ~commit =
                 Counters.c node.cnt ~version:p.p_version
                   ~src:(cnt_ix t node p.p_source)
               in
-              trl t node.name (fun () ->
-                  Printf.sprintf "nc subtx %s %s; C%d[%s->%s]=%d" p.p_label
-                    (if commit then "commits" else "aborts")
-                    p.p_version (node_name t p.p_source) node.name cv)
+              tr t node.name "nc subtx %s %s; C%d[%s->%s]=%d" p.p_label
+                (if commit then "commits" else "aborts")
+                p.p_version (node_name t p.p_source) node.name cv
             end
           end)
         (List.rev !ids);
@@ -695,10 +681,9 @@ let mirror_write t node p op =
           let rv =
             Counters.r node.cnt ~version:p.p_version ~dst:(cnt_ix t node peer)
           in
-          trl t node.name (fun () ->
-              Printf.sprintf "mirrors %s of tx %s to %s; R%d[%s->%s]=%d"
-                (Key.name (Op.key op)) p.p_label (node_name t peer) p.p_version node.name
-                (node_name t peer) rv)
+          tr t node.name "mirrors %s of tx %s to %s; R%d[%s->%s]=%d"
+            (Key.name (Op.key op)) p.p_label (node_name t peer) p.p_version node.name
+            (node_name t peer) rv
         end;
         send t ~src:node.id ~dst:peer
           (Mirror
@@ -719,22 +704,15 @@ let run_ops_commuting t node p ops =
             | None -> (-1, Value.empty)
           in
           if tracing t then
-            trl t node.name (fun () ->
-                Printf.sprintf "tx %s reads %s version %d" p.p_label
-                  (Key.name key) version_seen);
+            tr t node.name "tx %s reads %s version %d" p.p_label (Key.name key) version_seen;
           p.p_reads_rev <- (key, value) :: p.p_reads_rev
       | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
-          let info =
-            if t.cfg.dual_writes then
-              Mvstore.write_upward node.store ~key:(Op.key op)
-                ~version:p.p_version ~init:Value.empty
-                ~f:(Op.apply op ~txn:p.p_txn)
-            else
-              Mvstore.write_exact node.store ~key:(Op.key op)
-                ~version:p.p_version ~init:Value.empty
-                ~f:(Op.apply op ~txn:p.p_txn)
-          in
-          if info.Mvstore.versions_updated >= 2 then cstat t "store.dual_write";
+          if t.cfg.dual_writes then
+            Mvstore.write_upward node.store ~key:(Op.key op) ~version:p.p_version
+              ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn)
+          else
+            Mvstore.write_exact node.store ~key:(Op.key op) ~version:p.p_version
+              ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn);
           note_divergence t node op;
           mirror_write t node p op;
           if tracing t then begin
@@ -743,11 +721,10 @@ let run_ops_commuting t node p ops =
                 (fun v -> v >= p.p_version)
                 (Mvstore.versions_of node.store ~key:(Op.key op))
             in
-            trl t node.name (fun () ->
-                Printf.sprintf "tx %s updates %s version%s %s" p.p_label
-                  (Key.name (Op.key op))
-                  (if List.length versions > 1 then "s" else "")
-                  (pp_int_list (List.sort compare versions)))
+            tr t node.name "tx %s updates %s version%s %s" p.p_label
+              (Key.name (Op.key op))
+              (if List.length versions > 1 then "s" else "")
+              (pp_int_list (List.sort compare versions))
           end)
     ops
 
@@ -803,22 +780,18 @@ let spawn_children t node p (children : Spec.subtxn list) ~compensating =
             Counters.r node.cnt ~version:p.p_version
               ~dst:(cnt_ix t node child.Spec.node)
           in
-          trl t node.name (fun () ->
-              Printf.sprintf "subtx of %s issued to %s; R%d[%s->%s]=%d"
-                p.p_label
-                (node_name t child.Spec.node)
-                p.p_version node.name
-                (node_name t child.Spec.node)
-                rv)
+          tr t node.name "subtx of %s issued to %s; R%d[%s->%s]=%d" p.p_label
+            (node_name t child.Spec.node)
+            p.p_version node.name
+            (node_name t child.Spec.node)
+            rv
         end
       end
       else if tracing t then
-        trl t node.name (fun () ->
-            Printf.sprintf
-              "subtx of %s crosses to shard %d at %s (vector version %d)"
-              p.p_label child_shard
-              (node_name t child.Spec.node)
-              child_version);
+        tr t node.name "subtx of %s crosses to shard %d at %s (vector version %d)"
+          p.p_label child_shard
+          (node_name t child.Spec.node)
+          child_version;
       p.p_outstanding <- p.p_outstanding + 1;
       send t ~src:node.id ~dst:child.Spec.node
         (Subtxn
@@ -843,6 +816,38 @@ let section_name node p ~wave =
 
 (* --------------------------------------------------------- completion *)
 
+(* The three ways a subtransaction's termination leaves [maybe_finish]:
+   registering for a 2PC decision, reporting to the parent, and filling
+   the root's result. *)
+let register_awaiting node p =
+  match Hashtbl.find_opt node.nc_awaiting p.p_txn with
+  | Some ids -> ids := p.p_id :: !ids
+  | None -> Hashtbl.replace node.nc_awaiting p.p_txn (ref [ p.p_id ])
+
+let send_completion t node p (parent_node, parent_pid) =
+  send t ~src:node.id ~dst:parent_node
+    (Completion
+       {
+         pending_id = parent_pid;
+         child_label = p.p_label;
+         reads = reads_of p;
+         vote = p.p_vote;
+         nodes = p.p_nodes;
+       })
+
+let fill_result t node p rs outcome =
+  Ivar.fill rs.rs_result
+    {
+      Result.txn_id = p.p_txn;
+      outcome;
+      version = p.p_version;
+      served_by = node.id;
+      reads = reads_of p;
+      submit_time = rs.rs_submit_time;
+      root_commit_time = rs.rs_root_commit;
+      complete_time = Sim.now t.sim;
+    }
+
 (* A subtransaction "terminates" (paper §4.1 step 6 / Table 1 semantics)
    once its local work is done and all its children have terminated. *)
 let rec maybe_finish t node p =
@@ -850,42 +855,13 @@ let rec maybe_finish t node p =
     match (p.p_kind, p.p_root) with
     | Spec.Non_commuting, None ->
         (* Participant: send the vote up; await the root's decision. *)
-        let ids =
-          match Hashtbl.find_opt node.nc_awaiting p.p_txn with
-          | Some ids -> ids
-          | None ->
-              let ids = ref [] in
-              Hashtbl.replace node.nc_awaiting p.p_txn ids;
-              ids
-        in
-        ids := p.p_id :: !ids;
-        let parent_node, parent_pid =
-          match p.p_parent with
-          | Some pp -> pp
-          | None -> assert false
-        in
-        send t ~src:node.id ~dst:parent_node
-          (Completion
-             {
-               pending_id = parent_pid;
-               child_label = p.p_label;
-               reads = reads_of p;
-               vote = p.p_vote;
-               nodes = p.p_nodes;
-             })
+        register_awaiting node p;
+        send_completion t node p (Option.get p.p_parent)
     | Spec.Non_commuting, Some rs ->
         (* Root: decide, apply locally, broadcast the decision. The root is
            still registered, so [apply_decision] handles it too. *)
         let commit = p.p_vote = Vote_commit in
-        let ids =
-          match Hashtbl.find_opt node.nc_awaiting p.p_txn with
-          | Some ids -> ids
-          | None ->
-              let ids = ref [] in
-              Hashtbl.replace node.nc_awaiting p.p_txn ids;
-              ids
-        in
-        ids := p.p_id :: !ids;
+        register_awaiting node p;
         apply_decision t node ~txn_id:p.p_txn ~commit;
         List.iter
           (fun n ->
@@ -893,29 +869,13 @@ let rec maybe_finish t node p =
               send t ~src:node.id ~dst:n (Decision { txn_id = p.p_txn; commit }))
           p.p_nodes;
         if tracing t then
-          trl t node.name (fun () ->
-              Printf.sprintf "nc tx %s decision: %s" p.p_label
-                (if commit then "commit" else "abort"));
+          tr t node.name "nc tx %s decision: %s" p.p_label
+            (if commit then "commit" else "abort");
         cstat t (if commit then "txn.committed" else "txn.aborted");
-        let outcome =
-          if commit then Result.Committed
-          else
-            Result.Aborted
-              (match p.p_vote with
-              | Vote_abort reason -> reason
-              | Vote_commit -> "unknown")
-        in
-        Ivar.fill rs.rs_result
-          {
-            Result.txn_id = p.p_txn;
-            outcome;
-            version = p.p_version;
-            served_by = node.id;
-            reads = reads_of p;
-            submit_time = rs.rs_submit_time;
-            root_commit_time = rs.rs_root_commit;
-            complete_time = Sim.now t.sim;
-          }
+        fill_result t node p rs
+          (match p.p_vote with
+          | Vote_commit -> Result.Committed
+          | Vote_abort reason -> Result.Aborted reason)
     | Spec.Commuting, Some rs
       when p.p_vote <> Vote_commit && not rs.rs_compensated ->
         (* §3.2: some subtransaction of this commuting tree aborted. The
@@ -932,37 +892,26 @@ let rec maybe_finish t node p =
     | (Spec.Read_only | Spec.Commuting), _ ->
         Id_ring.remove node.pendings p.p_id;
         bump_c t node ~version:p.p_version ~src:p.p_source;
-        (match p.p_parent with
-        | Some (parent_node, parent_pid) ->
+        (match (p.p_parent, p.p_root) with
+        | Some parent, _ ->
             if tracing t then begin
               let cv =
                 Counters.c node.cnt ~version:p.p_version
                   ~src:(cnt_ix t node p.p_source)
               in
-              trl t node.name (fun () ->
-                  Printf.sprintf "subtx %s terminates; C%d[%s->%s]=%d"
-                    p.p_label p.p_version (node_name t p.p_source) node.name
-                    cv)
+              tr t node.name "subtx %s terminates; C%d[%s->%s]=%d" p.p_label
+                p.p_version (node_name t p.p_source) node.name cv
             end;
-            send t ~src:node.id ~dst:parent_node
-              (Completion
-                 {
-                   pending_id = parent_pid;
-                   child_label = p.p_label;
-                   reads = reads_of p;
-                   vote = p.p_vote;
-                   nodes = p.p_nodes;
-                 })
-        | None ->
-            let rs = match p.p_root with Some rs -> rs | None -> assert false in
+            send_completion t node p parent
+        | None, None -> assert false
+        | None, Some rs ->
             if tracing t then begin
               let cv =
                 Counters.c node.cnt ~version:p.p_version
                   ~src:(cnt_ix t node p.p_source)
               in
-              trl t node.name (fun () ->
-                  Printf.sprintf "tx %s is complete; C%d[%s->%s]=%d" p.p_label
-                    p.p_version node.name node.name cv)
+              tr t node.name "tx %s is complete; C%d[%s->%s]=%d" p.p_label
+                p.p_version node.name node.name cv
             end;
             (* Asynchronous clean-up of commute locks (§5). *)
             if t.cfg.nc_mode && p.p_kind = Spec.Commuting then
@@ -970,23 +919,11 @@ let rec maybe_finish t node p =
                 (fun n ->
                   send t ~src:node.id ~dst:n (Cleanup { txn_id = p.p_txn }))
                 p.p_nodes;
-            let outcome =
-              if rs.rs_compensated then Result.Aborted "compensated"
-              else Result.Committed
-            in
             cstat t
               (if rs.rs_compensated then "txn.compensated" else "txn.committed");
-            Ivar.fill rs.rs_result
-              {
-                Result.txn_id = p.p_txn;
-                outcome;
-                version = p.p_version;
-                served_by = node.id;
-                reads = reads_of p;
-                submit_time = rs.rs_submit_time;
-                root_commit_time = rs.rs_root_commit;
-                complete_time = Sim.now t.sim;
-              })
+            fill_result t node p rs
+              (if rs.rs_compensated then Result.Aborted "compensated"
+               else Result.Committed))
   end
 
 and handle_completion t node ~pending_id ~child_label ~reads ~vote ~nodes =
@@ -996,8 +933,7 @@ and handle_completion t node ~pending_id ~child_label ~reads ~vote ~nodes =
       (Printf.sprintf "Engine: completion for unknown pending %d at node %d"
          pending_id node.id);
   if tracing t then
-    trl t node.name (fun () ->
-        Printf.sprintf "completion notice for subtx %s arrives" child_label);
+    tr t node.name "completion notice for subtx %s arrives" child_label;
   p.p_reads_rev <- List.rev_append reads p.p_reads_rev;
   p.p_vote <- combine_vote p.p_vote vote;
   if tracks_nodes t p.p_kind then p.p_nodes <- merge_nodes p.p_nodes nodes;
@@ -1184,10 +1120,8 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
         rvec_arrived t node ~version:v;
         if tracing t then begin
           let rv = Counters.r node.cnt ~version:v ~dst:(cnt_ix t node node.id) in
-          trl t node.name (fun () ->
-              Printf.sprintf
-                "vectored read tx %s arrives; version %d; R%d[%s->%s]=%d"
-                label v v node.name node.name rv)
+          tr t node.name "vectored read tx %s arrives; version %d; R%d[%s->%s]=%d"
+            label v v node.name node.name rv
         end;
         v
     | None, Spec.Read_only ->
@@ -1195,9 +1129,8 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
         bump_r t node ~version:v ~dst:node.id;
         if tracing t then begin
           let rv = Counters.r node.cnt ~version:v ~dst:(cnt_ix t node node.id) in
-          trl t node.name (fun () ->
-              Printf.sprintf "read tx %s arrives; version %d; R%d[%s->%s]=%d"
-                label v v node.name node.name rv)
+          tr t node.name "read tx %s arrives; version %d; R%d[%s->%s]=%d" label v v
+            node.name node.name rv
         end;
         v
     | None, (Spec.Commuting | Spec.Non_commuting) ->
@@ -1205,9 +1138,8 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
         bump_r t node ~version:v ~dst:node.id;
         if tracing t then begin
           let rv = Counters.r node.cnt ~version:v ~dst:(cnt_ix t node node.id) in
-          trl t node.name (fun () ->
-              Printf.sprintf "update tx %s arrives; version %d; R%d[%s->%s]=%d"
-                label v v node.name node.name rv)
+          tr t node.name "update tx %s arrives; version %d; R%d[%s->%s]=%d" label v v
+            node.name node.name rv
         end;
         v
     | Some _, _ when vector <> None && source / t.per_shard <> node.shard ->
@@ -1222,19 +1154,15 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
         rvec_arrived t node ~version;
         if tracing t then begin
           let rv = Counters.r node.cnt ~version ~dst:(cnt_ix t node node.id) in
-          trl t node.name (fun () ->
-              Printf.sprintf
-                "entry subtx of %s arrives from %s; version %d; \
-                 R%d[%s->%s]=%d"
-                label (node_name t source) version version node.name node.name
-                rv)
+          tr t node.name
+            "entry subtx of %s arrives from %s; version %d; R%d[%s->%s]=%d"
+            label (node_name t source) version version node.name node.name rv
         end;
         version
     | Some _, _ ->
         if tracing t then
-          trl t node.name (fun () ->
-              Printf.sprintf "subtx of %s arrives from %s (version %d)" label
-                (node_name t source) version);
+          tr t node.name "subtx of %s arrives from %s (version %d)" label
+            (node_name t source) version;
         (* Version-codec precondition (paper §4's mod-3 reuse remark): every
            arriving version is within distance 1 of the receiver's anchor —
            [vr] on the read path, [vu] on the update path. *)
@@ -1359,17 +1287,14 @@ let handle_node_msg t node = function
          ones that must absorb the delta — and its counter pair is dropped,
          matching the sender whose R row for that version is gone too. *)
       let floor = Mvstore.gc_floor node.store in
-      ignore
-        (Mvstore.write_upward node.store ~key:(Op.key op)
-           ~version:(max version floor) ~init:Value.empty
-           ~f:(Op.apply op ~txn:txn_id));
+      Mvstore.write_upward node.store ~key:(Op.key op) ~version:(max version floor)
+        ~init:Value.empty ~f:(Op.apply op ~txn:txn_id);
       if version >= floor then
         Counters.incr_c node.cnt ~version ~src:(cnt_ix t node source);
       cstat t "repl.mirror_applies";
       if tracing t then
-        trl t node.name (fun () ->
-            Printf.sprintf "mirror from %s applies %s at version %d (floor %d)"
-              (node_name t source) (Key.name (Op.key op)) version floor)
+        tr t node.name "mirror from %s applies %s at version %d (floor %d)"
+          (node_name t source) (Key.name (Op.key op)) version floor
   | Do_gc { keep } ->
       (* A GC notice implies every node acknowledged read version [keep] in
          phase 3, so adopting it is always safe. Normally a no-op (phase 3
@@ -1474,52 +1399,21 @@ let watchdog_loop t cs () =
   in
   loop ()
 
-(* Poll participation under replication: every live shard member is
-   required, plus every member of a fully-dead group — quorum is lost
-   there, and the coordinator must wait for one of those replicas to
-   restart rather than excuse versions no surviving replica can vouch for.
-   Indexed by shard-relative member position ([0 .. cs_n)); groups never
-   straddle shards, so slicing the global requirement is exact. With
-   [replicas = 1] every member is required, which is exactly the
-   historical behavior (a crashed node blocks the wait until the channel's
-   retransmissions reach its restart). *)
+(* The shard members a coordinator wait needs a reply from, indexed by
+   member offset ([0 .. cs_n)). Under replication that is the quorum rule
+   ({!Repl.Quorum.required}): every live member, plus every member of a
+   fully-dead group, whose versions no surviving replica can vouch for.
+   Groups never straddle shards, so each shard's block is a union of whole
+   groups. With [replicas = 1] every member is required without a probe:
+   a crashed node blocks the wait until the channel's retransmissions
+   reach its restart. *)
 let poll_required t cs =
   if not (repl_on t) then Array.make cs.cs_n true
-  else if t.cfg.shards = 1 then begin
-    (* Single-shard: the historical global computation, preserved verbatim
-       because {!node_live} reads through the failure detector, whose
-       deadline refresh is stateful — the exact probe sequence is part of
-       the replay-stable schedule. *)
-    let live i = node_live t i in
-    if not (Repl.Quorum.met t.repl ~live) then cstat t "repl.quorum_lost";
-    Repl.Quorum.required t.repl ~live
-  end
   else begin
-    (* Sharded: probe each member once, then derive per-group death from
-       the memo — groups are [replicas]-sized blocks fully inside the
-       shard ([create] validates divisibility). *)
-    let lv = Array.init cs.cs_n (fun i -> node_live t (cs.cs_lo + i)) in
-    let req = Array.copy lv in
-    let gsize = t.cfg.replicas in
-    let lost = ref false in
-    let g = ref 0 in
-    while !g < cs.cs_n do
-      let any = ref false in
-      for m = !g to !g + gsize - 1 do
-        if lv.(m) then any := true
-      done;
-      if not !any then begin
-        lost := true;
-        (* A fully-dead group has no live representative; the poll must
-           wait for a restart rather than excuse versions no surviving
-           replica can vouch for: every member stays required. *)
-        for m = !g to !g + gsize - 1 do
-          req.(m) <- true
-        done
-      end;
-      g := !g + gsize
-    done;
-    if !lost then cstat t "repl.quorum_lost";
+    let req, lost =
+      Repl.Quorum.required t.repl ~lo:cs.cs_lo ~n:cs.cs_n ~live:(node_live t)
+    in
+    if lost then cstat t "repl.quorum_lost";
     req
   end
 
@@ -1548,98 +1442,75 @@ let excuse_suspected t cs ~required ~answered ~needed =
     if !needed <= 0 then send t ~src:cs.cs_id ~dst:cs.cs_id Coord_wake
   end
 
-(* Await one acknowledgement from every required node. [matches] returns
-   the sender for a matching ack; acks are counted per distinct node, so a
-   duplicate (watchdog re-broadcast, raw-mode duplicate) can never complete
-   a phase early — it is recorded under [proto.dup_acks]. Non-matching
-   coordinator inbox traffic (stale counter replies, acks of a superseded
-   phase) is counted under [proto.stale_msgs] instead of vanishing
-   silently. [resend i] re-sends the phase message to node [i] (watchdog
-   path). Acks from excused (crashed) replicas are still recorded if their
-   retransmitted phase message lands mid-wait. [acked]/[required] are
-   indexed by shard-relative member position; [matches] still returns
-   absolute node ids off the wire. *)
-let await_acks t cs ~what ~resend ~matches =
-  let n = cs.cs_n in
+(* Await one reply from every required member (see {!poll_required}):
+   the one wait behind every phase's acks and every counter poll.
+   [sender msg] is the node a reply this wait counts came from, or [-1]
+   for any other coordinator inbox traffic (acks of a superseded phase,
+   replies to a stale poll round), which is counted under
+   [proto.stale_msgs] instead of vanishing silently. Replies are counted
+   per distinct member, so a duplicate (watchdog re-send, raw-mode
+   duplicate) can never complete a wait early — it is recorded under
+   [proto.dup_acks]; [keep i msg] sees only member [i]'s first reply. A
+   reply from an excused (crashed) replica whose retransmitted request
+   lands mid-wait is still recorded. [answered] and [keep]'s index are
+   member offsets; [sender] returns absolute node ids off the wire, and
+   [resend i] re-sends the request to node [i] (watchdog path). *)
+let await_replies t cs ~what ~answered ~resend ~sender ~keep =
   let required = poll_required t cs in
-  let acked = Array.make n false in
   let needed = ref 0 in
   Array.iter (fun r -> if r then incr needed) required;
   watch_begin t cs ~what ~resend:(fun () ->
-      excuse_suspected t cs ~required ~answered:acked ~needed;
-      Array.iteri (fun i done_ -> if not done_ then resend (cs.cs_lo + i)) acked);
+      excuse_suspected t cs ~required ~answered ~needed;
+      Array.iteri (fun i done_ -> if not done_ then resend (cs.cs_lo + i)) answered);
   while !needed > 0 do
     match coord_recv t cs with
     | Coord_wake -> ()
-    | msg -> (
-        match matches msg with
-        | Some from
-          when from >= cs.cs_lo
-               && from < cs.cs_lo + n
-               && not acked.(from - cs.cs_lo) ->
-            acked.(from - cs.cs_lo) <- true;
-            if required.(from - cs.cs_lo) then decr needed
-        | Some _ -> cstat t "proto.dup_acks"
-        | None -> cstat t "proto.stale_msgs")
+    | msg ->
+        let i = sender msg - cs.cs_lo in
+        if i < 0 || i >= cs.cs_n then cstat t "proto.stale_msgs"
+        else if answered.(i) then cstat t "proto.dup_acks"
+        else begin
+          answered.(i) <- true;
+          keep i msg;
+          if required.(i) then decr needed
+        end
   done;
   watch_end cs
+
+(* A phase's acknowledgements: [matches] is the sender of a matching ack. *)
+let await_acks t cs ~what ~resend ~matches =
+  await_replies t cs ~what ~answered:(Array.make cs.cs_n false) ~resend ~sender:matches
+    ~keep:(fun _ _ -> ())
 
 (* One asynchronous poll of all R rows / C columns for [version]. Returns
    the round's buffer ({!Repl.Quorum.round}): each replying member's sparse
    R row and C column, and [replied.(i)] marking the members whose reply
    was folded in. Replies are matched on (epoch, round, version) — the
-   epoch namespaces rounds across coordinator restarts — and counted per
-   distinct node. The wait completes
-   once every {e required} node (see {!poll_required}) replied; a reply
-   from an excused crashed replica that restarts mid-round is folded in
-   anyway. *)
+   epoch namespaces rounds across coordinator restarts. *)
 let poll_counters t cs ~version =
   cs.cs_poll_round <- cs.cs_poll_round + 1;
   cstat t "proto.polls";
   let round = cs.cs_poll_round and epoch = cs.cs_epoch in
   let query = Counter_query { version; round; epoch } in
   broadcast t cs query;
-  let n = cs.cs_n and lo = cs.cs_lo in
-  let required = poll_required t cs in
   let rd = cs.cs_poll_bufs.(cs.cs_poll_round land 1) in
-  let got = rd.Repl.Quorum.replied in
-  Array.fill got 0 n false;
-  let needed = ref 0 in
-  Array.iter (fun req -> if req then incr needed) required;
-  watch_begin t cs
+  Array.fill rd.Repl.Quorum.replied 0 cs.cs_n false;
+  await_replies t cs
     ~what:(Printf.sprintf "counter poll round %d (version %d)" round version)
-    ~resend:(fun () ->
-      excuse_suspected t cs ~required ~answered:got ~needed;
-      Array.iteri
-        (fun i done_ ->
-          if not done_ then send t ~src:cs.cs_id ~dst:(lo + i) query)
-        got);
-  while !needed > 0 do
-    match coord_recv t cs with
-    | Counter_reply { from_node; version = v; round = r; epoch = ep; r_nz; c_nz }
-      when v = version && r = round && ep = epoch && from_node >= lo
-           && from_node < lo + n ->
-        let fi = from_node - lo in
-        if got.(fi) then cstat t "proto.dup_acks"
-        else begin
-          got.(fi) <- true;
+    ~answered:rd.replied
+    ~resend:(fun i -> send t ~src:cs.cs_id ~dst:i query)
+    ~sender:(function
+      | Counter_reply { from_node; version = v; round = r; epoch = ep; _ }
+        when v = version && r = round && ep = epoch -> from_node
+      | _ -> -1)
+    ~keep:(fun i -> function
+      | Counter_reply { r_nz; c_nz; _ } ->
           (* R(v)pq is stored at sender p; C(v)pq at executor q. Peer
              indices are shard-local (see {!cnt_ix}): peer [q] is the
              shard member at [lo + q]. *)
-          rd.rows.(fi) <- r_nz;
-          rd.cols.(fi) <- c_nz;
-          if required.(fi) then decr needed
-        end
-    | Coord_wake -> ()
-    (* lint: flow-ok — deliberately non-total: the coordinator inbox also
-       carries acks of superseded phases and replies to stale poll rounds,
-       and this arm is the designed sink that counts them under
-       [proto.stale_msgs] instead of dropping them silently. Node-bound
-       messages can never arrive here (the mailbox is the coordinator's
-       own endpoint). *)
-    | _ -> cstat t "proto.stale_msgs"
-  done;
-  watch_end cs;
+          rd.rows.(i) <- r_nz;
+          rd.cols.(i) <- c_nz
+      | _ -> ());
   rd
 
 (* Phase 2 / phase 4 core: poll until two consecutive polls are identical
@@ -1753,8 +1624,8 @@ let run_advancement t cs =
       ~resend:(fun i ->
         send t ~src:cs.cs_id ~dst:i (Start_advancement { vu_new }))
       ~matches:(function
-        | Adv_ack { from_node; vu } when vu = vu_new -> Some from_node
-        | _ -> None);
+        | Adv_ack { from_node; vu } when vu = vu_new -> from_node
+        | _ -> -1);
     if tracing t then
       tr t cs.cs_name "phase 1 complete: all nodes on update version %d" vu_new
   end;
@@ -1779,8 +1650,8 @@ let run_advancement t cs =
     await_acks t cs ~what:"phase 3 (advance-read acks)"
       ~resend:(fun i -> send t ~src:cs.cs_id ~dst:i (Advance_read { vr_new }))
       ~matches:(function
-        | Read_ack { from_node; vr } when vr = vr_new -> Some from_node
-        | _ -> None);
+        | Read_ack { from_node; vr } when vr = vr_new -> from_node
+        | _ -> -1);
     if tracing t then
       tr t cs.cs_name "phase 3 complete: read version is %d" vr_new;
     (match t.rvec with
@@ -1804,8 +1675,8 @@ let run_advancement t cs =
     await_acks t cs ~what:"phase 4 (gc acks)"
       ~resend:(fun i -> send t ~src:cs.cs_id ~dst:i (Do_gc { keep = vr_new }))
       ~matches:(function
-        | Gc_ack { from_node; keep } when keep = vr_new -> Some from_node
-        | _ -> None);
+        | Gc_ack { from_node; keep } when keep = vr_new -> from_node
+        | _ -> -1);
   if tracing t then
     tr t cs.cs_name "phase 4 complete: version %d garbage-collected" vr_old;
   Coord_log.append cs.cs_clog (Coord_log.Committed { adv; time = Sim.now t.sim });
@@ -1868,7 +1739,11 @@ let coordinator_loop t cs () =
     drain ();
     drive ();
     List.iter
-      (function Some ivar -> Ivar.fill ivar () | None -> ())
+      (function
+        | Some c ->
+            c.c_left <- c.c_left - 1;
+            if c.c_left = 0 then Ivar.fill c.c_done ()
+        | None -> ())
       !replies;
     loop ()
   in
@@ -2038,7 +1913,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
     else begin
       let hb =
         Heartbeat.create sim ~size:(cfg.nodes + 1) ~monitor:cfg.nodes
-          ~period:cfg.hb_period ~latency:cfg.latency ()
+          ~latency:cfg.latency ()
       in
       Injector.install_hb faults (Heartbeat.network hb);
       let det =
@@ -2205,9 +2080,9 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
             loop ()
           in
           loop ()));
-  (* Coordinators — one fiber per shard. At [shards = 1] the fiber name is
-     the historical "coordinator" so the spawn schedule (and hence every
-     golden digest) is byte-identical to the single-coordinator engine. *)
+  (* Coordinators — one fiber per shard. At [shards = 1] the fiber is
+     named "coordinator", and its trace site "coord", as the paper's one
+     coordinator. *)
   Array.iter
     (fun cs ->
       let name =
@@ -2412,25 +2287,9 @@ let packed t =
       t )
 
 let advance t =
-  let ivar = Ivar.create () in
-  if t.cfg.shards = 1 then Mailbox.send t.cs.(0).cs_trigger (Some ivar)
-  else begin
-    (* Trigger every shard and fill the caller's ivar once all have
-       completed a round; per-shard ivars are joined by a collector
-       fiber so the caller still gets one completion signal. *)
-    let parts =
-      Array.map
-        (fun cs ->
-          let part = Ivar.create () in
-          Mailbox.send cs.cs_trigger (Some part);
-          part)
-        t.cs
-    in
-    Sim.spawn t.sim ~name:"advance-join" (fun () ->
-        Array.iter (fun part -> Ivar.read t.sim part) parts;
-        Ivar.fill ivar ())
-  end;
-  ivar
+  let c = { c_left = t.cfg.shards; c_done = Ivar.create () } in
+  Array.iter (fun cs -> Mailbox.send cs.cs_trigger (Some c)) t.cs;
+  c.c_done
 
 let check_node t i ctx =
   if i < 0 || i >= t.cfg.nodes then
@@ -2460,9 +2319,6 @@ let inject_crash t ~node ~at ~restart =
   check_node t node "inject_crash";
   Injector.crash t.faults ~node ~at ~restart
 
-let inject_coord_crash t ~at ~restart =
-  Injector.coord_crash t.faults ~at ~restart
-
 let coord_log t = t.cs.(0).cs_clog
 
 let shard_count t = t.cfg.shards
@@ -2487,12 +2343,9 @@ let node_readable t ~node =
   check_node t node "node_readable";
   replica_readable t node
 
-let detector t = Option.map (fun fd -> fd.det) t.fd
-
 let advancements_completed t =
   Array.fold_left (fun acc cs -> acc + cs.cs_advancements) 0 t.cs
 let messages_sent t = Network.messages_sent t.net
-let remote_messages_sent t = Network.remote_messages_sent t.net
 let delivered_seen_size t = Network.delivered_seen_size t.net
 
 let max_versions_ever t =

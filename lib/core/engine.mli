@@ -31,8 +31,8 @@
     {b Coordinator crash tolerance}: every phase entry is recorded in a
     durable write-ahead log ({!Coord_log}) before its first message goes
     out, and every phase is idempotent on the node side, so a coordinator
-    fail-stop crash (inject with {!inject_coord_crash} or a
-    {!Fault.Plan.coord_crash} entry) loses only volatile progress: on
+    fail-stop crash (a {!Fault.Plan.coord_crash} entry or
+    {!Fault.Injector.coord_crash}) loses only volatile progress: on
     restart the coordinator replays the log and re-drives the in-flight
     advancement from its last logged phase. Counter polls are namespaced by
     a restart epoch so pre-crash replies can never satisfy a post-restart
@@ -67,8 +67,8 @@ type config = {
           ({!submit} rejects cross-shard update trees); read-only
           transactions may span shards and are assigned a consistent
           {e read vector} of per-shard read versions at submission (see
-          {!read_vector}). The default [1] reproduces the historical
-          single-coordinator engine byte-for-byte. *)
+          {!read_vector}). The default [1] is the one-shard case of the
+          same engine: one coordinator over all nodes, as in the paper. *)
   replicas : int;
       (** replication factor [k] (1 ≤ k ≤ nodes): nodes are partitioned
           into groups of [k] consecutive replicas ({!Repl.Placement});
@@ -195,8 +195,9 @@ include Txn.Engine_intf.S with type t := t
 val packed : t -> Txn.Engine_intf.packed
 
 (** [advance t] triggers one full version advancement (all four phases,
-    including garbage collection); the IVar fills when it finishes. Safe to
-    call regardless of policy; concurrent triggers queue. *)
+    including garbage collection) in every shard; the IVar fills when the
+    last shard finishes. Safe to call regardless of policy; concurrent
+    triggers queue. *)
 val advance : t -> unit Simul.Ivar.t
 
 (** Current update version at a node. *)
@@ -231,20 +232,10 @@ val inject_pause : t -> node:int -> at:float -> duration:float -> unit
     good. Thin wrapper over {!Fault.Injector.crash}. *)
 val inject_crash : t -> node:int -> at:float -> restart:float -> unit
 
-(** [inject_coord_crash t ~at ~restart] fail-stops the {e coordinator}
-    during [[at, restart)): its traffic is dropped and its volatile phase
-    progress (ack tallies, poll round, armed watchdog) is lost. At
-    [restart] it replays its write-ahead log, bumps its poll epoch, and
-    re-drives the in-flight advancement from the last logged phase; nodes
-    treat the re-driven messages idempotently. Thin wrapper over
-    {!Fault.Injector.coord_crash}.
-    @raise Invalid_argument if [restart <= at]. *)
-val inject_coord_crash : t -> at:float -> restart:float -> unit
-
 (** The coordinator's write-ahead log, for inspection by tests and
     experiments (e.g. to read phase-boundary times of a reference run).
     With [shards > 1] this is {e shard 0's} log — the injectable
-    coordinator ({!inject_coord_crash} targets shard 0, the
+    coordinator (a coordinator crash targets shard 0, the
     "coordinator-of-one-shard" failure case). *)
 val coord_log : t -> Coord_log.t
 
@@ -281,12 +272,6 @@ val injector : t -> Fault.Injector.t
     singleton group. *)
 val placement : t -> Repl.Placement.t
 
-(** The failure detector's suspicion state machine, when the heartbeat
-    subsystem is on ([config.hb_period > 0]); [None] otherwise. For
-    inspection by tests and experiments (suspicion/recovery accounting also
-    surfaces in {!stats} under ["fd.*"]). *)
-val detector : t -> Fd.Detector.t option
-
 (** [node_readable t ~node] — the readable-after-recovery gate: [true] iff
     [node] may serve reads right now. A node that never crashed is always
     readable; a recovered replica becomes readable once its catch-up
@@ -298,9 +283,6 @@ val node_readable : t -> node:int -> bool
 
 (** Total messages sent on the underlying network so far. *)
 val messages_sent : t -> int
-
-(** Remote (inter-node) messages only. *)
-val remote_messages_sent : t -> int
 
 (** Number of (src, dst, seq) records currently held by the protocol
     network's duplicate-delivery filter. Only the reliable channel feeds

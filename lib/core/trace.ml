@@ -3,32 +3,22 @@ type event = { time : float; site : string; what : string }
 (* Bounded ring buffer. [buf] grows geometrically up to [cap]; once full,
    [emit] overwrites the oldest slot in O(1). [start] is the index of the
    oldest retained event, [len] the retained count, [total] every event ever
-   emitted (retained or evicted). The dummy cell fills unused slots so they
-   never pin evicted events against the GC.
-
-   Cells hold the message as a [string Lazy.t]: a traced bench run emits
-   orders of magnitude more events than the ring retains, so rendering at
-   emission time would mostly format strings that are evicted unread.
-   [emit_deferred] stores the closure and only the retained suffix ever
-   pays the sprintf — readers force on access (memoised, so repeated reads
-   render once). [emit] keeps strict semantics via [Lazy.from_val]. *)
-type cell = { c_time : float; c_site : string; c_msg : string Lazy.t }
-
+   emitted (retained or evicted). The dummy event fills unused slots so they
+   never pin evicted events against the GC. *)
 type t = {
   cap : int;
-  sink : (event -> unit) option;
-  mutable buf : cell array;
+  mutable buf : event array;
   mutable start : int;
   mutable len : int;
   mutable total : int;
 }
 
-let dummy_cell = { c_time = 0.; c_site = ""; c_msg = Lazy.from_val "" }
+let dummy = { time = 0.; site = ""; what = "" }
 let default_capacity = 65_536
 
-let create ?(capacity = default_capacity) ?sink () =
+let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { cap = capacity; sink; buf = [||]; start = 0; len = 0; total = 0 }
+  { cap = capacity; buf = [||]; start = 0; len = 0; total = 0 }
 
 let capacity t = t.cap
 let length t = t.len
@@ -39,14 +29,15 @@ let dropped t = t.total - t.len
 let grow t =
   let old = Array.length t.buf in
   let ncap = if old = 0 then min t.cap 256 else min t.cap (old * 2) in
-  let nbuf = Array.make ncap dummy_cell in
+  let nbuf = Array.make ncap dummy in
   for i = 0 to t.len - 1 do
     nbuf.(i) <- t.buf.((t.start + i) mod old)
   done;
   t.buf <- nbuf;
   t.start <- 0
 
-let store t c =
+let emit t ~time ~site what =
+  let c = { time; site; what } in
   let size = Array.length t.buf in
   if t.len = size && size < t.cap then grow t;
   let size = Array.length t.buf in
@@ -61,25 +52,10 @@ let store t c =
   end;
   t.total <- t.total + 1
 
-let emit t ~time ~site what =
-  (match t.sink with Some f -> f { time; site; what } | None -> ());
-  store t { c_time = time; c_site = site; c_msg = Lazy.from_val what }
-
-let emit_deferred t ~time ~site msg =
-  match t.sink with
-  | Some _ ->
-      (* A sink observes every event at emission time, evicted or not, so
-         deferral buys nothing here: render now and keep the contract. *)
-      emit t ~time ~site (msg ())
-  | None -> store t { c_time = time; c_site = site; c_msg = Lazy.from_fun msg }
-
-let[@inline] force_cell c =
-  { time = c.c_time; site = c.c_site; what = Lazy.force c.c_msg }
-
 let iter t f =
   let size = Array.length t.buf in
   for i = 0 to t.len - 1 do
-    f (force_cell t.buf.((t.start + i) mod size))
+    f t.buf.((t.start + i) mod size)
   done
 
 let events t =
@@ -88,7 +64,7 @@ let events t =
   List.rev !acc
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) dummy_cell;
+  Array.fill t.buf 0 (Array.length t.buf) dummy;
   t.start <- 0;
   t.len <- 0;
   t.total <- 0

@@ -9,9 +9,8 @@
     Storage is a {e bounded ring buffer}: append and [length] are O(1) and
     memory is O(capacity) regardless of run length, so tracing a 10^6-event
     run cannot exhaust the heap. Once [capacity] events are retained, each
-    new event evicts the oldest; an optional [sink] observes {e every} event
-    at emission time (before any eviction), for callers that want to stream
-    the full firehose to a file or an aggregator. *)
+    new event evicts the oldest. An event's text is rendered when it is
+    emitted; an untraced engine renders none. *)
 
 type event = {
   time : float;
@@ -24,11 +23,10 @@ type t
 (** Default ring capacity: 65536 events. *)
 val default_capacity : int
 
-(** [create ?capacity ?sink ()] is an empty trace retaining at most
-    [capacity] (default {!default_capacity}) events. [sink] is invoked on
-    every emitted event, including those later evicted from the ring.
+(** [create ?capacity ()] is an empty trace retaining at most [capacity]
+    (default {!default_capacity}) events.
     @raise Invalid_argument if [capacity <= 0]. *)
-val create : ?capacity:int -> ?sink:(event -> unit) -> unit -> t
+val create : ?capacity:int -> unit -> t
 
 (** The ring capacity the trace was created with. *)
 val capacity : t -> int
@@ -36,16 +34,6 @@ val capacity : t -> int
 (** [emit t ~time ~site what] appends an event, evicting the oldest if the
     ring is full. O(1). *)
 val emit : t -> time:float -> site:string -> string -> unit
-
-(** [emit_deferred t ~time ~site msg] appends an event whose message is
-    rendered by [msg ()] only if the event is still retained when read —
-    evicted events never pay the formatting cost, which is most of them on
-    a traced bench run. [msg] must be pure: capture the values it formats
-    at the call site (not mutable state), because it runs later, at most
-    once, and only for retained events. With a [sink] attached the message
-    is rendered immediately (the sink observes every event at emission),
-    so deferral never changes what a sink sees. *)
-val emit_deferred : t -> time:float -> site:string -> (unit -> string) -> unit
 
 (** Retained events in emission order (oldest first). Allocates a fresh
     list; prefer {!iter} in loops. *)

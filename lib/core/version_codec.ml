@@ -16,5 +16,3 @@ let decode ~near code =
   with
   | Some v -> v
   | None -> invalid_arg "Version_codec.decode: no candidate within distance 1"
-
-let roundtrips ~near v = v >= 0 && abs (v - near) <= 1 && decode ~near (encode v) = v

@@ -33,7 +33,3 @@ val encode : int -> int
     @raise Invalid_argument if [code] is out of range or no nonnegative
     candidate within distance 1 exists (a protocol-invariant violation). *)
 val decode : near:int -> int -> int
-
-(** [roundtrips ~near v] is [decode ~near (encode v) = v]; holds exactly
-    when [v >= 0] and [|v - near| <= 1]. *)
-val roundtrips : near:int -> int -> bool

@@ -75,9 +75,6 @@ let create ?(config = default_config) ~nodes ~now () =
     heartbeats = 0;
   }
 
-let config t = t.cfg
-let nodes t = Array.length t.peers
-
 (* Lazily roll a peer's deadline clock forward to [now]: every expired
    deadline is one "miss". The first miss moves a trusted (or freshly
    recovered) peer to [Suspected]; [confirm_misses] consecutive misses

@@ -39,12 +39,6 @@ type t
     malformed configuration. *)
 val create : ?config:config -> nodes:int -> now:float -> unit -> t
 
-(** The configuration the detector was built with. *)
-val config : t -> config
-
-(** Number of monitored peers. *)
-val nodes : t -> int
-
 (** [heartbeat t ~node ~now] records a heartbeat arrival from [node] at
     [now]: refutes any standing suspicion, folds the inter-arrival gap into
     the adaptive horizon, and re-arms the deadline. *)

@@ -33,7 +33,7 @@ let drive sim engine gen (setup : setup) =
   let inflight : (Spec.t * Result.t Ivar.t) list ref = ref [] in
   let submitted = ref 0 in
   let start = Sim.now sim in
-  let in_flight_series = Stats.Series.create ~name:"in-flight" () in
+  let in_flight_series = Stats.Series.create () in
   (* The sampler owns a pruned list of not-yet-resolved ivars: resolution is
      monotone, so once an ivar is observed full it can never count again and
      is dropped. Scanning all of [inflight] every tick instead would make the

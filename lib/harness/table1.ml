@@ -60,9 +60,8 @@ let scripted_links () =
 (* Initial state of Figure 2: A,B at p; D,E at q; F at s — all version 0. *)
 let preload engine =
   let put node key =
-    ignore
-      (Mvstore.write_exact (Engine.store engine ~node) ~key:(Store.Key.intern key)
-         ~version:0 ~init:Value.empty ~f:Fun.id)
+    Mvstore.write_exact (Engine.store engine ~node) ~key:(Store.Key.intern key) ~version:0
+      ~init:Value.empty ~f:Fun.id
   in
   put p "A";
   put p "B";

@@ -226,14 +226,11 @@ let r4_is_emit (fn : Parsetree.expression) =
   match fn.Parsetree.pexp_desc with
   | Parsetree.Pexp_ident { txt; _ } -> (
       match lid_str txt with
-      | "tr" | "trl" -> true
+      | "tr" -> true
       | s ->
-          let suffix sfx =
-            let n = String.length sfx in
-            String.length s >= n
-            && String.sub s (String.length s - n) n = sfx
-          in
-          suffix "Trace.emit" || suffix "Trace.emit_deferred")
+          let sfx = "Trace.emit" in
+          let n = String.length sfx in
+          String.length s >= n && String.sub s (String.length s - n) n = sfx)
   | _ -> false
 
 (* Does [e] mention, anywhere, an identifier whose last segment is [seg]?

@@ -9,27 +9,21 @@ module Sim = Simul.Sim
 type t = {
   net : int Network.t;
   monitor : int;
-  period : float;
   mutable sent : int;
   mutable received : int;
 }
 
-let create sim ~size ~monitor ~period ~latency () =
-  if period <= 0. then
-    invalid_arg "Heartbeat.create: period must be positive";
+let create sim ~size ~monitor ~latency () =
   if monitor < 0 || monitor >= size then
     invalid_arg "Heartbeat.create: monitor endpoint out of range";
   {
     net = Network.create sim ~size ~latency ();
     monitor;
-    period;
     sent = 0;
     received = 0;
   }
 
 let network t = t.net
-let monitor t = t.monitor
-let period t = t.period
 
 let beat t ~node =
   t.sent <- t.sent + 1;

@@ -10,28 +10,14 @@
 
 type t
 
-(** [create sim ~size ~monitor ~period ~latency ()] builds the side network
-    with [size] endpoints, delivering beats to [monitor]. [period] is the
-    intended send cadence (recorded for introspection; the owner runs the
-    send loops). *)
-val create :
-  Simul.Sim.t ->
-  size:int ->
-  monitor:int ->
-  period:float ->
-  latency:Latency.t ->
-  unit ->
-  t
+(** [create sim ~size ~monitor ~latency ()] builds the side network with
+    [size] endpoints, delivering beats to [monitor]. The owner runs the
+    send loops. *)
+val create : Simul.Sim.t -> size:int -> monitor:int -> latency:Latency.t -> unit -> t
 
 (** The underlying network — exposed so a fault injector can install its
     heartbeat-class filter on it. *)
 val network : t -> int Network.t
-
-(** The monitor endpoint id beats are addressed to. *)
-val monitor : t -> int
-
-(** The intended send cadence. *)
-val period : t -> float
 
 (** [beat t ~node] sends one heartbeat from [node] to the monitor. *)
 val beat : t -> node:int -> unit

@@ -16,8 +16,3 @@ let mean = function
   | Constant d -> Float.max 0. d
   | Uniform (lo, hi) -> Float.max 0. ((lo +. hi) /. 2.)
   | Exponential m -> Float.max 0. m
-
-let pp ppf = function
-  | Constant d -> Format.fprintf ppf "constant(%g)" d
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform(%g,%g)" lo hi
-  | Exponential m -> Format.fprintf ppf "exp(%g)" m

@@ -14,6 +14,3 @@ val sample : t -> Random.State.t -> float
 
 (** Mean of the model's distribution. *)
 val mean : t -> float
-
-(** Prints the model and its parameters, e.g. "uniform(0.01,0.05)". *)
-val pp : Format.formatter -> t -> unit

@@ -9,7 +9,6 @@ let create ~nodes ~replicas =
   { nodes; k = replicas }
 
 let nodes t = t.nodes
-let replicas t = t.k
 let group_count t = (t.nodes + t.k - 1) / t.k
 let group_of_node t node =
   if node < 0 || node >= t.nodes then
@@ -32,30 +31,3 @@ let failover_order t node =
   let ms = members t (group_of_node t node) in
   let after, before = List.partition (fun m -> m >= node) ms in
   after @ before
-
-(* FNV-1a over the key bytes: deterministic across runs and OCaml versions
-   (unlike [Hashtbl.hash], whose output is version-defined but which the
-   project reserves for unordered-container internals). *)
-let key_hash key =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun ch ->
-      h := !h lxor Char.code ch;
-      h := !h * 0x01000193 land 0x3FFFFFFF)
-    key;
-  !h
-
-let group_of_key t key = key_hash key mod group_count t
-
-let home_of_key t key = group_of_key t key * t.k
-
-let serving_replica t ~live node =
-  let rec first = function
-    | [] -> None
-    | m :: rest -> if live m then Some m else first rest
-  in
-  first (failover_order t node)
-
-let pp ppf t =
-  Format.fprintf ppf "placement(n=%d k=%d groups=%d)" t.nodes t.k
-    (group_count t)

@@ -1,12 +1,12 @@
-(** Deterministic key-to-replica-group placement.
+(** Deterministic node-to-replica-group placement.
 
     The [nodes] data nodes are partitioned into groups of [replicas]
     consecutive nodes: group [g] owns nodes [g*k .. min((g+1)*k, n)-1]
     (the last group may be smaller when [k] does not divide [n]). Every
     commuting update addressed to a node is applied at every live member of
     that node's group; reads fail over along {!failover_order}. With
-    [replicas = 1] every group is a singleton and the placement degenerates
-    to the historical one-home-node-per-key layout. *)
+    [replicas = 1] every group is a singleton: each node is its keys' only
+    home, as the workload placed them. *)
 
 type t
 
@@ -15,9 +15,6 @@ val create : nodes:int -> replicas:int -> t
 
 (** Number of data nodes the placement covers. *)
 val nodes : t -> int
-
-(** Replication factor [k]. *)
-val replicas : t -> int
 
 (** Number of replica groups, [ceil (nodes / k)]. *)
 val group_count : t -> int
@@ -34,19 +31,3 @@ val peers : t -> int -> int list
 (** [failover_order t i] is [i]'s group rotated to start at [i]: the
     deterministic order in which a read addressed to [i] tries replicas. *)
 val failover_order : t -> int -> int list
-
-(** Deterministic FNV-1a hash of a key's bytes (stable across runs). *)
-val key_hash : string -> int
-
-(** [group_of_key t key] assigns [key] to a group by {!key_hash}. *)
-val group_of_key : t -> string -> int
-
-(** First member of [key]'s group — its home node under the placement. *)
-val home_of_key : t -> string -> int
-
-(** [serving_replica t ~live i] is the first node in [failover_order t i]
-    for which [live] holds, or [None] when the whole group is down. *)
-val serving_replica : t -> live:(int -> bool) -> int -> int option
-
-(** Human-readable one-liner for reports. *)
-val pp : Format.formatter -> t -> unit

@@ -1,26 +1,14 @@
-let met placement ~live =
-  let rec groups g =
-    g >= Placement.group_count placement
-    || List.exists live (Placement.members placement g)
-       && groups (g + 1)
-  in
-  groups 0
-
-let dead_groups placement ~live =
-  List.filter
-    (fun g -> not (List.exists live (Placement.members placement g)))
-    (List.init (Placement.group_count placement) (fun g -> g))
-
-let required placement ~live =
-  let n = Placement.nodes placement in
-  let req = Array.init n live in
-  (* A fully-dead group has no live representative; the poll must then wait
-     for one of its members to restart rather than excuse them all, so every
-     member stays required. *)
-  List.iter
-    (fun g -> List.iter (fun m -> req.(m) <- true) (Placement.members placement g))
-    (dead_groups placement ~live);
-  req
+let required placement ~lo ~n ~live =
+  let req = Array.init n (fun i -> live (lo + i)) in
+  let g0 = Placement.group_of_node placement lo in
+  let group i = Placement.group_of_node placement (lo + i) - g0 in
+  let any_live = Array.make (group (n - 1) + 1) false in
+  Array.iteri (fun i l -> if l then any_live.(group i) <- true) req;
+  (* A fully-dead group has no live representative; the wait must then
+     hold out for one of its members to restart rather than excuse them
+     all, so every member stays required. *)
+  Array.iteri (fun i _ -> if not any_live.(group i) then req.(i) <- true) req;
+  (req, Array.exists not any_live)
 
 let count_bits = 40
 let entry ~peer ~count = (peer lsl count_bits) lor count

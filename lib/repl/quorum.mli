@@ -1,26 +1,26 @@
 (** Quorum rules for group-aware counter polling.
 
     Version advancement tolerates up to [k-1] crashed replicas per group: a
-    counter poll completes once every {e required} node replied, where a
-    node is required iff it is live or its whole group is down (a fully-dead
-    group blocks advancement — excusing it would declare versions consistent
-    that no surviving replica can vouch for). Counter-matrix agreement is
+    coordinator wait completes once every {e required} member of its shard
+    replied, where a node is required iff it is live or its whole group is
+    down (a fully-dead group blocks advancement — excusing it would declare
+    versions consistent that no surviving replica can vouch for). That is
+    the one requirement rule; every shard count uses it, the single shard
+    being the block [[0, nodes)]. Counter-matrix agreement is
     likewise restricted to pairs of considered nodes: an R bump at a live
     sender whose mirrored update is still in flight to a crashed replica is
     excused, because the reliable channel retransmits the mirror until the
     replica restarts and the readable-after-recovery rule keeps that replica
     from serving reads before its counters balance again. *)
 
-(** [met placement ~live] holds when every group has ≥ 1 live member. *)
-val met : Placement.t -> live:(int -> bool) -> bool
-
-(** Groups with zero live members, ascending. *)
-val dead_groups : Placement.t -> live:(int -> bool) -> int list
-
-(** [required placement ~live] is the per-node poll-participation vector:
-    [req.(i)] iff node [i]'s reply must be awaited (live, or member of a
-    fully-dead group). *)
-val required : Placement.t -> live:(int -> bool) -> bool array
+(** [required placement ~lo ~n ~live] is the requirement over the block of
+    [n] nodes from [lo], a union of whole replica groups (a shard):
+    [(req, lost)] where [req.(i)] holds iff node [lo + i]'s reply must be
+    awaited — it is live, or no member of its group is — and [lost] iff
+    some group of the block has no live member. [live] is probed once per
+    node, in ascending order. *)
+val required :
+  Placement.t -> lo:int -> n:int -> live:(int -> bool) -> bool array * bool
 
 (** {2 Sparse counter vectors}
 

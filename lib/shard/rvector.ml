@@ -41,7 +41,6 @@ let create ~shards ~init_vr =
     assigned = 0;
   }
 
-let shards t = t.shards
 
 let check_shard t s ctx =
   if s < 0 || s >= t.shards then

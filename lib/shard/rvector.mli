@@ -24,9 +24,6 @@ type t
     @raise Invalid_argument if [shards < 1]. *)
 val create : shards:int -> init_vr:int -> t
 
-(** Shard count the service was created with. *)
-val shards : t -> int
-
 (** [publish t ~shard ~vr] raises the shard's published read version
     (monotone: lower values are ignored).
     @raise Invalid_argument if [shard] is out of range. *)

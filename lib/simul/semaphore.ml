@@ -31,6 +31,3 @@ let with_permit sim s f =
   | exception exn ->
       release s;
       raise exn
-
-let available s = s.permits
-let waiting s = Queue.length s.waiters

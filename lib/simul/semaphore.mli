@@ -26,10 +26,3 @@ val release : t -> unit
 (** [with_permit sim s f] runs [f ()] holding a permit, releasing it even if
     [f] raises. *)
 val with_permit : Sim.t -> t -> (unit -> 'a) -> 'a
-
-(** Currently available permits. *)
-val available : t -> int
-
-(** Number of processes blocked in {!acquire} and callbacks queued by
-    {!acquire_then}. *)
-val waiting : t -> int

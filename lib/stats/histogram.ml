@@ -66,7 +66,6 @@ let add h x =
   h.counts.(b) <- h.counts.(b) + 1
 
 let count h = Summary.count h.summary
-let mean h = Summary.mean h.summary
 let max h = if count h = 0 then 0. else Summary.max h.summary
 let min h = if count h = 0 then 0. else Summary.min h.summary
 

@@ -31,9 +31,6 @@ val bound_of : t -> int -> float
 (** Number of observations recorded. *)
 val count : t -> int
 
-(** Exact mean of the observations (tracked outside the buckets). *)
-val mean : t -> float
-
 (** Exact largest observation; [neg_infinity] when empty. *)
 val max : t -> float
 

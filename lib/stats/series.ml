@@ -1,7 +1,6 @@
-type t = { sname : string; mutable pts : (float * float) list; mutable n : int }
+type t = { mutable pts : (float * float) list; mutable n : int }
 
-let create ?(name = "") () = { sname = name; pts = []; n = 0 }
-let name s = s.sname
+let create () = { pts = []; n = 0 }
 
 let add s ~x ~y =
   s.pts <- (x, y) :: s.pts;

@@ -5,11 +5,8 @@
 
 type t
 
-(** [create ?name ()] is an empty series (default name [""]). *)
-val create : ?name:string -> unit -> t
-
-(** The name given at creation. *)
-val name : t -> string
+(** [create ()] is an empty series. *)
+val create : unit -> t
 
 (** [add s ~x ~y] appends a point. [x] values are expected nondecreasing but
     this is not enforced. *)

@@ -19,7 +19,6 @@ let add s x =
 let count s = s.n
 let mean s = if s.n = 0 then 0. else s.mean
 let variance s = if s.n < 2 then 0. else s.m2 /. float_of_int (s.n - 1)
-let stddev s = sqrt (variance s)
 let min s = s.mn
 let max s = s.mx
 let total s = s.mean *. float_of_int s.n
@@ -43,9 +42,3 @@ let merge a b =
       mx = Float.max a.mx b.mx;
     }
   end
-
-let pp ppf s =
-  if s.n = 0 then Format.fprintf ppf "n=0"
-  else
-    Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" s.n (mean s)
-      (stddev s) s.mn s.mx

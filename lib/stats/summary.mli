@@ -31,6 +31,3 @@ val total : t -> float
 
 (** [merge a b] is a summary equivalent to observing both streams. *)
 val merge : t -> t -> t
-
-(** "n=… mean=… sd=… min=… max=…" one-liner. *)
-val pp : Format.formatter -> t -> unit

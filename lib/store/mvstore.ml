@@ -35,12 +35,6 @@ type 'v t = {
   mutable gc_floor : int;
 }
 
-type write_info = {
-  created_copy : bool;
-  versions_updated : int;
-  created_item : bool;
-}
-
 let create () =
   {
     items = [||];
@@ -141,8 +135,7 @@ let rec insert_desc version value = function
 (* Ensure x(version) exists, per §4.1 step 4: copy from the max existing
    version ≤ version, or materialize [init] for a brand-new item. *)
 let ensure_version t item version init =
-  if has_version version item.versions then (false, false)
-  else begin
+  if not (has_version version item.versions) then begin
     let created_item = match item.versions with [] -> true | _ :: _ -> false in
     let seed =
       match visible version item.versions with
@@ -155,8 +148,7 @@ let ensure_version t item version init =
     if (not item.listed) && needs_gc t item then begin
       item.listed <- true;
       t.gc_list <- item :: t.gc_list
-    end;
-    (true, created_item)
+    end
   end
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
@@ -192,30 +184,23 @@ let[@tail_mod_cons] rec update_from (version : int) f = function
       (v, value) :: update_from version f older
   | older -> older
 
-let rec count_from (version : int) n = function
-  | (v, _) :: older when v >= version -> count_from version (n + 1) older
-  | _ -> n
-
+(* [x(version)] exists, so the write updated two or more versions — a dual
+   write — exactly when the newest is above [version]. *)
 let write_upward t ~key ~version ~init ~f =
   let item = get_or_add_item t key in
-  let created, created_item = ensure_version t item version init in
+  ensure_version t item version init;
   item.versions <- update_from version f item.versions;
-  let updated = count_from version 0 item.versions in
-  if updated >= 2 then t.dual_writes <- t.dual_writes + 1;
-  {
-    created_copy = created && not created_item;
-    versions_updated = updated;
-    created_item;
-  }
+  match item.versions with
+  | (v, _) :: _ when v > version -> t.dual_writes <- t.dual_writes + 1
+  | _ -> ()
 
 let write_exact t ~key ~version ~init ~f =
   let item = get_or_add_item t key in
-  let created, created_item = ensure_version t item version init in
+  ensure_version t item version init;
   item.versions <-
     List.map
       (fun (v, value) -> if v = version then (v, f value) else (v, value))
-      item.versions;
-  { created_copy = created && not created_item; versions_updated = 1; created_item }
+      item.versions
 
 (* Keep the versions above [vr]; the version at [vr], or failing that the
    latest one below it relabelled [vr], becomes the oldest; drop the rest. *)

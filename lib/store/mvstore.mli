@@ -33,13 +33,6 @@
 
 type 'v t
 
-(** Outcome of one {!write_upward}, for the engine's statistics. *)
-type write_info = {
-  created_copy : bool;  (** a new version was materialized by copying *)
-  versions_updated : int;  (** ≥ 2 means a dual write happened *)
-  created_item : bool;  (** the key did not exist in any version before *)
-}
-
 (** An empty store (no keys, no versions). *)
 val create : unit -> 'v t
 
@@ -65,15 +58,14 @@ val exists_above : 'v t -> key:Key.t -> version:int -> bool
     materializing [init] when the key is entirely new), then replace every
     version ≥ [version] with [f old_value], newest first. The versions below
     [version] are kept as they are, not copied. Atomic w.r.t. the
-    simulation (plain OCaml code, no suspension point). *)
-val write_upward :
-  'v t -> key:Key.t -> version:int -> init:'v -> f:('v -> 'v) -> write_info
+    simulation (plain OCaml code, no suspension point). A write that
+    updates two or more versions counts in {!dual_writes}. *)
+val write_upward : 'v t -> key:Key.t -> version:int -> init:'v -> f:('v -> 'v) -> unit
 
 (** [write_exact t ~key ~version ~init ~f] updates only [x(version)]
     (creating it as in {!write_upward} if needed) and never touches higher
     versions — the NC3V write rule (§5 step 4 updates only [x(V(K))]). *)
-val write_exact :
-  'v t -> key:Key.t -> version:int -> init:'v -> f:('v -> 'v) -> write_info
+val write_exact : 'v t -> key:Key.t -> version:int -> init:'v -> f:('v -> 'v) -> unit
 
 (** [gc t ~new_read_version] applies phase-4 garbage collection (see above).
     Its cost is in the number of multi-version items, not the store's size. *)

@@ -21,9 +21,3 @@ let apply op ~txn v =
   | Incr (_, delta) -> Value.incr ~txn ~delta v
   | Append (_, entry) -> Value.append ~txn ~entry v
   | Overwrite (_, amount) -> Value.overwrite ~txn ~amount v
-
-let pp ppf = function
-  | Read k -> Format.fprintf ppf "r(%s)" k.Store.Key.name
-  | Incr (k, d) -> Format.fprintf ppf "incr(%s,%g)" k.Store.Key.name d
-  | Append (k, e) -> Format.fprintf ppf "append(%s,%s)" k.Store.Key.name e
-  | Overwrite (k, a) -> Format.fprintf ppf "w(%s,%g)" k.Store.Key.name a

@@ -27,6 +27,3 @@ val commuting_write : t -> bool
 
 (** [apply op ~txn v] is the value after the write (identity for [Read]). *)
 val apply : t -> txn:int -> Value.t -> Value.t
-
-(** Prints the constructor, key name and payload, e.g. "incr(k,2.5)". *)
-val pp : Format.formatter -> t -> unit

@@ -18,7 +18,3 @@ let committed t = t.outcome = Committed
 let pp_outcome ppf = function
   | Committed -> Format.pp_print_string ppf "committed"
   | Aborted reason -> Format.fprintf ppf "aborted(%s)" reason
-
-let pp ppf t =
-  Format.fprintf ppf "txn#%d %a v=%d latency=%.6f reads=%d" t.txn_id pp_outcome
-    t.outcome t.version (latency t) (List.length t.reads)

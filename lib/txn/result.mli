@@ -40,6 +40,3 @@ val committed : t -> bool
 
 (** Prints "committed" or "aborted(reason)". *)
 val pp_outcome : Format.formatter -> outcome -> unit
-
-(** One-line result summary: txn id, outcome, version, timings. *)
-val pp : Format.formatter -> t -> unit

@@ -2,8 +2,9 @@
    kept as the specification the lazy store is compared against
    (test_store.ml's equivalence property). Its [gc] sweeps every item of
    the table and relabels each single-version item below the new read
-   version on the spot. [write_info] is the library's own type, so write
-   results compare structurally with [=]. *)
+   version on the spot. Writes return nothing: the equivalence property
+   compares the two stores' copy and dual-write counts, version lists and
+   key listing after every operation. *)
 
 type 'v item = { mutable versions : (int * 'v) list (* descending by version *) }
 
@@ -13,12 +14,6 @@ type 'v t = {
   mutable copies_created : int;
   mutable dual_writes : int;
   mutable gc_floor : int;
-}
-
-type write_info = Store.Mvstore.write_info = {
-  created_copy : bool;
-  versions_updated : int;
-  created_item : bool;
 }
 
 let create () =
@@ -68,10 +63,8 @@ let rec insert_desc version value = function
 
 (* Ensure x(version) exists, per §4.1 step 4: copy from the max existing
    version ≤ version, or materialize [init] for a brand-new item. *)
-let ensure_version t item key version init =
-  ignore key;
-  if List.mem_assoc version item.versions then (false, false)
-  else begin
+let ensure_version t item version init =
+  if not (List.mem_assoc version item.versions) then begin
     let created_item = item.versions = [] in
     let seed =
       match List.find_opt (fun (v, _) -> v <= version) item.versions with
@@ -80,8 +73,7 @@ let ensure_version t item key version init =
     in
     item.versions <- insert_desc version seed item.versions;
     if not created_item then t.copies_created <- t.copies_created + 1;
-    note_version_count t item;
-    (true, created_item)
+    note_version_count t item
   end
 
 let get_or_add_item t key =
@@ -94,7 +86,7 @@ let get_or_add_item t key =
 
 let write_upward t ~key ~version ~init ~f =
   let item = get_or_add_item t key in
-  let created, created_item = ensure_version t item key version init in
+  ensure_version t item version init;
   let updated = ref 0 in
   item.versions <-
     List.map
@@ -105,21 +97,15 @@ let write_upward t ~key ~version ~init ~f =
         end
         else (v, value))
       item.versions;
-  if !updated >= 2 then t.dual_writes <- t.dual_writes + 1;
-  {
-    created_copy = created && not created_item;
-    versions_updated = !updated;
-    created_item;
-  }
+  if !updated >= 2 then t.dual_writes <- t.dual_writes + 1
 
 let write_exact t ~key ~version ~init ~f =
   let item = get_or_add_item t key in
-  let created, created_item = ensure_version t item key version init in
+  ensure_version t item version init;
   item.versions <-
     List.map
       (fun (v, value) -> if v = version then (v, f value) else (v, value))
-      item.versions;
-  { created_copy = created && not created_item; versions_updated = 1; created_item }
+      item.versions
 
 let gc t ~new_read_version =
   let vr = new_read_version in

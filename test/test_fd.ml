@@ -60,6 +60,47 @@ let detector_validation () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* Detector state is a function of heartbeat arrivals and the current time
+   alone: probes at extra instants, repeats of one instant included, change
+   no later answer and no counter. The engine's quorum rule probes each
+   member once per coordinator wait at every shard count on this fact.
+   A step advances the clock by its gap (zero a fifth of the time), then
+   beats (kind 0), checks (kind 1: both runs read [state] and [suspected])
+   or probes (kinds 2-3: the probing run only, twice). *)
+let qcheck_probes_change_nothing =
+  let nodes = 3 in
+  let step =
+    QCheck.Gen.(
+      triple (int_bound 3) (int_bound (nodes - 1))
+        (frequency [ (1, return 0.); (4, float_bound_inclusive 0.4) ]))
+  in
+  let run ~probing steps =
+    let d = Detector.create ~config:unit_cfg ~nodes ~now:0. () in
+    let now = ref 0. and seen = ref [] in
+    let check node =
+      seen := (Detector.state d ~node ~now:!now, Detector.suspected d ~node ~now:!now) :: !seen
+    in
+    List.iter
+      (fun (kind, node, gap) ->
+        now := !now +. gap;
+        match kind with
+        | 0 -> Detector.heartbeat d ~node ~now:!now
+        | 1 -> check node
+        | _ ->
+            if probing then begin
+              ignore (Detector.suspected d ~node ~now:!now);
+              ignore (Detector.state d ~node ~now:!now)
+            end)
+      steps;
+    for node = 0 to nodes - 1 do
+      check node
+    done;
+    (List.rev !seen, Detector.suspicions d, Detector.confirmations d, Detector.recoveries d)
+  in
+  QCheck.Test.make ~name:"detector: extra probes change no state or count" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 80) step))
+    (fun steps -> run ~probing:true steps = run ~probing:false steps)
+
 (* The full trusted → suspected → confirmed-down → recovered → trusted
    walk, with the deadline chain computed by hand: silence from t=0 under
    [unit_cfg] misses at 0.15 (suspected, horizon doubles to 0.3), at 0.45
@@ -432,6 +473,7 @@ let () =
           Alcotest.test_case "adaptive horizon" `Quick
             detector_adaptive_horizon;
           Alcotest.test_case "deterministic" `Quick detector_deterministic;
+          QCheck_alcotest.to_alcotest qcheck_probes_change_nothing;
         ] );
       ( "mcheck",
         [

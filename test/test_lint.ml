@@ -128,6 +128,19 @@ let r4_fires () =
   check_rules "unguarded tr in lib/net" ~filename:"lib/net/a.ml"
     "let f t = tr t \"boom\"" [ "R4" ]
 
+(* The emitters are [tr] and [Trace.emit], under any module path; a guard
+   on anything but [tracing] does not cover them. [trl] and
+   [Trace.emit_deferred] no longer exist, and are ordinary names. *)
+let r4_emitters () =
+  check_rules "unguarded tr with format arguments" ~filename:"lib/repl/a.ml"
+    "let f t n = tr t \"poll %d\" n" [ "R4" ];
+  check_rules "unguarded qualified Trace.emit" ~filename:"lib/shard/a.ml"
+    "let f trace = Threev.Trace.emit trace ~time:0. ~site:\"s\" \"x\"" [ "R4" ];
+  check_rules "tr under another guard" ~filename:"lib/core/a.ml"
+    "let f t debug = if debug then tr t \"x\"" [ "R4" ];
+  check_rules "deleted emitters are ordinary names" ~filename:"lib/core/a.ml"
+    "let f t trace = trl t (fun () -> \"x\"); Trace.emit_deferred trace (fun () -> \"y\")" []
+
 let r4_passes () =
   check_rules "guarded emission" ~filename:"lib/core/a.ml"
     "let f t trace = if tracing t then Trace.emit trace \"x\"" [];
@@ -869,6 +882,7 @@ let () =
       ( "r4",
         [
           Alcotest.test_case "fires" `Quick r4_fires;
+          Alcotest.test_case "emitters" `Quick r4_emitters;
           Alcotest.test_case "passes" `Quick r4_passes;
           Alcotest.test_case "waived" `Quick r4_waived;
         ] );

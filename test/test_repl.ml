@@ -58,54 +58,67 @@ let placement_failover_order () =
   let p = Placement.create ~nodes:6 ~replicas:3 in
   checkb "order rotates to start at the home node" true
     (Placement.failover_order p 4 = [ 4; 5; 3 ]);
-  checkb "primary first" true (Placement.failover_order p 0 = [ 0; 1; 2 ]);
-  (* serving_replica walks the order, skipping dead nodes. *)
-  let live = function 0 | 1 -> false | _ -> true in
-  checkb "skips dead replicas" true
-    (Placement.serving_replica p ~live 0 = Some 2);
-  checkb "whole group down -> None" true
-    (Placement.serving_replica p ~live:(fun _ -> false) 0 = None)
-
-let placement_key_deterministic () =
-  let p = Placement.create ~nodes:6 ~replicas:3 in
-  List.iter
-    (fun key ->
-      checki
-        (Printf.sprintf "key %S stable" key)
-        (Placement.group_of_key p key)
-        (Placement.group_of_key p key);
-      let home = Placement.home_of_key p key in
-      checkb "home is its group's first member" true
-        (match Placement.members p (Placement.group_of_key p key) with
-        | first :: _ -> first = home
-        | [] -> false))
-    [ "k0"; "k1"; "patient:42"; ""; "a-rather-long-key-name" ];
-  (* The hash is a pure function of the bytes, not of any table state. *)
-  checki "fnv hash stable" (Placement.key_hash "abc") (Placement.key_hash "abc");
-  checkb "fnv hash spreads" true
-    (Placement.key_hash "abc" <> Placement.key_hash "abd")
+  checkb "primary first" true (Placement.failover_order p 0 = [ 0; 1; 2 ])
 
 (* ------------------------------------------------------------ quorum *)
 
 let quorum_rules () =
   let p = Placement.create ~nodes:6 ~replicas:3 in
-  let live_except dead i = not (List.mem i dead) in
-  checkb "all live -> met" true (Quorum.met p ~live:(live_except []));
-  checkb "k-1 down -> still met" true
-    (Quorum.met p ~live:(live_except [ 0; 1 ]));
-  checkb "whole group down -> not met" true
-    (not (Quorum.met p ~live:(live_except [ 0; 1; 2 ])));
+  let required ?(lo = 0) ?(n = 6) dead =
+    Quorum.required p ~lo ~n ~live:(fun i -> not (List.mem i dead))
+  in
+  let lost ?lo ?n dead = snd (required ?lo ?n dead) in
+  checkb "all live -> met" true (not (lost []));
+  checkb "k-1 down -> still met" true (not (lost [ 0; 1 ]));
+  checkb "whole group down -> not met" true (lost [ 0; 1; 2 ]);
   checkb "dead groups listed" true
-    (Quorum.dead_groups p ~live:(live_except [ 0; 1; 2 ]) = [ 0 ]);
-  checkb "no dead groups when met" true
-    (Quorum.dead_groups p ~live:(live_except [ 0; 4 ]) = []);
+    (lost ~lo:0 ~n:3 [ 0; 1; 2 ] && not (lost ~lo:3 ~n:3 [ 0; 1; 2 ]));
+  checkb "no dead groups when met" true (not (lost [ 0; 4 ]));
   (* required = live nodes, plus every member of a fully-dead group. *)
-  let req = Quorum.required p ~live:(live_except [ 0; 1 ]) in
+  let req, _ = required [ 0; 1 ] in
   checkb "crashed minority not required" true
     (not req.(0) && not req.(1) && req.(2));
-  let req_dead = Quorum.required p ~live:(live_except [ 3; 4; 5 ]) in
+  let req_dead, _ = required [ 3; 4; 5 ] in
   checkb "fully-dead group still required" true
-    (req_dead.(3) && req_dead.(4) && req_dead.(5))
+    (req_dead.(3) && req_dead.(4) && req_dead.(5));
+  let block, _ = required ~lo:3 ~n:3 [ 3; 4; 5 ] in
+  checkb "a block is indexed from its first node" true (block = [| true; true; true |])
+
+(* The per-shard rule over each shard's block is the global one
+   ([Quorum_oracle]): the same requirement, and a shard's quorum is lost
+   exactly when one of the global computation's dead groups lies in it, so
+   at one shard [lost] is [not met]. Each node is probed once, in
+   ascending order. *)
+let quorum_blocks_match_global =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun k ->
+      int_range 1 4 >>= fun shards ->
+      int_range 1 3 >>= fun groups ->
+      let nodes = shards * groups * k in
+      map (fun mask -> (k, shards, mask)) (array_repeat nodes bool))
+  in
+  QCheck.Test.make ~name:"quorum: per-shard blocks equal the global rule" ~count:500
+    (QCheck.make gen)
+    (fun (k, shards, mask) ->
+      let nodes = Array.length mask in
+      let per = nodes / shards in
+      let p = Placement.create ~nodes ~replicas:k in
+      let live i = mask.(i) in
+      let dead = Quorum_oracle.dead_groups p ~live in
+      let probes = ref [] in
+      let blocks =
+        List.init shards (fun s ->
+            Quorum.required p ~lo:(s * per) ~n:per ~live:(fun i ->
+                probes := i :: !probes;
+                live i))
+      in
+      Array.concat (List.map fst blocks) = Quorum_oracle.required p ~live
+      && List.for_all2
+           (fun s (_, lost) -> lost = List.exists (fun g -> g * k / per = s) dead)
+           (List.init shards Fun.id) blocks
+      && List.exists snd blocks = not (Quorum_oracle.met p ~live)
+      && List.rev !probes = List.init nodes Fun.id)
 
 (* R and C as dense matrices, decided by [Quorum.settled] over the round a
    poll of them collects (R = a, C = b). *)
@@ -425,13 +438,12 @@ let () =
           Alcotest.test_case "groups" `Quick placement_groups;
           Alcotest.test_case "validation" `Quick placement_validation;
           Alcotest.test_case "failover order" `Quick placement_failover_order;
-          Alcotest.test_case "key determinism" `Quick
-            placement_key_deterministic;
         ] );
       ( "quorum",
         [
           Alcotest.test_case "poll rules" `Quick quorum_rules;
           Alcotest.test_case "matrix agreement" `Quick quorum_matrices_agree;
+          QCheck_alcotest.to_alcotest quorum_blocks_match_global;
         ] );
       ( "recovery",
         [ Alcotest.test_case "readable gate" `Quick recovery_gate ] );

@@ -1,35 +1,17 @@
-(* Tests for lib/shard (key/node → shard map, cross-shard read-vector
-   service) and the sharded engine surface: Engine.create validation
-   rejections, the shard-aware accessors, a digest-pinned sharded run
-   through a replica crash, qcheck determinism/balance properties for the
-   map, and the no-torn-vector property — any two vectors handed out by
+(* Tests for lib/shard (the cross-shard read-vector service) and the
+   sharded engine surface: Engine.create validation rejections, the
+   shard-aware accessors, a digest-pinned sharded run through a replica
+   crash, and the no-torn-vector property — any two vectors handed out by
    the read-vector service are componentwise comparable under arbitrary
    publish/assign interleavings. *)
 
 module Sim = Simul.Sim
 module Latency = Netsim.Latency
 module Engine = Threev.Engine
-module Map = Shard.Map
 module Rvector = Shard.Rvector
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-(* ------------------------------------------------- map basics *)
-
-let map_basics () =
-  let m = Map.create ~nodes:8 ~shards:4 in
-  checki "nodes" 8 (Map.nodes m);
-  checki "shards" 4 (Map.shards m);
-  checki "per shard" 2 (Map.nodes_per_shard m);
-  checki "node 0" 0 (Map.of_node m 0);
-  checki "node 5" 2 (Map.of_node m 5);
-  checki "node 7" 3 (Map.of_node m 7);
-  Alcotest.(check (list int)) "members 1" [ 2; 3 ] (Map.members m 1);
-  checki "first of 3" 6 (Map.first_node m 3);
-  Alcotest.check_raises "node range"
-    (Invalid_argument "Shard.Map.of_node: node 8 out of range") (fun () ->
-      ignore (Map.of_node m 8))
 
 (* ------------------------------- engine creation validation *)
 
@@ -109,39 +91,6 @@ let rvector_basics () =
     (Invalid_argument
        "Shard.Rvector.arrived: no pending assignment for shard 0 version 5")
     (fun () -> Rvector.arrived rv ~shard:0 ~version:5)
-
-(* -------------------------------------------- map properties *)
-
-let map_deterministic =
-  QCheck.Test.make ~name:"shard map: key assignment is deterministic"
-    ~count:200
-    QCheck.(pair string (int_range 1 5))
-    (fun (key, log_s) ->
-      let shards = 1 lsl log_s in
-      let m1 = Map.create ~nodes:(shards * 4) ~shards in
-      let m2 = Map.create ~nodes:(shards * 4) ~shards in
-      let s = Map.of_key m1 key in
-      s = Map.of_key m2 key
-      && s >= 0
-      && s < shards
-      && Map.of_node m1 (Map.node_of_key m1 key) = s)
-
-let map_balanced =
-  QCheck.Test.make ~name:"shard map: FNV key placement is balanced" ~count:20
-    QCheck.(int_range 2 8)
-    (fun shards ->
-      let m = Map.create ~nodes:(shards * 8) ~shards in
-      let n_keys = 2000 in
-      let counts = Array.make shards 0 in
-      for i = 0 to n_keys - 1 do
-        let s = Map.of_key m (Printf.sprintf "node%d/key%d" (i mod 7) i) in
-        counts.(s) <- counts.(s) + 1
-      done;
-      (* Loose bound: every shard gets between a quarter and four times
-         its fair share — catches systematic skew, not sampling noise. *)
-      Array.for_all
-        (fun c -> c * shards >= n_keys / 4 && c * shards <= n_keys * 4)
-        counts)
 
 (* --------------------------------------- no-torn-vector qcheck *)
 
@@ -316,15 +265,11 @@ let sharded_run_certifies () =
   checki "schedule digest" 0x1148858e d;
   checki "same-seed replay" d (history_digest (snd (sharded_run ())))
 
-let qsuite =
-  List.map QCheck_alcotest.to_alcotest
-    [ map_deterministic; map_balanced; vectors_never_torn ]
+let qsuite = List.map QCheck_alcotest.to_alcotest [ vectors_never_torn ]
 
 let () =
   Alcotest.run "shard"
     [
-      ( "map",
-        [ Alcotest.test_case "basics" `Quick map_basics ] );
       ( "engine",
         [
           Alcotest.test_case "create rejections" `Quick create_rejections;

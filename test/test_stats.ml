@@ -282,7 +282,7 @@ let table_cells () =
 (* ----------------------------------------------------------- series *)
 
 let series_basic () =
-  let s = Series.create ~name:"tput" () in
+  let s = Series.create () in
   Series.add s ~x:0. ~y:10.;
   Series.add s ~x:1. ~y:20.;
   Series.add s ~x:2. ~y:30.;

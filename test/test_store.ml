@@ -14,8 +14,8 @@ let put store ~key ~version value =
 
 let read_visible_rules () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:0 10);
-  ignore (put s ~key:(Key.intern "x") ~version:2 30);
+  put s ~key:(Key.intern "x") ~version:0 10;
+  put s ~key:(Key.intern "x") ~version:2 30;
   (* Max existing version not exceeding the requested one. *)
   checkb "v0" true (Mvstore.read_visible s ~key:(Key.intern "x") ~version:0 = Some (0, 10));
   checkb "v1 falls back to v0" true
@@ -27,7 +27,7 @@ let read_visible_rules () =
 
 let read_exact_and_exists () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:1 11);
+  put s ~key:(Key.intern "x") ~version:1 11;
   checkb "exact hit" true (Mvstore.read_exact s ~key:(Key.intern "x") ~version:1 = Some 11);
   checkb "exact miss" true (Mvstore.read_exact s ~key:(Key.intern "x") ~version:0 = None);
   checkb "exists" true (Mvstore.exists s ~key:(Key.intern "x") ~version:1);
@@ -38,24 +38,25 @@ let read_exact_and_exists () =
 
 let write_upward_copy_on_update () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:0 100);
+  put s ~key:(Key.intern "x") ~version:0 100;
   (* Writing version 1 copies version 0 first, then updates version 1. *)
-  let info = Mvstore.write_upward s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1) in
-  checkb "copied" true info.Mvstore.created_copy;
-  checkb "not new item" false info.Mvstore.created_item;
-  checki "one version updated" 1 info.Mvstore.versions_updated;
+  Mvstore.write_upward s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1);
+  checki "copied" 1 (Mvstore.copies_created s);
+  vlist "not new item: v0 kept beside the copy" [ 1; 0 ]
+    (Mvstore.versions_of s ~key:(Key.intern "x"));
+  checki "one version updated" 0 (Mvstore.dual_writes s);
   checkb "v0 untouched" true (Mvstore.read_exact s ~key:(Key.intern "x") ~version:0 = Some 100);
   checkb "v1 updated" true (Mvstore.read_exact s ~key:(Key.intern "x") ~version:1 = Some 101)
 
 let write_upward_dual_write () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:0 0);
+  put s ~key:(Key.intern "x") ~version:0 0;
   (* A version-2 transaction creates x(2)... *)
-  ignore (Mvstore.write_upward s ~key:(Key.intern "x") ~version:2 ~init:0 ~f:(fun v -> v + 100));
+  Mvstore.write_upward s ~key:(Key.intern "x") ~version:2 ~init:0 ~f:(fun v -> v + 100);
   (* ...then a version-1 straggler must update BOTH versions 1 and 2
      (paper §2.3, the iq-on-D case). *)
-  let info = Mvstore.write_upward s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1) in
-  checki "dual write" 2 info.Mvstore.versions_updated;
+  Mvstore.write_upward s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1);
+  vlist "dual write" [ 2; 1; 0 ] (Mvstore.versions_of s ~key:(Key.intern "x"));
   checkb "v1 = copy of v0 + 1" true
     (Mvstore.read_exact s ~key:(Key.intern "x") ~version:1 = Some 1);
   checkb "v2 reflects both" true
@@ -64,18 +65,17 @@ let write_upward_dual_write () =
 
 let write_upward_no_higher_copy () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "e") ~version:0 5);
+  put s ~key:(Key.intern "e") ~version:0 5;
   (* No version-2 copy exists: a version-1 write touches only version 1
      (the iq-on-E case — "E does not yet have a version 2 copy"). *)
-  let info = Mvstore.write_upward s ~key:(Key.intern "e") ~version:1 ~init:0 ~f:(fun v -> v + 1) in
-  checki "single" 1 info.Mvstore.versions_updated;
+  Mvstore.write_upward s ~key:(Key.intern "e") ~version:1 ~init:0 ~f:(fun v -> v + 1);
+  checki "single" 0 (Mvstore.dual_writes s);
   vlist "versions" [ 1; 0 ] (Mvstore.versions_of s ~key:(Key.intern "e"))
 
 let write_upward_new_item () =
   let s = Mvstore.create () in
-  let info = Mvstore.write_upward s ~key:(Key.intern "n") ~version:3 ~init:7 ~f:(fun v -> v * 2) in
-  checkb "created item" true info.Mvstore.created_item;
-  checkb "no copy counted for fresh items" false info.Mvstore.created_copy;
+  Mvstore.write_upward s ~key:(Key.intern "n") ~version:3 ~init:7 ~f:(fun v -> v * 2);
+  vlist "created item" [ 3 ] (Mvstore.versions_of s ~key:(Key.intern "n"));
   checkb "value from init" true (Mvstore.read_exact s ~key:(Key.intern "n") ~version:3 = Some 14);
   checki "copies counter untouched" 0 (Mvstore.copies_created s)
 
@@ -84,18 +84,18 @@ let write_upward_only_higher_exists () =
      older-version write materializes its own copy from [init] and still
      updates the higher copy — §4.1 step 4 taken literally. *)
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:5 50);
-  let info = Mvstore.write_upward s ~key:(Key.intern "x") ~version:2 ~init:0 ~f:(fun v -> v + 1) in
-  checkb "not a new item" false info.Mvstore.created_item;
-  checki "both versions updated" 2 info.Mvstore.versions_updated;
+  put s ~key:(Key.intern "x") ~version:5 50;
+  Mvstore.write_upward s ~key:(Key.intern "x") ~version:2 ~init:0 ~f:(fun v -> v + 1);
+  checki "not a new item: the copy counts" 1 (Mvstore.copies_created s);
+  checki "both versions updated" 1 (Mvstore.dual_writes s);
   checkb "v2 from init" true (Mvstore.read_exact s ~key:(Key.intern "x") ~version:2 = Some 1);
   checkb "v5 updated too" true (Mvstore.read_exact s ~key:(Key.intern "x") ~version:5 = Some 51)
 
 let write_exact_leaves_higher_alone () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:0 0);
-  ignore (put s ~key:(Key.intern "x") ~version:2 20);
-  ignore (Mvstore.write_exact s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1));
+  put s ~key:(Key.intern "x") ~version:0 0;
+  put s ~key:(Key.intern "x") ~version:2 20;
+  Mvstore.write_exact s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1);
   checkb "v1 created from v0 and updated" true
     (Mvstore.read_exact s ~key:(Key.intern "x") ~version:1 = Some 1);
   checkb "v2 untouched (NC rule)" true
@@ -103,16 +103,16 @@ let write_exact_leaves_higher_alone () =
 
 let gc_drop_when_new_version_exists () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:0 0);
-  ignore (put s ~key:(Key.intern "x") ~version:1 1);
-  ignore (put s ~key:(Key.intern "x") ~version:2 2);
+  put s ~key:(Key.intern "x") ~version:0 0;
+  put s ~key:(Key.intern "x") ~version:1 1;
+  put s ~key:(Key.intern "x") ~version:2 2;
   Mvstore.gc s ~new_read_version:1;
   vlist "kept 1 and 2" [ 2; 1 ] (Mvstore.versions_of s ~key:(Key.intern "x"));
   checkb "v1 value intact" true (Mvstore.read_exact s ~key:(Key.intern "x") ~version:1 = Some 1)
 
 let gc_relabel_when_missing () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "b") ~version:0 42);
+  put s ~key:(Key.intern "b") ~version:0 42;
   (* b was never written in version 1: its latest earlier version gets
      relabelled (paper §4.3 phase 4). *)
   Mvstore.gc s ~new_read_version:1;
@@ -121,8 +121,8 @@ let gc_relabel_when_missing () =
 
 let gc_idempotent () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:0 0);
-  ignore (put s ~key:(Key.intern "x") ~version:2 2);
+  put s ~key:(Key.intern "x") ~version:0 0;
+  put s ~key:(Key.intern "x") ~version:2 2;
   Mvstore.gc s ~new_read_version:1;
   let before = Mvstore.versions_of s ~key:(Key.intern "x") in
   Mvstore.gc s ~new_read_version:1;
@@ -130,10 +130,10 @@ let gc_idempotent () =
 
 let max_versions_tracking () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "x") ~version:0 0);
+  put s ~key:(Key.intern "x") ~version:0 0;
   checki "one" 1 (Mvstore.max_versions_ever s);
-  ignore (put s ~key:(Key.intern "x") ~version:1 1);
-  ignore (put s ~key:(Key.intern "x") ~version:2 2);
+  put s ~key:(Key.intern "x") ~version:1 1;
+  put s ~key:(Key.intern "x") ~version:2 2;
   checki "three" 3 (Mvstore.max_versions_ever s);
   Mvstore.gc s ~new_read_version:2;
   (* The high-water mark persists after GC. *)
@@ -141,9 +141,9 @@ let max_versions_tracking () =
 
 let keys_and_fold () =
   let s = Mvstore.create () in
-  ignore (put s ~key:(Key.intern "b") ~version:0 1);
-  ignore (put s ~key:(Key.intern "a") ~version:0 2);
-  ignore (put s ~key:(Key.intern "a") ~version:1 3);
+  put s ~key:(Key.intern "b") ~version:0 1;
+  put s ~key:(Key.intern "a") ~version:0 2;
+  put s ~key:(Key.intern "a") ~version:1 3;
   Alcotest.(check (list string)) "sorted keys" [ "a"; "b" ]
     (List.map Key.name (Mvstore.keys s));
   let total = Mvstore.fold s ~init:0 ~f:(fun acc _ _ v -> acc + v) in
@@ -168,9 +168,8 @@ let versions_sorted_property =
       List.iter
         (function
           | `Write (k, v) ->
-              ignore
-                (Mvstore.write_upward s ~key:(Key.intern (string_of_int k)) ~version:v
-                   ~init:0 ~f:succ)
+              Mvstore.write_upward s ~key:(Key.intern (string_of_int k)) ~version:v ~init:0
+                ~f:succ
           | `Gc v -> Mvstore.gc s ~new_read_version:v)
         ops;
       List.for_all
@@ -193,7 +192,7 @@ let read_visible_property =
       let s = Mvstore.create () in
       List.iter
         (fun v ->
-          ignore (Mvstore.write_upward s ~key:(Key.intern "k") ~version:v ~init:0 ~f:succ))
+          Mvstore.write_upward s ~key:(Key.intern "k") ~version:v ~init:0 ~f:succ)
         writes;
       let versions = Mvstore.versions_of s ~key:(Key.intern "k") in
       List.for_all
@@ -216,9 +215,8 @@ let enumeration_order_independent =
         let s = Mvstore.create () in
         List.iter
           (fun (k, v) ->
-            ignore
-              (Mvstore.write_upward s ~key:(Key.intern (string_of_int k)) ~version:v
-                 ~init:0 ~f:succ))
+            Mvstore.write_upward s ~key:(Key.intern (string_of_int k)) ~version:v ~init:0
+              ~f:succ)
           writes;
         s
       in
@@ -236,8 +234,9 @@ let enumeration_order_independent =
 (* The lazy store keeps a list of the items GC must visit and relabels a
    single-version item on its first touch, and it finds items by interned
    key id; [Mvstore_oracle] is the store as it was, keyed by name, sweeping
-   every item on every [gc]. Every result and counter must agree after
-   every op, at versions below and above the floor. Each case draws fresh
+   every item on every [gc]. Every result, counter and the key listing must
+   agree after every op, at versions below and above the floor; a write's
+   result is its key's version list. Each case draws fresh
    names for its keys and interns them in a random order, so the ids the
    store hashes are new every case and in no relation to name order: an
    output that depended on ids would differ from the oracle's. *)
@@ -249,11 +248,8 @@ module type STORE = sig
   val read_exact : 'v t -> key:key -> version:int -> 'v option
   val exists_above : 'v t -> key:key -> version:int -> bool
 
-  val write_upward :
-    'v t -> key:key -> version:int -> init:'v -> f:('v -> 'v) -> Mvstore.write_info
-
-  val write_exact :
-    'v t -> key:key -> version:int -> init:'v -> f:('v -> 'v) -> Mvstore.write_info
+  val write_upward : 'v t -> key:key -> version:int -> init:'v -> f:('v -> 'v) -> unit
+  val write_exact : 'v t -> key:key -> version:int -> init:'v -> f:('v -> 'v) -> unit
 
   val gc : 'v t -> new_read_version:int -> unit
   val gc_floor : 'v t -> int
@@ -296,11 +292,8 @@ type store_op =
   | Fold
 
 module Apply (S : STORE) = struct
-  let info (i : Mvstore.write_info) =
-    Printf.sprintf "copy=%b updated=%d item=%b" i.created_copy i.versions_updated
-      i.created_item
-
   let opt f = function None -> "none" | Some x -> f x
+  let versions s key = String.concat "," (List.map string_of_int (S.versions_of s ~key))
 
   (* Op [i]'s result as text, then the counters; [keys.(k)] is key [k]. *)
   let op s (keys : S.key array) i o =
@@ -308,9 +301,11 @@ module Apply (S : STORE) = struct
     let result =
       match o with
       | Up (k, d) ->
-          info (S.write_upward s ~key:keys.(k) ~version:(at d) ~init:(100 * i) ~f)
+          S.write_upward s ~key:keys.(k) ~version:(at d) ~init:(100 * i) ~f;
+          versions s keys.(k)
       | Exact (k, d) ->
-          info (S.write_exact s ~key:keys.(k) ~version:(at d) ~init:(100 * i) ~f)
+          S.write_exact s ~key:keys.(k) ~version:(at d) ~init:(100 * i) ~f;
+          versions s keys.(k)
       | Collect d ->
           S.gc s ~new_read_version:(at d);
           "gc"
@@ -319,14 +314,15 @@ module Apply (S : STORE) = struct
           |> opt (fun (v, x) -> Printf.sprintf "%d:%d" v x)
       | Exact_read (k, d) -> opt string_of_int (S.read_exact s ~key:keys.(k) ~version:(at d))
       | Above (k, d) -> string_of_bool (S.exists_above s ~key:keys.(k) ~version:(at d))
-      | Versions k -> String.concat "," (List.map string_of_int (S.versions_of s ~key:keys.(k)))
-      | Keys -> String.concat "," (List.map S.name (S.keys s))
+      | Versions k -> versions s keys.(k)
+      | Keys -> "keys"
       | Fold ->
           S.fold s ~init:[] ~f:(fun acc k v x -> Printf.sprintf "%s/%d/%d" (S.name k) v x :: acc)
           |> String.concat " "
     in
-    Printf.sprintf "%s | floor=%d max=%d copies=%d duals=%d" result (S.gc_floor s)
+    Printf.sprintf "%s | floor=%d max=%d copies=%d duals=%d keys=%s" result (S.gc_floor s)
       (S.max_versions_ever s) (S.copies_created s) (S.dual_writes s)
+      (String.concat "," (List.map S.name (S.keys s)))
 end
 
 module Lazy_store = Apply (Keyed_store)
@@ -385,13 +381,13 @@ let gc_visits_only_multi_version_items () =
     let s = Mvstore.create () and o = Mvstore_oracle.create () in
     for i = 0 to 99_999 do
       let key = string_of_int i in
-      ignore (put s ~key:(Key.intern key) ~version:0 i);
-      ignore (Mvstore_oracle.write_exact o ~key ~version:0 ~init:0 ~f:(fun _ -> i))
+      put s ~key:(Key.intern key) ~version:0 i;
+      Mvstore_oracle.write_exact o ~key ~version:0 ~init:0 ~f:(fun _ -> i)
     done;
     for i = 0 to 7 do
       let key = string_of_int (i * 1000) in
-      ignore (put s ~key:(Key.intern key) ~version:1 i);
-      ignore (Mvstore_oracle.write_exact o ~key ~version:1 ~init:0 ~f:(fun _ -> i))
+      put s ~key:(Key.intern key) ~version:1 i;
+      Mvstore_oracle.write_exact o ~key ~version:1 ~init:0 ~f:(fun _ -> i)
     done;
     (s, o)
   in
@@ -421,16 +417,16 @@ let gc_visits_only_multi_version_items () =
 let write_upward_shares_older_versions () =
   let s = Mvstore.create () in
   List.iter
-    (fun version -> ignore (put s ~key:(Key.intern "three") ~version version))
+    (fun version -> put s ~key:(Key.intern "three") ~version version)
     [ 1; 2; 3 ];
-  ignore (put s ~key:(Key.intern "one") ~version:3 3);
+  put s ~key:(Key.intern "one") ~version:3 3;
   vlist "three versions" [ 3; 2; 1 ] (Mvstore.versions_of s ~key:(Key.intern "three"));
   vlist "one version" [ 3 ] (Mvstore.versions_of s ~key:(Key.intern "one"));
   let words key =
     let n = 1_000 in
     let before = Gc.minor_words () in
     for _ = 1 to n do
-      ignore (Sys.opaque_identity (Mvstore.write_upward s ~key ~version:3 ~init:0 ~f:succ))
+      Mvstore.write_upward s ~key ~version:3 ~init:0 ~f:succ
     done;
     (Gc.minor_words () -. before) /. float_of_int n
   in
@@ -450,7 +446,7 @@ let write_upward_shares_older_versions () =
 let lookup_cost () =
   let s = Mvstore.create () in
   let keys = Array.init 64 (fun i -> Key.intern ("cost-" ^ string_of_int i)) in
-  Array.iter (fun key -> ignore (put s ~key ~version:1 7)) keys;
+  Array.iter (fun key -> put s ~key ~version:1 7) keys;
   let n = 10_000 in
   let words lookup =
     let before = Gc.minor_words () in
