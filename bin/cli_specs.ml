@@ -138,12 +138,12 @@ let run_term =
         ~doc:
           "Either SRC:DST:FROM:UNTIL — drop every message on one directed \
            link during [FROM, UNTIL) virtual seconds — or \
-           SET\\@FROM:UNTIL[:oneway] — cut the comma-separated node set SET \
+           SET@FROM:UNTIL[:oneway] — cut the comma-separated node set SET \
            off from the rest of the cluster for the window, both directions \
            by default, only the set's outbound links with :oneway (an \
            asymmetric partition: the set still hears the cluster but is never \
            heard). Repeatable."
-    $ atoms "--crash" ~docv:"NODE\\@TIME:RESTART"
+    $ atoms "--crash" ~docv:"NODE@TIME:RESTART"
         ~doc:
           "Fail-stop NODE at TIME and restart it at RESTART: volatile state \
            is lost, the durable store and counters survive. Repeatable; 3v \
@@ -154,7 +154,7 @@ let run_term =
            RESTART: volatile phase progress is lost, the write-ahead log \
            survives and the in-flight advancement is re-driven from its last \
            logged phase. Repeatable; 3v engine only."
-    $ atoms "--data-crash" ~docv:"GROUP\\@TIME:RESTART"
+    $ atoms "--data-crash" ~docv:"GROUP@TIME:RESTART"
         ~doc:
           "Fail-stop all but one replica of replica group GROUP at TIME and \
            restart them at RESTART — the E14 fault shape: quorum advancement \
@@ -179,7 +179,7 @@ let run_term =
          this overdue — adaptively stretched by observed inter-arrival times \
          — becomes suspected. Must exceed --hb-period; used only when \
          --hb-period > 0."
-    $ atoms "--hb-loss" ~docv:"NODE\\@FROM:UNTIL[:PROB]"
+    $ atoms "--hb-loss" ~docv:"NODE@FROM:UNTIL[:PROB]"
         ~doc:
           "Drop NODE's outgoing heartbeats during [FROM, UNTIL) with \
            probability PROB (default 1) — provokes false suspicion of a live \

@@ -17,81 +17,29 @@ module Result = Txn.Result
 module Lockmgr = Txn.Lockmgr
 module Counter_set = Stats.Counter_set
 
+(* The fields are documented in engine.mli. *)
 type config = {
   nodes : int;
   shards : int;
-      (** number of independent advancement domains [S]: nodes are
-          partitioned into [S] contiguous blocks of [nodes / S] members,
-          each with its own coordinator, write-ahead log and (vu, vr)
-          frontier, so advancement cost is O(nodes-per-shard) per shard
-          instead of O(all nodes) through one choke point. Shards are laid
-          {e over} replica groups ([nodes / S] must be a multiple of
-          [replicas]), so quorum polling stays per-shard. [1] — the
-          default — is the one-shard case: a single coordinator over all
-          nodes, running the same code as every [S]. Update transactions must
-          stay within one shard; cross-shard reads are assigned a
-          consistent per-shard read-version vector by {!Shard.Rvector} *)
   replicas : int;
-      (** replication factor [k]: nodes are partitioned into groups of [k]
-          consecutive replicas ({!Repl.Placement}); commuting updates are
-          mirrored to every group member, reads fail over along the group,
-          and counter polls complete on a quorum (≥ 1 live replica per
-          group). [1] — the default — disables every replication code path,
-          keeping historical schedules byte-identical *)
   hb_period : float;
-      (** heartbeat send cadence; [0.] — the default — disables the failure
-          detector entirely: no side network is created, no daemons are
-          spawned, no messages are sent, and every liveness decision falls
-          back to the injector's instantaneous ground truth, keeping
-          historical schedules byte-identical. When positive, every node
-          beats the coordinator this often over a dedicated side network
-          and all protocol liveness (routing, quorum participation,
-          watchdog excusal) is derived from heartbeat arrival deadlines
-          ({!Fd.Detector}) — suspicion, not omniscience *)
   hb_timeout : float;
-      (** minimum heartbeat silence before the detector first suspects a
-          node; must exceed [hb_period] when the detector is on *)
   latency : Latency.t;
   think_time : float;
   poll_interval : float;
   phase_deadline : float;
-      (** stall watchdog: if an advancement phase makes no progress for this
-          long the coordinator records [proto.phase_stalled] and re-broadcasts
-          the phase message to the nodes still owing a reply, escalating with
-          doubled (bounded) backoff. [infinity] disables the watchdog
-          entirely — the daemon is not even spawned, so fault-free schedules
-          are untouched. *)
   policy : Policy.t;
   nc_mode : bool;
   deadlock_timeout : float;
   abort_probability : float;
   debug_checks : bool;
-  (* Ablation switches — all default to the sound protocol; turning one off
-     demonstrates why the corresponding mechanism exists (experiments
-     A1-A3). *)
   two_wave_quiescence : bool;
-      (** require two identical matching polls before declaring a version
-          consistent; [false] trusts a single matching poll *)
   await_gc_acks : bool;
-      (** finish an advancement only after every node acknowledged garbage
-          collection; [false] lets the next advancement overlap in-flight
-          GC notices *)
   dual_writes : bool;
-      (** straggler writes update every version ≥ theirs (§4.1 step 4);
-          [false] writes only the transaction's own version *)
-  (* Message-layer hardening: required whenever a fault plan can lose or
-     duplicate messages; off by default so fault-free runs keep their exact
-     historical schedules (acks would consume extra latency samples). *)
   reliable_channel : bool;
-      (** sequence numbers + acks + receive-side dedup on every message *)
   retransmit : bool;
-      (** re-send unacknowledged messages (only meaningful with
-          [reliable_channel]; ablation A4 turns it off) *)
-  retransmit_timeout : float;  (** first retransmission delay *)
+  retransmit_timeout : float;
   expected_inbox_depth : int;
-      (** pre-size for each node's network inbox ring (messages); derive
-          from the configured arrival rate for steady-state benches. Purely
-          a capacity hint — never affects schedules. *)
 }
 
 let default_config ~nodes =
@@ -180,10 +128,6 @@ type msg =
           is what tells the coordinator they all landed *)
   | Do_gc of { keep : int }
   | Gc_ack of { from_node : int; keep : int }
-  | Coord_wake
-      (** zero-payload self-send fired at coordinator restart: unblocks a
-          coordinator parked in [recv] so it can observe the crash and
-          re-drive the in-flight advancement from its WAL *)
 
 type pending = {
   p_id : int;
@@ -255,15 +199,25 @@ let no_pending =
 let reads_of p =
   match p.p_reads_rev with ([] | [ _ ]) as reads -> reads | reads -> List.rev reads
 
-(* An armed stall watchdog: one per in-flight coordinator wait. The
-   watchdog daemon re-invokes [w_resend] whenever the deadline passes
-   without the wait completing, doubling the interval (bounded) each
-   time. *)
-type watch = {
-  w_what : string;
+(* A coordinator's one open wait (phase acks or a counter poll round): a
+   reply from every [w_required] member, [w_needed] of them still owed.
+   The stall watchdog re-sends [w_request] to the members not yet in
+   [w_answered] whenever [w_deadline] passes with the wait still open,
+   doubling [w_interval] (bounded) each time. *)
+type wait = {
+  mutable w_request : msg;  (** what the members owe a reply to *)
+  mutable w_required : bool array;  (** by member offset *)
+  mutable w_answered : bool array;
+  mutable w_needed : int;
+  mutable w_parked : bool;
+      (** in a receive on an empty inbox: the next arrival, or a wake,
+          queues the wait's next step *)
+  mutable w_round : int;  (** the last counter poll round sent *)
+  mutable w_prev : Repl.Quorum.round option;
+      (** the running quiescence wait's previous round, if it had one *)
+  mutable w_watched : bool;  (** armed for the watchdog *)
   mutable w_deadline : float;
   mutable w_interval : float;
-  w_resend : unit -> unit;
 }
 
 (* The failure-detector subsystem, present only when [hb_period > 0]: the
@@ -275,10 +229,10 @@ type fd_state = { hb : Heartbeat.t; det : Detector.t }
    triggered fills [c_done]. *)
 type completion = { mutable c_left : int; c_done : unit Ivar.t }
 
-(* One shard's coordinator: the complete volatile + durable advancement
-   state that used to live globally on [t]. Shard [s] owns the contiguous
-   node block [cs_lo, cs_lo + cs_n) and the network endpoint
-   [nodes + s]; at [shards = 1] there is exactly one of these, at
+(* One shard's coordinator, a state machine over the advancement's WAL
+   phases: the complete volatile + durable advancement state. Shard [s]
+   owns the contiguous node block [cs_lo, cs_lo + cs_n) and the network
+   endpoint [nodes + s]; at [shards = 1] there is exactly one of these, at
    endpoint [nodes] over all nodes. *)
 type coord = {
   cs_shard : int;
@@ -287,21 +241,24 @@ type coord = {
   cs_n : int;  (** member count ([cfg.nodes / cfg.shards]) *)
   cs_name : string;  (** trace site: ["coord"] at [shards = 1] *)
   cs_trigger : completion option Mailbox.t;
+      (** advancement requests; an advancement takes every queued one *)
+  mutable cs_served : completion option list;
+      (** the requests the running advancement serves, newest first:
+          client intent, kept across crashes *)
   cs_clog : Coord_log.t;  (** durable: survives coordinator crashes *)
   cs_live : Vwindow.t;  (** version -> requested-but-unterminated, this shard *)
   cs_census : Counters.census;
       (** the version census all member counter tables report to: the
           shard's distinct counter versions, kept as they change *)
   mutable cs_epoch : int;  (** bumped on each coordinator recovery *)
-  mutable cs_crash_gen : int;
-      (** incremented by the crash hook; compared against [cs_seen_gen]
-          so the coordinator fiber notices a crash at its next check *)
-  mutable cs_seen_gen : int;
+  mutable cs_flight : Coord_log.in_flight;
+      (** the advancement being run, or the last one run, and its WAL phase *)
+  mutable cs_down : bool;  (** crashed, and the crash not yet noticed *)
   mutable cs_down_until : float;
-  mutable cs_watch : watch option;
+  cs_wait : wait;
+  cs_acked : bool array;  (** an ack wait's answered members *)
   mutable cs_vu : int;
   mutable cs_vr : int;
-  mutable cs_poll_round : int;
   cs_poll_bufs : Repl.Quorum.round array;
       (** two rounds of sparse replies, alternated by poll-round parity.
           The quiescence loop only ever compares a round against the
@@ -947,8 +904,8 @@ and handle_completion t node ~pending_id ~child_label ~reads ~vote ~nodes =
    and termination; for the compensation wave ([wave], no think) the
    inverse children. Each hand-over must take the events a process running
    the same steps takes, or schedules change: the first step runs at the
-   event a [Sim.spawn] would start the process on, each think is
-   [Sim.after]'s two events (a [Sim.sleep]'s), and a contended permit
+   event a spawned process would start on, each think is
+   [Sim.after]'s two events (a sleep's), and a contended permit
    resumes on the event its release queues (a blocked [Semaphore.acquire]'s).
    test_simul's dispatch oracle holds the two shapes equal. The section is
    one closure, [resume], that all three hand-overs resume: [p.p_stage]
@@ -1320,7 +1277,7 @@ let handle_node_msg t node = function
         tr t node.name
           "gc notice for version %d re-delivered; already collected" keep;
       send t ~src:node.id ~dst:(coord_ep t node) (Gc_ack { from_node = node.id; keep })
-  | Adv_ack _ | Read_ack _ | Counter_reply _ | Gc_ack _ | Coord_wake ->
+  | Adv_ack _ | Read_ack _ | Counter_reply _ | Gc_ack _ ->
       invalid_arg "Engine: coordinator message delivered to a node"
 
 (* ------------------------------------------------------- coordinator *)
@@ -1338,66 +1295,23 @@ let broadcast t cs msg =
     send t ~src:cs.cs_id ~dst:i msg
   done
 
-(* Raised inside a coordinator fiber when it observes that a crash window
-   hit it; [coordinator_loop] catches it, replays the WAL, and re-drives
-   the in-flight advancement. *)
-exception Coord_crashed
-
-(* Notice a pending crash: if the crash hook fired since we last looked,
-   sleep out the remainder of the down window (volatile state is already
-   gone; the fiber must not act while "down") and raise. *)
-let coord_check t cs =
-  if cs.cs_crash_gen <> cs.cs_seen_gen then begin
-    cs.cs_seen_gen <- cs.cs_crash_gen;
-    let now = Sim.now t.sim in
-    if now < cs.cs_down_until then Sim.sleep t.sim (cs.cs_down_until -. now);
-    raise Coord_crashed
-  end
-
-(* Receive as a shard's coordinator, crash-aware. A message consumed by the
-   very receive that notices the crash is discarded with it — safe, because
-   the re-driven phase re-collects every reply it needs. *)
-let coord_recv t cs =
-  let msg = Reliable.recv t.ch ~node:cs.cs_id in
-  coord_check t cs;
-  msg
-
-(* ---- stall watchdog ---- *)
-
-let watch_begin t cs ~what ~resend =
-  if t.cfg.phase_deadline < infinity then
-    cs.cs_watch <-
-      Some
-        {
-          w_what = what;
-          w_deadline = Sim.now t.sim +. t.cfg.phase_deadline;
-          w_interval = t.cfg.phase_deadline;
-          w_resend = resend;
-        }
-
-let watch_end cs = cs.cs_watch <- None
-
-(* Daemon (spawned only when [phase_deadline] is finite, one per shard):
-   whenever an armed watch sits past its deadline, record the stall,
-   re-broadcast the phase message to the nodes still owing a reply, and
-   double the interval with a bound — self-healing for silent wedges such
-   as a node crashed past the channel's retransmission window. *)
-let watchdog_loop t cs () =
-  let rec loop () =
-    Sim.sleep t.sim (t.cfg.phase_deadline /. 4.);
-    (match cs.cs_watch with
-    | Some w when Sim.now t.sim >= w.w_deadline ->
-        cstat t "proto.phase_stalled";
-        if tracing t then
-          tr t cs.cs_name "watchdog: %s stalled for %gs; re-broadcasting"
-            w.w_what w.w_interval;
-        w.w_resend ();
-        w.w_interval <- Float.min (w.w_interval *. 2.) (8. *. t.cfg.phase_deadline);
-        w.w_deadline <- Sim.now t.sim +. w.w_interval
-    | _ -> ());
-    loop ()
-  in
-  loop ()
+(* Each shard's coordinator is a state machine (PROTOCOL.md §9.5): its
+   record holds the WAL phase it runs, whether it is down and its one open
+   wait, and each input moves it by one transition ({!coordinator_loop}).
+   Each hand-over takes the events of a process blocked at the same step
+   (see {!Sim.after}): a request or an inbox arrival queues the transition
+   at the current instant, as a receive's wake does, and the poll interval
+   and the rest of a down window take a sleep's two events. The inbox is
+   read only while a wait is open. *)
+type input =
+  | Trigger  (** an advancement request reached the idle coordinator *)
+  | Inbox  (** a packet reached the inbox of a parked wait *)
+  | Wake  (** the restart's or an excusal's wake reached a parked wait *)
+  | Poll_due  (** the poll interval after an unsettled round ran out *)
+  | Up  (** the rest of a noticed crash's down window ran out *)
+  | Tick  (** the stall watchdog's [phase_deadline / 4] cadence *)
+  | Crash of float  (** the crash hook, down until the given time *)
+  | Restart  (** the restart hook *)
 
 (* The shard members a coordinator wait needs a reply from, indexed by
    member offset ([0 .. cs_n)). Under replication that is the quorum rule
@@ -1417,272 +1331,43 @@ let poll_required t cs =
     req
   end
 
-(* Watchdog-time suspicion excusal: under replication with the failure
-   detector on, a node that fell under suspicion {e after} a coordinator
-   wait began is excused at the next watchdog firing — provided its group
-   still has an unsuspected member ({!poll_required} keeps every member of
-   a fully-suspect group required, so quorum is never excused away).
-   Excusing a false suspicion is safe: the node is alive, its late ack or
-   counter reply arrives anyway and folds in idempotently, and any counter
-   pairs it owes are quorum-scoped out of the comparison exactly as for a
-   genuinely crashed replica. Excusal is monotone within one wait. If the
-   requirement drops to zero the parked wait fiber is woken with the same
-   zero-payload self-send a restarting coordinator uses. *)
-let excuse_suspected t cs ~required ~answered ~needed =
-  if repl_on t && t.fd <> None then begin
-    let req_now = poll_required t cs in
-    Array.iteri
-      (fun i was ->
-        if was && (not req_now.(i)) && not answered.(i) then begin
-          required.(i) <- false;
-          decr needed;
-          cstat t "proto.suspicion_excused"
-        end)
-      required;
-    if !needed <= 0 then send t ~src:cs.cs_id ~dst:cs.cs_id Coord_wake
-  end
+(* The node a reply to the open wait came from, or [-1] for other inbox
+   traffic (acks of a superseded phase, replies to a stale poll round).
+   Counter replies match on (epoch, round, version): the epoch namespaces
+   rounds across coordinator restarts. *)
+let reply_sender cs msg =
+  match (cs.cs_wait.w_request, msg) with
+  | Start_advancement { vu_new }, Adv_ack { from_node; vu } when vu = vu_new -> from_node
+  | Advance_read { vr_new }, Read_ack { from_node; vr } when vr = vr_new -> from_node
+  | Do_gc { keep }, Gc_ack { from_node; keep = k } when k = keep -> from_node
+  | ( Counter_query { version; round; epoch },
+      Counter_reply { from_node; version = v; round = r; epoch = e; _ } )
+    when v = version && r = round && e = epoch ->
+      from_node
+  | _ -> -1
 
-(* Await one reply from every required member (see {!poll_required}):
-   the one wait behind every phase's acks and every counter poll.
-   [sender msg] is the node a reply this wait counts came from, or [-1]
-   for any other coordinator inbox traffic (acks of a superseded phase,
-   replies to a stale poll round), which is counted under
-   [proto.stale_msgs] instead of vanishing silently. Replies are counted
-   per distinct member, so a duplicate (watchdog re-send, raw-mode
-   duplicate) can never complete a wait early — it is recorded under
-   [proto.dup_acks]; [keep i msg] sees only member [i]'s first reply. A
-   reply from an excused (crashed) replica whose retransmitted request
-   lands mid-wait is still recorded. [answered] and [keep]'s index are
-   member offsets; [sender] returns absolute node ids off the wire, and
-   [resend i] re-sends the request to node [i] (watchdog path). *)
-let await_replies t cs ~what ~answered ~resend ~sender ~keep =
-  let required = poll_required t cs in
-  let needed = ref 0 in
-  Array.iter (fun r -> if r then incr needed) required;
-  watch_begin t cs ~what ~resend:(fun () ->
-      excuse_suspected t cs ~required ~answered ~needed;
-      Array.iteri (fun i done_ -> if not done_ then resend (cs.cs_lo + i)) answered);
-  while !needed > 0 do
-    match coord_recv t cs with
-    | Coord_wake -> ()
-    | msg ->
-        let i = sender msg - cs.cs_lo in
-        if i < 0 || i >= cs.cs_n then cstat t "proto.stale_msgs"
-        else if answered.(i) then cstat t "proto.dup_acks"
-        else begin
-          answered.(i) <- true;
-          keep i msg;
-          if required.(i) then decr needed
-        end
-  done;
-  watch_end cs
+(* The version a quiescence wait polls: phase 2 waits out [vu_old]'s
+   writers, phase 3 [vr_old]'s readers. *)
+let polled_version cs =
+  let f = cs.cs_flight in
+  if f.Coord_log.f_phase = Coord_log.Switch_read then f.f_vr_old else f.f_vu_old
 
-(* A phase's acknowledgements: [matches] is the sender of a matching ack. *)
-let await_acks t cs ~what ~resend ~matches =
-  await_replies t cs ~what ~answered:(Array.make cs.cs_n false) ~resend ~sender:matches
-    ~keep:(fun _ _ -> ())
+(* The open wait, as the watchdog's trace names it. *)
+let wait_name cs =
+  match (cs.cs_wait.w_request, cs.cs_flight.Coord_log.f_phase) with
+  | Counter_query { version; round; _ }, _ ->
+      Printf.sprintf "counter poll round %d (version %d)" round version
+  | _, Coord_log.Switch_update -> "phase 1 (start-advancement acks)"
+  | _, Coord_log.Switch_read -> "phase 3 (advance-read acks)"
+  | _, Coord_log.Retire_read -> "phase 4 (gc acks)"
+  | _, Coord_log.Quiesce_update -> assert false (* phase 2 only polls *)
 
-(* One asynchronous poll of all R rows / C columns for [version]. Returns
-   the round's buffer ({!Repl.Quorum.round}): each replying member's sparse
-   R row and C column, and [replied.(i)] marking the members whose reply
-   was folded in. Replies are matched on (epoch, round, version) — the
-   epoch namespaces rounds across coordinator restarts. *)
-let poll_counters t cs ~version =
-  cs.cs_poll_round <- cs.cs_poll_round + 1;
-  cstat t "proto.polls";
-  let round = cs.cs_poll_round and epoch = cs.cs_epoch in
-  let query = Counter_query { version; round; epoch } in
-  broadcast t cs query;
-  let rd = cs.cs_poll_bufs.(cs.cs_poll_round land 1) in
-  Array.fill rd.Repl.Quorum.replied 0 cs.cs_n false;
-  await_replies t cs
-    ~what:(Printf.sprintf "counter poll round %d (version %d)" round version)
-    ~answered:rd.replied
-    ~resend:(fun i -> send t ~src:cs.cs_id ~dst:i query)
-    ~sender:(function
-      | Counter_reply { from_node; version = v; round = r; epoch = ep; _ }
-        when v = version && r = round && ep = epoch -> from_node
-      | _ -> -1)
-    ~keep:(fun i -> function
-      | Counter_reply { r_nz; c_nz; _ } ->
-          (* R(v)pq is stored at sender p; C(v)pq at executor q. Peer
-             indices are shard-local (see {!cnt_ix}): peer [q] is the
-             shard member at [lo + q]. *)
-          rd.rows.(i) <- r_nz;
-          rd.cols.(i) <- c_nz
-      | _ -> ());
-  rd
-
-(* Phase 2 / phase 4 core: poll until two consecutive polls are identical
-   and show R = C pairwise — the repeated-snapshot stable-property
-   detection the paper cites [8, 12, 9]. Under replication the comparison
-   is quorum-scoped: counter pairs involving an excused crashed replica are
-   skipped, because the only traffic they can still owe is mirrors (which
-   retransmit until the replica restarts, and the readable-after-recovery
-   gate keeps it from serving reads before they land). Pairs of {e genuine}
-   subtransactions stranded at a crashed replica are a different story —
-   their roots have not committed, so retiring their version would let a
-   read miss a writer that later completes. The live-subtransaction oracle
-   detects exactly that case and defers the advancement until the replica
-   restarts and drains them. *)
-let await_quiescence t cs ?(vr_pending = false) ~version () =
-  (* Cross-shard read entries assigned [version] by the read-vector
-     service but not yet arrived here have opened no counter pair, so
-     R = C cannot see them; consult the service and defer retirement
-     while any are in flight (phase-3 waits only — update versions are
-     never vector components). *)
-  let service_pending () =
-    match t.rvec with
-    | Some rv when vr_pending ->
-        Shard.Rvector.pending rv ~shard:cs.cs_shard ~version
-    | _ -> 0
-  in
-  let rec go prev =
-    let rd = poll_counters t cs ~version in
-    let settled = Repl.Quorum.settled rd in
-    let stable =
-      match prev with Some prd -> Repl.Quorum.stable prd rd | None -> false
-    in
-    let full = Array.for_all Fun.id rd.replied in
-    let quiet = settled && (stable || not t.cfg.two_wave_quiescence) in
-    let defer_stranded =
-      quiet && (not full) && Vwindow.get cs.cs_live version <> 0
-    in
-    let defer_service = quiet && service_pending () <> 0 in
-    if defer_stranded then cstat t "repl.quorum_deferred";
-    if defer_service then cstat t "shard.rvector_deferred";
-    if quiet && (not defer_stranded) && not defer_service then begin
-      let active = Vwindow.get cs.cs_live version in
-      if active <> 0 then begin
-        (* Full participation and still active work: the protocol is about
-           to act on a false quiescence claim. With checks on this is
-           fatal; the A1 ablation instead records it and lets the
-           resulting corruption surface downstream. *)
-        if t.cfg.debug_checks then
-          failwith
-            (Printf.sprintf
-               "3V unsoundness: coordinator declared version %d quiescent \
-                with %d live subtransactions"
-               version active)
-        else cstat t "proto.unsound_quiescence"
-      end
-    end
-    else begin
-      Sim.sleep t.sim t.cfg.poll_interval;
-      coord_check t cs;
-      go (Some rd)
-    end
-  in
-  go None
-
-(* The four-phase version advancement of §4.3, write-ahead logged: every
-   phase entry is recorded in [t.clog] before its first message goes out,
-   so a crash-restarted coordinator resumes the in-flight advancement at
-   its last logged phase (node-side idempotence makes re-driving a
-   partially — or fully — completed phase harmless).
-
-   Phase 4 is the one asymmetry: its [Retire_read] record is logged only
-   {e after} [vr_old] is confirmed quiescent, because a re-drive must not
-   re-poll a version whose counters some nodes have already collected
-   (a GC'd node reports zeros while an un-GC'd one still holds the frozen
-   true counts, so R = C could never re-establish). A crash during the
-   phase-4 quiescence wait therefore resumes from [Switch_read] — nothing
-   has been collected yet, so re-polling is sound — while a crash after
-   the record resumes straight at the GC re-broadcast. *)
-let run_advancement t cs =
-  coord_check t cs;
-  let rc = Coord_log.recover cs.cs_clog ~init_vu:initial_vu ~init_vr:initial_vr in
-  let adv, start_phase, vu_old, vr_old, resuming =
-    match rc.Coord_log.in_flight with
-    | Some f ->
-        ( f.Coord_log.f_adv,
-          Coord_log.phase_number f.Coord_log.f_phase,
-          f.Coord_log.f_vu_old,
-          f.Coord_log.f_vr_old,
-          true )
-    | None -> (rc.Coord_log.completed + 1, 1, cs.cs_vu, cs.cs_vr, false)
-  in
-  let vu_new = vu_old + 1 and vr_new = vr_old + 1 in
-  (* Log a phase entry — except the phase we are resuming into, whose
-     record is the one we just recovered from. *)
-  let enter phase =
-    if not (resuming && Coord_log.phase_number phase = start_phase) then
-      Coord_log.append cs.cs_clog
-        (Coord_log.Phase { adv; phase; vu_old; vr_old; time = Sim.now t.sim })
-  in
-  if tracing t then
-    if resuming then
-      tr t cs.cs_name "resuming advancement %d from phase %d (WAL)" adv
-        start_phase
-    else
-      tr t cs.cs_name "version advancement begins (vu %d -> %d)" vu_old vu_new;
-  (* Phase 1: switch to the new update version. *)
-  if start_phase <= 1 then begin
-    enter Coord_log.Switch_update;
-    broadcast t cs (Start_advancement { vu_new });
-    await_acks t cs ~what:"phase 1 (start-advancement acks)"
-      ~resend:(fun i ->
-        send t ~src:cs.cs_id ~dst:i (Start_advancement { vu_new }))
-      ~matches:(function
-        | Adv_ack { from_node; vu } when vu = vu_new -> from_node
-        | _ -> -1);
-    if tracing t then
-      tr t cs.cs_name "phase 1 complete: all nodes on update version %d" vu_new
-  end;
-  (* Phase 2: wait for version vu_old to become mutually consistent. *)
-  if start_phase <= 2 then begin
-    enter Coord_log.Quiesce_update;
-    await_quiescence t cs ~version:vu_old ();
-    if tracing t then
-      tr t cs.cs_name "phase 2 complete: version %d consistent across nodes"
-        vu_old
-  end;
-  (* Phase 3: switch queries to the freshly consistent version, then wait
-     for the old read version's subtransactions to drain. The new read
-     version is published to the read-vector service the moment every
-     member acknowledged the switch — cross-shard reads assigned from
-     here on see this shard at [vr_new] — and the [vr_old] quiescence
-     wait additionally defers while the service still has assigned-but-
-     unarrived entries against [vr_old]. *)
-  if start_phase <= 3 then begin
-    enter Coord_log.Switch_read;
-    broadcast t cs (Advance_read { vr_new });
-    await_acks t cs ~what:"phase 3 (advance-read acks)"
-      ~resend:(fun i -> send t ~src:cs.cs_id ~dst:i (Advance_read { vr_new }))
-      ~matches:(function
-        | Read_ack { from_node; vr } when vr = vr_new -> from_node
-        | _ -> -1);
-    if tracing t then
-      tr t cs.cs_name "phase 3 complete: read version is %d" vr_new;
-    (match t.rvec with
-    | Some rv -> Shard.Rvector.publish rv ~shard:cs.cs_shard ~vr:vr_new
-    | None -> ());
-    await_quiescence t cs ~vr_pending:true ~version:vr_old ()
-  end;
-  (* Phase 4: old readers have drained; garbage-collect. The advancement
-     instance only finishes once every node acknowledged collecting: letting
-     the next advancement overlap an in-flight GC notice would transiently
-     yield a fourth version, breaking the paper's ≤3 bound (§4.4, 2a). *)
-  enter Coord_log.Retire_read;
-  (* Advance the live-tally window with the shard's GC floor. Quiescence
-     on [vr_old] means tallies below [vr_new] are back to zero (a crashed
-     replica's excused subtransactions can leave a stale nonzero tally, but
-     the tally is only ever consulted for the advancement's current
-     versions, never below the floor). *)
-  Vwindow.gc_below cs.cs_live vr_new;
-  broadcast t cs (Do_gc { keep = vr_new });
-  if t.cfg.await_gc_acks then
-    await_acks t cs ~what:"phase 4 (gc acks)"
-      ~resend:(fun i -> send t ~src:cs.cs_id ~dst:i (Do_gc { keep = vr_new }))
-      ~matches:(function
-        | Gc_ack { from_node; keep } when keep = vr_new -> from_node
-        | _ -> -1);
-  if tracing t then
-    tr t cs.cs_name "phase 4 complete: version %d garbage-collected" vr_old;
-  Coord_log.append cs.cs_clog (Coord_log.Committed { adv; time = Sim.now t.sim });
-  cs.cs_vu <- vu_new;
-  cs.cs_vr <- vr_new;
-  cs.cs_advancements <- cs.cs_advancements + 1
+(* Take every queued advancement request: one advancement beginning after
+   a request arrived serves them all. *)
+let take_requests cs =
+  while Mailbox.length cs.cs_trigger > 0 do
+    cs.cs_served <- Mailbox.take cs.cs_trigger :: cs.cs_served
+  done
 
 (* Coordinator restart: replay the WAL into fresh volatile state. The epoch
    bump namespaces the reset poll-round counter on the wire, so pre-crash
@@ -1692,8 +1377,8 @@ let coord_recover t cs =
   cs.cs_epoch <- rc.Coord_log.next_epoch;
   Coord_log.append cs.cs_clog
     (Coord_log.Started { epoch = cs.cs_epoch; time = Sim.now t.sim });
-  cs.cs_poll_round <- 0;
-  cs.cs_watch <- None;
+  cs.cs_wait.w_round <- 0;
+  cs.cs_wait.w_watched <- false;
   cs.cs_vu <- rc.Coord_log.vu;
   cs.cs_vr <- rc.Coord_log.vr;
   cs.cs_advancements <- rc.Coord_log.completed;
@@ -1708,46 +1393,370 @@ let coord_recover t cs =
             (Coord_log.phase_number f.Coord_log.f_phase)
       | None -> "")
 
-let coordinator_loop t cs () =
-  (* Run one advancement to completion, recovering from any number of
-     crashes along the way: each recovery replays the WAL and re-enters
-     [run_advancement], which resumes at the last logged phase. *)
-  let rec drive () =
-    try run_advancement t cs
-    with Coord_crashed ->
-      coord_recover t cs;
-      drive ()
-  in
-  let rec loop () =
-    let reply = Mailbox.recv t.sim cs.cs_trigger in
-    (* A crash that hit while idle is noticed here. The trigger that woke
-       us is client intent, not volatile coordinator state — it survives
-       the restart and is served below. *)
-    (try coord_check t cs with Coord_crashed -> coord_recover t cs);
-    (* Coalesce triggers that queued up while a previous advancement ran: a
-       single advancement satisfies all of them (an advancement beginning
-       after a trigger arrived publishes data at least as fresh as the
-       trigger demanded). *)
-    let replies = ref [ reply ] in
-    let rec drain () =
-      match Mailbox.try_recv cs.cs_trigger with
-      | Some r ->
-          replies := r :: !replies;
-          drain ()
-      | None -> ()
+(* One transition of shard [cs]'s coordinator on [input]. A failing step
+   stops the run under the coordinator's name. *)
+let rec coordinator_loop t cs input =
+  let w = cs.cs_wait in
+  try
+    match input with
+    | Trigger -> if cs.cs_down then notice_crash t cs else resume_advancement t cs
+    | Inbox -> take_replies t cs
+    | Wake ->
+        if cs.cs_down then notice_crash t cs
+        else if w.w_needed > 0 then take_replies t cs
+        else wait_done t cs
+    | Poll_due -> if cs.cs_down then notice_crash t cs else poll_counters t cs
+    | Up ->
+        coord_recover t cs;
+        resume_advancement t cs
+    | Tick ->
+        (* Past the deadline: record the stall, excuse newly suspected
+           members, re-send the request to every member that has not
+           answered, and double the interval with a bound. *)
+        if w.w_watched && Sim.now t.sim >= w.w_deadline then begin
+          cstat t "proto.phase_stalled";
+          if tracing t then
+            tr t cs.cs_name "watchdog: %s stalled for %gs; re-broadcasting"
+              (wait_name cs) w.w_interval;
+          excuse_suspected t cs;
+          Array.iteri
+            (fun i done_ ->
+              if not done_ then send t ~src:cs.cs_id ~dst:(cs.cs_lo + i) w.w_request)
+            w.w_answered;
+          w.w_interval <- Float.min (w.w_interval *. 2.) (8. *. t.cfg.phase_deadline);
+          w.w_deadline <- Sim.now t.sim +. w.w_interval
+        end
+    | Crash until_ ->
+        cs.cs_down <- true;
+        cs.cs_down_until <- Float.max cs.cs_down_until until_;
+        w.w_watched <- false;
+        if tracing t then
+          tr t cs.cs_name "crashes (fault injection; volatile phase state lost)"
+    | Restart ->
+        if tracing t then tr t cs.cs_name "restarts; write-ahead log intact";
+        wake t cs
+  with exn ->
+    Sim.fail t.sim
+      (if t.cfg.shards = 1 then "coordinator"
+       else Printf.sprintf "coordinator%d" cs.cs_shard)
+      exn
+
+(* Between advancements: begin the next at once if requests queued while
+   the last one ran, else wait for one. *)
+and await_request t cs =
+  if Mailbox.length cs.cs_trigger > 0 then resume_advancement t cs
+  else
+    Mailbox.on_arrival cs.cs_trigger (fun () ->
+        Sim.schedule t.sim ~delay:0. (fun () -> coordinator_loop t cs Trigger))
+
+(* Resume the advancement the WAL has in flight at its logged phase,
+   without appending that phase's record again, or begin the next one. An
+   advancement serves the requests queued when it began: they are client
+   intent, kept across crashes. *)
+and resume_advancement t cs =
+  (match cs.cs_served with [] -> take_requests cs | _ :: _ -> ());
+  if cs.cs_down then notice_crash t cs
+  else
+    let rc = Coord_log.recover cs.cs_clog ~init_vu:initial_vu ~init_vr:initial_vr in
+    let log, f =
+      match rc.Coord_log.in_flight with
+      | Some f -> (false, f)
+      | None ->
+          ( true,
+            {
+              Coord_log.f_adv = rc.Coord_log.completed + 1;
+              f_phase = Coord_log.Switch_update;
+              f_vu_old = cs.cs_vu;
+              f_vr_old = cs.cs_vr;
+            } )
     in
-    drain ();
-    drive ();
-    List.iter
-      (function
-        | Some c ->
-            c.c_left <- c.c_left - 1;
-            if c.c_left = 0 then Ivar.fill c.c_done ()
-        | None -> ())
-      !replies;
-    loop ()
+    cs.cs_flight <- f;
+    if tracing t then
+      if log then
+        tr t cs.cs_name "version advancement begins (vu %d -> %d)" f.f_vu_old
+          (f.f_vu_old + 1)
+      else
+        tr t cs.cs_name "resuming advancement %d from phase %d (WAL)" f.f_adv
+          (Coord_log.phase_number f.f_phase);
+    run_advancement t cs ~log f.f_phase
+
+(* Enter [phase] of §4.3's four-phase advancement: append its WAL record
+   ([log]), then send its first messages and open its wait. Phase 4's
+   record is appended only once phase 3 found [vr_old] quiescent
+   (PROTOCOL.md §9.2). *)
+and run_advancement t cs ~log phase =
+  cs.cs_flight <- { cs.cs_flight with Coord_log.f_phase = phase };
+  let f = cs.cs_flight in
+  let vu_new = f.f_vu_old + 1 and vr_new = f.f_vr_old + 1 in
+  let enter () =
+    if log then
+      Coord_log.append cs.cs_clog
+        (Coord_log.Phase
+           {
+             adv = f.f_adv;
+             phase;
+             vu_old = f.f_vu_old;
+             vr_old = f.f_vr_old;
+             time = Sim.now t.sim;
+           })
   in
-  loop ()
+  enter ();
+  match phase with
+  | Coord_log.Switch_update ->
+      broadcast t cs (Start_advancement { vu_new });
+      await_acks t cs (Start_advancement { vu_new })
+  | Coord_log.Quiesce_update ->
+      cs.cs_wait.w_prev <- None;
+      poll_counters t cs
+  | Coord_log.Switch_read ->
+      broadcast t cs (Advance_read { vr_new });
+      await_acks t cs (Advance_read { vr_new })
+  | Coord_log.Retire_read ->
+      (* Quiescence on [vr_old] put the live tallies below [vr_new] back
+         to zero. The advancement finishes only once every node
+         acknowledged collecting: letting the next one overlap an
+         in-flight GC notice would transiently yield a fourth version
+         (§4.4, 2a). *)
+      Vwindow.gc_below cs.cs_live vr_new;
+      broadcast t cs (Do_gc { keep = vr_new });
+      if t.cfg.await_gc_acks then await_acks t cs (Do_gc { keep = vr_new })
+      else finish t cs
+
+(* A phase's acknowledgements of [request]. *)
+and await_acks t cs request =
+  Array.fill cs.cs_acked 0 cs.cs_n false;
+  open_wait t cs request cs.cs_acked
+
+(* One asynchronous poll of every member's R row and C column for the
+   polled version, collected into the round's buffer. *)
+and poll_counters t cs =
+  let w = cs.cs_wait in
+  w.w_round <- w.w_round + 1;
+  cstat t "proto.polls";
+  let query =
+    Counter_query { version = polled_version cs; round = w.w_round; epoch = cs.cs_epoch }
+  in
+  broadcast t cs query;
+  let rd = cs.cs_poll_bufs.(w.w_round land 1) in
+  Array.fill rd.Repl.Quorum.replied 0 cs.cs_n false;
+  open_wait t cs query rd.Repl.Quorum.replied
+
+(* Open the one wait behind every phase's acks and every counter poll: a
+   reply from every required member, counted into [answered]. *)
+and open_wait t cs request answered =
+  let w = cs.cs_wait in
+  let required = poll_required t cs in
+  w.w_request <- request;
+  w.w_required <- required;
+  w.w_answered <- answered;
+  w.w_needed <- 0;
+  Array.iter (fun r -> if r then w.w_needed <- w.w_needed + 1) required;
+  if t.cfg.phase_deadline < infinity then begin
+    w.w_watched <- true;
+    w.w_deadline <- Sim.now t.sim +. t.cfg.phase_deadline;
+    w.w_interval <- t.cfg.phase_deadline
+  end;
+  if w.w_needed > 0 then take_replies t cs else wait_done t cs
+
+(* The wait's receive: take packets in inbox order, running the channel's
+   receive step on each, until a first delivery; park on an empty inbox. *)
+and take_replies t cs =
+  let w = cs.cs_wait in
+  let inbox = Network.inbox t.net ~node:cs.cs_id in
+  w.w_parked <- Mailbox.length inbox = 0;
+  if w.w_parked then
+    Mailbox.on_arrival inbox (fun () ->
+        if w.w_parked then begin
+          w.w_parked <- false;
+          Sim.schedule t.sim ~delay:0. (fun () -> coordinator_loop t cs Inbox)
+        end)
+  else
+    let p = Mailbox.take inbox in
+    match (Reliable.accept t.ch ~node:cs.cs_id p, p) with
+    | true, Reliable.Data { body; _ } -> reply t cs body
+    | _, (Reliable.Data _ | Reliable.Ack _) -> take_replies t cs
+
+(* One message the wait received, discarded if a crash hit since the last
+   step. Replies count once per member: a duplicate (watchdog re-send,
+   raw-mode duplicate) is recorded under [proto.dup_acks] and cannot
+   complete a wait early. *)
+and reply t cs msg =
+  let w = cs.cs_wait in
+  if cs.cs_down then notice_crash t cs
+  else begin
+    let i = reply_sender cs msg - cs.cs_lo in
+    if i < 0 || i >= cs.cs_n then cstat t "proto.stale_msgs"
+    else if w.w_answered.(i) then cstat t "proto.dup_acks"
+    else begin
+      w.w_answered.(i) <- true;
+      (match msg with
+      | Counter_reply { r_nz; c_nz; _ } ->
+          (* Peer indices are shard-local (see {!cnt_ix}). *)
+          let rd = cs.cs_poll_bufs.(w.w_round land 1) in
+          rd.rows.(i) <- r_nz;
+          rd.cols.(i) <- c_nz
+      | _ -> ());
+      if w.w_required.(i) then w.w_needed <- w.w_needed - 1
+    end;
+    if w.w_needed > 0 then take_replies t cs else wait_done t cs
+  end
+
+(* The open wait completed: a poll round goes to its decision, a phase's
+   acks to the phase's next step. *)
+and wait_done t cs =
+  let w = cs.cs_wait and f = cs.cs_flight in
+  w.w_watched <- false;
+  match (w.w_request, f.f_phase) with
+  | Counter_query _, _ -> await_quiescence t cs
+  | _, Coord_log.Switch_update ->
+      if tracing t then
+        tr t cs.cs_name "phase 1 complete: all nodes on update version %d"
+          (f.f_vu_old + 1);
+      run_advancement t cs ~log:true Coord_log.Quiesce_update
+  | _, Coord_log.Switch_read ->
+      (* Cross-shard reads assigned from here on see this shard at
+         [vr_new]. *)
+      if tracing t then
+        tr t cs.cs_name "phase 3 complete: read version is %d" (f.f_vr_old + 1);
+      (match t.rvec with
+      | Some rv -> Shard.Rvector.publish rv ~shard:cs.cs_shard ~vr:(f.f_vr_old + 1)
+      | None -> ());
+      w.w_prev <- None;
+      poll_counters t cs
+  | _, Coord_log.Retire_read -> finish t cs
+  | _, Coord_log.Quiesce_update -> assert false (* phase 2 only polls *)
+
+(* A poll round's decision (phases 2 and 3): quiescent once two
+   consecutive polls are identical and show R = C pairwise (the paper's
+   refs [8, 12, 9]), else poll again after [poll_interval]. Under
+   replication the comparison is quorum-scoped (PROTOCOL.md §10.3), and
+   the advancement defers while genuine subtransactions are stranded at a
+   crashed replica: their roots have not committed, so retiring their
+   version would let a read miss a writer that completes later. Phase 3
+   also defers while the read-vector service has entries assigned
+   [vr_old] that have not arrived, which open no counter pair R = C could
+   see. *)
+and await_quiescence t cs =
+  let w = cs.cs_wait in
+  let reading = cs.cs_flight.f_phase = Coord_log.Switch_read in
+  let version = polled_version cs in
+  let rd = cs.cs_poll_bufs.(w.w_round land 1) in
+  let settled = Repl.Quorum.settled rd in
+  let stable =
+    match w.w_prev with Some prd -> Repl.Quorum.stable prd rd | None -> false
+  in
+  let full = Array.for_all Fun.id rd.replied in
+  let quiet = settled && (stable || not t.cfg.two_wave_quiescence) in
+  let defer_stranded = quiet && (not full) && Vwindow.get cs.cs_live version <> 0 in
+  let defer_service =
+    quiet
+    &&
+    match t.rvec with
+    | Some rv when reading -> Shard.Rvector.pending rv ~shard:cs.cs_shard ~version <> 0
+    | _ -> false
+  in
+  if defer_stranded then cstat t "repl.quorum_deferred";
+  if defer_service then cstat t "shard.rvector_deferred";
+  if quiet && (not defer_stranded) && not defer_service then begin
+    let active = Vwindow.get cs.cs_live version in
+    if active <> 0 then begin
+      (* Full participation and still active work: a false quiescence
+         claim. Fatal with checks on; the A1 ablation records it. *)
+      if t.cfg.debug_checks then
+        failwith
+          (Printf.sprintf
+             "3V unsoundness: coordinator declared version %d quiescent with \
+              %d live subtransactions"
+             version active)
+      else cstat t "proto.unsound_quiescence"
+    end;
+    if reading then run_advancement t cs ~log:true Coord_log.Retire_read
+    else begin
+      if tracing t then
+        tr t cs.cs_name "phase 2 complete: version %d consistent across nodes" version;
+      run_advancement t cs ~log:true Coord_log.Switch_read
+    end
+  end
+  else begin
+    w.w_prev <- Some rd;
+    Sim.after t.sim t.cfg.poll_interval (fun () -> coordinator_loop t cs Poll_due)
+  end
+
+(* Phase 4 acknowledged: commit the advancement to the WAL, answer the
+   requests it served, and go on to the next. *)
+and finish t cs =
+  let f = cs.cs_flight in
+  if tracing t then
+    tr t cs.cs_name "phase 4 complete: version %d garbage-collected" f.f_vr_old;
+  Coord_log.append cs.cs_clog (Coord_log.Committed { adv = f.f_adv; time = Sim.now t.sim });
+  cs.cs_vu <- f.f_vu_old + 1;
+  cs.cs_vr <- f.f_vr_old + 1;
+  cs.cs_advancements <- cs.cs_advancements + 1;
+  let served = cs.cs_served in
+  cs.cs_served <- [];
+  List.iter
+    (Option.iter (fun c ->
+         c.c_left <- c.c_left - 1;
+         if c.c_left = 0 then Ivar.fill c.c_done ()))
+    served;
+  await_request t cs
+
+(* Watchdog-time suspicion excusal (PROTOCOL.md §9.3): under replication
+   with the failure detector on, a member that fell under suspicion after
+   the wait began is excused, provided its group still has an unsuspected
+   member. If no reply is owed any more, the wait is woken as a restart
+   wakes it. *)
+and excuse_suspected t cs =
+  let w = cs.cs_wait in
+  if repl_on t && t.fd <> None then begin
+    let req_now = poll_required t cs in
+    Array.iteri
+      (fun i was ->
+        if was && (not req_now.(i)) && not w.w_answered.(i) then begin
+          w.w_required.(i) <- false;
+          w.w_needed <- w.w_needed - 1;
+          cstat t "proto.suspicion_excused"
+        end)
+      w.w_required;
+    if w.w_needed <= 0 then wake t cs
+  end
+
+(* Wake a wait parked on the inbox, on the two events a self-addressed
+   message takes to wake a receive: its arrival, none while the coordinator
+   is down (the crash-window filter would drop it), and the receive's
+   wake. A wait that is not parked by then needs no wake. *)
+and wake t cs =
+  if Sim.now t.sim >= cs.cs_down_until then
+    Sim.schedule t.sim ~delay:0. (fun () ->
+        if cs.cs_wait.w_parked then begin
+          cs.cs_wait.w_parked <- false;
+          Sim.schedule t.sim ~delay:0. (fun () -> coordinator_loop t cs Wake)
+        end)
+
+(* Notice a crash: the coordinator must not act while down, so it waits
+   out the rest of the down window, then replays the WAL and re-enters the
+   logged phase. *)
+and notice_crash t cs =
+  cs.cs_down <- false;
+  let now = Sim.now t.sim in
+  if now < cs.cs_down_until then
+    Sim.after t.sim (cs.cs_down_until -. now) (fun () -> coordinator_loop t cs Up)
+  else begin
+    coord_recover t cs;
+    resume_advancement t cs
+  end
+
+(* A shard's stall watchdog, present only when [phase_deadline] is finite:
+   a tick every [phase_deadline / 4], armed from an event queued at
+   creation (where a spawned process starts), so that the ticks keep their
+   order among other events at the same instants. *)
+let watchdog_loop t cs =
+  let quarter = t.cfg.phase_deadline /. 4. in
+  let rec tick () =
+    coordinator_loop t cs Tick;
+    Sim.after t.sim quarter tick
+  in
+  Sim.schedule t.sim ~delay:0. (fun () -> Sim.after t.sim quarter tick)
 
 (* -------------------------------------------------------- public API *)
 
@@ -1811,7 +1820,7 @@ let restart_recover t node =
 (* A node's message dispatch, as callbacks on its inbox. An idle node's
    inbox holds a one-shot arrival hook; a delivery fires it, which queues
    the node's drain at the current instant, the event a server process
-   blocked in [Reliable.recv] would wake on (test_simul's dispatch oracle
+   blocked in a receive would wake on (test_simul's dispatch oracle
    holds the two shapes equal). Deliveries while the drain is queued,
    running or paused only enqueue. The drain takes packets in inbox
    order, runs the channel's receive step on each and dispatches every
@@ -1906,8 +1915,8 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
   Injector.install faults net;
   (* Failure-detector subsystem (opt-in): a dedicated heartbeat side
      network with the fault injector's heartbeat-class filter installed,
-     plus the suspicion state machine the coordinator's monitor daemon
-     feeds. Nothing here exists when [hb_period = 0]. *)
+     plus the suspicion state machine the heartbeat monitor feeds. Nothing
+     here exists when [hb_period = 0]. *)
   let fd =
     if cfg.hb_period <= 0. then None
     else begin
@@ -1973,15 +1982,35 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
           cs_trigger = Mailbox.create ();
           cs_clog = clog;
           cs_live = Vwindow.create ();
+          cs_served = [];
           cs_census = census.(s);
           cs_epoch = 0;
-          cs_crash_gen = 0;
-          cs_seen_gen = 0;
+          cs_flight =
+            {
+              Coord_log.f_adv = 0;
+              f_phase = Coord_log.Switch_update;
+              f_vu_old = initial_vu;
+              f_vr_old = initial_vr;
+            };
+          cs_down = false;
           cs_down_until = 0.;
-          cs_watch = None;
+          cs_wait =
+            {
+              (* No wait is open: no reply matches epoch -1. *)
+              w_request = Counter_query { version = -1; round = 0; epoch = -1 };
+              w_required = [||];
+              w_answered = [||];
+              w_needed = 0;
+              w_parked = false;
+              w_round = 0;
+              w_prev = None;
+              w_watched = false;
+              w_deadline = 0.;
+              w_interval = 0.;
+            };
+          cs_acked = Array.make per_shard false;
           cs_vu = initial_vu;
           cs_vr = initial_vr;
-          cs_poll_round = 0;
           cs_poll_bufs = Array.init 2 (fun _ -> Repl.Quorum.round per_shard);
           cs_advancements = 0;
           cs_updates_since_trigger = 0;
@@ -2028,93 +2057,58 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
     ~restart:(fun ~node ->
       if node >= 0 && node < cfg.nodes then restart_recover t t.nodes.(node))
     ();
-  (* Coordinator crash effects: the crash hook wipes volatile progress (the
-     generation bump makes the coordinator fiber notice at its next check;
-     the armed watch is cleared so no stale re-broadcast fires during the
-     outage); the restart hook wakes a fiber parked in [recv] with a
-     zero-payload self-send — the window is [at, restart), so a send at
-     exactly [restart] passes the filter. The injector addresses one
+  (* Coordinator crash effects, as inputs of the coordinator's state
+     machine: the crash hook marks it down (volatile progress is void, and
+     the watchdog stops re-sending); the restart hook wakes a wait parked on
+     the inbox, so that it notices the crash. The injector addresses one
      coordinator endpoint; plan-level coordinator crashes hit shard 0's
-     (the "coordinator of one shard" failure-matrix row — the other
-     shards keep advancing through the outage). *)
+     (the "coordinator of one shard" failure-matrix row — the other shards
+     keep advancing through the outage). *)
   let c0 = t.cs.(0) in
   Injector.set_coord faults ~id:c0.cs_id
-    ~crash:(fun ~until_ ->
-      c0.cs_crash_gen <- c0.cs_crash_gen + 1;
-      c0.cs_down_until <- Float.max c0.cs_down_until until_;
-      c0.cs_watch <- None;
-      if tracing t then
-        tr t c0.cs_name "crashes (fault injection; volatile phase state lost)")
-    ~restart:(fun () ->
-      if tracing t then tr t c0.cs_name "restarts; write-ahead log intact";
-      send t ~src:c0.cs_id ~dst:c0.cs_id Coord_wake)
+    ~crash:(fun ~until_ -> coordinator_loop t c0 (Crash until_))
+    ~restart:(fun () -> coordinator_loop t c0 Restart)
     ();
   Array.iter (serve t) nodes;
-  (* Heartbeat daemons: one sender per node and the coordinator-side
-     monitor. A crashed node's sender keeps firing into the heartbeat
-     filter, which drops everything from inside a crash window — exactly a
-     real process that stops being heard, without the engine telling the
-     detector anything. Pauses intentionally do {e not} silence heartbeats:
-     a frozen-but-alive node is the classic false-suspicion hazard only
-     when its beats are lost, which fault plans express directly
-     ({!Fault.Plan.heartbeat_loss}). *)
+  (* Heartbeats: each node beats every [hb_period] from an event queued at
+     creation, and the monitor drains its inbox by callbacks. A crashed
+     node keeps beating into the heartbeat filter, which drops everything
+     from inside a crash window — exactly a real process that stops being
+     heard, without the engine telling the detector anything. Pauses
+     intentionally do {e not} silence heartbeats: a frozen-but-alive node
+     is the classic false-suspicion hazard only when its beats are lost,
+     which fault plans express directly ({!Fault.Plan.heartbeat_loss}). *)
   (match fd with
   | None -> ()
   | Some fd ->
       Array.iter
         (fun node ->
-          Sim.spawn sim ~daemon:true ~name:(Printf.sprintf "hb-%s" node.name)
-            (fun () ->
-              let rec loop () =
-                Heartbeat.beat fd.hb ~node:node.id;
-                Sim.sleep sim cfg.hb_period;
-                loop ()
-              in
-              loop ()))
-        nodes;
-      Sim.spawn sim ~daemon:true ~name:"hb-monitor" (fun () ->
-          let rec loop () =
-            let src = Heartbeat.recv fd.hb in
-            if src >= 0 && src < cfg.nodes then
-              Detector.heartbeat fd.det ~node:src ~now:(Sim.now sim);
-            loop ()
+          let rec beat () =
+            Heartbeat.beat fd.hb ~node:node.id;
+            Sim.after sim cfg.hb_period beat
           in
-          loop ()));
-  (* Coordinators — one fiber per shard. At [shards = 1] the fiber is
-     named "coordinator", and its trace site "coord", as the paper's one
-     coordinator. *)
-  Array.iter
-    (fun cs ->
-      let name =
-        if cfg.shards = 1 then "coordinator"
-        else Printf.sprintf "coordinator%d" cs.cs_shard
-      in
-      Sim.spawn sim ~daemon:true ~name (coordinator_loop t cs))
-    t.cs;
-  (* Stall watchdogs — only spawned when a finite deadline is configured, so
-     the default configuration's event schedule is untouched. *)
-  if cfg.phase_deadline < infinity then
-    Array.iter
-      (fun cs ->
-        let name =
-          if cfg.shards = 1 then "coord-watchdog"
-          else Printf.sprintf "coord-watchdog%d" cs.cs_shard
-        in
-        Sim.spawn sim ~daemon:true ~name (watchdog_loop t cs))
-      t.cs;
-  (* Advancement policy driver: one daemon triggers every shard in shard
-     order, keeping cross-shard advancement cadence aligned rather than
-     staggered by S independent clocks. *)
+          Sim.schedule sim ~delay:0. beat)
+        nodes;
+      Heartbeat.serve fd.hb (fun src ->
+          if src >= 0 && src < cfg.nodes then
+            Detector.heartbeat fd.det ~node:src ~now:(Sim.now sim)));
+  (* Coordinators, one per shard, idle until their first request. *)
+  Array.iter (await_request t) t.cs;
+  (* Stall watchdogs — only present when a finite deadline is configured,
+     so the default configuration's event schedule is untouched. *)
+  if cfg.phase_deadline < infinity then Array.iter (watchdog_loop t) t.cs;
+  (* Advancement policy driver: one timer requests an advancement of every
+     shard in shard order, keeping cross-shard advancement cadence aligned
+     rather than staggered by S independent clocks; armed, like the
+     watchdog, from an event queued at creation. *)
   (match cfg.policy with
   | Policy.Manual | Policy.Every_n_updates _ | Policy.Divergence _ -> ()
   | Policy.Periodic d ->
-      Sim.spawn sim ~daemon:true ~name:"policy-periodic" (fun () ->
-          let rec loop () =
-            Sim.sleep sim d;
-            Array.iter (fun cs -> Mailbox.send cs.cs_trigger None) t.cs;
-            loop ()
-          in
-          loop ()));
+      let rec tick () =
+        Array.iter (fun cs -> Mailbox.send cs.cs_trigger None) t.cs;
+        Sim.after sim d tick
+      in
+      Sim.schedule sim ~delay:0. (fun () -> Sim.after sim d tick));
   t
 
 let name _ = "3v"

@@ -22,11 +22,14 @@
     {b Read-only transactions} (§4.2): same machinery with version [vr];
     they take no locks and are never delayed or aborted.
 
-    {b Version advancement} (§4.3) runs as a coordinator process: phase 1
-    broadcasts the new update version and collects acks; phase 2 polls the
-    counters asynchronously until two consecutive polls agree and show
-    [R(v)pq = C(v)pq] everywhere; phase 3 advances the read version; phase 4
-    waits for old readers the same way and triggers garbage collection.
+    {b Version advancement} (§4.3) is run by a coordinator per shard, a
+    state machine over the write-ahead log's phases that each input
+    (a request, a reply, a timer, a crash or restart) moves by one
+    transition: phase 1 broadcasts the new update version and collects
+    acks; phase 2 polls the counters asynchronously until two consecutive
+    polls agree and show [R(v)pq = C(v)pq] everywhere; phase 3 advances the
+    read version; phase 4 waits for old readers the same way and triggers
+    garbage collection.
 
     {b Coordinator crash tolerance}: every phase entry is recorded in a
     durable write-ahead log ({!Coord_log}) before its first message goes
@@ -90,7 +93,7 @@ type config = {
   hb_period : float;
       (** heartbeat send cadence for the failure-detector subsystem. [0.]
           (the default) disables it entirely — no heartbeat network, no
-          daemons, no messages, byte-identical historical schedules — and
+          timers, no messages, byte-identical historical schedules — and
           liveness decisions fall back to the fault injector's
           {e instantaneous} ground truth (a legacy/testing convenience: no
           deployable system has that oracle). When positive, every node
@@ -116,7 +119,7 @@ type config = {
           phase the coordinator records [proto.phase_stalled] and re-sends
           the phase message to the nodes that have not replied, with doubled
           (bounded) backoff. [infinity] (the default) disables the watchdog
-          — its daemon is not spawned, leaving fault-free schedules
+          — its timer does not exist, leaving fault-free schedules
           untouched. Must be positive. *)
   policy : Policy.t;  (** when to trigger version advancement *)
   nc_mode : bool;
@@ -167,13 +170,18 @@ type t
 
 (** [create sim config ?trace ?node_names ?link_latency ?faults ()] builds
     the system on [sim]: each node's inbox is drained by callbacks armed on
-    it (no process per node), and the coordinators, heartbeat senders and
-    policy timer start as daemon processes. Read-only subtransactions and
-    commuting ones outside [nc_mode] run as callback chains; an NC
-    subtransaction runs as a process, since it can wait on a lock or on
-    its admission. A node handler's failure stops the run as
+    it (no process per node); each coordinator is a state machine moved by
+    callbacks, and the heartbeat senders, the stall watchdog and the
+    periodic policy are {!Simul.Sim.after} timers. Read-only
+    subtransactions and commuting ones outside [nc_mode] run as callback
+    chains; an NC subtransaction runs as a process, since it can wait on a
+    lock or on its admission: it is the only process the engine starts, so
+    an idle engine with the detector and the watchdog off runs no event. A
+    node handler's failure stops the run as
     [Sim.Process_failure ("node-<name>", exn)], a subtransaction's as
-    [Sim.Process_failure ("<node>/<label>#<id>", exn)]. [node_names]
+    [Sim.Process_failure ("<node>/<label>#<id>", exn)], a coordinator's as
+    [Sim.Process_failure ("coordinator", exn)] (["coordinator<s>"] with
+    [shards > 1]). [node_names]
     labels nodes in traces (default "n0", "n1", ...). [faults] plugs a {!Fault.Injector} into the
     engine's network and node-event hooks; when omitted an internal
     injector with the empty plan is used (behaviorally a no-op), so

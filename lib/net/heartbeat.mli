@@ -12,7 +12,7 @@ type t
 
 (** [create sim ~size ~monitor ~latency ()] builds the side network with
     [size] endpoints, delivering beats to [monitor]. The owner runs the
-    send loops. *)
+    send timers. *)
 val create : Simul.Sim.t -> size:int -> monitor:int -> latency:Latency.t -> unit -> t
 
 (** The underlying network — exposed so a fault injector can install its
@@ -22,9 +22,13 @@ val network : t -> int Network.t
 (** [beat t ~node] sends one heartbeat from [node] to the monitor. *)
 val beat : t -> node:int -> unit
 
-(** [recv t] takes the next heartbeat at the monitor endpoint, suspending
-    until one arrives; returns the sender id. *)
-val recv : t -> int
+(** [serve t f] drains the monitor endpoint's inbox by callbacks: [f src]
+    runs for each heartbeat, with its sender id, on the events a monitor
+    process blocked in a receive would take (a beat reaching an idle inbox
+    queues the drain at the current instant; beats arriving before it runs
+    join it). Call it once. An exception from [f] stops the run as
+    [Sim.Process_failure ("hb-monitor", exn)]. *)
+val serve : t -> (int -> unit) -> unit
 
 (** Heartbeats sent so far (including ones the fault filter later drops). *)
 val sent : t -> int

@@ -64,7 +64,7 @@ val send : 'm t -> src:int -> dst:int -> 'm -> unit
 
 (** [recv t ~node] takes the next message for [node], suspending the calling
     process until one arrives. For receivers that run as processes (the
-    coordinators, the heartbeat monitor, the baselines' node loops). *)
+    baselines' node loops). *)
 val recv : 'm t -> node:int -> 'm
 
 (** [inbox t ~node] is [node]'s inbox, for a receiver that drains it by

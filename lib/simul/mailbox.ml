@@ -78,5 +78,4 @@ let recv sim m =
   if m.count > 0 then take m
   else Sim.suspend sim (fun waker -> Queue.add waker m.waiters)
 
-let try_recv m = if m.count > 0 then Some (take m) else None
 let length m = m.count

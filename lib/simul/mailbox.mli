@@ -41,8 +41,5 @@ val take : 'a t -> 'a
 (** [recv sim m] dequeues the next message, suspending until one exists. *)
 val recv : Sim.t -> 'a t -> 'a
 
-(** [try_recv m] dequeues without blocking. *)
-val try_recv : 'a t -> 'a option
-
 (** Number of queued (undelivered) messages. *)
 val length : 'a t -> int

@@ -34,9 +34,10 @@
 
     The distributed machinery in this repository (node dispatch, messages,
     transactions, the version-advancement coordinator) runs on this kernel:
-    node inboxes, most subtransactions and the workload client as
-    callbacks, coordinators and timers as processes. Virtual time is in
-    abstract seconds. *)
+    node inboxes, most subtransactions, the coordinators, the engine's
+    timers and the workload client as callbacks; only a subtransaction
+    that can wait on a lock or an admission, and the baselines' nodes,
+    run as processes. Virtual time is in abstract seconds. *)
 
 type t
 

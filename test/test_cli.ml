@@ -183,6 +183,22 @@ let unread_period_accepted () =
   let args = [ "--engine"; "2pc"; "--advancement-period"; "0" ] in
   checkb "2pc, zero period" true (S.validate (Run_args.parse args) = Ok ())
 
+(* ------------------------------------------------------ help page *)
+
+(* [run --help] renders its page without a doc-markup error: a spec's [@]
+   is written plain, as cmdliner's markup rejects the escape [\@]. *)
+let help_page_renders () =
+  let help = Buffer.create 8192 and err = Buffer.create 256 in
+  let hf = Format.formatter_of_buffer help and ef = Format.formatter_of_buffer err in
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "run") C.run_term in
+  (match Cmdliner.Cmd.eval_value ~help:hf ~err:ef ~argv:[| "run"; "--help=plain" |] cmd with
+  | Ok `Help -> ()
+  | _ -> Alcotest.fail "run --help=plain printed no help");
+  Format.pp_print_flush hf ();
+  Format.pp_print_flush ef ();
+  checks "nothing on stderr" "" (Buffer.contents err);
+  expect_usage "help page" "NODE@TIME:RESTART" (Error (Buffer.contents help))
+
 let () =
   Alcotest.run "cli_specs"
     [
@@ -202,6 +218,7 @@ let () =
           Alcotest.test_case "clean argv passes" `Quick prevalidate_clean;
           Alcotest.test_case "one-line message" `Quick error_is_one_line;
         ] );
+      ("help", [ Alcotest.test_case "run page renders" `Quick help_page_renders ]);
       ( "validate",
         [
           Alcotest.test_case "defaults accepted" `Quick accepts_defaults;

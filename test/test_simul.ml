@@ -284,13 +284,16 @@ let mailbox_fifo () =
   ignore (Sim.run sim ());
   check Alcotest.(list int) "fifo" [ 1; 2; 3 ] (List.rev !log)
 
-let mailbox_try_recv () =
+let mailbox_take () =
   let mb = Mailbox.create () in
-  checkb "empty" true (Mailbox.try_recv mb = None);
+  checkb "empty take raises" true
+    (match Mailbox.take mb with _ -> false | exception Invalid_argument _ -> true);
   Mailbox.send mb 9;
-  checki "length" 1 (Mailbox.length mb);
-  checkb "value" true (Mailbox.try_recv mb = Some 9);
-  checkb "drained" true (Mailbox.try_recv mb = None)
+  Mailbox.send mb 10;
+  checki "length" 2 (Mailbox.length mb);
+  checki "first" 9 (Mailbox.take mb);
+  checki "second" 10 (Mailbox.take mb);
+  checki "drained" 0 (Mailbox.length mb)
 
 let mailbox_blocked_receivers_fifo () =
   let sim = Sim.create () in
@@ -1049,7 +1052,7 @@ let () =
       ( "mailbox",
         [
           Alcotest.test_case "fifo" `Quick mailbox_fifo;
-          Alcotest.test_case "try_recv" `Quick mailbox_try_recv;
+          Alcotest.test_case "take" `Quick mailbox_take;
           Alcotest.test_case "blocked receivers fifo" `Quick
             mailbox_blocked_receivers_fifo;
           Alcotest.test_case "callback wake cost" `Quick mailbox_callback_wake_cost;

@@ -236,6 +236,21 @@ let update_does_not_block_on_children () =
       checkb "settlement waits for the tree" true (Result.latency res > 10.)
   | None -> Alcotest.fail "did not finish"
 
+(* An engine with nothing to do schedules nothing: with the manual policy,
+   no failure detector and no watchdog, each coordinator waits for its
+   first request without an event, at one shard and at four. *)
+let idle_engine_runs_no_event () =
+  List.iter
+    (fun shards ->
+      let sim = Sim.create () in
+      ignore
+        (Engine.create sim
+           { (Engine.default_config ~nodes:4) with Engine.shards; policy = Policy.Manual }
+           ());
+      checkb "idle run completes" true (Sim.run sim () = Sim.Completed);
+      checki (Printf.sprintf "events at S=%d" shards) 0 (Sim.events_executed sim))
+    [ 1; 4 ]
+
 let versions_advance_globally () =
   let sim, eng = make_engine () in
   checki "vu init" 1 (Engine.update_version eng ~node:0);
@@ -1076,6 +1091,8 @@ let () =
         [
           Alcotest.test_case "versions advance globally" `Quick
             versions_advance_globally;
+          Alcotest.test_case "idle engine runs no event" `Quick
+            idle_engine_runs_no_event;
           Alcotest.test_case "multiple advancements" `Quick
             multiple_advancements;
           Alcotest.test_case "implicit notification" `Quick
