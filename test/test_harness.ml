@@ -473,6 +473,42 @@ let golden_coord_crash_sweep () =
   in
   check_golden "coordinator crash sweep" ~digest:0x3f9e70c5 ~events:338109 fold
 
+(* The §5 path, on E5's shape: four point-of-sale nodes at 400/s with a
+   fifth of the transactions reads. The NC3V run (half the updates
+   non-commuting, under commute and non-commute locks) parks root
+   admissions on [vu = vr + 1], queues lock requests and fails lock waits;
+   in the Global-2PC run some releases wake waiters on two or more keys. *)
+let golden_nc nc_ratio config =
+  let nodes = 4 in
+  let gen =
+    Workload.Point_of_sale.generator
+      {
+        (Workload.Point_of_sale.default ~nodes) with
+        Workload.Point_of_sale.nc_ratio;
+        arrival_rate = 400.;
+        read_ratio = 0.2;
+      }
+  in
+  let d =
+    Harness.Scenario.drive (config nodes) gen
+      { Runner.default_setup with Runner.seed = 61; duration = 2.0; settle = 3.0 }
+  in
+  (history_digest d.Harness.Scenario.outcome, Sim.events_executed d.Harness.Scenario.sim)
+
+let golden_nc3v () =
+  check_golden "nc3v" ~digest:0x1aef724e ~events:17084
+    (golden_nc 0.5 (fun nodes ->
+         Harness.Scenario.V3
+           {
+             (Harness.Scenario.v3 ~nodes (Threev.Policy.Periodic 0.2)) with
+             Engine.nc_mode = true;
+             deadlock_timeout = 0.05;
+           }))
+
+let golden_global_2pc () =
+  check_golden "global-2pc" ~digest:0x1bd89b27 ~events:14344
+    (golden_nc 0.1 (fun nodes -> Harness.Scenario.twopc ~nodes ()))
+
 (* The two §1 baselines, each on the shape of the experiment that shows
    its anomaly: F1's front-end hospital for no coordination, E8's
    straggler links under a reckless safety delay for manual versioning. *)
@@ -569,6 +605,9 @@ let () =
           Alcotest.test_case "sharded replay byte-identical" `Quick golden_sharded;
           Alcotest.test_case "coordinator crash sweep" `Quick
             golden_coord_crash_sweep;
+          Alcotest.test_case "nc3v replay byte-identical" `Quick golden_nc3v;
+          Alcotest.test_case "global-2pc replay byte-identical" `Quick
+            golden_global_2pc;
           Alcotest.test_case "no-coordination replay byte-identical" `Quick
             golden_no_coordination;
           Alcotest.test_case "manual-versioning replay byte-identical" `Quick
