@@ -248,7 +248,7 @@ let fuzz_cmd =
 let lint_cmd =
   let doc =
     "Run the protocol-conformance & determinism static analyzer (rules \
-     R1-R10 over lib/, bin/ and bench/; R12, layout, over those and test/). \
+     R1-R10 over lib/ and bin/; R12, layout, over those and test/). \
      Exits non-zero on any non-waived \
      finding — or, with --baseline, on any finding not already in the \
      baseline report (the ratchet); the same gate runs inside `dune \

@@ -3,7 +3,7 @@
     Line-oriented, ['#'] comments. Five directives:
 
     - [allow <rule-id> <path-glob> [note]] — suppress a rule for matching
-      files (e.g. wall-clock reads in the bench driver);
+      files (e.g. the CLI's process exit status);
     - [deny-type <Module.type>] — a type whose values must not meet the
       polymorphic [compare]/[=] (rule R3);
     - [engine <path.mli>] — an interface that must [include Engine_intf.S]

@@ -395,7 +395,7 @@ let run_sources ?(config = Config.empty) sources =
 
 (* ------------------------------------------------------------- tree walk *)
 
-let source_dirs = [ "lib"; "bin"; "bench" ]
+let source_dirs = [ "lib"; "bin" ]
 
 (* R12 alone reads these too. *)
 let layout_dirs = [ "test" ]

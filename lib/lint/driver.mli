@@ -39,8 +39,8 @@ val lint_string :
     {!run}. *)
 val run_sources : ?config:Config.t -> (string * string) list -> Report.t
 
-(** Repo-relative paths of every [.ml]/[.mli] under [root]'s [lib], [bin]
-    and [bench], sorted; [_build] and dot-directories are skipped. *)
+(** Repo-relative paths of every [.ml]/[.mli] under [root]'s [lib] and
+    [bin], sorted; [_build] and dot-directories are skipped. *)
 val walk : string -> string list
 
 (** Lint the whole tree under [root]: the rule catalog over {!walk}'s

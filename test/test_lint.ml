@@ -669,7 +669,7 @@ let tree_is_lint_clean () =
     (fun input ->
       if not (Sys.file_exists (Filename.concat ".." input)) then
         Alcotest.failf "lint input ../%s is missing" input)
-    [ "lint.config"; "LINT_report.json"; "lib"; "bin"; "bench"; "test" ];
+    [ "lint.config"; "LINT_report.json"; "lib"; "bin"; "test" ];
   (* [config_path] is resolved against [root] by the driver. *)
   let report = Driver.run ~config_path:"lint.config" ~root:".." () in
   checki "non-waived findings" 0 (Report.total report);
