@@ -176,20 +176,6 @@ let maybe_finish t node p =
           }
   end
 
-(* Strongest S/X lock needed per key, sorted to avoid trivial local cycles. *)
-let lock_plan ops =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun op ->
-      let key = Store.Key.name (Op.key op) in
-      let mode = if Op.is_write op then Lockmgr.Exclusive else Lockmgr.Shared in
-      Hashtbl.replace tbl key
-        (match (Hashtbl.find_opt tbl key, mode) with
-        | Some Lockmgr.Exclusive, _ | _, Lockmgr.Exclusive -> Lockmgr.Exclusive
-        | _ -> Lockmgr.Shared))
-    ops;
-  Hashtbl.fold (fun k m acc -> (k, m) :: acc) tbl [] |> List.sort compare
-
 let exec_subtxn t node p (tree : Spec.subtxn) =
   if tree.Spec.think > 0. then Sim.sleep t.sim tree.Spec.think;
   let failure = ref None in
@@ -201,7 +187,7 @@ let exec_subtxn t node p (tree : Spec.subtxn) =
         | Lockmgr.Deadlock -> failure := Some "deadlock"
         | Lockmgr.Timeout -> failure := Some "lock-timeout"
         | Lockmgr.Cancelled -> failure := Some "cancelled")
-    (lock_plan tree.Spec.ops);
+    (Lockmgr.plan ~read:Lockmgr.Shared ~write:Lockmgr.Exclusive tree.Spec.ops);
   (match !failure with
   | Some reason ->
       p.p_vote <- Vote_abort reason;

@@ -578,47 +578,68 @@ let apply_decision t node ~txn_id ~commit =
 
 (* ------------------------------------------------ subtxn execution *)
 
-(* NC3V root admission (§5 step 2): wait until vu = vr + 1 locally, i.e.
-   until no version advancement is in progress for the assigned version. *)
-let rec wait_nc_admission t node version =
-  if version = node.vr + 1 then ()
-  else begin
-    Sim.suspend t.sim (fun waker ->
-        node.vr_waiters <- (fun () -> waker ()) :: node.vr_waiters);
-    wait_nc_admission t node version
-  end
-
 let wake_vr_waiters node =
   let ws = List.rev node.vr_waiters in
   node.vr_waiters <- [];
   List.iter (fun w -> w ()) ws
 
-(* Strongest lock mode needed per key by the given ops, for [kind]. *)
-let lock_plan ~kind ops =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun op ->
-      let key = Key.name (Op.key op) in
-      let mode =
-        match (kind, Op.is_write op) with
-        | Spec.Non_commuting, _ -> Lockmgr.Non_commute
-        | Spec.Commuting, true -> Lockmgr.Commute_update
-        | Spec.Commuting, false -> Lockmgr.Commute_read
-        | Spec.Read_only, _ -> Lockmgr.Commute_read
-      in
-      let stronger a b =
-        match (a, b) with
-        | Lockmgr.Non_commute, _ | _, Lockmgr.Non_commute -> Lockmgr.Non_commute
-        | Lockmgr.Commute_update, _ | _, Lockmgr.Commute_update ->
-            Lockmgr.Commute_update
-        | _ -> Lockmgr.Commute_read
-      in
-      let cur = Hashtbl.find_opt tbl key in
-      Hashtbl.replace tbl key
-        (match cur with None -> mode | Some m -> stronger m mode))
-    ops;
-  Hashtbl.fold (fun k m acc -> (k, m) :: acc) tbl []
-  |> List.sort compare
+(* A section's name, rendered only when one of its steps fails. *)
+let section_name node p ~wave =
+  if wave then Printf.sprintf "%s/%s-compensation" node.name p.p_label
+  else Printf.sprintf "%s/%s#%d" node.name p.p_label p.p_id
+
+(* The sections {!nc_gate} holds up: a non-commuting root waits for its
+   admission, and in [nc_mode] every update takes locks. *)
+let nc_admission p = p.p_kind = Spec.Non_commuting && p.p_parent = None
+let nc_locks t p = t.cfg.nc_mode && p.p_kind <> Spec.Read_only
+
+(* NC3V's gate in front of a section's local critical section (§5): a
+   non-commuting root waits until [vu = vr + 1] at its node, i.e. until no
+   advancement of its version is in progress (step 2); then, in [nc_mode],
+   an update takes its lock plan key by key, outside the critical section
+   so that a blocked one never stalls the node. A parked admission resumes
+   on the event [wake_vr_waiters] queues, a queued lock request on the one
+   its verdict queues: the events a process blocked there resumes on. [k]
+   continues the section, with [true] once every lock is held; a refused
+   lock votes abort and passes [false]. *)
+let nc_gate t node p (tree : Spec.subtxn) k =
+  let nc = p.p_kind = Spec.Non_commuting in
+  let timeout = if nc then t.cfg.deadlock_timeout else infinity in
+  (* A step that a wake resumes fails under the section's name too. *)
+  let resumed f x = try f x with exn -> Sim.fail t.sim (section_name node p ~wave:false) exn in
+  let rec lock = function
+    | [] -> k true
+    | (key, mode) :: plan ->
+        Lockmgr.acquire_then node.locks ~timeout ~owner:p.p_txn ~key ~mode
+          (resumed (function
+            | Lockmgr.Granted -> lock plan
+            | Lockmgr.Deadlock -> refuse "deadlock"
+            | Lockmgr.Timeout -> refuse "lock-timeout"
+            | Lockmgr.Cancelled -> refuse "cancelled"))
+  and refuse reason =
+    p.p_vote <- Vote_abort reason;
+    k false
+  in
+  let locks () =
+    if nc_locks t p then
+      lock
+        (Lockmgr.plan ~read:(if nc then Lockmgr.Non_commute else Lockmgr.Commute_read)
+           ~write:(if nc then Lockmgr.Non_commute else Lockmgr.Commute_update)
+           tree.Spec.ops)
+    else k true
+  in
+  let rec admit () =
+    if p.p_version = node.vr + 1 then locks ()
+    else
+      node.vr_waiters <-
+        (fun () -> Sim.schedule t.sim ~delay:0. (resumed admit)) :: node.vr_waiters
+  in
+  if nc_admission p then begin
+    if p.p_version <> node.vr + 1 && tracing t then
+      tr t node.name "nc tx %s waits for vu = vr + 1" p.p_label;
+    admit ()
+  end
+  else locks ()
 
 (* Mirror one applied commuting write to every peer replica of this node's
    group. Counters use the raw R/C pair — not [bump_r]/[bump_c] — so the
@@ -766,11 +787,6 @@ let spawn_children t node p (children : Spec.subtxn list) ~compensating =
            }))
     children
 
-(* A section's name, rendered only when one of its steps fails. *)
-let section_name node p ~wave =
-  if wave then Printf.sprintf "%s/%s-compensation" node.name p.p_label
-  else Printf.sprintf "%s/%s#%d" node.name p.p_label p.p_id
-
 (* --------------------------------------------------------- completion *)
 
 (* The three ways a subtransaction's termination leaves [maybe_finish]:
@@ -898,26 +914,26 @@ and handle_completion t node ~pending_id ~child_label ~reads ~vote ~nodes =
   maybe_finish t node p
 
 (* One subtransaction's local work as kernel callbacks: the tree's
-   [think], then [node]'s local critical section ([local_cc], with
-   [cfg.think_time] inside it) running the tree's operations, the release,
-   then what follows: for an ordinary section the abort draw, the children
-   and termination; for the compensation wave ([wave], no think) the
+   [think]; NC3V's admission wait and locks ({!nc_gate}) where they apply;
+   then [node]'s local critical section ([local_cc], with [cfg.think_time]
+   inside it) running the tree's operations, the release, then what
+   follows: for an ordinary section the abort draw, the children and
+   termination; for the compensation wave ([wave], no think, no gate) the
    inverse children. Each hand-over must take the events a process running
    the same steps takes, or schedules change: the first step runs at the
-   event a spawned process would start on, each think is
-   [Sim.after]'s two events (a sleep's), and a contended permit
-   resumes on the event its release queues (a blocked [Semaphore.acquire]'s).
+   event a spawned process would start on, each think is [Sim.after]'s two
+   events (a sleep's), and a contended permit, lock or admission resumes
+   on the event its release queues (a blocked process's waker's).
    test_simul's dispatch oracle holds the two shapes equal. The section is
-   one closure, [resume], that all three hand-overs resume: [p.p_stage]
-   names the step it runs next. A failing step stops the run under the
-   section's name.
+   one closure, [resume], that every hand-over resumes: [p.p_stage] names
+   the step it runs next. The gate's state lives in the gate's own
+   closures, so a section without one allocates nothing for it. A failing
+   step stops the run under the section's name.
 
-   A section can wait on nothing but [local_cc], and the permit's holder
-   always releases after [think_time]: no section can deadlock, so [Sim]'s
-   stall report, which lists blocked processes and never callbacks, loses
-   nothing when sections drop out of it. Work that can wait on anything
-   else (an NC subtransaction's locks and its [vu = vr + 1] admission)
-   keeps a process. *)
+   Sections are callbacks, so [Sim]'s stall report, which lists blocked
+   processes only, never names one: a section still parked on a lock or
+   an admission when a run ends shows as its transaction's unresolved
+   result. *)
 and run_section t node p (tree : Spec.subtxn) ~wave =
   p.p_stage <- 0;
   let rec resume () =
@@ -929,13 +945,22 @@ and run_section t node p (tree : Spec.subtxn) ~wave =
           if think > 0. then Sim.after t.sim think resume else resume ()
       | 1 ->
           p.p_stage <- 2;
-          Semaphore.acquire_then t.sim node.local_cc resume
+          if wave || not (nc_admission p || nc_locks t p) then resume ()
+          else
+            nc_gate t node p tree (fun admitted ->
+                if not admitted then p.p_stage <- 5;
+                resume ())
       | 2 ->
           p.p_stage <- 3;
+          Semaphore.acquire_then t.sim node.local_cc resume
+      | 3 ->
+          p.p_stage <- 4;
           if t.cfg.think_time > 0. then Sim.after t.sim t.cfg.think_time resume
           else resume ()
-      | _ ->
-          run_ops_commuting t node p tree.Spec.ops;
+      | 4 ->
+          (match p.p_kind with
+          | Spec.Read_only | Spec.Commuting -> run_ops_commuting t node p tree.Spec.ops
+          | Spec.Non_commuting -> ignore (run_ops_nc t node p tree.Spec.ops));
           Semaphore.release node.local_cc;
           if wave then begin
             if tracing t then
@@ -948,6 +973,16 @@ and run_section t node p (tree : Spec.subtxn) ~wave =
             after_section t node p tree ~compensating:p.p_compensating;
             local_done t node p
           end
+      | _ ->
+          (* The gate refused a lock: the vote is abort, and neither the
+             operations nor the children run. *)
+          cstat t "txn.lock_failure";
+          (match p.p_vote with
+          | Vote_abort reason when tracing t ->
+              tr t node.name "nc tx %s lock failure (%s); votes abort" p.p_label
+                reason
+          | _ -> ());
+          local_done t node p
     with exn -> Sim.fail t.sim (section_name node p ~wave) exn
   in
   Sim.schedule t.sim ~delay:0. resume
@@ -981,58 +1016,6 @@ and local_done t node p =
   | None -> ());
   p.p_local_done <- true;
   maybe_finish t node p
-
-(* Full execution of one NC subtransaction, or a commuting one in
-   [nc_mode], at [node], as a simulated process: it may block on a lock or
-   on the admission wait. *)
-let exec_subtxn t node p (tree : Spec.subtxn) ~compensating =
-  (* Application-level lateness (e.g. a charge being finalized) happens
-     before any locks or local serialization. *)
-  if tree.Spec.think > 0. then Sim.sleep t.sim tree.Spec.think;
-  (* NC3V admission wait applies to non-commuting roots only. *)
-  (if p.p_kind = Spec.Non_commuting && p.p_parent = None then begin
-     if p.p_version <> node.vr + 1 && tracing t then
-       tr t node.name "nc tx %s waits for vu = vr + 1" p.p_label;
-     wait_nc_admission t node p.p_version
-   end);
-  (* Lock acquisition happens outside the local critical section so a
-     blocked transaction never stalls the whole node. *)
-  let lock_failure = ref None in
-  if t.cfg.nc_mode && p.p_kind <> Spec.Read_only then begin
-    let timeout =
-      if p.p_kind = Spec.Non_commuting then t.cfg.deadlock_timeout else infinity
-    in
-    List.iter
-      (fun (key, mode) ->
-        if !lock_failure = None then
-          match
-            Lockmgr.acquire node.locks ~timeout ~owner:p.p_txn ~key ~mode ()
-          with
-          | Lockmgr.Granted -> ()
-          | Lockmgr.Deadlock -> lock_failure := Some "deadlock"
-          | Lockmgr.Timeout -> lock_failure := Some "lock-timeout"
-          | Lockmgr.Cancelled -> lock_failure := Some "cancelled")
-      (lock_plan ~kind:p.p_kind tree.Spec.ops)
-  end;
-  (match !lock_failure with
-  | Some reason ->
-      (* Only NC transactions can fail here (commuting waits are unbounded);
-         vote abort without executing or spawning children. *)
-      p.p_vote <- Vote_abort reason;
-      cstat t "txn.lock_failure";
-      if tracing t then
-        tr t node.name "nc tx %s lock failure (%s); votes abort" p.p_label
-          reason
-  | None ->
-      (* Local critical section: the node's local concurrency control
-         serializes subtransaction bodies (paper §3.1 assumption). *)
-      Semaphore.with_permit t.sim node.local_cc (fun () ->
-          if t.cfg.think_time > 0. then Sim.sleep t.sim t.cfg.think_time;
-          match p.p_kind with
-          | Spec.Read_only | Spec.Commuting -> run_ops_commuting t node p tree.Spec.ops
-          | Spec.Non_commuting -> ignore (run_ops_nc t node p tree.Spec.ops));
-      after_section t node p tree ~compensating);
-  local_done t node p
 
 (* ------------------------------------------------- message handling *)
 
@@ -1181,16 +1164,7 @@ let handle_subtxn t node ~txn_id ~label ~kind ~version ~source ~parent ~tree
     }
   in
   Id_ring.add node.pendings p.p_id p;
-  (* A read-only subtransaction, or a commuting one outside [nc_mode]: no
-     locks and no admission wait, so it needs no process. *)
-  match kind with
-  | Spec.Read_only -> run_section t node p tree ~wave:false
-  | Spec.Commuting when not t.cfg.nc_mode -> run_section t node p tree ~wave:false
-  | Spec.Commuting | Spec.Non_commuting ->
-      (* [namef]: the name is only rendered on stall or failure. *)
-      Sim.spawn t.sim ~daemon:false
-        ~namef:(fun () -> Printf.sprintf "%s/%s#%d" node.name label p.p_id)
-        (fun () -> exec_subtxn t node p tree ~compensating)
+  run_section t node p tree ~wave:false
 
 let handle_node_msg t node = function
   | Subtxn { txn_id; label; kind; version; source; parent; tree; root;

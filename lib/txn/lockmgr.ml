@@ -1,4 +1,5 @@
 module Sim = Simul.Sim
+module Key = Store.Key
 
 type mode = Shared | Exclusive | Commute_read | Commute_update | Non_commute
 
@@ -12,237 +13,216 @@ let compatible a b =
 
 type grant = Granted | Deadlock | Timeout | Cancelled
 
-type request = {
-  req_owner : int;
-  req_mode : mode;
-  mutable req_live : bool;  (** false once granted, cancelled or timed out *)
-  req_wake : grant -> unit;
+(* An owner at this node: the locks it holds and its requests still
+   waiting, both newest first. *)
+type owner = { o_id : int; mutable o_held : lock list; mutable o_queued : request list }
+
+(* A key with a holder or a waiter; [l_queue] holds the waiting requests
+   only, oldest first. *)
+and lock = {
+  l_key : Key.t;
+  mutable l_holders : (owner * mode) list;
+  mutable l_queue : request list;
 }
 
-type lock = { mutable holders : (int * mode) list; queue : request Queue.t }
+and request = {
+  r_owner : owner;
+  r_mode : mode;
+  r_lock : lock;
+  mutable r_live : bool;  (** false once granted, timed out or cancelled *)
+  r_wake : grant -> unit;
+}
 
+(* Both tables are looked up by id and never iterated: [locks] by
+   [Key.id], [owners] by owner. *)
 type t = {
-  simulation : Sim.t;
+  sim : Sim.t;
   deadlock_timeout : float;
-  locks : (string, lock) Hashtbl.t;
-  owner_keys : (int, (string, unit) Hashtbl.t) Hashtbl.t;
+  locks : (int, lock) Hashtbl.t;
+  owners : (int, owner) Hashtbl.t;
   mutable waiting_count : int;
   mutable aborted : int;
 }
 
-let create simulation ?(deadlock_timeout = 1.0) () =
+let create sim ?(deadlock_timeout = 1.0) () =
   {
-    simulation;
+    sim;
     deadlock_timeout;
     locks = Hashtbl.create 64;
-    owner_keys = Hashtbl.create 64;
+    owners = Hashtbl.create 64;
     waiting_count = 0;
     aborted = 0;
   }
 
-let get_lock t key =
-  match Hashtbl.find_opt t.locks key with
+let owner_of t id =
+  match Hashtbl.find_opt t.owners id with
+  | Some o -> o
+  | None ->
+      let o = { o_id = id; o_held = []; o_queued = [] } in
+      Hashtbl.replace t.owners id o;
+      o
+
+let lock_of t key =
+  match Hashtbl.find_opt t.locks (Key.id key) with
   | Some l -> l
   | None ->
-      let l = { holders = []; queue = Queue.create () } in
-      Hashtbl.replace t.locks key l;
+      let l = { l_key = key; l_holders = []; l_queue = [] } in
+      Hashtbl.replace t.locks (Key.id key) l;
       l
 
-let note_held t owner key =
-  let keys =
-    match Hashtbl.find_opt t.owner_keys owner with
-    | Some ks -> ks
-    | None ->
-        let ks = Hashtbl.create 8 in
-        Hashtbl.replace t.owner_keys owner ks;
-        ks
+(* Records are dropped as soon as they hold and await nothing. *)
+let tidy_owner t o =
+  if o.o_held = [] && o.o_queued = [] then Hashtbl.remove t.owners o.o_id
+
+let tidy_lock t l =
+  if l.l_holders = [] && l.l_queue = [] then Hashtbl.remove t.locks (Key.id l.l_key)
+
+let holds l o = List.exists (fun (h, _) -> h == o) l.l_holders
+
+(* Own holdings never conflict (re-entrancy, upgrades past oneself). *)
+let allows l o mode =
+  List.for_all (fun (h, m) -> h == o || compatible mode m) l.l_holders
+
+let grant o l mode =
+  if not (holds l o) then o.o_held <- l :: o.o_held;
+  if not (List.exists (fun (h, m) -> h == o && m = mode) l.l_holders) then
+    l.l_holders <- (o, mode) :: l.l_holders
+
+(* Does [f] hold of an owner that a waiter [self] in [mode] on [l] waits
+   for: a holder whose mode conflicts, or (FIFO) any waiter queued ahead
+   of [stop]? *)
+let blocked_by f l self mode stop =
+  let rec ahead = function
+    | r :: rest when r != stop -> (r.r_owner != self && f r.r_owner) || ahead rest
+    | _ -> false
   in
-  Hashtbl.replace keys key ()
+  List.exists (fun (h, m) -> h != self && (not (compatible mode m)) && f h) l.l_holders
+  || ahead l.l_queue
 
-(* Can [owner]'s request in [mode] be granted against current holders?
-   Own holdings never conflict (re-entrancy / upgrades past oneself). *)
-let holders_allow lock ~owner ~mode =
-  List.for_all
-    (fun (h_owner, h_mode) -> h_owner = owner || compatible mode h_mode)
-    lock.holders
-
-let has_live_waiter lock =
-  Queue.fold (fun acc r -> acc || r.req_live) false lock.queue
-
-let incompatible_holders lock ~owner ~mode =
-  List.filter_map
-    (fun (h_owner, h_mode) ->
-      if h_owner <> owner && not (compatible mode h_mode) then Some h_owner
-      else None)
-    lock.holders
-
-(* Waits-for edges of a request joining at the back of [lock]'s queue: it
-   waits for incompatible holders and (FIFO) every live waiter already
-   queued ahead of it. *)
-let blockers lock ~owner ~mode =
-  let from_queue =
-    Queue.fold
-      (fun acc r ->
-        if r.req_live && r.req_owner <> owner then r.req_owner :: acc else acc)
-      [] lock.queue
+(* Would [o] waiting at the back of [l]'s queue close a waits-for cycle?
+   The walk follows waits-for edges from [o]'s new blockers through the
+   owners that wait, each visited once, and stops as soon as it comes
+   back to [o]. *)
+let closes_cycle o l mode =
+  let visited = ref [] in
+  let rec reaches b =
+    b == o
+    || ((not (List.memq b !visited))
+       && begin
+         visited := b :: !visited;
+         List.exists (fun r -> blocked_by reaches r.r_lock b r.r_mode r) b.o_queued
+       end)
   in
-  incompatible_holders lock ~owner ~mode @ from_queue
+  List.exists (fun (h, m) -> h != o && (not (compatible mode m)) && reaches h) l.l_holders
+  || List.exists (fun r -> r.r_owner != o && reaches r.r_owner) l.l_queue
 
-(* Current waits-for edges for every already-waiting request; a waiter only
-   waits for holders and for live waiters {e ahead} of it in the queue. *)
-let waits_for_edges t =
-  (* lint: hash-order-ok — the edge list only feeds the reachability test
-     in [creates_cycle]; cycle existence is order-independent. *)
-  Hashtbl.fold
-    (fun _key lock acc ->
-      let _, acc =
-        Queue.fold
-          (fun (ahead, acc) r ->
-            if not r.req_live then (ahead, acc)
-            else
-              let hs = incompatible_holders lock ~owner:r.req_owner ~mode:r.req_mode in
-              let qs = List.filter (fun o -> o <> r.req_owner) ahead in
-              let acc =
-                List.fold_left
-                  (fun acc b -> (r.req_owner, b) :: acc)
-                  acc (hs @ qs)
-              in
-              (r.req_owner :: ahead, acc))
-          ([], acc) lock.queue
-      in
-      acc)
-    t.locks []
+(* [r] stops waiting: granted, timed out or cancelled. *)
+let settle t r =
+  r.r_live <- false;
+  t.waiting_count <- t.waiting_count - 1;
+  r.r_lock.l_queue <- List.filter (fun q -> q != r) r.r_lock.l_queue;
+  r.r_owner.o_queued <- List.filter (fun q -> q != r) r.r_owner.o_queued
 
-(* Would adding edges [owner -> b, b in new_blockers] close a cycle through
-   [owner]? DFS over existing edges from each blocker back to [owner]. *)
-let creates_cycle t ~owner ~new_blockers =
-  let edges = waits_for_edges t in
-  let succs o = List.filter_map (fun (a, b) -> if a = o then Some b else None) edges in
-  let visited = Hashtbl.create 16 in
-  let rec reaches o =
-    if o = owner then true
-    else if Hashtbl.mem visited o then false
-    else begin
-      Hashtbl.replace visited o ();
-      List.exists reaches (succs o)
-    end
-  in
-  List.exists reaches new_blockers
+(* Grant from the front of the queue while the front is grantable: no
+   request overtakes an incompatible one queued before it. *)
+let rec drain t l =
+  match l.l_queue with
+  | r :: _ when allows l r.r_owner r.r_mode ->
+      settle t r;
+      grant r.r_owner l r.r_mode;
+      r.r_wake Granted;
+      drain t l
+  | _ -> ()
 
-(* Grant every compatible request from the front of the queue (FIFO, no
-   overtaking past an incompatible head). *)
-let drain_queue t lock key =
-  let rec go () =
-    match Queue.peek_opt lock.queue with
-    | None -> ()
-    | Some r when not r.req_live ->
-        ignore (Queue.pop lock.queue);
-        go ()
-    | Some r ->
-        if holders_allow lock ~owner:r.req_owner ~mode:r.req_mode then begin
-          ignore (Queue.pop lock.queue);
-          r.req_live <- false;
-          t.waiting_count <- t.waiting_count - 1;
-          lock.holders <- (r.req_owner, r.req_mode) :: lock.holders;
-          note_held t r.req_owner key;
-          r.req_wake Granted;
-          go ()
-        end
-  in
-  go ()
+(* The verdict a request gets without waiting, or [None]: it must queue.
+   Re-entrant requests bypass FIFO fairness: queueing an owner behind a
+   waiter that waits for that same owner would self-deadlock. *)
+let attempt t o l mode =
+  if allows l o mode && (holds l o || l.l_queue = []) then begin
+    grant o l mode;
+    Some Granted
+  end
+  else if closes_cycle o l mode then begin
+    t.aborted <- t.aborted + 1;
+    tidy_owner t o;
+    Some Deadlock
+  end
+  else None
+
+let enqueue t o l mode timeout wake =
+  let r = { r_owner = o; r_mode = mode; r_lock = l; r_live = true; r_wake = wake } in
+  l.l_queue <- l.l_queue @ [ r ];
+  o.o_queued <- r :: o.o_queued;
+  t.waiting_count <- t.waiting_count + 1;
+  let timeout = match timeout with Some d -> d | None -> t.deadlock_timeout in
+  if timeout < infinity then
+    Sim.schedule t.sim ~delay:timeout (fun () ->
+        if r.r_live then begin
+          settle t r;
+          t.aborted <- t.aborted + 1;
+          drain t l;
+          tidy_lock t l;
+          tidy_owner t o;
+          wake Timeout
+        end)
 
 let acquire t ?timeout ~owner ~key ~mode () =
-  let timeout =
-    match timeout with Some d -> d | None -> t.deadlock_timeout
-  in
-  let lock = get_lock t key in
-  let already_holder = List.exists (fun (h, _) -> h = owner) lock.holders in
-  (* Re-entrant requests bypass FIFO fairness: queueing an owner behind a
-     waiter that waits for that same owner would self-deadlock. *)
-  if
-    holders_allow lock ~owner ~mode
-    && (already_holder || not (has_live_waiter lock))
-  then begin
-    (* Re-granting a mode the owner already holds must not push a duplicate
-       entry: [held] would report it twice and the holder list would grow on
-       every re-entrant acquire. *)
-    if not (List.mem (owner, mode) lock.holders) then
-      lock.holders <- (owner, mode) :: lock.holders;
-    note_held t owner key;
-    Granted
-  end
-  else begin
-    let new_blockers = blockers lock ~owner ~mode in
-    if creates_cycle t ~owner ~new_blockers then begin
-      t.aborted <- t.aborted + 1;
-      Deadlock
-    end
-    else
-      Sim.suspend t.simulation (fun waker ->
-          let req =
-            { req_owner = owner; req_mode = mode; req_live = true; req_wake = waker }
-          in
-          Queue.add req lock.queue;
-          t.waiting_count <- t.waiting_count + 1;
-          if timeout < infinity then
-            Sim.schedule t.simulation ~delay:timeout (fun () ->
-                if req.req_live then begin
-                  req.req_live <- false;
-                  t.waiting_count <- t.waiting_count - 1;
-                  t.aborted <- t.aborted + 1;
-                  (* Head may now be unblocked if this was the head. *)
-                  drain_queue t lock key;
-                  waker Timeout
-                end))
-  end
+  let o = owner_of t owner and l = lock_of t key in
+  match attempt t o l mode with
+  | Some verdict -> verdict
+  | None -> Sim.suspend t.sim (enqueue t o l mode timeout)
+
+let acquire_then t ?timeout ~owner ~key ~mode k =
+  let o = owner_of t owner and l = lock_of t key in
+  match attempt t o l mode with
+  | Some verdict -> k verdict
+  | None ->
+      enqueue t o l mode timeout (fun verdict ->
+          Sim.schedule t.sim ~delay:0. (fun () -> k verdict))
 
 let release_all t ~owner =
-  match Hashtbl.find_opt t.owner_keys owner with
+  match Hashtbl.find_opt t.owners owner with
   | None -> ()
-  | Some keys ->
-      Hashtbl.remove t.owner_keys owner;
-      (* lint: hash-order-ok — OCaml's unseeded Hashtbl iterates the same
-         insertion sequence identically on every run, so the wake order is
-         replay-deterministic; sorting here would only reshuffle the golden
-         schedules. *)
-      Hashtbl.iter
-        (fun key () ->
-          match Hashtbl.find_opt t.locks key with
-          | None -> ()
-          | Some lock ->
-              lock.holders <-
-                List.filter (fun (h, _) -> h <> owner) lock.holders;
-              drain_queue t lock key)
-        keys;
-      (* Cancel any still-waiting requests of this owner (post-abort). The
-         wake reason is [Cancelled], not [Timeout]: the owner is being torn
-         down, it did not lose a deadlock-timeout race, and callers must not
-         account it as one. *)
-      (* lint: hash-order-ok — same argument as the wake loop above:
-         unseeded Hashtbl order is replay-deterministic. *)
-      Hashtbl.iter
-        (fun key lock ->
-          let cancelled = ref false in
-          Queue.iter
-            (fun r ->
-              if r.req_live && r.req_owner = owner then begin
-                r.req_live <- false;
-                t.waiting_count <- t.waiting_count - 1;
-                cancelled := true;
-                r.req_wake Cancelled
-              end)
-            lock.queue;
-          if !cancelled then drain_queue t lock key)
-        t.locks
+  | Some o ->
+      Hashtbl.remove t.owners owner;
+      (* Every wait of the owner ends before any key is drained, so no
+         drain grants it a second wait on the same key; the withdrawn waits
+         are woken once its locks are released. *)
+      let queued = List.rev o.o_queued in
+      List.iter (settle t) queued;
+      List.iter
+        (fun l ->
+          l.l_holders <- List.filter (fun (h, _) -> h != o) l.l_holders;
+          drain t l;
+          tidy_lock t l)
+        (List.rev o.o_held);
+      List.iter
+        (fun r ->
+          r.r_wake Cancelled;
+          drain t r.r_lock;
+          tidy_lock t r.r_lock)
+        queued
 
 let held t ~owner =
-  Hashtbl.fold
-    (fun key lock acc ->
-      List.fold_left
-        (fun acc (h, m) -> if h = owner then (key, m) :: acc else acc)
-        acc lock.holders)
-    t.locks []
-  |> List.sort compare
+  match Hashtbl.find_opt t.owners owner with
+  | None -> []
+  | Some o ->
+      List.concat_map
+        (fun l ->
+          List.rev l.l_holders
+          |> List.filter_map (fun (h, m) -> if h == o then Some (l.l_key, m) else None))
+        (List.rev o.o_held)
 
 let waiting t = t.waiting_count
+let locked_keys t = Hashtbl.length t.locks
 let conflicts_aborted t = t.aborted
+
+let plan ~read ~write ops =
+  let rec merge = function
+    | (k, w) :: (k', w') :: rest when Key.equal k k' -> merge ((k, w || w') :: rest)
+    | (k, w) :: rest -> (k, if w then write else read) :: merge rest
+    | [] -> []
+  in
+  List.map (fun op -> (Op.key op, Op.is_write op)) ops
+  |> List.stable_sort (fun (a, _) (b, _) -> Key.compare a b)
+  |> merge

@@ -110,14 +110,13 @@ let start_process t proc body =
           | _ -> None);
     }
 
-let spawn t ?(daemon = false) ?name ?namef body =
+let spawn t ?(daemon = false) ?name body =
   t.next_pid <- t.next_pid + 1;
   let pid = t.next_pid in
   let pname =
-    match (name, namef) with
-    | Some n, _ -> Lazy.from_val n
-    | None, Some f -> Lazy.from_fun f
-    | None, None -> lazy (Printf.sprintf "proc-%d" pid)
+    match name with
+    | Some n -> Lazy.from_val n
+    | None -> lazy (Printf.sprintf "proc-%d" pid)
   in
   let proc = { pid; pname; daemon; blocked = false; finished = false } in
   Hashtbl.replace t.procs pid proc;

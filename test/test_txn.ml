@@ -250,6 +250,8 @@ let compat () =
   checkb "NC/CU" false (Lockmgr.compatible Lockmgr.Non_commute Lockmgr.Commute_update);
   checkb "NC/NC" false (Lockmgr.compatible Lockmgr.Non_commute Lockmgr.Non_commute)
 
+let key = Key.intern
+
 (* Run a body inside a simulation and return its result after the run. *)
 let in_sim body =
   let sim = Sim.create () in
@@ -266,8 +268,8 @@ let shared_locks_coexist () =
   let granted =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim () in
-        let a = Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Shared () in
-        let b = Lockmgr.acquire lm ~owner:2 ~key:"k" ~mode:Lockmgr.Shared () in
+        let a = Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared () in
+        let b = Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Shared () in
         (a, b))
   in
   checkb "both granted" true (granted = (Lockmgr.Granted, Lockmgr.Granted))
@@ -277,9 +279,9 @@ let exclusive_blocks_until_release () =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
         let log = ref [] in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Exclusive ());
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
         Sim.spawn sim (fun () ->
-            (match Lockmgr.acquire lm ~owner:2 ~key:"k" ~mode:Lockmgr.Exclusive () with
+            (match Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive () with
             | Lockmgr.Granted -> log := "granted" :: !log
             | _ -> log := "refused" :: !log));
         Sim.sleep sim 1.0;
@@ -297,7 +299,7 @@ let commute_locks_never_wait () =
         let lm = Lockmgr.create sim () in
         List.for_all
           (fun owner ->
-            Lockmgr.acquire lm ~owner ~key:"hot" ~mode:Lockmgr.Commute_update ()
+            Lockmgr.acquire lm ~owner ~key:(key "hot") ~mode:Lockmgr.Commute_update ()
             = Lockmgr.Granted)
           [ 1; 2; 3; 4; 5 ])
   in
@@ -307,11 +309,11 @@ let nc_blocks_commute () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Non_commute ());
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Non_commute ());
         let got = ref None in
         Sim.spawn sim (fun () ->
             got :=
-              Some (Lockmgr.acquire lm ~owner:2 ~key:"k" ~mode:Lockmgr.Commute_update ()));
+              Some (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Commute_update ()));
         Sim.sleep sim 0.5;
         let blocked = !got = None in
         Lockmgr.release_all lm ~owner:1;
@@ -324,14 +326,14 @@ let deadlock_detected () =
   let outcome =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:"a" ~mode:Lockmgr.Exclusive ());
-        ignore (Lockmgr.acquire lm ~owner:2 ~key:"b" ~mode:Lockmgr.Exclusive ());
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "a") ~mode:Lockmgr.Exclusive ());
+        ignore (Lockmgr.acquire lm ~owner:2 ~key:(key "b") ~mode:Lockmgr.Exclusive ());
         let r1 = ref None in
         Sim.spawn sim (fun () ->
-            r1 := Some (Lockmgr.acquire lm ~owner:1 ~key:"b" ~mode:Lockmgr.Exclusive ()));
+            r1 := Some (Lockmgr.acquire lm ~owner:1 ~key:(key "b") ~mode:Lockmgr.Exclusive ()));
         Sim.sleep sim 0.1;
         (* Owner 2 now closes the cycle: must be refused immediately. *)
-        let r2 = Lockmgr.acquire lm ~owner:2 ~key:"a" ~mode:Lockmgr.Exclusive () in
+        let r2 = Lockmgr.acquire lm ~owner:2 ~key:(key "a") ~mode:Lockmgr.Exclusive () in
         (* Let owner 2 abort, releasing b, which unblocks owner 1. *)
         Lockmgr.release_all lm ~owner:2;
         Sim.sleep sim 0.1;
@@ -344,9 +346,9 @@ let timeout_fires () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:0.2 () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Exclusive ());
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
         let t0 = Sim.now sim in
-        let r = Lockmgr.acquire lm ~owner:2 ~key:"k" ~mode:Lockmgr.Exclusive () in
+        let r = Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive () in
         (r, Sim.now sim -. t0))
   in
   checkb "timed out at the deadline" true
@@ -356,8 +358,8 @@ let per_call_timeout_overrides () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:10.0 () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Exclusive ());
-        Lockmgr.acquire lm ~timeout:0.05 ~owner:2 ~key:"k"
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
+        Lockmgr.acquire lm ~timeout:0.05 ~owner:2 ~key:(key "k")
           ~mode:Lockmgr.Exclusive ())
   in
   checkb "per-call timeout" true (result = Lockmgr.Timeout)
@@ -366,13 +368,13 @@ let reentrant_acquire () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim () in
-        let a = Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Shared () in
+        let a = Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared () in
         (* Even with an incompatible waiter queued, the holder's own new
            request must not deadlock behind it. *)
         Sim.spawn sim (fun () ->
-            ignore (Lockmgr.acquire lm ~owner:2 ~key:"k" ~mode:Lockmgr.Exclusive ()));
+            ignore (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive ()));
         Sim.sleep sim 0.01;
-        let b = Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Shared () in
+        let b = Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared () in
         Lockmgr.release_all lm ~owner:1;
         Sim.sleep sim 0.01;
         Lockmgr.release_all lm ~owner:2;
@@ -384,18 +386,18 @@ let fifo_no_overtaking () =
   let order =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Exclusive ());
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
         let log = ref [] in
         (* Owner 2 queues for X; owner 3's S request arrives later and must
            not overtake it. *)
         Sim.spawn sim (fun () ->
-            ignore (Lockmgr.acquire lm ~owner:2 ~key:"k" ~mode:Lockmgr.Exclusive ());
+            ignore (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
             log := 2 :: !log;
             Sim.sleep sim 0.1;
             Lockmgr.release_all lm ~owner:2);
         Sim.sleep sim 0.01;
         Sim.spawn sim (fun () ->
-            ignore (Lockmgr.acquire lm ~owner:3 ~key:"k" ~mode:Lockmgr.Shared ());
+            ignore (Lockmgr.acquire lm ~owner:3 ~key:(key "k") ~mode:Lockmgr.Shared ());
             log := 3 :: !log;
             Lockmgr.release_all lm ~owner:3);
         Sim.sleep sim 0.05;
@@ -408,11 +410,11 @@ let fifo_no_overtaking () =
 let held_and_counts () =
   in_sim (fun sim ->
       let lm = Lockmgr.create sim () in
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:"a" ~mode:Lockmgr.Shared ());
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:"b" ~mode:Lockmgr.Exclusive ());
+      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "a") ~mode:Lockmgr.Shared ());
+      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "b") ~mode:Lockmgr.Exclusive ());
       checkb "held" true
         (Lockmgr.held lm ~owner:1
-        = [ ("a", Lockmgr.Shared); ("b", Lockmgr.Exclusive) ]);
+        = [ (key "a", Lockmgr.Shared); (key "b", Lockmgr.Exclusive) ]);
       checki "no waiters" 0 (Lockmgr.waiting lm);
       Lockmgr.release_all lm ~owner:1;
       checkb "released" true (Lockmgr.held lm ~owner:1 = []))
@@ -421,11 +423,11 @@ let release_wakes_multiple_shared () =
   let count =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Exclusive ());
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
         let granted = ref 0 in
         for owner = 2 to 4 do
           Sim.spawn sim (fun () ->
-              match Lockmgr.acquire lm ~owner ~key:"k" ~mode:Lockmgr.Shared () with
+              match Lockmgr.acquire lm ~owner ~key:(key "k") ~mode:Lockmgr.Shared () with
               | Lockmgr.Granted -> incr granted
               | _ -> ())
         done;
@@ -439,29 +441,29 @@ let release_wakes_multiple_shared () =
 let reentrant_no_duplicate_holders () =
   in_sim (fun sim ->
       let lm = Lockmgr.create sim () in
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Shared ());
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Shared ());
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Shared ());
+      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared ());
+      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared ());
+      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared ());
       checkb "re-granting an already-held mode adds no duplicate entry" true
-        (Lockmgr.held lm ~owner:1 = [ ("k", Lockmgr.Shared) ]);
+        (Lockmgr.held lm ~owner:1 = [ (key "k", Lockmgr.Shared) ]);
       (* A genuine upgrade still records the new mode alongside the old. *)
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Exclusive ());
+      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
       checkb "distinct modes are both recorded" true
         (Lockmgr.held lm ~owner:1
-        = [ ("k", Lockmgr.Shared); ("k", Lockmgr.Exclusive) ]);
+        = [ (key "k", Lockmgr.Shared); (key "k", Lockmgr.Exclusive) ]);
       Lockmgr.release_all lm ~owner:1)
 
 let release_all_cancels_own_waiters () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:"k" ~mode:Lockmgr.Exclusive ());
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
         let got = ref None in
         Sim.spawn sim (fun () ->
             (* Owner 2 holds one lock and queues on another — the shape of a
                partially-locked transaction being torn down mid-acquire. *)
-            ignore (Lockmgr.acquire lm ~owner:2 ~key:"other" ~mode:Lockmgr.Exclusive ());
-            got := Some (Lockmgr.acquire lm ~owner:2 ~key:"k" ~mode:Lockmgr.Exclusive ()));
+            ignore (Lockmgr.acquire lm ~owner:2 ~key:(key "other") ~mode:Lockmgr.Exclusive ());
+            got := Some (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive ()));
         Sim.sleep sim 0.1;
         (* Owner 2 aborts while still queued: its wait must end in
            [Cancelled], not [Timeout], and must not count as a conflict. *)
@@ -472,6 +474,26 @@ let release_all_cancels_own_waiters () =
   in
   checkb "cancelled wake reason" true (fst result = Some Lockmgr.Cancelled);
   checki "cancellation is not a conflict abort" 0 (snd result)
+
+(* An owner that holds no lock still has its waits ended by its release,
+   and once the holder releases too no lock record is left. *)
+let release_all_cancels_lockless_owner () =
+  let result =
+    in_sim (fun sim ->
+        let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
+        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
+        let got = ref None in
+        Sim.spawn sim (fun () ->
+            got := Some (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive ()));
+        Sim.sleep sim 0.1;
+        Lockmgr.release_all lm ~owner:2;
+        Sim.sleep sim 0.1;
+        let verdict = !got in
+        Lockmgr.release_all lm ~owner:1;
+        (verdict, Lockmgr.waiting lm, Lockmgr.locked_keys lm))
+  in
+  checkb "cancelled, nothing waiting, no lock record" true
+    (result = (Some Lockmgr.Cancelled, 0, 0))
 
 (* Property: under random acquire/release schedules, the lock table never
    holds two incompatible owners on a key, and everything drains (granted
@@ -498,7 +520,7 @@ let lockmgr_random_schedules =
       let violation = ref false in
       (* Track current holders per key from grant results to check the
          compatibility matrix externally. *)
-      let grants : (int * string * Lockmgr.mode) list ref = ref [] in
+      let grants : (int * Key.t * Lockmgr.mode) list ref = ref [] in
       let note_grant owner key mode =
         List.iter
           (fun (o, k, m) ->
@@ -515,7 +537,7 @@ let lockmgr_random_schedules =
           match op with
           | `Acquire (owner, key, mode) ->
               Sim.spawn sim ~name:(Printf.sprintf "acq%d" i) (fun () ->
-                  let key = string_of_int key in
+                  let key = Key.intern (string_of_int key) in
                   match Lockmgr.acquire lm ~owner ~key ~mode () with
                   | Lockmgr.Granted -> note_grant owner key mode
                   | Lockmgr.Deadlock | Lockmgr.Timeout | Lockmgr.Cancelled -> ())
@@ -536,9 +558,166 @@ let lockmgr_random_schedules =
       && (match outcome with Sim.Stalled _ -> false | _ -> true)
       && Lockmgr.waiting lm = 0)
 
+(* One owner's release wakes the waiters of its keys in the order it
+   locked them: here x, y, z, which a hash table of the names iterates as
+   z, y, x. *)
+let release_wakes_in_acquisition_order () =
+  let order =
+    in_sim (fun sim ->
+        let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
+        let log = ref [] in
+        List.iteri
+          (fun i name ->
+            ignore (Lockmgr.acquire lm ~owner:1 ~key:(key name) ~mode:Lockmgr.Exclusive ());
+            Sim.spawn sim (fun () ->
+                ignore
+                  (Lockmgr.acquire lm ~owner:(i + 2) ~key:(key name) ~mode:Lockmgr.Exclusive ());
+                log := (i + 2) :: !log))
+          [ "x"; "y"; "z" ];
+        Sim.sleep sim 0.1;
+        Lockmgr.release_all lm ~owner:1;
+        Sim.sleep sim 0.1;
+        List.rev !log)
+  in
+  Alcotest.(check (list int)) "waiters of x, y, z resume in that order" [ 2; 3; 4 ] order
+
+(* The library's manager against the reference manager it replaced
+   ([Lockmgr_oracle], keyed by name): random acquire, release and timeout
+   sequences must give every request the same verdict at the same
+   instant. Op [i] runs at time [i]; a finite timeout ends half a second
+   past an op; a requester is a blocking process or, on the library's side
+   only, an [acquire_then] callback. The two managers wake one release's
+   waiters in different orders, which a per-request comparison ignores.
+   A release is skipped while its owner waits and holds nothing: the
+   reference manager returns early for an owner with no lock and leaves
+   its waits queued, where the library cancels them. After the ops, owners
+   release in turn until nothing is held or waiting, and then the library
+   keeps no lock record. *)
+type lock_op =
+  | Lock of int * int * Lockmgr.mode * float option * bool
+      (** owner, key, mode, timeout, blocking requester *)
+  | Unlock of int
+
+type lock_api = {
+  acquire :
+    owner:int -> key:int -> mode:Lockmgr.mode -> timeout:float option -> blocking:bool ->
+    (Lockmgr.grant -> unit) -> unit;
+  release : int -> unit;
+  aborted : unit -> int;
+  idle : unit -> bool;  (** nothing held, waiting or kept *)
+}
+
+let run_lock_ops make ops =
+  let sim = Sim.create () in
+  let api = make sim in
+  let ops = Array.of_list ops in
+  let verdicts = Array.make (Array.length ops) None in
+  let held = Array.make 5 [] and waits = ref [] in
+  let release owner =
+    if held.(owner) <> [] || not (List.exists (fun (_, o, _) -> o = owner) !waits) then begin
+      held.(owner) <- [];
+      api.release owner
+    end
+  in
+  Array.iteri
+    (fun i op ->
+      Sim.schedule sim ~delay:(float_of_int i) (fun () ->
+          match op with
+          | Unlock owner -> release owner
+          | Lock (owner, key, mode, timeout, blocking) ->
+              waits := (i, owner, key) :: !waits;
+              api.acquire ~owner ~key ~mode ~timeout ~blocking (fun g ->
+                  verdicts.(i) <- Some (g, Sim.now sim);
+                  waits := List.filter (fun (j, _, _) -> j <> i) !waits;
+                  if g = Lockmgr.Granted then held.(owner) <- key :: held.(owner))))
+    ops;
+  let rec release_in_turn step =
+    if step < 400 && (!waits <> [] || Array.exists (fun h -> h <> []) held || step < 4) then begin
+      release ((step mod 4) + 1);
+      Sim.schedule sim ~delay:1. (fun () -> release_in_turn (step + 1))
+    end
+  in
+  Sim.schedule sim ~delay:(float_of_int (Array.length ops)) (fun () -> release_in_turn 0);
+  ignore (Sim.run sim ());
+  (verdicts, api.aborted (), api.idle ())
+
+let library_locks sim =
+  let lm = Lockmgr.create sim ~deadlock_timeout:2.5 () in
+  {
+    acquire =
+      (fun ~owner ~key ~mode ~timeout ~blocking k ->
+        let key = Key.intern (string_of_int key) in
+        if blocking then
+          Sim.spawn sim (fun () -> k (Lockmgr.acquire lm ?timeout ~owner ~key ~mode ()))
+        else Lockmgr.acquire_then lm ?timeout ~owner ~key ~mode k);
+    release = (fun owner -> Lockmgr.release_all lm ~owner);
+    aborted = (fun () -> Lockmgr.conflicts_aborted lm);
+    idle = (fun () -> Lockmgr.waiting lm = 0 && Lockmgr.locked_keys lm = 0);
+  }
+
+let oracle_locks sim =
+  let lm = Lockmgr_oracle.create sim ~deadlock_timeout:2.5 () in
+  {
+    acquire =
+      (fun ~owner ~key ~mode ~timeout ~blocking:_ k ->
+        let key = string_of_int key in
+        Sim.spawn sim (fun () -> k (Lockmgr_oracle.acquire lm ?timeout ~owner ~key ~mode ())));
+    release = (fun owner -> Lockmgr_oracle.release_all lm ~owner);
+    aborted = (fun () -> Lockmgr_oracle.conflicts_aborted lm);
+    idle = (fun () -> Lockmgr_oracle.waiting lm = 0);
+  }
+
+let lockmgr_matches_oracle =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            map
+              (fun (owner, key, mode, timeout, blocking) ->
+                Lock (owner, key, mode, timeout, blocking))
+              (tup5 (int_range 1 4) (int_range 0 2)
+                 (oneofl
+                    [ Lockmgr.Shared; Lockmgr.Exclusive; Lockmgr.Commute_read;
+                      Lockmgr.Commute_update; Lockmgr.Non_commute ])
+                 (oneofl [ None; Some infinity; Some 0.5; Some 1.5 ])
+                 bool) );
+          (1, map (fun owner -> Unlock owner) (int_range 1 4));
+        ])
+  in
+  let mode_name = function
+    | Lockmgr.Shared -> "S"
+    | Lockmgr.Exclusive -> "X"
+    | Lockmgr.Commute_read -> "CR"
+    | Lockmgr.Commute_update -> "CU"
+    | Lockmgr.Non_commute -> "NC"
+  in
+  let print_op = function
+    | Unlock o -> Printf.sprintf "release %d" o
+    | Lock (o, k, m, timeout, blocking) ->
+        Printf.sprintf "%d locks %d %s%s%s" o k (mode_name m)
+          (match timeout with None -> "" | Some d -> Printf.sprintf " for %g" d)
+          (if blocking then "" else " (callback)")
+  in
+  QCheck.Test.make ~name:"lockmgr: verdicts match the reference manager" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 40) op_gen))
+    (fun ops ->
+      let verdicts, aborted, idle = run_lock_ops library_locks ops in
+      let verdicts', aborted', idle' = run_lock_ops oracle_locks ops in
+      List.for_all2
+        (fun op v -> match op with Lock _ -> v <> None | Unlock _ -> true)
+        ops (Array.to_list verdicts)
+      && verdicts = verdicts' && aborted = aborted' && idle && idle')
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ value_commutation; writers_match_set_model; lockmgr_random_schedules ]
+    [
+      value_commutation; writers_match_set_model; lockmgr_random_schedules;
+      lockmgr_matches_oracle;
+    ]
 
 let () =
   Alcotest.run "txn"
@@ -567,6 +746,10 @@ let () =
             commute_locks_never_wait;
           Alcotest.test_case "nc blocks commute" `Quick nc_blocks_commute;
           Alcotest.test_case "deadlock detected" `Quick deadlock_detected;
+          Alcotest.test_case "release wakes in acquisition order" `Quick
+            release_wakes_in_acquisition_order;
+          Alcotest.test_case "release cancels a lockless owner" `Quick
+            release_all_cancels_lockless_owner;
           Alcotest.test_case "timeout fires" `Quick timeout_fires;
           Alcotest.test_case "per-call timeout" `Quick per_call_timeout_overrides;
           Alcotest.test_case "re-entrant" `Quick reentrant_acquire;
