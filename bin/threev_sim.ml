@@ -116,11 +116,15 @@ let trace_cmd =
         }
     in
     let rng = Random.State.make [| seed |] in
-    Sim.spawn sim ~name:"trace-client" (fun () ->
-        for i = 1 to 12 do
-          ignore (Engine.submit engine (gen.Workload.Generator.make rng ~id:i));
-          Sim.sleep sim 0.04
-        done);
+    (* The client: twelve submissions 0.04 s apart, a [Sim.after] chain
+       from an event queued at time 0. *)
+    let rec client i () =
+      if i <= 12 then begin
+        ignore (Engine.submit engine (gen.Workload.Generator.make rng ~id:i));
+        Sim.after sim 0.04 (client (i + 1))
+      end
+    in
+    Sim.schedule sim ~delay:0. (client 1);
     ignore (Sim.run sim ~until:1.0 ());
     let shown = ref 0 in
     List.iter

@@ -1,6 +1,7 @@
 module Sim = Simul.Sim
 module Ivar = Simul.Ivar
 module Semaphore = Simul.Semaphore
+module Mailbox = Simul.Mailbox
 module Network = Netsim.Network
 module Latency = Netsim.Latency
 module Mvstore = Store.Mvstore
@@ -65,6 +66,8 @@ type pending = {
   mutable p_nodes : int list;
   mutable p_buffered : (Store.Key.t * Op.t) list;  (* reversed *)
   p_root : root_submit option;
+  mutable p_stage : int;  (* the next step of {!exec_subtxn} *)
+  mutable p_plan : (Store.Key.t * Lockmgr.mode) list;  (* locks still to take *)
 }
 
 type node = {
@@ -176,68 +179,100 @@ let maybe_finish t node p =
           }
   end
 
-let exec_subtxn t node p (tree : Spec.subtxn) =
-  if tree.Spec.think > 0. then Sim.sleep t.sim tree.Spec.think;
-  let failure = ref None in
+(* The operations, inside the local critical section: reads see the
+   store and this transaction's own buffered writes; writes are buffered
+   until the decision. *)
+let run_ops node p ops =
   List.iter
-    (fun (key, mode) ->
-      if !failure = None then
-        match Lockmgr.acquire node.locks ~owner:p.p_txn ~key ~mode () with
-        | Lockmgr.Granted -> ()
-        | Lockmgr.Deadlock -> failure := Some "deadlock"
-        | Lockmgr.Timeout -> failure := Some "lock-timeout"
-        | Lockmgr.Cancelled -> failure := Some "cancelled")
-    (Lockmgr.plan ~read:Lockmgr.Shared ~write:Lockmgr.Exclusive tree.Spec.ops);
-  (match !failure with
-  | Some reason ->
-      p.p_vote <- Vote_abort reason;
-      cstat t "txn.lock_failure"
-  | None ->
-      Semaphore.with_permit t.sim node.local_cc (fun () ->
-          if t.cfg.think_time > 0. then Sim.sleep t.sim t.cfg.think_time;
-          List.iter
-            (fun op ->
-              match op with
-              | Op.Read key ->
-                  let value =
-                    (* A buffered write by this same transaction must be
-                       visible to its own later reads. *)
-                    let base =
-                      match
-                        Mvstore.read_visible node.store ~key ~version:0
-                      with
-                      | Some (_, v) -> v
-                      | None -> Value.empty
-                    in
-                    List.fold_left
-                      (fun acc (k, op) ->
-                        if Store.Key.equal k key then Op.apply op ~txn:p.p_txn acc
-                        else acc)
-                      base
-                      (List.rev p.p_buffered)
-                  in
-                  p.p_reads <- p.p_reads @ [ (key, value) ]
-              | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
-                  p.p_buffered <- (Op.key op, op) :: p.p_buffered)
-            tree.Spec.ops);
-      cstat t "subtxn.executed";
-      List.iter
-        (fun (child : Spec.subtxn) ->
-          p.p_outstanding <- p.p_outstanding + 1;
-          send t ~src:node.id ~dst:child.Spec.node
-            (Subtxn
-               {
-                 txn_id = p.p_txn;
-                 label = p.p_label;
-                 kind = Spec.Commuting;
-                 source = node.id;
-                 parent = Some (node.id, p.p_id);
-                 tree = child;
-                 root = None;
-               }))
-        tree.Spec.children);
+    (fun op ->
+      match op with
+      | Op.Read key ->
+          let value =
+            (* A buffered write by this same transaction must be
+               visible to its own later reads. *)
+            let base =
+              match Mvstore.read_visible node.store ~key ~version:0 with
+              | Some (_, v) -> v
+              | None -> Value.empty
+            in
+            List.fold_left
+              (fun acc (k, op) ->
+                if Store.Key.equal k key then Op.apply op ~txn:p.p_txn acc else acc)
+              base (List.rev p.p_buffered)
+          in
+          p.p_reads <- p.p_reads @ [ (key, value) ]
+      | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
+          p.p_buffered <- (Op.key op, op) :: p.p_buffered)
+    ops
+
+let local_done t node p =
   p.p_local_done <- true;
   maybe_finish t node p
+
+(* One subtransaction's local work as one staged closure, [resume], on the
+   events a process running the same steps takes: it starts on an event
+   queued at the current instant; the tree's think and [think_time] are
+   [Sim.after]'s two events; the lock plan is taken key by key through
+   {!Lockmgr.acquire_then} and the local critical section's permit
+   through {!Semaphore.acquire_then}, each resuming on the event its wake
+   queues when contended. [p.p_stage] names the next step; a refused lock
+   records the abort vote and skips the operations and children. A
+   failing step stops the run under the subtransaction's name. *)
+let exec_subtxn t node p (tree : Spec.subtxn) =
+  let rec resume () =
+    try
+      match p.p_stage with
+      | 0 ->
+          p.p_stage <- 1;
+          p.p_plan <- Lockmgr.plan ~read:Lockmgr.Shared ~write:Lockmgr.Exclusive tree.Spec.ops;
+          if tree.Spec.think > 0. then Sim.after t.sim tree.Spec.think resume else resume ()
+      | 1 -> (
+          match p.p_plan with
+          | (key, mode) :: plan ->
+              p.p_plan <- plan;
+              Lockmgr.acquire_then node.locks ~owner:p.p_txn ~key ~mode locked
+          | [] ->
+              p.p_stage <- 2;
+              Semaphore.acquire_then t.sim node.local_cc resume)
+      | 2 ->
+          p.p_stage <- 3;
+          if t.cfg.think_time > 0. then Sim.after t.sim t.cfg.think_time resume else resume ()
+      | 3 ->
+          run_ops node p tree.Spec.ops;
+          Semaphore.release node.local_cc;
+          cstat t "subtxn.executed";
+          List.iter
+            (fun (child : Spec.subtxn) ->
+              p.p_outstanding <- p.p_outstanding + 1;
+              send t ~src:node.id ~dst:child.Spec.node
+                (Subtxn
+                   {
+                     txn_id = p.p_txn;
+                     label = p.p_label;
+                     kind = Spec.Commuting;
+                     source = node.id;
+                     parent = Some (node.id, p.p_id);
+                     tree = child;
+                     root = None;
+                   }))
+            tree.Spec.children;
+          local_done t node p
+      | _ ->
+          cstat t "txn.lock_failure";
+          local_done t node p
+    with exn ->
+      Sim.fail t.sim (Printf.sprintf "2pc-n%d/%s#%d" node.id p.p_label p.p_id) exn
+  and locked = function
+    | Lockmgr.Granted -> resume ()
+    | Lockmgr.Deadlock -> refuse "deadlock"
+    | Lockmgr.Timeout -> refuse "lock-timeout"
+    | Lockmgr.Cancelled -> refuse "cancelled"
+  and refuse reason =
+    p.p_vote <- Vote_abort reason;
+    p.p_stage <- 4;
+    resume ()
+  in
+  Sim.schedule t.sim ~delay:0. resume
 
 let handle_msg t node = function
   | Subtxn { txn_id; label; source; parent; tree; root; kind = _ } ->
@@ -256,12 +291,12 @@ let handle_msg t node = function
           p_nodes = [ node.id ];
           p_buffered = [];
           p_root = root;
+          p_stage = 0;
+          p_plan = [];
         }
       in
       Hashtbl.replace node.pendings p.p_id p;
-      Sim.spawn t.sim
-        ~name:(Printf.sprintf "2pc-n%d/%s#%d" node.id label p.p_id)
-        (fun () -> exec_subtxn t node p tree)
+      exec_subtxn t node p tree
   | Vote { pending_id; reads; vote; nodes } -> (
       match Hashtbl.find_opt node.pendings pending_id with
       | None ->
@@ -309,18 +344,24 @@ let create ?faults sim (cfg : config) =
         nd.paused_until <- Float.max nd.paused_until until_
       end)
     ();
+  (* Each node's server is the library drain over its inbox. A paused
+     node holds the message in hand until the pause ends, on
+     [Sim.after]'s two events, and handles no other before it. *)
   Array.iter
     (fun node ->
-      Sim.spawn sim ~daemon:true ~name:(Printf.sprintf "2pc-node-%d" node.id)
-        (fun () ->
-          let rec loop () =
-            let msg = Network.recv t.net ~node:node.id in
-            if Sim.now sim < node.paused_until then
-              Sim.sleep sim (node.paused_until -. Sim.now sim);
+      let name = Printf.sprintf "2pc-node-%d" node.id in
+      Mailbox.serve sim (Network.inbox net ~node:node.id) ~name (fun msg next ->
+          let now = Sim.now sim in
+          if now < node.paused_until then
+            Sim.after sim (node.paused_until -. now) (fun () ->
+                try
+                  handle_msg t node msg;
+                  next ()
+                with exn -> Sim.fail sim name exn)
+          else begin
             handle_msg t node msg;
-            loop ()
-          in
-          loop ()))
+            next ()
+          end))
     nodes;
   t
 

@@ -1,6 +1,7 @@
 module Sim = Simul.Sim
 module Ivar = Simul.Ivar
 module Semaphore = Simul.Semaphore
+module Mailbox = Simul.Mailbox
 module Network = Netsim.Network
 module Latency = Netsim.Latency
 module Mvstore = Store.Mvstore
@@ -57,6 +58,7 @@ type pending = {
   mutable p_local_done : bool;
   mutable p_reads : (Store.Key.t * Value.t) list;
   p_root : root_submit option;
+  mutable p_stage : int;  (* the next step of {!exec_subtxn} *)
 }
 
 type node = {
@@ -138,47 +140,72 @@ let maybe_finish t node p =
           }
   end
 
-let exec_subtxn t node p (tree : Spec.subtxn) =
-  if tree.Spec.think > 0. then Sim.sleep t.sim tree.Spec.think;
-  Semaphore.with_permit t.sim node.local_cc (fun () ->
-      if t.cfg.think_time > 0. then Sim.sleep t.sim t.cfg.think_time;
-      List.iter
-        (fun op ->
-          match op with
-          | Op.Read key ->
-              let value =
-                match
-                  Mvstore.read_visible node.store ~key ~version:p.p_version
-                with
-                | Some (_, v) -> v
-                | None -> Value.empty
-              in
-              p.p_reads <- p.p_reads @ [ (key, value) ]
-          | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
-              Mvstore.write_upward node.store ~key:(Op.key op) ~version:p.p_version
-                ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn))
-        tree.Spec.ops);
-  cstat t "subtxn.executed";
+(* The operations, inside the local critical section, at the
+   subtransaction's version. *)
+let run_ops node p ops =
   List.iter
-    (fun (child : Spec.subtxn) ->
-      p.p_outstanding <- p.p_outstanding + 1;
-      send t ~src:node.id ~dst:child.Spec.node
-        (Subtxn
-           {
-             txn_id = p.p_txn;
-             label = p.p_label;
-             version = p.p_version;
-             source = node.id;
-             parent = Some (node.id, p.p_id);
-             tree = child;
-             root = None;
-           }))
-    tree.Spec.children;
-  (match p.p_root with
-  | Some rs -> rs.rs_root_commit <- Sim.now t.sim
-  | None -> ());
-  p.p_local_done <- true;
-  maybe_finish t node p
+    (fun op ->
+      match op with
+      | Op.Read key ->
+          let value =
+            match Mvstore.read_visible node.store ~key ~version:p.p_version with
+            | Some (_, v) -> v
+            | None -> Value.empty
+          in
+          p.p_reads <- p.p_reads @ [ (key, value) ]
+      | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
+          Mvstore.write_upward node.store ~key:(Op.key op) ~version:p.p_version
+            ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn))
+    ops
+
+(* One subtransaction's local work as one staged closure, [resume], on the
+   events a process running the same steps takes: it starts on an event
+   queued at the current instant; the tree's think and [think_time] are
+   [Sim.after]'s two events; the local critical section's permit comes
+   through {!Semaphore.acquire_then}, resuming on the event its release
+   queues when contended. [p.p_stage] names the next step. A failing step
+   stops the run under the subtransaction's name. *)
+let exec_subtxn t node p (tree : Spec.subtxn) =
+  let rec resume () =
+    try
+      match p.p_stage with
+      | 0 ->
+          p.p_stage <- 1;
+          if tree.Spec.think > 0. then Sim.after t.sim tree.Spec.think resume else resume ()
+      | 1 ->
+          p.p_stage <- 2;
+          Semaphore.acquire_then t.sim node.local_cc resume
+      | 2 ->
+          p.p_stage <- 3;
+          if t.cfg.think_time > 0. then Sim.after t.sim t.cfg.think_time resume else resume ()
+      | _ ->
+          run_ops node p tree.Spec.ops;
+          Semaphore.release node.local_cc;
+          cstat t "subtxn.executed";
+          List.iter
+            (fun (child : Spec.subtxn) ->
+              p.p_outstanding <- p.p_outstanding + 1;
+              send t ~src:node.id ~dst:child.Spec.node
+                (Subtxn
+                   {
+                     txn_id = p.p_txn;
+                     label = p.p_label;
+                     version = p.p_version;
+                     source = node.id;
+                     parent = Some (node.id, p.p_id);
+                     tree = child;
+                     root = None;
+                   }))
+            tree.Spec.children;
+          (match p.p_root with
+          | Some rs -> rs.rs_root_commit <- Sim.now t.sim
+          | None -> ());
+          p.p_local_done <- true;
+          maybe_finish t node p
+    with exn ->
+      Sim.fail t.sim (Printf.sprintf "%s-n%d/%s#%d" (name t) node.id p.p_label p.p_id) exn
+  in
+  Sim.schedule t.sim ~delay:0. resume
 
 let handle_msg t node = function
   | Subtxn { txn_id; label; version; source = _; parent; tree; root } ->
@@ -194,12 +221,11 @@ let handle_msg t node = function
           p_local_done = false;
           p_reads = [];
           p_root = root;
+          p_stage = 0;
         }
       in
       Hashtbl.replace node.pendings p.p_id p;
-      Sim.spawn t.sim
-        ~name:(Printf.sprintf "%s-n%d/%s#%d" (name t) node.id label p.p_id)
-        (fun () -> exec_subtxn t node p tree)
+      exec_subtxn t node p tree
   | Completion { pending_id; reads } -> (
       match Hashtbl.find_opt node.pendings pending_id with
       | None ->
@@ -235,13 +261,10 @@ let create sim (cfg : config) =
   in
   Array.iter
     (fun node ->
-      Sim.spawn sim ~daemon:true
-        ~name:(Printf.sprintf "%s-node-%d" (name t) node.id) (fun () ->
-          let rec loop () =
-            handle_msg t node (Network.recv t.net ~node:node.id);
-            loop ()
-          in
-          loop ()))
+      Mailbox.serve sim (Network.inbox net ~node:node.id)
+        ~name:(Printf.sprintf "%s-node-%d" (name t) node.id) (fun msg next ->
+          handle_msg t node msg;
+          next ()))
     nodes;
   t
 

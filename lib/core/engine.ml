@@ -919,21 +919,18 @@ and handle_completion t node ~pending_id ~child_label ~reads ~vote ~nodes =
    inside it) running the tree's operations, the release, then what
    follows: for an ordinary section the abort draw, the children and
    termination; for the compensation wave ([wave], no think, no gate) the
-   inverse children. Each hand-over must take the events a process running
-   the same steps takes, or schedules change: the first step runs at the
-   event a spawned process would start on, each think is [Sim.after]'s two
+   inverse children. Each hand-over takes the events a process running
+   the same steps takes, or schedules change: the first step runs on an
+   event queued at the current instant, each think is [Sim.after]'s two
    events (a sleep's), and a contended permit, lock or admission resumes
    on the event its release queues (a blocked process's waker's).
    test_simul's dispatch oracle holds the two shapes equal. The section is
    one closure, [resume], that every hand-over resumes: [p.p_stage] names
    the step it runs next. The gate's state lives in the gate's own
    closures, so a section without one allocates nothing for it. A failing
-   step stops the run under the section's name.
-
-   Sections are callbacks, so [Sim]'s stall report, which lists blocked
-   processes only, never names one: a section still parked on a lock or
-   an admission when a run ends shows as its transaction's unresolved
-   result. *)
+   step stops the run under the section's name. A section still parked on
+   a lock or an admission when a run ends shows as its transaction's
+   unresolved result. *)
 and run_section t node p (tree : Spec.subtxn) ~wave =
   p.p_stage <- 0;
   let rec resume () =
@@ -1272,10 +1269,10 @@ let broadcast t cs msg =
 (* Each shard's coordinator is a state machine (PROTOCOL.md §9.5): its
    record holds the WAL phase it runs, whether it is down and its one open
    wait, and each input moves it by one transition ({!coordinator_loop}).
-   Each hand-over takes the events of a process blocked at the same step
-   (see {!Sim.after}): a request or an inbox arrival queues the transition
-   at the current instant, as a receive's wake does, and the poll interval
-   and the rest of a down window take a sleep's two events. The inbox is
+   Each hand-over takes the events of a process blocked at the same step:
+   a request or an inbox arrival queues the transition at the current
+   instant, as a receive's wake does, and the poll interval and the rest
+   of a down window take [Sim.after]'s two events, a sleep's. The inbox is
    read only while a wait is open. *)
 type input =
   | Trigger  (** an advancement request reached the idle coordinator *)
@@ -1791,43 +1788,33 @@ let restart_recover t node =
   if tracing t then
     tr t node.name "restarts; recovers vu=%d vr=%d from durable state" vu vr
 
-(* A node's message dispatch, as callbacks on its inbox. An idle node's
-   inbox holds a one-shot arrival hook; a delivery fires it, which queues
-   the node's drain at the current instant, the event a server process
-   blocked in a receive would wake on (test_simul's dispatch oracle
-   holds the two shapes equal). Deliveries while the drain is queued,
-   running or paused only enqueue. The drain takes packets in inbox
-   order, runs the channel's receive step on each and dispatches every
-   first delivery, then re-arms the hook on an empty inbox. [woken] and
-   [arrival] are allocated once per node, so a wake allocates nothing but
-   its FIFO slot. A handler's exception stops the run under
+(* A node's message dispatch: the library drain ({!Mailbox.serve}) over
+   its inbox, on the events a server process blocked in a receive would
+   take (test_simul's dispatch oracle holds the two shapes equal). Each
+   packet goes through the channel's receive step, and every first
+   delivery is dispatched. A handler's exception stops the run under
    "node-<name>". *)
 let serve t node =
-  let inbox = Network.inbox t.net ~node:node.id in
-  let rec drain () =
-    if Mailbox.length inbox = 0 then Mailbox.on_arrival inbox arrival
-    else
-      let p = Mailbox.take inbox in
+  let name = "node-" ^ node.name in
+  Mailbox.serve t.sim (Network.inbox t.net ~node:node.id) ~name (fun p next ->
       match (Reliable.accept t.ch ~node:node.id p, p) with
       | true, Reliable.Data { body; _ } ->
           let now = Sim.now t.sim in
           (* Injected outage: a frozen node buffers its inbox. Everything
              already running locally proceeds; the message in hand waits
-             out the pause on a sleep's two events, and no other is handled
-             before it. *)
+             out the pause on [Sim.after]'s two events, and no other is
+             handled before it. *)
           if now < node.paused_until then
             Sim.after t.sim (node.paused_until -. now) (fun () ->
-                guarded (handle body))
-          else handle body ()
-      | _, (Reliable.Data _ | Reliable.Ack _) -> drain ()
-  and handle msg () =
-    handle_node_msg t node msg;
-    drain ()
-  and guarded step =
-    try step () with exn -> Sim.fail t.sim ("node-" ^ node.name) exn
-  and woken () = guarded drain
-  and arrival () = Sim.schedule t.sim ~delay:0. woken in
-  Mailbox.on_arrival inbox arrival
+                try
+                  handle_node_msg t node body;
+                  next ()
+                with exn -> Sim.fail t.sim name exn)
+          else begin
+            handle_node_msg t node body;
+            next ()
+          end
+      | _, (Reliable.Data _ | Reliable.Ack _) -> next ())
 
 let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
   if cfg.nodes <= 0 then invalid_arg "Engine.create: nodes must be positive";

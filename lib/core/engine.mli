@@ -50,8 +50,8 @@
     [vu = vr + 1], abort when overtaken by a higher version, and commit via
     two-phase commit. The admission wait and the locks ({!Txn.Lockmgr}) are
     steps of the same callback chain every subtransaction runs: a parked
-    admission or a queued lock request resumes it on the event a blocked
-    process would resume on, and a refused lock votes abort.
+    admission or a queued lock request resumes it on the event its wake
+    queues, and a refused lock votes abort.
 
     {b Compensation} (§3.2): with [abort_probability] > 0, that fraction of
     commuting update transactions "abort" after spawning their children by
@@ -172,15 +172,14 @@ val default_config : nodes:int -> config
 type t
 
 (** [create sim config ?trace ?node_names ?link_latency ?faults ()] builds
-    the system on [sim]: each node's inbox is drained by callbacks armed on
-    it (no process per node); each coordinator is a state machine moved by
+    the system on [sim]: each node's inbox is drained by
+    {!Simul.Mailbox.serve}; each coordinator is a state machine moved by
     callbacks, and the heartbeat senders, the stall watchdog and the
     periodic policy are {!Simul.Sim.after} timers. Every subtransaction
-    runs as a callback chain, NC3V's lock and admission waits included:
-    the engine starts no process, and an idle engine with the detector and
-    the watchdog off runs no event. A subtransaction still waiting when a
-    run ends is never named by {!Simul.Sim.Stalled}; its transaction's
-    result stays unresolved. A node handler's failure stops the run as
+    runs as a callback chain, NC3V's lock and admission waits included,
+    and an idle engine with the detector and the watchdog off runs no
+    event. A subtransaction still waiting when a run ends leaves its
+    transaction's result unresolved. A node handler's failure stops the run as
     [Sim.Process_failure ("node-<name>", exn)], a subtransaction's as
     [Sim.Process_failure ("<node>/<label>#<id>", exn)], a coordinator's as
     [Sim.Process_failure ("coordinator", exn)] (["coordinator<s>"] with

@@ -141,7 +141,6 @@ let suspected t ~node ~now =
   | Suspected | Confirmed_down -> true
   | Trusted | Recovered -> false
 
-let confirmed_down t ~node ~now = state t ~node ~now = Confirmed_down
 
 let suspicions t = t.suspicions
 let confirmations t = t.confirmations

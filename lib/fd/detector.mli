@@ -53,10 +53,6 @@ val state : t -> node:int -> now:float -> state
     consume. *)
 val suspected : t -> node:int -> now:float -> bool
 
-(** [confirmed_down t ~node ~now] — [true] iff the state at [now] is
-    [Confirmed_down]. *)
-val confirmed_down : t -> node:int -> now:float -> bool
-
 (** Trusted/recovered → suspected transitions so far. *)
 val suspicions : t -> int
 

@@ -39,19 +39,16 @@ let drive sim engine gen (setup : setup) =
      is dropped. Scanning all of [inflight] every tick instead would make the
      sampler O(total submitted) per 0.05s — quadratic over a long run. *)
   let unresolved : Result.t Ivar.t list ref = ref [] in
-  Sim.spawn sim ~daemon:true ~name:"in-flight-sampler" (fun () ->
-      let rec sample () =
-        unresolved := List.filter (fun iv -> not (Ivar.is_full iv)) !unresolved;
-        Stats.Series.add in_flight_series ~x:(Sim.now sim)
-          ~y:(float_of_int (List.length !unresolved));
-        Sim.sleep sim 0.05;
-        sample ()
-      in
-      sample ());
-  (* The workload client: a chain of callbacks, one [Sim.after] per
-     Poisson gap, on the events a client process takes (its start, then
-     each sleep's two), so every schedule is the process's. A failing
-     arrival stops the run as the process did, under its name. *)
+  let rec sample () =
+    unresolved := List.filter (fun iv -> not (Ivar.is_full iv)) !unresolved;
+    Stats.Series.add in_flight_series ~x:(Sim.now sim)
+      ~y:(float_of_int (List.length !unresolved));
+    Sim.after sim 0.05 sample
+  in
+  Sim.schedule sim ~delay:0. sample;
+  (* The workload client: a chain of callbacks from a start event, one
+     [Sim.after] per Poisson gap. A failing arrival stops the run under
+     its name. *)
   let rec wait () =
     let gap = -.log (1. -. Random.State.float rng 1.) /. rate in
     Sim.after sim gap arrive
@@ -68,12 +65,7 @@ let drive sim engine gen (setup : setup) =
       | exception exn -> Sim.fail sim "workload-client" exn
   in
   Sim.schedule sim ~delay:0. wait;
-  (match Sim.run sim ~until:(start +. setup.duration +. setup.settle) () with
-  | Sim.Completed | Sim.Hit_limit -> ()
-  | Sim.Stalled names ->
-      failwith
-        (Printf.sprintf "Runner.drive: simulation stalled in [%s]"
-           (String.concat "; " names)));
+  ignore (Sim.run sim ~until:(start +. setup.duration +. setup.settle) ());
   let history = ref [] and unfinished = ref 0 in
   List.iter
     (fun (spec, ivar) ->

@@ -152,22 +152,19 @@ let run () =
       Sim.schedule sim ~delay:time (fun () ->
           snapshots := take_snapshot engine time :: !snapshots))
     [ 12.0; 20.0; 28.0 ];
-  Sim.spawn sim ~name:"table1-script" (fun () ->
-      Sim.sleep sim 1.0;
-      result_i := Some (Engine.submit engine spec_i);
-      Sim.sleep sim 6.0 (* t = 7 *);
-      result_x := Some (Engine.submit engine spec_x);
-      Sim.sleep sim 2.0 (* t = 9 *);
-      advancement := Some (Engine.advance engine);
-      Sim.sleep sim 1.0 (* t = 10 *);
-      result_j := Some (Engine.submit engine spec_j);
-      Sim.sleep sim 7.0 (* t = 17 *);
-      result_y := Some (Engine.submit engine spec_y));
-  (match Sim.run sim ~until:60.0 () with
-  | Sim.Completed | Sim.Hit_limit -> ()
-  | Sim.Stalled names ->
-      failwith
-        (Printf.sprintf "Table1: stalled in [%s]" (String.concat "; " names)));
+  (* The script: a [Sim.after] chain from an event queued at time 0. *)
+  Sim.schedule sim ~delay:0. (fun () ->
+      Sim.after sim 1.0 (fun () ->
+          result_i := Some (Engine.submit engine spec_i);
+          Sim.after sim 6.0 (fun () (* t = 7 *) ->
+              result_x := Some (Engine.submit engine spec_x);
+              Sim.after sim 2.0 (fun () (* t = 9 *) ->
+                  advancement := Some (Engine.advance engine);
+                  Sim.after sim 1.0 (fun () (* t = 10 *) ->
+                      result_j := Some (Engine.submit engine spec_j);
+                      Sim.after sim 7.0 (fun () (* t = 17 *) ->
+                          result_y := Some (Engine.submit engine spec_y)))))));
+  ignore (Sim.run sim ~until:60.0 ());
   let committed r =
     match !r with
     | Some ivar -> (

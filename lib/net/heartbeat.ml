@@ -1,4 +1,3 @@
-module Sim = Simul.Sim
 module Mailbox = Simul.Mailbox
 
 (* A dedicated side network: heartbeats never share an inbox with protocol
@@ -30,24 +29,12 @@ let beat t ~node =
   t.sent <- t.sent + 1;
   Network.send t.net ~src:node ~dst:t.monitor node
 
-(* The monitor's inbox drain, armed like a node's ([Engine.serve]): a
-   beat arriving at an idle inbox queues the drain at the current instant,
-   the event a monitor process blocked in a receive would wake on, and the
-   drain takes every queued beat, then re-arms. *)
 let serve t f =
-  let sim = Network.sim t.net in
-  let inbox = Network.inbox t.net ~node:t.monitor in
-  let rec drain () =
-    if Mailbox.length inbox = 0 then Mailbox.on_arrival inbox arrival
-    else begin
-      let src = Mailbox.take inbox in
+  Mailbox.serve (Network.sim t.net) (Network.inbox t.net ~node:t.monitor) ~name:"hb-monitor"
+    (fun src next ->
       t.received <- t.received + 1;
       f src;
-      drain ()
-    end
-  and woken () = try drain () with exn -> Sim.fail sim "hb-monitor" exn
-  and arrival () = Sim.schedule sim ~delay:0. woken in
-  Mailbox.on_arrival inbox arrival
+      next ())
 
 let sent t = t.sent
 let received t = t.received

@@ -22,11 +22,11 @@ val network : t -> int Network.t
 (** [beat t ~node] sends one heartbeat from [node] to the monitor. *)
 val beat : t -> node:int -> unit
 
-(** [serve t f] drains the monitor endpoint's inbox by callbacks: [f src]
-    runs for each heartbeat, with its sender id, on the events a monitor
-    process blocked in a receive would take (a beat reaching an idle inbox
-    queues the drain at the current instant; beats arriving before it runs
-    join it). Call it once. An exception from [f] stops the run as
+(** [serve t f] drains the monitor endpoint's inbox by callbacks
+    ({!Simul.Mailbox.serve}): [f src] runs for each heartbeat, with its
+    sender id (a beat reaching an idle inbox queues the drain at the
+    current instant; beats arriving before it runs join it). Call it once.
+    An exception from [f] stops the run as
     [Sim.Process_failure ("hb-monitor", exn)]. *)
 val serve : t -> (int -> unit) -> unit
 

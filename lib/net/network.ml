@@ -106,10 +106,6 @@ let send t ~src ~dst msg =
               schedule_delivery t ~dst ~delay:d msg)
             extras)
 
-let recv t ~node =
-  check_node t node "recv";
-  Mailbox.recv t.simulation t.inboxes.(node)
-
 let inbox t ~node =
   check_node t node "inbox";
   t.inboxes.(node)

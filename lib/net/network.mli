@@ -55,22 +55,16 @@ val set_filter : 'm t -> filter -> unit
     arriving after the original is not counted as a second delivery. *)
 val set_delivery_key : 'm t -> ('m -> int) -> unit
 
-(** [send t ~src ~dst msg] schedules delivery of [msg] into [dst]'s inbox.
-    Returns immediately (never suspends). Messages from a node to itself
-    have zero base delay (no latency sample is drawn) but still pass
-    through the installed filter and all accounting, so fault plans and
-    counters see every message. *)
+(** [send t ~src ~dst msg] schedules delivery of [msg] into [dst]'s inbox
+    and returns. Messages from a node to itself have zero base delay (no
+    latency sample is drawn) but still pass through the installed filter
+    and all accounting, so fault plans and counters see every message. *)
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 
-(** [recv t ~node] takes the next message for [node], suspending the calling
-    process until one arrives. For receivers that run as processes (the
-    baselines' node loops). *)
-val recv : 'm t -> node:int -> 'm
-
-(** [inbox t ~node] is [node]'s inbox, for a receiver that drains it by
-    callbacks ({!Simul.Mailbox.on_arrival}) rather than blocking in
-    {!recv}. Only {!send} may put messages into it: delivery accounting
-    happens there. *)
+(** [inbox t ~node] is [node]'s inbox, which its receiver drains by
+    callbacks ({!Simul.Mailbox.serve}, or {!Simul.Mailbox.on_arrival} for
+    a receiver that reads only while it waits). Only {!send} may put
+    messages into it: delivery accounting happens there. *)
 val inbox : 'm t -> node:int -> 'm Simul.Mailbox.t
 
 (** Send attempts so far (including self-sends and filtered drops). *)

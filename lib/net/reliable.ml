@@ -201,9 +201,3 @@ let accept t ~node = function
       (* We (node) sent (node, acker, seq); it arrived. *)
       acked t ~src:node t.rows.(node).(acker) seq;
       false
-
-let rec recv t ~node =
-  let p = Network.recv t.net ~node in
-  match (accept t ~node p, p) with
-  | true, Data { body; _ } -> body
-  | _, (Data _ | Ack _) -> recv t ~node

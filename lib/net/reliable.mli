@@ -64,14 +64,9 @@ val create : ?config:config -> 'm packet Network.t -> 'm t
 (** [send t ~src ~dst body] — never blocks. *)
 val send : 'm t -> src:int -> dst:int -> 'm -> unit
 
-(** [recv t ~node] suspends until the next {e new} application message for
-    [node] arrives; acks and duplicate data packets are consumed
-    internally, by {!accept}. *)
-val recv : 'm t -> node:int -> 'm
-
 (** [accept t ~node p] is the receive step for packet [p], taken from
-    [node]'s inbox: {!recv} runs it on every packet it takes, and so must
-    a receiver that drains the inbox itself ({!Network.inbox}). With
+    [node]'s inbox ({!Network.inbox}): the receiver runs it on every
+    packet it takes, and handles the body only when it returns true. With
     [acks] on, a data packet is acknowledged (every copy) and recorded in
     its stream's delivered floor, and an ack is applied to the stream it
     acknowledges. True iff [p] is a data packet delivered for the first

@@ -1,24 +1,11 @@
-type 'a state = Empty of ('a -> unit) list | Full of 'a
-type 'a t = { mutable state : 'a state }
+type 'a t = { mutable value : 'a option }
 
-let create () = { state = Empty [] }
+let create () = { value = None }
 
 let fill v x =
-  match v.state with
-  | Full _ -> invalid_arg "Ivar.fill: already full"
-  | Empty waiters ->
-      v.state <- Full x;
-      (* Wake in registration order for determinism. *)
-      List.iter (fun waker -> waker x) (List.rev waiters)
+  match v.value with
+  | Some _ -> invalid_arg "Ivar.fill: already full"
+  | None -> v.value <- Some x
 
-let read sim v =
-  match v.state with
-  | Full x -> x
-  | Empty _ ->
-      Sim.suspend sim (fun waker ->
-          match v.state with
-          | Full x -> waker x
-          | Empty waiters -> v.state <- Empty (waker :: waiters))
-
-let peek v = match v.state with Full x -> Some x | Empty _ -> None
-let is_full v = match v.state with Full _ -> true | Empty _ -> false
+let peek v = v.value
+let is_full v = Option.is_some v.value

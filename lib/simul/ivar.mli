@@ -1,21 +1,18 @@
-(** Single-assignment synchronization variable ("future").
+(** Single-assignment variable ("future").
 
-    An {!t} starts empty; {!fill} writes it exactly once and wakes every
-    process blocked in {!read}. Used to hand transaction results back to
-    their submitters without any polling. *)
+    An {!t} starts empty; {!fill} writes it exactly once. Used to hand
+    transaction results back to their submitters: the harness and the
+    tests read a result with {!peek} once the run has gone past it, so
+    nothing waits on an ivar. *)
 
 type 'a t
 
 (** A fresh empty IVar. *)
 val create : unit -> 'a t
 
-(** [fill v x] sets the value and wakes all readers.
+(** [fill v x] sets the value.
     @raise Invalid_argument if [v] is already full. *)
 val fill : 'a t -> 'a -> unit
-
-(** [read sim v] returns the value, suspending the calling process until
-    {!fill} happens. Returns immediately if already full. *)
-val read : Sim.t -> 'a t -> 'a
 
 (** [peek v] is the value if filled. *)
 val peek : 'a t -> 'a option

@@ -5,15 +5,13 @@
    is allocated by the first queued message, which also becomes the ring's
    filler: it stays in the array's last slot, outside the ring, and every
    slot a {!take} vacates is reset to it, so a taken message is not pinned
-   by its old slot. Waiters stay in a [Queue.t]: a mailbox rarely has more
-   than one blocked receiver. *)
+   by its old slot. *)
 
 type 'a t = {
   mutable buf : 'a array;  (* ring slots, then the filler; [||] until a first send queues *)
   mutable head : int;  (* next slot to read *)
   mutable count : int;
   capacity : int;  (* ring slots of the first array *)
-  waiters : ('a -> unit) Queue.t;
   mutable hook : unit -> unit;  (* the armed arrival hook, or [disarmed] *)
 }
 
@@ -25,7 +23,6 @@ let create ?(capacity = 16) () =
     head = 0;
     count = 0;
     capacity = max capacity 1;
-    waiters = Queue.create ();
     hook = disarmed;
   }
 
@@ -47,19 +44,16 @@ let grow m x =
   end
 
 let send m x =
-  if not (Queue.is_empty m.waiters) then Queue.take m.waiters x
-  else begin
-    (* [>=]: the unallocated ring has -1 slots. *)
-    if m.count >= Array.length m.buf - 1 then grow m x;
-    let cap = Array.length m.buf - 1 in
-    let j = m.head + m.count in
-    m.buf.(if j >= cap then j - cap else j) <- x;
-    m.count <- m.count + 1;
-    if m.hook != disarmed then begin
-      let hook = m.hook in
-      m.hook <- disarmed;
-      hook ()
-    end
+  (* [>=]: the unallocated ring has -1 slots. *)
+  if m.count >= Array.length m.buf - 1 then grow m x;
+  let cap = Array.length m.buf - 1 in
+  let j = m.head + m.count in
+  m.buf.(if j >= cap then j - cap else j) <- x;
+  m.count <- m.count + 1;
+  if m.hook != disarmed then begin
+    let hook = m.hook in
+    m.hook <- disarmed;
+    hook ()
   end
 
 let on_arrival m hook = m.hook <- hook
@@ -74,8 +68,13 @@ let take m =
   m.count <- m.count - 1;
   x
 
-let recv sim m =
-  if m.count > 0 then take m
-  else Sim.suspend sim (fun waker -> Queue.add waker m.waiters)
+(* [h] continues the drain by calling [drain] in tail position, so a
+   drain through any number of queued messages runs in one stack frame
+   inside [woken]'s handler. *)
+let serve sim m ~name h =
+  let rec drain () = if m.count = 0 then m.hook <- arrival else h (take m) drain
+  and woken () = try drain () with exn -> Sim.fail sim name exn
+  and arrival () = Sim.schedule sim ~delay:0. woken in
+  m.hook <- arrival
 
 let length m = m.count

@@ -1,14 +1,3 @@
-open Effect
-open Effect.Deep
-
-type proc = {
-  pid : int;
-  pname : string;
-  daemon : bool;
-  mutable blocked : bool;
-  mutable finished : bool;
-}
-
 (* Two queues, one total order (see the interface). The timed queue holds
    the events after the clock: a binary min-heap over three parallel
    arrays, ordered by [(times.(i), keys.(i))], where a key is the event's
@@ -21,7 +10,6 @@ type proc = {
 type t = {
   mutable clock : float;
   mutable seq : int;
-  mutable next_pid : int;
   mutable executed : int;
   mutable failure : (string * exn) option;
   mutable times : float array;
@@ -31,11 +19,10 @@ type t = {
   mutable ring : (unit -> unit) array;  (* capacity a power of two *)
   mutable ring_head : int;
   mutable ring_len : int;
-  procs : (int, proc) Hashtbl.t;
   random : Random.State.t;
 }
 
-type outcome = Completed | Stalled of string list | Hit_limit
+type outcome = Completed | Hit_limit
 
 exception Process_failure of string * exn
 
@@ -50,7 +37,6 @@ let create ?(seed = 42) ?(queue_capacity = 16) () =
   {
     clock = 0.;
     seq = 0;
-    next_pid = 0;
     executed = 0;
     failure = None;
     times = Array.make cap 0.;
@@ -60,7 +46,6 @@ let create ?(seed = 42) ?(queue_capacity = 16) () =
     ring = Array.make 64 ignore;
     ring_head = 0;
     ring_len = 0;
-    procs = Hashtbl.create 64;
     random = Random.State.make [| seed |];
   }
 
@@ -181,9 +166,8 @@ let schedule t ~delay f =
   assert (delay >= 0.);
   push t ~at:(t.clock +. delay) f
 
-(* The two events [sleep t d] resumes on, with [k] as the resumption. A
-   timed hop is tagged in its key rather than wrapped in a closure: {!run}
-   queues its [k] on the FIFO instead of running it. *)
+(* A timed hop is tagged in its key rather than wrapped in a closure:
+   {!run} queues its [k] on the FIFO instead of running it. *)
 let after t d k =
   assert (d >= 0.);
   let at = t.clock +. d in
@@ -195,82 +179,12 @@ let after t d k =
 
 let fail t name exn = if t.failure = None then t.failure <- Some (name, exn)
 
-(* A single effect suffices: suspend with a waker-registration function. *)
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-
-let suspend _t register = perform (Suspend register)
-
-let sleep t d =
-  assert (d >= 0.);
-  suspend t (fun waker -> push t ~at:(t.clock +. d) waker)
-
-let yield t = suspend t (fun waker -> push_now t waker)
-
-(* Run [body] as a coroutine attached to [proc]. Suspension registers a waker
-   that re-enters the event loop. *)
-let start_process t proc body =
-  let fiber () =
-    match_with body ()
-      {
-        (* Finished processes are dropped from [t.procs] immediately: the
-           table only exists to report still-blocked processes at stall
-           time, and keeping every completed fiber's record alive would
-           grow the table (and its proc records) for the life of the run. *)
-        retc =
-          (fun () ->
-            proc.finished <- true;
-            Hashtbl.remove t.procs proc.pid);
-        exnc =
-          (fun exn ->
-            proc.finished <- true;
-            Hashtbl.remove t.procs proc.pid;
-            fail t proc.pname exn);
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Suspend register ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    proc.blocked <- true;
-                    let fired = ref false in
-                    let waker v =
-                      if !fired then
-                        invalid_arg
-                          (Printf.sprintf "Sim: waker for process %S invoked twice"
-                             proc.pname);
-                      fired := true;
-                      push_now t (fun () ->
-                          proc.blocked <- false;
-                          continue k v)
-                    in
-                    register waker)
-            | _ -> None);
-      }
-  in
-  fiber ()
-
-let spawn t ?(daemon = false) ?name body =
-  t.next_pid <- t.next_pid + 1;
-  let pid = t.next_pid in
-  let pname = match name with Some n -> n | None -> Printf.sprintf "proc-%d" pid in
-  let proc = { pid; pname; daemon; blocked = false; finished = false } in
-  Hashtbl.replace t.procs pid proc;
-  push_now t (fun () -> start_process t proc body)
-
-let stalled_names t =
-  Hashtbl.fold
-    (fun _ p acc ->
-      if p.blocked && (not p.finished) && not p.daemon then p.pname :: acc else acc)
-    t.procs []
-  |> List.sort String.compare
-
 let run t ?until () =
   let horizon = match until with None -> infinity | Some u -> u in
   let rec loop () =
     if t.ring_len > 0 && (t.size = 0 || t.times.(0) > t.clock) then
       if t.clock > horizon then Hit_limit else step (pop_now t)
-    else if t.size = 0 then
-      match stalled_names t with [] -> Completed | names -> Stalled names
+    else if t.size = 0 then Completed
     else
       let at = t.times.(0) in
       if at > horizon then Hit_limit

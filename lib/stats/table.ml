@@ -44,18 +44,6 @@ let to_string t =
     :: body)
   ^ "\n"
 
-let csv_cell cell =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell
-  in
-  if needs_quoting then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
-  else cell
-
-let to_csv t =
-  let row cells = String.concat "," (List.map csv_cell cells) in
-  String.concat "\n" (row t.columns :: List.map row (List.rev t.data)) ^ "\n"
-
 let print t = print_string (to_string t ^ "\n")
 
 let cell_f x =

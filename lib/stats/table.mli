@@ -19,10 +19,6 @@ val rows : t -> int
 (** Render with column alignment, preceded by the title. *)
 val to_string : t -> string
 
-(** RFC-4180-style CSV (header row first; cells containing commas, quotes
-    or newlines are quoted). The title is not included. *)
-val to_csv : t -> string
-
 (** [print t] writes {!to_string} to stdout followed by a newline. *)
 val print : t -> unit
 

@@ -166,12 +166,6 @@ let enqueue t o l mode timeout wake =
           wake Timeout
         end)
 
-let acquire t ?timeout ~owner ~key ~mode () =
-  let o = owner_of t owner and l = lock_of t key in
-  match attempt t o l mode with
-  | Some verdict -> verdict
-  | None -> Sim.suspend t.sim (enqueue t o l mode timeout)
-
 let acquire_then t ?timeout ~owner ~key ~mode k =
   let o = owner_of t owner and l = lock_of t key in
   match attempt t o l mode with

@@ -40,24 +40,18 @@ type t
     default 1.0) bounds waits to break distributed deadlocks. *)
 val create : Simul.Sim.t -> ?deadlock_timeout:float -> unit -> t
 
-(** [acquire_then t ?timeout ~owner ~key ~mode k] requests the lock for
-    callback code and passes the verdict to [k]. A verdict reached at once
-    ([Granted], or [Deadlock] when waiting would close a local cycle) runs
-    [k] inside the caller's event. Otherwise the request queues, and the
-    grant, timeout or cancellation that ends its wait queues [k] at the
-    current instant, which is the event a blocked {!acquire}'s waker
-    takes. [timeout] overrides the manager's deadlock timeout for this
-    request ([infinity] waits forever — used by commuting transactions,
-    whose waits are always resolved by a non-commuting transaction timing
-    out). Re-entrant: an owner's own holdings never conflict with its new
-    requests. *)
+(** [acquire_then t ?timeout ~owner ~key ~mode k] requests the lock and
+    passes the verdict to [k]. A verdict reached at once ([Granted], or
+    [Deadlock] when waiting would close a local cycle) runs [k] inside the
+    caller's event. Otherwise the request queues, and the grant, timeout
+    or cancellation that ends its wait queues [k] at the current instant,
+    on an event of its own. [timeout] overrides the manager's deadlock
+    timeout for this request ([infinity] waits forever — used by
+    commuting transactions, whose waits are always resolved by a
+    non-commuting transaction timing out). Re-entrant: an owner's own
+    holdings never conflict with its new requests. *)
 val acquire_then :
   t -> ?timeout:float -> owner:int -> key:Store.Key.t -> mode:mode -> (grant -> unit) -> unit
-
-(** [acquire] is {!acquire_then} for a process: it returns the verdict,
-    blocking the calling process while the request waits. *)
-val acquire :
-  t -> ?timeout:float -> owner:int -> key:Store.Key.t -> mode:mode -> unit -> grant
 
 (** [release_all t ~owner] ends [owner]'s waiting requests ([Cancelled]),
     then drops its locks in the order it acquired them, waking the waiters

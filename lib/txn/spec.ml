@@ -48,17 +48,14 @@ let nodes t =
   fold_subtxns (fun acc st -> st.node :: acc) [] t.root
   |> List.sort_uniq Int.compare
 
-let collect_keys pred t =
+let keys_written t =
   fold_subtxns
     (fun acc st ->
       List.fold_left
-        (fun acc op -> if pred op then Store.Key.name (Op.key op) :: acc else acc)
+        (fun acc op -> if Op.is_write op then Store.Key.name (Op.key op) :: acc else acc)
         acc st.ops)
     [] t.root
   |> List.sort_uniq String.compare
-
-let keys_read = collect_keys (fun op -> not (Op.is_write op))
-let keys_written = collect_keys Op.is_write
 
 let size t = fold_subtxns (fun acc _ -> acc + 1) 0 t.root
 

@@ -46,9 +46,6 @@ val classify : subtxn -> kind
 (** All nodes mentioned anywhere in the tree, deduplicated, sorted. *)
 val nodes : t -> int list
 
-(** The names of all distinct keys read anywhere in the tree, sorted. *)
-val keys_read : t -> string list
-
 (** The names of all distinct keys written anywhere in the tree, sorted. *)
 val keys_written : t -> string list
 

@@ -8,7 +8,6 @@ type t = {
 
 let name t = t.gen_name
 let rate t = t.arrival_rate
-let with_rate t arrival_rate = { t with arrival_rate }
 
 let pick_distinct rng ~n ~among =
   let n = min n among in

@@ -19,9 +19,6 @@ val name : t -> string
     second. *)
 val rate : t -> float
 
-(** [with_rate t r] is [t] at a different arrival rate. *)
-val with_rate : t -> float -> t
-
 (** [pick_distinct rng ~n ~among] draws [min n among] distinct ints from
     [0 .. among-1] — helper for choosing fan-out node sets. *)
 val pick_distinct : Random.State.t -> n:int -> among:int -> int list

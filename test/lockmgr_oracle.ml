@@ -165,7 +165,7 @@ let drain_queue t lock key =
   in
   go ()
 
-let acquire t ?timeout ~owner ~key ~mode () =
+let acquire t ?timeout ~owner ~key ~mode k =
   let timeout =
     match timeout with Some d -> d | None -> t.deadlock_timeout
   in
@@ -183,31 +183,30 @@ let acquire t ?timeout ~owner ~key ~mode () =
     if not (List.mem (owner, mode) lock.holders) then
       lock.holders <- (owner, mode) :: lock.holders;
     note_held t owner key;
-    Granted
+    k Granted
   end
   else begin
     let new_blockers = blockers lock ~owner ~mode in
     if creates_cycle t ~owner ~new_blockers then begin
       t.aborted <- t.aborted + 1;
-      Deadlock
+      k Deadlock
     end
     else
-      Sim.suspend t.simulation (fun waker ->
-          let req =
-            { req_owner = owner; req_mode = mode; req_live = true; req_wake = waker }
-          in
-          Queue.add req lock.queue;
-          t.waiting_count <- t.waiting_count + 1;
-          if timeout < infinity then
-            Sim.schedule t.simulation ~delay:timeout (fun () ->
-                if req.req_live then begin
-                  req.req_live <- false;
-                  t.waiting_count <- t.waiting_count - 1;
-                  t.aborted <- t.aborted + 1;
-                  (* Head may now be unblocked if this was the head. *)
-                  drain_queue t lock key;
-                  waker Timeout
-                end))
+      (* A queued request's verdict resumes [k] on an event of its own. *)
+      let waker g = Sim.schedule t.simulation ~delay:0. (fun () -> k g) in
+      let req = { req_owner = owner; req_mode = mode; req_live = true; req_wake = waker } in
+      Queue.add req lock.queue;
+      t.waiting_count <- t.waiting_count + 1;
+      if timeout < infinity then
+        Sim.schedule t.simulation ~delay:timeout (fun () ->
+            if req.req_live then begin
+              req.req_live <- false;
+              t.waiting_count <- t.waiting_count - 1;
+              t.aborted <- t.aborted + 1;
+              (* Head may now be unblocked if this was the head. *)
+              drain_queue t lock key;
+              waker Timeout
+            end)
   end
 
 let release_all t ~owner =

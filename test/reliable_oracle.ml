@@ -112,18 +112,17 @@ let send t ~src ~dst body =
     if t.cfg.retransmit then arm_retransmit t ~src ~dst ~seq ~delay:t.cfg.timeout
   end
 
-let rec recv t ~node =
-  match Network.recv t.net ~node with
-  | Data { src; seq; body } ->
-      if not t.cfg.acks then body
+let accept t ~node = function
+  | Data { src; seq; body = _ } ->
+      if not t.cfg.acks then true
       else begin
         t.acks_sent <- t.acks_sent + 1;
         Network.send t.net ~src:node ~dst:src (Ack { src = node; seq });
-        if record t.recv_floor t.recv_ahead (node, src) seq ~passed:ignore then body
-        else begin
-          t.dup_dropped <- t.dup_dropped + 1;
-          recv t ~node
-        end
+        record t.recv_floor t.recv_ahead (node, src) seq ~passed:ignore
+        || begin
+             t.dup_dropped <- t.dup_dropped + 1;
+             false
+           end
       end
   | Ack { src = acker; seq } ->
       Hashtbl.remove t.pending (node, acker, seq);
@@ -131,4 +130,4 @@ let rec recv t ~node =
         (record t.ack_floor t.acked_ahead (node, acker) seq ~passed:(fun seq ->
              Network.forget_delivered t.net ~key:((seq * t.n) + node) ~dst:acker)
           : bool);
-      recv t ~node
+      false

@@ -3,8 +3,11 @@
    kernel is compared against (test_simul.ml's kernel order property).
    Every event, including those at the current instant, is an
    [{at; seq; run}] record in the generic binary heap ([Heap]) ordered by
-   [(at, seq)]. The outcome type and the failure exception are the
-   library's own, so outcomes compare structurally with [=]. *)
+   [(at, seq)]. It also keeps the effect-handler processes the library
+   kernel had before every actor became a callback chain, with their own
+   outcome type: test_simul.ml's dispatch property runs the node-process
+   shape on them as the reference for the library's callback drain. The
+   failure exception is the library's own. *)
 
 open Effect
 open Effect.Deep
@@ -29,7 +32,9 @@ type t = {
   procs : (int, proc) Hashtbl.t;
 }
 
-type outcome = Simul.Sim.outcome = Completed | Stalled of string list | Hit_limit
+(* [Stalled]: the queue drained with the named non-daemon processes still
+   blocked. *)
+type outcome = Completed | Stalled of string list | Hit_limit
 
 exception Process_failure = Simul.Sim.Process_failure
 
@@ -59,10 +64,6 @@ let schedule t ~delay f =
   assert (delay >= 0.);
   push t ~at:(t.clock +. delay) f
 
-type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-
-let suspend _t register = perform (Suspend register)
-
 (* [after] as the kernel had it before its hop was a tag on the queued
    key: a timed event whose closure pushes [k] at the then-current
    instant. *)
@@ -70,11 +71,15 @@ let after t d k =
   assert (d >= 0.);
   push t ~at:(t.clock +. d) (fun () -> push t ~at:t.clock k)
 
+let fail t name exn = if t.failure = None then t.failure <- Some (name, exn)
+
+type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+
+let suspend _t register = perform (Suspend register)
+
 let sleep t d =
   assert (d >= 0.);
   suspend t (fun waker -> push t ~at:(t.clock +. d) (fun () -> waker ()))
-
-let yield t = suspend t (fun waker -> push t ~at:t.clock (fun () -> waker ()))
 
 let start_process t proc body =
   match_with body ()
@@ -87,7 +92,7 @@ let start_process t proc body =
         (fun exn ->
           proc.finished <- true;
           Hashtbl.remove t.procs proc.pid;
-          if t.failure = None then t.failure <- Some (Lazy.force proc.pname, exn));
+          fail t (Lazy.force proc.pname) exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with

@@ -9,6 +9,7 @@
    coordinator inside each of the four advancement phases. *)
 
 module Sim = Simul.Sim
+module Mailbox = Simul.Mailbox
 module Ivar = Simul.Ivar
 module Network = Netsim.Network
 module Latency = Netsim.Latency
@@ -33,9 +34,9 @@ let filter_drops_message () =
   let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.01) () in
   Network.set_filter net (fun ~src:_ ~dst:_ ~delay:_ -> []);
   let got = ref false in
-  Sim.spawn sim ~daemon:true (fun () ->
-      ignore (Network.recv net ~node:1);
-      got := true);
+  Mailbox.serve sim (Network.inbox net ~node:1) ~name:"n1" (fun () next ->
+      got := true;
+      next ());
   Network.send net ~src:0 ~dst:1 ();
   ignore (Sim.run sim ());
   checkb "never delivered" false !got;
@@ -47,13 +48,9 @@ let filter_duplicates_message () =
   let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.01) () in
   Network.set_filter net (fun ~src:_ ~dst:_ ~delay -> [ delay; delay +. 0.02 ]);
   let copies = ref 0 in
-  Sim.spawn sim ~daemon:true (fun () ->
-      let rec loop () =
-        ignore (Network.recv net ~node:1);
-        incr copies;
-        loop ()
-      in
-      loop ());
+  Mailbox.serve sim (Network.inbox net ~node:1) ~name:"n1" (fun _ next ->
+      incr copies;
+      next ());
   Network.send net ~src:0 ~dst:1 "m";
   ignore (Sim.run sim ());
   checki "two copies arrive" 2 !copies;
@@ -70,9 +67,9 @@ let self_send_passes_filter () =
       seen_delay := delay;
       []);
   let got = ref false in
-  Sim.spawn sim ~daemon:true (fun () ->
-      ignore (Network.recv net ~node:0);
-      got := true);
+  Mailbox.serve sim (Network.inbox net ~node:0) ~name:"n0" (fun () next ->
+      got := true;
+      next ());
   Network.send net ~src:0 ~dst:0 ();
   ignore (Sim.run sim ());
   checkb "filter saw the self-send" true (!seen_delay = 0.);
@@ -225,12 +222,9 @@ let scripted_nth_drop () =
   let inj = Injector.create sim plan in
   Injector.install inj net;
   let log = ref [] in
-  Sim.spawn sim ~daemon:true (fun () ->
-      let rec loop () =
-        log := Network.recv net ~node:1 :: !log;
-        loop ()
-      in
-      loop ());
+  Mailbox.serve sim (Network.inbox net ~node:1) ~name:"n1" (fun m next ->
+      log := m :: !log;
+      next ());
   List.iter (fun i -> Network.send net ~src:0 ~dst:1 i) [ 1; 2; 3 ];
   ignore (Sim.run sim ());
   Alcotest.(check (list int))
@@ -247,19 +241,19 @@ let partition_heals () =
   in
   Injector.install (Injector.create sim plan) net;
   let log = ref [] in
-  Sim.spawn sim ~daemon:true (fun () ->
-      let rec loop () =
-        log := Network.recv net ~node:1 :: !log;
-        loop ()
-      in
-      loop ());
-  Sim.spawn sim (fun () ->
-      Network.send net ~src:0 ~dst:1 1;
-      Sim.sleep sim 0.15;
-      Network.send net ~src:0 ~dst:1 2;
-      (* inside the window: lost *)
-      Sim.sleep sim 0.15;
-      Network.send net ~src:0 ~dst:1 3);
+  Mailbox.serve sim (Network.inbox net ~node:1) ~name:"n1" (fun m next ->
+      log := m :: !log;
+      next ());
+  Script.(
+    run sim
+      [
+        Do (fun () -> Network.send net ~src:0 ~dst:1 1);
+        Wait 0.15;
+        (* inside the window: lost *)
+        Do (fun () -> Network.send net ~src:0 ~dst:1 2);
+        Wait 0.15;
+        Do (fun () -> Network.send net ~src:0 ~dst:1 3);
+      ]);
   ignore (Sim.run sim ());
   Alcotest.(check (list int))
     "window message lost, link heals" [ 1; 3 ] (List.rev !log)
@@ -353,20 +347,27 @@ let crash_restart_recovers () =
   Engine.inject_crash engine ~node:1 ~at:0.05 ~restart:0.3;
   let results = ref [] in
   let adv = ref None in
-  Sim.spawn sim ~name:"script" (fun () ->
-      let submit id spec = results := (id, Engine.submit engine spec) :: !results in
-      submit 1
-        (Spec.make ~id:1
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 1.) ] ] 0
-              [ Op.Incr (Key.intern "a", 1.) ]));
-      Sim.sleep sim 0.04;
-      (* triggered just before the crash: node 1 is down for most of it *)
-      adv := Some (Engine.advance engine);
-      Sim.sleep sim 0.5;
-      submit 2
-        (Spec.make ~id:2
-           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 2.) ] ] 1
-              [ Op.Incr (Key.intern "b", 2.) ])));
+  let submit id spec = results := (id, Engine.submit engine spec) :: !results in
+  Script.(
+    run sim
+      [
+        Do
+          (fun () ->
+            submit 1
+              (Spec.make ~id:1
+                 (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 1.) ] ] 0
+                    [ Op.Incr (Key.intern "a", 1.) ])));
+        Wait 0.04;
+        (* triggered just before the crash: node 1 is down for most of it *)
+        Do (fun () -> adv := Some (Engine.advance engine));
+        Wait 0.5;
+        Do
+          (fun () ->
+            submit 2
+              (Spec.make ~id:2
+                 (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 2.) ] ] 1
+                    [ Op.Incr (Key.intern "b", 2.) ])));
+      ]);
   ignore (Sim.run sim ~until:20.0 ());
   (match !adv with
   | Some iv when Ivar.is_full iv -> ()
@@ -542,16 +543,21 @@ let restart_before_any_advancement () =
   let engine = Engine.create sim cfg () in
   Engine.inject_crash engine ~node:1 ~at:0.01 ~restart:0.1;
   let r = ref None in
-  Sim.spawn sim ~name:"script" (fun () ->
-      Sim.sleep sim 0.2;
-      r :=
-        Some
-          (Engine.submit engine
-             (Spec.make ~id:1
-                (Spec.subtxn
-                   ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 1.) ] ]
-                   0
-                   [ Op.Incr (Key.intern "a", 1.) ]))));
+  Script.(
+    run sim
+      [
+        Wait 0.2;
+        Do
+          (fun () ->
+            r :=
+              Some
+                (Engine.submit engine
+                   (Spec.make ~id:1
+                      (Spec.subtxn
+                         ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 1.) ] ]
+                         0
+                         [ Op.Incr (Key.intern "a", 1.) ]))));
+      ]);
   ignore (Sim.run sim ~until:10.0 ());
   checki "recovered update version is the true initial" 1
     (Engine.update_version engine ~node:1);
@@ -661,26 +667,33 @@ let drop_one_scenario ctl =
   let submitted = ref [] in
   let submit spec = submitted := (spec, Engine.submit engine spec) :: !submitted in
   let adv = ref None in
-  Sim.spawn sim ~name:"script" (fun () ->
-      submit
-        (Spec.make ~id:1 ~label:"i"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 3.) ] ] 0
-              [ Op.Incr (Key.intern "a", 1.) ]));
-      Sim.sleep sim 0.01;
-      adv := Some (Engine.advance engine);
-      Sim.sleep sim 0.02;
-      submit
-        (Spec.make ~id:2 ~label:"j"
-           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 5.) ] ] 1
-              [ Op.Incr (Key.intern "d", 7.) ]));
-      Sim.sleep sim 0.02;
-      submit
-        (Spec.make ~id:3 ~label:"y"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "d") ] ] 0
-              [ Op.Read (Key.intern "a") ])));
-  (match Sim.run sim ~until:60.0 () with
-  | Sim.Completed | Sim.Hit_limit -> ()
-  | Sim.Stalled names -> failwith ("stalled: " ^ String.concat "," names));
+  Script.(
+    run sim
+      [
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:1 ~label:"i"
+                 (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 3.) ] ] 0
+                    [ Op.Incr (Key.intern "a", 1.) ])));
+        Wait 0.01;
+        Do (fun () -> adv := Some (Engine.advance engine));
+        Wait 0.02;
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:2 ~label:"j"
+                 (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 5.) ] ] 1
+                    [ Op.Incr (Key.intern "d", 7.) ])));
+        Wait 0.02;
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:3 ~label:"y"
+                 (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "d") ] ] 0
+                    [ Op.Read (Key.intern "a") ])));
+      ]);
+  ignore (Sim.run sim ~until:60.0 ());
   (match !adv with
   | Some iv when Ivar.is_full iv -> ()
   | _ -> failwith "advancement did not complete");

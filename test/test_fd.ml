@@ -123,8 +123,8 @@ let detector_lifecycle () =
     (Detector.state d ~node:1 ~now:1.06 = Detector.Confirmed_down);
   checkb "confirmed-down is suspected" true
     (Detector.suspected d ~node:1 ~now:1.1);
-  checkb "confirmed_down predicate" true
-    (Detector.confirmed_down d ~node:1 ~now:1.1);
+  checkb "confirmed down at the later instant" true
+    (Detector.state d ~node:1 ~now:1.1 = Detector.Confirmed_down);
   (* A heartbeat refutes the suspicion: one transitional beat, then trust. *)
   Detector.heartbeat d ~node:1 ~now:1.2;
   checkb "recovered after the refuting beat" true

@@ -506,7 +506,7 @@ let golden_nc3v () =
            }))
 
 let golden_global_2pc () =
-  check_golden "global-2pc" ~digest:0x1bd89b27 ~events:14344
+  check_golden "global-2pc" ~digest:0x1bd89b27 ~events:14340
     (golden_nc 0.1 (fun nodes -> Harness.Scenario.twopc ~nodes ()))
 
 (* The two §1 baselines, each on the shape of the experiment that shows
@@ -523,7 +523,7 @@ let golden_baseline name ~digest ~events ~seed ~duration packed gen =
 
 let golden_no_coordination () =
   let nodes = 4 in
-  golden_baseline "no-coordination" ~digest:0x02d80f4a ~events:5270 ~seed:11
+  golden_baseline "no-coordination" ~digest:0x02d80f4a ~events:5266 ~seed:11
     ~duration:0.5
     (fun sim ->
       Baselines.Manual_versioning.packed
@@ -545,7 +545,7 @@ let golden_no_coordination () =
 
 let golden_manual_versioning () =
   let nodes = 4 in
-  golden_baseline "manual-versioning" ~digest:0x1258b4bb ~events:26210 ~seed:91
+  golden_baseline "manual-versioning" ~digest:0x1258b4bb ~events:26206 ~seed:91
     ~duration:1.2
     (fun sim ->
       Baselines.Manual_versioning.packed

@@ -353,14 +353,20 @@ let run_fuzz_scenario scenario =
   in
   let engine = Engine.create sim cfg () in
   let results = ref [] in
-  Sim.spawn sim (fun () ->
-      List.iteri
-        (fun i (tree, advance_after) ->
-          let spec = spec_of_fuzz ~id:(i + 1) tree in
-          results := (spec, Engine.submit engine spec) :: !results;
-          if advance_after then ignore (Engine.advance engine);
-          Sim.sleep sim 0.01)
-        scenario);
+  Script.run sim
+    (List.concat
+       (List.mapi
+          (fun i (tree, advance_after) ->
+            Script.
+              [
+                Do
+                  (fun () ->
+                    let spec = spec_of_fuzz ~id:(i + 1) tree in
+                    results := (spec, Engine.submit engine spec) :: !results;
+                    if advance_after then ignore (Engine.advance engine));
+                Wait 0.01;
+              ])
+          scenario));
   ignore (Sim.run sim ~until:60.0 ());
   let final = Engine.advance engine in
   ignore (Sim.run sim ~until:(Sim.now sim +. 30.) ());

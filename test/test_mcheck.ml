@@ -125,29 +125,37 @@ let threev_scenario ~choice_budget ctl =
   let submitted = ref [] in
   let submit spec = submitted := (spec, Engine.submit engine spec) :: !submitted in
   let adv = ref None in
-  Sim.spawn sim ~name:"script" (fun () ->
-      submit
-        (Spec.make ~id:1 ~label:"i"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 3.) ] ] 0
-              [ Op.Incr (Key.intern "a", 1.) ]));
-      Sim.sleep sim 0.01;
-      submit (Spec.make ~id:2 ~label:"x" (Spec.subtxn 0 [ Op.Read (Key.intern "a") ]));
-      Sim.sleep sim 0.01;
-      adv := Some (Engine.advance engine);
-      Sim.sleep sim 0.01;
-      submit
-        (Spec.make ~id:3 ~label:"j"
-           (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 5.) ] ] 1
-              [ Op.Incr (Key.intern "d", 7.) ]));
-      Sim.sleep sim 0.02;
-      submit
-        (Spec.make ~id:4 ~label:"y"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "d") ] ] 0
-              [ Op.Read (Key.intern "a") ])));
-  (match Sim.run sim ~until:60.0 () with
-  | Sim.Completed | Sim.Hit_limit -> ()
-  | Sim.Stalled names ->
-      failwith ("stalled: " ^ String.concat "," names));
+  Script.(
+    run sim
+      [
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:1 ~label:"i"
+                 (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 3.) ] ] 0
+                    [ Op.Incr (Key.intern "a", 1.) ])));
+        Wait 0.01;
+        Do
+          (fun () ->
+            submit (Spec.make ~id:2 ~label:"x" (Spec.subtxn 0 [ Op.Read (Key.intern "a") ])));
+        Wait 0.01;
+        Do (fun () -> adv := Some (Engine.advance engine));
+        Wait 0.01;
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:3 ~label:"j"
+                 (Spec.subtxn ~children:[ Spec.subtxn 0 [ Op.Incr (Key.intern "a", 5.) ] ] 1
+                    [ Op.Incr (Key.intern "d", 7.) ])));
+        Wait 0.02;
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:4 ~label:"y"
+                 (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "d") ] ] 0
+                    [ Op.Read (Key.intern "a") ])));
+      ]);
+  ignore (Sim.run sim ~until:60.0 ());
   (* Terminate: advancement must have completed. *)
   (match !adv with
   | Some iv when Ivar.is_full iv -> ()
@@ -207,27 +215,35 @@ let nc_scenario ~choice_budget ctl =
   let submitted = ref [] in
   let submit spec = submitted := (spec, Engine.submit engine spec) :: !submitted in
   let adv = ref None in
-  Sim.spawn sim ~name:"script" (fun () ->
-      submit
-        (Spec.make ~id:1 ~label:"sale"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "inv", -1.) ] ] 0
-              [ Op.Incr (Key.intern "sold", 1.) ]));
-      Sim.sleep sim 0.01;
-      adv := Some (Engine.advance engine);
-      Sim.sleep sim 0.01;
-      submit
-        (Spec.make ~id:2 ~label:"reprice"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Overwrite (Key.intern "price", 9.) ] ]
-              0
-              [ Op.Overwrite (Key.intern "price0", 9.) ]));
-      Sim.sleep sim 0.02;
-      submit
-        (Spec.make ~id:3 ~label:"report"
-           (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "inv") ] ] 0
-              [ Op.Read (Key.intern "sold") ])));
-  (match Sim.run sim ~until:60.0 () with
-  | Sim.Completed | Sim.Hit_limit -> ()
-  | Sim.Stalled names -> failwith ("stalled: " ^ String.concat "," names));
+  Script.(
+    run sim
+      [
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:1 ~label:"sale"
+                 (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "inv", -1.) ] ] 0
+                    [ Op.Incr (Key.intern "sold", 1.) ])));
+        Wait 0.01;
+        Do (fun () -> adv := Some (Engine.advance engine));
+        Wait 0.01;
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:2 ~label:"reprice"
+                 (Spec.subtxn
+                    ~children:[ Spec.subtxn 1 [ Op.Overwrite (Key.intern "price", 9.) ] ]
+                    0
+                    [ Op.Overwrite (Key.intern "price0", 9.) ])));
+        Wait 0.02;
+        Do
+          (fun () ->
+            submit
+              (Spec.make ~id:3 ~label:"report"
+                 (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Read (Key.intern "inv") ] ] 0
+                    [ Op.Read (Key.intern "sold") ])));
+      ]);
+  ignore (Sim.run sim ~until:60.0 ());
   (match !adv with
   | Some iv when Ivar.is_full iv -> ()
   | _ -> failwith "advancement did not complete");
@@ -285,20 +301,23 @@ let compensation_scenario ~choice_budget ctl =
   in
   let engine = Engine.create sim cfg ~link_latency () in
   let result = ref None and adv = ref None in
-  Sim.spawn sim ~name:"script" (fun () ->
-      result :=
-        Some
-          (Engine.submit engine
-             (Spec.make ~id:1 ~label:"t"
-                (Spec.subtxn
-                   ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 5.) ] ]
-                   0
-                   [ Op.Incr (Key.intern "a", 3.) ])));
-      Sim.sleep sim 0.01;
-      adv := Some (Engine.advance engine));
-  (match Sim.run sim ~until:60.0 () with
-  | Sim.Completed | Sim.Hit_limit -> ()
-  | Sim.Stalled names -> failwith ("stalled: " ^ String.concat "," names));
+  Script.(
+    run sim
+      [
+        Do
+          (fun () ->
+            result :=
+              Some
+                (Engine.submit engine
+                   (Spec.make ~id:1 ~label:"t"
+                      (Spec.subtxn
+                         ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "b", 5.) ] ]
+                         0
+                         [ Op.Incr (Key.intern "a", 3.) ]))));
+        Wait 0.01;
+        Do (fun () -> adv := Some (Engine.advance engine));
+      ]);
+  ignore (Sim.run sim ~until:60.0 ());
   (match !adv with
   | Some iv when Ivar.is_full iv -> ()
   | _ -> failwith "advancement did not terminate despite compensation");
@@ -347,19 +366,28 @@ let engine_determinism () =
     in
     let engine = Engine.create sim cfg () in
     let rng = Random.State.make [| seed |] in
-    Sim.spawn sim (fun () ->
-        for i = 1 to 100 do
-          let n1 = Random.State.int rng 3 and n2 = Random.State.int rng 3 in
-          ignore
-            (Engine.submit engine
-               (Spec.make ~id:i
-                  (Spec.subtxn
-                     ~children:
-                       [ Spec.subtxn n2 [ Op.Incr (Key.intern (Printf.sprintf "k@%d" n2), 1.) ] ]
-                     n1
-                     [ Op.Incr (Key.intern (Printf.sprintf "k@%d" n1), 1.) ])));
-          Sim.sleep sim 0.005
-        done);
+    Script.run sim
+      (List.concat_map
+         (fun i ->
+           Script.
+             [
+               Do
+                 (fun () ->
+                   let n1 = Random.State.int rng 3 and n2 = Random.State.int rng 3 in
+                   ignore
+                     (Engine.submit engine
+                        (Spec.make ~id:i
+                           (Spec.subtxn
+                              ~children:
+                                [
+                                  Spec.subtxn n2
+                                    [ Op.Incr (Key.intern (Printf.sprintf "k@%d" n2), 1.) ];
+                                ]
+                              n1
+                              [ Op.Incr (Key.intern (Printf.sprintf "k@%d" n1), 1.) ]))));
+               Wait 0.005;
+             ])
+         (List.init 100 succ));
     ignore (Sim.run sim ~until:5.0 ());
     ( Sim.events_executed sim,
       Stats.Counter_set.to_list (Engine.stats engine),

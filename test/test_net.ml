@@ -1,17 +1,24 @@
 (* Tests for the network substrate and latency models. *)
 
 module Sim = Simul.Sim
+module Mailbox = Simul.Mailbox
 module Network = Netsim.Network
 module Latency = Netsim.Latency
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* Drains [node]'s inbox by callbacks, handing [f] each message. *)
+let receive sim net ~node f =
+  Mailbox.serve sim (Network.inbox net ~node) ~name:(Printf.sprintf "n%d" node) (fun m next ->
+      f m;
+      next ())
+
 let delivery () =
   let sim = Sim.create () in
   let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.1) () in
   let got = ref None in
-  Sim.spawn sim ~daemon:true (fun () -> got := Some (Network.recv net ~node:1));
+  receive sim net ~node:1 (fun m -> got := Some m);
   Network.send net ~src:0 ~dst:1 "hello";
   ignore (Sim.run sim ());
   checkb "received" true (!got = Some "hello")
@@ -20,9 +27,7 @@ let constant_latency_timing () =
   let sim = Sim.create () in
   let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.25) () in
   let at = ref 0. in
-  Sim.spawn sim ~daemon:true (fun () ->
-      ignore (Network.recv net ~node:1);
-      at := Sim.now sim);
+  receive sim net ~node:1 (fun () -> at := Sim.now sim);
   Network.send net ~src:0 ~dst:1 ();
   ignore (Sim.run sim ());
   Alcotest.(check (float 1e-9)) "arrival time" 0.25 !at
@@ -31,9 +36,7 @@ let self_send_zero_delay () =
   let sim = Sim.create () in
   let net = Network.create sim ~size:2 ~latency:(Latency.Constant 5.0) () in
   let at = ref (-1.) in
-  Sim.spawn sim ~daemon:true (fun () ->
-      ignore (Network.recv net ~node:0);
-      at := Sim.now sim);
+  receive sim net ~node:0 (fun () -> at := Sim.now sim);
   Network.send net ~src:0 ~dst:0 ();
   ignore (Sim.run sim ());
   Alcotest.(check (float 1e-9)) "no delay to self" 0. !at
@@ -42,12 +45,7 @@ let constant_preserves_fifo () =
   let sim = Sim.create () in
   let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.1) () in
   let log = ref [] in
-  Sim.spawn sim ~daemon:true (fun () ->
-      let rec loop () =
-        log := Network.recv net ~node:1 :: !log;
-        loop ()
-      in
-      loop ());
+  receive sim net ~node:1 (fun m -> log := m :: !log);
   for i = 1 to 5 do
     Network.send net ~src:0 ~dst:1 i
   done;
@@ -65,12 +63,8 @@ let link_latency_override () =
       ~link_latency:override ()
   in
   let t01 = ref 0. and t02 = ref 0. in
-  Sim.spawn sim ~daemon:true (fun () ->
-      ignore (Network.recv net ~node:1);
-      t01 := Sim.now sim);
-  Sim.spawn sim ~daemon:true (fun () ->
-      ignore (Network.recv net ~node:2);
-      t02 := Sim.now sim);
+  receive sim net ~node:1 (fun () -> t01 := Sim.now sim);
+  receive sim net ~node:2 (fun () -> t02 := Sim.now sim);
   Network.send net ~src:0 ~dst:1 ();
   Network.send net ~src:0 ~dst:2 ();
   ignore (Sim.run sim ());
@@ -81,12 +75,7 @@ let message_accounting () =
   let sim = Sim.create () in
   let net = Network.create sim ~size:3 ~latency:(Latency.Constant 0.) () in
   for node = 0 to 2 do
-    Sim.spawn sim ~daemon:true (fun () ->
-        let rec loop () =
-          ignore (Network.recv net ~node);
-          loop ()
-        in
-        loop ())
+    receive sim net ~node ignore
   done;
   Network.send net ~src:0 ~dst:1 ();
   Network.send net ~src:0 ~dst:1 ();
@@ -102,12 +91,7 @@ let message_accounting () =
 let delivered_counts_at_delivery () =
   let sim = Sim.create () in
   let net = Network.create sim ~size:2 ~latency:(Latency.Constant 1.0) () in
-  Sim.spawn sim ~daemon:true (fun () ->
-      let rec loop () =
-        ignore (Network.recv net ~node:1);
-        loop ()
-      in
-      loop ());
+  receive sim net ~node:1 ignore;
   Network.send net ~src:0 ~dst:1 ();
   (* Stop before the 1.0s delivery: sent but in flight. *)
   ignore (Sim.run sim ~until:0.5 ());
@@ -126,15 +110,7 @@ let batching_preserves_fifo () =
   let net = Network.create sim ~size:3 ~latency:(Latency.Constant 0.1) () in
   let log = ref [] in
   for node = 1 to 2 do
-    Sim.spawn sim ~daemon:true (fun () ->
-        let rec loop () =
-          (* Bind before consing: [!log] must be read after the recv
-             suspension, or a resumed fiber writes back a stale snapshot. *)
-          let m = Network.recv net ~node in
-          log := (node, m) :: !log;
-          loop ()
-        in
-        loop ())
+    receive sim net ~node (fun m -> log := (node, m) :: !log)
   done;
   (* Five same-tick sends to node 1 interleaved with one to node 2. *)
   for i = 1 to 3 do
@@ -149,33 +125,21 @@ let batching_preserves_fifo () =
   Alcotest.(check (list int)) "fifo to node 1" [ 1; 2; 3; 4; 5 ] to1;
   checki "node 2 got its copy" 1
     (List.length (List.filter (fun (n, _) -> n = 2) !log));
-  (* Two receiver starts, one delivery per copy, and one resumption per
-     receiver: each takes the copies queued behind its first. *)
-  checki "one event per copy" (2 + 6 + 2) (Sim.events_executed sim);
+  (* One delivery per copy, and one drain per receiver: each takes the
+     copies queued behind its first. *)
+  checki "one event per copy" (6 + 2) (Sim.events_executed sim);
   let sim2 = Sim.create () in
   let net2 = Network.create sim2 ~size:3 ~latency:(Latency.Constant 0.1) () in
   for node = 1 to 2 do
-    Sim.spawn sim2 ~daemon:true (fun () ->
-        let rec loop () =
-          ignore (Network.recv net2 ~node);
-          loop ()
-        in
-        loop ())
+    receive sim2 net2 ~node ignore
   done;
-  (* Same traffic from a sender process that yields between sends, so no
-     two sends share an event: the same events per copy, plus the sender's
-     start and two events for each of its six yields. *)
-  Sim.spawn sim2 (fun () ->
-      for i = 1 to 3 do
-        Network.send net2 ~src:0 ~dst:1 i;
-        Sim.yield sim2
-      done;
-      Network.send net2 ~src:0 ~dst:2 99;
-      Sim.yield sim2;
-      for i = 4 to 5 do
-        Network.send net2 ~src:0 ~dst:1 i;
-        Sim.yield sim2
-      done);
+  (* Same traffic from a script that waits zero between sends, so no two
+     sends share an event: the same events per copy, plus the script's
+     start and two events for each of its six waits. *)
+  Script.run sim2
+    (List.concat_map
+       (fun (dst, i) -> Script.[ Do (fun () -> Network.send net2 ~src:0 ~dst i); Wait 0. ])
+       [ (1, 1); (1, 2); (1, 3); (2, 99); (1, 4); (1, 5) ]);
   ignore (Sim.run sim2 ());
   checki "same events per copy apart" (Sim.events_executed sim + 1 + (6 * 2))
     (Sim.events_executed sim2)
@@ -242,26 +206,21 @@ let delivered_seen_stays_bounded () =
   let n = 2000 in
   let got = ref [] in
   let peak_seen = ref 0 and peak_dedup = ref 0 in
-  Sim.spawn sim ~daemon:true (fun () ->
-      let rec loop () =
-        let m = Reliable.recv ch ~node:1 in
-        got := m :: !got;
-        if Network.delivered_seen_size net > !peak_seen then
-          peak_seen := Network.delivered_seen_size net;
-        if Reliable.dedup_size ch > !peak_dedup then
-          peak_dedup := Reliable.dedup_size ch;
-        loop ()
-      in
-      loop ());
+  receive sim net ~node:1 (fun p ->
+      match (Reliable.accept ch ~node:1 p, p) with
+      | true, Reliable.Data { body; _ } ->
+          got := body :: !got;
+          if Network.delivered_seen_size net > !peak_seen then
+            peak_seen := Network.delivered_seen_size net;
+          if Reliable.dedup_size ch > !peak_dedup then peak_dedup := Reliable.dedup_size ch
+      | _, (Reliable.Data _ | Reliable.Ack _) -> ());
   (* The sender must drain its own endpoint: acks are packets, and only
-     [Reliable.recv] consumes them and disarms retransmit timers. *)
-  Sim.spawn sim ~daemon:true (fun () ->
-      ignore (Reliable.recv ch ~node:0 : int));
-  Sim.spawn sim (fun () ->
-      for i = 1 to n do
-        Reliable.send ch ~src:0 ~dst:1 i;
-        Sim.sleep sim 0.002
-      done);
+     [Reliable.accept] consumes them and disarms retransmit timers. *)
+  receive sim net ~node:0 (fun p -> ignore (Reliable.accept ch ~node:0 p : bool));
+  Script.run sim
+    (List.concat_map
+       (fun i -> Script.[ Do (fun () -> Reliable.send ch ~src:0 ~dst:1 i); Wait 0.002 ])
+       (List.init n succ));
   ignore (Sim.run sim ());
   checkb "retransmit-heavy" true (Reliable.retransmissions ch > 50);
   (* Reliability and dedup both intact: each payload exactly once. *)
@@ -298,7 +257,7 @@ module type CHANNEL = sig
 
   val create : ?config:Reliable.config -> 'm Reliable.packet Network.t -> 'm t
   val send : 'm t -> src:int -> dst:int -> 'm -> unit
-  val recv : 'm t -> node:int -> 'm
+  val accept : 'm t -> node:int -> 'm Reliable.packet -> bool
   val retransmissions : 'm t -> int
   val dup_dropped : 'm t -> int
   val acks_sent : 'm t -> int
@@ -371,12 +330,10 @@ module Drive (C : CHANNEL) = struct
     in
     let got = Array.make p.nodes [] in
     for node = 0 to p.nodes - 1 do
-      Sim.spawn sim ~daemon:true (fun () ->
-          let rec loop () =
-            got.(node) <- C.recv ch ~node :: got.(node);
-            loop ()
-          in
-          loop ())
+      receive sim net ~node (fun p ->
+          match (C.accept ch ~node p, p) with
+          | true, Reliable.Data { body; _ } -> got.(node) <- body :: got.(node)
+          | _, (Reliable.Data _ | Reliable.Ack _) -> ())
     done;
     { sim; net; ch; got }
 

@@ -167,12 +167,7 @@ let delivered_counts_once_per_seq_dst () =
   Network.set_delivery_key net (fun key -> key);
   List.iter
     (fun node ->
-      Sim.spawn sim ~daemon:true (fun () ->
-          let rec loop () =
-            ignore (Network.recv net ~node);
-            loop ()
-          in
-          loop ()))
+      Simul.Mailbox.serve sim (Network.inbox net ~node) ~name:"sink" (fun _ next -> next ()))
     [ 1; 2 ];
   (* Original + logical retransmission of (src 0, seq 7) to node 1. *)
   Network.send net ~src:0 ~dst:1 7;

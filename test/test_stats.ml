@@ -266,13 +266,6 @@ let table_arity () =
     (Invalid_argument "Table.add_row \"demo\": expected 2 cells, got 1")
     (fun () -> Table.add_row t [ "only" ])
 
-let table_csv () =
-  let t = Table.create ~title:"demo" ~columns:[ "name"; "value" ] in
-  Table.add_row t [ "plain"; "1" ];
-  Table.add_row t [ "with,comma"; "say \"hi\"" ];
-  Alcotest.(check string) "csv"
-    "name,value\nplain,1\n\"with,comma\",\"say \"\"hi\"\"\"\n" (Table.to_csv t)
-
 let table_cells () =
   Alcotest.(check string) "int" "42" (Table.cell_i 42);
   Alcotest.(check string) "float int" "3" (Table.cell_f 3.0);
@@ -375,7 +368,6 @@ let () =
         [
           Alcotest.test_case "render" `Quick table_render;
           Alcotest.test_case "arity" `Quick table_arity;
-          Alcotest.test_case "csv" `Quick table_csv;
           Alcotest.test_case "cells" `Quick table_cells;
         ] );
       ( "series",

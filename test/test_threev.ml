@@ -298,22 +298,27 @@ let implicit_notification () =
     { (Engine.default_config ~nodes:2) with Engine.think_time = 0.001 }
   in
   let eng = Engine.create sim cfg ~link_latency:slow_to_1 () in
-  Sim.spawn sim (fun () ->
-      ignore (Engine.advance eng);
-      (* Give node 0 its notice, then submit an update there that spawns a
-         child onto the still-unnotified node 1. *)
-      Sim.sleep sim 0.1;
-      checki "node 0 notified" 2 (Engine.update_version eng ~node:0);
-      checki "node 1 not yet" 1 (Engine.update_version eng ~node:1);
-      let upd =
-        Spec.make ~id:1
-          (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "y", 1.) ] ] 0
-             [ Op.Incr (Key.intern "x", 1.) ])
-      in
-      ignore (Engine.submit eng upd);
-      Sim.sleep sim 0.2;
-      (* The child arrived with version 2 — implicit notification. *)
-      checki "node 1 advanced implicitly" 2 (Engine.update_version eng ~node:1));
+  Script.(
+    run sim
+      [
+        Do (fun () -> ignore (Engine.advance eng));
+        (* Give node 0 its notice, then submit an update there that spawns a
+           child onto the still-unnotified node 1. *)
+        Wait 0.1;
+        Do
+          (fun () ->
+            checki "node 0 notified" 2 (Engine.update_version eng ~node:0);
+            checki "node 1 not yet" 1 (Engine.update_version eng ~node:1);
+            let upd =
+              Spec.make ~id:1
+                (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "y", 1.) ] ] 0
+                   [ Op.Incr (Key.intern "x", 1.) ])
+            in
+            ignore (Engine.submit eng upd));
+        Wait 0.2;
+        (* The child arrived with version 2 — implicit notification. *)
+        Do (fun () -> checki "node 1 advanced implicitly" 2 (Engine.update_version eng ~node:1));
+      ]);
   ignore (Sim.run sim ~until:20.0 ())
 
 let dual_write_on_straggler () =
@@ -330,20 +335,27 @@ let dual_write_on_straggler () =
   (* Preload d at version 0 so copies have a base. *)
   Mvstore.write_exact (Engine.store eng ~node:1) ~key:(Key.intern "d") ~version:0
     ~init:Value.empty ~f:Fun.id;
-  Sim.spawn sim (fun () ->
-      (* Old-version update i spawns a slow child to node 1. *)
-      let i_spec =
-        Spec.make ~id:1
-          (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 1.) ] ] 0
-             [ Op.Incr (Key.intern "c", 1.) ])
-      in
-      ignore (Engine.submit eng i_spec);
-      Sim.sleep sim 0.1;
-      ignore (Engine.advance eng);
-      Sim.sleep sim 0.3;
-      (* Version-2 update j writes d at node 1, materializing d(2). *)
-      let j_spec = Spec.make ~id:2 (Spec.subtxn 1 [ Op.Incr (Key.intern "d", 10.) ]) in
-      ignore (Engine.submit eng j_spec));
+  Script.(
+    run sim
+      [
+        (* Old-version update i spawns a slow child to node 1. *)
+        Do
+          (fun () ->
+            let i_spec =
+              Spec.make ~id:1
+                (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "d", 1.) ] ] 0
+                   [ Op.Incr (Key.intern "c", 1.) ])
+            in
+            ignore (Engine.submit eng i_spec));
+        Wait 0.1;
+        Do (fun () -> ignore (Engine.advance eng));
+        Wait 0.3;
+        (* Version-2 update j writes d at node 1, materializing d(2). *)
+        Do
+          (fun () ->
+            let j_spec = Spec.make ~id:2 (Spec.subtxn 1 [ Op.Incr (Key.intern "d", 10.) ]) in
+            ignore (Engine.submit eng j_spec));
+      ]);
   ignore (Sim.run sim ~until:30.0 ());
   let store = Engine.store eng ~node:1 in
   (* Advancement completed long ago; i's straggler landed in both copies.
@@ -580,16 +592,23 @@ let nc_version_overtake_abort () =
   (* §5 step 4: an NC transaction that finds its key already written in a
      higher version must abort. *)
   let sim, eng = nc_engine () in
-  Sim.spawn sim (fun () ->
-      (* Commit a commuting write of key z in version 1, then advance so a
-         version-2 copy exists... *)
-      ignore (Engine.submit eng (Spec.make ~id:1 (Spec.subtxn 0 [ Op.Incr (Key.intern "z", 1.) ])));
-      Sim.sleep sim 0.1;
-      (* Write z in version 2 (new vu after phase 1) while an NC txn
-         assigned version 1... we instead engineer directly: advance fully,
-         then write z at version 3 via a commuting update after yet another
-         phase-1, and submit an NC txn that was assigned the older vu. *)
-      ignore (Engine.advance eng));
+  Script.(
+    run sim
+      [
+        (* Commit a commuting write of key z in version 1, then advance so a
+           version-2 copy exists... *)
+        Do
+          (fun () ->
+            ignore
+              (Engine.submit eng
+                 (Spec.make ~id:1 (Spec.subtxn 0 [ Op.Incr (Key.intern "z", 1.) ]))));
+        Wait 0.1;
+        (* Write z in version 2 (new vu after phase 1) while an NC txn
+           assigned version 1... we instead engineer directly: advance fully,
+           then write z at version 3 via a commuting update after yet another
+           phase-1, and submit an NC txn that was assigned the older vu. *)
+        Do (fun () -> ignore (Engine.advance eng));
+      ]);
   ignore (Sim.run sim ~until:5.0 ());
   (* Now vu = 2 everywhere. Manually materialize a version-3 copy of z to
      simulate an in-flight higher-version write, then run an NC txn at
@@ -625,15 +644,20 @@ let nc_waits_for_advancement () =
   in
   let eng = Engine.create sim cfg ~link_latency:slow_coord () in
   let r = ref None in
-  Sim.spawn sim (fun () ->
-      ignore (Engine.advance eng);
-      (* Wait until node 0 has switched vu (phase 1 notice arrives at 1.0)
-         but vr has not advanced yet. *)
-      Sim.sleep sim 1.5;
-      checki "mid-advancement vu" 2 (Engine.update_version eng ~node:0);
-      checki "mid-advancement vr" 0 (Engine.read_version eng ~node:0);
-      let spec = Spec.make ~id:1 (Spec.subtxn 0 [ Op.Overwrite (Key.intern "w", 1.) ]) in
-      r := Some (Engine.submit eng spec));
+  Script.(
+    run sim
+      [
+        Do (fun () -> ignore (Engine.advance eng));
+        (* Wait until node 0 has switched vu (phase 1 notice arrives at 1.0)
+           but vr has not advanced yet. *)
+        Wait 1.5;
+        Do
+          (fun () ->
+            checki "mid-advancement vu" 2 (Engine.update_version eng ~node:0);
+            checki "mid-advancement vr" 0 (Engine.read_version eng ~node:0);
+            let spec = Spec.make ~id:1 (Spec.subtxn 0 [ Op.Overwrite (Key.intern "w", 1.) ]) in
+            r := Some (Engine.submit eng spec));
+      ]);
   ignore (Sim.run sim ~until:30.0 ());
   match !r with
   | Some ivar -> (
@@ -664,29 +688,30 @@ let run_churn ~seed ~nodes ~abort_p ~nc =
   let eng = Engine.create sim cfg () in
   let rng = Random.State.make [| seed; 17 |] in
   let results = ref [] in
-  Sim.spawn sim (fun () ->
-      for i = 1 to 400 do
-        let n1 = Random.State.int rng nodes and n2 = Random.State.int rng nodes in
-        let key n = Key.intern (Printf.sprintf "k%d@%d" (Random.State.int rng 10) n) in
-        let spec =
-          let u = Random.State.float rng 1. in
-          if u < 0.25 then
-            Spec.make ~id:i
-              (Spec.subtxn ~children:[ Spec.subtxn n2 [ Op.Read (key n2) ] ] n1
-                 [ Op.Read (key n1) ])
-          else if nc && u < 0.35 then
-            Spec.make ~id:i
-              (Spec.subtxn ~children:[ Spec.subtxn n2 [ Op.Overwrite (key n2, 1.) ] ]
-                 n1
-                 [ Op.Overwrite (key n1, 1.) ])
-          else
-            Spec.make ~id:i
-              (Spec.subtxn ~children:[ Spec.subtxn n2 [ Op.Incr (key n2, 1.) ] ] n1
-                 [ Op.Incr (key n1, 1.) ])
-        in
-        results := (spec, Engine.submit eng spec) :: !results;
-        Sim.sleep sim 0.004
-      done);
+  let submit i =
+    let n1 = Random.State.int rng nodes and n2 = Random.State.int rng nodes in
+    let key n = Key.intern (Printf.sprintf "k%d@%d" (Random.State.int rng 10) n) in
+    let spec =
+      let u = Random.State.float rng 1. in
+      if u < 0.25 then
+        Spec.make ~id:i
+          (Spec.subtxn ~children:[ Spec.subtxn n2 [ Op.Read (key n2) ] ] n1 [ Op.Read (key n1) ])
+      else if nc && u < 0.35 then
+        Spec.make ~id:i
+          (Spec.subtxn ~children:[ Spec.subtxn n2 [ Op.Overwrite (key n2, 1.) ] ]
+             n1
+             [ Op.Overwrite (key n1, 1.) ])
+      else
+        Spec.make ~id:i
+          (Spec.subtxn ~children:[ Spec.subtxn n2 [ Op.Incr (key n2, 1.) ] ] n1
+             [ Op.Incr (key n1, 1.) ])
+    in
+    results := (spec, Engine.submit eng spec) :: !results
+  in
+  Script.run sim
+    (List.concat_map
+       (fun i -> Script.[ Do (fun () -> submit i); Wait 0.004 ])
+       (List.init 400 succ));
   ignore (Sim.run sim ~until:30.0 ());
   (eng, !results)
 
@@ -755,18 +780,20 @@ let ablation_no_gc_acks_breaks_bound () =
   in
   let eng = Engine.create sim cfg () in
   let rng = Random.State.make [| 31 |] in
-  Sim.spawn sim (fun () ->
-      for i = 1 to 600 do
-        let n1 = Random.State.int rng 4 and n2 = Random.State.int rng 4 in
-        let key n = Key.intern (Printf.sprintf "k%d@%d" (Random.State.int rng 8) n) in
-        ignore
-          (Engine.submit eng
-             (Spec.make ~id:i
-                (Spec.subtxn ~children:[ Spec.subtxn n2 [ Op.Incr (key n2, 1.) ] ]
-                   n1
-                   [ Op.Incr (key n1, 1.) ])));
-        Sim.sleep sim 0.002
-      done);
+  let submit i =
+    let n1 = Random.State.int rng 4 and n2 = Random.State.int rng 4 in
+    let key n = Key.intern (Printf.sprintf "k%d@%d" (Random.State.int rng 8) n) in
+    ignore
+      (Engine.submit eng
+         (Spec.make ~id:i
+            (Spec.subtxn ~children:[ Spec.subtxn n2 [ Op.Incr (key n2, 1.) ] ]
+               n1
+               [ Op.Incr (key n1, 1.) ])))
+  in
+  Script.run sim
+    (List.concat_map
+       (fun i -> Script.[ Do (fun () -> submit i); Wait 0.002 ])
+       (List.init 600 succ));
   ignore (Sim.run sim ~until:10.0 ());
   checkb "bound exceeded without acks" true (Engine.max_versions_ever eng > 3)
 
@@ -831,20 +858,26 @@ let ablation_single_poll_still_detects_activity () =
     }
   in
   let eng = Engine.create sim cfg ~link_latency:link () in
-  let done_at = ref 0. in
-  Sim.spawn sim (fun () ->
-      ignore
-        (Engine.submit eng
-           (Spec.make ~id:1
-              (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "y", 1.) ] ] 0
-                 [ Op.Incr (Key.intern "x", 1.) ])));
-      Sim.sleep sim 0.05;
-      let adv = Engine.advance eng in
-      Simul.Ivar.read sim adv;
-      done_at := Sim.now sim);
+  let adv = ref None in
+  Script.(
+    run sim
+      [
+        Do
+          (fun () ->
+            ignore
+              (Engine.submit eng
+                 (Spec.make ~id:1
+                    (Spec.subtxn ~children:[ Spec.subtxn 1 [ Op.Incr (Key.intern "y", 1.) ] ] 0
+                       [ Op.Incr (Key.intern "x", 1.) ]))));
+        Wait 0.05;
+        Do (fun () -> adv := Some (Engine.advance eng));
+      ]);
+  let advanced () = match !adv with Some iv -> Ivar.is_full iv | None -> false in
+  (* The child only lands after t = 3; phase 2 cannot have finished before. *)
+  ignore (Sim.run sim ~until:3.0 ());
+  checkb "advancement waits for the straggler" false (advanced ());
   ignore (Sim.run sim ~until:30.0 ());
-  (* The child only lands at t >= 3; phase 2 cannot have finished before. *)
-  checkb "advancement waited for the straggler" true (!done_at > 3.0)
+  checkb "advancement done once it lands" true (advanced ())
 
 let pause_isolates_outage () =
   let sim, eng = make_engine ~nodes:3 () in

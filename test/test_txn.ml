@@ -216,7 +216,6 @@ let spec_accessors () =
   in
   let spec = Spec.make ~id:7 ~label:"t" tree in
   Alcotest.(check (list int)) "nodes" [ 0; 1; 2 ] (Spec.nodes spec);
-  Alcotest.(check (list string)) "read keys" [ "w"; "x" ] (Spec.keys_read spec);
   Alcotest.(check (list string)) "written keys" [ "x"; "y"; "z" ]
     (Spec.keys_written spec);
   checki "size" 4 (Spec.size spec)
@@ -252,56 +251,62 @@ let compat () =
 
 let key = Key.intern
 
-(* Run a body inside a simulation and return its result after the run. *)
+(* [acquire lm ~owner name mode] requests [name]'s lock and returns the
+   cell its verdict lands in: at once for an immediate verdict, on an
+   event of its own for a queued one. *)
+let acquire lm ?timeout ~owner name mode =
+  let got = ref None in
+  Lockmgr.acquire_then lm ?timeout ~owner ~key:(key name) ~mode (fun v -> got := Some v);
+  got
+
+(* Runs the script [body sim] returns to the end of the simulation, then
+   reads its result. *)
 let in_sim body =
   let sim = Sim.create () in
-  let out = ref None in
-  Sim.spawn sim (fun () -> out := Some (body sim));
-  (match Sim.run sim () with
-  | Sim.Completed -> ()
-  | Sim.Stalled names ->
-      Alcotest.failf "stalled: %s" (String.concat "," names)
-  | Sim.Hit_limit -> ());
-  match !out with Some v -> v | None -> Alcotest.fail "body did not finish"
+  let steps, result = body sim in
+  Script.run sim steps;
+  ignore (Sim.run sim ());
+  result ()
 
 let shared_locks_coexist () =
   let granted =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim () in
-        let a = Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared () in
-        let b = Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Shared () in
-        (a, b))
+        let a = acquire lm ~owner:1 "k" Lockmgr.Shared in
+        let b = acquire lm ~owner:2 "k" Lockmgr.Shared in
+        ([], fun () -> (!a, !b)))
   in
-  checkb "both granted" true (granted = (Lockmgr.Granted, Lockmgr.Granted))
+  checkb "both granted" true (granted = (Some Lockmgr.Granted, Some Lockmgr.Granted))
 
 let exclusive_blocks_until_release () =
   let order =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
         let log = ref [] in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
-        Sim.spawn sim (fun () ->
-            (match Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive () with
-            | Lockmgr.Granted -> log := "granted" :: !log
-            | _ -> log := "refused" :: !log));
-        Sim.sleep sim 1.0;
-        log := "releasing" :: !log;
-        Lockmgr.release_all lm ~owner:1;
-        Sim.sleep sim 0.1;
-        List.rev !log)
+        ignore (acquire lm ~owner:1 "k" Lockmgr.Exclusive);
+        Lockmgr.acquire_then lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive (function
+          | Lockmgr.Granted -> log := "granted" :: !log
+          | _ -> log := "refused" :: !log);
+        ( Script.
+            [
+              Wait 1.0;
+              Do
+                (fun () ->
+                  log := "releasing" :: !log;
+                  Lockmgr.release_all lm ~owner:1);
+            ],
+          fun () -> List.rev !log ))
   in
-  checkb "waiter granted only after release" true
-    (order = [ "releasing"; "granted" ])
+  checkb "waiter granted only after release" true (order = [ "releasing"; "granted" ])
 
 let commute_locks_never_wait () =
   let all_granted =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim () in
-        List.for_all
-          (fun owner ->
-            Lockmgr.acquire lm ~owner ~key:(key "hot") ~mode:Lockmgr.Commute_update ()
-            = Lockmgr.Granted)
-          [ 1; 2; 3; 4; 5 ])
+        let got =
+          List.map (fun owner -> acquire lm ~owner "hot" Lockmgr.Commute_update) [ 1; 2; 3; 4; 5 ]
+        in
+        ([], fun () -> List.for_all (fun g -> !g = Some Lockmgr.Granted) got))
   in
   checkb "five concurrent commute-update locks" true all_granted
 
@@ -309,16 +314,18 @@ let nc_blocks_commute () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Non_commute ());
-        let got = ref None in
-        Sim.spawn sim (fun () ->
-            got :=
-              Some (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Commute_update ()));
-        Sim.sleep sim 0.5;
-        let blocked = !got = None in
-        Lockmgr.release_all lm ~owner:1;
-        Sim.sleep sim 0.1;
-        (blocked, !got))
+        ignore (acquire lm ~owner:1 "k" Lockmgr.Non_commute);
+        let got = acquire lm ~owner:2 "k" Lockmgr.Commute_update in
+        let blocked = ref false in
+        ( Script.
+            [
+              Wait 0.5;
+              Do
+                (fun () ->
+                  blocked := !got = None;
+                  Lockmgr.release_all lm ~owner:1);
+            ],
+          fun () -> (!blocked, !got) ))
   in
   checkb "blocked then granted" true (result = (true, Some Lockmgr.Granted))
 
@@ -326,151 +333,157 @@ let deadlock_detected () =
   let outcome =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "a") ~mode:Lockmgr.Exclusive ());
-        ignore (Lockmgr.acquire lm ~owner:2 ~key:(key "b") ~mode:Lockmgr.Exclusive ());
-        let r1 = ref None in
-        Sim.spawn sim (fun () ->
-            r1 := Some (Lockmgr.acquire lm ~owner:1 ~key:(key "b") ~mode:Lockmgr.Exclusive ()));
-        Sim.sleep sim 0.1;
-        (* Owner 2 now closes the cycle: must be refused immediately. *)
-        let r2 = Lockmgr.acquire lm ~owner:2 ~key:(key "a") ~mode:Lockmgr.Exclusive () in
-        (* Let owner 2 abort, releasing b, which unblocks owner 1. *)
-        Lockmgr.release_all lm ~owner:2;
-        Sim.sleep sim 0.1;
-        (r2, !r1))
+        ignore (acquire lm ~owner:1 "a" Lockmgr.Exclusive);
+        ignore (acquire lm ~owner:2 "b" Lockmgr.Exclusive);
+        let r1 = acquire lm ~owner:1 "b" Lockmgr.Exclusive and r2 = ref None in
+        ( Script.
+            [
+              Wait 0.1;
+              Do
+                (fun () ->
+                  (* Owner 2 now closes the cycle: must be refused immediately. *)
+                  r2 := !(acquire lm ~owner:2 "a" Lockmgr.Exclusive);
+                  (* Let owner 2 abort, releasing b, which unblocks owner 1. *)
+                  Lockmgr.release_all lm ~owner:2);
+            ],
+          fun () -> (!r2, !r1) ))
   in
   checkb "cycle refused and victim's release unblocks waiter" true
-    (outcome = (Lockmgr.Deadlock, Some Lockmgr.Granted))
+    (outcome = (Some Lockmgr.Deadlock, Some Lockmgr.Granted))
 
 let timeout_fires () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:0.2 () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
-        let t0 = Sim.now sim in
-        let r = Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive () in
-        (r, Sim.now sim -. t0))
+        ignore (acquire lm ~owner:1 "k" Lockmgr.Exclusive);
+        let got = ref None in
+        Lockmgr.acquire_then lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive (fun v ->
+            got := Some (v, Sim.now sim));
+        ([], fun () -> !got))
   in
   checkb "timed out at the deadline" true
-    (fst result = Lockmgr.Timeout && abs_float (snd result -. 0.2) < 1e-9)
+    (match result with
+    | Some (Lockmgr.Timeout, at) -> abs_float (at -. 0.2) < 1e-9
+    | _ -> false)
 
 let per_call_timeout_overrides () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:10.0 () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
-        Lockmgr.acquire lm ~timeout:0.05 ~owner:2 ~key:(key "k")
-          ~mode:Lockmgr.Exclusive ())
+        ignore (acquire lm ~owner:1 "k" Lockmgr.Exclusive);
+        let got = acquire lm ~timeout:0.05 ~owner:2 "k" Lockmgr.Exclusive in
+        ([], fun () -> !got))
   in
-  checkb "per-call timeout" true (result = Lockmgr.Timeout)
+  checkb "per-call timeout" true (result = Some Lockmgr.Timeout)
 
 let reentrant_acquire () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim () in
-        let a = Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared () in
+        let a = acquire lm ~owner:1 "k" Lockmgr.Shared in
         (* Even with an incompatible waiter queued, the holder's own new
            request must not deadlock behind it. *)
-        Sim.spawn sim (fun () ->
-            ignore (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive ()));
-        Sim.sleep sim 0.01;
-        let b = Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared () in
-        Lockmgr.release_all lm ~owner:1;
-        Sim.sleep sim 0.01;
-        Lockmgr.release_all lm ~owner:2;
-        (a, b))
+        ignore (acquire lm ~owner:2 "k" Lockmgr.Exclusive);
+        let b = ref None in
+        ( Script.
+            [
+              Wait 0.01;
+              Do
+                (fun () ->
+                  b := !(acquire lm ~owner:1 "k" Lockmgr.Shared);
+                  Lockmgr.release_all lm ~owner:1);
+              Wait 0.01;
+              Do (fun () -> Lockmgr.release_all lm ~owner:2);
+            ],
+          fun () -> (!a, !b) ))
   in
-  checkb "re-entrant" true (result = (Lockmgr.Granted, Lockmgr.Granted))
+  checkb "re-entrant" true (result = (Some Lockmgr.Granted, Some Lockmgr.Granted))
 
 let fifo_no_overtaking () =
   let order =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
+        ignore (acquire lm ~owner:1 "k" Lockmgr.Exclusive);
         let log = ref [] in
         (* Owner 2 queues for X; owner 3's S request arrives later and must
            not overtake it. *)
-        Sim.spawn sim (fun () ->
-            ignore (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
+        Lockmgr.acquire_then lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive (fun _ ->
             log := 2 :: !log;
-            Sim.sleep sim 0.1;
-            Lockmgr.release_all lm ~owner:2);
-        Sim.sleep sim 0.01;
-        Sim.spawn sim (fun () ->
-            ignore (Lockmgr.acquire lm ~owner:3 ~key:(key "k") ~mode:Lockmgr.Shared ());
-            log := 3 :: !log;
-            Lockmgr.release_all lm ~owner:3);
-        Sim.sleep sim 0.05;
-        Lockmgr.release_all lm ~owner:1;
-        Sim.sleep sim 1.0;
-        List.rev !log)
+            Sim.after sim 0.1 (fun () -> Lockmgr.release_all lm ~owner:2));
+        ( Script.
+            [
+              Wait 0.01;
+              Do
+                (fun () ->
+                  Lockmgr.acquire_then lm ~owner:3 ~key:(key "k") ~mode:Lockmgr.Shared (fun _ ->
+                      log := 3 :: !log;
+                      Lockmgr.release_all lm ~owner:3));
+              Wait 0.05;
+              Do (fun () -> Lockmgr.release_all lm ~owner:1);
+            ],
+          fun () -> List.rev !log ))
   in
   checkb "fifo order" true (order = [ 2; 3 ])
 
 let held_and_counts () =
-  in_sim (fun sim ->
-      let lm = Lockmgr.create sim () in
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "a") ~mode:Lockmgr.Shared ());
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "b") ~mode:Lockmgr.Exclusive ());
-      checkb "held" true
-        (Lockmgr.held lm ~owner:1
-        = [ (key "a", Lockmgr.Shared); (key "b", Lockmgr.Exclusive) ]);
-      checki "no waiters" 0 (Lockmgr.waiting lm);
-      Lockmgr.release_all lm ~owner:1;
-      checkb "released" true (Lockmgr.held lm ~owner:1 = []))
+  let sim = Sim.create () in
+  let lm = Lockmgr.create sim () in
+  ignore (acquire lm ~owner:1 "a" Lockmgr.Shared);
+  ignore (acquire lm ~owner:1 "b" Lockmgr.Exclusive);
+  checkb "held" true
+    (Lockmgr.held lm ~owner:1 = [ (key "a", Lockmgr.Shared); (key "b", Lockmgr.Exclusive) ]);
+  checki "no waiters" 0 (Lockmgr.waiting lm);
+  Lockmgr.release_all lm ~owner:1;
+  checkb "released" true (Lockmgr.held lm ~owner:1 = [])
 
 let release_wakes_multiple_shared () =
   let count =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
-        let granted = ref 0 in
-        for owner = 2 to 4 do
-          Sim.spawn sim (fun () ->
-              match Lockmgr.acquire lm ~owner ~key:(key "k") ~mode:Lockmgr.Shared () with
-              | Lockmgr.Granted -> incr granted
-              | _ -> ())
-        done;
-        Sim.sleep sim 0.1;
-        Lockmgr.release_all lm ~owner:1;
-        Sim.sleep sim 0.1;
-        !granted)
+        ignore (acquire lm ~owner:1 "k" Lockmgr.Exclusive);
+        let got = List.map (fun owner -> acquire lm ~owner "k" Lockmgr.Shared) [ 2; 3; 4 ] in
+        ( Script.[ Wait 0.1; Do (fun () -> Lockmgr.release_all lm ~owner:1) ],
+          fun () -> List.length (List.filter (fun g -> !g = Some Lockmgr.Granted) got) ))
   in
   checki "all shared waiters granted together" 3 count
 
 let reentrant_no_duplicate_holders () =
-  in_sim (fun sim ->
-      let lm = Lockmgr.create sim () in
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared ());
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared ());
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Shared ());
-      checkb "re-granting an already-held mode adds no duplicate entry" true
-        (Lockmgr.held lm ~owner:1 = [ (key "k", Lockmgr.Shared) ]);
-      (* A genuine upgrade still records the new mode alongside the old. *)
-      ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
-      checkb "distinct modes are both recorded" true
-        (Lockmgr.held lm ~owner:1
-        = [ (key "k", Lockmgr.Shared); (key "k", Lockmgr.Exclusive) ]);
-      Lockmgr.release_all lm ~owner:1)
+  let sim = Sim.create () in
+  let lm = Lockmgr.create sim () in
+  ignore (acquire lm ~owner:1 "k" Lockmgr.Shared);
+  ignore (acquire lm ~owner:1 "k" Lockmgr.Shared);
+  ignore (acquire lm ~owner:1 "k" Lockmgr.Shared);
+  checkb "re-granting an already-held mode adds no duplicate entry" true
+    (Lockmgr.held lm ~owner:1 = [ (key "k", Lockmgr.Shared) ]);
+  (* A genuine upgrade still records the new mode alongside the old. *)
+  ignore (acquire lm ~owner:1 "k" Lockmgr.Exclusive);
+  checkb "distinct modes are both recorded" true
+    (Lockmgr.held lm ~owner:1 = [ (key "k", Lockmgr.Shared); (key "k", Lockmgr.Exclusive) ]);
+  Lockmgr.release_all lm ~owner:1
 
 let release_all_cancels_own_waiters () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
-        let got = ref None in
-        Sim.spawn sim (fun () ->
-            (* Owner 2 holds one lock and queues on another — the shape of a
-               partially-locked transaction being torn down mid-acquire. *)
-            ignore (Lockmgr.acquire lm ~owner:2 ~key:(key "other") ~mode:Lockmgr.Exclusive ());
-            got := Some (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive ()));
-        Sim.sleep sim 0.1;
-        (* Owner 2 aborts while still queued: its wait must end in
-           [Cancelled], not [Timeout], and must not count as a conflict. *)
-        let aborted_before = Lockmgr.conflicts_aborted lm in
-        Lockmgr.release_all lm ~owner:2;
-        Sim.sleep sim 0.1;
-        (!got, Lockmgr.conflicts_aborted lm - aborted_before))
+        ignore (acquire lm ~owner:1 "k" Lockmgr.Exclusive);
+        (* Owner 2 holds one lock and queues on another — the shape of a
+           partially-locked transaction being torn down mid-acquire. *)
+        ignore (acquire lm ~owner:2 "other" Lockmgr.Exclusive);
+        let got = acquire lm ~owner:2 "k" Lockmgr.Exclusive in
+        let aborted = ref 0 in
+        ( Script.
+            [
+              Wait 0.1;
+              Do
+                (fun () ->
+                  (* Owner 2 aborts while still queued: its wait must end
+                     in [Cancelled], not [Timeout], and must not count as
+                     a conflict. *)
+                  let before = Lockmgr.conflicts_aborted lm in
+                  Lockmgr.release_all lm ~owner:2;
+                  Sim.after sim 0.1 (fun () -> aborted := Lockmgr.conflicts_aborted lm - before));
+            ],
+          fun () -> (!got, !aborted) ))
   in
   checkb "cancelled wake reason" true (fst result = Some Lockmgr.Cancelled);
   checki "cancellation is not a conflict abort" 0 (snd result)
@@ -481,16 +494,20 @@ let release_all_cancels_lockless_owner () =
   let result =
     in_sim (fun sim ->
         let lm = Lockmgr.create sim ~deadlock_timeout:infinity () in
-        ignore (Lockmgr.acquire lm ~owner:1 ~key:(key "k") ~mode:Lockmgr.Exclusive ());
-        let got = ref None in
-        Sim.spawn sim (fun () ->
-            got := Some (Lockmgr.acquire lm ~owner:2 ~key:(key "k") ~mode:Lockmgr.Exclusive ()));
-        Sim.sleep sim 0.1;
-        Lockmgr.release_all lm ~owner:2;
-        Sim.sleep sim 0.1;
-        let verdict = !got in
-        Lockmgr.release_all lm ~owner:1;
-        (verdict, Lockmgr.waiting lm, Lockmgr.locked_keys lm))
+        ignore (acquire lm ~owner:1 "k" Lockmgr.Exclusive);
+        let got = acquire lm ~owner:2 "k" Lockmgr.Exclusive in
+        let verdict = ref None in
+        ( Script.
+            [
+              Wait 0.1;
+              Do (fun () -> Lockmgr.release_all lm ~owner:2);
+              Wait 0.1;
+              Do
+                (fun () ->
+                  verdict := !got;
+                  Lockmgr.release_all lm ~owner:1);
+            ],
+          fun () -> (!verdict, Lockmgr.waiting lm, Lockmgr.locked_keys lm) ))
   in
   checkb "cancelled, nothing waiting, no lock record" true
     (result = (Some Lockmgr.Cancelled, 0, 0))
@@ -536,16 +553,26 @@ let lockmgr_random_schedules =
         (fun i op ->
           match op with
           | `Acquire (owner, key, mode) ->
-              Sim.spawn sim ~name:(Printf.sprintf "acq%d" i) (fun () ->
-                  let key = Key.intern (string_of_int key) in
-                  match Lockmgr.acquire lm ~owner ~key ~mode () with
-                  | Lockmgr.Granted -> note_grant owner key mode
-                  | Lockmgr.Deadlock | Lockmgr.Timeout | Lockmgr.Cancelled -> ())
+              Script.(
+                run sim
+                  [
+                    Do
+                      (fun () ->
+                        let key = Key.intern (string_of_int key) in
+                        Lockmgr.acquire_then lm ~owner ~key ~mode (function
+                          | Lockmgr.Granted -> note_grant owner key mode
+                          | Lockmgr.Deadlock | Lockmgr.Timeout | Lockmgr.Cancelled -> ()));
+                  ])
           | `Release owner ->
-              Sim.spawn sim ~name:(Printf.sprintf "rel%d" i) (fun () ->
-                  Sim.sleep sim (0.01 *. float_of_int i);
-                  drop_owner owner;
-                  Lockmgr.release_all lm ~owner))
+              Script.(
+                run sim
+                  [
+                    Wait (0.01 *. float_of_int i);
+                    Do
+                      (fun () ->
+                        drop_owner owner;
+                        Lockmgr.release_all lm ~owner);
+                  ]))
         ops;
       (* Run; then release every owner so all waiters resolve. *)
       ignore (Sim.run sim ~until:10.0 ());
@@ -553,10 +580,8 @@ let lockmgr_random_schedules =
         drop_owner owner;
         Lockmgr.release_all lm ~owner
       done;
-      let outcome = Sim.run sim ~until:20.0 () in
-      (not !violation)
-      && (match outcome with Sim.Stalled _ -> false | _ -> true)
-      && Lockmgr.waiting lm = 0)
+      ignore (Sim.run sim ~until:20.0 ());
+      (not !violation) && Lockmgr.waiting lm = 0)
 
 (* One owner's release wakes the waiters of its keys in the order it
    locked them: here x, y, z, which a hash table of the names iterates as
@@ -568,16 +593,12 @@ let release_wakes_in_acquisition_order () =
         let log = ref [] in
         List.iteri
           (fun i name ->
-            ignore (Lockmgr.acquire lm ~owner:1 ~key:(key name) ~mode:Lockmgr.Exclusive ());
-            Sim.spawn sim (fun () ->
-                ignore
-                  (Lockmgr.acquire lm ~owner:(i + 2) ~key:(key name) ~mode:Lockmgr.Exclusive ());
-                log := (i + 2) :: !log))
+            ignore (acquire lm ~owner:1 name Lockmgr.Exclusive);
+            Lockmgr.acquire_then lm ~owner:(i + 2) ~key:(key name) ~mode:Lockmgr.Exclusive
+              (fun _ -> log := (i + 2) :: !log))
           [ "x"; "y"; "z" ];
-        Sim.sleep sim 0.1;
-        Lockmgr.release_all lm ~owner:1;
-        Sim.sleep sim 0.1;
-        List.rev !log)
+        ( Script.[ Wait 0.1; Do (fun () -> Lockmgr.release_all lm ~owner:1) ],
+          fun () -> List.rev !log ))
   in
   Alcotest.(check (list int)) "waiters of x, y, z resume in that order" [ 2; 3; 4 ] order
 
@@ -585,8 +606,9 @@ let release_wakes_in_acquisition_order () =
    ([Lockmgr_oracle], keyed by name): random acquire, release and timeout
    sequences must give every request the same verdict at the same
    instant. Op [i] runs at time [i]; a finite timeout ends half a second
-   past an op; a requester is a blocking process or, on the library's side
-   only, an [acquire_then] callback. The two managers wake one release's
+   past an op; a request is made from an event of its own, as a spawned
+   requester's was, or, on the library's side only, inline in the op's
+   event. The two managers wake one release's
    waiters in different orders, which a per-request comparison ignores.
    A release is skipped while its owner waits and holds nothing: the
    reference manager returns early for an owner with no lock and leaves
@@ -595,12 +617,12 @@ let release_wakes_in_acquisition_order () =
    keeps no lock record. *)
 type lock_op =
   | Lock of int * int * Lockmgr.mode * float option * bool
-      (** owner, key, mode, timeout, blocking requester *)
+      (** owner, key, mode, timeout, requested from an event of its own *)
   | Unlock of int
 
 type lock_api = {
   acquire :
-    owner:int -> key:int -> mode:Lockmgr.mode -> timeout:float option -> blocking:bool ->
+    owner:int -> key:int -> mode:Lockmgr.mode -> timeout:float option -> deferred:bool ->
     (Lockmgr.grant -> unit) -> unit;
   release : int -> unit;
   aborted : unit -> int;
@@ -624,9 +646,9 @@ let run_lock_ops make ops =
       Sim.schedule sim ~delay:(float_of_int i) (fun () ->
           match op with
           | Unlock owner -> release owner
-          | Lock (owner, key, mode, timeout, blocking) ->
+          | Lock (owner, key, mode, timeout, deferred) ->
               waits := (i, owner, key) :: !waits;
-              api.acquire ~owner ~key ~mode ~timeout ~blocking (fun g ->
+              api.acquire ~owner ~key ~mode ~timeout ~deferred (fun g ->
                   verdicts.(i) <- Some (g, Sim.now sim);
                   waits := List.filter (fun (j, _, _) -> j <> i) !waits;
                   if g = Lockmgr.Granted then held.(owner) <- key :: held.(owner))))
@@ -645,11 +667,10 @@ let library_locks sim =
   let lm = Lockmgr.create sim ~deadlock_timeout:2.5 () in
   {
     acquire =
-      (fun ~owner ~key ~mode ~timeout ~blocking k ->
+      (fun ~owner ~key ~mode ~timeout ~deferred k ->
         let key = Key.intern (string_of_int key) in
-        if blocking then
-          Sim.spawn sim (fun () -> k (Lockmgr.acquire lm ?timeout ~owner ~key ~mode ()))
-        else Lockmgr.acquire_then lm ?timeout ~owner ~key ~mode k);
+        let request () = Lockmgr.acquire_then lm ?timeout ~owner ~key ~mode k in
+        if deferred then Sim.schedule sim ~delay:0. request else request ());
     release = (fun owner -> Lockmgr.release_all lm ~owner);
     aborted = (fun () -> Lockmgr.conflicts_aborted lm);
     idle = (fun () -> Lockmgr.waiting lm = 0 && Lockmgr.locked_keys lm = 0);
@@ -659,9 +680,10 @@ let oracle_locks sim =
   let lm = Lockmgr_oracle.create sim ~deadlock_timeout:2.5 () in
   {
     acquire =
-      (fun ~owner ~key ~mode ~timeout ~blocking:_ k ->
+      (fun ~owner ~key ~mode ~timeout ~deferred:_ k ->
         let key = string_of_int key in
-        Sim.spawn sim (fun () -> k (Lockmgr_oracle.acquire lm ?timeout ~owner ~key ~mode ())));
+        Sim.schedule sim ~delay:0. (fun () ->
+            Lockmgr_oracle.acquire lm ?timeout ~owner ~key ~mode k));
     release = (fun owner -> Lockmgr_oracle.release_all lm ~owner);
     aborted = (fun () -> Lockmgr_oracle.conflicts_aborted lm);
     idle = (fun () -> Lockmgr_oracle.waiting lm = 0);
@@ -674,8 +696,8 @@ let lockmgr_matches_oracle =
         [
           ( 4,
             map
-              (fun (owner, key, mode, timeout, blocking) ->
-                Lock (owner, key, mode, timeout, blocking))
+              (fun (owner, key, mode, timeout, deferred) ->
+                Lock (owner, key, mode, timeout, deferred))
               (tup5 (int_range 1 4) (int_range 0 2)
                  (oneofl
                     [ Lockmgr.Shared; Lockmgr.Exclusive; Lockmgr.Commute_read;
@@ -694,10 +716,10 @@ let lockmgr_matches_oracle =
   in
   let print_op = function
     | Unlock o -> Printf.sprintf "release %d" o
-    | Lock (o, k, m, timeout, blocking) ->
+    | Lock (o, k, m, timeout, deferred) ->
         Printf.sprintf "%d locks %d %s%s%s" o k (mode_name m)
           (match timeout with None -> "" | Some d -> Printf.sprintf " for %g" d)
-          (if blocking then "" else " (callback)")
+          (if deferred then "" else " (inline)")
   in
   QCheck.Test.make ~name:"lockmgr: verdicts match the reference manager" ~count:500
     (QCheck.make

@@ -74,14 +74,6 @@ let fanout_tree_structure () =
   Alcotest.check_raises "empty" (Invalid_argument "Generator.fanout_tree: empty node list")
     (fun () -> ignore (Generator.fanout_tree ~ops_of:(fun _ -> []) []))
 
-let with_rate () =
-  let g =
-    Workload.Synthetic.generator (Workload.Synthetic.default ~nodes:2)
-  in
-  let g' = Generator.with_rate g 999. in
-  Alcotest.(check (float 1e-9)) "rate" 999. (Generator.rate g');
-  Alcotest.(check string) "name kept" (Generator.name g) (Generator.name g')
-
 (* Validity: every generated spec only touches nodes within range and is
    classified as expected. *)
 let spec_valid ~nodes (spec : Spec.t) =
@@ -231,7 +223,6 @@ let () =
       ( "generator",
         [
           Alcotest.test_case "fanout tree" `Quick fanout_tree_structure;
-          Alcotest.test_case "with_rate" `Quick with_rate;
         ]
         @ qsuite );
       ( "domains",
