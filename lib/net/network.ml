@@ -20,7 +20,6 @@ type 'm t = {
   mutable remote_sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable extra_copies : int;
 }
 
 let create simulation ~size ~latency ?(link_latency = fun ~src:_ ~dst:_ -> None)
@@ -39,7 +38,6 @@ let create simulation ~size ~latency ?(link_latency = fun ~src:_ ~dst:_ -> None)
     remote_sent = 0;
     delivered = 0;
     dropped = 0;
-    extra_copies = 0;
   }
 
 let size t = t.n
@@ -98,13 +96,7 @@ let send t ~src ~dst msg =
   | Some f -> (
       match f ~src ~dst ~delay with
       | [] -> t.dropped <- t.dropped + 1
-      | d :: extras ->
-          schedule_delivery t ~dst ~delay:d msg;
-          List.iter
-            (fun d ->
-              t.extra_copies <- t.extra_copies + 1;
-              schedule_delivery t ~dst ~delay:d msg)
-            extras)
+      | copies -> List.iter (fun d -> schedule_delivery t ~dst ~delay:d msg) copies)
 
 let inbox t ~node =
   check_node t node "inbox";
@@ -117,4 +109,3 @@ let messages_sent t = t.sent
 let remote_messages_sent t = t.remote_sent
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
-let extra_copies t = t.extra_copies

@@ -83,9 +83,6 @@ val messages_delivered : 'm t -> int
 (** Sends whose every copy was suppressed by the filter. *)
 val messages_dropped : 'm t -> int
 
-(** Extra copies beyond the first scheduled by the filter (duplications). *)
-val extra_copies : 'm t -> int
-
 (** [forget_delivered t ~key ~dst] drops the delivery-dedup record for
     key [key] (see {!set_delivery_key}) at [dst], if any. The reliable
     channel calls this as its ack floor advances: once a stream's sequence

@@ -21,6 +21,7 @@ let default_config =
    acked, and for every sequence outside the window) and, in [got], whether
    the receiver took it past a gap in [recv_floor]. *)
 type 'm stream = {
+  src : int;
   dst : int;
   mutable next_seq : int;  (** last allocated *)
   mutable ack_floor : int;
@@ -31,6 +32,30 @@ type 'm stream = {
   mutable got : Bytes.t;  (** ['\001'] where delivered past a gap *)
 }
 
+(* The retry deadlines of one delay: [timeout], then each level's delay
+   times [backoff], capped at [max_backoff]. An entry is one transmission
+   of a data packet: its deadline, the kernel sequence number reserved
+   when it was sent (so that its event runs where a timer armed at the
+   send would), its stream and its sequence. Every entry was armed
+   [delay] before its deadline, so deadlines come due in arm order and
+   the entries form a FIFO over flat arrays (power-of-two capacity,
+   oldest at [head]). While a level holds entries it has one kernel event
+   queued, [fire], at its oldest entry's deadline; an empty level has
+   none. *)
+type 'm level = {
+  delay : float;
+  mutable next : 'm level option;
+      (** the following retry's level, made on first use; the level
+          itself once [delay] is at its cap *)
+  mutable deadlines : float array;
+  mutable keys : int array;
+  mutable streams : 'm stream array;
+  mutable seqs : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable fire : unit -> unit;
+}
+
 type 'm t = {
   net : 'm packet Network.t;
   cfg : config;
@@ -39,6 +64,7 @@ type 'm t = {
       (** [rows.(src).(dst)]; a row is allocated on its source's first send
           and holds [none] until that link's first send *)
   none : 'm stream;
+  mutable first : 'm level;  (** [timeout]'s level *)
   unacked : int array;  (** per destination *)
   mutable ahead : int;  (** [got] marks set, over all streams *)
   mutable retransmissions : int;
@@ -50,10 +76,102 @@ type 'm t = {
    occupies a data slot. *)
 let vacant = Ack { src = -1; seq = 0 }
 let initial_capacity = 8
+let slot s seq = seq land (Array.length s.ring - 1)
+
+(* The data packet [seq] while it is unacknowledged, else [vacant]. Callers
+   compare it with [vacant] physically, which reads no packet. *)
+let unacked s seq = if seq <= s.ack_floor then vacant else s.ring.(slot s seq)
+
+let unwired delay =
+  {
+    delay;
+    next = None;
+    deadlines = [||];
+    keys = [||];
+    streams = [||];
+    seqs = [||];
+    head = 0;
+    len = 0;
+    fire = ignore;
+  }
+
+(* Double [l]'s FIFO, or give it its first slots, moving the entries to the
+   front of the new arrays. *)
+let grow_level t l =
+  let cap = Array.length l.keys in
+  let cap' = max initial_capacity (2 * cap) in
+  let deadlines = Array.make cap' 0. and keys = Array.make cap' 0 in
+  let streams = Array.make cap' t.none and seqs = Array.make cap' 0 in
+  for k = 0 to l.len - 1 do
+    let i = (l.head + k) land (cap - 1) in
+    deadlines.(k) <- l.deadlines.(i);
+    keys.(k) <- l.keys.(i);
+    streams.(k) <- l.streams.(i);
+    seqs.(k) <- l.seqs.(i)
+  done;
+  l.deadlines <- deadlines;
+  l.keys <- keys;
+  l.streams <- streams;
+  l.seqs <- seqs;
+  l.head <- 0
+
+let queue_front t l =
+  Sim.schedule_reserved (Network.sim t.net) ~at:l.deadlines.(l.head) ~seq:l.keys.(l.head) l.fire
+
+(* A transmission of [s]'s packet [seq] has just been sent: its retry
+   deadline on [l] is [l.delay] from now. *)
+let arm t l s seq =
+  let sim = Network.sim t.net in
+  let key = Sim.reserve sim in
+  if l.len = Array.length l.keys then grow_level t l;
+  let i = (l.head + l.len) land (Array.length l.keys - 1) in
+  l.deadlines.(i) <- Sim.now sim +. l.delay;
+  l.keys.(i) <- key;
+  l.streams.(i) <- s;
+  l.seqs.(i) <- seq;
+  l.len <- l.len + 1;
+  if l.len = 1 then queue_front t l
+
+let pop l =
+  l.head <- (l.head + 1) land (Array.length l.keys - 1);
+  l.len <- l.len - 1
+
+(* [l]'s event, at its oldest entry's deadline. An entry still unacked is
+   retransmitted and armed on the next level. Entries acked since they
+   were armed then leave the front with no event of their own, and the
+   event is queued again for the oldest entry left. *)
+let rec fire t l =
+  let s = l.streams.(l.head) and seq = l.seqs.(l.head) in
+  let p = unacked s seq in
+  if p != vacant then begin
+    t.retransmissions <- t.retransmissions + 1;
+    Network.send t.net ~src:s.src ~dst:s.dst p;
+    arm t (next_level t l) s seq
+  end;
+  pop l;
+  while l.len > 0 && unacked l.streams.(l.head) l.seqs.(l.head) == vacant do
+    pop l
+  done;
+  if l.len > 0 then queue_front t l
+
+and next_level t l =
+  match l.next with
+  | Some next -> next
+  | None ->
+      let delay = Float.min (l.delay *. t.cfg.backoff) t.cfg.max_backoff in
+      let next = if delay = l.delay then l else level t delay in
+      l.next <- Some next;
+      next
+
+and level t delay =
+  let l = unwired delay in
+  l.fire <- (fun () -> fire t l);
+  l
 
 let create ?(config = default_config) net =
-  if config.acks && (config.timeout <= 0. || config.backoff < 1.) then
-    invalid_arg "Reliable.create: timeout must be positive and backoff >= 1";
+  if config.acks && (config.timeout <= 0. || config.backoff < 1. || config.max_backoff <= 0.)
+  then
+    invalid_arg "Reliable.create: timeout and max_backoff must be positive and backoff >= 1";
   let n = Network.size net in
   (* Sequenced data packets are logical messages: however many times the
      channel retransmits one, the network reports at most one delivery per
@@ -63,19 +181,32 @@ let create ?(config = default_config) net =
     Network.set_delivery_key net (function
       | Data { src; seq; body = _ } -> (seq * n) + src
       | Ack _ -> -1);
-  {
-    net;
-    cfg = config;
-    n;
-    rows = Array.make n [||];
-    none =
-      { dst = -1; next_seq = 0; ack_floor = 0; recv_floor = 0; ring = [||]; got = Bytes.empty };
-    unacked = Array.make n 0;
-    ahead = 0;
-    retransmissions = 0;
-    dup_dropped = 0;
-    acks_sent = 0;
-  }
+  let t =
+    {
+      net;
+      cfg = config;
+      n;
+      rows = Array.make n [||];
+      none =
+        {
+          src = -1;
+          dst = -1;
+          next_seq = 0;
+          ack_floor = 0;
+          recv_floor = 0;
+          ring = [||];
+          got = Bytes.empty;
+        };
+      first = unwired config.timeout;
+      unacked = Array.make n 0;
+      ahead = 0;
+      retransmissions = 0;
+      dup_dropped = 0;
+      acks_sent = 0;
+    }
+  in
+  if config.acks && config.retransmit then t.first <- level t config.timeout;
+  t
 
 let retransmissions t = t.retransmissions
 let dup_dropped t = t.dup_dropped
@@ -87,8 +218,6 @@ let ack_floor t ~src ~dst =
   let row = t.rows.(src) in
   if Array.length row = 0 then 0 else row.(dst).ack_floor
 
-let slot s seq = seq land (Array.length s.ring - 1)
-
 (* The sender's stream to [dst], allocated on the link's first send. *)
 let outgoing t ~src ~dst =
   if Array.length t.rows.(src) = 0 then t.rows.(src) <- Array.make t.n t.none;
@@ -96,6 +225,7 @@ let outgoing t ~src ~dst =
   if row.(dst) == t.none then
     row.(dst) <-
       {
+        src;
         dst;
         next_seq = 0;
         ack_floor = 0;
@@ -117,21 +247,6 @@ let grow s =
     Bytes.set s.got j (Bytes.get got i)
   done
 
-(* The data packet [seq] while it is unacknowledged, else [vacant]. Callers
-   compare it with [vacant] physically, which reads no packet. *)
-let unacked s seq = if seq <= s.ack_floor then vacant else s.ring.(slot s seq)
-
-let rec arm_retransmit t s ~src ~seq ~delay =
-  Sim.schedule (Network.sim t.net) ~delay (fun () ->
-      let p = unacked s seq in
-      (* Once acknowledged, the timer chain dies. *)
-      if p != vacant then begin
-        t.retransmissions <- t.retransmissions + 1;
-        Network.send t.net ~src ~dst:s.dst p;
-        arm_retransmit t s ~src ~seq
-          ~delay:(Float.min (delay *. t.cfg.backoff) t.cfg.max_backoff)
-      end)
-
 let send t ~src ~dst body =
   if not t.cfg.acks then
     (* Raw mode: one packet, no state, no timers — indistinguishable from
@@ -146,7 +261,7 @@ let send t ~src ~dst body =
     s.ring.(slot s seq) <- p;
     t.unacked.(dst) <- t.unacked.(dst) + 1;
     Network.send t.net ~src ~dst p;
-    if t.cfg.retransmit then arm_retransmit t s ~src ~seq ~delay:t.cfg.timeout
+    if t.cfg.retransmit then arm t t.first s seq
   end
 
 (* The receiver's side of [s]: false if [seq] was delivered before.
@@ -172,14 +287,14 @@ let first_delivery t s seq =
 
 (* The sender's side of [s]: [seq] is acknowledged. As the ack floor
    advances, prune the network's delivery-dedup records behind it. *)
-let acked t ~src s seq =
+let acked t s seq =
   (* A duplicate ack finds the slot vacant already. *)
   if unacked s seq != vacant then begin
     s.ring.(slot s seq) <- vacant;
     t.unacked.(s.dst) <- t.unacked.(s.dst) - 1;
     while s.ack_floor < s.next_seq && s.ring.(slot s (s.ack_floor + 1)) == vacant do
       s.ack_floor <- s.ack_floor + 1;
-      Network.forget_delivered t.net ~key:((s.ack_floor * t.n) + src) ~dst:s.dst
+      Network.forget_delivered t.net ~key:((s.ack_floor * t.n) + s.src) ~dst:s.dst
     done
   end
 
@@ -199,5 +314,5 @@ let accept t ~node = function
       end
   | Ack { src = acker; seq } ->
       (* We (node) sent (node, acker, seq); it arrived. *)
-      acked t ~src:node t.rows.(node).(acker) seq;
+      acked t t.rows.(node).(acker) seq;
       false

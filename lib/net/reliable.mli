@@ -28,7 +28,20 @@
     power-of-two ring over [(ack_floor, next_seq]] holds each unacked
     packet and, for the receiver, which sequences arrived past a gap in its
     floor. The ring doubles when full. A retransmission resends the stored
-    packet, and its timer's "still unacked?" test is one array read.
+    packet.
+
+    Retry deadlines need no timer per packet. The channel keeps one
+    deadline queue per retry delay ([timeout], then each delay times
+    [backoff] up to [max_backoff]); a delay is constant, so its deadlines
+    come due in the order they were armed. A send appends its packet's
+    deadline to the first queue, and a queue with deadlines keeps one
+    kernel event, at its oldest. That event resends the packet if it is
+    still unacked (one array read tells) and appends the retry to the next
+    queue, then passes over the packets acked since, which cost no event,
+    to the oldest deadline left. Each deadline runs under the kernel
+    sequence number drawn when it was armed ({!Simul.Sim.reserve}), so
+    retransmissions leave at the instants, and in the order among
+    same-instant events, that a timer per packet would give them.
 
     Retransmissions go through the network's fault filter like any other
     send, so a retransmitted copy can itself be dropped — delivery is
@@ -54,11 +67,11 @@ val default_config : config
 type 'm t
 
 (** [create ?config net] wraps [net]. The channel shares the network's
-    simulation for its retransmission timers. With [acks] on it installs
-    the network's delivery key ({!Network.set_delivery_key}), packing a
-    data packet's [(src, seq)] as [seq * size + src].
-    @raise Invalid_argument with [acks] on, if [timeout <= 0] or
-    [backoff < 1]. *)
+    simulation for its retry deadlines. With [acks] on it installs the
+    network's delivery key ({!Network.set_delivery_key}), packing a data
+    packet's [(src, seq)] as [seq * size + src].
+    @raise Invalid_argument with [acks] on, if [timeout <= 0],
+    [backoff < 1] or [max_backoff <= 0]. *)
 val create : ?config:config -> 'm packet Network.t -> 'm t
 
 (** [send t ~src ~dst body] — never blocks. *)

@@ -93,18 +93,23 @@ let grow_timed t =
   t.runs <- runs
 
 (* Hole-based sift-up: parents move down into the hole until [at]'s place
-   is found, then the event is written once. The new key exceeds every
-   queued one (sequence numbers only grow), so a parent at the same time
-   stays above it and the comparison reads times alone. Inlined into every
-   timed push, so that [at] stays unboxed from the caller's addition to
-   the store: the dev profile compiles with [-opaque], and nothing is
-   inlined across modules. *)
+   is found, then the event is written once. A freshly drawn key exceeds
+   every queued one, but a reserved key ({!schedule_reserved}) may not, so
+   a parent at the same time moves down when its key is the greater.
+   Inlined into every timed push, so that [at] stays unboxed from the
+   caller's addition to the store: the dev profile compiles with
+   [-opaque], and nothing is inlined across modules. *)
 let[@inline] push_timed t at key run =
   if t.size = Array.length t.times then grow_timed t;
   let times = t.times and keys = t.keys and runs = t.runs in
   let i = ref t.size in
   t.size <- t.size + 1;
-  while !i > 0 && times.((!i - 1) / 2) > at do
+  while
+    !i > 0
+    &&
+    let p = (!i - 1) / 2 in
+    times.(p) > at || (times.(p) = at && keys.(p) > key)
+  do
     let p = (!i - 1) / 2 in
     times.(!i) <- times.(p);
     keys.(!i) <- keys.(p);
@@ -165,6 +170,17 @@ let[@inline] push t ~at run =
 let schedule t ~delay f =
   assert (delay >= 0.);
   push t ~at:(t.clock +. delay) f
+
+let reserve t =
+  t.seq <- t.seq + 1;
+  t.seq
+
+(* A reserved number was drawn before the clock reached [at], so the event
+   belongs in the timed queue even at the current instant, ahead of the
+   FIFO's events there. *)
+let schedule_reserved t ~at ~seq f =
+  assert (at >= t.clock && seq <= t.seq);
+  push_timed t at (seq lsl 1) f
 
 (* A timed hop is tagged in its key rather than wrapped in a closure:
    {!run} queues its [k] on the FIFO instead of running it. *)

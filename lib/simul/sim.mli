@@ -20,7 +20,9 @@
     time was scheduled before the clock got there, so it precedes every
     FIFO event: the loop runs those first, then the FIFO, and only then
     advances the clock. Sequence numbers are drawn on every push to either
-    queue, so {!last_seq} means the same as with a single heap.
+    queue, so {!last_seq} means the same as with a single heap. A number
+    can also be drawn ahead of its event ({!reserve}), which joins the
+    timed queue later at the place that number gives it.
 
     A chain catches its steps' exceptions and reports them through
     {!fail}, so the run stops with {!Process_failure} naming the actor
@@ -59,9 +61,10 @@ val rng : t -> Random.State.t
 (** Number of simulated events executed so far, from either queue. *)
 val events_executed : t -> int
 
-(** Sequence number of the most recently scheduled event. Two equal-time
-    events execute in sequence order, so two runs that push the same
-    events in the same order end with the same [last_seq]. *)
+(** The last sequence number drawn, by a scheduled event or by
+    {!reserve}. Two equal-time events execute in sequence order, so two
+    runs that push the same events and reserve the same numbers in the
+    same order end with the same [last_seq]. *)
 val last_seq : t -> int
 
 (** [schedule t ~delay f] enqueues plain callback [f] to run at
@@ -69,6 +72,19 @@ val last_seq : t -> int
     [f] at the current instant, behind the events already there. The delay
     is a required argument so that no call boxes it in an option. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
+
+(** [reserve t] draws the next sequence number, as scheduling an event
+    would, and queues nothing. {!schedule_reserved} queues an event under
+    it later, in the place it would have had if scheduled now. *)
+val reserve : t -> int
+
+(** [schedule_reserved t ~at ~seq f] queues [f] to run at time [at] under
+    [seq], a number from {!reserve}: among events at [at] it runs in
+    sequence order, wherever it was pushed from. [at] must not precede the
+    clock, and [seq] must have been reserved before the clock reached
+    [at]: at the current instant the event runs before the events the
+    instant's own callbacks queued there. *)
+val schedule_reserved : t -> at:float -> seq:int -> (unit -> unit) -> unit
 
 (** [after t d k] runs [k] [d] virtual seconds from now, on two events: an
     event at [now t +. d] that queues [k] at the then-current instant,

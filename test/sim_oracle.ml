@@ -1,13 +1,14 @@
 (* Reference kernel: the simulator as it was before the same-instant FIFO
    and the flat-array timed queue, kept as the specification the two-queue
    kernel is compared against (test_simul.ml's kernel order property).
-   Every event, including those at the current instant, is an
-   [{at; seq; run}] record in the generic binary heap ([Heap]) ordered by
-   [(at, seq)]. It also keeps the effect-handler processes the library
-   kernel had before every actor became a callback chain, with their own
-   outcome type: test_simul.ml's dispatch property runs the node-process
-   shape on them as the reference for the library's callback drain. The
-   failure exception is the library's own. *)
+   Every event, including those at the current instant and those queued
+   under a reserved number, is an [{at; seq; run}] record in the generic
+   binary heap ([Heap]) ordered by [(at, seq)]. It also keeps the
+   effect-handler processes the library kernel had before every actor
+   became a callback chain, with their own outcome type: test_simul.ml's
+   dispatch property runs the node-process shape on them as the reference
+   for the library's callback drain. The failure exception is the
+   library's own. *)
 
 open Effect
 open Effect.Deep
@@ -63,6 +64,14 @@ let push t ~at run =
 let schedule t ~delay f =
   assert (delay >= 0.);
   push t ~at:(t.clock +. delay) f
+
+let reserve t =
+  t.seq <- t.seq + 1;
+  t.seq
+
+let schedule_reserved t ~at ~seq f =
+  assert (at >= t.clock && seq <= t.seq);
+  Heap.add t.queue { at; seq; run = f }
 
 (* [after] as the kernel had it before its hop was a tag on the queued
    key: a timed event whose closure pushes [k] at the then-current

@@ -301,7 +301,7 @@ let golden_e13_style () =
     Runner.drive sim (Engine.packed engine) (golden_gen nodes)
       { Runner.seed = 171; duration = 1.2; settle = 5.0; max_txns = 100_000 }
   in
-  check_golden "e13-style" ~digest:0x293c288b ~events:9672
+  check_golden "e13-style" ~digest:0x293c288b ~events:8558
     (history_digest outcome, Sim.events_executed sim)
 
 let golden_fault_free () =
@@ -362,7 +362,7 @@ let golden_e15_style () =
   let stat = Stats.Counter_set.get outcome.Runner.stats in
   checkb "a phase stalled" true (stat "proto.phase_stalled" > 0);
   checkb "suspicion excused a member" true (stat "proto.suspicion_excused" > 0);
-  check_golden "e15-style" ~digest:0x024a0d59 ~events:28181
+  check_golden "e15-style" ~digest:0x024a0d59 ~events:25463
     (history_digest outcome, Sim.events_executed sim)
 
 (* Sharded and replicated: S = 4 shards of two k = 2 groups' worth of
@@ -471,7 +471,7 @@ let golden_coord_crash_sweep () =
           acc crashes)
       (d0, n0) [ 0.05; 0.3 ]
   in
-  check_golden "coordinator crash sweep" ~digest:0x3f9e70c5 ~events:338109 fold
+  check_golden "coordinator crash sweep" ~digest:0x3f9e70c5 ~events:298108 fold
 
 (* The §5 path, on E5's shape: four point-of-sale nodes at 400/s with a
    fifth of the transactions reads. The NC3V run (half the updates

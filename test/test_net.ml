@@ -245,12 +245,16 @@ let delivered_seen_stays_bounded () =
 
 (* ------------------------------------------ channel == six-table oracle
 
-   The ring-window channel against the tuple-keyed channel it replaced
+   The ring-window channel, with its per-delay deadline queues, against
+   the tuple-keyed channel with a timer per packet that it replaced
    (reliable_oracle.ml). Each runs on its own simulation and network with
    the same seed, through the same program of sends and [run ~until]
    segments, under a filter that drops, duplicates and delays copies from
    its own seeded RNG. Everything the channels expose is compared after
-   every step. *)
+   every step, and so are two logs: each retransmission the filter sees,
+   as (instant, src, dst), and each data copy a receiver takes, as
+   (instant, node, src, seq). A retransmitted copy's sequence is visible
+   outside the channel only where the copy lands. *)
 
 module type CHANNEL = sig
   type 'm t
@@ -305,17 +309,13 @@ module Drive (C : CHANNEL) = struct
     net : int Reliable.packet Network.t;
     ch : int C.t;
     got : int list array;  (** payloads each node received, newest first *)
+    mutable retransmitted : (float * int * int) list;  (** newest first *)
+    mutable copies : (float * int * int * int) list;  (** newest first *)
   }
 
   let start p =
     let sim = Sim.create ~seed:p.seed () in
     let net = Network.create sim ~size:p.nodes ~latency:(Latency.Exponential 0.002) () in
-    (* One RNG per link, so a link's fates do not depend on other links. *)
-    let links =
-      Array.init (p.nodes * p.nodes) (fun l ->
-          lossy_filter p sim ~src:(l / p.nodes) ~dst:(l mod p.nodes))
-    in
-    Network.set_filter net (fun ~src ~dst ~delay -> links.((src * p.nodes) + dst) ~delay);
     let ch =
       C.create
         ~config:
@@ -328,22 +328,47 @@ module Drive (C : CHANNEL) = struct
           }
         net
     in
-    let got = Array.make p.nodes [] in
+    let s = { sim; net; ch; got = Array.make p.nodes []; retransmitted = []; copies = [] } in
+    (* One RNG per link, so a link's fates do not depend on other links.
+       Both channels count a retransmission just before they send it, so
+       the send that follows a new count is that retransmission. *)
+    let links =
+      Array.init (p.nodes * p.nodes) (fun l ->
+          lossy_filter p sim ~src:(l / p.nodes) ~dst:(l mod p.nodes))
+    in
+    let counted = ref 0 in
+    Network.set_filter net (fun ~src ~dst ~delay ->
+        if C.retransmissions ch > !counted then begin
+          counted := C.retransmissions ch;
+          s.retransmitted <- (Sim.now sim, src, dst) :: s.retransmitted
+        end;
+        links.((src * p.nodes) + dst) ~delay);
     for node = 0 to p.nodes - 1 do
       receive sim net ~node (fun p ->
+          (match p with
+          | Reliable.Data { src; seq; _ } -> s.copies <- (Sim.now sim, node, src, seq) :: s.copies
+          | Reliable.Ack _ -> ());
           match (C.accept ch ~node p, p) with
-          | true, Reliable.Data { body; _ } -> got.(node) <- body :: got.(node)
+          | true, Reliable.Data { body; _ } -> s.got.(node) <- body :: s.got.(node)
           | _, (Reliable.Data _ | Reliable.Ack _) -> ())
     done;
-    { sim; net; ch; got }
+    s
 
+  (* Sends run at whatever instant the last event left the clock, and the
+     two channels run different events: the timer-per-packet channel one
+     for each packet acked before its deadline, the deadline queues few. A
+     no-op event at each segment's horizon leaves the clock there on both
+     sides; each segment starts with the clock at the previous horizon, so
+     [dt] from now is exactly [clock +. dt]. *)
   let step s ~clock i = function
     | Send (src, dst) -> C.send s.ch ~src ~dst i
-    | Run dt -> ignore (Sim.run s.sim ~until:(clock +. dt) () : Sim.outcome)
+    | Run dt ->
+        Sim.schedule s.sim ~delay:dt ignore;
+        ignore (Sim.run s.sim ~until:(clock +. dt) () : Sim.outcome)
 
   let observe p s =
     let nodes = List.init p.nodes Fun.id in
-    ( Array.to_list s.got,
+    ( (Array.to_list s.got, s.retransmitted, s.copies),
       [
         C.retransmissions s.ch;
         C.dup_dropped s.ch;
@@ -504,6 +529,79 @@ let acked_send_cost () =
   if acked -. raw > 2. then
     Alcotest.failf "an acked send allocates %.2f minor words, a raw one %.2f" acked raw
 
+(* Retransmission arms no timer of its own. The link drops every copy, so
+   every packet stays armed, and a send with retransmission on allocates
+   within a word of one with it off: its deadline is four slots in the
+   first level's arrays, with no closure. *)
+let retransmit_send_cost () =
+  let n = 10_000 in
+  let words_per_send ~retransmit =
+    let sim = Sim.create () in
+    let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.001) () in
+    Network.set_filter net (fun ~src:_ ~dst:_ ~delay:_ -> []);
+    let ch =
+      Reliable.create
+        ~config:{ Reliable.default_config with Reliable.acks = true; retransmit }
+        net
+    in
+    (* The first send allocates the source's row and the stream. *)
+    Reliable.send ch ~src:0 ~dst:1 0;
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      Reliable.send ch ~src:0 ~dst:1 i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let off = words_per_send ~retransmit:false and on = words_per_send ~retransmit:true in
+  if on -. off > 1. then
+    Alcotest.failf "a send allocates %.2f minor words with retransmission on, %.2f off" on off
+
+(* Every packet of a lossless burst is acked before its deadline. The
+   burst runs the deliveries, acks and wakes it runs with retransmission
+   off, plus one deadline event for the level's oldest packet, which finds
+   it acked, and none for the rest. *)
+let acked_burst_events () =
+  let n = 200 in
+  let events ~retransmit =
+    let sim = Sim.create () in
+    let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.001) () in
+    let ch =
+      Reliable.create
+        ~config:{ Reliable.default_config with Reliable.acks = true; retransmit }
+        net
+    in
+    for node = 0 to 1 do
+      receive sim net ~node (fun p -> ignore (Reliable.accept ch ~node p : bool))
+    done;
+    for i = 1 to n do
+      Reliable.send ch ~src:0 ~dst:1 i
+    done;
+    ignore (Sim.run sim () : Sim.outcome);
+    checki "every packet acked" 0 (Reliable.unacked_to ch ~dst:1);
+    checki "nothing retransmitted" 0 (Reliable.retransmissions ch);
+    Sim.events_executed sim
+  in
+  let off = events ~retransmit:false and on = events ~retransmit:true in
+  if on - off > 1 then
+    Alcotest.failf "a lossless burst of %d sends ran %d deadline events" n (on - off)
+
+let max_backoff_rejected () =
+  let sim = Sim.create () in
+  let net = Network.create sim ~size:2 ~latency:(Latency.Constant 0.001) () in
+  List.iter
+    (fun max_backoff ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_backoff %g" max_backoff)
+        (Invalid_argument
+           "Reliable.create: timeout and max_backoff must be positive and backoff >= 1")
+        (fun () ->
+          ignore
+            (Reliable.create
+               ~config:{ Reliable.default_config with Reliable.acks = true; max_backoff }
+               net
+              : unit Reliable.t)))
+    [ 0.; -1. ]
+
 let zero_size_rejected () =
   let sim = Sim.create () in
   Alcotest.check_raises "size 0"
@@ -591,6 +689,9 @@ let () =
           Alcotest.test_case "ring growth" `Quick channel_ring_growth;
           Alcotest.test_case "straggler recount" `Quick channel_straggler_recount;
           Alcotest.test_case "acked send cost" `Quick acked_send_cost;
+          Alcotest.test_case "retransmit send cost" `Quick retransmit_send_cost;
+          Alcotest.test_case "acked burst events" `Quick acked_burst_events;
+          Alcotest.test_case "max_backoff rejected" `Quick max_backoff_rejected;
         ] );
       ( "latency",
         [

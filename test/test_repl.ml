@@ -326,7 +326,7 @@ let golden_k1_restart_digest () =
   checkb
     (Printf.sprintf "k=1 crash digest 0x%08x (got 0x%08x)" 0x2f6d0f2e d)
     true (d = 0x2f6d0f2e);
-  checki "k=1 crash event count" 15417 events;
+  checki "k=1 crash event count" 13237 events;
   (* Replaying the identical schedule must reproduce the digest — the
      reproducer contract under a node restart. *)
   let outcome2, events2 = golden_k1_crash_run () in

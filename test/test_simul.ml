@@ -317,11 +317,12 @@ let semaphore_counting () =
 (* ---------------------------------------------- kernel order oracle *)
 
 (* The kernel's contract is one total order, [(at, seq)], however it queues
-   events. [Program] runs a small callback program on any kernel with
-   this interface and records what an observer can see; the order
-   property runs the same program on the two-queue kernel and on the
-   heap-only reference kernel ([Sim_oracle]) and requires the same record
-   after every step. *)
+   events, including an event queued under a number reserved earlier.
+   [Program] runs a small callback program on any kernel with this
+   interface and records what an observer can see; the order property
+   runs the same program on the two-queue kernel and on the heap-only
+   reference kernel ([Sim_oracle]) and requires the same record after
+   every step. *)
 module type KERNEL = sig
   type t
 
@@ -330,6 +331,8 @@ module type KERNEL = sig
   val events_executed : t -> int
   val last_seq : t -> int
   val schedule : t -> delay:float -> (unit -> unit) -> unit
+  val reserve : t -> int
+  val schedule_reserved : t -> at:float -> seq:int -> (unit -> unit) -> unit
   val after : t -> float -> (unit -> unit) -> unit
   val fail : t -> string -> exn -> unit
 
@@ -367,6 +370,11 @@ type act =
   | Fill of int  (** ivar [i]; a no-op once full *)
   | Schedule of float * act list  (** a callback after a delay *)
   | After of float * act list  (** [after] a callback *)
+  | Reserve of int * float
+      (** reserve a number for an event this long from now, in slot [i] *)
+  | Queue of int * act list
+      (** queue a callback under slot [i]'s number, unless it is empty or
+          its instant has passed *)
   | Fail
 
 (* What the program does between runs. *)
@@ -379,6 +387,7 @@ module Program (K : KERNEL) = struct
     sim : K.t;
     boxes : int Mailbox.t array;
     ivars : int Ivar.t array;
+    slots : (float * int) option array;  (** reserved instants and numbers *)
     mutable log : string list;  (* newest first *)
     mutable next : int;
   }
@@ -388,6 +397,7 @@ module Program (K : KERNEL) = struct
       sim = K.create ();
       boxes = Array.init 2 (fun _ -> Mailbox.create ());
       ivars = Array.init 2 (fun _ -> Ivar.create ());
+      slots = Array.make 2 None;
       log = [];
       next = 0;
     }
@@ -433,6 +443,14 @@ module Program (K : KERNEL) = struct
     | After (delay, body) ->
         let name = Printf.sprintf "a%d" (fresh st) in
         K.after st.sim delay (fun () -> exec st name body)
+    | Reserve (i, delay) -> st.slots.(i) <- Some (K.now st.sim +. delay, K.reserve st.sim)
+    | Queue (i, body) -> (
+        match st.slots.(i) with
+        | Some (at, seq) when at >= K.now st.sim ->
+            st.slots.(i) <- None;
+            let name = Printf.sprintf "r%d" (fresh st) in
+            K.schedule_reserved st.sim ~at ~seq (fun () -> exec st name body)
+        | Some _ | None -> note st "%s finds slot %d unusable" name i)
     | Fail -> failwith name
 
   and later st delay body =
@@ -472,7 +490,10 @@ let first_divergence steps =
 let gen_delay = QCheck.Gen.oneofl [ 0.; 0.; 1e-20; 0.5; 1.0; 1.5 ]
 
 (* About half the programs fail somewhere, and every run after a failure
-   raises it again; the rest run to completion. *)
+   raises it again; the rest run to completion. A reservation's delay
+   always moves the clock, as the kernel requires of a number queued at
+   its instant; reservations share instants, and are queued in any order,
+   from events before their instant or at it. *)
 let gen_acts =
   QCheck.Gen.(
     fix
@@ -483,6 +504,7 @@ let gen_acts =
                 (27, map (fun b -> Send b) (int_bound 1));
                 (18, map (fun b -> Arm b) (int_bound 1));
                 (18, map (fun i -> Fill i) (int_bound 1));
+                (9, map2 (fun i d -> Reserve (i, d)) (int_bound 1) (oneofl [ 0.5; 1.0 ]));
                 (1, return Fail);
               ]
              @
@@ -491,6 +513,7 @@ let gen_acts =
                [
                  (18, map2 (fun d body -> Schedule (d, body)) gen_delay (self (depth - 1)));
                  (18, map2 (fun d body -> After (d, body)) gen_delay (self (depth - 1)));
+                 (12, map2 (fun i body -> Queue (i, body)) (int_bound 1) (self (depth - 1)));
                ])))
       3)
 
@@ -512,6 +535,53 @@ let kernel_order_property =
       match first_divergence steps with
       | None -> true
       | Some i -> QCheck.Test.fail_reportf "observations differ after step %d" i)
+
+(* Two numbers reserved at time 0 for one instant, then a callback [cx]
+   scheduled there; after a run, a second callback [cz] for the same
+   instant.
+   At that instant [cx] queues a same-instant callback [cy], then an event
+   under the second number, then one under the first. The reserved events
+   run first, in number order though queued in the other, ahead of [cz],
+   which was queued long before them under a later number, and ahead of
+   [cy], which was queued before them at their instant. *)
+let sim_reserved_order () =
+  let steps =
+    [
+      Later
+        ( 0.,
+          [
+            Reserve (0, 1.0);
+            Reserve (1, 1.0);
+            Schedule
+              ( 1.0,
+                [ Schedule (0., [ Fill 0 ]); Send 0; Queue (1, [ Send 1 ]); Queue (0, [ Fill 1 ]) ]
+              );
+            Arm 0;
+            Arm 1;
+          ] );
+      Run (Some 0.5);
+      Later (1.0, [ Fill 0 ]);
+      Run None;
+    ]
+  in
+  checkb "same observations" true (first_divergence steps = None);
+  let st = Fifo_kernel.create () in
+  List.iter (fun step -> ignore (Fifo_kernel.step st step : string)) steps;
+  (* The callbacks that ended at 1.0, in order, by name: a letter for how
+     each was queued and the number it was named with. *)
+  let ended =
+    List.filter_map
+      (fun e ->
+        match String.split_on_char '@' e with
+        | [ label; at ] when Float.of_string at = 1.0 && String.ends_with ~suffix:".end" label ->
+            Some (label.[0], int_of_string (String.sub label 1 (String.length label - 5)))
+        | _ -> None)
+      (List.rev st.Fifo_kernel.log)
+  in
+  match ended with
+  | [ ('c', cx); ('r', first); ('r', second); ('c', cz); ('c', cy) ] ->
+      checkb "named in queuing order" true (cx < cz && cz < cy && cy < second && second < first)
+  | _ -> Alcotest.fail "the instant's callbacks ran in another order"
 
 (* A deterministic program with hundreds of same-instant events in flight,
    so the FIFO grows while its head is mid-ring: 150 callbacks queued at
@@ -934,6 +1004,7 @@ let () =
             sim_events_executed_counts;
           Alcotest.test_case "fifo growth keeps the order" `Quick
             sim_fifo_growth_order;
+          Alcotest.test_case "reserved numbers keep the order" `Quick sim_reserved_order;
           Alcotest.test_case "deep timed queue keeps the order" `Quick
             sim_deep_queue_order;
           Alcotest.test_case "timed schedule cost" `Quick (timed_event_cost ~after:false);
