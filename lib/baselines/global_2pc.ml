@@ -114,7 +114,7 @@ let apply_decision t node ~txn_id ~commit =
                 List.iter
                   (fun (key, op) ->
                     Mvstore.write_upward node.store ~key ~version:0 ~init:Value.empty
-                      ~f:(Op.apply op ~txn:p.p_txn))
+                      ~f:Op.apply op p.p_txn)
                   (List.rev p.p_buffered))
         (List.rev !ids);
       Lockmgr.release_all node.locks ~owner:txn_id
@@ -192,12 +192,12 @@ let run_ops node p ops =
                visible to its own later reads. *)
             let base =
               match Mvstore.read_visible node.store ~key ~version:0 with
-              | Some (_, v) -> v
+              | Some v -> v
               | None -> Value.empty
             in
             List.fold_left
               (fun acc (k, op) ->
-                if Store.Key.equal k key then Op.apply op ~txn:p.p_txn acc else acc)
+                if Store.Key.equal k key then Op.apply op p.p_txn acc else acc)
               base (List.rev p.p_buffered)
           in
           p.p_reads <- p.p_reads @ [ (key, value) ]

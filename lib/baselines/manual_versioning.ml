@@ -149,13 +149,13 @@ let run_ops node p ops =
       | Op.Read key ->
           let value =
             match Mvstore.read_visible node.store ~key ~version:p.p_version with
-            | Some (_, v) -> v
+            | Some v -> v
             | None -> Value.empty
           in
           p.p_reads <- p.p_reads @ [ (key, value) ]
       | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
           Mvstore.write_upward node.store ~key:(Op.key op) ~version:p.p_version
-            ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn))
+            ~init:Value.empty ~f:Op.apply op p.p_txn)
     ops
 
 (* One subtransaction's local work as one staged closure, [resume], on the

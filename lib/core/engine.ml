@@ -559,7 +559,7 @@ let apply_decision t node ~txn_id ~commit =
               List.iter
                 (fun (key, op) ->
                   Mvstore.write_exact node.store ~key ~version:p.p_version
-                    ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn);
+                    ~init:Value.empty ~f:Op.apply op p.p_txn;
                   note_divergence t node op)
                 (List.rev p.p_buffered);
             bump_c t node ~version:p.p_version ~src:p.p_source;
@@ -675,22 +675,22 @@ let run_ops_commuting t node p ops =
     (fun op ->
       match op with
       | Op.Read key ->
-          let found = Mvstore.read_visible node.store ~key ~version:p.p_version in
-          let version_seen, value =
-            match found with
-            | Some (v, value) -> (v, value)
-            | None -> (-1, Value.empty)
+          let value =
+            match Mvstore.read_visible node.store ~key ~version:p.p_version with
+            | Some value -> value
+            | None -> Value.empty
           in
           if tracing t then
-            tr t node.name "tx %s reads %s version %d" p.p_label (Key.name key) version_seen;
+            tr t node.name "tx %s reads %s version %d" p.p_label (Key.name key)
+              (Mvstore.visible_version node.store ~key ~version:p.p_version);
           p.p_reads_rev <- (key, value) :: p.p_reads_rev
       | Op.Incr _ | Op.Append _ | Op.Overwrite _ ->
           if t.cfg.dual_writes then
             Mvstore.write_upward node.store ~key:(Op.key op) ~version:p.p_version
-              ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn)
+              ~init:Value.empty ~f:Op.apply op p.p_txn
           else
             Mvstore.write_exact node.store ~key:(Op.key op) ~version:p.p_version
-              ~init:Value.empty ~f:(Op.apply op ~txn:p.p_txn);
+              ~init:Value.empty ~f:Op.apply op p.p_txn;
           note_divergence t node op;
           mirror_write t node p op;
           if tracing t then begin
@@ -717,7 +717,7 @@ let run_ops_nc t node p ops =
         | Op.Read key ->
             let value =
               match Mvstore.read_visible node.store ~key ~version:p.p_version with
-              | Some (_, value) -> value
+              | Some value -> value
               | None -> Value.empty
             in
             p.p_reads_rev <- (key, value) :: p.p_reads_rev
@@ -1216,7 +1216,7 @@ let handle_node_msg t node = function
          matching the sender whose R row for that version is gone too. *)
       let floor = Mvstore.gc_floor node.store in
       Mvstore.write_upward node.store ~key:(Op.key op) ~version:(max version floor)
-        ~init:Value.empty ~f:(Op.apply op ~txn:txn_id);
+        ~init:Value.empty ~f:Op.apply op txn_id;
       if version >= floor then
         Counters.incr_c node.cnt ~version ~src:(cnt_ix t node source);
       cstat t "repl.mirror_applies";

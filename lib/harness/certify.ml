@@ -16,7 +16,7 @@ let settled_lookup ~nodes store key =
     if node < 0 then None
     else
       match Store.Mvstore.read_visible (store ~node) ~key ~version:max_int with
-      | Some (_, v) -> Some v
+      | Some _ as found -> found
       | None -> scan (node - 1)
   in
   scan (nodes - 1)

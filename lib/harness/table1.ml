@@ -61,7 +61,7 @@ let scripted_links () =
 let preload engine =
   let put node key =
     Mvstore.write_exact (Engine.store engine ~node) ~key:(Store.Key.intern key) ~version:0
-      ~init:Value.empty ~f:Fun.id
+      ~init:Value.empty ~f:(fun () () v -> v) () ()
   in
   put p "A";
   put p "B";

@@ -75,6 +75,14 @@ let deliver t ~dst msg =
 let schedule_delivery t ~dst ~delay msg =
   Sim.schedule t.simulation ~delay (fun () -> deliver t ~dst msg)
 
+(* A filtered send's copies, in the filter's order, with no closure of
+   their own. *)
+let rec schedule_copies t ~dst msg = function
+  | [] -> ()
+  | delay :: copies ->
+      schedule_delivery t ~dst ~delay msg;
+      schedule_copies t ~dst msg copies
+
 let send t ~src ~dst msg =
   check_node t src "send";
   check_node t dst "send";
@@ -96,7 +104,7 @@ let send t ~src ~dst msg =
   | Some f -> (
       match f ~src ~dst ~delay with
       | [] -> t.dropped <- t.dropped + 1
-      | copies -> List.iter (fun d -> schedule_delivery t ~dst ~delay:d msg) copies)
+      | copies -> schedule_copies t ~dst msg copies)
 
 let inbox t ~node =
   check_node t node "inbox";

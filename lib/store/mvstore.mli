@@ -24,9 +24,13 @@
     open-addressing table of the ids it holds, at most half full, probed
     from a multiplicative hash of the id, so a lookup hashes no string and
     allocates nothing. Only lookups read the table: {!keys} and {!fold}
-    list items in name order. An item's versions are an immutable list,
-    descending, so a write rebuilds only the versions it updates (those ≥
-    [v]) and shares the older ones with the list it replaces.
+    list items in name order. An item holds its three newest versions in
+    three slots of its own record, newest first, so a read picks one of
+    three labels, a write assigns values in place and GC relabels and
+    clears slots in place: none of them allocates. A fourth or older
+    version, which only a store whose GC falls behind holds (the A2
+    ablation, or the manual-versioning baseline, which never collects),
+    goes to a descending overflow list behind the slots.
 
     The store also instruments itself so the paper's ≤3-simultaneous-versions
     property (§4.4, property 2a) is checkable: {!max_versions_ever}. *)
@@ -36,11 +40,15 @@ type 'v t
 (** An empty store (no keys, no versions). *)
 val create : unit -> 'v t
 
-(** [read_visible t ~key ~version] is [Some (v0, value)] where [v0] is the
-    maximum existing version of [key] with [v0 <= version], or [None] if the
-    item has no version ≤ [version]. It allocates only the [Some]: the pair
-    is the one the store holds. *)
-val read_visible : 'v t -> key:Key.t -> version:int -> (int * 'v) option
+(** [read_visible t ~key ~version] is [Some value] for the maximum
+    existing version of [key] at or below [version], or [None] if the item
+    has no version ≤ [version]. It allocates only the [Some]. *)
+val read_visible : 'v t -> key:Key.t -> version:int -> 'v option
+
+(** [visible_version t ~key ~version] is the label of the version
+    {!read_visible} reads, or [-1] when it reads none. It allocates
+    nothing. *)
+val visible_version : 'v t -> key:Key.t -> version:int -> int
 
 (** [read_exact t ~key ~version] is the value stored at exactly that version. *)
 val read_exact : 'v t -> key:Key.t -> version:int -> 'v option
@@ -53,22 +61,28 @@ val exists : 'v t -> key:Key.t -> version:int -> bool
     strictly greater than [version] — the NC3V abort condition (§5 step 4). *)
 val exists_above : 'v t -> key:Key.t -> version:int -> bool
 
-(** [write_upward t ~key ~version ~init ~f] performs the paper's update step:
-    ensure [x(version)] exists (copying from the max version ≤ [version], or
-    materializing [init] when the key is entirely new), then replace every
-    version ≥ [version] with [f old_value], newest first. The versions below
-    [version] are kept as they are, not copied. Atomic w.r.t. the
-    simulation (plain OCaml code, no suspension point). A write that
-    updates two or more versions counts in {!dual_writes}. *)
-val write_upward : 'v t -> key:Key.t -> version:int -> init:'v -> f:('v -> 'v) -> unit
+(** [write_upward t ~key ~version ~init ~f a b] performs the paper's
+    update step: ensure [x(version)] exists (copying from the max version ≤
+    [version], or materializing [init] when the key is entirely new), then
+    replace every version ≥ [version] with [f a b old_value], newest first.
+    The versions below [version] are kept as they are. [f] takes its two
+    arguments from the caller, so a static function needs no closure. The
+    write assigns in place: it allocates nothing beyond what [f] does,
+    unless it reaches the overflow. Atomic w.r.t. the simulation (plain
+    OCaml code, no suspension point). A write that updates two or more
+    versions counts in {!dual_writes}. *)
+val write_upward :
+  'v t -> key:Key.t -> version:int -> init:'v -> f:('a -> 'b -> 'v -> 'v) -> 'a -> 'b -> unit
 
-(** [write_exact t ~key ~version ~init ~f] updates only [x(version)]
+(** [write_exact t ~key ~version ~init ~f a b] updates only [x(version)]
     (creating it as in {!write_upward} if needed) and never touches higher
     versions — the NC3V write rule (§5 step 4 updates only [x(V(K))]). *)
-val write_exact : 'v t -> key:Key.t -> version:int -> init:'v -> f:('v -> 'v) -> unit
+val write_exact :
+  'v t -> key:Key.t -> version:int -> init:'v -> f:('a -> 'b -> 'v -> 'v) -> 'a -> 'b -> unit
 
 (** [gc t ~new_read_version] applies phase-4 garbage collection (see above).
-    Its cost is in the number of multi-version items, not the store's size. *)
+    Its cost is in the number of multi-version items, not the store's size,
+    and it allocates nothing on an item without overflow. *)
 val gc : 'v t -> new_read_version:int -> unit
 
 (** Highest [new_read_version] ever garbage-collected to (0 before any GC).

@@ -15,7 +15,7 @@ let commuting_write = function
   | Incr _ | Append _ -> true
   | Read _ | Overwrite _ -> false
 
-let apply op ~txn v =
+let apply op txn v =
   match op with
   | Read _ -> v
   | Incr (_, delta) -> Value.incr ~txn ~delta v

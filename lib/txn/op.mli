@@ -25,5 +25,7 @@ val is_write : t -> bool
     ([Incr], [Append]); false for [Overwrite]; false for [Read]. *)
 val commuting_write : t -> bool
 
-(** [apply op ~txn v] is the value after the write (identity for [Read]). *)
-val apply : t -> txn:int -> Value.t -> Value.t
+(** [apply op txn v] is the value after transaction [txn]'s write
+    (identity for [Read]). Its arguments are positional so that the store's
+    writes take it as their static [~f]. *)
+val apply : t -> int -> Value.t -> Value.t

@@ -1,10 +1,11 @@
-(* Reference store: the multi-version store as it was before the GC list,
-   kept as the specification the lazy store is compared against
-   (test_store.ml's equivalence property). Its [gc] sweeps every item of
-   the table and relabels each single-version item below the new read
-   version on the spot. Writes return nothing: the equivalence property
-   compares the two stores' copy and dual-write counts, version lists and
-   key listing after every operation. *)
+(* Reference store: the multi-version store as it was before the GC list
+   and the version slots, kept as the specification the store is compared
+   against (test_store.ml's equivalence property). Each item's versions
+   are one descending list, rebuilt by every write, and its [gc] sweeps
+   every item of the table and relabels each single-version item below the
+   new read version on the spot. Writes return nothing: the equivalence
+   property compares the two stores' copy and dual-write counts, version
+   lists and key listing after every operation. *)
 
 type 'v item = { mutable versions : (int * 'v) list (* descending by version *) }
 
@@ -27,12 +28,16 @@ let create () =
 
 let find_item t key = Hashtbl.find_opt t.items key
 
-let read_visible t ~key ~version =
+(* Versions are descending: the first one ≤ [version] is the max. *)
+let visible t ~key ~version =
   match find_item t key with
   | None -> None
-  | Some item ->
-      (* Versions are descending: first one ≤ [version] is the max. *)
-      List.find_opt (fun (v, _) -> v <= version) item.versions
+  | Some item -> List.find_opt (fun (v, _) -> v <= version) item.versions
+
+let read_visible t ~key ~version = Option.map snd (visible t ~key ~version)
+
+let visible_version t ~key ~version =
+  match visible t ~key ~version with Some (v, _) -> v | None -> -1
 
 let read_exact t ~key ~version =
   match find_item t key with
@@ -84,7 +89,7 @@ let get_or_add_item t key =
       Hashtbl.replace t.items key item;
       item
 
-let write_upward t ~key ~version ~init ~f =
+let write_upward t ~key ~version ~init ~f a b =
   let item = get_or_add_item t key in
   ensure_version t item version init;
   let updated = ref 0 in
@@ -93,18 +98,18 @@ let write_upward t ~key ~version ~init ~f =
       (fun (v, value) ->
         if v >= version then begin
           incr updated;
-          (v, f value)
+          (v, f a b value)
         end
         else (v, value))
       item.versions;
   if !updated >= 2 then t.dual_writes <- t.dual_writes + 1
 
-let write_exact t ~key ~version ~init ~f =
+let write_exact t ~key ~version ~init ~f a b =
   let item = get_or_add_item t key in
   ensure_version t item version init;
   item.versions <-
     List.map
-      (fun (v, value) -> if v = version then (v, f value) else (v, value))
+      (fun (v, value) -> if v = version then (v, f a b value) else (v, value))
       item.versions
 
 let gc t ~new_read_version =

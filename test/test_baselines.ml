@@ -37,7 +37,7 @@ let twopc_commit_and_apply () =
     (match Ivar.peek r with Some res -> Result.committed res | None -> false);
   let amt node key =
     match Mvstore.read_visible (Global_2pc.store eng ~node) ~key:(Key.intern key) ~version:0 with
-    | Some (_, v) -> v.Value.amount
+    | Some v -> v.Value.amount
     | None -> 0.
   in
   checkf "a applied" 1. (amt 0 "a");
@@ -110,7 +110,7 @@ let twopc_deadlock_resolved () =
   checkb "at least one victim" true (aborted >= 1);
   let amt node key =
     match Mvstore.read_visible (Global_2pc.store eng ~node) ~key:(Key.intern key) ~version:0 with
-    | Some (_, v) -> v.Value.amount
+    | Some v -> v.Value.amount
     | None -> 0.
   in
   let committed = 2 - aborted in
@@ -142,7 +142,7 @@ let twopc_aborted_writes_invisible () =
   in
   let amt node key =
     match Mvstore.read_visible (Global_2pc.store eng ~node) ~key:(Key.intern key) ~version:0 with
-    | Some (_, v) -> v.Value.amount
+    | Some v -> v.Value.amount
     | None -> 0.
   in
   (* Each committed transaction adds exactly 1 to both keys; aborted ones
@@ -170,7 +170,7 @@ let nocoord_commits_everything () =
        rs);
   let amt node key =
     match Mvstore.read_visible (Manual.store eng ~node) ~key:(Key.intern key) ~version:0 with
-    | Some (_, v) -> v.Value.amount
+    | Some v -> v.Value.amount
     | None -> 0.
   in
   checkf "a" 10. (amt 0 "a");

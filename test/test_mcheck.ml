@@ -333,7 +333,7 @@ let compensation_scenario ~choice_budget ctl =
       Store.Mvstore.read_visible (Engine.store engine ~node) ~key:(Key.intern key)
         ~version:max_int
     with
-    | Some (_, v) -> v.Txn.Value.amount
+    | Some v -> v.Txn.Value.amount
     | None -> 0.
   in
   if amount 0 "a" <> 0. || amount 1 "b" <> 0. then

@@ -149,10 +149,13 @@ let batching_preserves_fifo () =
    option box. One message is in flight at a time: node 1's inbox is
    drained by callbacks, and each drain sends the next message, so every
    copy is a delivery event of its own at a distinct instant. *)
-let remote_send_cost () =
+(* Minor words per remote send and its delivery, through [filter] when
+   one is given. *)
+let send_words ?filter () =
   let n = 10_000 in
   let sim = Sim.create () in
   let net = Network.create sim ~size:2 ~latency:(Latency.Exponential 0.001) () in
+  Option.iter (Network.set_filter net) filter;
   let inbox = Network.inbox net ~node:1 in
   let sent = ref 0 and taken = ref 0 in
   let rec drain () =
@@ -173,8 +176,21 @@ let remote_send_cost () =
   ignore (Sim.run sim ());
   let words = (Gc.minor_words () -. before) /. float_of_int (n - mark) in
   checki "every message taken" (n * (n + 1) / 2) !taken;
+  words
+
+let remote_send_cost () =
+  let words = send_words () in
   if words > 14. then
     Alcotest.failf "a remote send and its delivery allocate %.2f minor words" words
+
+(* A send through a filter allocates only the filter's list of copies
+   beyond an unfiltered send: one cell for a pass-through filter. *)
+let filtered_send_cost () =
+  let plain = send_words () in
+  let filtered = send_words ~filter:(fun ~src:_ ~dst:_ ~delay -> [ delay ]) () in
+  if filtered -. plain > 3.01 then
+    Alcotest.failf "a filtered send allocates %.2f minor words, an unfiltered one %.2f" filtered
+      plain
 
 module Reliable = Netsim.Reliable
 
@@ -676,6 +692,7 @@ let () =
           Alcotest.test_case "batching preserves fifo" `Quick
             batching_preserves_fifo;
           Alcotest.test_case "remote send cost" `Quick remote_send_cost;
+          Alcotest.test_case "filtered send cost" `Quick filtered_send_cost;
           Alcotest.test_case "delivered_seen stays bounded" `Quick
             delivered_seen_stays_bounded;
           Alcotest.test_case "delivered counts at delivery" `Quick

@@ -8,22 +8,31 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let vlist = Alcotest.(check (list int))
 
-(* A tiny value type: the store is polymorphic, ints suffice here. *)
-let put store ~key ~version value =
-  Mvstore.write_exact store ~key ~version ~init:0 ~f:(fun _ -> value)
+(* A tiny value type: the store is polymorphic, ints suffice here. [set]
+   and [add] are static write functions; [up] and [exact] write through a
+   closure. *)
+let set value () _ = value
+let add d () v = v + d
+let put store ~key ~version value = Mvstore.write_exact store ~key ~version ~init:0 ~f:set value ()
+let apply f () v = f v
+let up store ~key ~version ~init f = Mvstore.write_upward store ~key ~version ~init ~f:apply f ()
+let exact store ~key ~version ~init f = Mvstore.write_exact store ~key ~version ~init ~f:apply f ()
+
+(* What a read at [version] sees: the version's label and its value. *)
+let seen store ~key ~version =
+  (Mvstore.visible_version store ~key ~version, Mvstore.read_visible store ~key ~version)
 
 let read_visible_rules () =
   let s = Mvstore.create () in
   put s ~key:(Key.intern "x") ~version:0 10;
   put s ~key:(Key.intern "x") ~version:2 30;
   (* Max existing version not exceeding the requested one. *)
-  checkb "v0" true (Mvstore.read_visible s ~key:(Key.intern "x") ~version:0 = Some (0, 10));
-  checkb "v1 falls back to v0" true
-    (Mvstore.read_visible s ~key:(Key.intern "x") ~version:1 = Some (0, 10));
-  checkb "v2" true (Mvstore.read_visible s ~key:(Key.intern "x") ~version:2 = Some (2, 30));
-  checkb "v9 sees latest" true
-    (Mvstore.read_visible s ~key:(Key.intern "x") ~version:9 = Some (2, 30));
-  checkb "missing key" true (Mvstore.read_visible s ~key:(Key.intern "y") ~version:5 = None)
+  checkb "v0" true (seen s ~key:(Key.intern "x") ~version:0 = (0, Some 10));
+  checkb "v1 falls back to v0" true (seen s ~key:(Key.intern "x") ~version:1 = (0, Some 10));
+  checkb "v2" true (seen s ~key:(Key.intern "x") ~version:2 = (2, Some 30));
+  checkb "v9 sees latest" true (seen s ~key:(Key.intern "x") ~version:9 = (2, Some 30));
+  checkb "below every version" true (seen s ~key:(Key.intern "x") ~version:(-1) = (-1, None));
+  checkb "missing key" true (seen s ~key:(Key.intern "y") ~version:5 = (-1, None))
 
 let read_exact_and_exists () =
   let s = Mvstore.create () in
@@ -40,7 +49,7 @@ let write_upward_copy_on_update () =
   let s = Mvstore.create () in
   put s ~key:(Key.intern "x") ~version:0 100;
   (* Writing version 1 copies version 0 first, then updates version 1. *)
-  Mvstore.write_upward s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1);
+  up s ~key:(Key.intern "x") ~version:1 ~init:0 (fun v -> v + 1);
   checki "copied" 1 (Mvstore.copies_created s);
   vlist "not new item: v0 kept beside the copy" [ 1; 0 ]
     (Mvstore.versions_of s ~key:(Key.intern "x"));
@@ -52,10 +61,10 @@ let write_upward_dual_write () =
   let s = Mvstore.create () in
   put s ~key:(Key.intern "x") ~version:0 0;
   (* A version-2 transaction creates x(2)... *)
-  Mvstore.write_upward s ~key:(Key.intern "x") ~version:2 ~init:0 ~f:(fun v -> v + 100);
+  up s ~key:(Key.intern "x") ~version:2 ~init:0 (fun v -> v + 100);
   (* ...then a version-1 straggler must update BOTH versions 1 and 2
      (paper §2.3, the iq-on-D case). *)
-  Mvstore.write_upward s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1);
+  up s ~key:(Key.intern "x") ~version:1 ~init:0 (fun v -> v + 1);
   vlist "dual write" [ 2; 1; 0 ] (Mvstore.versions_of s ~key:(Key.intern "x"));
   checkb "v1 = copy of v0 + 1" true
     (Mvstore.read_exact s ~key:(Key.intern "x") ~version:1 = Some 1);
@@ -68,13 +77,13 @@ let write_upward_no_higher_copy () =
   put s ~key:(Key.intern "e") ~version:0 5;
   (* No version-2 copy exists: a version-1 write touches only version 1
      (the iq-on-E case — "E does not yet have a version 2 copy"). *)
-  Mvstore.write_upward s ~key:(Key.intern "e") ~version:1 ~init:0 ~f:(fun v -> v + 1);
+  up s ~key:(Key.intern "e") ~version:1 ~init:0 (fun v -> v + 1);
   checki "single" 0 (Mvstore.dual_writes s);
   vlist "versions" [ 1; 0 ] (Mvstore.versions_of s ~key:(Key.intern "e"))
 
 let write_upward_new_item () =
   let s = Mvstore.create () in
-  Mvstore.write_upward s ~key:(Key.intern "n") ~version:3 ~init:7 ~f:(fun v -> v * 2);
+  up s ~key:(Key.intern "n") ~version:3 ~init:7 (fun v -> v * 2);
   vlist "created item" [ 3 ] (Mvstore.versions_of s ~key:(Key.intern "n"));
   checkb "value from init" true (Mvstore.read_exact s ~key:(Key.intern "n") ~version:3 = Some 14);
   checki "copies counter untouched" 0 (Mvstore.copies_created s)
@@ -85,7 +94,7 @@ let write_upward_only_higher_exists () =
      updates the higher copy — §4.1 step 4 taken literally. *)
   let s = Mvstore.create () in
   put s ~key:(Key.intern "x") ~version:5 50;
-  Mvstore.write_upward s ~key:(Key.intern "x") ~version:2 ~init:0 ~f:(fun v -> v + 1);
+  up s ~key:(Key.intern "x") ~version:2 ~init:0 (fun v -> v + 1);
   checki "not a new item: the copy counts" 1 (Mvstore.copies_created s);
   checki "both versions updated" 1 (Mvstore.dual_writes s);
   checkb "v2 from init" true (Mvstore.read_exact s ~key:(Key.intern "x") ~version:2 = Some 1);
@@ -95,7 +104,7 @@ let write_exact_leaves_higher_alone () =
   let s = Mvstore.create () in
   put s ~key:(Key.intern "x") ~version:0 0;
   put s ~key:(Key.intern "x") ~version:2 20;
-  Mvstore.write_exact s ~key:(Key.intern "x") ~version:1 ~init:0 ~f:(fun v -> v + 1);
+  exact s ~key:(Key.intern "x") ~version:1 ~init:0 (fun v -> v + 1);
   checkb "v1 created from v0 and updated" true
     (Mvstore.read_exact s ~key:(Key.intern "x") ~version:1 = Some 1);
   checkb "v2 untouched (NC rule)" true
@@ -169,7 +178,7 @@ let versions_sorted_property =
         (function
           | `Write (k, v) ->
               Mvstore.write_upward s ~key:(Key.intern (string_of_int k)) ~version:v ~init:0
-                ~f:succ
+                ~f:add 1 ()
           | `Gc v -> Mvstore.gc s ~new_read_version:v)
         ops;
       List.for_all
@@ -192,15 +201,15 @@ let read_visible_property =
       let s = Mvstore.create () in
       List.iter
         (fun v ->
-          Mvstore.write_upward s ~key:(Key.intern "k") ~version:v ~init:0 ~f:succ)
+          Mvstore.write_upward s ~key:(Key.intern "k") ~version:v ~init:0 ~f:add 1 ())
         writes;
       let versions = Mvstore.versions_of s ~key:(Key.intern "k") in
       List.for_all
         (fun req ->
           let expect = List.find_opt (fun v -> v <= req) versions in
-          match (Mvstore.read_visible s ~key:(Key.intern "k") ~version:req, expect) with
-          | None, None -> true
-          | Some (v, _), Some v' -> v = v'
+          match (seen s ~key:(Key.intern "k") ~version:req, expect) with
+          | (-1, None), None -> true
+          | (v, Some _), Some v' -> v = v'
           | _ -> false)
         [ 0; 1; 2; 3; 4; 5; 6 ])
 
@@ -216,7 +225,7 @@ let enumeration_order_independent =
         List.iter
           (fun (k, v) ->
             Mvstore.write_upward s ~key:(Key.intern (string_of_int k)) ~version:v ~init:0
-              ~f:succ)
+              ~f:add 1 ())
           writes;
         s
       in
@@ -244,12 +253,16 @@ module type STORE = sig
   type 'v t
   type key
 
-  val read_visible : 'v t -> key:key -> version:int -> (int * 'v) option
+  val read_visible : 'v t -> key:key -> version:int -> 'v option
+  val visible_version : 'v t -> key:key -> version:int -> int
   val read_exact : 'v t -> key:key -> version:int -> 'v option
   val exists_above : 'v t -> key:key -> version:int -> bool
 
-  val write_upward : 'v t -> key:key -> version:int -> init:'v -> f:('v -> 'v) -> unit
-  val write_exact : 'v t -> key:key -> version:int -> init:'v -> f:('v -> 'v) -> unit
+  val write_upward :
+    'v t -> key:key -> version:int -> init:'v -> f:('a -> 'b -> 'v -> 'v) -> 'a -> 'b -> unit
+
+  val write_exact :
+    'v t -> key:key -> version:int -> init:'v -> f:('a -> 'b -> 'v -> 'v) -> 'a -> 'b -> unit
 
   val gc : 'v t -> new_read_version:int -> unit
   val gc_floor : 'v t -> int
@@ -295,23 +308,27 @@ module Apply (S : STORE) = struct
   let opt f = function None -> "none" | Some x -> f x
   let versions s key = String.concat "," (List.map string_of_int (S.versions_of s ~key))
 
-  (* Op [i]'s result as text, then the counters; [keys.(k)] is key [k]. *)
+  let mix i () v = (31 * v) + i
+
+  (* Op [i]'s result as text, then the counters; [keys.(k)] is key [k]. A
+     read's result is the label it sees and the value. *)
   let op s (keys : S.key array) i o =
-    let at d = S.gc_floor s + d and f v = (31 * v) + i in
+    let at d = S.gc_floor s + d in
     let result =
       match o with
       | Up (k, d) ->
-          S.write_upward s ~key:keys.(k) ~version:(at d) ~init:(100 * i) ~f;
+          S.write_upward s ~key:keys.(k) ~version:(at d) ~init:(100 * i) ~f:mix i ();
           versions s keys.(k)
       | Exact (k, d) ->
-          S.write_exact s ~key:keys.(k) ~version:(at d) ~init:(100 * i) ~f;
+          S.write_exact s ~key:keys.(k) ~version:(at d) ~init:(100 * i) ~f:mix i ();
           versions s keys.(k)
       | Collect d ->
           S.gc s ~new_read_version:(at d);
           "gc"
       | Visible (k, d) ->
-          S.read_visible s ~key:keys.(k) ~version:(at d)
-          |> opt (fun (v, x) -> Printf.sprintf "%d:%d" v x)
+          Printf.sprintf "%d:%s"
+            (S.visible_version s ~key:keys.(k) ~version:(at d))
+            (opt string_of_int (S.read_visible s ~key:keys.(k) ~version:(at d)))
       | Exact_read (k, d) -> opt string_of_int (S.read_exact s ~key:keys.(k) ~version:(at d))
       | Above (k, d) -> string_of_bool (S.exists_above s ~key:keys.(k) ~version:(at d))
       | Versions k -> versions s keys.(k)
@@ -353,6 +370,10 @@ let fresh_names letters =
   incr fresh_case;
   Array.of_list (List.mapi (fun i c -> Printf.sprintf "%c%d.%d" c !fresh_case i) letters)
 
+(* Cases of the property below whose store reached four or more versions
+   on some key, and so its overflow. *)
+let overflow_cases = ref 0
+
 let gc_list_matches_sweep =
   QCheck.Test.make ~name:"lazy gc == eager sweep" ~count:1000
     (QCheck.make
@@ -371,7 +392,49 @@ let gc_list_matches_sweep =
           let a = Lazy_store.op lazy_s keys i o and b = Eager_store.op eager names i o in
           if a <> b then QCheck.Test.fail_reportf "op %d: lazy %S, eager %S" i a b)
         ops;
+      if Mvstore.max_versions_ever lazy_s >= 4 then incr overflow_cases;
       true)
+
+(* The property, failing also when fewer than 50 of its cases reach the
+   overflow: a generator that stopped reaching it would otherwise pass
+   without comparing it. *)
+let gc_list_matches_sweep_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest gc_list_matches_sweep in
+  ( name,
+    speed,
+    fun () ->
+      overflow_cases := 0;
+      run ();
+      if !overflow_cases < 50 then
+        Alcotest.failf "only %d of the cases reached four versions" !overflow_cases )
+
+(* One key taken to five versions, with writes below and above the
+   floor, read at every version, written across the slots and the
+   overflow, then collected to each floor in turn, with the oracle's
+   results after every step. *)
+let overflow_matches_oracle () =
+  let names = fresh_names [ 'o'; 'p' ] in
+  let keys = Array.map Key.intern names in
+  let s = Mvstore.create () and o = Mvstore_oracle.create () in
+  let reads =
+    List.concat_map (fun d -> [ Visible (0, d); Exact_read (0, d) ]) [ -3; -2; -1; 0; 1; 2; 3 ]
+  in
+  let ops =
+    [ Up (0, 0); Up (1, 0); Collect 2; Up (0, -2); Up (0, 1); Up (0, 2); Up (0, -1) ]
+    @ reads
+    @ [ Up (0, -2); Exact (0, -1); Exact (0, 1); Up (0, -1); Versions 0; Fold ]
+    @ reads
+    @ List.concat_map
+        (fun d -> (Collect d :: reads) @ [ Versions 0; Versions 1; Above (0, 1); Fold ])
+        [ -2; -1; 0; 1; 1; 1 ]
+  in
+  List.iteri
+    (fun i op ->
+      Alcotest.(check string)
+        (Printf.sprintf "op %d" i) (Eager_store.op o names i op) (Lazy_store.op s keys i op))
+    ops;
+  checki "five versions reached" 5 (Mvstore.max_versions_ever s);
+  vlist "one version left" [ 5 ] (Mvstore.versions_of s ~key:keys.(0))
 
 (* One GC over 100k single-version items and 8 multi-version ones visits
    the 8: the sweep it replaces allocated a fresh version cell for every
@@ -382,12 +445,12 @@ let gc_visits_only_multi_version_items () =
     for i = 0 to 99_999 do
       let key = string_of_int i in
       put s ~key:(Key.intern key) ~version:0 i;
-      Mvstore_oracle.write_exact o ~key ~version:0 ~init:0 ~f:(fun _ -> i)
+      Mvstore_oracle.write_exact o ~key ~version:0 ~init:0 ~f:set i ()
     done;
     for i = 0 to 7 do
       let key = string_of_int (i * 1000) in
       put s ~key:(Key.intern key) ~version:1 i;
-      Mvstore_oracle.write_exact o ~key ~version:1 ~init:0 ~f:(fun _ -> i)
+      Mvstore_oracle.write_exact o ~key ~version:1 ~init:0 ~f:set i ()
     done;
     (s, o)
   in
@@ -411,37 +474,65 @@ let gc_visits_only_multi_version_items () =
     (Mvstore.fold s ~init:[] ~f:(fun acc k v x -> (Key.name k, v, x) :: acc)
     = Mvstore_oracle.fold o ~init:[] ~f:(fun acc k v x -> (k, v, x) :: acc))
 
-(* A write at the newest version rebuilds that version alone: the same
-   write costs no more on an item holding three versions than on one
-   holding a single version, because the two older pairs are shared. *)
+(* A write assigns in place: with a static [f] that returns an
+   immediate, a write at any version an item holds allocates nothing,
+   whether the item holds one, two or three versions and whether the
+   write updates one of them or all. A write that rebuilt a version list
+   would allocate at least a cell and a pair per version it updates. *)
 let write_upward_shares_older_versions () =
   let s = Mvstore.create () in
+  let held = [ ("one", [ 3 ]); ("two", [ 3; 2 ]); ("three", [ 3; 2; 1 ]) ] in
   List.iter
-    (fun version -> put s ~key:(Key.intern "three") ~version version)
-    [ 1; 2; 3 ];
-  put s ~key:(Key.intern "one") ~version:3 3;
-  vlist "three versions" [ 3; 2; 1 ] (Mvstore.versions_of s ~key:(Key.intern "three"));
-  vlist "one version" [ 3 ] (Mvstore.versions_of s ~key:(Key.intern "one"));
-  let words key =
-    let n = 1_000 in
-    let before = Gc.minor_words () in
-    for _ = 1 to n do
-      Mvstore.write_upward s ~key ~version:3 ~init:0 ~f:succ
-    done;
-    (Gc.minor_words () -. before) /. float_of_int n
-  in
-  let one = words (Key.intern "one") and three = words (Key.intern "three") in
-  if three > one then
-    Alcotest.failf "a write at the newest of three versions allocates %.2f minor words, \
-                    at a lone version %.2f" three one;
-  checkb "older versions untouched" true
-    (Mvstore.read_exact s ~key:(Key.intern "three") ~version:2 = Some 2
-    && Mvstore.read_exact s ~key:(Key.intern "three") ~version:3 = Some 1003)
+    (fun (name, versions) ->
+      List.iter (fun version -> put s ~key:(Key.intern name) ~version version) (List.rev versions);
+      vlist name versions (Mvstore.versions_of s ~key:(Key.intern name)))
+    held;
+  let n = 1_000 in
+  List.iter
+    (fun (name, versions) ->
+      let key = Key.intern name in
+      List.iter
+        (fun version ->
+          let before = Gc.minor_words () in
+          for _ = 1 to n do
+            Mvstore.write_upward s ~key ~version ~init:0 ~f:add 1 ()
+          done;
+          let words = (Gc.minor_words () -. before) /. float_of_int n in
+          if words > 0.01 then
+            Alcotest.failf "a write at version %d of %s allocates %.2f minor words" version name
+              words)
+        versions)
+    held;
+  (* Each version took one increment per write at it or below it. *)
+  checkb "every version updated in place" true
+    (List.map (fun v -> Mvstore.read_exact s ~key:(Key.intern "three") ~version:v) [ 3; 2; 1 ]
+    = [ Some (3 + (3 * n)); Some (2 + (2 * n)); Some (1 + n) ])
+
+(* Phase-4 GC relabels and clears slots in place: trimming 1,000 items
+   of two versions and 1,000 of three to one version each allocates
+   nothing per item. *)
+let gc_trims_in_place () =
+  let s = Mvstore.create () in
+  let items = 1_000 in
+  let name i versions = Printf.sprintf "trim-%d-%d" versions i in
+  for i = 1 to items do
+    List.iter (fun version -> put s ~key:(Key.intern (name i 2)) ~version version) [ 1; 2 ];
+    List.iter (fun version -> put s ~key:(Key.intern (name i 3)) ~version version) [ 1; 2; 3 ]
+  done;
+  let before = Gc.minor_words () in
+  Mvstore.gc s ~new_read_version:3;
+  let words = (Gc.minor_words () -. before) /. float_of_int (2 * items) in
+  if words >= 1. then Alcotest.failf "gc allocates %.2f minor words per item" words;
+  vlist "two versions trimmed" [ 3 ] (Mvstore.versions_of s ~key:(Key.intern (name 7 2)));
+  vlist "three versions trimmed" [ 3 ] (Mvstore.versions_of s ~key:(Key.intern (name 7 3)));
+  checkb "values kept" true
+    (Mvstore.read_exact s ~key:(Key.intern (name 7 2)) ~version:3 = Some 2
+    && Mvstore.read_exact s ~key:(Key.intern (name 7 3)) ~version:3 = Some 3)
 
 (* A lookup probes the store's own table by key id and boxes nothing on
-   the way: [exists] on a key the store holds allocates nothing, and
-   [read_visible] only its result's [Some] (2 words), the pair being the
-   stored one. A lookup that went through an option-returning table find
+   the way: [exists] and [visible_version] on a key the store holds
+   allocate nothing, and [read_visible] only its result's [Some] (2
+   words). A lookup that went through an option-returning table find
    would allocate 2 words more in each. *)
 let lookup_cost () =
   let s = Mvstore.create () in
@@ -459,10 +550,14 @@ let lookup_cost () =
     words (fun key -> ignore (Sys.opaque_identity (Mvstore.exists s ~key ~version:1)))
   and visible =
     words (fun key -> ignore (Sys.opaque_identity (Mvstore.read_visible s ~key ~version:2)))
+  and version =
+    words (fun key -> ignore (Sys.opaque_identity (Mvstore.visible_version s ~key ~version:2)))
   in
-  checkb "found" true (Mvstore.read_visible s ~key:keys.(5) ~version:2 = Some (1, 7));
+  checkb "found" true (seen s ~key:keys.(5) ~version:2 = (1, Some 7));
   if exists > 0.01 then
     Alcotest.failf "exists on a held key allocates %.2f minor words" exists;
+  if version > 0.01 then
+    Alcotest.failf "visible_version on a held key allocates %.2f minor words" version;
   if visible > 2.01 then
     Alcotest.failf "read_visible on a held key allocates %.2f minor words" visible
 
@@ -494,8 +589,9 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       versions_sorted_property; read_visible_property;
-      enumeration_order_independent; gc_list_matches_sweep;
+      enumeration_order_independent;
     ]
+  @ [ gc_list_matches_sweep_case ]
 
 let () =
   Alcotest.run "store"
@@ -524,6 +620,8 @@ let () =
           Alcotest.test_case "drop" `Quick gc_drop_when_new_version_exists;
           Alcotest.test_case "relabel" `Quick gc_relabel_when_missing;
           Alcotest.test_case "idempotent" `Quick gc_idempotent;
+          Alcotest.test_case "trims in place" `Quick gc_trims_in_place;
+          Alcotest.test_case "overflow matches the oracle" `Quick overflow_matches_oracle;
           Alcotest.test_case "visits only multi-version items" `Quick
             gc_visits_only_multi_version_items;
         ] );

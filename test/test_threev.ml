@@ -334,7 +334,7 @@ let dual_write_on_straggler () =
   let eng = Engine.create sim cfg ~link_latency:link () in
   (* Preload d at version 0 so copies have a base. *)
   Mvstore.write_exact (Engine.store eng ~node:1) ~key:(Key.intern "d") ~version:0
-    ~init:Value.empty ~f:Fun.id;
+    ~init:Value.empty ~f:(fun () () v -> v) () ();
   Script.(
     run sim
       [
@@ -401,7 +401,7 @@ let compensation_nets_to_zero () =
   checkb "advancement completes despite compensation" true (Ivar.is_full adv);
   let amount node key =
     match Mvstore.read_visible (Engine.store eng ~node) ~key:(Key.intern key) ~version:10 with
-    | Some (_, v) -> v.Value.amount
+    | Some v -> v.Value.amount
     | None -> 0.
   in
   checkf "a netted" 0. (amount 0 "a");
@@ -546,7 +546,7 @@ let nc_commit_applies_writes () =
     (match Ivar.peek r with Some res -> Result.committed res | None -> false);
   let amount node key =
     match Mvstore.read_visible (Engine.store eng ~node) ~key:(Key.intern key) ~version:10 with
-    | Some (_, v) -> v.Value.amount
+    | Some v -> v.Value.amount
     | None -> nan
   in
   checkf "p1 written" 5. (amount 0 "p1");
@@ -575,7 +575,7 @@ let nc_abort_discards_writes () =
   (* Whatever committed owns both keys with its own id as the value. *)
   let amount node key =
     match Mvstore.read_visible (Engine.store eng ~node) ~key:(Key.intern key) ~version:10 with
-    | Some (_, v) -> Some v.Value.amount
+    | Some v -> Some v.Value.amount
     | None -> None
   in
   (match (amount 0 "k1", amount 1 "k2") with
@@ -614,7 +614,7 @@ let nc_version_overtake_abort () =
      simulate an in-flight higher-version write, then run an NC txn at
      vu = 2: it must abort with version-overtaken. *)
   Mvstore.write_exact (Engine.store eng ~node:0) ~key:(Key.intern "z") ~version:3
-    ~init:Value.empty ~f:(Value.incr ~txn:99 ~delta:1.);
+    ~init:Value.empty ~f:(fun txn delta v -> Value.incr ~txn ~delta v) 99 1.;
   let r =
     Engine.submit eng (Spec.make ~id:2 (Spec.subtxn 0 [ Op.Overwrite (Key.intern "z", 5.) ]))
   in
@@ -945,7 +945,7 @@ let reads_take_no_locks_even_in_nc_mode () =
   let eng = Engine.create sim cfg ~link_latency:link () in
   (* Seed the key so the read has something to see. *)
   Mvstore.write_exact (Engine.store eng ~node:0) ~key:(Key.intern "k") ~version:0
-    ~init:Value.empty ~f:Fun.id;
+    ~init:Value.empty ~f:(fun () () v -> v) () ();
   let nc =
     Engine.submit eng
       (Spec.make ~id:1
@@ -998,7 +998,7 @@ let nc_revisits_node () =
   | None -> Alcotest.fail "unresolved");
   let amount key =
     match Mvstore.read_visible (Engine.store eng ~node:0) ~key:(Key.intern key) ~version:10 with
-    | Some (_, v) -> v.Value.amount
+    | Some v -> v.Value.amount
     | None -> nan
   in
   checkf "front" 1. (amount "front");
