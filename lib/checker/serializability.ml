@@ -29,26 +29,47 @@ module Index = History_index
    (the CSR order), and a repeated edge sits next to its twin. *)
 let code = function Reads_from -> 0 | Anti_dependency -> 1 | Version_order -> 2
 
-type edges = { mutable codes : int array; mutable len : int }
+(* The edge codes, their sort scratch and the packed successors are held in
+   chunks of [chunk_len] ints rather than in arrays as long as the edge
+   count (millions on a hot-key history). The major GC sizes each slice by
+   the words allocated since the last one, so one such array made the next
+   slice sweep for several milliseconds; chunks are allocated, and paced,
+   like any other block. *)
+let chunk_bits = 16
+let chunk_len = 1 lsl chunk_bits
+let chunk_mask = chunk_len - 1
 
-let reserve e capacity =
-  if capacity > Array.length e.codes then begin
-    let grown = Array.make capacity 0 in
-    Array.blit e.codes 0 grown 0 e.len;
-    e.codes <- grown
-  end
+type ints = { mutable chunks : int array array; mutable len : int }
 
-let push e x =
-  if e.len = Array.length e.codes then reserve e ((2 * e.len) + 1024);
-  e.codes.(e.len) <- x;
-  e.len <- e.len + 1
+let get a i = a.chunks.(i lsr chunk_bits).(i land chunk_mask)
+let set a i x = a.chunks.(i lsr chunk_bits).(i land chunk_mask) <- x
 
-(* LSD radix sort of the non-negative [a.(0 .. len - 1)], 16 bits a pass.
-   Returns the array holding the sorted prefix: [a] or its scratch twin. *)
-let radix_sort a len =
+let push a x =
+  let c = a.len lsr chunk_bits in
+  if a.len land chunk_mask = 0 then begin
+    if c = Array.length a.chunks then begin
+      let grown = Array.make ((2 * c) + 1) [||] in
+      Array.blit a.chunks 0 grown 0 c;
+      a.chunks <- grown
+    end;
+    a.chunks.(c) <- Array.make chunk_len 0
+  end;
+  a.chunks.(c).(a.len land chunk_mask) <- x;
+  a.len <- a.len + 1
+
+(* [a]'s chunks in use, and how many ints chunk [c] of them holds. *)
+let used a = (a.len + chunk_mask) lsr chunk_bits
+let filled a c = min chunk_len (a.len - (c lsl chunk_bits))
+
+(* LSD radix sort of [a]'s non-negative ints, 16 bits a pass. Returns the
+   buffer holding them sorted: [a] or its scratch twin. *)
+let radix_sort a =
   let top = ref 0 in
-  for i = 0 to len - 1 do
-    if a.(i) > !top then top := a.(i)
+  for c = 0 to used a - 1 do
+    let chunk = a.chunks.(c) in
+    for j = 0 to filled a c - 1 do
+      if chunk.(j) > !top then top := chunk.(j)
+    done
   done;
   (* 2^16 buckets a pass, or fewer when every value fits in one pass. *)
   let buckets = min 0x10000 (!top + 1) in
@@ -57,48 +78,60 @@ let radix_sort a len =
     if !top lsr shift = 0 then src
     else begin
       Array.fill count 0 (buckets + 1) 0;
-      for i = 0 to len - 1 do
-        let b = (src.(i) lsr shift) land 0xffff in
-        count.(b + 1) <- count.(b + 1) + 1
+      for c = 0 to used src - 1 do
+        let chunk = src.chunks.(c) in
+        for j = 0 to filled src c - 1 do
+          let b = (chunk.(j) lsr shift) land 0xffff in
+          count.(b + 1) <- count.(b + 1) + 1
+        done
       done;
       for b = 1 to buckets do
         count.(b) <- count.(b) + count.(b - 1)
       done;
-      for i = 0 to len - 1 do
-        let x = src.(i) in
-        let b = (x lsr shift) land 0xffff in
-        dst.(count.(b)) <- x;
-        count.(b) <- count.(b) + 1
+      let into = dst.chunks in
+      for c = 0 to used src - 1 do
+        let chunk = src.chunks.(c) in
+        for j = 0 to filled src c - 1 do
+          let x = chunk.(j) in
+          let b = (x lsr shift) land 0xffff in
+          let i = count.(b) in
+          into.(i lsr chunk_bits).(i land chunk_mask) <- x;
+          count.(b) <- i + 1
+        done
       done;
       pass dst src (shift + 16)
     end
   in
-  pass a (Array.make len 0) 0
+  pass a { chunks = Array.init (used a) (fun _ -> Array.make chunk_len 0); len = a.len } 0
 
 (* The MVSG in compressed sparse rows: [v]'s successors, deduplicated
-   across kinds and ascending, are [succ.(first.(v))] to
-   [succ.(first.(v + 1) - 1)]. *)
-type graph = { n : int; first : int array; succ : int array }
+   across kinds and ascending, are [succ] from [first.(v)] to
+   [first.(v + 1) - 1]. *)
+type graph = { n : int; first : int array; succ : ints }
 
 (* Sorts the edge codes, counts the distinct ones per kind ([counts.(c)]
    for kind code [c]) and packs the successors in place of the codes. *)
-let graph_of n (e : edges) counts =
-  let codes = radix_sort e.codes e.len in
+let graph_of n (e : ints) counts =
+  let codes = radix_sort e in
   let first = Array.make (n + 1) 0 in
   let k = ref 0 and prev = ref (-1) in
-  for i = 0 to e.len - 1 do
-    let c = codes.(i) in
-    if c <> !prev then begin
-      counts.(c land 3) <- counts.(c land 3) + 1;
-      let pair = c lsr 2 in
-      if !prev < 0 || pair <> !prev lsr 2 then begin
-        first.((pair / n) + 1) <- first.((pair / n) + 1) + 1;
-        (* [!k <= i]: only codes already read are overwritten. *)
-        codes.(!k) <- pair mod n;
-        incr k
-      end;
-      prev := c
-    end
+  for ci = 0 to used codes - 1 do
+    let chunk = codes.chunks.(ci) in
+    for j = 0 to filled codes ci - 1 do
+      let c = chunk.(j) in
+      if c <> !prev then begin
+        counts.(c land 3) <- counts.(c land 3) + 1;
+        let pair = c lsr 2 in
+        if !prev < 0 || pair <> !prev lsr 2 then begin
+          first.((pair / n) + 1) <- first.((pair / n) + 1) + 1;
+          (* [!k] never passes the code being read, so only codes already
+             read are overwritten. *)
+          set codes !k (pair mod n);
+          incr k
+        end;
+        prev := c
+      end
+    done
   done;
   for v = 1 to n do
     first.(v) <- first.(v) + first.(v - 1)
@@ -139,7 +172,7 @@ let sccs g nodes =
         let i = call_next.(top) in
         if i < g.first.(v + 1) then begin
           call_next.(top) <- i + 1;
-          let w = g.succ.(i) in
+          let w = get g.succ i in
           if index.(w) < 0 then enter w
           else if on_stack.(w) then lowlink.(v) <- Int.min lowlink.(v) index.(w)
         end
@@ -182,7 +215,7 @@ let shortest_cycle_through g members parent start =
      while not (Queue.is_empty q) do
        let u = Queue.pop q in
        for i = g.first.(u) to g.first.(u + 1) - 1 do
-         let w = g.succ.(i) in
+         let w = get g.succ i in
          if w = start then begin
            (* Reconstruct start ... u, then close with u -> start. *)
            let rec back v acc =
@@ -321,7 +354,7 @@ let certify ?shard_of_node history =
         let spec, _ = idx.Index.txns.(idx.Index.w_dense.(p)) in
         f spec.Spec.root.Spec.node
   in
-  let e = { codes = [||]; len = 0 } in
+  let e = { chunks = [||]; len = 0 } in
   let add src dst kind =
     if src <> dst then push e ((((src * n) + dst) lsl 2) lor code kind)
   in
@@ -348,19 +381,7 @@ let certify ?shard_of_node history =
      Checked per observation (not unioned per key), so a non-repeatable
      read inside one transaction closes a two-edge cycle. An observed tag
      is reads-from; an effect-ful writer of the key whose tag is absent
-     was read before it wrote. So each observation draws one edge per
-     writer of its key, plus one per tag of an effect-ful writer of
-     another key (rare enough to grow the buffer for): the buffer is sized
-     once. *)
-  reserve e
-    (List.fold_left
-       (fun len (_, res) ->
-         List.fold_left
-           (fun len (key, _) ->
-             let first, stop = Index.writers idx key in
-             len + stop - first)
-           len (drawn_reads res))
-       e.len history);
+     was read before it wrote. *)
   let readers = ref 0 in
   let unknown_count = ref 0 in
   let unknown_tags = ref [] in

@@ -264,6 +264,68 @@ let ww_witness_keys_agree () =
         [ (k1, k2); (k2, k1) ])
     pairs
 
+(* The certifier keeps its edge codes in chunks of 2^16 ints, and its
+   radix sort makes one pass per 16 bits of [4 n^2]. Random and fuzz
+   histories stay inside one chunk and two passes, so this one is built
+   big: 300 commuting writers of one key and 601 readers of it, one edge
+   per reader and writer (180,300 edges, three chunks), padded with idle
+   read-only transactions, ids first, so that every edge joins two dense
+   indices above 2^15 and the sort takes a third pass. Reader [i] sees a
+   prefix of the writers, which orders them; the last reader sees writer 2
+   alone, which closes a short cycle through writer 1 and the first
+   reader, who sees writer 1 alone. *)
+let chunked_edges_agree () =
+  let key = Key.intern "hot-chunked" in
+  let writers = 300 and readers = 601 and idle = 32_200 in
+  let result ~id reads =
+    {
+      Result.txn_id = id;
+      outcome = Result.Committed;
+      version = 1;
+      served_by = 0;
+      reads;
+      submit_time = 0.;
+      root_commit_time = 0.;
+      complete_time = 1.;
+    }
+  in
+  let sees ws =
+    List.fold_left (fun v txn -> Value.incr ~txn ~delta:1. v) Value.empty ws
+  in
+  let read id value = (Spec.make ~id (Spec.subtxn 0 [ Op.Read key ]), result ~id value) in
+  let st = Random.State.make [| 7 |] in
+  (* Writer [w] has id [idle + w], reader [i] id [idle + writers + 1 + i]. *)
+  let writer w = idle + w and reader i = idle + writers + 1 + i in
+  let seen i =
+    if i = 0 then [ 1 ]
+    else if i = readers - 1 then [ 2 ]
+    else List.init (Random.State.int st (writers + 1)) (fun w -> w + 1)
+  in
+  let history =
+    List.init idle (fun i -> read (i + 1) [])
+    @ List.init writers (fun w ->
+          let id = writer (w + 1) in
+          (Spec.make ~id (Spec.subtxn 0 [ Op.Incr (key, 1.) ]), result ~id []))
+    @ List.init readers (fun i ->
+          read (reader i) [ (key, sees (List.map writer (seen i))) ])
+  in
+  let report = Checker.Serializability.certify history in
+  Alcotest.(check int) "edges" (writers * readers) report.Checker.Serializability.edges;
+  Alcotest.(check (option (list (pair int int))))
+    "the short cycle"
+    (Some
+       [
+         (writer 1, reader 0);
+         (reader 0, writer 2);
+         (writer 2, reader (readers - 1));
+         (reader (readers - 1), writer 1);
+       ])
+    (Option.map
+       (List.map (fun (e : Checker.Serializability.edge) -> (e.src, e.dst)))
+       report.Checker.Serializability.cycle);
+  Alcotest.(check bool) "equals the oracle" true
+    (report = Oracle.Serializability.certify history)
+
 (* -------------------------------------------------- fuzz histories *)
 
 let fuzz_histories_agree () =
@@ -289,5 +351,6 @@ let () =
           Alcotest.test_case "version-order witness keys" `Quick
             ww_witness_keys_agree;
           Alcotest.test_case "fuzz sweep histories" `Quick fuzz_histories_agree;
+          Alcotest.test_case "certify across edge chunks" `Quick chunked_edges_agree;
         ] );
     ]
