@@ -35,16 +35,18 @@ let check history =
       if spec.Spec.kind = Spec.Read_only && Result.committed res then begin
         incr reads_checked;
         let r = Index.find idx spec.Spec.id in
+        (* Only the updates overlapping the read on two or more keys are
+           kept, each when its overlap reaches 2. *)
         let touched = ref [] in
         let touch p =
           let u = idx.Index.w_dense.(p) in
           if stamp.(u) <> r then begin
             stamp.(u) <- r;
             overlap.(u) <- 0;
-            seen_on.(u) <- 0;
-            touched := u :: !touched
+            seen_on.(u) <- 0
           end;
           overlap.(u) <- overlap.(u) + 1;
+          if overlap.(u) = 2 then touched := u :: !touched;
           u
         in
         (* Keys in sorted order, so dirty-read examples come out as the
@@ -67,8 +69,7 @@ let check history =
                    end));
         (* Updates overlapping the read on >= 2 keys, in id order: seen on
            all of those keys or on none. *)
-        List.filter (fun u -> overlap.(u) >= 2) !touched
-        |> List.sort Int.compare
+        List.sort Int.compare !touched
         |> List.iter (fun u ->
                incr pairs_checked;
                if seen_on.(u) > 0 && seen_on.(u) < overlap.(u) then begin

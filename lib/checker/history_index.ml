@@ -39,122 +39,107 @@ let search ids id =
 
 let find t id = search t.ids id
 
-(* The keys an update writes, each with whether any write to it anywhere
-   in the tree is an [Overwrite]. *)
-let write_kinds (spec : Spec.t) =
-  let note acc op =
-    if not (Op.is_write op) then acc
-    else
-      let key = Op.key op and over = not (Op.commuting_write op) in
-      if List.exists (fun (k, _) -> Key.equal k key) acc then
-        List.map
-          (fun (k, o) -> if Key.equal k key then (k, o || over) else (k, o))
-          acc
-      else (key, over) :: acc
-  in
-  let rec walk acc (st : Spec.subtxn) =
-    List.fold_left walk (List.fold_left note acc st.Spec.ops) st.Spec.children
-  in
-  walk [] spec.Spec.root
+(* Whether the ids strictly ascend after [prev]: the history's own order
+   is then the dense order. *)
+let rec ascending prev = function
+  | [] -> true
+  | ((spec : Spec.t), _) :: rest ->
+      spec.Spec.id > prev && ascending spec.Spec.id rest
 
-(* Write operations anywhere in an update's tree: at least its distinct
-   written keys. *)
-let write_ops (spec : Spec.t) =
-  let rec walk n (st : Spec.subtxn) =
-    List.fold_left walk
-      (List.fold_left
-         (fun n op -> if Op.is_write op then n + 1 else n)
-         n st.Spec.ops)
-      st.Spec.children
-  in
-  walk 0 spec.Spec.root
+(* The entries sorted by id; of an id that repeats, the last entry in
+   history order is kept. *)
+let by_id history =
+  let txns = Array.of_list history in
+  let id i = (fst txns.(i)).Spec.id in
+  Array.stable_sort
+    (fun ((a : Spec.t), _) ((b : Spec.t), _) -> Int.compare a.Spec.id b.Spec.id)
+    txns;
+  let n = Array.length txns and kept = ref 0 in
+  for i = 0 to n - 1 do
+    if i = n - 1 || id (i + 1) <> id i then begin
+      txns.(!kept) <- txns.(i);
+      incr kept
+    end
+  done;
+  if !kept = n then txns else Array.sub txns 0 !kept
+
+(* [f d key overwrote] for every write anywhere in [st]'s tree. Plain
+   recursion, so a walk allocates nothing. *)
+let rec each_write f d (st : Spec.subtxn) =
+  each_op f d st.Spec.ops;
+  each_child f d st.Spec.children
+
+and each_op f d = function
+  | [] -> ()
+  | op :: ops ->
+      if Op.is_write op then f d (Op.key op) (not (Op.commuting_write op));
+      each_op f d ops
+
+and each_child f d = function
+  | [] -> ()
+  | st :: rest ->
+      each_write f d st;
+      each_child f d rest
 
 let build history =
-  let ids = Array.make (List.length history) 0 in
-  List.iteri (fun i ((spec : Spec.t), _) -> ids.(i) <- spec.Spec.id) history;
-  Array.stable_sort Int.compare ids;
-  let distinct = ref 0 in
-  Array.iteri
-    (fun i id ->
-      if i = 0 || id <> ids.(i - 1) then begin
-        ids.(!distinct) <- id;
-        incr distinct
-      end)
-    ids;
-  let ids =
-    if !distinct = Array.length ids then ids else Array.sub ids 0 !distinct
-  in
-  let n = Array.length ids in
   let txns =
-    match history with
-    | [] -> [||]
-    | first :: _ ->
-        let txns = Array.make n first in
-        List.iter
-          (fun (((spec : Spec.t), _) as entry) ->
-            txns.(search ids spec.Spec.id) <- entry)
-          history;
-        txns
+    if ascending min_int history then Array.of_list history else by_id history
   in
-  let ops =
-    Array.fold_left
-      (fun ops txn -> if effectful txn then ops + write_ops (fst txn) else ops)
-      0 txns
+  let n = Array.length txns in
+  let ids = Array.map (fun ((spec : Spec.t), _) -> spec.Spec.id) txns in
+  (* [f d key overwrote] for every write of every effect-ful update, the
+     updates in id order. *)
+  let each_update_write f =
+    for d = 0 to n - 1 do
+      if effectful txns.(d) then each_write f d (fst txns.(d)).Spec.root
+    done
   in
-  (* Updates in id order: slot every written key, in order of first write,
-     and note each write as [slot lsl 1 lor overwrote]; a counting sort by
-     slot then leaves every slot's writers sorted by id. [slot_of] maps a
-     key id to its slot (-1 for none), grown past the largest written id. *)
-  let slot_of = ref [||] and n_slots = ref 0 in
-  let slot (key : Key.t) =
-    let id = key.Key.id and len = Array.length !slot_of in
-    if id >= len then begin
-      let grown = Array.make (max (id + 1) (2 * len)) (-1) in
-      Array.blit !slot_of 0 grown 0 len;
-      slot_of := grown
-    end;
-    if !slot_of.(id) < 0 then begin
-      !slot_of.(id) <- !n_slots;
-      incr n_slots
-    end;
-    !slot_of.(id)
-  in
-  let writes = Array.make ops 0 and total = ref 0 in
-  let written = Array.make n 0 in
-  for d = 0 to n - 1 do
-    if effectful txns.(d) then
-      List.iter
-        (fun (key, over) ->
-          writes.(!total) <- (slot key lsl 1) lor Bool.to_int over;
-          incr total;
-          written.(d) <- written.(d) + 1)
-        (write_kinds (fst txns.(d)))
-  done;
-  let total = !total and n_slots = !n_slots and slot_of = !slot_of in
-  (* [starts.(s)] counts, then ends, then (filled from the back) begins
-     slot [s]. *)
+  (* Key ids run below [keys], and there are at most [writes] slots. *)
+  let keys = ref 0 and writes = ref 0 in
+  each_update_write (fun _ (key : Key.t) _ ->
+      keys := Int.max !keys (key.Key.id + 1);
+      incr writes);
+  let slots = Int.min !keys !writes in
+  (* Slot every written key, in order of first write, and count each
+     slot's writers. An update counts once per key, however often it
+     writes it: [last.(s)] is the latest update counted in slot [s]. *)
+  let slot_of = Array.make !keys (-1) and n_slots = ref 0 in
+  let count = Array.make slots 0 and last = Array.make slots (-1) in
+  each_update_write (fun d (key : Key.t) _ ->
+      let id = key.Key.id in
+      if slot_of.(id) < 0 then begin
+        slot_of.(id) <- !n_slots;
+        incr n_slots
+      end;
+      let s = slot_of.(id) in
+      if last.(s) <> d then begin
+        last.(s) <- d;
+        count.(s) <- count.(s) + 1
+      end);
+  let n_slots = !n_slots in
   let starts = Array.make (n_slots + 1) 0 in
-  for i = 0 to total - 1 do
-    let s = writes.(i) lsr 1 in
-    starts.(s) <- starts.(s) + 1
+  for s = 0 to n_slots - 1 do
+    starts.(s + 1) <- starts.(s) + count.(s)
   done;
-  for s = 1 to n_slots do
-    starts.(s) <- starts.(s) + starts.(s - 1)
-  done;
+  let total = starts.(n_slots) in
   let w_id = Array.make total 0 and w_dense = Array.make total 0 in
   let w_overwrote = Array.make total false in
-  let i = ref total in
-  for d = n - 1 downto 0 do
-    for _ = 1 to written.(d) do
-      decr i;
-      let s = writes.(!i) lsr 1 in
-      let p = starts.(s) - 1 in
-      starts.(s) <- p;
-      w_id.(p) <- ids.(d);
-      w_dense.(p) <- d;
-      w_overwrote.(p) <- writes.(!i) land 1 = 1
-    done
-  done;
+  (* Filled in id order, so every slice ascends by id. [next.(s)] is slot
+     [s]'s first free position; an update writing a key again finds its
+     own entry just below it. *)
+  let next = count in
+  Array.blit starts 0 next 0 n_slots;
+  each_update_write (fun d (key : Key.t) over ->
+      let s = slot_of.(key.Key.id) in
+      let p = next.(s) in
+      if p > starts.(s) && w_dense.(p - 1) = d then
+        w_overwrote.(p - 1) <- w_overwrote.(p - 1) || over
+      else begin
+        w_id.(p) <- ids.(d);
+        w_dense.(p) <- d;
+        w_overwrote.(p) <- over;
+        next.(s) <- p + 1
+      end);
   { ids; txns; slot_of; starts; w_id; w_dense; w_overwrote }
 
 let writers t (key : Key.t) =

@@ -1,4 +1,4 @@
-(** One-pass index of a finished history, shared by the offline checkers.
+(** Linear-time index of a finished history, shared by the offline checkers.
 
     Every checker asks the same question of each read observation: which
     effect-ful writers of the observed key do the value's writer tags carry,
@@ -45,8 +45,11 @@ val effectful : Txn.Spec.t * Txn.Result.t -> bool
 (** An update that aborted without effect: no read should carry its tags. *)
 val effectless : Txn.Spec.t * Txn.Result.t -> bool
 
-(** [build history] indexes [history]: one sort of its ids, then one pass
-    over its updates. *)
+(** [build history] indexes [history]. When its ids ascend, as every
+    [Harness.Runner] history's do, its own order is the dense order;
+    otherwise its entries are sorted by id first. Three allocation-free
+    walks of the updates' trees then find the largest written key id,
+    count each key's writers, and fill the writer slices in place. *)
 val build : (Txn.Spec.t * Txn.Result.t) list -> t
 
 (** [find t id] is [id]'s dense index, or [-1] when no entry has that id

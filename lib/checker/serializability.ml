@@ -24,15 +24,16 @@ module Index = History_index
 
 (* ------------------------------------------------------------ graph *)
 
-(* An edge is one int over dense indices, [((src * n + dst) lsl 2) lor
-   kind]: sorted, the ints group edges by source, then target, then kind
-   (the CSR order), and a repeated edge sits next to its twin. *)
+(* An edge is one int over dense indices, [(((src lsl bits) lor dst) lsl
+   2) lor kind], where [1 lsl bits] is at least the node count: the high
+   bits name the source, and below them a code names the edge within its
+   source's row. *)
 let code = function Reads_from -> 0 | Anti_dependency -> 1 | Version_order -> 2
 
-(* The edge codes, their sort scratch and the packed successors are held in
-   chunks of [chunk_len] ints rather than in arrays as long as the edge
-   count (millions on a hot-key history). The major GC sizes each slice by
-   the words allocated since the last one, so one such array made the next
+(* The edge codes, later the packed successors, are held in chunks of
+   [chunk_len] ints rather than in one array as long as the edge count
+   (millions on a hot-key history). The major GC sizes each slice by the
+   words allocated since the last one, so one such array made the next
    slice sweep for several milliseconds; chunks are allocated, and paced,
    like any other block. *)
 let chunk_bits = 16
@@ -44,99 +45,136 @@ type ints = { mutable chunks : int array array; mutable len : int }
 let get a i = a.chunks.(i lsr chunk_bits).(i land chunk_mask)
 let set a i x = a.chunks.(i lsr chunk_bits).(i land chunk_mask) <- x
 
+(* An empty buffer whose chunk 0 holds [len] ints, at most [chunk_len]. A
+   full chunk 0 doubles up to [chunk_len], so a small history's buffer
+   stays small; every later chunk is made whole. *)
+let create len = { chunks = [| Array.make (Int.min chunk_len len) 0 |]; len = 0 }
+
 let push a x =
-  let c = a.len lsr chunk_bits in
-  if a.len land chunk_mask = 0 then begin
-    if c = Array.length a.chunks then begin
-      let grown = Array.make ((2 * c) + 1) [||] in
-      Array.blit a.chunks 0 grown 0 c;
-      a.chunks <- grown
-    end;
-    a.chunks.(c) <- Array.make chunk_len 0
+  let c = a.len lsr chunk_bits and j = a.len land chunk_mask in
+  if c = Array.length a.chunks then begin
+    let grown = Array.make (2 * c) [||] in
+    Array.blit a.chunks 0 grown 0 c;
+    a.chunks <- grown
   end;
-  a.chunks.(c).(a.len land chunk_mask) <- x;
+  if j = Array.length a.chunks.(c) then begin
+    let len = if c = 0 then Int.min chunk_len (2 * j) else chunk_len in
+    let chunk = Array.make len 0 in
+    Array.blit a.chunks.(c) 0 chunk 0 j;
+    a.chunks.(c) <- chunk
+  end;
+  a.chunks.(c).(j) <- x;
   a.len <- a.len + 1
 
-(* [a]'s chunks in use, and how many ints chunk [c] of them holds. *)
-let used a = (a.len + chunk_mask) lsr chunk_bits
-let filled a c = min chunk_len (a.len - (c lsl chunk_bits))
-
-(* LSD radix sort of [a]'s non-negative ints, 16 bits a pass. Returns the
-   buffer holding them sorted: [a] or its scratch twin. *)
-let radix_sort a =
-  let top = ref 0 in
-  for c = 0 to used a - 1 do
-    let chunk = a.chunks.(c) in
-    for j = 0 to filled a c - 1 do
-      if chunk.(j) > !top then top := chunk.(j)
+(* Moves every code into its bucket, in place: bucket [b] is positions
+   [start.(b)] to [start.(b + 1) - 1], and a code's bucket is [code lsr
+   shift]. [next.(b)] is [b]'s first position not yet settled. A code found
+   out of place is carried to the next free position of its own bucket,
+   and the code it displaces carried on, until one of [b]'s turns up; so
+   each code moves once. *)
+let permute e start next shift =
+  for b = 0 to Array.length next - 1 do
+    while next.(b) < start.(b + 1) do
+      let c = ref (get e next.(b)) in
+      while !c lsr shift <> b do
+        let t = !c lsr shift in
+        let p = next.(t) in
+        next.(t) <- p + 1;
+        let displaced = get e p in
+        set e p !c;
+        c := displaced
+      done;
+      set e next.(b) !c;
+      next.(b) <- next.(b) + 1
     done
-  done;
-  (* 2^16 buckets a pass, or fewer when every value fits in one pass. *)
-  let buckets = min 0x10000 (!top + 1) in
-  let count = Array.make (buckets + 1) 0 in
-  let rec pass src dst shift =
-    if !top lsr shift = 0 then src
-    else begin
-      Array.fill count 0 (buckets + 1) 0;
-      for c = 0 to used src - 1 do
-        let chunk = src.chunks.(c) in
-        for j = 0 to filled src c - 1 do
-          let b = (chunk.(j) lsr shift) land 0xffff in
-          count.(b + 1) <- count.(b + 1) + 1
-        done
-      done;
-      for b = 1 to buckets do
-        count.(b) <- count.(b) + count.(b - 1)
-      done;
-      let into = dst.chunks in
-      for c = 0 to used src - 1 do
-        let chunk = src.chunks.(c) in
-        for j = 0 to filled src c - 1 do
-          let x = chunk.(j) in
-          let b = (x lsr shift) land 0xffff in
-          let i = count.(b) in
-          into.(i lsr chunk_bits).(i land chunk_mask) <- x;
-          count.(b) <- i + 1
-        done
-      done;
-      pass dst src (shift + 16)
+  done
+
+(* Heapsort of [a]'s positions [lo] to [hi - 1]: in place, and O(d log d)
+   for a row of d successors whatever their order. [sift] moves the entry
+   at heap node [i] (position [lo + i]) down a heap of [len] nodes. *)
+let rec sift a lo len i =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c =
+      if l + 1 < len && get a (lo + l + 1) > get a (lo + l) then l + 1 else l
+    in
+    let x = get a (lo + i) and y = get a (lo + c) in
+    if y > x then begin
+      set a (lo + i) y;
+      set a (lo + c) x;
+      sift a lo len c
     end
-  in
-  pass a { chunks = Array.init (used a) (fun _ -> Array.make chunk_len 0); len = a.len } 0
+  end
+
+let sort a lo hi =
+  let d = hi - lo in
+  for i = (d / 2) - 1 downto 0 do
+    sift a lo d i
+  done;
+  for last = d - 1 downto 1 do
+    let x = get a lo in
+    set a lo (get a (lo + last));
+    set a (lo + last) x;
+    sift a lo last 0
+  done
 
 (* The MVSG in compressed sparse rows: [v]'s successors, deduplicated
-   across kinds and ascending, are [succ] from [first.(v)] to
-   [first.(v + 1) - 1]. *)
+   across kinds, are [succ] from [first.(v)] to [first.(v + 1) - 1]. *)
 type graph = { n : int; first : int array; succ : ints }
 
-(* Sorts the edge codes, counts the distinct ones per kind ([counts.(c)]
-   for kind code [c]) and packs the successors in place of the codes. *)
-let graph_of n (e : ints) counts =
-  let codes = radix_sort e in
+(* Builds the graph in [e], the edge codes, given [out.(v)], how many of
+   them leave [v], and counts the distinct edges per kind ([counts.(c)]
+   for kind code [c]). The codes are moved into their sources' rows in two
+   in-place passes: first into buckets of [1 lsl top] consecutive sources
+   (at most 256 buckets, so the positions being filled stay in cache),
+   then, within each bucket, into rows. Each row then drops its repeats,
+   and its distinct successors are packed to the front of the buffer:
+   [mark.(t)] is [v lsl 3] plus a bit per kind once row [v] has met target
+   [t]. *)
+let graph_of n bits (e : ints) out counts =
   let first = Array.make (n + 1) 0 in
-  let k = ref 0 and prev = ref (-1) in
-  for ci = 0 to used codes - 1 do
-    let chunk = codes.chunks.(ci) in
-    for j = 0 to filled codes ci - 1 do
-      let c = chunk.(j) in
-      if c <> !prev then begin
+  for v = 0 to n - 1 do
+    first.(v + 1) <- first.(v) + out.(v)
+  done;
+  let top = Int.max 0 (bits - 8) in
+  let buckets = (n + (1 lsl top) - 1) lsr top in
+  let start = Array.init (buckets + 1) (fun b -> first.(Int.min n (b lsl top))) in
+  permute e start (Array.sub start 0 buckets) (bits + 2 + top);
+  let next = out in
+  Array.blit first 0 next 0 n;
+  permute e first next (bits + 2);
+  (* [!k] never passes the row being read, so only codes already read are
+     overwritten. *)
+  let k = ref 0 and mark = next and dst = (1 lsl bits) - 1 in
+  Array.fill mark 0 n (-1);
+  for v = 0 to n - 1 do
+    let lo = first.(v) and hi = first.(v + 1) in
+    first.(v) <- !k;
+    for i = lo to hi - 1 do
+      let c = get e i in
+      let t = (c lsr 2) land dst and kind = 1 lsl (c land 3) in
+      let m = mark.(t) in
+      if m lsr 3 <> v then begin
+        mark.(t) <- (v lsl 3) lor kind;
         counts.(c land 3) <- counts.(c land 3) + 1;
-        let pair = c lsr 2 in
-        if !prev < 0 || pair <> !prev lsr 2 then begin
-          first.((pair / n) + 1) <- first.((pair / n) + 1) + 1;
-          (* [!k] never passes the code being read, so only codes already
-             read are overwritten. *)
-          set codes !k (pair mod n);
-          incr k
-        end;
-        prev := c
+        set e !k t;
+        incr k
+      end
+      else if m land kind = 0 then begin
+        mark.(t) <- m lor kind;
+        counts.(c land 3) <- counts.(c land 3) + 1
       end
     done
   done;
-  for v = 1 to n do
-    first.(v) <- first.(v) + first.(v - 1)
-  done;
-  { n; first; succ = codes }
+  first.(n) <- !k;
+  { n; first; succ = e }
+
+(* Each row's successors in ascending order: which cycle {!find_cycle}
+   reports depends on the order it meets them. *)
+let sort_rows g =
+  for v = 0 to g.n - 1 do
+    sort g.succ g.first.(v) g.first.(v + 1)
+  done
 
 (* ----------------------------------------------------- cycle search *)
 
@@ -354,9 +392,18 @@ let certify ?shard_of_node history =
         let spec, _ = idx.Index.txns.(idx.Index.w_dense.(p)) in
         f spec.Spec.root.Spec.node
   in
-  let e = { chunks = [||]; len = 0 } in
+  let bits = ref 0 in
+  while 1 lsl !bits < n do
+    incr bits
+  done;
+  let bits = !bits in
+  (* Room for four edges a transaction before chunk 0 grows. *)
+  let e = create (Int.max 16 (4 * n)) and out = Array.make n 0 in
   let add src dst kind =
-    if src <> dst then push e ((((src * n) + dst) lsl 2) lor code kind)
+    if src <> dst then begin
+      push e ((((src lsl bits) lor dst) lsl 2) lor code kind);
+      out.(src) <- out.(src) + 1
+    end
   in
   (* Version-order edges: conflicting writer pairs at different versions
      of the same shard's frontier, lower version first. Commuting pairs
@@ -412,7 +459,7 @@ let certify ?shard_of_node history =
             reads)
     history;
   let counts = Array.make 3 0 in
-  let g = graph_of n e counts in
+  let g = graph_of n bits e out counts in
   (* Nodes: writers plus committed readers, seeded in id order so the
      chosen witness does not depend on history order. *)
   let nodes =
@@ -421,7 +468,14 @@ let certify ?shard_of_node history =
       idx.Index.txns
   in
   let count f a = Array.fold_left (fun c x -> if f x then c + 1 else c) 0 a in
-  let cycle = Option.map (List.map (label idx)) (find_cycle g nodes) in
+  (* Rows are sorted only when there is a cycle to report. *)
+  let cycle =
+    if sccs g nodes = [] then None
+    else begin
+      sort_rows g;
+      Option.map (List.map (label idx)) (find_cycle g nodes)
+    end
+  in
   {
     txns = count Fun.id nodes;
     readers = !readers;

@@ -33,11 +33,13 @@
 
     Cost: edges are drawn by one linear merge per observation of its sorted
     writer tags against the key's writers ({!History_index.merge}), packed
-    one int per edge, radix-sorted and deduplicated into compressed sparse
-    rows — O(Σ over observations of |tags| + |writers(key)|) plus
-    O(E log E) for E edges, and O(overwriters × writers) per key for
-    version-order edges. Witness keys are recovered by a second pass only
-    when a cycle exists. Observed writer tags that no
+    one int per edge into one buffer, moved into their sources' rows by an
+    in-place permutation and deduplicated there into compressed sparse
+    rows — O(Σ over observations of |tags| + |writers(key)|) plus O(E) for
+    E edges, and O(overwriters × writers) per key for version-order edges.
+    Only when a cycle exists are the rows sorted, O(d log d) for a row of d
+    successors, so the witness search meets successors in ascending order,
+    and witness keys recovered by a second pass. Observed writer tags that no
     effect-ful transaction in the history accounts for (dirty reads of true
     aborts) get no node or edge; they are surfaced in [unknown_count] /
     [unknown_tags] and certifiers downstream must treat them as failures in

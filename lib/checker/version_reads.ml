@@ -27,26 +27,29 @@ module Index = History_index
    the subtransactions whose ops read [k] name the nodes involved, and
    [shard_of_node] maps those to components. Writers of [k] all live in
    [k]'s shard (sharded engines reject cross-shard update trees), so the
-   per-component comparison stays exact. One walk of the tree yields every
-   read key's fence: the largest in-range component over the
-   subtransactions reading it. *)
-let fences ~shard_of_node vec (spec : Spec.t) =
-  let tbl = Hashtbl.create 8 in
-  let rec walk (st : Spec.subtxn) =
-    let s = shard_of_node st.Spec.node in
-    if s >= 0 && s < Array.length vec then
-      List.iter
-        (function
-          | Txn.Op.Read k -> (
-              match Hashtbl.find_opt tbl k.Store.Key.id with
-              | Some f when f >= vec.(s) -> ()
-              | _ -> Hashtbl.replace tbl k.Store.Key.id vec.(s))
-          | _ -> ())
-        st.Spec.ops;
-    List.iter walk st.Spec.children
+   per-component comparison stays exact. A key's fence is the largest
+   in-range component over the subtransactions reading it, [-1] when there
+   is none: one walk of the read's own tree, in plain recursion, so it
+   allocates nothing. *)
+let rec fence ~shard_of_node vec key (st : Spec.subtxn) =
+  let s = shard_of_node st.Spec.node in
+  let own =
+    if s >= 0 && s < Array.length vec && reads key st.Spec.ops then vec.(s)
+    else -1
   in
-  walk spec.Spec.root;
-  tbl
+  fence_children ~shard_of_node vec key own st.Spec.children
+
+and fence_children ~shard_of_node vec key f = function
+  | [] -> f
+  | st :: rest ->
+      fence_children ~shard_of_node vec key
+        (Int.max f (fence ~shard_of_node vec key st))
+        rest
+
+and reads key = function
+  | [] -> false
+  | Txn.Op.Read k :: _ when Store.Key.equal k key -> true
+  | _ :: ops -> reads key ops
 
 let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
   let idx = Index.build history in
@@ -67,12 +70,10 @@ let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
         let fence_of =
           match vector spec.Spec.id with
           | None -> fun _ -> root_v
-          | Some vec -> (
-              let tbl = fences ~shard_of_node vec spec in
-              fun (key : Store.Key.t) ->
-                match Hashtbl.find_opt tbl key.Store.Key.id with
-                | Some f when f >= 0 -> f
-                | _ -> root_v)
+          | Some vec ->
+              fun key ->
+                let f = fence ~shard_of_node vec key spec.Spec.root in
+                if f >= 0 then f else root_v
         in
         (* Observed writers are unioned per key (a key may be read at
            several subtransactions; under 3V they all resolve the same

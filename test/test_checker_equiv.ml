@@ -44,6 +44,21 @@ let mismatch ?shard_of_node ?vector (history : history) =
   in
   List.find_map (fun (name, same) -> if same () then None else Some name) checks
 
+(* The history's order cannot change a certificate: [certify (List.rev
+   h)] must equal [certify h] but for the order of [unknown_tags], and,
+   past its cap, for which tags it keeps. A history whose ids ascend is
+   indexed in its own order and its reversal through a sort, so both paths
+   meet the same histories, cycles included. *)
+let order_free ?shard_of_node (history : history) =
+  let certify h = Checker.Serializability.certify ?shard_of_node h in
+  let a = certify history and b = certify (List.rev history) in
+  let kept (r : Checker.Serializability.report) =
+    if r.unknown_count > 20 then [] else List.sort compare r.unknown_tags
+  in
+  { a with Checker.Serializability.unknown_tags = kept a }
+  = { b with Checker.Serializability.unknown_tags = kept b }
+  && List.length a.unknown_tags = List.length b.unknown_tags
+
 (* ------------------------------------------------- random histories *)
 
 let nodes = 5
@@ -204,9 +219,12 @@ let random_histories_agree =
     (QCheck.make ~print:print_case gen_case)
     (fun (history, vectors) ->
       let vector id = List.assoc_opt id vectors in
-      match mismatch ~shard_of_node ~vector history with
-      | None -> true
-      | Some name -> QCheck.Test.fail_reportf "%s differs" name)
+      (match mismatch ~shard_of_node ~vector history with
+      | None -> ()
+      | Some name -> QCheck.Test.fail_reportf "%s differs" name);
+      if not (order_free history && order_free ~shard_of_node history) then
+        QCheck.Test.fail_reportf "certify differs on the reversed history";
+      true)
 
 (* A version-order edge shared by two keys names the smaller key, in
    either op order: t1 and t2 overwrite both keys at versions 1 and 2, and
@@ -264,19 +282,24 @@ let ww_witness_keys_agree () =
         [ (k1, k2); (k2, k1) ])
     pairs
 
-(* The certifier keeps its edge codes in chunks of 2^16 ints, and its
-   radix sort makes one pass per 16 bits of [4 n^2]. Random and fuzz
-   histories stay inside one chunk and two passes, so this one is built
-   big: 300 commuting writers of one key and 601 readers of it, one edge
-   per reader and writer (180,300 edges, three chunks), padded with idle
-   read-only transactions, ids first, so that every edge joins two dense
-   indices above 2^15 and the sort takes a third pass. Reader [i] sees a
-   prefix of the writers, which orders them; the last reader sees writer 2
-   alone, which closes a short cycle through writer 1 and the first
-   reader, who sees writer 1 alone. *)
-let chunked_edges_agree () =
+(* The certifier keeps its edge codes in chunks of 2^16 ints. Random and
+   fuzz histories stay inside one chunk, so this one is built big: 300
+   commuting writers of one key and 601 readers of it, one edge per reader
+   and writer (180,300 edges, three chunks), padded with idle read-only
+   transactions, ids first, which are no graph nodes, so that every edge
+   joins two dense indices above 2^15 and the buffer's codes pass 32 bits.
+   Reader [i] sees a prefix of the writers, which orders them; the last
+   reader sees writer 2 alone, which closes a short cycle through writer 1
+   and the first reader, who sees writer 1 alone. [writer w] and [reader
+   i] are their ids. *)
+let chunked_writers = 300
+let chunked_readers = 601
+let chunked_idle = 32_200
+let writer w = chunked_idle + w
+let reader i = chunked_idle + chunked_writers + 1 + i
+
+let chunked_history () =
   let key = Key.intern "hot-chunked" in
-  let writers = 300 and readers = 601 and idle = 32_200 in
   let result ~id reads =
     {
       Result.txn_id = id;
@@ -294,37 +317,110 @@ let chunked_edges_agree () =
   in
   let read id value = (Spec.make ~id (Spec.subtxn 0 [ Op.Read key ]), result ~id value) in
   let st = Random.State.make [| 7 |] in
-  (* Writer [w] has id [idle + w], reader [i] id [idle + writers + 1 + i]. *)
-  let writer w = idle + w and reader i = idle + writers + 1 + i in
   let seen i =
     if i = 0 then [ 1 ]
-    else if i = readers - 1 then [ 2 ]
-    else List.init (Random.State.int st (writers + 1)) (fun w -> w + 1)
+    else if i = chunked_readers - 1 then [ 2 ]
+    else List.init (Random.State.int st (chunked_writers + 1)) (fun w -> w + 1)
   in
-  let history =
-    List.init idle (fun i -> read (i + 1) [])
-    @ List.init writers (fun w ->
-          let id = writer (w + 1) in
-          (Spec.make ~id (Spec.subtxn 0 [ Op.Incr (key, 1.) ]), result ~id []))
-    @ List.init readers (fun i ->
-          read (reader i) [ (key, sees (List.map writer (seen i))) ])
-  in
+  List.init chunked_idle (fun i -> read (i + 1) [])
+  @ List.init chunked_writers (fun w ->
+        let id = writer (w + 1) in
+        (Spec.make ~id (Spec.subtxn 0 [ Op.Incr (key, 1.) ]), result ~id []))
+  @ List.init chunked_readers (fun i ->
+        read (reader i) [ (key, sees (List.map writer (seen i))) ])
+
+let chunked_edges_agree () =
+  let history = chunked_history () in
   let report = Checker.Serializability.certify history in
-  Alcotest.(check int) "edges" (writers * readers) report.Checker.Serializability.edges;
+  Alcotest.(check int) "edges" (chunked_writers * chunked_readers)
+    report.Checker.Serializability.edges;
   Alcotest.(check (option (list (pair int int))))
     "the short cycle"
     (Some
        [
          (writer 1, reader 0);
          (reader 0, writer 2);
-         (writer 2, reader (readers - 1));
-         (reader (readers - 1), writer 1);
+         (writer 2, reader (chunked_readers - 1));
+         (reader (chunked_readers - 1), writer 1);
        ])
     (Option.map
        (List.map (fun (e : Checker.Serializability.edge) -> (e.src, e.dst)))
        report.Checker.Serializability.cycle);
   Alcotest.(check bool) "equals the oracle" true
     (report = Oracle.Serializability.certify history)
+
+(* Words [f ()] allocates, minor and major heaps together. The minor heap
+   is emptied first: promoting a block made before the call would count
+   its header. *)
+let allocated f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  Gc.minor ();
+  let before = words () in
+  let r = f () in
+  (r, words () -. before)
+
+(* Certify holds its edge codes once: at most 1.3 words per code, the
+   chunks' rounding included, plus 20 words per transaction, for the 17
+   that its per-transaction arrays take (the index's ids and entries,
+   out-degrees, row starts, node flags, Tarjan's five arrays, twice over
+   a cyclic graph, and the witness search's two). Holding the codes twice,
+   as a sort's scratch copy does, takes over 2 words per code. *)
+let certify_allocation () =
+  let history = chunked_history () in
+  let n = List.length history in
+  let report, words = allocated (fun () -> Checker.Serializability.certify history) in
+  let codes = report.Checker.Serializability.edges in
+  let bound = (1.3 *. float_of_int codes) +. (20. *. float_of_int n) in
+  if words > bound then
+    Alcotest.failf "certify allocated %.0f words for %d codes and %d transactions (bound %.0f)"
+      words codes n bound
+
+(* An ascending history is indexed in its own order: [build] allocates the
+   arrays it keeps, two arrays of at most one int per key for counting,
+   and a few closures, so nothing more per transaction or per write. 4,000
+   transactions over 32 keys: every fourth reads two keys, and every other
+   writes four, one of them twice (an overwrite in a child), so an update
+   counts once per key. *)
+let index_allocation () =
+  let keys = Array.init 32 (fun i -> Key.intern (Printf.sprintf "index-alloc-%d" i)) in
+  let history =
+    List.init 4000 (fun i ->
+        let id = i + 1 and key j = keys.(((7 * i) + (5 * j)) mod 32) in
+        let spec =
+          if i mod 4 = 0 then Spec.make ~id (Spec.subtxn 0 [ Op.Read (key 0); Op.Read (key 1) ])
+          else
+            Spec.make ~id
+              (Spec.subtxn 0
+                 ~children:[ Spec.subtxn 1 [ Op.Overwrite (key 0, 1.) ] ]
+                 (List.init 4 (fun j -> Op.Incr (key j, 1.))))
+        in
+        ( spec,
+          {
+            Result.txn_id = id;
+            outcome = Result.Committed;
+            version = 1;
+            served_by = 0;
+            reads = [];
+            submit_time = 0.;
+            root_commit_time = 0.;
+            complete_time = 1.;
+          } ))
+  in
+  let idx, words = allocated (fun () -> Checker.History_index.build history) in
+  let kept a = Array.length a + 1 in
+  let slots = kept idx.Checker.History_index.slot_of in
+  let bound =
+    kept idx.ids + kept idx.txns + slots + kept idx.starts + kept idx.w_id + kept idx.w_dense
+    + kept idx.w_overwrote + (2 * slots) + 256
+  in
+  Alcotest.(check int) "writer entries" (3000 * 4) (Array.length idx.w_id);
+  if words > float_of_int bound then
+    Alcotest.failf "build allocated %.0f words where it keeps %d (bound %d)" words
+      (bound - (2 * slots) - 256)
+      bound
 
 (* -------------------------------------------------- fuzz histories *)
 
@@ -336,6 +432,8 @@ let fuzz_histories_agree () =
     (match mismatch ?shard_of_node ?vector history with
     | None -> ()
     | Some name -> Alcotest.failf "fuzz case %d: %s differs" index name);
+    if not (order_free ?shard_of_node history) then
+      Alcotest.failf "fuzz case %d: certify differs on the reversed history" index;
     if (Oracle.Serializability.certify history).Checker.Serializability.cycle
        <> None
     then incr cycles
@@ -352,5 +450,7 @@ let () =
             ww_witness_keys_agree;
           Alcotest.test_case "fuzz sweep histories" `Quick fuzz_histories_agree;
           Alcotest.test_case "certify across edge chunks" `Quick chunked_edges_agree;
+          Alcotest.test_case "certify holds its codes once" `Quick certify_allocation;
+          Alcotest.test_case "index allocates what it keeps" `Quick index_allocation;
         ] );
     ]
